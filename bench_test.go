@@ -20,7 +20,6 @@
 package repro
 
 import (
-	"os"
 	"sync"
 	"testing"
 
@@ -429,36 +428,28 @@ func BenchmarkPricePartition(b *testing.B) {
 }
 
 // BenchmarkBarrierKernel measures a barrier-synchronized kernel (dotprod:
-// 64-item work groups, one barrier per reduction level) under the three
-// barrier execution paths: the legacy goroutine-per-item-per-group path
-// ("spawn"), the persistent reused item pool ("pooled"), and the default
-// single-goroutine lockstep executor ("lockstep"). All three produce
-// byte-identical buffers and profiles; the spawn/lockstep ratio is the
-// barrier-execution speedup of this PR.
+// 64-item work groups, one barrier per reduction level) under each
+// tier's barrier strategy: the closure tree's blocking item pool and the
+// VM's single-goroutine suspend-resume rounds (dotprod's reduction loop
+// branches on the local id, so it does not vectorize and the vec leg is
+// skipped). Both produce byte-identical buffers and profiles; the
+// closure/vm ratio is what serving on the VM saves over the reference.
 func BenchmarkBarrierKernel(b *testing.B) {
 	p, err := bench.Get("dotprod")
 	if err != nil {
 		b.Fatal(err)
 	}
-	l, _, err := p.Build(2) // 64K items = 1024 groups of 64
+	inst, err := p.Instance(2) // 64K items = 1024 groups of 64
 	if err != nil {
 		b.Fatal(err)
 	}
-	nd, err := l.ND.Normalized()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !l.Kernel.LockstepEligible() {
-		b.Fatal("dotprod should be lockstep-eligible")
-	}
-	for _, cfg := range []struct {
-		name string
-		mode exec.BarrierMode
-	}{{"spawn", exec.BarrierSpawn}, {"pooled", exec.BarrierPooled}, {"lockstep", exec.BarrierAuto}} {
-		b.Run(cfg.name, func(b *testing.B) {
+	for _, tier := range benchCompileTierSet(b, p.Source, p.Kernel).legs() {
+		if tier.c == nil {
+			continue
+		}
+		b.Run(tier.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := l.Kernel.Run(l.Args, nd, exec.RunOptions{Barrier: cfg.mode})
-				if err != nil {
+				if _, err := tier.c.Run(inst.Args, inst.ND, exec.RunOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -494,12 +485,10 @@ func BenchmarkPrediction(b *testing.B) {
 	}
 }
 
-// benchTierSet holds one kernel compiled on every execution tier. The
-// vec compiles are nil when the kernel is not vectorizable; vecV1 is
-// the vector tier with scalarization and re-convergence disabled
-// (REPRO_VEC_V1), the apples-to-apples baseline for the v2 paths.
+// benchTierSet holds one kernel compiled on every execution tier; vec
+// is nil when the kernel is not vectorizable.
 type benchTierSet struct {
-	closure, vm, vec, vecV1 *exec.Compiled
+	closure, vm, vec *exec.Compiled
 }
 
 func benchCompileTierSet(b *testing.B, source, kernel string) benchTierSet {
@@ -519,17 +508,11 @@ func benchCompileTierSet(b *testing.B, source, kernel string) benchTierSet {
 		}
 		return c
 	}
-	ts := benchTierSet{
+	return benchTierSet{
 		closure: compile(exec.TierClosure),
 		vm:      compile(exec.TierVM),
 		vec:     compile(exec.TierVec),
 	}
-	if ts.vec != nil {
-		os.Setenv("REPRO_VEC_V1", "1")
-		ts.vecV1 = compile(exec.TierVec)
-		os.Unsetenv("REPRO_VEC_V1")
-	}
-	return ts
 }
 
 func (ts benchTierSet) legs() []struct {
@@ -539,19 +522,18 @@ func (ts benchTierSet) legs() []struct {
 	return []struct {
 		name string
 		c    *exec.Compiled
-	}{{"closure", ts.closure}, {"vm", ts.vm}, {"vec", ts.vec}, {"vecv1", ts.vecV1}}
+	}{{"closure", ts.closure}, {"vm", ts.vm}, {"vec", ts.vec}}
 }
 
-// benchMicroKernels stress the vector tier's v2 execution paths with
-// shapes the suite programs mix together. "divergent" splits every
-// group at a per-item sign branch and then runs a long convergent
-// tail loop: v1 bails each group to the scalar VM at the branch and
-// grinds the tail item-by-item, v2 runs the sides masked, re-forms at
-// the join, and retires the tail W-wide — this is the kernel that
-// previously finished scalar and now beats the scalar VM outright.
-// "uniformloop" spends its time in a loop whose counter, bound, loads,
-// and accumulator are all group-uniform: v2 retires the whole loop once
-// per group on the scalar slots instead of once per lane.
+// benchMicroKernels stress the vector tier's divergence and
+// scalarization paths with shapes the suite programs mix together.
+// "divergent" splits every group at a per-item sign branch and then runs
+// a long convergent tail loop: the vector tier runs the sides masked,
+// re-forms at the join, and retires the tail W-wide instead of bailing
+// to the scalar VM at the branch. "uniformloop" spends its time in a
+// loop whose counter, bound, loads, and accumulator are all
+// group-uniform: the vector tier retires the whole loop once per group
+// on the scalar slots instead of once per lane.
 var benchMicroKernels = []struct {
 	name   string
 	source string
@@ -594,11 +576,10 @@ var benchMicroKernels = []struct {
 }
 
 // BenchmarkKernelExec compares the execution tiers on one host worker:
-// closure tree, scalar bytecode VM, the SIMT vector tier, and the
-// vector tier with v2 disabled (vecv1). matvec, matmul, and nbody are
-// the counted-loop kernels where fusion, lane batching, and uniform
-// scalarization bite hardest; blackscholes diverges at its
-// data-dependent cnd branch (v1 completes scalar, v2 re-converges);
+// closure tree, scalar bytecode VM, and the SIMT vector tier. matvec,
+// matmul, and nbody are the counted-loop kernels where fusion, lane
+// batching, and uniform scalarization bite hardest; blackscholes
+// diverges at its data-dependent cnd branch and re-converges;
 // mandelbrot has per-item loop trip counts and is not vectorizable, so
 // its vec sub-benchmarks are skipped. The divergent and uniformloop
 // microkernels isolate the re-convergence and scalarization paths. All
@@ -673,6 +654,7 @@ func BenchmarkKernelExecFusion(b *testing.B) {
 		}
 		n := inst.ND.Global[0]
 		f := prog.NewFrame()
+		f.Globals = make([]vm.Buf, prog.NumGlobals)
 		for ai, pr := range prog.Params {
 			switch pr.Kind {
 			case vm.ParamGlobal:

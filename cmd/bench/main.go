@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	bench [-db training_db.json] [-fast] [-parallel 8] [-exec-tier vm] fig1|defaults|sizes|models|ablation|oracle|steps|all
+//	bench [-db training_db.json] [-fast] [-parallel 8] fig1|defaults|sizes|models|ablation|oracle|steps|all
 //
 // If the database file does not exist it is generated first (several
 // minutes for the full suite).
@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/exec"
 	"repro/internal/harness"
 	"repro/internal/ml"
 	"repro/internal/sched"
@@ -25,17 +24,8 @@ func main() {
 	dbPath := flag.String("db", "training_db.json", "training database path (generated if missing)")
 	fast := flag.Bool("fast", false, "use the fast kNN model instead of the MLP")
 	parallel := flag.Int("parallel", 0, "worker goroutines for sweeps, oracle search and CV folds (0 = GOMAXPROCS)")
-	execTier := flag.String("exec-tier", "", "kernel execution tier: auto, vec, vm, or closure (default: REPRO_EXEC_TIER or auto)")
 	flag.Parse()
 	sched.SetDefaultWorkers(*parallel)
-	if *execTier != "" {
-		tier, err := exec.ParseTier(*execTier)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		exec.SetDefaultTier(tier)
-	}
 	what := flag.Arg(0)
 	if what == "" {
 		what = "all"

@@ -167,6 +167,28 @@ func TestKernelUploadRejectsBadSource(t *testing.T) {
 	}
 }
 
+// TestKernelUploadRejectsUnlowerable: a kernel that parses but does not
+// lower to the VM (a straight-line body over the 4095-op profile lane
+// limit) answers 400 like any compile failure and registers nothing;
+// there is no slower tier to serve it on.
+func TestKernelUploadRejectsUnlowerable(t *testing.T) {
+	s := newServer(t, nil)
+	src := "kernel void huge(global float* a, global float* out, int n) {\n" +
+		"\tint i = get_global_id(0);\n\tfloat x = a[i];\n" +
+		strings.Repeat("\tx = x * 1.5f + 0.25f;\n", 2100) +
+		"\tout[i] = x;\n}"
+	w := uploadKernel(t, s, "", engine.KernelSpec{Name: "huge", Source: src})
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("unlowerable kernel = %d, want 400: %s", w.Code, w.Body.String())
+	}
+	if body := w.Body.String(); !strings.Contains(body, `"compile"`) || !strings.Contains(body, "too large to profile") {
+		t.Fatalf("want a compile error naming the lane limit: %s", body)
+	}
+	if w := doReq(t, s, http.MethodGet, "/kernels", nil); w.Code != http.StatusOK || strings.Contains(w.Body.String(), "huge") {
+		t.Fatalf("rejected kernel is listed: %d %s", w.Code, w.Body.String())
+	}
+}
+
 // TestKernelQuota429: a tenant at its kernel cap gets 429 with a
 // Retry-After hint; other tenants are unaffected.
 func TestKernelQuota429(t *testing.T) {

@@ -130,7 +130,7 @@ func main() {
 	retrainInterval := flag.Duration("retrain-interval", time.Minute, "how often the background retrainer checks for new observations")
 	retrainMin := flag.Int("retrain-min", 5, "labeled observations required since the last attempt before retraining")
 	oracleSample := flag.Int("oracle-sample", 1, "label every Nth execution with its measured-best class (1 = all, negative = never)")
-	execTier := flag.String("exec-tier", "", "kernel execution tier: auto, vec, vm, or closure (default: REPRO_EXEC_TIER or auto)")
+	execTier := flag.String("exec-tier", "auto", "kernel execution tier: auto, vec, or vm")
 	execSteps := flag.Int64("exec-steps", 0, "per-request kernel step budget (0 = unlimited)")
 	execMem := flag.Int64("exec-mem", 0, "per-request buffer allocation budget in bytes (0 = unlimited)")
 	execTimeout := flag.Duration("exec-timeout", 0, "per-request execution wall-clock budget (0 = unlimited)")
@@ -139,14 +139,12 @@ func main() {
 	tenantConc := flag.Int("tenant-concurrency", 0, "max in-flight executions per tenant fleet-wide, 429 + Retry-After over the cap (0 = unlimited)")
 	flag.Parse()
 	sched.SetDefaultWorkers(*parallel)
-	if *execTier != "" {
-		tier, err := exec.ParseTier(*execTier)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		exec.SetDefaultTier(tier)
+	tier, err := exec.ParseTier(*execTier)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
+	exec.SetDefaultTier(tier)
 
 	if *saveTrained && *models == "" {
 		fail(fmt.Errorf("-save-trained requires -models to name the artifact directory"))

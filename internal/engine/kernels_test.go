@@ -225,6 +225,30 @@ func TestKernelEvictionRecompiles(t *testing.T) {
 	}
 }
 
+// TestRegisterKernelRejectsUnlowerable: a kernel the VM cannot lower (a
+// straight-line body over the 4095-op profile lane limit) is a compile
+// error at registration, not an upload served on the closure reference.
+func TestRegisterKernelRejectsUnlowerable(t *testing.T) {
+	eng, err := New(fastOpts(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := "kernel void huge(global float* a, global float* out, int n) {\n" +
+		"\tint i = get_global_id(0);\n\tfloat x = a[i];\n" +
+		strings.Repeat("\tx = x * 1.5f + 0.25f;\n", 2100) +
+		"\tout[i] = x;\n}"
+	var ce *CompileError
+	if _, err := eng.RegisterKernel("", KernelSpec{Name: "huge", Source: src}); !errors.As(err, &ce) {
+		t.Fatalf("unlowerable kernel err = %v, want *CompileError", err)
+	}
+	if !strings.Contains(ce.Error(), "too large to profile") {
+		t.Fatalf("compile error %q does not name the lane limit", ce)
+	}
+	if got := eng.ListKernels(); len(got) != 0 {
+		t.Fatalf("rejected kernel was registered: %+v", got)
+	}
+}
+
 // TestRegisterKernelValidation: bad specs are rejected with typed errors
 // before any compile work.
 func TestRegisterKernelValidation(t *testing.T) {

@@ -172,10 +172,11 @@ func TestBudgetedRunMatchesUnbudgeted(t *testing.T) {
 }
 
 // TestStepBudgetBarrierPathsNoHang drives a barrier kernel that spins
-// forever through every barrier execution mode with a small step budget:
-// each must return a structured abort rather than deadlock at the
-// barrier (items that abort leave the barrier; survivors exhaust the
-// shared pool and abort too).
+// forever through every tier's barrier strategy with a small step
+// budget: each must return a structured abort rather than deadlock at
+// the barrier (on the closure tree's blocking pool, items that abort
+// leave the barrier; survivors exhaust the shared step pool and abort
+// too), reporting the same spent/limit as the closure reference.
 func TestStepBudgetBarrierPathsNoHang(t *testing.T) {
 	src := `kernel void bspin(global float* out, local float* tmp) {
 		int lid = get_local_id(0);
@@ -187,30 +188,29 @@ func TestStepBudgetBarrierPathsNoHang(t *testing.T) {
 		}
 		out[get_global_id(0)] = tmp[lid];
 	}`
-	for _, mode := range []struct {
-		name string
-		m    BarrierMode
-	}{{"auto", BarrierAuto}, {"pooled", BarrierPooled}, {"spawn", BarrierSpawn}} {
-		t.Run(mode.name, func(t *testing.T) {
-			eachTier(t, func(t *testing.T, tier Tier) {
-				c := compileTierSrc(t, src, "bspin", tier)
-				out := NewFloatBuffer(128)
-				b := NewBudget(context.Background(), 200_000, 0)
-				done := make(chan error, 1)
-				go func() {
-					_, err := c.Run([]Arg{BufArg(out), LocalArg(64)}, ND1(128),
-						RunOptions{Budget: b, Barrier: mode.m})
-					done <- err
-				}()
-				select {
-				case err := <-done:
-					wantBudgetErr(t, err, BudgetSteps)
-				case <-time.After(30 * time.Second):
-					t.Fatalf("barrier mode %s: budgeted spin did not abort", mode.name)
-				}
-			})
-		})
+	abort := func(t *testing.T, tier Tier) *BudgetError {
+		c := compileTierSrc(t, src, "bspin", tier)
+		out := NewFloatBuffer(128)
+		b := NewBudget(context.Background(), 200_000, 0)
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.Run([]Arg{BufArg(out), LocalArg(64)}, ND1(128), RunOptions{Budget: b})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			return wantBudgetErr(t, err, BudgetSteps)
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%v tier: budgeted barrier spin did not abort", tier)
+			return nil
+		}
 	}
+	want := abort(t, TierClosure)
+	eachTier(t, func(t *testing.T, tier Tier) {
+		if got := abort(t, tier); *got != *want {
+			t.Errorf("abort %+v, closure reference %+v", *got, *want)
+		}
+	})
 }
 
 // TestExpiredBackstopStraightLine pins the between-groups deadline check:

@@ -87,26 +87,26 @@ func throwf(format string, args ...any) {
 	panic(execError{fmt.Errorf(format, args...)})
 }
 
-// Compiled is an executable kernel: the IR compiled to closures plus the
-// frame layout metadata needed to bind arguments.
+// Compiled is an executable kernel on exactly one tier: either the
+// closure tree (body plus the frame layout that binds arguments to it)
+// or the bytecode program with its optional vectorized view. Helper
+// functions of a closure-tier kernel are Compiled values too.
 type Compiled struct {
 	Fn *inspire.Function
 
-	body       stmtFn
 	hasBarrier bool
-	usesLocal  bool
-	lockstep   gStmt // nil when barriers are not provably uniform
 
+	// Closure tree, the reference tier; body is nil on the VM tiers.
+	body            stmtFn
+	usesLocal       bool
 	nInts, nFloats  int
 	nGlobal, nLocal int
 	paramSlots      []slot // parallel to Fn.Params
 	slotOf          []slot // by Var.ID
 	retIsFloat      bool
 
-	// Bytecode VM tier (see tier.go). vmProg is nil on the closure tier;
-	// vmErr records why the VM lowering was skipped under TierAuto.
+	// Bytecode VM tier (see tier.go); vmProg is nil on the closure tier.
 	vmProg *vm.Func
-	vmErr  error
 
 	// SIMT vector tier. vecProg is nil when the kernel runs scalar;
 	// vecErr records why vectorization was skipped under TierAuto.
@@ -118,12 +118,6 @@ type Compiled struct {
 // work-group barriers and therefore needs synchronous group execution.
 func (c *Compiled) HasBarrier() bool { return c.hasBarrier }
 
-// LockstepEligible reports whether the kernel's barriers were proven to
-// sit under group-uniform control flow, enabling the single-goroutine
-// lockstep group executor (the default barrier path). Ineligible kernels
-// run groups on the blocking worker-pool path instead.
-func (c *Compiled) LockstepEligible() bool { return c.lockstep != nil }
-
 // compiler compiles one function (kernel or helper).
 type compiler struct {
 	out     *Compiled
@@ -131,14 +125,13 @@ type compiler struct {
 }
 
 // Compile translates an IR function into an executable kernel on the
-// process-wide default tier (see DefaultTier): closures always, plus
-// the bytecode VM when it is selected and the kernel lowers.
+// process-wide default tier (see DefaultTier).
 func Compile(fn *inspire.Function) (*Compiled, error) {
 	return CompileTier(fn, DefaultTier())
 }
 
 // compileClosure builds the closure-tree interpreter, the reference
-// execution tier.
+// the differential suites compare the serving tiers against.
 func compileClosure(fn *inspire.Function) (c *Compiled, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -171,9 +164,6 @@ func compileWith(fn *inspire.Function, helpers map[*inspire.Function]*Compiled) 
 	})
 	out.body = cc.block(fn.Body)
 	out.retIsFloat = fn.Ret.IsFloat()
-	if fn.Kernel && out.hasBarrier {
-		out.lockstep = cc.lockstepCompile(fn)
-	}
 	return out
 }
 

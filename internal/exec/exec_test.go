@@ -479,6 +479,48 @@ kernel void k(global int* o) { o[0] = 0; }
 	}
 }
 
+// TestCompileRejectsKernelOverLaneLimit: a straight-line kernel with more
+// static float ops than the VM's packed profile lanes hold (4095) does
+// not lower, so it fails Compile on the serving tiers rather than falling
+// back to the closure tree, which itself still takes it.
+func TestCompileRejectsKernelOverLaneLimit(t *testing.T) {
+	src := "kernel void huge(global float* a, global float* out, int n) {\n" +
+		"\tint i = get_global_id(0);\n\tfloat x = a[i];\n" +
+		strings.Repeat("\tx = x * 1.5f + 0.25f;\n", 2100) +
+		"\tout[i] = x;\n}"
+	u, err := inspire.LowerSource("test", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := u.Kernel("huge")
+	if _, err := CompileTier(k, TierAuto); err == nil || !strings.Contains(err.Error(), "too large to profile") {
+		t.Fatalf("TierAuto compile err = %v, want the lane-limit rejection", err)
+	}
+	c, err := CompileTier(k, TierClosure)
+	if err != nil {
+		t.Fatalf("closure compile: %v", err)
+	}
+	a, out := NewFloatBuffer(4), NewFloatBuffer(4)
+	if _, err := c.Run([]Arg{BufArg(a), BufArg(out), IntArg(4)}, ND1(4), RunOptions{}); err != nil {
+		t.Fatalf("closure run: %v", err)
+	}
+}
+
+// TestParseTierServingTiersOnly: -exec-tier names exactly the serving
+// tiers; the closure reference and the old aliases are usage errors.
+func TestParseTierServingTiersOnly(t *testing.T) {
+	for s, want := range map[string]Tier{"auto": TierAuto, "vm": TierVM, "vec": TierVec} {
+		if got, err := ParseTier(s); err != nil || got != want || got.String() != s {
+			t.Errorf("ParseTier(%q) = %v, %v", s, got, err)
+		}
+	}
+	for _, s := range []string{"closure", "closures", "bytecode", "vector", "simt", "", "VM"} {
+		if _, err := ParseTier(s); err == nil {
+			t.Errorf("ParseTier(%q) accepted", s)
+		}
+	}
+}
+
 func TestNDRangeNormalization(t *testing.T) {
 	nd, err := ND1(128).normalized()
 	if err != nil {

@@ -5,9 +5,16 @@ import (
 	"testing"
 )
 
+// Barrier execution has one strategy per tier: the closure tree blocks a
+// persistent pool of item goroutines on a cyclic barrier, the VM suspends
+// and resumes frames in rounds on one goroutine, and the vector tier
+// retires the whole group per instruction. The tests here run one launch
+// on every tier that takes the kernel and compare against the closure
+// tree, the reference.
+
 // scanSrc is a barrier-heavy kernel (per-group Hillis-Steele scan): every
-// work item synchronizes with its group several times per launch, which is
-// exactly the shape the persistent item pool accelerates.
+// work item synchronizes with its group several times per launch. Its
+// varying branch inside the loop keeps it off the vector tier.
 const scanSrc = `
 kernel void scan(global const float* in, global float* out, local float* tmp, int n) {
 	int gid = get_global_id(0);
@@ -27,14 +34,43 @@ kernel void scan(global const float* in, global float* out, local float* tmp, in
 	out[gid] = tmp[lid];
 }`
 
-func runScan(t *testing.T, n, local int, opts RunOptions) ([]float32, *Profile) {
+// reverseSrc reverses each group through local memory; items past n
+// return between the two barriers. It vectorizes.
+const reverseSrc = `
+kernel void reverse(global const float* in, global float* out, local float* tmp, int n) {
+	int lid = get_local_id(0);
+	int gid = get_global_id(0);
+	tmp[lid] = in[gid];
+	barrier(1);
+	if (gid >= n) {
+		return;
+	}
+	barrier(1);
+	out[gid] = tmp[get_local_size(0) - 1 - lid];
+}`
+
+// barrierTiers compiles a barrier kernel on every tier that takes it:
+// closure and VM always, vec when the kernel vectorizes.
+func barrierTiers(t *testing.T, src, kernel string, vec bool) map[Tier]*Compiled {
 	t.Helper()
-	c := compileSrc(t, scanSrc, "scan")
-	in, out := NewFloatBuffer(n), NewFloatBuffer(n)
+	tiers := map[Tier]*Compiled{
+		TierClosure: compileTierSrc(t, src, kernel, TierClosure),
+		TierVM:      compileTierSrc(t, src, kernel, TierVM),
+	}
+	if vec {
+		tiers[TierVec] = compileTierSrc(t, src, kernel, TierVec)
+	}
+	return tiers
+}
+
+// runInOut launches an (in, out, local tmp, n) kernel over nTotal items.
+func runInOut(t *testing.T, c *Compiled, nTotal, local, n int, opts RunOptions) ([]float32, *Profile) {
+	t.Helper()
+	in, out := NewFloatBuffer(nTotal), NewFloatBuffer(nTotal)
 	for i := range in.F {
 		in.F[i] = float32(i%13) * 0.25
 	}
-	nd := NDRange{Global: [3]int{n, 1, 1}, Local: [3]int{local, 1, 1}}
+	nd := NDRange{Global: [3]int{nTotal, 1, 1}, Local: [3]int{local, 1, 1}}
 	prof, err := c.Run([]Arg{BufArg(in), BufArg(out), LocalArg(local), IntArg(n)}, nd, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -42,79 +78,41 @@ func runScan(t *testing.T, n, local int, opts RunOptions) ([]float32, *Profile) 
 	return out.F, prof
 }
 
-// TestBarrierModesByteIdentical is the golden determinism check for the
-// barrier execution paths: lockstep (default) and the persistent item pool
-// must produce buffers and profiles bit-identical to the legacy
-// goroutine-per-item path, for every host worker count. Run under -race in
+// TestBarrierTiersByteIdentical is the golden determinism check for the
+// barrier strategies: VM suspend-resume rounds and the vector tier must
+// produce buffers and profiles bit-identical to the closure tree's
+// blocking item pool, for every host worker count. Run under -race in
 // CI, this also exercises the pool's synchronization (dispatch, cyclic
 // barrier reuse, join) across many reused groups.
-func TestBarrierModesByteIdentical(t *testing.T) {
-	const n, local = 1024, 64
-	wantOut, wantProf := runScan(t, n, local, RunOptions{Barrier: BarrierSpawn, Workers: 1})
-	for _, mode := range []BarrierMode{BarrierAuto, BarrierPooled, BarrierSpawn} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			gotOut, gotProf := runScan(t, n, local, RunOptions{Barrier: mode, Workers: workers})
-			if !reflect.DeepEqual(gotOut, wantOut) {
-				t.Fatalf("mode=%d workers=%d: output differs from spawn reference", mode, workers)
-			}
-			if gotProf.Global0 != wantProf.Global0 || !reflect.DeepEqual(gotProf.Buckets, wantProf.Buckets) {
-				t.Fatalf("mode=%d workers=%d: profile differs from spawn reference", mode, workers)
+func TestBarrierTiersByteIdentical(t *testing.T) {
+	for _, k := range []struct {
+		src, kernel string
+		vec         bool
+		n           int
+	}{
+		{scanSrc, "scan", false, 1024},
+		{reverseSrc, "reverse", true, 700},
+	} {
+		const nTotal, local = 1024, 64
+		tiers := barrierTiers(t, k.src, k.kernel, k.vec)
+		wantOut, wantProf := runInOut(t, tiers[TierClosure], nTotal, local, k.n, RunOptions{Workers: 1})
+		for tier, c := range tiers {
+			for _, workers := range []int{1, 2, 4, 8} {
+				gotOut, gotProf := runInOut(t, c, nTotal, local, k.n, RunOptions{Workers: workers})
+				if !reflect.DeepEqual(gotOut, wantOut) {
+					t.Fatalf("%s tier=%v workers=%d: output differs from the closure reference", k.kernel, tier, workers)
+				}
+				if gotProf.Global0 != wantProf.Global0 || !reflect.DeepEqual(gotProf.Buckets, wantProf.Buckets) {
+					t.Fatalf("%s tier=%v workers=%d: profile differs from the closure reference", k.kernel, tier, workers)
+				}
 			}
 		}
 	}
 }
 
-// TestLockstepEligibility checks the uniformity analysis: barrier kernels
-// with group-uniform control flow compile a lockstep program; kernels
-// whose barriers sit under item-divergent control fall back to the
-// blocking paths.
-func TestLockstepEligibility(t *testing.T) {
-	eligible := compileSrc(t, scanSrc, "scan")
-	if !eligible.LockstepEligible() {
-		t.Error("uniform scan kernel should be lockstep-eligible")
-	}
-	divergent := compileSrc(t, `kernel void d(global float* o, local float* tmp, int n) {
-		int lid = get_local_id(0);
-		if (lid < 3) {
-			tmp[lid] = 1.0;
-			barrier(1);
-		}
-		o[get_global_id(0)] = tmp[0];
-	}`, "d")
-	if divergent.LockstepEligible() {
-		t.Error("barrier under get_local_id condition must not be lockstep-eligible")
-	}
-	// Loop bound assigned from a non-uniform value through a variable.
-	viaVar := compileSrc(t, `kernel void v(global float* o, local float* tmp) {
-		int k = get_local_id(0);
-		for (int j = 0; j < k; j++) {
-			barrier(1);
-		}
-		o[get_global_id(0)] = 0.0;
-	}`, "v")
-	if viaVar.LockstepEligible() {
-		t.Error("barrier in loop with item-dependent bound must not be lockstep-eligible")
-	}
-	// Uniform bound through a variable chain stays eligible.
-	chained := compileSrc(t, `kernel void c(global float* o, local float* tmp, int n) {
-		int lsz = get_local_size(0);
-		int half = lsz / 2;
-		int lid = get_local_id(0);
-		tmp[lid] = (float)lid;
-		barrier(1);
-		for (int s = half; s > 0; s = s / 2) {
-			if (lid < s) { tmp[lid] += tmp[lid + s]; }
-			barrier(1);
-		}
-		o[get_global_id(0)] = tmp[0];
-	}`, "c")
-	if !chained.LockstepEligible() {
-		t.Error("uniform bound via variable chain should be lockstep-eligible")
-	}
-}
-
-// TestBarrierFallbackDivergent checks that a divergent-barrier kernel
-// (ineligible for lockstep) still runs correctly on the pooled default.
+// TestBarrierFallbackDivergent checks that a kernel whose items reach
+// different barrier statements runs correctly on every tier: no strategy
+// depends on a proof that barriers sit under uniform control flow.
 func TestBarrierFallbackDivergent(t *testing.T) {
 	src := `kernel void d(global float* o, local float* tmp) {
 		int lid = get_local_id(0);
@@ -126,101 +124,164 @@ func TestBarrierFallbackDivergent(t *testing.T) {
 		}
 		o[get_global_id(0)] = tmp[0];
 	}`
-	c := compileSrc(t, src, "d")
-	if c.LockstepEligible() {
-		t.Fatal("kernel should be ineligible")
-	}
+	tiers := barrierTiers(t, src, "d", true)
 	n, local := 64, 8
-	o := NewFloatBuffer(n)
 	nd := NDRange{Global: [3]int{n, 1, 1}, Local: [3]int{local, 1, 1}}
-	if _, err := c.Run([]Arg{BufArg(o), LocalArg(local)}, nd, RunOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range o.F {
-		if v != 42 {
-			t.Fatalf("o[%d] = %g, want 42", i, v)
+	var ref *Profile
+	for _, tier := range []Tier{TierClosure, TierVM, TierVec} {
+		o := NewFloatBuffer(n)
+		prof, err := tiers[tier].Run([]Arg{BufArg(o), LocalArg(local)}, nd, RunOptions{})
+		if err != nil {
+			t.Fatalf("%v: %v", tier, err)
+		}
+		for i, v := range o.F {
+			if v != 42 {
+				t.Fatalf("%v: o[%d] = %g, want 42", tier, i, v)
+			}
+		}
+		if ref == nil {
+			ref = prof
+		} else if !reflect.DeepEqual(prof.Buckets, ref.Buckets) {
+			t.Fatalf("%v: profile differs from the closure reference", tier)
 		}
 	}
 }
 
-// TestLockstepEarlyReturn checks the active-mask semantics: items that
-// return before later barriers stop executing (and stop counting) exactly
-// like goroutine items leaving the barrier.
+// TestLockstepEarlyReturn checks the single-goroutine strategies against
+// the blocking one: items that return before later barriers stop
+// executing (and stop counting) on the VM and the vector tier exactly
+// like goroutine items leaving the closure tree's barrier.
 func TestLockstepEarlyReturn(t *testing.T) {
-	src := `kernel void e(global float* o, local float* tmp, int n) {
-		int lid = get_local_id(0);
-		int gid = get_global_id(0);
-		tmp[lid] = (float)lid;
-		barrier(1);
-		if (gid >= n) {
-			return;
+	tiers := barrierTiers(t, reverseSrc, "reverse", true)
+	const nTotal, local, n = 64, 8, 44
+	want, wantProf := runInOut(t, tiers[TierClosure], nTotal, local, n, RunOptions{})
+	for gid, v := range want {
+		exp := float32(0)
+		if gid < n {
+			src := gid - gid%local + local - 1 - gid%local
+			exp = float32(src%13) * 0.25
 		}
-		barrier(1);
-		o[gid] = tmp[get_local_size(0) - 1 - lid];
-	}`
-	c := compileSrc(t, src, "e")
-	if !c.LockstepEligible() {
-		// The early return is item-divergent but barrier-free segments
-		// may contain returns; the remaining barriers are uniform at the
-		// top level. If analysis is more conservative than that, the
-		// fallback must still be correct — either way the outputs below
-		// must hold.
-		t.Log("early-return kernel not lockstep-eligible; exercising fallback")
-	}
-	run := func(mode BarrierMode) []float32 {
-		nTotal, local, n := 64, 8, 40
-		o := NewFloatBuffer(nTotal)
-		nd := NDRange{Global: [3]int{nTotal, 1, 1}, Local: [3]int{local, 1, 1}}
-		if _, err := c.Run([]Arg{BufArg(o), LocalArg(local), IntArg(n)}, nd, RunOptions{Barrier: mode}); err != nil {
-			t.Fatal(err)
+		if v != exp {
+			t.Fatalf("closure: out[%d] = %g, want %g", gid, v, exp)
 		}
-		return o.F
 	}
-	want := run(BarrierSpawn)
-	got := run(BarrierAuto)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("early-return outputs differ: %v vs %v", got, want)
+	for _, tier := range []Tier{TierVM, TierVec} {
+		got, gotProf := runInOut(t, tiers[tier], nTotal, local, n, RunOptions{})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: early-return outputs differ: %v vs %v", tier, got, want)
+		}
+		if !reflect.DeepEqual(gotProf.Buckets, wantProf.Buckets) {
+			t.Fatalf("%v: early-return profile differs from the closure reference", tier)
+		}
 	}
 }
 
 // TestBarrierPoolReusedAcrossGroups drives one runner through many barrier
 // groups (64 groups on one worker) so every group after the first must hit
-// the reused goroutines, and verifies the scan semantics survive.
+// the reused item goroutines (closure) or the reused frames (VM), and
+// verifies the scan semantics survive.
 func TestBarrierPoolReusedAcrossGroups(t *testing.T) {
 	const n, local = 2048, 32
-	out, prof := runScan(t, n, local, RunOptions{Workers: 1, Barrier: BarrierPooled})
-	for g := 0; g < n/local; g++ {
-		var want float32
-		for l := 0; l < local; l++ {
-			i := g*local + l
-			want += float32(i%13) * 0.25
-			if out[i] != want {
-				t.Fatalf("group %d item %d: scan = %g, want %g", g, l, out[i], want)
+	for tier, c := range barrierTiers(t, scanSrc, "scan", false) {
+		out, prof := runInOut(t, c, n, local, n, RunOptions{Workers: 1})
+		for g := 0; g < n/local; g++ {
+			var want float32
+			for l := 0; l < local; l++ {
+				i := g*local + l
+				want += float32(i%13) * 0.25
+				if out[i] != want {
+					t.Fatalf("%v: group %d item %d: scan = %g, want %g", tier, g, l, out[i], want)
+				}
 			}
 		}
-	}
-	if got := prof.Total().Items; got != n {
-		t.Fatalf("profiled %d items, want %d", got, n)
+		if got := prof.Total().Items; got != n {
+			t.Fatalf("%v: profiled %d items, want %d", tier, got, n)
+		}
 	}
 }
 
 // TestBarrierPanicPropagates checks fault handling through every barrier
-// path: a runtime fault inside a barrier group must surface as an error
-// from Run, not hang a pool or crash the process.
+// strategy: a runtime fault inside a barrier group must surface as an
+// error from Run, not hang the pool or crash the process. One item per
+// group faults, so on one worker the message is deterministic and must
+// match the closure reference.
 func TestBarrierPanicPropagates(t *testing.T) {
 	src := `kernel void bad(global float* o, local float* tmp) {
 		int lid = get_local_id(0);
 		tmp[lid] = 1.0;
 		barrier(1);
-		o[get_global_id(0) + 100000] = tmp[lid];
+		o[get_global_id(0) + (lid == 3 ? 100000 : 0)] = tmp[lid];
 	}`
-	c := compileSrc(t, src, "bad")
-	for _, mode := range []BarrierMode{BarrierAuto, BarrierPooled, BarrierSpawn} {
-		o := NewFloatBuffer(64)
-		nd := NDRange{Global: [3]int{64, 1, 1}, Local: [3]int{8, 1, 1}}
-		if _, err := c.Run([]Arg{BufArg(o), LocalArg(8)}, nd, RunOptions{Barrier: mode}); err == nil {
-			t.Fatalf("mode=%d: out-of-bounds store in barrier group not reported", mode)
+	tiers := barrierTiers(t, src, "bad", true)
+	nd := NDRange{Global: [3]int{64, 1, 1}, Local: [3]int{8, 1, 1}}
+	var want string
+	for _, tier := range []Tier{TierClosure, TierVM, TierVec} {
+		for _, workers := range []int{1, 4} {
+			_, err := tiers[tier].Run([]Arg{BufArg(NewFloatBuffer(64)), LocalArg(8)}, nd, RunOptions{Workers: workers})
+			if err == nil {
+				t.Fatalf("%v workers=%d: out-of-bounds store in barrier group not reported", tier, workers)
+			}
+			if workers > 1 {
+				continue
+			}
+			if want == "" {
+				want = err.Error()
+			} else if err.Error() != want {
+				t.Fatalf("%v: fault %q, closure reference %q", tier, err, want)
+			}
 		}
+	}
+}
+
+// TestServedTiersCarryNoClosureState pins the either/or split: a kernel
+// compiled for the VM or the vector tier holds no closure body, and its
+// group runner builds only that tier's frames; the closure tree in turn
+// carries no bytecode.
+func TestServedTiersCarryNoClosureState(t *testing.T) {
+	const n, local = 512, 64
+	nd := NDRange{Global: [3]int{n, 1, 1}, Local: [3]int{local, 1, 1}}
+	args := []Arg{BufArg(NewFloatBuffer(n)), BufArg(NewFloatBuffer(n)), LocalArg(local), IntArg(n)}
+	runner := func(c *Compiled) *groupRunner {
+		r := newGroupRunner(c, args, nd, [3]int64{n / local, 1, 1}, make([]Counts, 1), nil)
+		t.Cleanup(r.close)
+		return r
+	}
+	tiers := barrierTiers(t, reverseSrc, "reverse", true)
+	for _, tier := range []Tier{TierVM, TierVec} {
+		c := tiers[tier]
+		if c.body != nil || c.paramSlots != nil || c.slotOf != nil {
+			t.Errorf("%v: Compiled carries closure state", tier)
+		}
+		r := runner(c)
+		if r.frames != nil || r.bar != nil {
+			t.Errorf("%v: runner built closure frames", tier)
+		}
+		if len(r.vmFrames) != local || (r.vecFrame != nil) != (tier == TierVec) {
+			t.Errorf("%v: runner frames: %d scalar, vec %v", tier, len(r.vmFrames), r.vecFrame != nil)
+		}
+	}
+	cl := tiers[TierClosure]
+	if cl.body == nil || cl.VM() != nil || cl.Vec() != nil {
+		t.Error("closure: want a body and no bytecode")
+	}
+	if r := runner(cl); len(r.frames) != local || r.vmFrames != nil || r.vecFrame != nil {
+		t.Errorf("closure: runner frames: %d closure, vm %v, vec %v", len(r.frames), r.vmFrames != nil, r.vecFrame != nil)
+	}
+
+	// The same split seen from outside: a launch on a served tier
+	// allocates one set of per-item frames, not two. A VM frame is fewer
+	// objects than a closure frame, and the vector frame on top of the
+	// scalar ones costs less than one object per item.
+	allocs := map[Tier]float64{}
+	for tier, c := range tiers {
+		allocs[tier] = testing.AllocsPerRun(5, func() {
+			if _, err := c.Run(args, nd, RunOptions{Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[TierVM] > allocs[TierClosure] || allocs[TierVec] > allocs[TierClosure]+local {
+		t.Errorf("allocations per launch: %v, want vm <= closure and vec <= closure+%d", allocs, local)
 	}
 }
 

@@ -28,31 +28,11 @@ type RunOptions struct {
 	// instead of a fresh allocation. Callers that merge and discard chunk
 	// profiles (runtime.Execute) recycle these buffers across launches.
 	DestBuckets []Counts
-	// Barrier selects the barrier-group execution path (default
-	// BarrierAuto). All modes produce byte-identical buffers and profiles;
-	// the explicit modes exist so benchmarks and tests can compare them.
-	Barrier BarrierMode
 	// Budget, when non-nil, bounds the launch by steps, memory, and wall
 	// clock; exhaustion aborts the run with a *BudgetError. Nil enforces
 	// nothing and adds no per-item cost beyond an amortized fuel counter.
 	Budget *Budget
 }
-
-// BarrierMode selects how work groups of barrier kernels execute.
-type BarrierMode int
-
-const (
-	// BarrierAuto runs groups in single-goroutine lockstep when the
-	// kernel's barriers are provably under group-uniform control flow,
-	// and on the pooled blocking path otherwise.
-	BarrierAuto BarrierMode = iota
-	// BarrierPooled forces the blocking path backed by the persistent
-	// per-runner item pool (goroutines reused across all groups).
-	BarrierPooled
-	// BarrierSpawn forces the legacy path that spawns one goroutine per
-	// work item per group.
-	BarrierSpawn
-)
 
 // countsPool recycles worker-local bucket slices across launches so
 // steady-state profiling allocates nothing per run.
@@ -153,7 +133,7 @@ func (c *Compiled) Run(args []Arg, nd NDRange, opts RunOptions) (*Profile, error
 					panic(r)
 				}
 			}()
-			rt := newGroupRunner(c, args, nd, ngrp, buckets, opts.Barrier, opts.Budget)
+			rt := newGroupRunner(c, args, nd, ngrp, buckets, opts.Budget)
 			defer rt.close()
 			defer func() {
 				vecDiv.Add(rt.vecDiv)
@@ -229,20 +209,18 @@ func (c *Compiled) checkArgs(args []Arg) error {
 	return nil
 }
 
-// groupRunner executes work groups for one host worker, reusing frames.
+// groupRunner executes work groups for one host worker, reusing the
+// frames of the one tier the kernel was compiled for.
 type groupRunner struct {
 	c       *Compiled
-	nd      NDRange
 	buckets []Counts
 	nb      int
 	global0 int
 
-	frames   []*frame // one per work item in a group
-	locals   []*Buffer
+	locals   []*Buffer // per-group local buffers, zeroed between groups
 	lsz      [3]int64
 	gsz      [3]int64
 	ngr      [3]int64
-	barrier  bool
 	itemsPer int
 
 	// bucketByL0[l0] is the profile bucket of dim-0 local index l0 within
@@ -250,22 +228,19 @@ type groupRunner struct {
 	// no division per work item.
 	bucketByL0 []int32
 
-	// Persistent barrier-group item pool: itemsPer goroutines created on
-	// the first barrier group and reused for every subsequent group of
-	// this runner. mode selects lockstep/pooled/spawn execution.
-	mode      BarrierMode
-	lockstep  bool
-	gctx      groupExec
+	// Closure tier state: one frame per work item of a group, plus, for
+	// barrier kernels (bar != nil), the persistent item pool — itemsPer
+	// goroutines created on the first group and reused for every
+	// subsequent group of this runner, synchronized on bar.
+	frames    []*frame
 	bar       *groupBarrier
 	poolStart chan int
 	poolDone  sync.WaitGroup
 	poolPanic atomic.Value
 
-	// Bytecode VM tier state (see runvm.go); vmFrames is nil when the
-	// kernel executes on the closure tier.
+	// Bytecode VM tier state (see runvm.go).
 	vmFrames []*vm.Frame
 	vmDone   []bool
-	vmBarFn  func()
 
 	// Vector tier state (see runvec.go); vecFrame is nil when the group
 	// runs scalar. The scalar vmFrames stay allocated alongside it: they
@@ -281,57 +256,71 @@ type groupRunner struct {
 	budget *vm.Budget
 }
 
-func newGroupRunner(c *Compiled, args []Arg, nd NDRange, ngrp [3]int64, buckets []Counts, mode BarrierMode, budget *Budget) *groupRunner {
+func newGroupRunner(c *Compiled, args []Arg, nd NDRange, ngrp [3]int64, buckets []Counts, budget *Budget) *groupRunner {
 	r := &groupRunner{
-		c: c, nd: nd, buckets: buckets, nb: len(buckets), global0: nd.Global[0],
-		lsz: [3]int64{int64(nd.Local[0]), int64(nd.Local[1]), int64(nd.Local[2])},
-		gsz: [3]int64{int64(nd.Global[0]), int64(nd.Global[1]), int64(nd.Global[2])},
-		ngr: ngrp,
+		c: c, buckets: buckets, nb: len(buckets), global0: nd.Global[0],
+		lsz:    [3]int64{int64(nd.Local[0]), int64(nd.Local[1]), int64(nd.Local[2])},
+		gsz:    [3]int64{int64(nd.Global[0]), int64(nd.Global[1]), int64(nd.Global[2])},
+		ngr:    ngrp,
 		budget: budget,
 	}
 	r.itemsPer = nd.Local[0] * nd.Local[1] * nd.Local[2]
-	r.barrier = c.hasBarrier && r.itemsPer > 1
-	r.mode = mode
-	r.lockstep = mode == BarrierAuto && c.lockstep != nil
-	if r.barrier && !r.lockstep && mode != BarrierSpawn {
-		// Only the pooled path reuses one barrier across groups; the
-		// spawn path creates a fresh barrier per group.
-		r.bar = newGroupBarrier(r.itemsPer)
-	}
 	r.bucketByL0 = make([]int32, nd.Local[0])
+	if c.vmProg != nil {
+		r.initVM(args)
+		r.initVec()
+	} else {
+		r.initClosure(args)
+	}
+	return r
+}
 
-	// Per-group local buffers (shared by all frames of the group).
-	r.locals = make([]*Buffer, c.nLocal)
+// newLocal allocates the per-group buffer behind local parameter i.
+// Local buffers are real per-worker allocations, so they are the closest
+// thing this host runtime has to device local memory: they are charged
+// against the memory budget.
+func (r *groupRunner) newLocal(i int, n int) *Buffer {
+	if err := r.budget.ChargeMem(int64(n) * 4); err != nil {
+		panic(execError{err})
+	}
+	b := NewIntBuffer(n)
+	if r.c.Fn.Params[i].Type.Elem().IsFloat() {
+		b = NewFloatBuffer(n)
+	}
+	r.locals = append(r.locals, b)
+	return b
+}
+
+// initClosure builds the per-item closure frames and, for barrier
+// kernels, the group barrier the item pool synchronizes on.
+func (r *groupRunner) initClosure(args []Arg) {
+	c := r.c
+	// Buffer tables are shared by all frames of the group.
+	locals := make([]*Buffer, c.nLocal)
 	globalBufs := make([]*Buffer, c.nGlobal)
-	for i, p := range c.Fn.Params {
+	for i := range c.Fn.Params {
 		s := c.paramSlots[i]
 		switch s.kind {
 		case slotGlobalBuf:
 			globalBufs[s.idx] = args[i].Buf
 		case slotLocalBuf:
-			// Local buffers are real per-worker allocations, so they are
-			// the closest thing this host runtime has to device local
-			// memory: charge them against the memory budget.
-			if err := budget.ChargeMem(int64(args[i].LocalLen) * 4); err != nil {
-				panic(execError{err})
-			}
-			if p.Type.Elem().IsFloat() {
-				r.locals[s.idx] = NewFloatBuffer(args[i].LocalLen)
-			} else {
-				r.locals[s.idx] = NewIntBuffer(args[i].LocalLen)
-			}
+			locals[s.idx] = r.newLocal(i, args[i].LocalLen)
 		}
 	}
 
+	if c.hasBarrier && r.itemsPer > 1 {
+		r.bar = newGroupBarrier(r.itemsPer)
+	}
 	r.frames = make([]*frame, r.itemsPer)
 	for i := range r.frames {
 		f := &frame{
 			ints:   make([]int64, c.nInts+1),
 			floats: make([]float64, c.nFloats+1),
 			bufs:   globalBufs,
-			locals: r.locals,
+			locals: locals,
 			cnt:    &Counts{},
-			budget: budget,
+			bar:    r.bar,
+			budget: r.budget,
 		}
 		f.wi.gsz = r.gsz
 		f.wi.lsz = r.lsz
@@ -350,12 +339,6 @@ func newGroupRunner(c *Compiled, args []Arg, nd NDRange, ngrp [3]int64, buckets 
 		}
 		r.frames[i] = f
 	}
-	if r.barrier && r.lockstep {
-		r.gctx = groupExec{frames: r.frames, active: make([]bool, r.itemsPer)}
-	}
-	r.initVM(args)
-	r.initVec()
-	return r
 }
 
 // close releases the runner's persistent item pool, if one was started.
@@ -384,16 +367,10 @@ func (r *groupRunner) refreshBuckets(g0 int) {
 	}
 }
 
-// runGroup executes one work group: sequentially when the kernel has no
-// barriers; in single-goroutine lockstep when the barriers are provably
-// uniform; otherwise with one pooled goroutine per work item synchronized
-// on a cyclic barrier (or freshly spawned goroutines in legacy mode).
+// runGroup executes one work group on the runner's tier.
 func (r *groupRunner) runGroup(g0, g1, g2 int) {
 	// Zero local buffers between groups so groups are independent.
 	for _, lb := range r.locals {
-		if lb == nil {
-			continue
-		}
 		if lb.F != nil {
 			clear(lb.F)
 		} else {
@@ -401,15 +378,22 @@ func (r *groupRunner) runGroup(g0, g1, g2 int) {
 		}
 	}
 	r.refreshBuckets(g0)
-	if r.vecFrame != nil && (!r.barrier || r.mode == BarrierAuto) {
+	switch {
+	case r.vecFrame != nil:
 		r.runGroupVec(g0, g1, g2)
-		return
-	}
-	if r.vmFrames != nil {
+	case r.vmFrames != nil:
 		r.runGroupVM(g0, g1, g2)
-		return
+	default:
+		r.runGroupClosure(g0, g1, g2)
 	}
-	if !r.barrier {
+}
+
+// runGroupClosure executes one work group on the closure tree:
+// sequentially when the kernel has no barriers, otherwise with one pooled
+// goroutine per work item blocking on a cyclic barrier. Blocking needs no
+// uniformity proof, so divergent barriers and early exits just work.
+func (r *groupRunner) runGroupClosure(g0, g1, g2 int) {
+	if r.bar == nil {
 		li := 0
 		for l2 := 0; l2 < int(r.lsz[2]); l2++ {
 			for l1 := 0; l1 < int(r.lsz[1]); l1++ {
@@ -424,24 +408,14 @@ func (r *groupRunner) runGroup(g0, g1, g2 int) {
 		}
 		return
 	}
-	if r.lockstep {
-		r.runGroupLockstep(g0, g1, g2)
-		return
-	}
-	if r.mode == BarrierSpawn {
-		r.runGroupSpawn(g0, g1, g2)
-		return
-	}
 
 	r.bar.reset(r.itemsPer)
 	li := 0
 	for l2 := 0; l2 < int(r.lsz[2]); l2++ {
 		for l1 := 0; l1 < int(r.lsz[1]); l1++ {
 			for l0 := 0; l0 < int(r.lsz[0]); l0++ {
-				f := r.frames[li]
+				r.setupItem(r.frames[li], g0, g1, g2, l0, l1, l2)
 				li++
-				r.setupItem(f, g0, g1, g2, l0, l1, l2)
-				f.bar = r.bar
 			}
 		}
 	}
@@ -454,31 +428,6 @@ func (r *groupRunner) runGroup(g0, g1, g2 int) {
 	if pv := r.poolPanic.Load(); pv != nil {
 		panic(pv)
 	}
-	for _, f := range r.frames {
-		f.bar = nil
-		r.finishItem(f)
-	}
-}
-
-// runGroupLockstep executes one barrier group entirely on the calling
-// goroutine: the lockstep program walks the barrier-segmented statement
-// tree across all items, so no goroutine ever parks at a barrier. Frame
-// barriers stay nil — the Barrier closure just counts, and segment
-// sequencing provides the synchronization.
-func (r *groupRunner) runGroupLockstep(g0, g1, g2 int) {
-	li := 0
-	for l2 := 0; l2 < int(r.lsz[2]); l2++ {
-		for l1 := 0; l1 < int(r.lsz[1]); l1++ {
-			for l0 := 0; l0 < int(r.lsz[0]); l0++ {
-				r.setupItem(r.frames[li], g0, g1, g2, l0, l1, l2)
-				li++
-			}
-		}
-	}
-	for i := range r.gctx.active {
-		r.gctx.active[i] = true
-	}
-	r.c.lockstep(&r.gctx)
 	for _, f := range r.frames {
 		r.finishItem(f)
 	}
@@ -509,52 +458,7 @@ func (r *groupRunner) runPoolItem(li int) {
 			r.poolPanic.CompareAndSwap(nil, rec)
 		}
 	}()
-	if r.vmFrames != nil {
-		if _, err := r.c.vmProg.Run(r.vmFrames[li]); err != nil {
-			panic(execError{err})
-		}
-		return
-	}
 	r.c.body(r.frames[li])
-}
-
-// runGroupSpawn is the pre-pool barrier path: one fresh goroutine per work
-// item per group. Retained behind RunOptions.BarrierSpawn so benchmarks
-// can measure what goroutine reuse saves.
-func (r *groupRunner) runGroupSpawn(g0, g1, g2 int) {
-	bar := newGroupBarrier(r.itemsPer)
-	var wg sync.WaitGroup
-	li := 0
-	var panicVal atomic.Value
-	for l2 := 0; l2 < int(r.lsz[2]); l2++ {
-		for l1 := 0; l1 < int(r.lsz[1]); l1++ {
-			for l0 := 0; l0 < int(r.lsz[0]); l0++ {
-				f := r.frames[li]
-				li++
-				r.setupItem(f, g0, g1, g2, l0, l1, l2)
-				f.bar = bar
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer bar.leave()
-					defer func() {
-						if rec := recover(); rec != nil {
-							panicVal.CompareAndSwap(nil, rec)
-						}
-					}()
-					r.c.body(f)
-				}()
-			}
-		}
-	}
-	wg.Wait()
-	if pv := panicVal.Load(); pv != nil {
-		panic(pv)
-	}
-	for _, f := range r.frames {
-		f.bar = nil
-		r.finishItem(f)
-	}
 }
 
 func (r *groupRunner) setupItem(f *frame, g0, g1, g2, l0, l1, l2 int) {

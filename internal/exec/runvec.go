@@ -11,12 +11,12 @@ import "repro/internal/exec/vm"
 // completes on the scalar VM, which reproduces canonical item-order
 // semantics (including fault messages) exactly.
 
-// initVec builds the runner's W-lane vector frame. No-op when the
-// kernel is not vectorized or groups are single-item (the scalar VM
-// path is strictly better at W=1).
+// initVec builds the runner's W-lane vector frame on top of the scalar
+// frames initVM built. No-op when the kernel is not vectorized or groups
+// are single-item (the scalar VM path is strictly better at W=1).
 func (r *groupRunner) initVec() {
 	p := r.c.vecProg
-	if p == nil || r.itemsPer <= 1 || r.vmFrames == nil {
+	if p == nil || r.itemsPer <= 1 {
 		return
 	}
 	w := r.itemsPer
@@ -114,7 +114,6 @@ func (r *groupRunner) runGroupVec(g0, g1, g2 int) {
 // and fault messages land byte-identical to an all-scalar run.
 func (r *groupRunner) bailGroupVec(g0, g1, g2 int) {
 	vf := r.vecFrame
-	p := r.c.vmProg
 	vp := r.c.vecProg
 	r.vecBail++
 	li := 0
@@ -131,36 +130,5 @@ func (r *groupRunner) bailGroupVec(g0, g1, g2 int) {
 			}
 		}
 	}
-	if !r.barrier {
-		for _, f := range r.vmFrames {
-			r.vmRunToHalt(f)
-			r.finishItemVM(f)
-		}
-		return
-	}
-	// Barrier kernels reach here only in lockstep mode (runGroup gates
-	// the vector path on it), so complete via suspend-resume rounds.
-	for i, f := range r.vmFrames {
-		f.Barrier = nil
-		r.vmDone[i] = false
-	}
-	remaining := r.itemsPer
-	for remaining > 0 {
-		for i, f := range r.vmFrames {
-			if r.vmDone[i] {
-				continue
-			}
-			st, err := p.Run(f)
-			if err != nil {
-				panic(execError{err})
-			}
-			if st == vm.Halted {
-				r.vmDone[i] = true
-				remaining--
-			}
-		}
-	}
-	for _, f := range r.vmFrames {
-		r.finishItemVM(f)
-	}
+	r.vmRunRounds()
 }

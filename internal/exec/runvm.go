@@ -1,11 +1,6 @@
 package exec
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/exec/vm"
-)
+import "repro/internal/exec/vm"
 
 // VM execution path of the group runner. When the kernel carries a
 // bytecode program, runGroup dispatches here; frames, buffer bindings
@@ -13,12 +8,8 @@ import (
 // and profiles are byte-identical across tiers.
 
 // initVM builds the per-runner VM frames and shared buffer-slot tables.
-// No-op on the closure tier.
 func (r *groupRunner) initVM(args []Arg) {
 	p := r.c.vmProg
-	if p == nil {
-		return
-	}
 	// Buffer slot tables are shared by every frame of the runner. Local
 	// slots alias the runner's per-group local buffers, so the per-group
 	// clear in runGroup is visible to the VM.
@@ -36,7 +27,7 @@ func (r *groupRunner) initVM(args []Arg) {
 			b := args[i].Buf
 			globals[pr.Index] = vm.Buf{F: b.F, I: b.I}
 		case vm.ParamLocal:
-			lb := r.locals[r.c.paramSlots[i].idx]
+			lb := r.newLocal(i, args[i].LocalLen)
 			locals[pr.Index] = vm.Buf{F: lb.F, I: lb.I}
 		}
 	}
@@ -61,12 +52,7 @@ func (r *groupRunner) initVM(args []Arg) {
 		}
 		r.vmFrames[i] = f
 	}
-	if r.barrier {
-		r.vmDone = make([]bool, r.itemsPer)
-		if r.bar != nil {
-			r.vmBarFn = r.bar.wait
-		}
-	}
+	r.vmDone = make([]bool, r.itemsPer)
 }
 
 func (r *groupRunner) setupItemVM(f *vm.Frame, g0, g1, g2, l0, l1, l2 int) {
@@ -90,68 +76,29 @@ func (r *groupRunner) finishItemVM(f *vm.Frame) {
 	r.buckets[b].Add(&c)
 }
 
-// vmRunToHalt drives a frame to completion on the calling goroutine.
-// A Suspended status (barrier with no callback) just resumes: it only
-// occurs here for single-item launches of barrier kernels, where the
-// barrier is trivially satisfied.
-func (r *groupRunner) vmRunToHalt(f *vm.Frame) {
-	for {
-		st, err := r.c.vmProg.Run(f)
-		if err != nil {
-			panic(execError{err})
-		}
-		if st == vm.Halted {
-			return
-		}
-	}
-}
-
-// runGroupVM executes one work group on the bytecode VM.
+// runGroupVM executes one work group on the bytecode VM, entirely on the
+// calling goroutine.
 func (r *groupRunner) runGroupVM(g0, g1, g2 int) {
-	if !r.barrier {
-		li := 0
-		for l2 := 0; l2 < int(r.lsz[2]); l2++ {
-			for l1 := 0; l1 < int(r.lsz[1]); l1++ {
-				for l0 := 0; l0 < int(r.lsz[0]); l0++ {
-					f := r.vmFrames[li]
-					li++
-					r.setupItemVM(f, g0, g1, g2, l0, l1, l2)
-					r.vmRunToHalt(f)
-					r.finishItemVM(f)
-				}
-			}
-		}
-		return
-	}
-	switch r.mode {
-	case BarrierSpawn:
-		r.runGroupVMSpawn(g0, g1, g2)
-	case BarrierPooled:
-		r.runGroupVMPooled(g0, g1, g2)
-	default:
-		r.runGroupVMLockstep(g0, g1, g2)
-	}
-}
-
-// runGroupVMLockstep executes a barrier group entirely on the calling
-// goroutine via suspend-resume: each frame runs until its next barrier
-// (Suspended) or the end of the kernel (Halted); when every live frame
-// has arrived, the round advances. Unlike the closure lockstep program
-// this needs no uniformity proof — frames carry their own resume PC, so
-// items may reach barriers from different control paths.
-func (r *groupRunner) runGroupVMLockstep(g0, g1, g2 int) {
 	li := 0
 	for l2 := 0; l2 < int(r.lsz[2]); l2++ {
 		for l1 := 0; l1 < int(r.lsz[1]); l1++ {
 			for l0 := 0; l0 < int(r.lsz[0]); l0++ {
-				f := r.vmFrames[li]
-				r.setupItemVM(f, g0, g1, g2, l0, l1, l2)
-				f.Barrier = nil
-				r.vmDone[li] = false
+				r.setupItemVM(r.vmFrames[li], g0, g1, g2, l0, l1, l2)
 				li++
 			}
 		}
 	}
+	r.vmRunRounds()
+}
+
+// vmRunRounds completes the group's scalar frames via suspend-resume:
+// each frame runs until its next barrier (Suspended) or the end of the
+// kernel (Halted); when every live frame has arrived, the round
+// advances. A kernel without barriers finishes in one round, item by
+// item. Frames carry their own resume PC, so items may reach barriers
+// from different control paths and no uniformity proof is needed.
+func (r *groupRunner) vmRunRounds() {
+	clear(r.vmDone)
 	remaining := r.itemsPer
 	for remaining > 0 {
 		for i, f := range r.vmFrames {
@@ -169,77 +116,6 @@ func (r *groupRunner) runGroupVMLockstep(g0, g1, g2 int) {
 		}
 	}
 	for _, f := range r.vmFrames {
-		r.finishItemVM(f)
-	}
-}
-
-// runGroupVMPooled executes a barrier group on the runner's persistent
-// item pool, blocking at barriers via the cyclic group barrier.
-func (r *groupRunner) runGroupVMPooled(g0, g1, g2 int) {
-	r.bar.reset(r.itemsPer)
-	li := 0
-	for l2 := 0; l2 < int(r.lsz[2]); l2++ {
-		for l1 := 0; l1 < int(r.lsz[1]); l1++ {
-			for l0 := 0; l0 < int(r.lsz[0]); l0++ {
-				f := r.vmFrames[li]
-				li++
-				r.setupItemVM(f, g0, g1, g2, l0, l1, l2)
-				f.Barrier = r.vmBarFn
-			}
-		}
-	}
-	r.ensurePool()
-	r.poolDone.Add(r.itemsPer)
-	for i := 0; i < r.itemsPer; i++ {
-		r.poolStart <- i
-	}
-	r.poolDone.Wait()
-	if pv := r.poolPanic.Load(); pv != nil {
-		panic(pv)
-	}
-	for _, f := range r.vmFrames {
-		f.Barrier = nil
-		r.finishItemVM(f)
-	}
-}
-
-// runGroupVMSpawn is the legacy one-goroutine-per-item barrier path on
-// the VM, retained behind RunOptions.BarrierSpawn for benchmarks.
-func (r *groupRunner) runGroupVMSpawn(g0, g1, g2 int) {
-	bar := newGroupBarrier(r.itemsPer)
-	wait := bar.wait
-	var wg sync.WaitGroup
-	var panicVal atomic.Value
-	li := 0
-	for l2 := 0; l2 < int(r.lsz[2]); l2++ {
-		for l1 := 0; l1 < int(r.lsz[1]); l1++ {
-			for l0 := 0; l0 < int(r.lsz[0]); l0++ {
-				f := r.vmFrames[li]
-				li++
-				r.setupItemVM(f, g0, g1, g2, l0, l1, l2)
-				f.Barrier = wait
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer bar.leave()
-					defer func() {
-						if rec := recover(); rec != nil {
-							panicVal.CompareAndSwap(nil, rec)
-						}
-					}()
-					if _, err := r.c.vmProg.Run(f); err != nil {
-						panic(execError{err})
-					}
-				}()
-			}
-		}
-	}
-	wg.Wait()
-	if pv := panicVal.Load(); pv != nil {
-		panic(pv)
-	}
-	for _, f := range r.vmFrames {
-		f.Barrier = nil
 		r.finishItemVM(f)
 	}
 }

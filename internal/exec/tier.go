@@ -2,28 +2,28 @@ package exec
 
 import (
 	"fmt"
-	"os"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/exec/vm"
 	"repro/internal/inspire"
 )
 
-// Tier selects the kernel execution engine. The closure tree is always
-// compiled and remains the reference implementation (the same role
-// Profile.RangeNaive plays for range queries); the bytecode VM is the
-// fast scalar tier, and the vector tier batches W work items per
-// dispatch when the kernel's control flow is group-uniform — all with
-// byte-identical buffers and profiles.
+// Tier selects the kernel execution engine. The vector tier runs a whole
+// work group per dispatch when the kernel's control flow is
+// group-uniform and bails out to the scalar bytecode VM otherwise; both
+// serve. The closure tree serves nothing: it is the reference the
+// differential suites compare them against (the same role
+// Profile.RangeNaive plays for range queries) — all three produce
+// byte-identical buffers, profiles and fault messages.
 type Tier int
 
 const (
 	// TierAuto executes on the vector tier whenever the kernel is
-	// vectorizable, on the scalar bytecode VM whenever it lowers, and on
-	// the closure tree otherwise. This is the default.
+	// vectorizable and on the scalar bytecode VM otherwise; Compile fails
+	// if the kernel cannot be lowered. This is the default.
 	TierAuto Tier = iota
-	// TierClosure forces the closure-tree interpreter.
+	// TierClosure compiles the closure-tree reference interpreter.
 	TierClosure
 	// TierVM requires the scalar bytecode VM; Compile fails if the
 	// kernel cannot be lowered. The vector tier is deliberately not
@@ -48,78 +48,54 @@ func (t Tier) String() string {
 	}
 }
 
-// ParseTier parses a tier name: auto, closure, vm, or vec.
+// ParseTier parses a serving tier name: auto, vm, or vec. The closure
+// tree is not a serving tier and is reachable only through CompileTier.
 func ParseTier(s string) (Tier, error) {
 	switch s {
-	case "auto", "":
+	case "auto":
 		return TierAuto, nil
-	case "closure", "closures":
-		return TierClosure, nil
-	case "vm", "bytecode":
+	case "vm":
 		return TierVM, nil
-	case "vec", "vector", "simt":
+	case "vec":
 		return TierVec, nil
 	}
-	return TierAuto, fmt.Errorf("exec: unknown execution tier %q (want auto, closure, vm, or vec)", s)
+	return TierAuto, fmt.Errorf("exec: unknown execution tier %q (want auto, vm, or vec)", s)
 }
 
-var (
-	tierOnce    sync.Once
-	defaultTier atomic.Int32
-)
+var defaultTier atomic.Int32
 
 // DefaultTier returns the process-wide execution tier: TierAuto unless
-// overridden by SetDefaultTier or the REPRO_EXEC_TIER environment
-// variable (read once, on first use).
-func DefaultTier() Tier {
-	tierOnce.Do(func() {
-		if s := os.Getenv("REPRO_EXEC_TIER"); s != "" {
-			if t, err := ParseTier(s); err == nil {
-				defaultTier.Store(int32(t))
-			}
-		}
-	})
-	return Tier(defaultTier.Load())
-}
+// overridden by SetDefaultTier.
+func DefaultTier() Tier { return Tier(defaultTier.Load()) }
 
-// SetDefaultTier overrides the process-wide execution tier (e.g. from a
-// -exec-tier flag). It takes precedence over REPRO_EXEC_TIER.
-func SetDefaultTier(t Tier) {
-	tierOnce.Do(func() {})
-	defaultTier.Store(int32(t))
-}
+// SetDefaultTier overrides the process-wide execution tier (from the
+// -exec-tier flag).
+func SetDefaultTier(t Tier) { defaultTier.Store(int32(t)) }
 
 // CompileTier translates an IR function into an executable kernel on an
-// explicit tier. The closure tree is always built (it carries the frame
-// layout, barrier metadata, and the lockstep program); the VM program
-// is attached unless the tier is TierClosure, and the vectorized view
-// on top of it unless the tier is TierVM.
+// explicit tier: the closure tree for TierClosure, otherwise the VM
+// program with the vectorized view on top of it unless the tier is
+// TierVM.
 func CompileTier(fn *inspire.Function, tier Tier) (*Compiled, error) {
-	c, err := compileClosure(fn)
-	if err != nil {
-		return nil, err
-	}
 	if tier == TierClosure {
-		return c, nil
+		return compileClosure(fn)
 	}
-	p, verr := vm.Compile(fn)
-	if verr != nil {
-		if tier == TierVM || tier == TierVec {
-			return nil, fmt.Errorf("exec: %s tier: %w", tier, verr)
-		}
-		c.vmErr = verr
-		return c, nil
+	p, err := vm.Compile(fn)
+	if err != nil {
+		return nil, fmt.Errorf("exec: %s tier: %w", tier, err)
 	}
-	c.vmProg = p
+	c := &Compiled{Fn: fn, vmProg: p}
+	// Helpers are inlined, so the kernel's code holds every barrier.
+	c.hasBarrier = slices.ContainsFunc(p.Code, func(in vm.Instr) bool { return in.Op == vm.OpBar })
 	if tier == TierVM {
 		return c, nil
 	}
-	vp, xerr := vm.Vectorize(p)
-	if xerr != nil {
+	vp, err := vm.Vectorize(p)
+	if err != nil {
 		if tier == TierVec {
-			return nil, fmt.Errorf("exec: vec tier: %w", xerr)
+			return nil, fmt.Errorf("exec: vec tier: %w", err)
 		}
-		c.vecErr = xerr
+		c.vecErr = err
 		return c, nil
 	}
 	c.vecProg = vp
@@ -139,10 +115,6 @@ func (c *Compiled) Tier() Tier {
 
 // VM returns the kernel's bytecode program, or nil on the closure tier.
 func (c *Compiled) VM() *vm.Func { return c.vmProg }
-
-// VMError returns why the VM lowering was skipped under TierAuto, if it
-// was; nil when the VM program is attached or was never requested.
-func (c *Compiled) VMError() error { return c.vmErr }
 
 // Vec returns the kernel's vectorized program, or nil when the kernel
 // runs scalar.

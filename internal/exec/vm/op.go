@@ -14,9 +14,9 @@
 // closure tier maintains them — every instruction bumps the same
 // counters the equivalent closure would have bumped, and fused
 // super-instructions bump the sum of their parts — so profiles are
-// byte-identical between tiers. The closure tier remains the
-// always-available reference implementation (same role RangeNaive plays
-// for profile range queries).
+// byte-identical between tiers. The closure tree is the reference the
+// differential suites compare this package against (same role
+// RangeNaive plays for profile range queries); it serves nothing.
 package vm
 
 import "fmt"
@@ -145,8 +145,8 @@ const (
 	OpAbsI   // I[A] = |I[B]|
 	OpClampI // I[A] = max(I[C], min(I[B], I[Imm]))
 
-	// Work-group barrier (Barriers++). Calls Frame.Barrier when set,
-	// otherwise suspends the frame (lockstep execution).
+	// Work-group barrier (Barriers++). Suspends the frame; the group
+	// runner resumes it once every live item of the group has arrived.
 	OpBar
 
 	// Super-instructions, produced only by the peephole fuser. Each

@@ -3,7 +3,6 @@ package vm
 import (
 	"fmt"
 	"math/bits"
-	"os"
 )
 
 // SIMT vector execution tier. Vectorize analyzes a compiled Func for
@@ -53,11 +52,6 @@ import (
 // per-lane count deltas (VecFrame.LaneCnt) on top of the shared
 // counts, so per-item totals stay exact. The spill-room cadence is
 // identical to the scalar VM.
-//
-// REPRO_VEC_V1 (env) disables scalarization and re-convergence while
-// keeping the same admission rules: every register stays
-// lane-materialized and any disagreement bails the whole group to
-// scalar frames, matching the PR 9 tier for A/B benchmarking.
 
 // VecFunc is the vectorized view of a compiled kernel: the same
 // bytecode, plus the uniformity classification that drives
@@ -74,11 +68,6 @@ type VecFunc struct {
 	// group-uniform) for the disassembler, the bail-out scatter, and
 	// the split fill/scatter.
 	uniI, uniF []bool
-
-	// scalarized is true when uniform registers live in the frame's
-	// scalar slots (v2). Under REPRO_VEC_V1 it is false and every
-	// register is lane-materialized.
-	scalarized bool
 
 	// scal[pc] is true when the instruction at pc executes once per
 	// dispatch on the scalar slots: its destination register (and
@@ -336,12 +325,6 @@ func Vectorize(p *Func) (*VecFunc, error) {
 	for i := range vf.joinPC {
 		vf.joinPC[i] = -1
 	}
-	if os.Getenv("REPRO_VEC_V1") != "" {
-		// Compatibility mode: lane-materialize everything, bail on any
-		// disagreement. Same admission rules, PR 9 execution.
-		return vf, nil
-	}
-	vf.scalarized = true
 	vf.computeScal(varI, varF)
 	vf.computeJoins(varI, varF)
 	return vf, nil
@@ -852,7 +835,7 @@ type VecFrame struct {
 	sel0, sel1 []int // split lane partitions (parent lane numbers)
 }
 
-// NewVecFrame allocates a W-lane frame for p. Buffers, scalar
+// NewVecFrame allocates a W-lane frame for p. Buffer tables, scalar
 // arguments, and WI rows are bound by the caller.
 func (p *VecFunc) NewVecFrame(w int) *VecFrame {
 	ni, nf := ceilPow2(p.NumI), ceilPow2(p.NumF)
@@ -870,12 +853,6 @@ func (p *VecFunc) NewVecFrame(w int) *VecFrame {
 		sel0: make([]int, 0, w),
 		sel1: make([]int, 0, w),
 		Stop: -1,
-	}
-	if p.NumGlobals > 0 {
-		f.Globals = make([]Buf, p.NumGlobals)
-	}
-	if p.NumLocal > 0 {
-		f.Locals = make([]Buf, p.NumLocal)
 	}
 	for q := range f.WI {
 		for d := range f.WI[q] {
@@ -1038,14 +1015,14 @@ func (f *VecFrame) ensurePCLaned() {
 // hand a lane to the scalar VM on a divergence bail.
 func (p *VecFunc) ScatterLane(f *VecFrame, li int, dst *Frame) {
 	for r := 0; r < p.NumI; r++ {
-		if p.scalarized && p.uniI[r] {
+		if p.uniI[r] {
 			dst.I[r] = f.SI[r]
 		} else {
 			dst.I[r] = f.I[r*f.W+li]
 		}
 	}
 	for r := 0; r < p.NumF; r++ {
-		if p.scalarized && p.uniF[r] {
+		if p.uniF[r] {
 			dst.F[r] = f.SF[r]
 		} else {
 			dst.F[r] = f.F[r*f.W+li]
@@ -1093,7 +1070,7 @@ func (p *VecFunc) fillSub(f, s *VecFrame, sel []int, start, stop, pc int) {
 	s.Reconverges = 0
 	tI, tF := p.regionI[pc], p.regionF[pc]
 	for r := 0; r < p.NumI; r++ {
-		if !tI[r] || (p.scalarized && p.uniI[r]) {
+		if !tI[r] || p.uniI[r] {
 			continue
 		}
 		src := f.I[r*f.W:]
@@ -1103,7 +1080,7 @@ func (p *VecFunc) fillSub(f, s *VecFrame, sel []int, start, stop, pc int) {
 		}
 	}
 	for r := 0; r < p.NumF; r++ {
-		if !tF[r] || (p.scalarized && p.uniF[r]) {
+		if !tF[r] || p.uniF[r] {
 			continue
 		}
 		src := f.F[r*f.W:]
@@ -1134,7 +1111,7 @@ func (p *VecFunc) scatterSub(f, s *VecFrame, sel []int, withPC bool, pc int) {
 	k := len(sel)
 	tI, tF := p.regionI[pc], p.regionF[pc]
 	for r := 0; r < p.NumI; r++ {
-		if !tI[r] || (p.scalarized && p.uniI[r]) {
+		if !tI[r] || p.uniI[r] {
 			continue
 		}
 		src := s.I[r*k:]
@@ -1144,7 +1121,7 @@ func (p *VecFunc) scatterSub(f, s *VecFrame, sel []int, withPC bool, pc int) {
 		}
 	}
 	for r := 0; r < p.NumF; r++ {
-		if !tF[r] || (p.scalarized && p.uniF[r]) {
+		if !tF[r] || p.uniF[r] {
 			continue
 		}
 		src := s.F[r*k:]

@@ -69,8 +69,8 @@ type Status uint8
 const (
 	// Halted: the work item finished (end of kernel or return).
 	Halted Status = iota
-	// Suspended: the work item reached a barrier with no Barrier
-	// callback installed; Run resumes after the barrier on the next call.
+	// Suspended: the work item reached a barrier; Run resumes after the
+	// barrier on the next call.
 	Suspended
 )
 
@@ -100,10 +100,6 @@ type Frame struct {
 	Cnt Counts
 	PC  int
 
-	// Barrier, when non-nil, is invoked at OpBar (blocking barrier
-	// modes). When nil, OpBar suspends the frame instead (lockstep).
-	Barrier func()
-
 	// Fuel is the frame's local step allowance, decremented at taken
 	// jumps (one per loop iteration). When it underflows, Run refills it
 	// from B; a nil B grants an effectively unlimited lease. Fuel
@@ -123,23 +119,17 @@ func (f *Frame) spend() error {
 	return f.refill()
 }
 
-// NewFrame allocates a frame sized for fn. Buffers, scalar arguments
-// and WI vectors are bound by the caller.
+// NewFrame allocates a frame sized for fn. Buffer tables (shared by the
+// frames of a group), scalar arguments and WI vectors are bound by the
+// caller.
 func (fn *Func) NewFrame() *Frame {
 	// Register files are rounded up to powers of two so Run can mask
 	// register indices instead of bounds-checking them; nothing outside
 	// the VM observes the padding.
-	f := &Frame{
+	return &Frame{
 		I: make([]int64, ceilPow2(fn.NumI)),
 		F: make([]float64, ceilPow2(fn.NumF)),
 	}
-	if fn.NumGlobals > 0 {
-		f.Globals = make([]Buf, fn.NumGlobals)
-	}
-	if fn.NumLocal > 0 {
-		f.Locals = make([]Buf, fn.NumLocal)
-	}
-	return f
 }
 
 // Reset rewinds the frame to the kernel entry and clears its counts.
@@ -192,7 +182,7 @@ func b2i(b bool) int64 {
 }
 
 // Run executes the frame from its saved PC until the kernel halts, a
-// barrier suspends it (Frame.Barrier == nil), or a fault occurs. Faults
+// barrier suspends it, or a fault occurs. Faults
 // (out-of-bounds access, division by zero, bad work-item dimension)
 // return errors with the same messages the closure tier throws.
 //
@@ -605,12 +595,8 @@ func (p *Func) Run(f *Frame) (Status, error) {
 
 		case OpBar:
 			a1 += lBarrier
-			if f.Barrier != nil {
-				f.Barrier()
-			} else {
-				p.exit(f, a0, a1, pc+1)
-				return Suspended, nil
-			}
+			p.exit(f, a0, a1, pc+1)
+			return Suspended, nil
 
 		case OpMulAddI:
 			a0 += 2 * lIntOp

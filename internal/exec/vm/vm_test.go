@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// TestSuspendResume drives the barrier protocol directly: with no
-// Barrier callback, Run must stop at each barrier with Suspended and
-// continue from the saved PC on the next call.
+// TestSuspendResume drives the barrier protocol directly: Run must stop
+// at each barrier with Suspended and continue from the saved PC on the
+// next call.
 func TestSuspendResume(t *testing.T) {
 	src := `
 kernel void k(global float* out, local float* tile, int n) {
@@ -58,19 +58,6 @@ kernel void k(global float* out, local float* tile, int n) {
 	}
 	if f.Cnt.Barriers != 2 {
 		t.Fatalf("Barriers = %d, want 2", f.Cnt.Barriers)
-	}
-
-	// With a callback installed, Run must block through both barriers
-	// and halt in one call.
-	f.Reset()
-	calls := 0
-	f.Barrier = func() { calls++ }
-	st, err := p.Run(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st != Halted || calls != 2 {
-		t.Fatalf("callback mode: status %v, calls %d", st, calls)
 	}
 }
 

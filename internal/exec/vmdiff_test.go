@@ -216,9 +216,12 @@ func TestVMDiffFaultProfiles(t *testing.T) {
 			cVM := compileTierSrc(t, tc.src, tc.kernel, TierVM)
 			cCl := compileTierSrc(t, tc.src, tc.kernel, TierClosure)
 			cVe := compileTierSrc(t, tc.src, tc.kernel, TierVec)
-			_, errVM := cVM.Run(tc.args(), tc.nd, RunOptions{})
-			_, errCl := cCl.Run(tc.args(), tc.nd, RunOptions{})
-			_, errVe := cVe.Run(tc.args(), tc.nd, RunOptions{})
+			// One worker: which faulting item reports first is only
+			// deterministic when groups run in order.
+			opts := RunOptions{Workers: 1}
+			_, errVM := cVM.Run(tc.args(), tc.nd, opts)
+			_, errCl := cCl.Run(tc.args(), tc.nd, opts)
+			_, errVe := cVe.Run(tc.args(), tc.nd, opts)
 			if errVM == nil || errCl == nil || errVe == nil {
 				t.Fatalf("want faults on all tiers, got vm=%v closure=%v vec=%v", errVM, errCl, errVe)
 			}

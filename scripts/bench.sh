@@ -31,13 +31,9 @@ LOADGEN_DURATION="${LOADGEN_DURATION:-2s}"
 LOADGEN_WORKERS="${LOADGEN_WORKERS:-4}"
 
 # The tracked set: pricing (naive vs prefix range queries, full-space
-# pricing), barrier execution (spawn vs pooled vs lockstep), the
-# end-to-end scheduling-core paths, and the kernel execution tiers
-# (closure-tree interpreter vs bytecode VM vs SIMT vector tier, plus
-# fused-vs-unfused). BenchmarkKernelExec's vec/vecv1 leg pair is the
-# tracked v1-vs-v2 comparison for the vector tier: vecv1 runs the same
-# kernels with uniform scalarization and divergence re-convergence
-# disabled (REPRO_VEC_V1), so the ratio is the v2 win at a glance.
+# pricing), barrier execution (one strategy per tier), the end-to-end
+# scheduling-core paths, and the kernel execution tiers (closure-tree
+# reference vs bytecode VM vs SIMT vector tier, plus fused-vs-unfused).
 PATTERN='BenchmarkPricePartition|BenchmarkBarrierKernel|BenchmarkPartitionPricing|BenchmarkKernelExecution|BenchmarkKernelExec/|BenchmarkKernelExecFusion|BenchmarkOracleSearch|BenchmarkChunkedExecution'
 
 cd "$(dirname "$0")/.."

@@ -237,26 +237,25 @@ func TestVMDifferentialSuite(t *testing.T) {
 	}
 }
 
-// TestVMDifferentialBarrierModes reruns the barrier kernels of the suite
-// under every explicit barrier execution mode on both tiers.
-func TestVMDifferentialBarrierModes(t *testing.T) {
-	modes := []struct {
-		name string
-		mode exec.BarrierMode
-	}{
-		{"auto", exec.BarrierAuto},
-		{"pooled", exec.BarrierPooled},
-		{"spawn", exec.BarrierSpawn},
-	}
+// TestVMDifferentialBarrierTiers reruns the barrier kernels of the suite
+// on one host worker and on several: each tier's barrier strategy (the
+// closure tree's blocking item pool, the VM's suspend-resume rounds, the
+// vector tier's whole-group dispatch where TierAuto selects it) must
+// agree when a single runner reuses its pool or frames for every group
+// and when concurrent runners each own theirs.
+func TestVMDifferentialBarrierTiers(t *testing.T) {
 	for _, p := range bench.All() {
 		p := p
 		cl, vmc, atc := compileBothTiers(t, p.Name, p.Source, p.Kernel)
 		if !cl.HasBarrier() {
 			continue
 		}
+		if !vmc.HasBarrier() || !atc.HasBarrier() {
+			t.Fatalf("%s: HasBarrier differs across tiers", p.Name)
+		}
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
-			for _, m := range modes {
+			for _, workers := range []int{1, 4} {
 				ci, err := p.Instance(0)
 				if err != nil {
 					t.Fatal(err)
@@ -273,10 +272,11 @@ func TestVMDifferentialBarrierModes(t *testing.T) {
 				if iters < 1 {
 					iters = 1
 				}
-				ctx := fmt.Sprintf("%s mode %s", p.Name, m.name)
-				cp := runTier(t, ctx+" closure", cl, ci.Args, ci.ND, iters, exec.RunOptions{Barrier: m.mode})
-				vp := runTier(t, ctx+" vm", vmc, vi.Args, vi.ND, iters, exec.RunOptions{Barrier: m.mode})
-				ap := runTier(t, ctx+" auto", atc, ai.Args, ai.ND, iters, exec.RunOptions{Barrier: m.mode})
+				ctx := fmt.Sprintf("%s workers %d", p.Name, workers)
+				opts := exec.RunOptions{Workers: workers}
+				cp := runTier(t, ctx+" closure", cl, ci.Args, ci.ND, iters, opts)
+				vp := runTier(t, ctx+" vm", vmc, vi.Args, vi.ND, iters, opts)
+				ap := runTier(t, ctx+" auto", atc, ai.Args, ai.ND, iters, opts)
 				for it := range cp {
 					diffProfiles(t, fmt.Sprintf("%s iter %d", ctx, it), cp[it], vp[it])
 					diffProfiles(t, fmt.Sprintf("%s iter %d (auto)", ctx, it), cp[it], ap[it])
