@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/fleet"
 	"repro/internal/harness"
 	"repro/internal/wire"
@@ -372,5 +375,35 @@ func TestMultiPlatformRouting(t *testing.T) {
 	}
 	if !seen["mc1"] || !seen["mc2"] {
 		t.Errorf("stats missing a platform's shards: %+v", stats.Shards)
+	}
+}
+
+// TestClassifyCoversEveryErrorKind pins the one error → status / code /
+// Retry-After mapping both encodings render (their renderings are
+// checked by TestWireErrorFrames, TestShedThroughHandler,
+// TestBudgetStatusCodes and TestKernelQuota429).
+func TestClassifyCoversEveryErrorKind(t *testing.T) {
+	budget := func(kind string) error { return &exec.BudgetError{Kind: kind, Spent: 9, Limit: 8} }
+	for _, tc := range []struct {
+		err  error
+		want failure
+	}{
+		{budget(exec.BudgetSteps), failure{status: http.StatusUnprocessableEntity, code: "budget:steps"}},
+		{budget(exec.BudgetMemory), failure{status: http.StatusRequestEntityTooLarge, code: "budget:memory"}},
+		{budget(exec.BudgetDeadline), failure{status: http.StatusRequestTimeout, code: "budget:deadline"}},
+		{&engine.QuotaError{RetryAfter: 1500 * time.Millisecond}, failure{status: http.StatusTooManyRequests, code: "quota", retrySecs: 2}},
+		{&fleet.ShedError{RetryAfter: 3 * time.Second}, failure{status: http.StatusTooManyRequests, code: "shed", retrySecs: 3}},
+		{&engine.CompileError{Name: "k", Err: errors.New("1:2: boom")}, failure{status: http.StatusBadRequest, code: "compile"}},
+		{fmt.Errorf("wrapped: %w", engine.ErrKernelExists), failure{status: http.StatusConflict, code: "exists"}},
+		{fmt.Errorf("wrapped: %w", engine.ErrInvalidKernel), failure{status: http.StatusBadRequest, code: "invalid"}},
+		{errors.New("anything else"), failure{status: http.StatusUnprocessableEntity}},
+	} {
+		got := classify(tc.err)
+		if (got.budget != nil) != strings.HasPrefix(tc.want.code, "budget:") {
+			t.Errorf("classify(%v): budget = %v", tc.err, got.budget)
+		}
+		if got.budget = nil; got != tc.want {
+			t.Errorf("classify(%v) = %+v, want %+v", tc.err, got, tc.want)
+		}
 	}
 }

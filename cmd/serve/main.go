@@ -371,20 +371,9 @@ func (s *server) admit(w http.ResponseWriter, r *http.Request, sh *fleet.Shard) 
 		return permit, true
 	}
 	var se *fleet.ShedError
-	switch {
-	case errors.As(err, &se):
-		secs := retryAfterSecs(se.RetryAfter)
-		if isWire(r) {
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			writeWireError(w, http.StatusTooManyRequests, "shed", err.Error(), secs)
-		} else {
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			writeJSON(w, http.StatusTooManyRequests, map[string]any{
-				"error": err.Error(),
-				"code":  "shed",
-			})
-		}
-	default:
+	if errors.As(err, &se) {
+		writeEngineError(w, r, err)
+	} else {
 		// Context cancellation while queued: the client hung up; any
 		// status works, 503 keeps the log honest.
 		writeError(w, http.StatusServiceUnavailable, err)
@@ -458,15 +447,23 @@ func tenantOf(r *http.Request) string {
 	return strings.TrimSpace(r.Header.Get("X-Tenant"))
 }
 
-// writeEngineError maps engine failures to distinct status codes so
-// clients can react without parsing messages: budget exhaustion is
-// 422/413/408 by kind (steps/memory/deadline) with the spent/limit pair
-// in the body, quota rejections are 429 with Retry-After, compile
-// failures 400 (message carries the MiniCL line:column), name conflicts
-// 409, and anything else 422.
-func writeEngineError(w http.ResponseWriter, err error) {
+// failure is an engine or admission error classified once for both
+// encodings, so clients can react without parsing messages: budget
+// exhaustion is 422/413/408 by kind (steps/memory/deadline) with the
+// spent/limit pair, quota rejections and sheds are 429 with
+// Retry-After, compile failures 400 (message carries the MiniCL
+// line:column), name conflicts 409, and anything else 422 with no code.
+type failure struct {
+	status    int
+	code      string
+	retrySecs int               // > 0 sets Retry-After
+	budget    *exec.BudgetError // non-nil for "budget:*" codes
+}
+
+func classify(err error) failure {
 	var be *exec.BudgetError
 	var qe *engine.QuotaError
+	var se *fleet.ShedError
 	var ce *engine.CompileError
 	switch {
 	case errors.As(err, &be):
@@ -477,36 +474,47 @@ func writeEngineError(w http.ResponseWriter, err error) {
 		case exec.BudgetDeadline:
 			status = http.StatusRequestTimeout
 		}
-		writeJSON(w, status, map[string]any{
-			"error": err.Error(),
-			"code":  "budget:" + be.Kind,
-			"spent": be.Spent,
-			"limit": be.Limit,
-		})
+		return failure{status: status, code: "budget:" + be.Kind, budget: be}
 	case errors.As(err, &qe):
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs(qe.RetryAfter)))
-		writeJSON(w, http.StatusTooManyRequests, map[string]any{
-			"error": err.Error(),
-			"code":  "quota",
-		})
+		return failure{status: http.StatusTooManyRequests, code: "quota", retrySecs: retryAfterSecs(qe.RetryAfter)}
+	case errors.As(err, &se):
+		return failure{status: http.StatusTooManyRequests, code: "shed", retrySecs: retryAfterSecs(se.RetryAfter)}
 	case errors.As(err, &ce):
-		writeJSON(w, http.StatusBadRequest, map[string]any{
-			"error": err.Error(),
-			"code":  "compile",
-		})
+		return failure{status: http.StatusBadRequest, code: "compile"}
 	case errors.Is(err, engine.ErrKernelExists):
-		writeJSON(w, http.StatusConflict, map[string]any{
-			"error": err.Error(),
-			"code":  "exists",
-		})
+		return failure{status: http.StatusConflict, code: "exists"}
 	case errors.Is(err, engine.ErrInvalidKernel):
-		writeJSON(w, http.StatusBadRequest, map[string]any{
-			"error": err.Error(),
-			"code":  "invalid",
-		})
+		return failure{status: http.StatusBadRequest, code: "invalid"}
 	default:
-		writeError(w, http.StatusUnprocessableEntity, err)
+		return failure{status: http.StatusUnprocessableEntity}
 	}
+}
+
+// writeEngineError answers a classified failure in the request's
+// encoding: a JSON object {"error", "code"?, "spent"?, "limit"?} or a
+// MsgError frame (code "error" when unclassified).
+func writeEngineError(w http.ResponseWriter, r *http.Request, err error) {
+	f := classify(err)
+	if isWire(r) {
+		code := f.code
+		if code == "" {
+			code = "error"
+		}
+		writeWireError(w, f.status, code, err.Error(), f.retrySecs)
+		return
+	}
+	if f.retrySecs > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(f.retrySecs))
+	}
+	body := map[string]any{"error": err.Error()}
+	if f.code != "" {
+		body["code"] = f.code
+	}
+	if f.budget != nil {
+		body["spent"] = f.budget.Spent
+		body["limit"] = f.budget.Limit
+	}
+	writeJSON(w, f.status, body)
 }
 
 // parseRequest builds an engine request from query parameters (any
@@ -710,7 +718,7 @@ func (s *server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	// nobody.
 	res, err := sh.Engine().Execute(r.Context(), req)
 	if err != nil {
-		writeEngineError(w, err)
+		writeEngineError(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
@@ -747,7 +755,7 @@ func (s *server) handleKernels(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := sh.Engine().RegisterKernel(tenantOf(r), spec)
 	if err != nil {
-		writeEngineError(w, err)
+		writeEngineError(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, info)
@@ -795,7 +803,7 @@ func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodPost {
 		var req modelsRequest
 		if err := s.decodeBody(w, r, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			writeError(w, bodyErrStatus(err), err)
 			return
 		}
 		if req.Rollback <= 0 {

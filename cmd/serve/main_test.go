@@ -122,17 +122,39 @@ func TestHandlersRejectWrongMethodsWith405(t *testing.T) {
 	}
 }
 
+// TestExecuteBodyIsBounded: a body over maxBodyBytes is rejected as too
+// large (413) on every POST endpoint that reads one, in both encodings
+// — never buffered whole into the JSON decoder or the wire frame
+// buffer, and never mistaken for a malformed request (400).
 func TestExecuteBodyIsBounded(t *testing.T) {
 	s := testServer(t)
-	// A body over maxBodyBytes must be rejected as too large, not
-	// buffered into the JSON decoder.
-	huge := []byte(`{"program":"vecadd","junk":"` + strings.Repeat("x", maxBodyBytes+1024) + `"}`)
-	w := doReq(t, s, http.MethodPost, "/execute", huge)
-	if w.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body = %d, want 413", w.Code)
+	hugeJSON := []byte(`{"program":"vecadd","junk":"` + strings.Repeat("x", maxBodyBytes+1024) + `"}`)
+	hugeFrame := append(wire.AppendPredictRequest(nil, &engine.Request{Program: "vecadd"}), make([]byte, maxBodyBytes)...)
+	for _, c := range []struct {
+		target string
+		wire   bool
+	}{
+		{"/predict", false},
+		{"/predict/batch", false},
+		{"/execute", false},
+		{"/kernels", false},
+		{"/models", false},
+		{"/predict", true},
+		{"/predict/batch", true},
+		{"/execute", true},
+	} {
+		var w *httptest.ResponseRecorder
+		if c.wire {
+			w = doWire(t, s, c.target, hugeFrame)
+		} else {
+			w = doReq(t, s, http.MethodPost, c.target, hugeJSON)
+		}
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s (wire=%v) oversized body = %d, want 413", c.target, c.wire, w.Code)
+		}
 	}
 	// A sane body still works end to end.
-	w = doReq(t, s, http.MethodPost, "/execute", []byte(`{"program":"vecadd","size":0}`))
+	w := doReq(t, s, http.MethodPost, "/execute", []byte(`{"program":"vecadd","size":0}`))
 	if w.Code != http.StatusOK {
 		t.Fatalf("execute = %d: %s", w.Code, w.Body.String())
 	}

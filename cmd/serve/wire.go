@@ -8,7 +8,6 @@ package main
 // pooled structs in place.
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,7 +16,6 @@ import (
 	"sync"
 
 	"repro/internal/engine"
-	"repro/internal/exec"
 	"repro/internal/fleet"
 	"repro/internal/wire"
 )
@@ -91,38 +89,6 @@ func writeWireError(w http.ResponseWriter, status int, code, msg string, retrySe
 	writeWireFrame(w, status, frame)
 }
 
-// writeWireEngineError is writeEngineError for the binary protocol:
-// identical status/code mapping, MsgError frame body.
-func writeWireEngineError(w http.ResponseWriter, err error) {
-	var be *exec.BudgetError
-	var qe *engine.QuotaError
-	var ce *engine.CompileError
-	var se *fleet.ShedError
-	switch {
-	case errors.As(err, &be):
-		status := http.StatusUnprocessableEntity
-		switch be.Kind {
-		case exec.BudgetMemory:
-			status = http.StatusRequestEntityTooLarge
-		case exec.BudgetDeadline:
-			status = http.StatusRequestTimeout
-		}
-		writeWireError(w, status, "budget:"+be.Kind, err.Error(), 0)
-	case errors.As(err, &qe):
-		writeWireError(w, http.StatusTooManyRequests, "quota", err.Error(), retryAfterSecs(qe.RetryAfter))
-	case errors.As(err, &se):
-		writeWireError(w, http.StatusTooManyRequests, "shed", err.Error(), retryAfterSecs(se.RetryAfter))
-	case errors.As(err, &ce):
-		writeWireError(w, http.StatusBadRequest, "compile", err.Error(), 0)
-	case errors.Is(err, engine.ErrKernelExists):
-		writeWireError(w, http.StatusConflict, "exists", err.Error(), 0)
-	case errors.Is(err, engine.ErrInvalidKernel):
-		writeWireError(w, http.StatusBadRequest, "invalid", err.Error(), 0)
-	default:
-		writeWireError(w, http.StatusUnprocessableEntity, "error", err.Error(), 0)
-	}
-}
-
 // decodeWireRequest reads the body and decodes a single-request frame
 // of the wanted type. Returns false with the response already written
 // on failure.
@@ -162,7 +128,7 @@ func (s *server) wirePredict(w http.ResponseWriter, r *http.Request, sh *fleet.S
 	p := predPool.Get().(*engine.Prediction)
 	defer predPool.Put(p)
 	if err := sh.Engine().PredictInto(req, p); err != nil {
-		writeWireEngineError(w, err)
+		writeEngineError(w, r, err)
 		return
 	}
 	b.out = wire.AppendPrediction(b.out[:0], p)
@@ -238,7 +204,7 @@ func (s *server) wireExecute(w http.ResponseWriter, r *http.Request, sh *fleet.S
 	req.Tenant = tenantOf(r)
 	res, err := sh.Engine().Execute(r.Context(), req)
 	if err != nil {
-		writeWireEngineError(w, err)
+		writeEngineError(w, r, err)
 		return
 	}
 	b.out = wire.AppendExecution(b.out[:0], res)

@@ -40,7 +40,11 @@ func TestPipelineDeterminism(t *testing.T) {
 	}
 }
 
-// claimDB lazily builds the suite-wide database shared by the claim tests.
+// claimDB lazily builds the suite-wide database shared by the claim
+// tests C1–C3. It is the one -short skip in the tree: the race step runs
+// -short, regenerating this database under the detector is most of the
+// root package's time, and the claim tests add no concurrency that
+// internal/harness's own tests do not race.
 var (
 	claimOnce sync.Once
 	claimDBv  *harness.DB
@@ -49,6 +53,9 @@ var (
 
 func claimDB(t *testing.T) *harness.DB {
 	t.Helper()
+	if testing.Short() {
+		t.Skip("claim tests regenerate the suite-wide database; skipped under -short")
+	}
 	claimOnce.Do(func() {
 		claimDBv, claimErr = harness.Generate(harness.GenOptions{MaxSizeIdx: 4})
 	})

@@ -1,5 +1,5 @@
 // Package wire is the compact binary protocol spoken by cmd/serve and
-// cmd/loadgen alongside JSON. At ~127k points/s the JSON encode/decode
+// its clients (today the benchmark's load generator) alongside JSON. At ~127k points/s the JSON encode/decode
 // on /predict/batch was the dominant serving cost (see ROADMAP item 3);
 // this codec replaces it with length-prefixed little-endian frames that
 // encode and decode with zero allocations on the warm path (pooled

@@ -11,9 +11,11 @@
 # budget, tenant quota rejection (429 + Retry-After), and idle-program
 # eviction with transparent recompile. A third instance exercises the
 # fleet path: -platforms mc1,mc2 with sharded engines, per-platform
-# routing and per-shard /stats, the compact binary wire protocol, a
-# mixed -mix workload, and admission control shedding overload with
-# 429 + Retry-After. Used by CI and runnable locally:
+# routing and per-shard /stats, and admission control shedding an
+# overload burst with 429 + Retry-After. (Sustained JSON/wire/batch
+# traffic with every response checked is the benchmark's job:
+# bash benchmark/run.sh --workload predict-serve.) Used by CI and
+# runnable locally:
 #
 #   scripts/serve_smoke.sh [port]
 set -euo pipefail
@@ -30,7 +32,6 @@ trap cleanup EXIT
 
 go build -o "$work/train" ./cmd/train
 go build -o "$work/serve" ./cmd/serve
-go build -o "$work/loadgen" ./cmd/loadgen
 
 echo "== training tiny database + artifacts =="
 "$work/train" -out "$work/db.json" -model-out "$work/models" -model knn \
@@ -105,16 +106,6 @@ echo "== trailing garbage after the JSON body is rejected =="
 code=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
   -d '{"program":"vecadd","size":0}{"junk":1}' "$base/execute")
 [ "$code" = "400" ] || { echo "FAIL: trailing garbage returned $code"; exit 1; }
-
-echo "== closed-loop load generator sustains traffic =="
-"$work/loadgen" -addr "$base" -program vecadd -size 1 -workers 2 \
-  -duration 0.5s -warmup 100ms | tee "$work/loadgen.json"
-grep -q '"qps"' "$work/loadgen.json"
-grep -q '"errors": 0' "$work/loadgen.json"
-"$work/loadgen" -addr "$base" -program vecadd -size 1 -workers 2 -batch 16 \
-  -duration 0.5s -warmup 100ms | tee "$work/loadgen-batch.json"
-grep -q '"pointsPerSecond"' "$work/loadgen-batch.json"
-grep -q '"errors": 0' "$work/loadgen-batch.json"
 
 echo "== 405 with Allow header =="
 curl -s -i -X POST "$base/stats" -o "$work/405.txt"
@@ -253,22 +244,6 @@ echo "== unserved platform is a 404, not a new shard =="
 code=$(curl -s -o /dev/null -w '%{http_code}' "$base/predict?program=vecadd&size=1&platform=gpu9")
 [ "$code" = "404" ] || { echo "FAIL: unserved platform returned $code"; exit 1; }
 
-echo "== binary wire protocol end to end (predict + batch) =="
-"$work/loadgen" -addr "$base" -program vecadd -size 1 -wire -workers 1 \
-  -duration 0.5s -warmup 100ms | tee "$work/loadgen-wire.json"
-grep -q '"protocol": "wire"' "$work/loadgen-wire.json"
-grep -q '"errors": 0' "$work/loadgen-wire.json"
-"$work/loadgen" -addr "$base" -program vecadd -size 1 -wire -batch 16 -workers 1 \
-  -duration 0.5s -warmup 100ms | tee "$work/loadgen-wire-batch.json"
-grep -q '"errors": 0' "$work/loadgen-wire-batch.json"
-
-echo "== mixed workload via -mix sustains traffic =="
-"$work/loadgen" -addr "$base" -program vecadd -size 0 -workers 1 \
-  -mix predict:0.6,batch:0.3,execute:0.1 -duration 0.5s -warmup 100ms |
-  tee "$work/loadgen-mix.json"
-grep -q '"mix": "predict:0.6,batch:0.3,execute:0.1"' "$work/loadgen-mix.json"
-grep -q '"errors": 0' "$work/loadgen-mix.json"
-
 echo "== overload sheds with 429 + Retry-After instead of queueing =="
 # Deterministic shed: park a spin kernel in the default shard's single
 # inflight slot (-admit-inflight 1 -admit-queue 0; the -exec-steps
@@ -290,13 +265,23 @@ grep -q "^HTTP/1.1 429" "$work/shed.txt" || { echo "FAIL: probe behind a busy sl
 grep -qi "^Retry-After:" "$work/shed.txt" || { echo "FAIL: shed response without Retry-After"; exit 1; }
 wait "$spin_pid" || true
 
-# Under a closed-loop burst the report counts sheds without counting
-# them as errors, and admitted traffic still completes.
-"$work/loadgen" -addr "$base" -program matmul -size 1 -endpoint /execute \
-  -workers 8 -duration 2s -warmup 100ms -out "$work/loadgen-shed.json"
-cat "$work/loadgen-shed.json"
-grep -q '"shed": 0' "$work/loadgen-shed.json" && { echo "FAIL: loadgen saw no sheds"; exit 1; }
-grep -q '"errors": 0' "$work/loadgen-shed.json" || { echo "FAIL: sheds were counted as errors"; exit 1; }
+# A burst of 8 concurrent clients against the one inflight slot: every
+# request is either served or shed — nothing else — every shed carries
+# Retry-After, admitted traffic still completes, and the router counts
+# the sheds.
+seq 1 64 | xargs -P 8 -I{} curl -s -o /dev/null -D "$work/burst-{}.txt" \
+  -X POST "$base/execute?program=matmul&size=1"
+for f in "$work"/burst-*.txt; do
+  grep -Eq "^HTTP/1.1 (200|429)" "$f" || { echo "FAIL: burst answered $(head -1 "$f")"; exit 1; }
+  if grep -q "^HTTP/1.1 429" "$f"; then
+    grep -qi "^Retry-After:" "$f" || { echo "FAIL: burst 429 without Retry-After"; exit 1; }
+  fi
+done
+shed=$(cat "$work"/burst-*.txt | grep -c "^HTTP/1.1 429" || true)
+echo "burst: $((64 - shed)) served, $shed shed"
+[ "$shed" -gt 0 ] || { echo "FAIL: burst saw no sheds"; exit 1; }
+[ "$shed" -lt 64 ] || { echo "FAIL: burst admitted nothing"; exit 1; }
+curl -fsS "$base/stats" | grep -Eq '"shed": [1-9]' || { echo "FAIL: /stats counted no sheds"; exit 1; }
 
 kill -TERM "$pid"
 for i in $(seq 1 100); do
