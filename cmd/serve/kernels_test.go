@@ -139,6 +139,70 @@ func TestKernelUploadAndExecute(t *testing.T) {
 	}
 }
 
+// TestKernelTierAndVecReason: the upload response and GET /kernels say
+// which tier a tenant's kernel runs on and, when that is the scalar VM,
+// why the vector tier refused it.
+func TestKernelTierAndVecReason(t *testing.T) {
+	s := newServer(t, nil)
+	// A varying branch inside a uniform-trip loop re-converges every
+	// iteration: vector tier, no reason.
+	w := uploadKernel(t, s, "", engine.KernelSpec{Name: "count", Source: `kernel void count(global float* a, global float* out, int n) {
+	int i = get_global_id(0);
+	float hits = 0.0;
+	for (int j = 0; j < 8; j++) {
+		if (a[(i + j) % n] > 0.5) {
+			hits = hits + 1.0;
+		}
+	}
+	out[i] = hits;
+}`})
+	if w.Code != http.StatusCreated {
+		t.Fatalf("upload count = %d: %s", w.Code, w.Body.String())
+	}
+	var info engine.KernelInfo
+	if err := json.Unmarshal(w.Body.Bytes(), &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Tier != "vec" || info.VecReason != "" {
+		t.Fatalf("in-loop branch kernel: tier %q reason %q, want vec and no reason", info.Tier, info.VecReason)
+	}
+	// A lane-varying trip count stays on the scalar VM and says so.
+	w = uploadKernel(t, s, "", engine.KernelSpec{Name: "tri", Source: `kernel void tri(global float* a, global float* out, int n) {
+	int i = get_global_id(0);
+	int m = i % 7;
+	float acc = 0.0;
+	for (int j = 0; j < m; j++) {
+		acc = acc + a[j];
+	}
+	out[i] = acc;
+}`})
+	if w.Code != http.StatusCreated {
+		t.Fatalf("upload tri = %d: %s", w.Code, w.Body.String())
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Tier != "vm" || !strings.Contains(info.VecReason, "back-edge") {
+		t.Fatalf("varying-trip kernel: tier %q reason %q, want vm and a back-edge reason", info.Tier, info.VecReason)
+	}
+
+	w = doReq(t, s, http.MethodGet, "/kernels", nil)
+	var listed struct {
+		Kernels []engine.KernelInfo `json:"kernels"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &listed); err != nil {
+		t.Fatalf("list = %d: %v: %s", w.Code, err, w.Body.String())
+	}
+	reasons := map[string]string{}
+	for _, k := range listed.Kernels {
+		reasons[k.Name] = k.Tier + ":" + k.VecReason
+	}
+	if reasons["public/count"] != "vec:" || !strings.Contains(reasons["public/tri"], "vm:") ||
+		!strings.Contains(reasons["public/tri"], "back-edge") {
+		t.Fatalf("GET /kernels: %v", reasons)
+	}
+}
+
 // TestKernelUploadRejectsBadSource: front-end failures answer 400 with
 // the MiniCL line:column position so uploaders can fix their source.
 func TestKernelUploadRejectsBadSource(t *testing.T) {

@@ -65,6 +65,9 @@ type KernelInfo struct {
 	SourceBytes int    `json:"sourceBytes"`
 	SizeNs      []int  `json:"sizeNs"`
 	Tier        string `json:"tier"`
+	// VecReason is why the kernel is not on the vector tier when Tier
+	// is "vm" (the vectorizer's refusal); empty otherwise.
+	VecReason string `json:"vecReason,omitempty"`
 }
 
 // userKernel is one registered upload. The bench program retains the
@@ -147,6 +150,9 @@ func (e *Engine) RegisterKernel(tenant string, spec KernelSpec) (*KernelInfo, er
 		Kernel:      kernelName,
 		SourceBytes: len(spec.Source),
 		Tier:        cp.Compiled.Tier().String(),
+	}
+	if verr := cp.Compiled.VecError(); verr != nil {
+		info.VecReason = verr.Error()
 	}
 	for _, s := range bp.Sizes {
 		info.SizeNs = append(info.SizeNs, s.N)

@@ -195,6 +195,48 @@ kernel void k(global float* src, global float* out, int n) {
 	}
 }`,
 	},
+	{
+		// Varying if/else inside a uniform-trip loop: both 'v' branches
+		// re-form every iteration, and the accumulator they write is
+		// varying by control dependence.
+		name:   "vec_branchy_loop",
+		kernel: "k",
+		source: goldenSource("branchy_loop"),
+	},
+	{
+		// The suite's histogram: a one-sided `if (v == b) c++` in the
+		// inner loop. c's writes (the ldc.i reset included) carry no 's'.
+		name:   "vec_histogram",
+		kernel: "histogram",
+		source: `
+kernel void histogram(global const float* data, global int* counts, int n, int k, int bins) {
+	int i = get_global_id(0);
+	if (i < n) {
+		int base = i * k;
+		for (int b = 0; b < bins; b++) {
+			int c = 0;
+			for (int j = 0; j < k; j++) {
+				int v = (int)(data[base + j] * (float)bins);
+				v = clamp(v, 0, bins - 1);
+				if (v == b) {
+					c++;
+				}
+			}
+			counts[i * bins + b] = c;
+		}
+	}
+}`,
+	},
+}
+
+// goldenSource returns the source of the named goldenKernels entry.
+func goldenSource(name string) string {
+	for _, k := range goldenKernels {
+		if k.name == name {
+			return k.source
+		}
+	}
+	panic("no golden kernel " + name)
 }
 
 func TestGoldenVecDisassembly(t *testing.T) {

@@ -388,7 +388,7 @@ var negCc = map[Opcode]int32{
 	OpLtI: CcGe, OpLeI: CcGt, OpGtI: CcLe, OpGeI: CcLt, OpEqI: CcNe, OpNeI: CcEq,
 	OpLtIImm: CcGe, OpLeIImm: CcGt, OpGtIImm: CcLe, OpGeIImm: CcLt,
 	OpEqIImm: CcNe, OpNeIImm: CcEq,
-	OpLtF: CcGe, OpLeF: CcGt, OpGtF: CcLe, OpGeF: CcLt, OpEqF: CcNe, OpNeF: CcEq,
+	OpLtF: CcNLt, OpLeF: CcNLe, OpGtF: CcNGt, OpGeF: CcNGe, OpEqF: CcNe, OpNeF: CcEq,
 }
 
 // tryCmpBranch fuses a comparison feeding a jz.br into one
@@ -451,7 +451,11 @@ func threadJumps(p *Func) int {
 		switch h.Op {
 		case OpJCmpI, OpJCmpF:
 			if int(h.Imm) == i+1 {
-				*in = Instr{Op: h.Op, A: h.A, B: h.B, C: invCc[h.C], Imm: int64(t + 1)}
+				cc := invCc[:]
+				if h.Op == OpJCmpF {
+					cc = invCcF[:]
+				}
+				*in = Instr{Op: h.Op, A: h.A, B: h.B, C: cc[h.C], Imm: int64(t + 1)}
 				n++
 			}
 		case OpJCmpIImm:

@@ -171,7 +171,10 @@ const (
 	opCount // sentinel
 )
 
-// Condition codes for OpJCmp*.
+// Condition codes for OpJCmp*. The N codes are the float-only negations
+// of the ordered compares — "not less than" holds when the operands are
+// unordered (a NaN) where "greater or equal" does not — so a fused
+// compare-branch that jumps when `x < y` is false keeps doing so for NaN.
 const (
 	CcLt = iota
 	CcLe
@@ -179,13 +182,23 @@ const (
 	CcGe
 	CcEq
 	CcNe
+	CcNLt
+	CcNLe
+	CcNGt
+	CcNGe
 )
 
-var ccNames = [...]string{CcLt: "lt", CcLe: "le", CcGt: "gt", CcGe: "ge", CcEq: "eq", CcNe: "ne"}
+var ccNames = [...]string{CcLt: "lt", CcLe: "le", CcGt: "gt", CcGe: "ge", CcEq: "eq", CcNe: "ne",
+	CcNLt: "nlt", CcNLe: "nle", CcNGt: "ngt", CcNGe: "nge"}
 
-// invCc inverts a condition code (for loop rotation: the back-jump runs
-// the loop test with the opposite sense of the exiting head compare).
-var invCc = [...]int32{CcLt: CcGe, CcLe: CcGt, CcGt: CcLe, CcGe: CcLt, CcEq: CcNe, CcNe: CcEq}
+// invCc and invCcF invert an int and a float condition code (for loop
+// rotation: the back-jump runs the loop test with the opposite sense of
+// the exiting head compare).
+var (
+	invCc  = [...]int32{CcLt: CcGe, CcLe: CcGt, CcGt: CcLe, CcGe: CcLt, CcEq: CcNe, CcNe: CcEq}
+	invCcF = [...]int32{CcLt: CcNLt, CcLe: CcNLe, CcGt: CcNGt, CcGe: CcNGe, CcEq: CcNe, CcNe: CcEq,
+		CcNLt: CcLt, CcNLe: CcLe, CcNGt: CcGt, CcNGe: CcGe}
+)
 
 // Instr is one VM instruction. The operand meaning is per-opcode (see
 // the opcode comments); unused fields are zero.

@@ -7,7 +7,7 @@ import (
 
 // SIMT vector execution tier. Vectorize analyzes a compiled Func for
 // register uniformity at the bytecode level and, when the kernel's loop
-// structure is group-uniform, produces a VecFunc that executes W work
+// trip counts are group-uniform, produces a VecFunc that executes W work
 // items per instruction dispatch: varying registers become W-wide lane
 // arrays, straight-line arms loop over lanes inside one switch arm, and
 // branches take one comparison per group (statically uniform
@@ -32,7 +32,11 @@ import (
 // each side of the branch runs as a compacted sub-group (width = its
 // lane count) through the same dispatch loop up to the join point
 // recorded at vectorize time (the branch's immediate post-dominator),
-// then the group re-forms and resumes full-width. Only irreducible
+// then the group re-forms and resumes full-width. A varying branch
+// inside a loop body is expected to disagree, so it is admitted only
+// when its region is loop-free — the group re-forms every iteration —
+// and every register the region writes is classified varying (control
+// dependence; see Vectorize). Only irreducible
 // divergence — no safe join point, nested splits beyond the depth cap,
 // or a would-fault lane inside a split — falls back to the full bail:
 // Run returns Diverged and the caller completes each lane on the scalar
@@ -49,7 +53,7 @@ import (
 // (executing once per dispatch is exactly the per-item cost). Budget
 // fuel is charged W per taken jump (W items each spent one step); a
 // scalarized jump still charges W. After a split the sides accumulate
-// per-lane count deltas (VecFrame.LaneCnt) on top of the shared
+// per-lane count deltas (VecFrame.laneCnt) on top of the shared
 // counts, so per-item totals stay exact. The spill-room cadence is
 // identical to the scalar VM.
 
@@ -85,16 +89,14 @@ type VecFunc struct {
 	// conditional jump at pc — its immediate post-dominator — or -1
 	// when the divergent region is ineligible (contains a barrier,
 	// writes a uniform register, or stores through a uniform index)
-	// and disagreement must take the full scalar bail.
+	// and disagreement must take the full scalar bail. A varying
+	// branch inside a loop always has one: Vectorize refuses the
+	// kernel otherwise.
 	joinPC []int
 
-	// regionI/regionF[pc] (set only where joinPC[pc] >= 0) mark the
-	// varying registers the divergent region reads or writes, and
-	// regionWI[pc] whether it queries a work-item row: the split
-	// fill/scatter copies only these instead of the whole frame, which
-	// is most of the cost of a divergence on register-heavy kernels.
-	regionI, regionF [][]bool
-	regionWI         []bool
+	// regions[pc] (non-nil only where joinPC[pc] >= 0) lists the
+	// registers a split at pc copies into and out of its side frames.
+	regions []*splitRegion
 }
 
 // srcU operand bits. B and C follow the instruction's register fields;
@@ -172,11 +174,12 @@ func condJumpTarget(in *Instr, pc int) (int, bool) {
 // and decides whether the kernel's loop structure admits SIMT
 // execution. It fails when a loop back-edge condition is varying (the
 // lanes would iterate different trip counts) or a varying conditional
-// jump sits inside a loop body (the lanes would diverge every
-// iteration); varying forward branches outside loops are admitted,
-// checked for agreement at runtime, and annotated with their
-// re-convergence point when the divergent region is safe to run
-// masked.
+// jump inside a loop body guards a region the group cannot re-form
+// after within the same iteration (the region reaches a back-edge — a
+// nested loop or a break — or is ineligible for masked execution; see
+// computeJoin). Every other varying forward branch is admitted, checked
+// for agreement at runtime, and annotated with its re-convergence point
+// when the divergent region is safe to run masked.
 func Vectorize(p *Func) (*VecFunc, error) {
 	nI, nF := max(p.NumI, 1), max(p.NumF, 1)
 	varI := make([]bool, nI)
@@ -194,77 +197,84 @@ func Vectorize(p *Func) (*VecFunc, error) {
 		}
 	}
 
-	// Flow-insensitive fixpoint: a register is varying if any write to
-	// it anywhere is varying. This is sound because every control path
-	// the vector loop actually follows is convergent (uniform branches
-	// by induction, varying branches by the runtime agreement check,
-	// divergent regions by the no-uniform-write eligibility rule), so
-	// a "uniform" register always holds lane-equal values whenever it
-	// is read. Loads are uniform when every index component is
-	// uniform: the lanes read the same address against the same memory
-	// state.
-	for changed := true; changed; {
-		changed = false
-		for i := range p.Code {
-			in := &p.Code[i]
-			info, ok := LookupOp(in.Op)
-			if !ok {
-				return nil, fmt.Errorf("exec: vec: illegal opcode %d at pc %d", in.Op, i)
-			}
-			switch info.Fmt {
-			case FmtNone, FmtJmp, FmtJCond, FmtJCmpI, FmtJCmpIImm, FmtJCmpF,
-				FmtBar, FmtStoreF, FmtStoreI:
-				// No register result.
-			case FmtIab:
-				markI(in.A, varI[in.B], &changed)
-			case FmtIabc:
-				markI(in.A, varI[in.B] || varI[in.C], &changed)
-			case FmtIabImm:
-				markI(in.A, varI[in.B], &changed)
-			case FmtIaImm:
-				// Constant: uniform.
-			case FmtFabc:
-				markF(in.A, varF[in.B] || varF[in.C], &changed)
-			case FmtFab:
-				markF(in.A, varF[in.B], &changed)
-			case FmtFaPool:
-				// Constant: uniform.
-			case FmtFaIb:
-				markF(in.A, varI[in.B], &changed)
-			case FmtIaFb:
-				markI(in.A, varF[in.B], &changed)
-			case FmtIaFbc:
-				markI(in.A, varF[in.B] || varF[in.C], &changed)
-			case FmtFabcImm:
-				markF(in.A, varF[in.B] || varF[in.C] || varF[int32(in.Imm)], &changed)
-			case FmtIabcImm:
-				markI(in.A, varI[in.B] || varI[in.C] || varI[int32(in.Imm)], &changed)
-			case FmtMulImmAdd:
-				markI(in.A, varI[in.B] || varI[in.C], &changed)
-			case FmtWI:
-				markI(in.A, in.B == WIGlobalID || in.B == WILocalID, &changed)
-			case FmtWIDyn:
-				markI(in.A, in.B == WIGlobalID || in.B == WILocalID || varI[in.C], &changed)
-			case FmtLoadF:
-				markF(in.A, varI[in.C], &changed)
-			case FmtLoadI:
-				markI(in.A, varI[in.C], &changed)
-			case FmtFusedLdF:
-				markF(in.A, varF[in.B] || varI[in.C], &changed)
-			case FmtFusedMacF:
-				markF(in.A, varF[in.B] || varI[in.C], &changed)
-			case FmtLdIdxF:
-				_, _, r3 := unpackMemIdx(in.Imm)
-				markF(in.A, varI[in.B] || varI[in.C] || varI[r3], &changed)
-			case FmtMacIdxF:
-				_, _, r2, r3 := unpackMacIdx(in.Imm)
-				markF(in.A, varF[in.B] || varI[in.C] || varI[r2] || varI[r3], &changed)
-			case FmtIncJCmpI:
-				markI(in.A, varI[in.A] || varI[in.B], &changed)
-			default:
-				return nil, fmt.Errorf("exec: vec: unhandled operand format for %s at pc %d", in.Op, i)
+	// Data dependence, flow-insensitive: a register is varying if any
+	// write to it anywhere is varying. This is sound because every
+	// control path the vector loop actually follows is convergent
+	// (uniform branches by induction, varying branches outside loops by
+	// the runtime agreement check, their divergent regions by the
+	// no-uniform-write eligibility rule, and varying branches inside
+	// loops by the control-dependence pass below), so a "uniform"
+	// register always holds lane-equal values whenever it is read.
+	// Loads are uniform when every index component is uniform: the
+	// lanes read the same address against the same memory state.
+	propagate := func() error {
+		for changed := true; changed; {
+			changed = false
+			for i := range p.Code {
+				in := &p.Code[i]
+				info, ok := LookupOp(in.Op)
+				if !ok {
+					return fmt.Errorf("exec: vec: illegal opcode %d at pc %d", in.Op, i)
+				}
+				switch info.Fmt {
+				case FmtNone, FmtJmp, FmtJCond, FmtJCmpI, FmtJCmpIImm, FmtJCmpF,
+					FmtBar, FmtStoreF, FmtStoreI:
+					// No register result.
+				case FmtIab:
+					markI(in.A, varI[in.B], &changed)
+				case FmtIabc:
+					markI(in.A, varI[in.B] || varI[in.C], &changed)
+				case FmtIabImm:
+					markI(in.A, varI[in.B], &changed)
+				case FmtIaImm:
+					// Constant: uniform.
+				case FmtFabc:
+					markF(in.A, varF[in.B] || varF[in.C], &changed)
+				case FmtFab:
+					markF(in.A, varF[in.B], &changed)
+				case FmtFaPool:
+					// Constant: uniform.
+				case FmtFaIb:
+					markF(in.A, varI[in.B], &changed)
+				case FmtIaFb:
+					markI(in.A, varF[in.B], &changed)
+				case FmtIaFbc:
+					markI(in.A, varF[in.B] || varF[in.C], &changed)
+				case FmtFabcImm:
+					markF(in.A, varF[in.B] || varF[in.C] || varF[int32(in.Imm)], &changed)
+				case FmtIabcImm:
+					markI(in.A, varI[in.B] || varI[in.C] || varI[int32(in.Imm)], &changed)
+				case FmtMulImmAdd:
+					markI(in.A, varI[in.B] || varI[in.C], &changed)
+				case FmtWI:
+					markI(in.A, in.B == WIGlobalID || in.B == WILocalID, &changed)
+				case FmtWIDyn:
+					markI(in.A, in.B == WIGlobalID || in.B == WILocalID || varI[in.C], &changed)
+				case FmtLoadF:
+					markF(in.A, varI[in.C], &changed)
+				case FmtLoadI:
+					markI(in.A, varI[in.C], &changed)
+				case FmtFusedLdF:
+					markF(in.A, varF[in.B] || varI[in.C], &changed)
+				case FmtFusedMacF:
+					markF(in.A, varF[in.B] || varI[in.C], &changed)
+				case FmtLdIdxF:
+					_, _, r3 := unpackMemIdx(in.Imm)
+					markF(in.A, varI[in.B] || varI[in.C] || varI[r3], &changed)
+				case FmtMacIdxF:
+					_, _, r2, r3 := unpackMacIdx(in.Imm)
+					markF(in.A, varF[in.B] || varI[in.C] || varI[r2] || varI[r3], &changed)
+				case FmtIncJCmpI:
+					markI(in.A, varI[in.A] || varI[in.B], &changed)
+				default:
+					return fmt.Errorf("exec: vec: unhandled operand format for %s at pc %d", in.Op, i)
+				}
 			}
 		}
+		return nil
+	}
+	if err := propagate(); err != nil {
+		return nil, err
 	}
 
 	condU := make([]bool, len(p.Code))
@@ -294,6 +304,59 @@ func Vectorize(p *Func) (*VecFunc, error) {
 		}
 	}
 
+	// Control dependence (the divergence analysis of whole-function
+	// vectorization): a value defined under varying control is varying.
+	// A varying forward branch inside a loop cannot rely on the runtime
+	// agreement check — it would bail every iteration — so when the
+	// region up to its immediate post-dominator is loop-free (the group
+	// re-forms within the same iteration) every register the region
+	// writes is promoted to varying, and the data fixpoint reruns until
+	// nothing moves. Branches outside loops keep the optimistic
+	// agree-or-bail treatment: the `if (gid < n)` guard around a whole
+	// kernel holds uniform loop counters that must stay uniform. The
+	// post-dominator sets are built once, and only when some in-loop
+	// branch is varying.
+	var g *flowGraph
+	for promoted := true; promoted; {
+		promoted = false
+		for i := range p.Code {
+			in := &p.Code[i]
+			if t, ok := condJumpTarget(in, i); !ok || t <= i || !inLoop[i] || uniformCond(in) {
+				continue
+			}
+			if g == nil {
+				g = newFlowGraph(p.Code)
+			}
+			region, loopFree := g.region(i)
+			if !loopFree {
+				continue
+			}
+			for _, v := range region {
+				if isF, r, ok := destReg(&p.Code[v]); ok {
+					file := varI
+					if isF {
+						file = varF
+					}
+					if !file[r] {
+						file[r], promoted = true, true
+					}
+				}
+			}
+		}
+		if promoted {
+			if err := propagate(); err != nil {
+				return nil, err
+			}
+		}
+	}
+
+	vf := &VecFunc{Func: p, condUniform: condU, uniI: notAll(varI), uniF: notAll(varF)}
+	vf.scal = make([]bool, len(p.Code))
+	vf.srcU = make([]uint8, len(p.Code))
+	vf.joinPC = make([]int, len(p.Code))
+	for i := range vf.joinPC {
+		vf.joinPC[i] = -1
+	}
 	for i := range p.Code {
 		in := &p.Code[i]
 		t, ok := condJumpTarget(in, i)
@@ -313,20 +376,15 @@ func Vectorize(p *Func) (*VecFunc, error) {
 			// bail-out could not restore pre-instruction state.
 			return nil, fmt.Errorf("exec: vec: varying fused loop counter at pc %d", i)
 		}
-		if inLoop[i] {
+		if g == nil {
+			g = newFlowGraph(p.Code)
+		}
+		vf.computeJoin(g, i, inLoop[i])
+		if inLoop[i] && vf.joinPC[i] < 0 {
 			return nil, fmt.Errorf("exec: vec: varying branch inside loop body at pc %d (%s)", i, in.Op)
 		}
 	}
-
-	vf := &VecFunc{Func: p, condUniform: condU, uniI: notAll(varI), uniF: notAll(varF)}
-	vf.scal = make([]bool, len(p.Code))
-	vf.srcU = make([]uint8, len(p.Code))
-	vf.joinPC = make([]int, len(p.Code))
-	for i := range vf.joinPC {
-		vf.joinPC[i] = -1
-	}
 	vf.computeScal(varI, varF)
-	vf.computeJoins(varI, varF)
 	return vf, nil
 }
 
@@ -505,76 +563,80 @@ func (vf *VecFunc) computeScal(varI, varF []bool) {
 	}
 }
 
-// computeJoins records, for every varying conditional jump, the point
-// where a split group can re-form: the branch's immediate
-// post-dominator, provided the divergent region between the branch and
-// the join is safe to run one side at a time — no barriers (the sides
-// would deadlock each other), no writes to uniform registers (the
-// sides would disagree about a "uniform" value at the join), and no
-// stores through a uniform index (side order would replace the
-// canonical item order for the conflicting writes).
-func (vf *VecFunc) computeJoins(varI, varF []bool) {
-	p := vf.Func
-	n := len(p.Code)
-	anyVarying := false
-	for i := range p.Code {
-		if _, ok := condJumpTarget(&p.Code[i], i); ok && !vf.condUniform[i] {
-			anyVarying = true
-			break
-		}
-	}
-	if !anyVarying {
-		return
-	}
+// flowGraph is a kernel's control-flow graph over nodes 0..n, where the
+// virtual exit node n is reached by halt and by running off the end,
+// with its post-dominator sets. Vectorize builds it at most once, and
+// only for kernels that have a varying conditional jump.
+type flowGraph struct {
+	code  []Instr
+	words int
+	pd    []uint64 // (n+1) bitset rows: pd[v] = nodes post-dominating v
+	ipd   []int    // immediate post-dominators, computed on demand (-2 = not yet)
 
-	// succs returns the successor nodes of pc in the CFG whose virtual
-	// exit node is n (reached by halt and by running off the end).
-	succs := func(v int) (int, int) {
-		in := &p.Code[v]
-		if in.Op == OpHalt {
-			return n, -1
-		}
-		if in.Op == OpJmp {
-			return int(in.Imm), -1
-		}
-		nx := v + 1
-		if nx > n {
-			nx = n
-		}
-		if t, ok := condJumpTarget(in, v); ok {
-			return nx, t
-		}
-		return nx, -1
-	}
+	seen  []bool // region walk scratch
+	stack []int
+	nodes []int
+}
 
-	// Post-dominator sets as bitsets over nodes 0..n: pdom[exit] =
-	// {exit}, pdom[v] = {v} ∪ ∩ pdom[succ]. Kernels are a few hundred
-	// instructions at most, so the quadratic dataflow is irrelevant at
-	// compile time.
+// succs returns the successor nodes of pc (-1 = none).
+func (g *flowGraph) succs(v int) (int, int) {
+	n := len(g.code)
+	in := &g.code[v]
+	if in.Op == OpHalt {
+		return n, -1
+	}
+	if in.Op == OpJmp {
+		return int(in.Imm), -1
+	}
+	nx := v + 1
+	if nx > n {
+		nx = n
+	}
+	if t, ok := condJumpTarget(in, v); ok {
+		return nx, t
+	}
+	return nx, -1
+}
+
+func (g *flowGraph) row(v int) []uint64 { return g.pd[v*g.words : (v+1)*g.words] }
+
+// newFlowGraph solves the post-dominator dataflow: pdom[exit] = {exit},
+// pdom[v] = {v} ∪ ∩ pdom[succ]. Kernels are a few hundred instructions
+// at most, so the quadratic iteration is irrelevant at compile time.
+func newFlowGraph(code []Instr) *flowGraph {
+	n := len(code)
 	words := (n + 1 + 63) / 64
-	pd := make([]uint64, (n+1)*words)
-	row := func(v int) []uint64 { return pd[v*words : (v+1)*words] }
+	g := &flowGraph{
+		code:  code,
+		words: words,
+		pd:    make([]uint64, (n+1)*words),
+		ipd:   make([]int, n),
+		seen:  make([]bool, n+1),
+		stack: make([]int, 0, n),
+		nodes: make([]int, 0, n),
+	}
 	for v := 0; v < n; v++ {
-		r := row(v)
+		g.ipd[v] = -2
+		r := g.row(v)
 		for w := range r {
 			r[w] = ^uint64(0)
 		}
 	}
-	row(n)[n/64] = 1 << (n % 64)
+	g.row(n)[n/64] = 1 << (n % 64)
 	tmp := make([]uint64, words)
 	for changed := true; changed; {
 		changed = false
 		for v := n - 1; v >= 0; v-- {
-			s1, s2 := succs(v)
-			copy(tmp, row(s1))
+			s1, s2 := g.succs(v)
+			copy(tmp, g.row(s1))
 			if s2 >= 0 {
-				r2 := row(s2)
+				r2 := g.row(s2)
 				for w := range tmp {
 					tmp[w] &= r2[w]
 				}
 			}
 			tmp[v/64] |= 1 << (v % 64)
-			r := row(v)
+			r := g.row(v)
 			for w := range tmp {
 				if r[w] != tmp[w] {
 					copy(r, tmp)
@@ -584,186 +646,245 @@ func (vf *VecFunc) computeJoins(varI, varF []bool) {
 			}
 		}
 	}
+	return g
+}
 
-	card := func(v int) int {
+// ipdom returns the immediate post-dominator of v: the strict
+// post-dominator with the largest pdom set (strict pdoms form a chain;
+// the nearest one post-dominates into all the others), or -1.
+func (g *flowGraph) ipdom(v int) int {
+	if g.ipd[v] != -2 {
+		return g.ipd[v]
+	}
+	card := func(b int) int {
 		c := 0
-		for _, w := range row(v) {
+		for _, w := range g.row(b) {
 			c += bits.OnesCount64(w)
 		}
 		return c
 	}
+	best, bestCard := -1, -1
+	for w, word := range g.row(v) {
+		for word != 0 {
+			b := w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if b == v {
+				continue
+			}
+			if c := card(b); c > bestCard {
+				best, bestCard = b, c
+			}
+		}
+	}
+	g.ipd[v] = best
+	return best
+}
 
-	vf.regionI = make([][]bool, n)
-	vf.regionF = make([][]bool, n)
-	vf.regionWI = make([]bool, n)
+// region returns the divergent region of the conditional jump at pc —
+// the instructions on some path from the branch to its immediate
+// post-dominator, both excluded — and whether it is loop-free: no
+// back-edge, so a group that splits at pc re-forms at the join without
+// either side passing the branch again. The slice is scratch, valid
+// until the next call; a branch with no post-dominator has no region.
+func (g *flowGraph) region(pc int) (nodes []int, loopFree bool) {
+	j := g.ipdom(pc)
+	if j < 0 {
+		return nil, false
+	}
+	n := len(g.code)
+	clear(g.seen)
+	g.stack, g.nodes = g.stack[:0], g.nodes[:0]
+	push := func(v int) {
+		if v >= 0 && v != j && !g.seen[v] {
+			g.seen[v] = true
+			if v < n {
+				g.stack = append(g.stack, v)
+			}
+		}
+	}
+	s1, s2 := g.succs(pc)
+	push(s1)
+	push(s2)
+	loopFree = true
+	for len(g.stack) > 0 {
+		v := g.stack[len(g.stack)-1]
+		g.stack = g.stack[:len(g.stack)-1]
+		g.nodes = append(g.nodes, v)
+		if t, ok := jumpTarget(&g.code[v], v); ok && t <= v {
+			loopFree = false
+		}
+		a, b := g.succs(v)
+		push(a)
+		push(b)
+	}
+	return g.nodes, loopFree
+}
 
-	seen := make([]bool, n+1)
-	stack := make([]int, 0, n)
-	// touch marks every register operand (sources and destination) of
-	// the instruction in the region's copy sets; uniform registers are
-	// skipped at fill/scatter time, so marking them here is harmless.
-	touch := func(in *Instr, tI, tF []bool, wi *bool) {
+// splitRegion is what a divergence split at one varying branch copies:
+// the split fill compacts the varying registers the region reads or
+// writes (in) into a side frame — and the work-item rows when the region
+// queries them (wi) — and the scatter returns the ones it writes (out).
+// Registers outside these sets are skipped entirely, which is most of
+// the cost of a divergence on register-heavy kernels.
+type splitRegion struct {
+	inI, inF   []int32
+	outI, outF []int32
+	wi         bool
+}
+
+// computeJoin records, for the varying conditional jump at pc, the
+// point where a split group can re-form: the branch's immediate
+// post-dominator, provided the divergent region between the branch and
+// the join is safe to run one side at a time — no barriers (the sides
+// would deadlock each other), no writes to uniform registers (the
+// sides would disagree about a "uniform" value at the join), no
+// stores through a uniform index (side order would replace the
+// canonical item order for the conflicting writes), and, for a branch
+// inside a loop, no back-edge (the group must re-form every iteration).
+func (vf *VecFunc) computeJoin(g *flowGraph, pc int, inLoop bool) {
+	p := vf.Func
+	nodes, loopFree := g.region(pc)
+	j := g.ipdom(pc)
+	if j < 0 || inLoop && !loopFree {
+		return
+	}
+	tI := make([]bool, len(vf.uniI))
+	tF := make([]bool, len(vf.uniF))
+	wI := make([]bool, len(vf.uniI))
+	wF := make([]bool, len(vf.uniF))
+	reg := &splitRegion{}
+	for _, v := range nodes {
+		in := &p.Code[v]
+		if in.Op == OpBar {
+			return
+		}
+		if isF, r, ok := destReg(in); ok {
+			if isF && vf.uniF[r] || !isF && vf.uniI[r] {
+				return
+			}
+			if isF {
+				wF[r] = true
+			} else {
+				wI[r] = true
+			}
+		}
 		info, _ := LookupOp(in.Op)
-		mI := func(r int32) { tI[r] = true }
-		mF := func(r int32) { tF[r] = true }
-		switch info.Fmt {
-		case FmtNone, FmtJmp, FmtBar:
-		case FmtJCond:
-			mI(in.A)
-		case FmtJCmpI:
-			mI(in.A)
-			mI(in.B)
-		case FmtJCmpIImm:
-			mI(in.A)
-		case FmtJCmpF:
-			mF(in.A)
-			mF(in.B)
-		case FmtStoreF:
-			mF(in.A)
-			mI(in.C)
-		case FmtStoreI:
-			mI(in.A)
-			mI(in.C)
-		case FmtIab, FmtIabImm:
-			mI(in.A)
-			mI(in.B)
-		case FmtIabc, FmtMulImmAdd, FmtIncJCmpI:
-			mI(in.A)
-			mI(in.B)
-			mI(in.C)
-		case FmtIaImm:
-			mI(in.A)
-		case FmtFab:
-			mF(in.A)
-			mF(in.B)
-		case FmtFabc:
-			mF(in.A)
-			mF(in.B)
-			mF(in.C)
-		case FmtFaPool:
-			mF(in.A)
-		case FmtFaIb:
-			mF(in.A)
-			mI(in.B)
-		case FmtIaFb:
-			mI(in.A)
-			mF(in.B)
-		case FmtIaFbc:
-			mI(in.A)
-			mF(in.B)
-			mF(in.C)
-		case FmtFabcImm:
-			mF(in.A)
-			mF(in.B)
-			mF(in.C)
-			mF(int32(in.Imm))
-		case FmtIabcImm:
-			mI(in.A)
-			mI(in.B)
-			mI(in.C)
-			mI(int32(in.Imm))
-		case FmtWI:
-			mI(in.A)
-			*wi = true
-		case FmtWIDyn:
-			mI(in.A)
-			mI(in.C)
-			*wi = true
-		case FmtLoadF:
-			mF(in.A)
-			mI(in.C)
-		case FmtLoadI:
-			mI(in.A)
-			mI(in.C)
-		case FmtFusedLdF, FmtFusedMacF:
-			mF(in.A)
-			mF(in.B)
-			mI(in.C)
-		case FmtLdIdxF:
-			_, _, r3 := unpackMemIdx(in.Imm)
-			mF(in.A)
-			mI(in.B)
-			mI(in.C)
-			mI(r3)
-		case FmtMacIdxF:
-			_, _, r2, r3 := unpackMacIdx(in.Imm)
-			mF(in.A)
-			mF(in.B)
-			mI(in.C)
-			mI(r2)
-			mI(r3)
+		if (info.Fmt == FmtStoreF || info.Fmt == FmtStoreI) && vf.uniI[in.C] {
+			return
 		}
+		touchRegs(in, tI, tF, &reg.wi)
 	}
-	regionOK := func(pc, j int, tI, tF []bool, wi *bool) bool {
-		for i := range seen {
-			seen[i] = false
-		}
-		stack = stack[:0]
-		push := func(v int) {
-			if v >= 0 && v != j && !seen[v] {
-				seen[v] = true
-				if v < n {
-					stack = append(stack, v)
-				}
+	// Uniform registers are read from the aliased scalar slots.
+	list := func(set, uni []bool) []int32 {
+		var rs []int32
+		for r, t := range set {
+			if t && !uni[r] {
+				rs = append(rs, int32(r))
 			}
 		}
-		s1, s2 := succs(pc)
-		push(s1)
-		push(s2)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			in := &p.Code[v]
-			if in.Op == OpBar {
-				return false
-			}
-			if isF, r, ok := destReg(in); ok {
-				if (isF && !varF[r]) || (!isF && !varI[r]) {
-					return false
-				}
-			}
-			info, _ := LookupOp(in.Op)
-			if (info.Fmt == FmtStoreF || info.Fmt == FmtStoreI) && !varI[in.C] {
-				return false
-			}
-			touch(in, tI, tF, wi)
-			a, b := succs(v)
-			push(a)
-			push(b)
-		}
-		return true
+		return rs
 	}
+	reg.inI, reg.inF = list(tI, vf.uniI), list(tF, vf.uniF)
+	reg.outI, reg.outF = list(wI, vf.uniI), list(wF, vf.uniF)
+	if vf.regions == nil {
+		vf.regions = make([]*splitRegion, len(p.Code))
+	}
+	vf.joinPC[pc] = j
+	vf.regions[pc] = reg
+}
 
-	for i := range p.Code {
-		if _, ok := condJumpTarget(&p.Code[i], i); !ok || vf.condUniform[i] {
-			continue
-		}
-		// The immediate post-dominator is the strict post-dominator
-		// with the largest pdom set (strict pdoms form a chain; the
-		// nearest one post-dominates into all the others).
-		best, bestCard := -1, -1
-		r := row(i)
-		for w, word := range r {
-			for word != 0 {
-				b := w*64 + bits.TrailingZeros64(word)
-				word &= word - 1
-				if b == i {
-					continue
-				}
-				if c := card(b); c > bestCard {
-					best, bestCard = b, c
-				}
-			}
-		}
-		tI := make([]bool, len(varI))
-		tF := make([]bool, len(varF))
-		var wi bool
-		if best >= 0 && regionOK(i, best, tI, tF, &wi) {
-			vf.joinPC[i] = best
-			vf.regionI[i] = tI
-			vf.regionF[i] = tF
-			vf.regionWI[i] = wi
-		}
+// touchRegs marks every register operand (sources and destination) of
+// the instruction in tI/tF, and *wi when it queries a work-item row.
+func touchRegs(in *Instr, tI, tF []bool, wi *bool) {
+	info, _ := LookupOp(in.Op)
+	mI := func(r int32) { tI[r] = true }
+	mF := func(r int32) { tF[r] = true }
+	switch info.Fmt {
+	case FmtNone, FmtJmp, FmtBar:
+	case FmtJCond:
+		mI(in.A)
+	case FmtJCmpI:
+		mI(in.A)
+		mI(in.B)
+	case FmtJCmpIImm:
+		mI(in.A)
+	case FmtJCmpF:
+		mF(in.A)
+		mF(in.B)
+	case FmtStoreF:
+		mF(in.A)
+		mI(in.C)
+	case FmtStoreI:
+		mI(in.A)
+		mI(in.C)
+	case FmtIab, FmtIabImm:
+		mI(in.A)
+		mI(in.B)
+	case FmtIabc, FmtMulImmAdd, FmtIncJCmpI:
+		mI(in.A)
+		mI(in.B)
+		mI(in.C)
+	case FmtIaImm:
+		mI(in.A)
+	case FmtFab:
+		mF(in.A)
+		mF(in.B)
+	case FmtFabc:
+		mF(in.A)
+		mF(in.B)
+		mF(in.C)
+	case FmtFaPool:
+		mF(in.A)
+	case FmtFaIb:
+		mF(in.A)
+		mI(in.B)
+	case FmtIaFb:
+		mI(in.A)
+		mF(in.B)
+	case FmtIaFbc:
+		mI(in.A)
+		mF(in.B)
+		mF(in.C)
+	case FmtFabcImm:
+		mF(in.A)
+		mF(in.B)
+		mF(in.C)
+		mF(int32(in.Imm))
+	case FmtIabcImm:
+		mI(in.A)
+		mI(in.B)
+		mI(in.C)
+		mI(int32(in.Imm))
+	case FmtWI:
+		mI(in.A)
+		*wi = true
+	case FmtWIDyn:
+		mI(in.A)
+		mI(in.C)
+		*wi = true
+	case FmtLoadF:
+		mF(in.A)
+		mI(in.C)
+	case FmtLoadI:
+		mI(in.A)
+		mI(in.C)
+	case FmtFusedLdF, FmtFusedMacF:
+		mF(in.A)
+		mF(in.B)
+		mI(in.C)
+	case FmtLdIdxF:
+		_, _, r3 := unpackMemIdx(in.Imm)
+		mF(in.A)
+		mI(in.B)
+		mI(in.C)
+		mI(r3)
+	case FmtMacIdxF:
+		_, _, r2, r3 := unpackMacIdx(in.Imm)
+		mF(in.A)
+		mF(in.B)
+		mI(in.C)
+		mI(r2)
+		mI(r3)
 	}
 }
 
@@ -795,11 +916,12 @@ type VecFrame struct {
 	// Cnt holds the counts shared by every lane: under convergent
 	// execution one accumulation stands for each item. After a
 	// divergence split the sides differ, and the per-lane deltas land
-	// in LaneCnt (Laned reports whether any exist); an item's total is
-	// Cnt plus its lane's delta (LaneCounts).
+	// in laneCnt (Laned reports whether any exist), field-major so a
+	// side's delta is one add per lane for each field it moved; an
+	// item's total is Cnt plus its lane's delta (LaneCounts).
 	Cnt     Counts
 	Laned   bool
-	LaneCnt []Counts
+	laneCnt []int64 // nCountFields rows of len(idx) lanes
 
 	PC int
 
@@ -963,19 +1085,14 @@ func (p *VecFunc) exitVec(f *VecFrame, a0, a1 uint64, pc int) {
 	f.PC = pc
 }
 
-// addCounts accumulates s into d field by field.
-func addCounts(d, s *Counts) {
-	d.Items += s.Items
-	d.IntOps += s.IntOps
-	d.FloatOps += s.FloatOps
-	d.TransOps += s.TransOps
-	d.OtherBuiltins += s.OtherBuiltins
-	d.GlobalLoads += s.GlobalLoads
-	d.GlobalStores += s.GlobalStores
-	d.LocalOps += s.LocalOps
-	d.Branches += s.Branches
-	d.Barriers += s.Barriers
-	d.MaxItemOps += s.MaxItemOps
+// nCountFields is how many Counts fields the dispatch arms accumulate
+// (Items and MaxItemOps are derived by the caller per item).
+const nCountFields = 9
+
+// fields returns the accumulated fields in laneCnt row order.
+func (c *Counts) fields() [nCountFields]int64 {
+	return [nCountFields]int64{c.IntOps, c.FloatOps, c.TransOps, c.OtherBuiltins,
+		c.GlobalLoads, c.GlobalStores, c.LocalOps, c.Branches, c.Barriers}
 }
 
 // LaneCounts returns lane li's accumulated per-item counts: the shared
@@ -983,7 +1100,17 @@ func addCounts(d, s *Counts) {
 func (f *VecFrame) LaneCounts(li int) Counts {
 	c := f.Cnt
 	if f.Laned {
-		addCounts(&c, &f.LaneCnt[li])
+		d := f.laneCnt[li:]
+		w := len(f.idx)
+		c.IntOps += d[0]
+		c.FloatOps += d[w]
+		c.TransOps += d[2*w]
+		c.OtherBuiltins += d[3*w]
+		c.GlobalLoads += d[4*w]
+		c.GlobalStores += d[5*w]
+		c.LocalOps += d[6*w]
+		c.Branches += d[7*w]
+		c.Barriers += d[8*w]
 	}
 	return c
 }
@@ -993,12 +1120,10 @@ func (f *VecFrame) ensureLaned() {
 	if f.Laned {
 		return
 	}
-	if f.LaneCnt == nil {
-		f.LaneCnt = make([]Counts, len(f.idx))
+	if f.laneCnt == nil {
+		f.laneCnt = make([]int64, nCountFields*len(f.idx))
 	}
-	for i := range f.LaneCnt {
-		f.LaneCnt[i] = Counts{}
-	}
+	clear(f.laneCnt)
 	f.Laned = true
 }
 
@@ -1049,10 +1174,9 @@ func (p *VecFunc) subFrame(f *VecFrame, i int) *VecFrame {
 
 // fillSub prepares side frame s to run the lanes sel of f from start
 // to the join point stop for the divergent region of the branch at
-// pc: varying registers the region touches (and, when it queries
-// them, the WI rows) are compacted into lanes 0..len(sel)-1 —
-// registers outside the region's touch set are skipped entirely —
-// the scalar slots are aliased (the region cannot write a uniform
+// pc: the varying registers the region touches (and, when it queries
+// them, the WI rows) are compacted into lanes 0..len(sel)-1, the
+// scalar slots are aliased (the region cannot write a uniform
 // register), and buffers and budget are shared.
 func (p *VecFunc) fillSub(f, s *VecFrame, sel []int, start, stop, pc int) {
 	k := len(sel)
@@ -1068,28 +1192,22 @@ func (p *VecFunc) fillSub(f, s *VecFrame, sel []int, start, stop, pc int) {
 	s.PCLaned = false
 	s.Divergences = 0
 	s.Reconverges = 0
-	tI, tF := p.regionI[pc], p.regionF[pc]
-	for r := 0; r < p.NumI; r++ {
-		if !tI[r] || p.uniI[r] {
-			continue
-		}
-		src := f.I[r*f.W:]
-		dst := s.I[r*k:]
+	reg := p.regions[pc]
+	for _, r := range reg.inI {
+		src := f.I[int(r)*f.W:]
+		dst := s.I[int(r)*k:][:k]
 		for i, l := range sel {
 			dst[i] = src[l]
 		}
 	}
-	for r := 0; r < p.NumF; r++ {
-		if !tF[r] || p.uniF[r] {
-			continue
-		}
-		src := f.F[r*f.W:]
-		dst := s.F[r*k:]
+	for _, r := range reg.inF {
+		src := f.F[int(r)*f.W:]
+		dst := s.F[int(r)*k:][:k]
 		for i, l := range sel {
 			dst[i] = src[l]
 		}
 	}
-	if p.regionWI[pc] {
+	if reg.wi {
 		for q := range f.WI {
 			for d := range f.WI[q] {
 				src := f.WI[q][d]
@@ -1102,41 +1220,54 @@ func (p *VecFunc) fillSub(f, s *VecFrame, sel []int, start, stop, pc int) {
 	}
 }
 
-// scatterSub merges side frame s back into f after the side ran the
-// region of the branch at pc: touched varying registers return to
+// scatterSub merges a side back into f after it ran the region of the
+// branch at pc: the varying registers the region writes return to
 // their parent lanes, the side's counts become per-lane deltas on the
 // parent, and (on a bail) each lane's stopping PC is recorded.
-// Divergence statistics aggregate up.
+// Divergence statistics aggregate up. A nil s is the empty side of a
+// one-sided branch: its lanes are already at the join with nothing to
+// merge.
 func (p *VecFunc) scatterSub(f, s *VecFrame, sel []int, withPC bool, pc int) {
-	k := len(sel)
-	tI, tF := p.regionI[pc], p.regionF[pc]
-	for r := 0; r < p.NumI; r++ {
-		if !tI[r] || p.uniI[r] {
-			continue
+	if s == nil {
+		if withPC {
+			f.ensurePCLaned()
+			for _, l := range sel {
+				f.LanePC[l] = p.joinPC[pc]
+			}
 		}
-		src := s.I[r*k:]
-		dst := f.I[r*f.W:]
+		return
+	}
+	k := len(sel)
+	reg := p.regions[pc]
+	for _, r := range reg.outI {
+		src := s.I[int(r)*k:][:k]
+		dst := f.I[int(r)*f.W:]
 		for i, l := range sel {
 			dst[l] = src[i]
 		}
 	}
-	for r := 0; r < p.NumF; r++ {
-		if !tF[r] || p.uniF[r] {
-			continue
-		}
-		src := s.F[r*k:]
-		dst := f.F[r*f.W:]
+	for _, r := range reg.outF {
+		src := s.F[int(r)*k:][:k]
+		dst := f.F[int(r)*f.W:]
 		for i, l := range sel {
 			dst[l] = src[i]
 		}
 	}
 	f.ensureLaned()
-	for i, l := range sel {
-		c := s.Cnt
-		if s.Laned {
-			addCounts(&c, &s.LaneCnt[i])
+	w := len(f.idx)
+	for fi, d := range s.Cnt.fields() {
+		dst := f.laneCnt[fi*w:]
+		switch {
+		case s.Laned:
+			src := s.laneCnt[fi*w:]
+			for i, l := range sel {
+				dst[l] += d + src[i]
+			}
+		case d != 0:
+			for _, l := range sel {
+				dst[l] += d
+			}
 		}
-		addCounts(&f.LaneCnt[l], &c)
 	}
 	if withPC {
 		f.ensurePCLaned()

@@ -491,22 +491,14 @@ dispatch:
 			pc = int(in.Imm)
 			continue
 		case OpJZBr:
-			var taken bool
-			if p.condUniform[pc] {
-				taken = f.lanesI(in.A)[0] == 0
-			} else {
-				a := f.lanesI(in.A)
-				taken = a[0] == 0
-				for l := 1; l < len(a); l++ {
-					if (a[l] == 0) != taken {
-						st, err := p.diverge(f, &a0, &a1, pc)
-						if st != joined || err != nil {
-							return st, err
-						}
-						pc = f.PC
-						continue dispatch
-					}
+			taken, agree := p.laneCond(f, pc)
+			if !agree {
+				st, err := p.diverge(f, &a0, &a1, pc)
+				if st != joined || err != nil {
+					return st, err
 				}
+				pc = f.PC
+				continue dispatch
 			}
 			a1 += lBranch
 			if taken {
@@ -523,22 +515,14 @@ dispatch:
 				continue
 			}
 		case OpJZLog:
-			var taken bool
-			if p.condUniform[pc] {
-				taken = f.lanesI(in.A)[0] == 0
-			} else {
-				a := f.lanesI(in.A)
-				taken = a[0] == 0
-				for l := 1; l < len(a); l++ {
-					if (a[l] == 0) != taken {
-						st, err := p.diverge(f, &a0, &a1, pc)
-						if st != joined || err != nil {
-							return st, err
-						}
-						pc = f.PC
-						continue dispatch
-					}
+			taken, agree := p.laneCond(f, pc)
+			if !agree {
+				st, err := p.diverge(f, &a0, &a1, pc)
+				if st != joined || err != nil {
+					return st, err
 				}
+				pc = f.PC
+				continue dispatch
 			}
 			a0 += lIntOp
 			if taken {
@@ -555,22 +539,14 @@ dispatch:
 				continue
 			}
 		case OpJNZLog:
-			var taken bool
-			if p.condUniform[pc] {
-				taken = f.lanesI(in.A)[0] != 0
-			} else {
-				a := f.lanesI(in.A)
-				taken = a[0] != 0
-				for l := 1; l < len(a); l++ {
-					if (a[l] != 0) != taken {
-						st, err := p.diverge(f, &a0, &a1, pc)
-						if st != joined || err != nil {
-							return st, err
-						}
-						pc = f.PC
-						continue dispatch
-					}
+			taken, agree := p.laneCond(f, pc)
+			if !agree {
+				st, err := p.diverge(f, &a0, &a1, pc)
+				if st != joined || err != nil {
+					return st, err
 				}
+				pc = f.PC
+				continue dispatch
 			}
 			a0 += lIntOp
 			if taken {
@@ -968,7 +944,7 @@ dispatch:
 			// The whole lane group is resident and instruction-level
 			// lockstep is stronger than barrier-level lockstep: every
 			// pre-barrier store has retired before any lane proceeds.
-			// (Divergent regions never contain a barrier — computeJoins
+			// (Divergent regions never contain a barrier — computeJoin
 			// refuses them — so this arm never runs in a side frame.)
 			a1 += lBarrier
 
@@ -1356,23 +1332,14 @@ dispatch:
 			}
 
 		case OpJCmpI:
-			var taken bool
-			if p.condUniform[pc] {
-				taken = ccHoldsI(in.C, f.lanesI(in.A)[0], f.lanesI(in.B)[0])
-			} else {
-				a := f.rdI(in.A, su&srcUB != 0, 0)
-				b := f.rdI(in.B, su&srcUC != 0, 1)[:len(a)]
-				taken = ccHoldsI(in.C, a[0], b[0])
-				for l := 1; l < len(a); l++ {
-					if ccHoldsI(in.C, a[l], b[l]) != taken {
-						st, err := p.diverge(f, &a0, &a1, pc)
-						if st != joined || err != nil {
-							return st, err
-						}
-						pc = f.PC
-						continue dispatch
-					}
+			taken, agree := p.laneCond(f, pc)
+			if !agree {
+				st, err := p.diverge(f, &a0, &a1, pc)
+				if st != joined || err != nil {
+					return st, err
 				}
+				pc = f.PC
+				continue dispatch
 			}
 			a0 += lIntOp
 			a1 += lBranch
@@ -1390,22 +1357,14 @@ dispatch:
 				continue
 			}
 		case OpJCmpIImm:
-			var taken bool
-			if p.condUniform[pc] {
-				taken = ccHoldsI(in.B, f.lanesI(in.A)[0], in.Imm)
-			} else {
-				a := f.lanesI(in.A)
-				taken = ccHoldsI(in.B, a[0], in.Imm)
-				for l := 1; l < len(a); l++ {
-					if ccHoldsI(in.B, a[l], in.Imm) != taken {
-						st, err := p.diverge(f, &a0, &a1, pc)
-						if st != joined || err != nil {
-							return st, err
-						}
-						pc = f.PC
-						continue dispatch
-					}
+			taken, agree := p.laneCond(f, pc)
+			if !agree {
+				st, err := p.diverge(f, &a0, &a1, pc)
+				if st != joined || err != nil {
+					return st, err
 				}
+				pc = f.PC
+				continue dispatch
 			}
 			a0 += lIntOp
 			a1 += lBranch
@@ -1423,23 +1382,14 @@ dispatch:
 				continue
 			}
 		case OpJCmpF:
-			var taken bool
-			if p.condUniform[pc] {
-				taken = ccHoldsF(in.C, f.lanesF(in.A)[0], f.lanesF(in.B)[0])
-			} else {
-				a := f.rdF(in.A, su&srcUB != 0, 0)
-				b := f.rdF(in.B, su&srcUC != 0, 1)[:len(a)]
-				taken = ccHoldsF(in.C, a[0], b[0])
-				for l := 1; l < len(a); l++ {
-					if ccHoldsF(in.C, a[l], b[l]) != taken {
-						st, err := p.diverge(f, &a0, &a1, pc)
-						if st != joined || err != nil {
-							return st, err
-						}
-						pc = f.PC
-						continue dispatch
-					}
+			taken, agree := p.laneCond(f, pc)
+			if !agree {
+				st, err := p.diverge(f, &a0, &a1, pc)
+				if st != joined || err != nil {
+					return st, err
 				}
+				pc = f.PC
+				continue dispatch
 			}
 			a0 += lFloatOp
 			a1 += lBranch

@@ -169,6 +169,14 @@ func ccHoldsF(cc int32, l, r float64) bool {
 		return l >= r
 	case CcEq:
 		return l == r
+	case CcNLt:
+		return !(l < r)
+	case CcNLe:
+		return !(l <= r)
+	case CcNGt:
+		return !(l > r)
+	case CcNGe:
+		return !(l >= r)
 	default:
 		return l != r
 	}

@@ -152,8 +152,9 @@ func TestVecFramePow2(t *testing.T) {
 }
 
 // TestVectorizeRejects pins the eligibility rules: varying loop
-// back-edges, varying branches inside loop bodies, and varying fused
-// loop counters must all refuse to vectorize.
+// back-edges and varying fused loop counters refuse to vectorize, and a
+// varying branch inside a loop body does too unless the group can
+// re-form at its join within the same iteration.
 func TestVectorizeRejects(t *testing.T) {
 	cases := []struct {
 		name, src, kernel, wantErr string
@@ -162,27 +163,110 @@ func TestVectorizeRejects(t *testing.T) {
 			name: "varying_trip_count",
 			src: `kernel void k(global float* out, int n) {
 				int i = get_global_id(0);
+				int m = i % 7;
+				float acc = 0.0f;
+				for (int j = 0; j < m; j = j + 1) {
+					acc = acc + 1.0f;
+				}
+				out[i] = acc;
+			}`,
+			kernel: "k", wantErr: "varying loop back-edge",
+		},
+		{
+			// The bound is recomputed every iteration, so the loop is not
+			// rotated: its exit test is a forward branch whose region is
+			// the whole body, back-edge included.
+			name: "varying_exit_test",
+			src: `kernel void k(global float* out, int n) {
+				int i = get_global_id(0);
 				float acc = 0.0f;
 				for (int j = 0; j < i % 7; j = j + 1) {
 					acc = acc + 1.0f;
 				}
 				out[i] = acc;
 			}`,
-			kernel: "k", wantErr: "loop",
+			kernel: "k", wantErr: "varying branch inside loop body",
 		},
 		{
-			name: "varying_branch_in_loop",
+			// The sides of the split would deadlock each other.
+			name: "in_loop_region_with_barrier",
+			src: `kernel void k(global float* a, global float* out, local float* tmp, int n) {
+				int i = get_global_id(0);
+				int l = get_local_id(0);
+				for (int j = 0; j < n; j = j + 1) {
+					if (a[i + j] > 0.5f) {
+						tmp[l] = a[i];
+						barrier(1);
+					}
+				}
+				out[i] = tmp[l];
+			}`,
+			kernel: "k", wantErr: "varying branch inside loop body",
+		},
+		{
+			// A nested loop: the region reaches the inner back-edge.
+			name: "in_loop_region_with_nested_loop",
 			src: `kernel void k(global float* a, global float* out, int n) {
 				int i = get_global_id(0);
 				float acc = 0.0f;
 				for (int j = 0; j < n; j = j + 1) {
 					if (a[i + j] > 0.5f) {
-						acc = acc + 1.0f;
+						for (int t = 0; t < 3; t = t + 1) {
+							acc = acc + 1.0f;
+						}
 					}
 				}
 				out[i] = acc;
 			}`,
-			kernel: "k", wantErr: "inside loop body",
+			kernel: "k", wantErr: "varying branch inside loop body",
+		},
+		{
+			// A break: the join is past the loop, so the region reaches
+			// the loop's own back-edge.
+			name: "in_loop_region_with_break",
+			src: `kernel void k(global float* a, global float* out, int n) {
+				int i = get_global_id(0);
+				float acc = 0.0f;
+				for (int j = 0; j < n; j = j + 1) {
+					if (a[i + j] > 0.5f) {
+						break;
+					}
+					acc = acc + 1.0f;
+				}
+				out[i] = acc;
+			}`,
+			kernel: "k", wantErr: "varying branch inside loop body",
+		},
+		{
+			// Side order would replace canonical item order on out[0].
+			name: "in_loop_region_with_uniform_index_store",
+			src: `kernel void k(global float* a, global float* out, int n) {
+				int i = get_global_id(0);
+				for (int j = 0; j < n; j = j + 1) {
+					if (a[i + j] > 0.5f) {
+						out[0] = a[i];
+					}
+				}
+				out[i + 1] = 1.0f;
+			}`,
+			kernel: "k", wantErr: "varying branch inside loop body",
+		},
+		{
+			// Control dependence makes the loop counter varying, and with
+			// it the trip count.
+			name: "in_loop_region_writes_loop_counter",
+			src: `kernel void k(global float* a, global float* out, int n) {
+				int i = get_global_id(0);
+				float acc = 0.0f;
+				for (int j = 0; j < n; j = j + 1) {
+					if (a[i + j] > 0.5f) {
+						j = j + 1;
+					}
+					acc = acc + 1.0f;
+				}
+				out[i] = acc;
+			}`,
+			kernel: "k", wantErr: "varying loop back-edge",
 		},
 	}
 	for _, tc := range cases {
@@ -195,6 +279,48 @@ func TestVectorizeRejects(t *testing.T) {
 			}
 		})
 	}
+	// The admitted in-loop shape: a short loop-free `if` under a varying
+	// condition re-forms at its join every iteration, and the accumulator
+	// it writes is varying by control dependence even though both values
+	// it can take (acc, acc + 1) are computed from uniform operands.
+	t.Run("varying_branch_in_loop", func(t *testing.T) {
+		vp := vectorizeKernel(t, "loopif", `kernel void k(global float* a, global float* out, int n) {
+			int i = get_global_id(0);
+			float acc = 0.0f;
+			for (int j = 0; j < n; j = j + 1) {
+				if (a[i + j] > 0.5f) {
+					acc = acc + 1.0f;
+				}
+			}
+			out[i] = acc;
+		}`, "k")
+		branches := 0
+		for pc := range vp.Code {
+			in := &vp.Code[pc]
+			tgt, ok := condJumpTarget(in, pc)
+			if !ok || vp.condUniform[pc] {
+				continue
+			}
+			branches++
+			j := vp.joinPC[pc]
+			if j <= pc || j > tgt {
+				t.Fatalf("in-loop branch at pc %d (-> %d): joinPC = %d, want a join inside the iteration", pc, tgt, j)
+			}
+			// Everything the region writes — here just the accumulator —
+			// must be classified varying.
+			for v := pc + 1; v < j; v++ {
+				if isF, r, ok := destReg(&vp.Code[v]); ok && (isF && vp.uniF[r] || !isF && vp.uniI[r]) {
+					t.Fatalf("pc %d writes a uniform register inside the divergent region of pc %d", v, pc)
+				}
+			}
+			if len(vp.regions[pc].outF) != 1 {
+				t.Fatalf("region of pc %d scatters float registers %v, want just the accumulator", pc, vp.regions[pc].outF)
+			}
+		}
+		if branches != 1 {
+			t.Fatalf("loopif kernel has %d varying branches, want 1", branches)
+		}
+	})
 	// And the admitted shape: a varying forward guard outside any loop.
 	vp := vectorizeKernel(t, "guard", `kernel void k(global float* out, int n) {
 		int i = get_global_id(0);

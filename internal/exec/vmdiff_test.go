@@ -114,6 +114,31 @@ func vmdiffCases() []vmdiffCase {
 			nd: NDRange{Global: [3]int{64, 1, 1}, Local: [3]int{8, 1, 1}},
 		},
 		{
+			// Found by the generator (kgen_test.go): the fused float
+			// compare-branch jumped on `x <= 0.5` for `!(x > 0.5)`, which
+			// differs for NaN — the VM took the then-side and ran one
+			// iteration of the while loop where the oracle ran none.
+			name: "NaN through fused float compare-branches",
+			src: `kernel void k(global float* a, global float* out, int n) {
+				int i = get_global_id(0);
+				float x = sqrt(a[i]);
+				float r = 0.0f;
+				if (x > 0.5f) {
+					r = 1.0f;
+				} else {
+					r = 2.0f;
+				}
+				while (x < 4.0f) {
+					x = x + 1.0f;
+					r = r + 10.0f;
+				}
+				out[i] = r;
+			}`,
+			kernel: "k",
+			args:   func() []Arg { return []Arg{BufArg(randFloats(64, 6)), BufArg(NewFloatBuffer(64)), IntArg(64)} },
+			nd:     ND1(64),
+		},
+		{
 			name: "integer ops and stores",
 			src: `kernel void k(global int* out, int n) {
 				int i = get_global_id(0);
@@ -358,6 +383,83 @@ func TestVecDivergenceReconvergeParity(t *testing.T) {
 			t.Errorf("bucket %d:\n  vec     %+v\n  closure %+v", b, pVe.Buckets[b], pCl.Buckets[b])
 		}
 	}
+
+	// The same contract when the branch sits inside a uniform-trip loop
+	// and the group re-forms every iteration: a one-sided update and an
+	// if/else, over data where every lane takes the branch, none does,
+	// lanes alternate, and a single lane per group does.
+	loopSrc := `kernel void k(global float* a, global float* out, int n, int steps) {
+		int i = get_global_id(0);
+		float acc = 0.0f;
+		int hits = 0;
+		for (int s = 0; s < steps; s++) {
+			float x = a[i * steps + s];
+			if (x > 0.0f) {
+				hits++;
+			}
+			if (x > 1.0f) {
+				acc = acc + sqrt(x);
+			} else {
+				acc = acc - x * 0.5f;
+			}
+		}
+		out[i] = acc + (float)hits;
+	}`
+	cVe = compileTierSrc(t, loopSrc, "k", TierVec)
+	cCl = compileTierSrc(t, loopSrc, "k", TierClosure)
+	const steps = 6
+	patterns := []struct {
+		name      string
+		val       func(i, s int) float32
+		reconverg bool
+	}{
+		{"all_taken", func(i, s int) float32 { return 2.5 }, false},
+		{"none_taken", func(i, s int) float32 { return -1.5 }, false},
+		{"alternating", func(i, s int) float32 { return float32(1-2*((i+s)%2)) * 2 }, true},
+		{"single_lane", func(i, s int) float32 {
+			if i%16 == 5 && s%2 == 1 {
+				return 3
+			}
+			return -0.25
+		}, true},
+	}
+	for _, pt := range patterns {
+		t.Run("in_loop/"+pt.name, func(t *testing.T) {
+			mk := func() []Arg {
+				a, out := NewFloatBuffer(n*steps), NewFloatBuffer(n)
+				for i := 0; i < n; i++ {
+					for s := 0; s < steps; s++ {
+						a.F[i*steps+s] = pt.val(i, s)
+					}
+				}
+				return []Arg{BufArg(a), BufArg(out), IntArg(n), IntArg(steps)}
+			}
+			argsVe, argsCl := mk(), mk()
+			pVe, err := cVe.Run(argsVe, nd, RunOptions{})
+			if err != nil {
+				t.Fatalf("vec run: %v", err)
+			}
+			pCl, err := cCl.Run(argsCl, nd, RunOptions{})
+			if err != nil {
+				t.Fatalf("closure run: %v", err)
+			}
+			if (pVe.VecReconverges > 0) != pt.reconverg || pVe.VecDivergences != pVe.VecReconverges {
+				t.Errorf("divergences=%d reconverges=%d, want re-convergence: %v and no escalation",
+					pVe.VecDivergences, pVe.VecReconverges, pt.reconverg)
+			}
+			if pVe.VecScalarBails != 0 {
+				t.Errorf("scalar bails = %d, want 0", pVe.VecScalarBails)
+			}
+			if !reflect.DeepEqual(argsVe[1].Buf.F, argsCl[1].Buf.F) {
+				t.Errorf("output buffers differ between vec and closure")
+			}
+			for b := range pCl.Buckets {
+				if pVe.Buckets[b] != pCl.Buckets[b] {
+					t.Errorf("bucket %d:\n  vec     %+v\n  closure %+v", b, pVe.Buckets[b], pCl.Buckets[b])
+				}
+			}
+		})
+	}
 }
 
 // TestVecDivergenceMaskedFaultOrder: a fault inside a masked side must
@@ -398,6 +500,49 @@ func TestVecDivergenceMaskedFaultOrder(t *testing.T) {
 	}
 	if errVe.Error() != errCl.Error() {
 		t.Errorf("fault messages differ:\n  vec     %v\n  closure %v", errVe, errCl)
+	}
+
+	// Inside a loop: lane 9 of every group would fault in iteration 3,
+	// inside the masked side, after three iterations in which the group
+	// split and re-formed; lane 2 would fault too, but only in iteration
+	// 6. The canonical first fault is item 2's — it runs all of its
+	// iterations before item 9 starts — so the bail must carry each
+	// lane's own PC and loop state into the scalar completion.
+	loopSrc := `kernel void k(global float* a, global int* off, global float* out, int n, int steps) {
+		int i = get_global_id(0);
+		float acc = 0.0f;
+		for (int s = 0; s < steps; s++) {
+			float x = a[(i + s) % n];
+			if (x > 0.0f) {
+				acc = acc + a[i + off[i] * s];
+			}
+		}
+		out[i] = acc;
+	}`
+	cVe = compileTierSrc(t, loopSrc, "k", TierVec)
+	cCl = compileTierSrc(t, loopSrc, "k", TierClosure)
+	mkLoop := func() []Arg {
+		a, off, out := NewFloatBuffer(n), NewIntBuffer(n), NewFloatBuffer(n)
+		for i := range a.F {
+			a.F[i] = float32(1 - 2*(i%2))
+		}
+		for i := range off.I {
+			switch i % 16 {
+			case 9:
+				off.I[i] = n / 3 // a[9 + 21*s]: out of bounds from s = 3 on
+			case 2:
+				off.I[i] = n / 5 // a[2 + 12*s]: out of bounds from s = 6 on
+			}
+		}
+		return []Arg{BufArg(a), BufArg(off), BufArg(out), IntArg(n), IntArg(8)}
+	}
+	_, errVe = cVe.Run(mkLoop(), nd, RunOptions{Workers: 1})
+	_, errCl = cCl.Run(mkLoop(), nd, RunOptions{Workers: 1})
+	if errVe == nil || errCl == nil {
+		t.Fatalf("in loop: want faults on both tiers, got vec=%v closure=%v", errVe, errCl)
+	}
+	if errVe.Error() != errCl.Error() {
+		t.Errorf("in loop: fault messages differ:\n  vec     %v\n  closure %v", errVe, errCl)
 	}
 }
 
