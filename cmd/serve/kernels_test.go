@@ -203,6 +203,71 @@ func TestKernelTierAndVecReason(t *testing.T) {
 	}
 }
 
+// TestKernelVecBailBranches: a vectorized upload reports how many of
+// its varying branches have no join — the ones where lane disagreement
+// sends the group to scalar completion.
+func TestKernelVecBailBranches(t *testing.T) {
+	s := newServer(t, nil)
+	upload := func(name, src string) engine.KernelInfo {
+		t.Helper()
+		w := uploadKernel(t, s, "", engine.KernelSpec{Name: name, Source: src})
+		if w.Code != http.StatusCreated {
+			t.Fatalf("upload %s = %d: %s", name, w.Code, w.Body.String())
+		}
+		if !strings.Contains(w.Body.String(), `"vecBailBranches"`) {
+			t.Fatalf("upload %s: no vecBailBranches in %s", name, w.Body.String())
+		}
+		var info engine.KernelInfo
+		if err := json.Unmarshal(w.Body.Bytes(), &info); err != nil {
+			t.Fatal(err)
+		}
+		return info
+	}
+	// A stencil's boundary guard computes `n - 1` inside the guard: dead
+	// at the join, so every term re-forms.
+	info := upload("blur", `kernel void blur(global float* a, global float* out, int n) {
+	int i = get_global_id(0);
+	if (i > 0 && i < n - 1) {
+		out[i] = (a[i - 1] + a[i] + a[i + 1]) / 3.0;
+	} else if (i < n) {
+		out[i] = a[i];
+	}
+}`)
+	if info.Tier != "vec" || info.VecBailBranches != 0 {
+		t.Fatalf("stencil: tier %q, %d bail branches; want vec and 0", info.Tier, info.VecBailBranches)
+	}
+	// A barrier under a varying guard: the sides of a split would
+	// deadlock each other, so that branch can only bail.
+	info = upload("guarded", `kernel void guarded(global float* a, global float* out, local float* tmp, int n) {
+	int i = get_global_id(0);
+	int l = get_local_id(0);
+	tmp[l] = a[i];
+	if (a[i] > 0.5) {
+		barrier(1);
+		tmp[l] = tmp[l] * 2.0;
+	}
+	out[i] = tmp[l];
+}`)
+	if info.Tier != "vec" || info.VecBailBranches != 1 {
+		t.Fatalf("barrier under varying guard: tier %q, %d bail branches; want vec and 1", info.Tier, info.VecBailBranches)
+	}
+
+	w := doReq(t, s, http.MethodGet, "/kernels", nil)
+	var listed struct {
+		Kernels []engine.KernelInfo `json:"kernels"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &listed); err != nil {
+		t.Fatalf("list = %d: %v: %s", w.Code, err, w.Body.String())
+	}
+	got := map[string]int{}
+	for _, k := range listed.Kernels {
+		got[k.Name] = k.VecBailBranches
+	}
+	if len(got) != 2 || got["public/blur"] != 0 || got["public/guarded"] != 1 {
+		t.Fatalf("GET /kernels: %v", got)
+	}
+}
+
 // TestKernelUploadRejectsBadSource: front-end failures answer 400 with
 // the MiniCL line:column position so uploaders can fix their source.
 func TestKernelUploadRejectsBadSource(t *testing.T) {

@@ -68,6 +68,10 @@ type KernelInfo struct {
 	// VecReason is why the kernel is not on the vector tier when Tier
 	// is "vm" (the vectorizer's refusal); empty otherwise.
 	VecReason string `json:"vecReason,omitempty"`
+	// VecBailBranches is how many varying branches of a kernel on the
+	// vector tier have no join: a group whose lanes disagree there
+	// leaves the tier and completes item by item on the scalar VM.
+	VecBailBranches int `json:"vecBailBranches"`
 }
 
 // userKernel is one registered upload. The bench program retains the
@@ -153,6 +157,9 @@ func (e *Engine) RegisterKernel(tenant string, spec KernelSpec) (*KernelInfo, er
 	}
 	if verr := cp.Compiled.VecError(); verr != nil {
 		info.VecReason = verr.Error()
+	}
+	if vp := cp.Compiled.Vec(); vp != nil {
+		info.VecBailBranches = vp.BailBranches()
 	}
 	for _, s := range bp.Sizes {
 		info.SizeNs = append(info.SizeNs, s.N)

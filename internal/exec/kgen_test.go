@@ -12,16 +12,22 @@ import (
 	"repro/internal/inspire"
 )
 
-// Generative differential test for the vector tier's in-loop
-// re-convergence: a seeded, bounded MiniCL generator whose kernels are
-// well-typed, terminating and race-free by construction, compared on
-// the closure oracle, the scalar VM and TierAuto. The hand-written
-// suites cover a few dozen kernels; this covers the lane code they
-// cannot — `if`, `if/else` and nested `if` (past the depth-3 split cap)
-// under varying conditions inside one or two uniform-trip loops, with
-// global and local stores in the divergent region, barriers after the
-// join, would-fault lanes in late iterations, and step budgets that run
-// out mid-group.
+// Generative differential test for the vector tier's re-convergence: a
+// seeded, bounded MiniCL generator whose kernels are well-typed,
+// terminating and race-free by construction, compared on the closure
+// oracle, the scalar VM and TierAuto. The hand-written suites cover a
+// few dozen kernels; this covers the lane code they cannot — `if`,
+// `if/else` and nested `if` (past the depth-3 split cap) under varying
+// conditions inside one or two uniform-trip loops, with global and local
+// stores in the divergent region, barriers after the join, would-fault
+// lanes in late iterations, and step budgets that run out mid-group;
+// and, after the loops, the divergent regions outside any loop that may
+// write uniform registers: short-circuit guards with uniform
+// subexpressions computed inside them, uniform temporaries declared in a
+// region and used by risky indices and divisors there, uniform-trip
+// loops under a ragged `if (i < n - k)` guard, and group-cell stores
+// through a uniform index — one-sided (re-forms) and, in kernels
+// without barriers, the if/else twin (both sides store: full bail).
 //
 // Every generated kernel has the same signature:
 //
@@ -31,15 +37,20 @@ import (
 //	                    regions, [2n,2n+pad) only reachable by the
 //	                    deliberately risky index
 //	outi  int[n]
+//	grp   float[groups] one cell per work group
 //	tmp   local float[local size]
 //	n, t1, t2           extent and the two uniform trip counts
 //
 // Work items only ever store to cells they own (outf[i], outf[n+i],
 // outf[2n+i], outi[i], tmp[l]); another item's tmp cell is only read in
 // the phase of a loop body that a barrier separates from every tmp
-// store. Out-of-bounds accesses and zero divisors appear only in
-// "faulty" kernels, through indices and divisors that depend on the loop
-// counter so that they trip in an iteration k > 0.
+// store. The group's cell grp[get_group_id(0)] is written by one static
+// store per side of one branch, so canonical item order decides it; with
+// barriers (the oracle then runs a group's items concurrently) a single
+// item writes it. Out-of-bounds accesses and zero divisors appear only
+// in "faulty" kernels, through indices and divisors that depend on the
+// loop counter so that they trip in an iteration k > 0, or on a uniform
+// temporary written inside the divergent region.
 
 type kgen struct {
 	r      *rand.Rand
@@ -67,8 +78,14 @@ func (g *kgen) line(format string, args ...any) {
 
 func (g *kgen) pick(options ...string) string { return options[g.r.Intn(len(options))] }
 
-// counter returns an in-scope loop counter.
-func (g *kgen) counter() string { return g.loops[g.r.Intn(len(g.loops))] }
+// counter returns an in-scope loop counter, or outside every loop a trip
+// count: uniform and in the same range.
+func (g *kgen) counter() string {
+	if len(g.loops) == 0 {
+		return g.pick("t1", "t2")
+	}
+	return g.loops[g.r.Intn(len(g.loops))]
+}
 
 func (g *kgen) fvar() string { return fmt.Sprintf("f%d", g.r.Intn(kgenFloats)) }
 func (g *kgen) ivar() string { return fmt.Sprintf("v%d", g.r.Intn(kgenInts)) }
@@ -260,12 +277,90 @@ func (g *kgen) loop(counter, bound string, nest bool) {
 	g.line("}")
 }
 
+// guard emits an `if` outside every loop under a short-circuit condition
+// that computes a uniform subexpression in its second term. The uniform
+// temporary u is set before the branch, overwritten on the taken side
+// and read on both, so each side must see its own value; in faulty
+// kernels it feeds an index or a divisor that trips for some lanes only.
+// Sometimes u is read after the join too, which leaves the branch
+// without one.
+func (g *kgen) guard() {
+	g.line("int u = n - %d;", 1+g.r.Intn(3))
+	g.line("if (%s) {", g.pick(
+		fmt.Sprintf("i > %d && i < n - %d", g.r.Intn(3), 1+g.r.Intn(4)),
+		"l > 0 && l < lsz - 1",
+		fmt.Sprintf("a[i] > -1.0f && sel[i] < t1 + %d", g.r.Intn(3)),
+		fmt.Sprintf("l == 0 || i >= n - %d", 1+g.r.Intn(6))))
+	g.indent++
+	g.line("u = u / 2 + %d;", g.r.Intn(4))
+	g.line("%s = a[(i + u) %% n] + (float)(u - n);", g.fvar())
+	if g.faulty {
+		switch g.r.Intn(3) {
+		case 0:
+			// Past the end for the upper items whose sel is 3.
+			g.line("%s += a[i + (sel[i] / 3) * u];", g.fvar())
+		case 1:
+			// Zero for the items whose sel is 2.
+			g.line("%s = u / (sel[i] - 2);", g.ivar())
+		}
+	}
+	g.indent--
+	g.block(1, 1+g.r.Intn(3))
+	if g.r.Intn(3) > 0 {
+		g.line("} else {")
+		g.indent++
+		g.line("%s += a[(i + u) %% n];", g.fvar())
+		g.indent--
+		g.block(1, 1+g.r.Intn(2))
+	}
+	g.line("}")
+	if g.r.Intn(4) == 0 {
+		g.line("v1 += u;")
+	}
+}
+
+// raggedLoop emits a uniform-trip loop under a bound that is not a
+// multiple of the local size, so the last group runs it at partial
+// width. No barriers inside: the guard is varying.
+func (g *kgen) raggedLoop() {
+	g.line("if (i < n - %d) {", 1+g.r.Intn(7))
+	g.indent++
+	g.line("for (int q = 0; q < %s; q++) {", g.pick("t1", "t2"))
+	g.loops = append(g.loops, "q")
+	g.block(0, 1+g.r.Intn(3))
+	g.loops = g.loops[:len(g.loops)-1]
+	g.line("}")
+	g.indent--
+	g.line("}")
+}
+
+// groupStore emits the group-cell epilogue: one static store through a
+// uniform index under a one-sided varying `if`, or — without barriers —
+// its if/else twin that stores on both sides.
+func (g *kgen) groupStore() {
+	cond := fmt.Sprintf("l == %d", g.r.Intn(8))
+	if !g.barriers {
+		cond = g.pick(cond, fmt.Sprintf("l < %d", 1+g.r.Intn(5)), "f0 > 0.25f", "sel[i] == 1 && l > 1")
+	}
+	g.line("if (%s) {", cond)
+	g.indent++
+	g.line("grp[get_group_id(0)] = %s;", g.fexpr(1))
+	g.indent--
+	if !g.barriers && g.r.Intn(3) == 0 {
+		g.line("} else {")
+		g.indent++
+		g.line("grp[get_group_id(0)] = %s;", g.fexpr(1))
+		g.indent--
+	}
+	g.line("}")
+}
+
 // genKernel returns the source of the kernel for seed.
 func genKernel(seed int64, faulty bool) string {
 	g := &kgen{r: rand.New(rand.NewSource(seed)), faulty: faulty}
 	g.barriers = g.r.Intn(2) == 0
 	g.line("kernel void k(global const float* a, global const int* sel, global float* outf,")
-	g.line("              global int* outi, local float* tmp, int n, int t1, int t2) {")
+	g.line("              global int* outi, global float* grp, local float* tmp, int n, int t1, int t2) {")
 	g.indent++
 	g.line("int i = get_global_id(0);")
 	g.line("int l = get_local_id(0);")
@@ -283,6 +378,13 @@ func genKernel(seed int64, faulty bool) string {
 	g.loop("s", "t1", nested)
 	if !nested && g.r.Intn(2) == 0 {
 		g.loop("r", "t2", false)
+	}
+	// Outside the loops only a work item's own tmp cell is in reach.
+	g.tmpAny, g.tmpStore = false, true
+	for _, emit := range []func(){g.guard, g.raggedLoop, g.groupStore} {
+		if g.r.Intn(3) > 0 {
+			emit()
+		}
 	}
 	g.line("outf[i] = f0 + f1 * f2 + tmp[l];")
 	g.line("outi[i] = outi[i] + v0 * 3 + v1;")
@@ -309,7 +411,7 @@ func (l kgenLaunch) args() []Arg {
 		sel.I[i] = int32(r.Intn(4))
 	}
 	return []Arg{BufArg(a), BufArg(sel), BufArg(NewFloatBuffer(2*l.n + l.pad)), BufArg(NewIntBuffer(l.n)),
-		LocalArg(l.local), IntArg(l.n), IntArg(l.t1), IntArg(l.t2)}
+		BufArg(NewFloatBuffer(l.n / l.local)), LocalArg(l.local), IntArg(l.n), IntArg(l.t1), IntArg(l.t2)}
 }
 
 func (l kgenLaunch) nd() NDRange {
@@ -384,11 +486,8 @@ func kgenCheck(t *testing.T, src string, l kgenLaunch, budgets []int64) {
 			t.Fatalf("%v compile: %v\n%s", tier, err, src)
 		}
 	}
-	// Every construct the generator emits is one the vector tier admits,
-	// with one known exception: `v++; if (v > x)` fuses into an addjcmp.i
-	// with a varying counter, which Vectorize refuses. Such a kernel runs
-	// on the scalar VM under TierAuto and is still compared.
-	if verr := comp[2].VecError(); verr != nil && !strings.Contains(verr.Error(), "varying fused loop counter") {
+	// Every construct the generator emits is one the vector tier admits.
+	if verr := comp[2].VecError(); verr != nil {
 		t.Fatalf("generated kernel is not on the vector tier: %v\n%s", verr, src)
 	}
 	hasBarrier := comp[0].HasBarrier()

@@ -246,6 +246,7 @@ type groupRunner struct {
 	// runs scalar. The scalar vmFrames stay allocated alongside it: they
 	// complete the group when the lanes diverge.
 	vecFrame *vm.VecFrame
+	vecGroup [3]int64 // group id whose WI rows vecFrame holds, per dimension (-1 = none)
 
 	// Vector-tier divergence telemetry, accumulated per runner and
 	// merged into the launch profile after the worker join.

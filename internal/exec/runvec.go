@@ -11,6 +11,11 @@ import "repro/internal/exec/vm"
 // completes on the scalar VM, which reproduces canonical item-order
 // semantics (including fault messages) exactly.
 
+// opWeights is Counts.totalOps as per-field weights in FoldLanes row
+// order (IntOps, FloatOps, TransOps, OtherBuiltins, GlobalLoads,
+// GlobalStores, LocalOps, Branches, Barriers).
+var opWeights = [vm.NCountFields]int64{1, 1, 4, 1, 1, 1, 1, 0, 0}
+
 // initVec builds the runner's W-lane vector frame on top of the scalar
 // frames initVM built. No-op when the kernel is not vectorized or groups
 // are single-item (the scalar VM path is strictly better at W=1).
@@ -54,6 +59,7 @@ func (r *groupRunner) initVec() {
 		vf.WI[vm.WILocalID][2][l] = int64(l) / l01
 	}
 	r.vecFrame = vf
+	r.vecGroup = [3]int64{-1, -1, -1}
 }
 
 // runGroupVec executes one work group on the vector tier.
@@ -61,6 +67,12 @@ func (r *groupRunner) runGroupVec(g0, g1, g2 int) {
 	vf := r.vecFrame
 	g := [3]int64{int64(g0), int64(g1), int64(g2)}
 	for d := 0; d < 3; d++ {
+		// Groups are handed out dim 0 fastest, so the rows of the other
+		// dimensions usually still hold this group's values.
+		if r.vecGroup[d] == g[d] {
+			continue
+		}
+		r.vecGroup[d] = g[d]
 		grp := vf.WI[vm.WIGroupID][d]
 		gid := vf.WI[vm.WIGlobalID][d]
 		lid := vf.WI[vm.WILocalID][d]
@@ -81,26 +93,59 @@ func (r *groupRunner) runGroupVec(g0, g1, g2 int) {
 		r.bailGroupVec(g0, g1, g2)
 		return
 	}
+	r.foldGroupVec()
+}
+
+// foldMinRun is the average run of lanes per bucket from which folding
+// a group run by run beats adding its lanes one by one: a FoldLanes
+// call costs about as much as this many Counts.Add. 1-D launches are
+// far above it (a group lands in one or two buckets); 2-D launches,
+// with a few hundred items along dim 0 spread over DefaultBuckets, have
+// one or two lanes per bucket and stay lane by lane.
+const foldMinRun = 8
+
+// foldGroupVec adds the finished group's per-item counts to the profile
+// buckets. Under convergent execution every lane retired the same
+// instruction sequence and the frame's counts are each item's counts;
+// after a split the lanes that took different sides add their per-lane
+// deltas.
+func (r *groupRunner) foldGroupVec() {
+	vf := r.vecFrame
+	bl := r.bucketByL0
+	if int64(vf.W) == r.lsz[0] && int(bl[vf.W-1]-bl[0]) < vf.W/foldMinRun {
+		// A 1-D group (lane l is local index l) over few buckets: buckets
+		// are nondecreasing along dim 0, so each one's lanes are a
+		// contiguous run, folded field-major without composing a Counts
+		// per lane — a re-formed group costs what a convergent one does.
+		for a := 0; a < vf.W; {
+			b := a + 1
+			for b < vf.W && bl[b] == bl[a] {
+				b++
+			}
+			sum, maxOps := vf.FoldLanes(&opWeights, a, b)
+			c := Counts(sum)
+			c.Items = int64(b - a)
+			c.MaxItemOps = maxOps
+			r.buckets[bl[a]].Add(&c)
+			a = b
+		}
+		return
+	}
 	lid0 := vf.WI[vm.WILocalID][0]
 	if vf.Laned {
-		// The group diverged and re-formed: lanes that took different
-		// sides carry different counts (shared counts plus a per-lane
-		// delta from the masked region).
 		for l := 0; l < vf.W; l++ {
 			c := Counts(vf.LaneCounts(l))
 			c.Items = 1
 			c.MaxItemOps = c.totalOps()
-			r.buckets[r.bucketByL0[lid0[l]]].Add(&c)
+			r.buckets[bl[lid0[l]]].Add(&c)
 		}
 		return
 	}
-	// Convergent execution: every lane retired the same instruction
-	// sequence, so the frame's counts are each item's counts.
 	c := Counts(vf.Cnt)
 	c.Items = 1
 	c.MaxItemOps = c.totalOps()
 	for l := 0; l < vf.W; l++ {
-		r.buckets[r.bucketByL0[lid0[l]]].Add(&c)
+		r.buckets[bl[lid0[l]]].Add(&c)
 	}
 }
 

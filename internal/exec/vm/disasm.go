@@ -47,8 +47,12 @@ func Disassemble(p *Func) string {
 // ('u' = statically uniform branch condition, executed once per group;
 // 'v' = varying branch, runtime lane-agreement scan with masked
 // re-convergence on disagreement; 's' = scalarized, the instruction
-// retires once on the scalar slots instead of once per lane). Golden
-// tests pin this output so classification changes are deliberate.
+// retires once on the scalar slots instead of once per lane). A 'v'
+// line ends with where a split group re-forms (`join <pc>`) or `bail`
+// when disagreement there takes the full scalar bail, and the header
+// lists the uniform registers some divergent region writes, which live
+// in each side's private scalar slots. Golden tests pin this output so
+// classification changes are deliberate.
 func (p *VecFunc) Disassemble() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "vec func %s\n", p.Name)
@@ -66,18 +70,31 @@ func (p *VecFunc) Disassemble() string {
 	}
 	fmt.Fprintf(&b, "  uniform: conds=%d/%d iregs=%d/%d fregs=%d/%d scal=%d/%d\n",
 		uni, total, nui, len(p.uniI), nuf, len(p.uniF), p.ScalarizedOps(), len(p.Code))
+	if privI, privF := p.sidePrivate(); len(privI)+len(privF) > 0 {
+		b.WriteString("  side-private:")
+		for _, r := range privI {
+			fmt.Fprintf(&b, " i%d", r)
+		}
+		for _, r := range privF {
+			fmt.Fprintf(&b, " f%d", r)
+		}
+		b.WriteByte('\n')
+	}
 	for pc := range p.Code {
-		mark := byte(' ')
+		mark, join := byte(' '), ""
 		if _, ok := condJumpTarget(&p.Code[pc], pc); ok {
-			if p.condUniform[pc] {
+			switch {
+			case p.condUniform[pc]:
 				mark = 'u'
-			} else {
-				mark = 'v'
+			case p.joinPC[pc] >= 0:
+				mark, join = 'v', fmt.Sprintf("  join %d", p.joinPC[pc])
+			default:
+				mark, join = 'v', "  bail"
 			}
 		} else if len(p.scal) > 0 && p.scal[pc] {
 			mark = 's'
 		}
-		fmt.Fprintf(&b, "%4d %c %s\n", pc, mark, disasmInstr(p.Func, &p.Code[pc]))
+		fmt.Fprintf(&b, "%4d %c %s%s\n", pc, mark, disasmInstr(p.Func, &p.Code[pc]), join)
 	}
 	return b.String()
 }

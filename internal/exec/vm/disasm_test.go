@@ -227,6 +227,35 @@ kernel void histogram(global const float* data, global int* counts, int n, int k
 	}
 }`,
 	},
+	{
+		// The suite's convolution2d: every term of the boundary guard
+		// is a 'v' branch with a join, and `w - 1` / `h - 1`, computed
+		// inside the guard, are uniform registers dead at the join —
+		// side-private, so boundary groups split and re-form.
+		name:   "vec_conv2d",
+		kernel: "conv2d",
+		source: `
+kernel void conv2d(global const float* in, global float* out, int w, int h) {
+	int x = get_global_id(0);
+	int y = get_global_id(1);
+	if (x > 0 && x < w - 1 && y > 0 && y < h - 1) {
+		out[y * w + x] =
+			0.2 * in[(y - 1) * w + x - 1] + 0.5 * in[(y - 1) * w + x] - 0.8 * in[(y - 1) * w + x + 1] +
+			-0.3 * in[y * w + x - 1] + 0.6 * in[y * w + x] - 0.9 * in[y * w + x + 1] +
+			0.4 * in[(y + 1) * w + x - 1] + 0.7 * in[(y + 1) * w + x] + 0.1 * in[(y + 1) * w + x + 1];
+	} else if (x < w && y < h) {
+		out[y * w + x] = 0.0;
+	}
+}`,
+	},
+	{
+		// Tree reduction: the in-loop `if (l < half)` re-forms every
+		// iteration, and the one-sided `if (l == 0)` epilogue joins
+		// although it stores through a uniform index.
+		name:   "vec_dot_local",
+		kernel: "dot",
+		source: goldenSource("dot_local"),
+	},
 }
 
 // goldenSource returns the source of the named goldenKernels entry.

@@ -28,8 +28,7 @@ func fuse(p *Func) {
 	p.Fused = n
 }
 
-// regUse tallies per-register reads and writes from the operand formats
-// in the opcode registry.
+// regUse tallies per-register reads and writes (srcRegs / destReg).
 type regUse struct {
 	rI, wI []int
 	rF, wF []int
@@ -40,107 +39,17 @@ func useCounts(p *Func) *regUse {
 		rI: make([]int, p.NumI), wI: make([]int, p.NumI),
 		rF: make([]int, p.NumF), wF: make([]int, p.NumF),
 	}
+	readI := func(r int32) { u.rI[r]++ }
+	readF := func(r int32) { u.rF[r]++ }
 	for i := range p.Code {
 		in := &p.Code[i]
-		info, _ := LookupOp(in.Op)
-		switch info.Fmt {
-		case FmtIabc:
-			u.wI[in.A]++
-			u.rI[in.B]++
-			u.rI[in.C]++
-		case FmtIab, FmtIabImm:
-			u.wI[in.A]++
-			u.rI[in.B]++
-		case FmtIaImm:
-			u.wI[in.A]++
-		case FmtFabc:
-			u.wF[in.A]++
-			u.rF[in.B]++
-			u.rF[in.C]++
-		case FmtFab:
-			u.wF[in.A]++
-			u.rF[in.B]++
-		case FmtFaPool:
-			u.wF[in.A]++
-		case FmtFaIb:
-			u.wF[in.A]++
-			u.rI[in.B]++
-		case FmtIaFb:
-			u.wI[in.A]++
-			u.rF[in.B]++
-		case FmtIaFbc:
-			u.wI[in.A]++
-			u.rF[in.B]++
-			u.rF[in.C]++
-		case FmtFabcImm:
-			u.wF[in.A]++
-			u.rF[in.B]++
-			u.rF[in.C]++
-			u.rF[in.Imm]++
-		case FmtIabcImm:
-			u.wI[in.A]++
-			u.rI[in.B]++
-			u.rI[in.C]++
-			u.rI[in.Imm]++
-		case FmtMulImmAdd:
-			u.wI[in.A]++
-			u.rI[in.B]++
-			u.rI[in.C]++
-		case FmtJCond:
-			u.rI[in.A]++
-		case FmtWI:
-			u.wI[in.A]++
-		case FmtWIDyn:
-			u.wI[in.A]++
-			u.rI[in.C]++
-		case FmtLoadF:
-			u.wF[in.A]++
-			u.rI[in.C]++
-		case FmtLoadI:
-			u.wI[in.A]++
-			u.rI[in.C]++
-		case FmtStoreF:
-			u.rF[in.A]++
-			u.rI[in.C]++
-		case FmtStoreI:
-			u.rI[in.A]++
-			u.rI[in.C]++
-		case FmtFusedLdF:
-			u.wF[in.A]++
-			u.rF[in.B]++
-			u.rI[in.C]++
-		case FmtFusedMacF:
-			u.wF[in.A]++
-			u.rF[in.A]++
-			u.rF[in.B]++
-			u.rI[in.C]++
-		case FmtLdIdxF:
-			u.wF[in.A]++
-			u.rI[in.B]++
-			u.rI[in.C]++
-			_, _, r := unpackMemIdx(in.Imm)
-			u.rI[r]++
-		case FmtMacIdxF:
-			u.wF[in.A]++
-			u.rF[in.A]++
-			u.rF[in.B]++
-			u.rI[in.C]++
-			_, _, r2, r3 := unpackMacIdx(in.Imm)
-			u.rI[r2]++
-			u.rI[r3]++
-		case FmtJCmpI:
-			u.rI[in.A]++
-			u.rI[in.B]++
-		case FmtIncJCmpI:
-			u.wI[in.A]++
-			u.rI[in.A]++
-			u.rI[in.B]++
-			u.rI[in.C]++
-		case FmtJCmpIImm:
-			u.rI[in.A]++
-		case FmtJCmpF:
-			u.rF[in.A]++
-			u.rF[in.B]++
+		srcRegs(in, readI, readF)
+		if isF, r, ok := destReg(in); ok {
+			if isF {
+				u.wF[r]++
+			} else {
+				u.wI[r]++
+			}
 		}
 	}
 	return u
@@ -166,7 +75,9 @@ func jumpTargets(code []Instr) map[int]bool {
 	return t
 }
 
-type fuseFn func(a, b *Instr, u *regUse) (Instr, bool)
+// fuseFn tries to fuse the adjacent pair (a, b), a at instruction index
+// pc, into one super-instruction.
+type fuseFn func(pc int, a, b *Instr, u *regUse) (Instr, bool)
 
 // fusePass makes one left-to-right sweep, replacing each fusable
 // adjacent pair with its super-instruction and remapping jump targets
@@ -180,7 +91,7 @@ func fusePass(p *Func, try fuseFn) int {
 	for i := 0; i < len(p.Code); i++ {
 		newPC[i] = len(out)
 		if i+1 < len(p.Code) && !targets[i+1] {
-			if f, ok := try(&p.Code[i], &p.Code[i+1], u); ok {
+			if f, ok := try(i, &p.Code[i], &p.Code[i+1], u); ok {
 				out = append(out, f)
 				newPC[i+1] = len(out) - 1
 				i++
@@ -220,7 +131,7 @@ var immForms = map[Opcode]Opcode{
 
 // tryConstImm folds `ldc.i t, k` into the following instruction when it
 // consumes t as its right-hand operand.
-func tryConstImm(a, b *Instr, u *regUse) (Instr, bool) {
+func tryConstImm(_ int, a, b *Instr, u *regUse) (Instr, bool) {
 	if a.Op != OpLdcI || !u.soloI(a.A) {
 		return Instr{}, false
 	}
@@ -246,7 +157,7 @@ func tryConstImm(a, b *Instr, u *regUse) (Instr, bool) {
 
 // tryLoadOp fuses a global float load feeding a float add, multiply, or
 // subtract (either side of the subtract).
-func tryLoadOp(a, b *Instr, u *regUse) (Instr, bool) {
+func tryLoadOp(_ int, a, b *Instr, u *regUse) (Instr, bool) {
 	if a.Op != OpLdGF || !u.soloF(a.A) {
 		return Instr{}, false
 	}
@@ -281,7 +192,7 @@ func tryLoadOp(a, b *Instr, u *regUse) (Instr, bool) {
 
 // tryMulAccLd fuses a mulld.f feeding an accumulating add (the reduction
 // shape `acc = acc + x * buf[i]`) into one multiply-accumulate-from-load.
-func tryMulAccLd(a, b *Instr, u *regUse) (Instr, bool) {
+func tryMulAccLd(_ int, a, b *Instr, u *regUse) (Instr, bool) {
 	if a.Op != OpMulFLdG || b.Op != OpAddF || !u.soloF(a.A) {
 		return Instr{}, false
 	}
@@ -294,7 +205,7 @@ func tryMulAccLd(a, b *Instr, u *regUse) (Instr, bool) {
 
 // tryMulAdd fuses a multiply feeding an add into a two-count
 // multiply-add super-instruction.
-func tryMulAdd(a, b *Instr, u *regUse) (Instr, bool) {
+func tryMulAdd(_ int, a, b *Instr, u *regUse) (Instr, bool) {
 	switch a.Op {
 	case OpMulI, OpMulIImm:
 		if b.Op != OpAddI || !u.soloI(a.A) {
@@ -333,7 +244,7 @@ func tryMulAdd(a, b *Instr, u *regUse) (Instr, bool) {
 
 // tryMulMul fuses a float multiply feeding another multiply (the
 // power/scaling chain `a*b*c`) into one two-count super-instruction.
-func tryMulMul(a, b *Instr, u *regUse) (Instr, bool) {
+func tryMulMul(_ int, a, b *Instr, u *regUse) (Instr, bool) {
 	if a.Op != OpMulF || b.Op != OpMulF || !u.soloF(a.A) {
 		return Instr{}, false
 	}
@@ -351,7 +262,7 @@ func tryMulMul(a, b *Instr, u *regUse) (Instr, bool) {
 
 // tryAddRsqrt fuses a float add feeding rsqrt — the softened
 // inverse-distance shape 1/sqrt(d2 + eps) in particle kernels.
-func tryAddRsqrt(a, b *Instr, u *regUse) (Instr, bool) {
+func tryAddRsqrt(_ int, a, b *Instr, u *regUse) (Instr, bool) {
 	if a.Op != OpAddF || b.Op != OpRsqrtF || b.B != a.A || !u.soloF(a.A) {
 		return Instr{}, false
 	}
@@ -360,7 +271,7 @@ func tryAddRsqrt(a, b *Instr, u *regUse) (Instr, bool) {
 
 // tryIdxLoad folds a muladd.i address computation (the row-major
 // `i*stride + j` shape) into the load it feeds.
-func tryIdxLoad(a, b *Instr, u *regUse) (Instr, bool) {
+func tryIdxLoad(_ int, a, b *Instr, u *regUse) (Instr, bool) {
 	if a.Op != OpMulAddI || !u.soloI(a.A) {
 		return Instr{}, false
 	}
@@ -393,7 +304,7 @@ var negCc = map[Opcode]int32{
 
 // tryCmpBranch fuses a comparison feeding a jz.br into one
 // compare-and-branch that jumps on the negated condition.
-func tryCmpBranch(a, b *Instr, u *regUse) (Instr, bool) {
+func tryCmpBranch(_ int, a, b *Instr, u *regUse) (Instr, bool) {
 	cc, ok := negCc[a.Op]
 	if !ok || b.Op != OpJZBr || b.A != a.A || !u.soloI(a.A) {
 		return Instr{}, false
@@ -412,9 +323,12 @@ func tryCmpBranch(a, b *Instr, u *regUse) (Instr, bool) {
 // compare, so a counted loop's steady-state overhead is one dispatch.
 // Both effects of the pair (the counter write and the compare-branch)
 // are preserved, so no single-use condition is needed — only adjacency
-// and the no-jump-target rule fusePass already enforces.
-func tryIncJCmp(a, b *Instr, u *regUse) (Instr, bool) {
-	if a.Op != OpAddI || b.Op != OpJCmpI || b.A != a.A {
+// and the no-jump-target rule fusePass already enforces. A forward
+// `v++; if (v > x)` pair is left alone: fused, a varying one could not
+// take the vector tier's agree-or-split treatment (the counter mutates
+// before the test), and it is not a loop's steady state anyway.
+func tryIncJCmp(pc int, a, b *Instr, u *regUse) (Instr, bool) {
+	if a.Op != OpAddI || b.Op != OpJCmpI || b.A != a.A || int(b.Imm) > pc {
 		return Instr{}, false
 	}
 	var step int32

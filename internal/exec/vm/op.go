@@ -410,6 +410,79 @@ func destReg(in *Instr) (isF bool, r int32, ok bool) {
 	return false, 0, false
 }
 
+// srcRegs calls useI/useF for every register the instruction reads
+// (an accumulating destination — macld.f, macidx.f, addjcmp.i — is a
+// source too) and reports whether it queries a work-item row.
+func srcRegs(in *Instr, useI, useF func(r int32)) (wi bool) {
+	info, _ := LookupOp(in.Op)
+	switch info.Fmt {
+	case FmtNone, FmtJmp, FmtBar, FmtIaImm, FmtFaPool:
+	case FmtJCond, FmtJCmpIImm:
+		useI(in.A)
+	case FmtJCmpI:
+		useI(in.A)
+		useI(in.B)
+	case FmtJCmpF:
+		useF(in.A)
+		useF(in.B)
+	case FmtStoreF:
+		useF(in.A)
+		useI(in.C)
+	case FmtStoreI:
+		useI(in.A)
+		useI(in.C)
+	case FmtIab, FmtIabImm, FmtFaIb:
+		useI(in.B)
+	case FmtIabc, FmtMulImmAdd:
+		useI(in.B)
+		useI(in.C)
+	case FmtIncJCmpI:
+		useI(in.A)
+		useI(in.B)
+		useI(in.C)
+	case FmtFab, FmtIaFb:
+		useF(in.B)
+	case FmtFabc, FmtIaFbc:
+		useF(in.B)
+		useF(in.C)
+	case FmtFabcImm:
+		useF(in.B)
+		useF(in.C)
+		useF(int32(in.Imm))
+	case FmtIabcImm:
+		useI(in.B)
+		useI(in.C)
+		useI(int32(in.Imm))
+	case FmtWI:
+		return true
+	case FmtWIDyn:
+		useI(in.C)
+		return true
+	case FmtLoadF, FmtLoadI:
+		useI(in.C)
+	case FmtFusedLdF:
+		useF(in.B)
+		useI(in.C)
+	case FmtFusedMacF:
+		useF(in.A)
+		useF(in.B)
+		useI(in.C)
+	case FmtLdIdxF:
+		_, _, r3 := unpackMemIdx(in.Imm)
+		useI(in.B)
+		useI(in.C)
+		useI(r3)
+	case FmtMacIdxF:
+		_, _, r2, r3 := unpackMacIdx(in.Imm)
+		useF(in.A)
+		useF(in.B)
+		useI(in.C)
+		useI(r2)
+		useI(r3)
+	}
+	return false
+}
+
 // packMem packs a buffer slot and a name-pool index into the Imm field
 // of a fused load super-instruction.
 func packMem(slot int32, name int32) int64 { return int64(slot)<<32 | int64(uint32(name)) }

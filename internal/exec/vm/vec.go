@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // SIMT vector execution tier. Vectorize analyzes a compiled Func for
@@ -21,9 +22,9 @@ import (
 // Loads with uniform indices are uniform too — the lanes run in
 // instruction-level lockstep against the same memory state, so a load
 // from the same address yields lane-equal values. The lane storage of
-// a uniform register is never written and holds garbage: all readers —
-// dispatch arms, divergence sub-frames, the bail-out scatter — must
-// consult the uniformity classification.
+// a uniform register is never written by a dispatch arm and holds
+// garbage: all readers — dispatch arms, divergence sub-frames, the
+// bail-out scatter — must consult the uniformity classification.
 //
 // Divergence re-convergence: the tier is optimistic about statically
 // varying forward branches, and the group runs full-width as long as
@@ -32,18 +33,41 @@ import (
 // each side of the branch runs as a compacted sub-group (width = its
 // lane count) through the same dispatch loop up to the join point
 // recorded at vectorize time (the branch's immediate post-dominator),
-// then the group re-forms and resumes full-width. A varying branch
-// inside a loop body is expected to disagree, so it is admitted only
-// when its region is loop-free — the group re-forms every iteration —
-// and every register the region writes is classified varying (control
-// dependence; see Vectorize). Only irreducible
-// divergence — no safe join point, nested splits beyond the depth cap,
-// or a would-fault lane inside a split — falls back to the full bail:
-// Run returns Diverged and the caller completes each lane on the scalar
-// VM from its per-lane PC. Scalar completion walks items in canonical
-// order, so it reproduces the canonical item-order fault message and
-// per-item counts exactly, and buffer/profile/fault parity with the
-// scalar VM and closure tiers is preserved byte-for-byte.
+// then the group re-forms and resumes full-width. Only values live
+// across the join need both sides' results blended, and only varying
+// registers can be (per lane): a uniform register the region writes is
+// admitted when it is dead at the join — `w - 1` inside a stencil's
+// short-circuit guard, the loop counters under `if (gid < n)` — and
+// each side then computes it in its own private copy of the scalar
+// slots, which is never copied back (register liveness, see
+// computeJoin; the same liveness narrows what a split copies in and
+// out). A varying branch inside a loop body is expected to disagree, so
+// it is admitted only when its region is loop-free — the group re-forms
+// every iteration — and every register the region writes is classified
+// varying (control dependence; see Vectorize). Only irreducible
+// divergence — no safe join point (a barrier in the region, a uniform
+// register written there and read after the join, a store through a
+// uniform index with both sides present), nested splits beyond the
+// depth cap, or a would-fault lane inside a split — falls back to the
+// full bail: Run returns Diverged and the caller completes each lane on
+// the scalar VM from its per-lane PC, with its own side's value of
+// every register the region wrote. Scalar completion walks items in
+// canonical order, so it reproduces the canonical item-order fault
+// message and per-item counts exactly.
+//
+// The contract: buffers, profiles and fault messages are byte-identical
+// with the scalar VM and the closure tier for kernels in which distinct
+// work items do not write one element between barriers, other than
+// through a single static store with a uniform index. Lockstep retires
+// a store for every lane before the next instruction, canonical order
+// retires every instruction of an item before the next item, and the
+// two agree exactly when no element has two writers: `out[0] = x;
+// out[i] = x;` ends with item 0's x here and the last item's on the
+// scalar tiers. One static uniform-index store is the exception that
+// holds: its lanes retire in ascending item order, so the last writer
+// is the canonical one — in convergent code, and in a one-sided region
+// (only one side stores; see computeJoin), which adds no new kind of
+// deviation.
 //
 // Counter and budget accounting: under convergent execution every lane
 // retires the same instruction sequence, so the packed profile
@@ -88,7 +112,8 @@ type VecFunc struct {
 	// joinPC[pc] is the re-convergence point of the varying
 	// conditional jump at pc — its immediate post-dominator — or -1
 	// when the divergent region is ineligible (contains a barrier,
-	// writes a uniform register, or stores through a uniform index)
+	// writes a uniform register that is live at the join, or stores
+	// through a uniform index other than one-sidedly; see computeJoin)
 	// and disagreement must take the full scalar bail. A varying
 	// branch inside a loop always has one: Vectorize refuses the
 	// kernel otherwise.
@@ -136,6 +161,33 @@ func (p *VecFunc) ScalarizedOps() int {
 	return n
 }
 
+// BailBranches reports how many varying branches have no join: lane
+// disagreement there sends the whole group to scalar completion.
+func (p *VecFunc) BailBranches() int {
+	n := 0
+	for pc := range p.Code {
+		if _, ok := condJumpTarget(&p.Code[pc], pc); ok && !p.condUniform[pc] && p.joinPC[pc] < 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// sidePrivate returns the uniform registers some divergent region
+// writes, ascending: each side of a split there computes them in its
+// own scalar slots.
+func (p *VecFunc) sidePrivate() (privI, privF []int32) {
+	for _, reg := range p.regions {
+		if reg != nil {
+			privI = append(privI, reg.privI...)
+			privF = append(privF, reg.privF...)
+		}
+	}
+	slices.Sort(privI)
+	slices.Sort(privF)
+	return slices.Compact(privI), slices.Compact(privF)
+}
+
 // ceilPow2 rounds n up to the next power of two (minimum 1), so
 // register indices can be masked instead of bounds-checked.
 func ceilPow2(n int) int {
@@ -179,7 +231,9 @@ func condJumpTarget(in *Instr, pc int) (int, bool) {
 // nested loop or a break — or is ineligible for masked execution; see
 // computeJoin). Every other varying forward branch is admitted, checked
 // for agreement at runtime, and annotated with its re-convergence point
-// when the divergent region is safe to run masked.
+// when the divergent region is safe to run masked. The flow graph and
+// the register liveness that decision needs are built at most once, and
+// only for kernels that have a varying conditional jump.
 func Vectorize(p *Func) (*VecFunc, error) {
 	nI, nF := max(p.NumI, 1), max(p.NumF, 1)
 	varI := make([]bool, nI)
@@ -201,10 +255,12 @@ func Vectorize(p *Func) (*VecFunc, error) {
 	// write to it anywhere is varying. This is sound because every
 	// control path the vector loop actually follows is convergent
 	// (uniform branches by induction, varying branches outside loops by
-	// the runtime agreement check, their divergent regions by the
-	// no-uniform-write eligibility rule, and varying branches inside
-	// loops by the control-dependence pass below), so a "uniform"
-	// register always holds lane-equal values whenever it is read.
+	// the runtime agreement check, their divergent regions because a
+	// uniform register written there is private to each side and dead at
+	// the join — see computeJoin — and varying branches inside loops by
+	// the control-dependence pass below), so a "uniform" register always
+	// holds lane-equal values, among the lanes running together,
+	// whenever it is read.
 	// Loads are uniform when every index component is uniform: the
 	// lanes read the same address against the same memory state.
 	propagate := func() error {
@@ -371,11 +427,8 @@ func Vectorize(p *Func) (*VecFunc, error) {
 		if t <= i {
 			return nil, fmt.Errorf("exec: vec: varying loop back-edge at pc %d (%s)", i, in.Op)
 		}
-		if in.Op == OpIncJCmpI {
-			// addjcmp.i mutates its counter before testing; a divergence
-			// bail-out could not restore pre-instruction state.
-			return nil, fmt.Errorf("exec: vec: varying fused loop counter at pc %d", i)
-		}
+		// Past this point the jump is forward, so it is not an addjcmp.i:
+		// the fuser only builds one on a back-edge (tryIncJCmp).
 		if g == nil {
 			g = newFlowGraph(p.Code)
 		}
@@ -554,8 +607,9 @@ func (vf *VecFunc) computeScal(varI, varF []bool) {
 				setF(srcUC, in.B)
 			}
 		case FmtIncJCmpI:
-			// A varying addjcmp.i is rejected at admission, so this is
-			// always the statically uniform loop counter.
+			// addjcmp.i is always a back-edge and a varying back-edge is
+			// refused at admission, so this is the statically uniform
+			// loop counter.
 			s = vf.condUniform[i]
 		}
 		vf.scal[i] = s
@@ -572,6 +626,14 @@ type flowGraph struct {
 	words int
 	pd    []uint64 // (n+1) bitset rows: pd[v] = nodes post-dominating v
 	ipd   []int    // immediate post-dominators, computed on demand (-2 = not yet)
+
+	// live holds the live-in register sets (solveLiveness): (n+1) regSet
+	// rows of lw words. Nil until the first varying branch needs a join.
+	// uni is the set of uniform registers.
+	live []uint64
+	uni  regSet
+	lw   int
+	numI int
 
 	seen  []bool // region walk scratch
 	stack []int
@@ -720,27 +782,131 @@ func (g *flowGraph) region(pc int) (nodes []int, loopFree bool) {
 	return g.nodes, loopFree
 }
 
-// splitRegion is what a divergence split at one varying branch copies:
-// the split fill compacts the varying registers the region reads or
-// writes (in) into a side frame — and the work-item rows when the region
-// queries them (wi) — and the scatter returns the ones it writes (out).
-// Registers outside these sets are skipped entirely, which is most of
-// the cost of a divergence on register-heavy kernels.
+// solveLiveness runs backward may-liveness over the graph: a register
+// is live into v when some path from v reads it before writing it.
+// live-in[v] = use[v] ∪ (∪ live-in[succ] ∖ def[v]); nothing is live
+// into the exit. Word-parallel rows, solved at most once per kernel;
+// uniI/uniF (the register classification) become the set g.uni in the
+// same layout.
+func (g *flowGraph) solveLiveness(uniI, uniF []bool) {
+	if g.live != nil {
+		return
+	}
+	n, numI := len(g.code), len(uniI)
+	g.numI = numI
+	g.lw = (numI + len(uniF) + 63) / 64
+	lw := g.lw
+	g.uni = make(regSet, lw)
+	for r, u := range uniI {
+		if u {
+			g.uni.add(r)
+		}
+	}
+	for r, u := range uniF {
+		if u {
+			g.uni.add(numI + r)
+		}
+	}
+	g.live = make([]uint64, (n+1)*lw)
+	use := make([]uint64, n*lw)
+	def := make([]uint64, n*lw)
+	for v := 0; v < n; v++ {
+		u := regSet(use[v*lw : (v+1)*lw])
+		in := &g.code[v]
+		srcRegs(in, func(r int32) { u.add(int(r)) }, func(r int32) { u.add(numI + int(r)) })
+		if isF, r, ok := destReg(in); ok {
+			if isF {
+				r += int32(numI)
+			}
+			regSet(def[v*lw : (v+1)*lw]).add(int(r))
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for v := n - 1; v >= 0; v-- {
+			s1, s2 := g.succs(v)
+			r, r1 := g.liveIn(v), g.liveIn(s1)
+			for w := range r {
+				out := r1[w]
+				if s2 >= 0 {
+					out |= g.live[s2*lw+w]
+				}
+				if x := use[v*lw+w] | out&^def[v*lw+w]; x != r[w] {
+					r[w] = x
+					changed = true
+				}
+			}
+		}
+	}
+}
+
+// liveIn returns the live-in row of node v (the exit's is empty).
+func (g *flowGraph) liveIn(v int) regSet { return g.live[v*g.lw : (v+1)*g.lw] }
+
+// regSet is a bitset over both register files in liveness row layout:
+// int register r at bit r, float register r at bit numI+r.
+type regSet []uint64
+
+func (s regSet) add(b int) { s[b/64] |= 1 << (b % 64) }
+
+func (s regSet) or(o regSet) {
+	for w, x := range o {
+		s[w] |= x
+	}
+}
+
+// regLists returns the int and the float registers of set, ascending.
+func (g *flowGraph) regLists(set regSet) (ri, rf []int32) {
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			if b := w*64 + bits.TrailingZeros64(word); b < g.numI {
+				ri = append(ri, int32(b))
+			} else {
+				rf = append(rf, int32(b-g.numI))
+			}
+		}
+	}
+	return ri, rf
+}
+
+// splitRegion is what a divergence split at one varying branch copies.
+// The fill compacts into a side frame the varying registers the region
+// touches that are live into either side's entry (in) — and the
+// work-item rows when the region queries them (wi); the scatter at the
+// join returns the varying registers the region writes that are live
+// there (out). A side that stops short of the join instead hands back
+// everything the region writes: the varying registers (wr) and, lane
+// by lane, its own value of the uniform registers the region writes
+// (priv), which live in each side's private scalar slots because they
+// are dead at the join. Registers outside these sets are skipped
+// entirely, which is most of the cost of a divergence on
+// register-heavy kernels.
 type splitRegion struct {
-	inI, inF   []int32
-	outI, outF []int32
-	wi         bool
+	inI, inF     []int32
+	outI, outF   []int32
+	wrI, wrF     []int32
+	privI, privF []int32
+	wi           bool
 }
 
 // computeJoin records, for the varying conditional jump at pc, the
 // point where a split group can re-form: the branch's immediate
 // post-dominator, provided the divergent region between the branch and
-// the join is safe to run one side at a time — no barriers (the sides
-// would deadlock each other), no writes to uniform registers (the
-// sides would disagree about a "uniform" value at the join), no
-// stores through a uniform index (side order would replace the
-// canonical item order for the conflicting writes), and, for a branch
-// inside a loop, no back-edge (the group must re-form every iteration).
+// the join is safe to run one side at a time:
+//   - no barrier (the sides would deadlock each other);
+//   - a uniform register is written only by a branch outside any loop,
+//     and only when it is not live into the join: a value that dies
+//     before the join needs no blend, so each side computes it in its
+//     own private scalar slots (an in-loop region never writes one —
+//     Vectorize promoted everything it writes to varying);
+//   - a store through a uniform index only in a one-sided region (the
+//     taken target is the join) of a branch outside any loop: one side
+//     stores, and its lanes retire in ascending order exactly as the
+//     convergent store arm retires them, so the element ends up with
+//     the canonical last writer's value. With both sides present, side
+//     order would replace item order;
+//   - for a branch inside a loop, no back-edge (the group must re-form
+//     every iteration).
 func (vf *VecFunc) computeJoin(g *flowGraph, pc int, inLoop bool) {
 	p := vf.Func
 	nodes, loopFree := g.region(pc)
@@ -748,144 +914,58 @@ func (vf *VecFunc) computeJoin(g *flowGraph, pc int, inLoop bool) {
 	if j < 0 || inLoop && !loopFree {
 		return
 	}
-	tI := make([]bool, len(vf.uniI))
-	tF := make([]bool, len(vf.uniF))
-	wI := make([]bool, len(vf.uniI))
-	wF := make([]bool, len(vf.uniF))
+	g.solveLiveness(vf.uniI, vf.uniF)
+	target, _ := condJumpTarget(&p.Code[pc], pc)
+	touched, written := make(regSet, g.lw), make(regSet, g.lw)
+	touchI := func(r int32) { touched.add(int(r)) }
+	touchF := func(r int32) { touched.add(g.numI + int(r)) }
 	reg := &splitRegion{}
 	for _, v := range nodes {
 		in := &p.Code[v]
 		if in.Op == OpBar {
 			return
 		}
-		if isF, r, ok := destReg(in); ok {
-			if isF && vf.uniF[r] || !isF && vf.uniI[r] {
-				return
-			}
-			if isF {
-				wF[r] = true
-			} else {
-				wI[r] = true
-			}
-		}
 		info, _ := LookupOp(in.Op)
-		if (info.Fmt == FmtStoreF || info.Fmt == FmtStoreI) && vf.uniI[in.C] {
+		if (info.Fmt == FmtStoreF || info.Fmt == FmtStoreI) && vf.uniI[in.C] && (inLoop || target != j) {
 			return
 		}
-		touchRegs(in, tI, tF, &reg.wi)
-	}
-	// Uniform registers are read from the aliased scalar slots.
-	list := func(set, uni []bool) []int32 {
-		var rs []int32
-		for r, t := range set {
-			if t && !uni[r] {
-				rs = append(rs, int32(r))
+		if isF, r, ok := destReg(in); ok {
+			if isF {
+				r += int32(g.numI)
 			}
+			written.add(int(r))
+			touched.add(int(r))
 		}
-		return rs
+		if srcRegs(in, touchI, touchF) {
+			reg.wi = true
+		}
 	}
-	reg.inI, reg.inF = list(tI, vf.uniI), list(tF, vf.uniF)
-	reg.outI, reg.outF = list(wI, vf.uniI), list(wF, vf.uniF)
+	// A side that starts at the join is empty and reads nothing.
+	liveJoin, liveEntry := g.liveIn(j), make(regSet, g.lw)
+	for _, e := range [2]int{pc + 1, target} {
+		if e != j {
+			liveEntry.or(g.liveIn(e))
+		}
+	}
+	in, wr, out, priv := make(regSet, g.lw), make(regSet, g.lw), make(regSet, g.lw), make(regSet, g.lw)
+	for w := range touched {
+		priv[w] = written[w] & g.uni[w]
+		if inLoop && priv[w] != 0 || priv[w]&liveJoin[w] != 0 {
+			return
+		}
+		in[w] = touched[w] &^ g.uni[w] & liveEntry[w]
+		wr[w] = written[w] &^ g.uni[w]
+		out[w] = wr[w] & liveJoin[w]
+	}
+	reg.inI, reg.inF = g.regLists(in)
+	reg.wrI, reg.wrF = g.regLists(wr)
+	reg.outI, reg.outF = g.regLists(out)
+	reg.privI, reg.privF = g.regLists(priv)
 	if vf.regions == nil {
 		vf.regions = make([]*splitRegion, len(p.Code))
 	}
 	vf.joinPC[pc] = j
 	vf.regions[pc] = reg
-}
-
-// touchRegs marks every register operand (sources and destination) of
-// the instruction in tI/tF, and *wi when it queries a work-item row.
-func touchRegs(in *Instr, tI, tF []bool, wi *bool) {
-	info, _ := LookupOp(in.Op)
-	mI := func(r int32) { tI[r] = true }
-	mF := func(r int32) { tF[r] = true }
-	switch info.Fmt {
-	case FmtNone, FmtJmp, FmtBar:
-	case FmtJCond:
-		mI(in.A)
-	case FmtJCmpI:
-		mI(in.A)
-		mI(in.B)
-	case FmtJCmpIImm:
-		mI(in.A)
-	case FmtJCmpF:
-		mF(in.A)
-		mF(in.B)
-	case FmtStoreF:
-		mF(in.A)
-		mI(in.C)
-	case FmtStoreI:
-		mI(in.A)
-		mI(in.C)
-	case FmtIab, FmtIabImm:
-		mI(in.A)
-		mI(in.B)
-	case FmtIabc, FmtMulImmAdd, FmtIncJCmpI:
-		mI(in.A)
-		mI(in.B)
-		mI(in.C)
-	case FmtIaImm:
-		mI(in.A)
-	case FmtFab:
-		mF(in.A)
-		mF(in.B)
-	case FmtFabc:
-		mF(in.A)
-		mF(in.B)
-		mF(in.C)
-	case FmtFaPool:
-		mF(in.A)
-	case FmtFaIb:
-		mF(in.A)
-		mI(in.B)
-	case FmtIaFb:
-		mI(in.A)
-		mF(in.B)
-	case FmtIaFbc:
-		mI(in.A)
-		mF(in.B)
-		mF(in.C)
-	case FmtFabcImm:
-		mF(in.A)
-		mF(in.B)
-		mF(in.C)
-		mF(int32(in.Imm))
-	case FmtIabcImm:
-		mI(in.A)
-		mI(in.B)
-		mI(in.C)
-		mI(int32(in.Imm))
-	case FmtWI:
-		mI(in.A)
-		*wi = true
-	case FmtWIDyn:
-		mI(in.A)
-		mI(in.C)
-		*wi = true
-	case FmtLoadF:
-		mF(in.A)
-		mI(in.C)
-	case FmtLoadI:
-		mI(in.A)
-		mI(in.C)
-	case FmtFusedLdF, FmtFusedMacF:
-		mF(in.A)
-		mF(in.B)
-		mI(in.C)
-	case FmtLdIdxF:
-		_, _, r3 := unpackMemIdx(in.Imm)
-		mF(in.A)
-		mI(in.B)
-		mI(in.C)
-		mI(r3)
-	case FmtMacIdxF:
-		_, _, r2, r3 := unpackMacIdx(in.Imm)
-		mF(in.A)
-		mF(in.B)
-		mI(in.C)
-		mI(r2)
-		mI(r3)
-	}
 }
 
 // VecFrame is the per-group SIMT execution state: W-wide lane arrays
@@ -901,7 +981,10 @@ type VecFrame struct {
 
 	// SI/SF are the scalar slots: one value per uniform register,
 	// written by scalarized instructions and by SetI/SetF argument
-	// binding. A uniform register's lane storage is garbage.
+	// binding. A side frame runs on its own copy (fillSub). A uniform
+	// register's lane storage is garbage, except on a frame that
+	// stopped inside a split (PCLaned), where it carries each lane's
+	// value of the uniform registers the split's region writes.
 	SI []int64
 	SF []float64
 
@@ -921,7 +1004,7 @@ type VecFrame struct {
 	// item's total is Cnt plus its lane's delta (LaneCounts).
 	Cnt     Counts
 	Laned   bool
-	laneCnt []int64 // nCountFields rows of len(idx) lanes
+	laneCnt []int64 // NCountFields rows of len(idx) lanes
 
 	PC int
 
@@ -954,7 +1037,9 @@ type VecFrame struct {
 	mi, mf     int32     // pow2 register-index masks
 	depth      int       // split nesting depth (0 = full group)
 	subs       [2]*VecFrame
-	sel0, sel1 []int // split lane partitions (parent lane numbers)
+	sel0, sel1 []int  // split lane partitions (parent lane numbers)
+	nTaken     int    // laneCond's count of taken lanes
+	moved      uint16 // bit fi set: some split moved row fi of laneCnt
 }
 
 // NewVecFrame allocates a W-lane frame for p. Buffer tables, scalar
@@ -1085,14 +1170,27 @@ func (p *VecFunc) exitVec(f *VecFrame, a0, a1 uint64, pc int) {
 	f.PC = pc
 }
 
-// nCountFields is how many Counts fields the dispatch arms accumulate
+// NCountFields is how many Counts fields the dispatch arms accumulate
 // (Items and MaxItemOps are derived by the caller per item).
-const nCountFields = 9
+const NCountFields = 9
 
 // fields returns the accumulated fields in laneCnt row order.
-func (c *Counts) fields() [nCountFields]int64 {
-	return [nCountFields]int64{c.IntOps, c.FloatOps, c.TransOps, c.OtherBuiltins,
+func (c *Counts) fields() [NCountFields]int64 {
+	return [NCountFields]int64{c.IntOps, c.FloatOps, c.TransOps, c.OtherBuiltins,
 		c.GlobalLoads, c.GlobalStores, c.LocalOps, c.Branches, c.Barriers}
+}
+
+// addFields adds d, in laneCnt row order, to the accumulated fields.
+func (c *Counts) addFields(d *[NCountFields]int64) {
+	c.IntOps += d[0]
+	c.FloatOps += d[1]
+	c.TransOps += d[2]
+	c.OtherBuiltins += d[3]
+	c.GlobalLoads += d[4]
+	c.GlobalStores += d[5]
+	c.LocalOps += d[6]
+	c.Branches += d[7]
+	c.Barriers += d[8]
 }
 
 // LaneCounts returns lane li's accumulated per-item counts: the shared
@@ -1100,19 +1198,41 @@ func (c *Counts) fields() [nCountFields]int64 {
 func (f *VecFrame) LaneCounts(li int) Counts {
 	c := f.Cnt
 	if f.Laned {
-		d := f.laneCnt[li:]
 		w := len(f.idx)
-		c.IntOps += d[0]
-		c.FloatOps += d[w]
-		c.TransOps += d[2*w]
-		c.OtherBuiltins += d[3*w]
-		c.GlobalLoads += d[4*w]
-		c.GlobalStores += d[5*w]
-		c.LocalOps += d[6*w]
-		c.Branches += d[7*w]
-		c.Barriers += d[8*w]
+		var d [NCountFields]int64
+		for fi := range d {
+			d[fi] = f.laneCnt[fi*w+li]
+		}
+		c.addFields(&d)
 	}
 	return c
+}
+
+// FoldLanes reduces the per-item counts of lanes [a, b) without
+// composing a Counts per lane: sum is the total over those lanes of
+// every accumulated field, and maxOps the largest per-lane weighted
+// total Σ weight[fi]·field fi (weight in laneCnt row order).
+// Field-major: the shared counts scale by the lane count, and of the
+// per-lane deltas only the rows some split moved are visited.
+func (f *VecFrame) FoldLanes(weight *[NCountFields]int64, a, b int) (sum Counts, maxOps int64) {
+	w := len(f.idx)
+	var tot [NCountFields]int64
+	ops := f.idx[a:b] // scratch once the dispatch is over
+	clear(ops)
+	for fi, c := range f.Cnt.fields() {
+		tot[fi] = c * int64(b-a)
+		maxOps += c * weight[fi]
+		if !f.Laned || f.moved&(1<<fi) == 0 {
+			continue
+		}
+		wt := weight[fi]
+		for l, d := range f.laneCnt[fi*w+a : fi*w+b] {
+			tot[fi] += d
+			ops[l] += wt * d
+		}
+	}
+	sum.addFields(&tot)
+	return sum, maxOps + slices.Max(ops)
 }
 
 // ensureLaned activates the per-lane count deltas, zeroed.
@@ -1121,9 +1241,10 @@ func (f *VecFrame) ensureLaned() {
 		return
 	}
 	if f.laneCnt == nil {
-		f.laneCnt = make([]int64, nCountFields*len(f.idx))
+		f.laneCnt = make([]int64, NCountFields*len(f.idx))
 	}
 	clear(f.laneCnt)
+	f.moved = 0
 	f.Laned = true
 }
 
@@ -1135,7 +1256,9 @@ func (f *VecFrame) ensurePCLaned() {
 }
 
 // ScatterLane copies lane li of the vector frame into a scalar Frame:
-// registers (uniform registers come from the scalar slots), the lane's
+// registers (uniform registers come from the scalar slots — except,
+// after a split that stopped short of its join, the ones the region
+// writes, which scatterSub left in the lane's own storage), the lane's
 // program point, and its accumulated counts. The exec layer uses it to
 // hand a lane to the scalar VM on a divergence bail.
 func (p *VecFunc) ScatterLane(f *VecFrame, li int, dst *Frame) {
@@ -1153,10 +1276,16 @@ func (p *VecFunc) ScatterLane(f *VecFrame, li int, dst *Frame) {
 			dst.F[r] = f.F[r*f.W+li]
 		}
 	}
+	dst.PC = f.PC
 	if f.PCLaned {
 		dst.PC = f.LanePC[li]
-	} else {
-		dst.PC = f.PC
+		reg := p.regions[f.PC]
+		for _, r := range reg.privI {
+			dst.I[r] = f.I[int(r)*f.W+li]
+		}
+		for _, r := range reg.privF {
+			dst.F[r] = f.F[int(r)*f.W+li]
+		}
 	}
 	dst.Cnt = f.LaneCounts(li)
 }
@@ -1174,16 +1303,19 @@ func (p *VecFunc) subFrame(f *VecFrame, i int) *VecFrame {
 
 // fillSub prepares side frame s to run the lanes sel of f from start
 // to the join point stop for the divergent region of the branch at
-// pc: the varying registers the region touches (and, when it queries
+// pc: the varying registers the region needs (and, when it queries
 // them, the WI rows) are compacted into lanes 0..len(sel)-1, the
-// scalar slots are aliased (the region cannot write a uniform
-// register), and buffers and budget are shared.
+// scalar slots are copied — each side owns its copy, so a uniform
+// temporary the region writes stays private to the side and is never
+// copied back (computeJoin admits only ones that are dead at the join)
+// — and buffers and budget are shared.
 func (p *VecFunc) fillSub(f, s *VecFrame, sel []int, start, stop, pc int) {
 	k := len(sel)
 	s.W = k
 	s.Globals, s.Locals = f.Globals, f.Locals
 	s.B = f.B
-	s.SI, s.SF = f.SI, f.SF
+	copy(s.SI, f.SI)
+	copy(s.SF, f.SF)
 	s.depth = f.depth + 1
 	s.Stop = stop
 	s.PC = start
@@ -1194,71 +1326,96 @@ func (p *VecFunc) fillSub(f, s *VecFrame, sel []int, start, stop, pc int) {
 	s.Reconverges = 0
 	reg := p.regions[pc]
 	for _, r := range reg.inI {
-		src := f.I[int(r)*f.W:]
-		dst := s.I[int(r)*k:][:k]
-		for i, l := range sel {
-			dst[i] = src[l]
-		}
+		gather(s.I[int(r)*k:][:k], f.I[int(r)*f.W:], sel)
 	}
 	for _, r := range reg.inF {
-		src := f.F[int(r)*f.W:]
-		dst := s.F[int(r)*k:][:k]
-		for i, l := range sel {
-			dst[i] = src[l]
-		}
+		gather(s.F[int(r)*k:][:k], f.F[int(r)*f.W:], sel)
 	}
 	if reg.wi {
 		for q := range f.WI {
 			for d := range f.WI[q] {
-				src := f.WI[q][d]
-				dst := s.WI[q][d]
-				for i, l := range sel {
-					dst[i] = src[l]
-				}
+				gather(s.WI[q][d][:k], f.WI[q][d], sel)
 			}
 		}
 	}
 }
 
+// gather compacts the lanes sel of src into dst; scatter is its inverse.
+func gather[T int64 | float64](dst, src []T, sel []int) {
+	for i, l := range sel {
+		dst[i] = src[l]
+	}
+}
+
+func scatter[T int | int64 | float64](dst, src []T, sel []int) {
+	for i, l := range sel {
+		dst[l] = src[i]
+	}
+}
+
 // scatterSub merges a side back into f after it ran the region of the
-// branch at pc: the varying registers the region writes return to
-// their parent lanes, the side's counts become per-lane deltas on the
-// parent, and (on a bail) each lane's stopping PC is recorded.
-// Divergence statistics aggregate up. A nil s is the empty side of a
-// one-sided branch: its lanes are already at the join with nothing to
-// merge.
-func (p *VecFunc) scatterSub(f, s *VecFrame, sel []int, withPC bool, pc int) {
-	if s == nil {
-		if withPC {
-			f.ensurePCLaned()
-			for _, l := range sel {
-				f.LanePC[l] = p.joinPC[pc]
-			}
+// branch at pc. At the join (bail false) the varying registers the
+// region writes that are live there return to their parent lanes and
+// the side's counts become per-lane deltas on the parent. When either
+// side stopped short (bail true) every lane must be able to resume on
+// its own: all the varying registers the region writes return, each
+// lane's stopping PC is recorded, and the uniform registers the region
+// writes — private to each side — land in the parent's otherwise
+// unused lane storage for them, where ScatterLane (or the enclosing
+// split's scatterSub) picks them up. Divergence statistics aggregate
+// up. A nil s is the empty side of a one-sided branch: its lanes are
+// already at the join with the parent's values and nothing to merge.
+func (p *VecFunc) scatterSub(f, s *VecFrame, sel []int, bail bool, pc int) {
+	reg := p.regions[pc]
+	if bail {
+		// The lanes of an empty side wait at the join with the group's
+		// own values; a side's lanes stopped where the side did.
+		src, lanePC := f, p.joinPC[pc]
+		if s != nil {
+			src, lanePC = s, s.PC
 		}
+		f.ensurePCLaned()
+		splatSel(f.LanePC, lanePC, sel)
+		for _, r := range reg.privI {
+			splatSel(f.I[int(r)*f.W:], src.SI[r], sel)
+		}
+		for _, r := range reg.privF {
+			splatSel(f.F[int(r)*f.W:], src.SF[r], sel)
+		}
+	}
+	if s == nil {
 		return
 	}
 	k := len(sel)
-	reg := p.regions[pc]
-	for _, r := range reg.outI {
-		src := s.I[int(r)*k:][:k]
-		dst := f.I[int(r)*f.W:]
-		for i, l := range sel {
-			dst[l] = src[i]
+	outI, outF := reg.outI, reg.outF
+	if bail {
+		outI, outF = reg.wrI, reg.wrF
+		if s.PCLaned {
+			// The side itself split and stopped short: its lanes carry
+			// their own PCs and their own values of the inner region's
+			// private registers (a subset of this region's).
+			inner := p.regions[s.PC]
+			for _, r := range inner.privI {
+				scatter(f.I[int(r)*f.W:], s.I[int(r)*k:][:k], sel)
+			}
+			for _, r := range inner.privF {
+				scatter(f.F[int(r)*f.W:], s.F[int(r)*k:][:k], sel)
+			}
+			scatter(f.LanePC, s.LanePC[:k], sel)
 		}
 	}
-	for _, r := range reg.outF {
-		src := s.F[int(r)*k:][:k]
-		dst := f.F[int(r)*f.W:]
-		for i, l := range sel {
-			dst[l] = src[i]
-		}
+	for _, r := range outI {
+		scatter(f.I[int(r)*f.W:], s.I[int(r)*k:][:k], sel)
+	}
+	for _, r := range outF {
+		scatter(f.F[int(r)*f.W:], s.F[int(r)*k:][:k], sel)
 	}
 	f.ensureLaned()
 	w := len(f.idx)
 	for fi, d := range s.Cnt.fields() {
 		dst := f.laneCnt[fi*w:]
 		switch {
-		case s.Laned:
+		case s.Laned && s.moved&(1<<fi) != 0:
 			src := s.laneCnt[fi*w:]
 			for i, l := range sel {
 				dst[l] += d + src[i]
@@ -1267,18 +1424,18 @@ func (p *VecFunc) scatterSub(f, s *VecFrame, sel []int, withPC bool, pc int) {
 			for _, l := range sel {
 				dst[l] += d
 			}
+		default:
+			continue
 		}
-	}
-	if withPC {
-		f.ensurePCLaned()
-		for i, l := range sel {
-			if s.PCLaned {
-				f.LanePC[l] = s.LanePC[i]
-			} else {
-				f.LanePC[l] = s.PC
-			}
-		}
+		f.moved |= 1 << fi
 	}
 	f.Divergences += s.Divergences
 	f.Reconverges += s.Reconverges
+}
+
+// splatSel sets the lanes sel of dst to v.
+func splatSel[T int | int64 | float64](dst []T, v T, sel []int) {
+	for _, l := range sel {
+		dst[l] = v
+	}
 }

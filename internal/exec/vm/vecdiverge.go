@@ -5,9 +5,11 @@ package vm
 // sides, runs each side as a compacted sub-group through the same
 // dispatch loop up to the branch's join point (the immediate
 // post-dominator recorded by Vectorize), and re-forms the full group
-// there. Irreducible divergence — no safe join, splits nested past the
-// depth cap, or a would-fault lane inside a side — degrades to the
-// full scalar bail exactly like the original tier.
+// there. Each side owns a copy of the scalar slots, so the uniform
+// temporaries a region writes (all dead at the join) never leak from
+// one side into the other or back into the group. Irreducible
+// divergence — no safe join, splits nested past the depth cap, or a
+// would-fault lane inside a side — degrades to the full scalar bail.
 
 // joined is the internal status a side frame returns when its PC
 // reaches the join point (VecFrame.Stop). It never escapes Run: the
@@ -59,15 +61,17 @@ func (p *VecFunc) diverge(f *VecFrame, a0, a1 *uint64, pc int) (Status, error) {
 		*a0 += lFloatOp
 		*a1 += lBranch
 	}
-	f.partition()
+	// Only a side that runs needs its lane list: the empty side of a
+	// one-sided branch is already at the join, and laneCond counted it.
+	target, _ := condJumpTarget(in, pc)
+	f.partition(pc+1 != j, target != j)
 	p.exitVec(f, *a0, *a1, pc)
 	*a0, *a1 = 0, uint64(p.room)<<roomShift
 	// The taken lanes each spent one step on the jump.
-	if err := f.spend(int64(len(f.sel1))); err != nil {
+	if err := f.spend(int64(f.nTaken)); err != nil {
 		return Halted, err
 	}
 
-	target, _ := condJumpTarget(in, pc)
 	s0, st0, err := p.runSide(f, 0, f.sel0, pc+1, j, pc)
 	if err != nil {
 		return Halted, err
@@ -77,19 +81,22 @@ func (p *VecFunc) diverge(f *VecFrame, a0, a1 *uint64, pc int) (Status, error) {
 		return Halted, err
 	}
 
-	if st0 == Diverged || st1 == Diverged {
+	bail := st0 == Diverged || st1 == Diverged
+	if bail {
 		// A side stopped short of the join (would-fault lane or a
 		// nested split past the depth cap). Bail with per-lane state:
 		// the scalar completion walks items in canonical order from
 		// each lane's own PC, reproducing the canonical first fault.
-		p.scatterSub(f, s0, f.sel0, true, pc)
-		p.scatterSub(f, s1, f.sel1, true, pc)
+		// The lanes of an empty side resume at the join.
+		f.partition(s0 == nil, s1 == nil)
+	}
+	p.scatterSub(f, s0, f.sel0, bail, pc)
+	p.scatterSub(f, s1, f.sel1, bail, pc)
+	if bail {
 		f.PCLaned = true
 		f.PC = pc
 		return Diverged, nil
 	}
-	p.scatterSub(f, s0, f.sel0, false, pc)
-	p.scatterSub(f, s1, f.sel1, false, pc)
 	f.PC = j
 	if j == len(p.Code) {
 		// The join is the kernel exit: both sides ran to halt, so the
@@ -117,38 +124,54 @@ func (p *VecFunc) runSide(f *VecFrame, i int, sel []int, start, j, pc int) (s *V
 }
 
 // laneCond evaluates the varying conditional jump at pc for every lane
-// into the mask f.idx (1 = taken), reading uniform operands from the
-// scalar slots, and reports lane 0's outcome and whether every lane
-// agrees with it. On disagreement diverge partitions the same mask, so
-// the condition is evaluated once however the branch goes.
+// into the mask f.idx (1 = taken) and the count f.nTaken, comparing
+// against a uniform operand or an immediate straight from its scalar
+// value, and reports lane 0's outcome and whether every lane agrees
+// with it. On disagreement diverge partitions the same mask, so the
+// condition is evaluated once however the branch goes.
 func (p *VecFunc) laneCond(f *VecFrame, pc int) (taken, agree bool) {
 	in := &p.Code[pc]
 	su := p.srcU[pc]
 	m := f.idx[:f.W]
 	switch in.Op {
 	case OpJZBr, OpJZLog:
-		a := f.lanesI(in.A)[:len(m)]
-		for l := range m {
-			m[l] = b2i(a[l] == 0)
-		}
+		cmpMask1(m, CcEq, f.lanesI(in.A), 0)
 	case OpJNZLog:
-		a := f.lanesI(in.A)[:len(m)]
-		for l := range m {
-			m[l] = b2i(a[l] != 0)
-		}
+		cmpMask1(m, CcNe, f.lanesI(in.A), 0)
 	case OpJCmpI:
-		cmpMask(m, in.C, f.rdI(in.A, su&srcUB != 0, 0), f.rdI(in.B, su&srcUC != 0, 1))
+		switch {
+		case su&srcUB != 0:
+			cmpMask1(m, swapCc[in.C], f.lanesI(in.B), f.SI[in.A&f.mi])
+		case su&srcUC != 0:
+			cmpMask1(m, in.C, f.lanesI(in.A), f.SI[in.B&f.mi])
+		default:
+			cmpMask(m, in.C, f.lanesI(in.A), f.lanesI(in.B))
+		}
 	case OpJCmpIImm:
-		cmpMask(m, in.B, f.lanesI(in.A), f.splatI(1, in.Imm))
+		cmpMask1(m, in.B, f.lanesI(in.A), in.Imm)
 	case OpJCmpF:
-		cmpMask(m, in.C, f.rdF(in.A, su&srcUB != 0, 0), f.rdF(in.B, su&srcUC != 0, 1))
+		switch {
+		case su&srcUB != 0:
+			cmpMask1(m, swapCc[in.C], f.lanesF(in.B), f.SF[in.A&f.mf])
+		case su&srcUC != 0:
+			cmpMask1(m, in.C, f.lanesF(in.A), f.SF[in.B&f.mf])
+		default:
+			cmpMask(m, in.C, f.lanesF(in.A), f.lanesF(in.B))
+		}
 	}
 	var n1 int64
 	for _, t := range m {
 		n1 += t
 	}
+	f.nTaken = int(n1)
 	return m[0] != 0, n1 == 0 || n1 == int64(len(m))
 }
+
+// swapCc[cc] is the condition that holds for (b, a) exactly when cc
+// holds for (a, b), so a uniform left operand can take cmpMask1's
+// scalar slot.
+var swapCc = [...]int32{CcLt: CcGt, CcLe: CcGe, CcGt: CcLt, CcGe: CcLe, CcEq: CcEq, CcNe: CcNe,
+	CcNLt: CcNGt, CcNLe: CcNGe, CcNGt: CcNLt, CcNGe: CcNLe}
 
 // cmpMask sets m[l] to 1 where a[l] cc b[l] holds, with the condition
 // code dispatched once per group instead of once per lane.
@@ -198,18 +221,74 @@ func cmpMask[T int64 | float64](m []int64, cc int32, a, b []T) {
 	}
 }
 
-// partition splits the lanes by laneCond's mask into f.sel0
-// (fall-through) and f.sel1 (taken). Branch-free: each lane is written
-// at both cursors and only its side's cursor advances (n0+n1 == l, so
-// both stay below W).
-func (f *VecFrame) partition() {
-	m := f.idx[:f.W]
-	sel0, sel1 := f.sel0[:len(m)], f.sel1[:len(m)]
-	n0, n1 := 0, 0
-	for l, t := range m {
-		sel0[n0], sel1[n1] = l, l
-		n1 += int(t)
-		n0 += 1 - int(t)
+// cmpMask1 is cmpMask against one scalar: m[l] = a[l] cc b.
+func cmpMask1[T int64 | float64](m []int64, cc int32, a []T, b T) {
+	a = a[:len(m)]
+	switch cc {
+	case CcLt:
+		for l := range m {
+			m[l] = b2i(a[l] < b)
+		}
+	case CcLe:
+		for l := range m {
+			m[l] = b2i(a[l] <= b)
+		}
+	case CcGt:
+		for l := range m {
+			m[l] = b2i(a[l] > b)
+		}
+	case CcGe:
+		for l := range m {
+			m[l] = b2i(a[l] >= b)
+		}
+	case CcEq:
+		for l := range m {
+			m[l] = b2i(a[l] == b)
+		}
+	case CcNLt:
+		for l := range m {
+			m[l] = b2i(!(a[l] < b))
+		}
+	case CcNLe:
+		for l := range m {
+			m[l] = b2i(!(a[l] <= b))
+		}
+	case CcNGt:
+		for l := range m {
+			m[l] = b2i(!(a[l] > b))
+		}
+	case CcNGe:
+		for l := range m {
+			m[l] = b2i(!(a[l] >= b))
+		}
+	default:
+		for l := range m {
+			m[l] = b2i(a[l] != b)
+		}
 	}
-	f.sel0, f.sel1 = sel0[:n0], sel1[:n1]
+}
+
+// partition compacts laneCond's mask into the lane lists asked for:
+// f.sel0 (fall-through lanes) and f.sel1 (taken lanes), ascending.
+func (f *VecFrame) partition(want0, want1 bool) {
+	m := f.idx[:f.W]
+	if want0 {
+		f.sel0 = compactLanes(f.sel0, m, 0)
+	}
+	if want1 {
+		f.sel1 = compactLanes(f.sel1, m, 1)
+	}
+}
+
+// compactLanes lists in sel the lanes whose mask value is v (0 or 1).
+// Branch-free: each lane is written at the cursor, which advances only
+// when the lane belongs.
+func compactLanes(sel []int, m []int64, v int64) []int {
+	sel = sel[:len(m)]
+	n := 0
+	for l, t := range m {
+		sel[n] = l
+		n += int(1 - (t ^ v))
+	}
+	return sel[:n]
 }

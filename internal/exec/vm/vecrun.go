@@ -1408,10 +1408,10 @@ dispatch:
 			}
 		case OpIncJCmpI:
 			// Vectorize guarantees a statically uniform condition here
-			// (the fused counter mutates before testing), so lane 0
-			// decides for the group with no agreement scan. Only reached
-			// in v1 mode — with scalarization on, a uniform addjcmp.i is
-			// always handled by scalRun.
+			// (addjcmp.i is always a back-edge, and a varying back-edge is
+			// refused), so lane 0 decides for the group with no agreement
+			// scan. Scalarization takes a uniform addjcmp.i before it gets
+			// here; the arm stays for opcode coverage.
 			a0 += 2 * lIntOp
 			a1 += lBranch
 			d := f.lanesI(in.A)

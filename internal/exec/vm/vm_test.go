@@ -3,6 +3,7 @@ package vm
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -151,10 +152,10 @@ func TestVecFramePow2(t *testing.T) {
 	}
 }
 
-// TestVectorizeRejects pins the eligibility rules: varying loop
-// back-edges and varying fused loop counters refuse to vectorize, and a
-// varying branch inside a loop body does too unless the group can
-// re-form at its join within the same iteration.
+// TestVectorizeRejects pins the eligibility rules: a varying loop
+// back-edge refuses to vectorize, and a varying branch inside a loop
+// body does too unless the group can re-form at its join within the
+// same iteration.
 func TestVectorizeRejects(t *testing.T) {
 	cases := []struct {
 		name, src, kernel, wantErr string
@@ -329,6 +330,28 @@ func TestVectorizeRejects(t *testing.T) {
 	if uni, total := vp.UniformConds(); total != 1 || uni != 0 {
 		t.Fatalf("guard kernel conds = %d/%d, want 0/1", uni, total)
 	}
+	// `v++; if (v > x)` is admitted: the peephole pass fuses an increment
+	// into a compare-branch only on a loop's back-edge, so the forward
+	// pair stays an add and a plain varying jcmp.i with a join.
+	vp = vectorizeKernel(t, "incif", `kernel void k(global float* a, global float* out, int n) {
+		int i = get_global_id(0);
+		int v = (int)a[i];
+		float r = 0.0f;
+		v = v + 1;
+		if (v > n) {
+			r = a[i] * 2.0f;
+		}
+		out[i] = r;
+	}`, "k")
+	for pc := range vp.Code {
+		if vp.Code[pc].Op == OpIncJCmpI {
+			t.Fatalf("forward increment-compare fused to addjcmp.i at pc %d:\n%s", pc, vp.Disassemble())
+		}
+	}
+	if uni, total := vp.UniformConds(); total != 1 || uni != 0 || vp.BailBranches() != 0 {
+		t.Fatalf("incif kernel conds = %d/%d, %d without a join; want one varying branch with a join",
+			uni, total, vp.BailBranches())
+	}
 	// A branch on a uniform-index load inside a loop is admitted now:
 	// lockstep lanes load the same cell, so the condition is uniform.
 	vp = vectorizeKernel(t, "uload", `kernel void k(global float* a, global float* out, int n) {
@@ -406,9 +429,9 @@ func TestVecDivergenceReconverges(t *testing.T) {
 }
 
 // TestVecDivergenceParksPC: a divergent region that is ineligible for
-// re-formation (here: a store through a uniform index, whose side-order
-// writes could differ from canonical item order) must take the full
-// bail — Diverged with the PC parked at the branch and the branch
+// re-formation (here: both sides store through a uniform index, so side
+// order would replace canonical item order on out[0]) must take the
+// full bail — Diverged with the PC parked at the branch and the branch
 // itself uncounted, so a scalar rerun re-executes it exactly once.
 func TestVecDivergenceParksPC(t *testing.T) {
 	src := `kernel void k(global float* a, global float* out, int n) {
@@ -416,8 +439,10 @@ func TestVecDivergenceParksPC(t *testing.T) {
 		float x = a[i];
 		if (x > 0.0f) {
 			out[0] = x;
+		} else {
+			out[0] = -x;
 		}
-		out[i] = x;
+		out[i + 1] = x;
 	}`
 	vp := vectorizeKernel(t, "divbail", src, "k")
 	const w = 4
@@ -426,7 +451,7 @@ func TestVecDivergenceParksPC(t *testing.T) {
 	for i := range in {
 		in[i] = float32(1 - 2*(i%2)) // alternating signs: lanes disagree
 	}
-	f.Globals = []Buf{{F: in}, {F: make([]float32, w)}}
+	f.Globals = []Buf{{F: in}, {F: make([]float32, w+1)}}
 	bindVecWI(f, w, 0)
 	for _, pr := range vp.Params {
 		if pr.Kind == ParamInt {
@@ -458,6 +483,137 @@ func TestVecDivergenceParksPC(t *testing.T) {
 			t.Fatalf("store retired before divergence: out = %v", f.Globals[1].F)
 		}
 	}
+}
+
+// varyingBranches returns the PCs of vp's varying conditional jumps.
+func varyingBranches(vp *VecFunc) []int {
+	var pcs []int
+	for pc := range vp.Code {
+		if _, ok := condJumpTarget(&vp.Code[pc], pc); ok && !vp.condUniform[pc] {
+			pcs = append(pcs, pc)
+		}
+	}
+	return pcs
+}
+
+// TestVecJoinAnalysis pins what register liveness at the join decides:
+// which divergent regions outside a loop may write a uniform register
+// or store through a uniform index, and what a split copies.
+func TestVecJoinAnalysis(t *testing.T) {
+	// A uniform temporary computed inside a short-circuit guard dies
+	// before the join: the branch joins and the temporary is private to
+	// each side.
+	t.Run("uniform_temp_dead_at_join", func(t *testing.T) {
+		vp := vectorizeKernel(t, "deadtemp", `kernel void k(global float* a, global float* out, int n) {
+			int i = get_global_id(0);
+			if (i > 0 && i < n - 1) {
+				out[i] = a[i];
+			}
+		}`, "k")
+		if vp.BailBranches() != 0 {
+			t.Fatalf("%d branches without a join:\n%s", vp.BailBranches(), vp.Disassemble())
+		}
+		first := varyingBranches(vp)[0]
+		reg := vp.regions[first]
+		var temps []int32
+		for v := first + 1; v < vp.joinPC[first]; v++ {
+			if isF, r, ok := destReg(&vp.Code[v]); ok && !isF && vp.uniI[r] {
+				temps = append(temps, r)
+			}
+		}
+		if len(temps) == 0 || !slices.Equal(reg.privI, temps) {
+			t.Fatalf("region of pc %d: side-private %v, uniform registers written %v; want them equal and non-empty\n%s",
+				first, reg.privI, temps, vp.Disassemble())
+		}
+		if privI, _ := vp.sidePrivate(); !slices.Equal(privI, temps) {
+			t.Fatalf("sidePrivate = %v, want %v", privI, temps)
+		}
+	})
+	// The same kind of temporary read after the join is live there: the
+	// sides would disagree about a "uniform" value, so no join.
+	t.Run("uniform_temp_live_at_join", func(t *testing.T) {
+		vp := vectorizeKernel(t, "livetemp", `kernel void k(global float* a, global float* out, int n) {
+			int i = get_global_id(0);
+			int m = 0;
+			if (a[i] > 0.0f) {
+				m = n - 1;
+			}
+			out[i] = (float)m;
+		}`, "k")
+		pcs := varyingBranches(vp)
+		if len(pcs) != 1 || vp.joinPC[pcs[0]] >= 0 || vp.BailBranches() != 1 {
+			t.Fatalf("want one varying branch and no join:\n%s", vp.Disassemble())
+		}
+	})
+	// A store through a uniform index: one-sided outside a loop joins
+	// (TestVectorizeRejects has the in-loop refusal); with a store on
+	// either side of an if/else there is no join.
+	t.Run("uniform_index_store", func(t *testing.T) {
+		one := vectorizeKernel(t, "onesided", `kernel void k(global float* a, global float* out, int n) {
+			int i = get_global_id(0);
+			float x = a[i];
+			if (x > 0.0f) {
+				out[0] = x;
+			}
+			out[i + 1] = x;
+		}`, "k")
+		if one.BailBranches() != 0 {
+			t.Fatalf("one-sided uniform-index store has no join:\n%s", one.Disassemble())
+		}
+		two := vectorizeKernel(t, "twosided", `kernel void k(global float* a, global float* out, int n) {
+			int i = get_global_id(0);
+			float x = a[i];
+			if (x > 0.0f) {
+				out[0] = x;
+			} else {
+				out[i + 1] = x;
+			}
+		}`, "k")
+		if two.BailBranches() != 1 {
+			t.Fatalf("two-sided region with a uniform-index store: %d branches without a join, want 1:\n%s",
+				two.BailBranches(), two.Disassemble())
+		}
+	})
+	// A stencil's guarded update: the split at the last term of the
+	// guard fills only the two coordinates and scatters nothing back —
+	// every other register the sides touch is written before it is read
+	// and dead at the join.
+	t.Run("stencil_copies", func(t *testing.T) {
+		vp := vectorizeKernel(t, "stencil", `kernel void k(global const float* in, global float* out, int w, int h) {
+			int x = get_global_id(0);
+			int y = get_global_id(1);
+			if (x > 0 && x < w - 1 && y > 0 && y < h - 1) {
+				out[y * w + x] = in[(y - 1) * w + x] + in[(y + 1) * w + x] + in[y * w + x - 1] + in[y * w + x + 1];
+			} else if (x < w && y < h) {
+				out[y * w + x] = 0.0f;
+			}
+		}`, "k")
+		if vp.BailBranches() != 0 {
+			t.Fatalf("%d branches without a join:\n%s", vp.BailBranches(), vp.Disassemble())
+		}
+		var coords []int32
+		for pc := range vp.Code {
+			if in := &vp.Code[pc]; in.Op == OpWI && in.B == WIGlobalID {
+				coords = append(coords, in.A)
+			}
+		}
+		slices.Sort(coords)
+		for _, pc := range varyingBranches(vp) {
+			if vp.Code[pc].Op != OpJZBr || vp.joinPC[pc] != len(vp.Code)-1 {
+				continue
+			}
+			reg := vp.regions[pc]
+			if !slices.Equal(reg.inI, coords) || len(reg.inF) != 0 || len(reg.outI)+len(reg.outF) != 0 {
+				t.Fatalf("split at pc %d fills i%v f%v, scatters i%v f%v; want the coordinates i%v in and nothing out\n%s",
+					pc, reg.inI, reg.inF, reg.outI, reg.outF, coords, vp.Disassemble())
+			}
+			if len(reg.wrI) == 0 || len(reg.wrF) == 0 {
+				t.Fatalf("split at pc %d hands back nothing on a bail (wr i%v f%v)", pc, reg.wrI, reg.wrF)
+			}
+			return
+		}
+		t.Fatalf("no if/else-if split found:\n%s", vp.Disassemble())
+	})
 }
 
 // TestVecScalarization pins the uniform-scalarization analysis: a

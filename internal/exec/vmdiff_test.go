@@ -260,14 +260,19 @@ func TestVMDiffFaultProfiles(t *testing.T) {
 	}
 }
 
-// TestVecDivergenceBailParity pins the vector tier's scalarization
-// path: a data-dependent forward branch vectorizes statically (the
-// lanes are checked for agreement at runtime), so with mixed-sign data
-// some groups converge and run vectorized to completion while others
-// diverge mid-kernel and complete on the scalar VM. Buffers and
-// profiles must stay byte-identical to the closure tier either way.
+// TestVecDivergenceBailParity pins parity across the vector tier's two
+// answers to a data-dependent forward branch, which vectorizes
+// statically (the lanes are checked for agreement at runtime): with
+// mixed-sign data some groups converge and run vectorized to completion
+// while others diverge mid-kernel. The if/else with per-item stores
+// splits and re-forms (its constants are uniform registers written in
+// the region, dead at the join); its irreducible twin also stores
+// through a uniform index on both sides, so a diverging group has no
+// join and completes on the scalar VM — the only coverage scalar
+// completion gets now that no built-in reaches it. Buffers and profiles
+// must stay byte-identical to the closure tier either way.
 func TestVecDivergenceBailParity(t *testing.T) {
-	src := `kernel void k(global float* a, global float* out, int n) {
+	const reforms = `kernel void k(global float* a, global float* out, global float* last, int n) {
 		int i = get_global_id(0);
 		float x = a[i] * 0.5f;
 		if (x > 0.0f) {
@@ -276,48 +281,71 @@ func TestVecDivergenceBailParity(t *testing.T) {
 			out[i] = fabs(x) - 1.0f;
 		}
 	}`
-	cVe := compileTierSrc(t, src, "k", TierVec)
-	cCl := compileTierSrc(t, src, "k", TierClosure)
-	if cVe.Tier() != TierVec {
-		t.Fatalf("tier = %v, want vec", cVe.Tier())
-	}
-	const n = 256
+	const irreducible = `kernel void k(global float* a, global float* out, global float* last, int n) {
+		int i = get_global_id(0);
+		float x = a[i] * 0.5f;
+		if (x > 0.0f) {
+			out[i] = sqrt(x) + x * 3.0f;
+			last[get_group_id(0)] = x;
+		} else {
+			out[i] = fabs(x) - 1.0f;
+			last[get_group_id(0)] = -x;
+		}
+	}`
+	const n, local = 256, 16
 	fill := func(mode string) []Arg {
-		a, out := NewFloatBuffer(n), NewFloatBuffer(n)
+		a, out, last := NewFloatBuffer(n), NewFloatBuffer(n), NewFloatBuffer(n/local)
 		r := rand.New(rand.NewSource(7))
 		for i := range a.F {
 			switch mode {
 			case "uniform": // every lane takes the same side
 				a.F[i] = 1.5
 			case "grouped": // agreement within each 16-item group
-				a.F[i] = float32(1 - 2*((i/16)%2))
+				a.F[i] = float32(1 - 2*((i/local)%2))
 			default: // per-item signs: every group diverges
 				a.F[i] = r.Float32()*4 - 2
 			}
 		}
-		return []Arg{BufArg(a), BufArg(out), IntArg(n)}
+		return []Arg{BufArg(a), BufArg(out), BufArg(last), IntArg(n)}
 	}
-	nd := NDRange{Global: [3]int{n, 1, 1}, Local: [3]int{16, 1, 1}}
-	for _, mode := range []string{"uniform", "grouped", "mixed"} {
-		t.Run(mode, func(t *testing.T) {
-			argsVe, argsCl := fill(mode), fill(mode)
-			pVe, err := cVe.Run(argsVe, nd, RunOptions{})
-			if err != nil {
-				t.Fatalf("vec run: %v", err)
-			}
-			pCl, err := cCl.Run(argsCl, nd, RunOptions{})
-			if err != nil {
-				t.Fatalf("closure run: %v", err)
-			}
-			if !reflect.DeepEqual(argsVe[1].Buf.F, argsCl[1].Buf.F) {
-				t.Errorf("%s: output buffers differ between vec and closure", mode)
-			}
-			for b := range pCl.Buckets {
-				if pVe.Buckets[b] != pCl.Buckets[b] {
-					t.Errorf("%s bucket %d:\n  vec     %+v\n  closure %+v", mode, b, pVe.Buckets[b], pCl.Buckets[b])
+	nd := NDRange{Global: [3]int{n, 1, 1}, Local: [3]int{local, 1, 1}}
+	for _, k := range []struct {
+		prefix, src string
+		bails       bool
+	}{{"", reforms, false}, {"irreducible/", irreducible, true}} {
+		cVe := compileTierSrc(t, k.src, "k", TierVec)
+		cCl := compileTierSrc(t, k.src, "k", TierClosure)
+		if cVe.Tier() != TierVec {
+			t.Fatalf("tier = %v, want vec", cVe.Tier())
+		}
+		for _, mode := range []string{"uniform", "grouped", "mixed"} {
+			t.Run(k.prefix+mode, func(t *testing.T) {
+				argsVe, argsCl := fill(mode), fill(mode)
+				pVe, err := cVe.Run(argsVe, nd, RunOptions{})
+				if err != nil {
+					t.Fatalf("vec run: %v", err)
 				}
-			}
-		})
+				pCl, err := cCl.Run(argsCl, nd, RunOptions{})
+				if err != nil {
+					t.Fatalf("closure run: %v", err)
+				}
+				if diverges := mode == "mixed"; (pVe.VecDivergences > 0) != diverges ||
+					(pVe.VecScalarBails > 0) != (diverges && k.bails) {
+					t.Errorf("divergences=%d scalar bails=%d, want divergence: %v, scalar completion: %v",
+						pVe.VecDivergences, pVe.VecScalarBails, diverges, diverges && k.bails)
+				}
+				for _, b := range []int{1, 2} {
+					if !reflect.DeepEqual(argsVe[b].Buf.F, argsCl[b].Buf.F) {
+						t.Errorf("%s: buffer %d differs between vec and closure", mode, b)
+					}
+				}
+				for b := range pCl.Buckets {
+					if pVe.Buckets[b] != pCl.Buckets[b] {
+						t.Errorf("%s bucket %d:\n  vec     %+v\n  closure %+v", mode, b, pVe.Buckets[b], pCl.Buckets[b])
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -543,6 +571,105 @@ func TestVecDivergenceMaskedFaultOrder(t *testing.T) {
 	}
 	if errVe.Error() != errCl.Error() {
 		t.Errorf("in loop: fault messages differ:\n  vec     %v\n  closure %v", errVe, errCl)
+	}
+
+	// Side-private uniform temporaries: each side of the split first
+	// writes its own value of the uniform m, then the else side's odd
+	// items fault on a uniform index built from it — a scalarized load,
+	// so the index exists only in that side's private scalar slots. The
+	// bail must hand every lane its own side's values (the fault text
+	// names the index), and the canonical first fault is item 1's
+	// although its side ran second.
+	privSrc := `kernel void k(global float* a, global float* out, int n) {
+		int i = get_global_id(0);
+		float x = a[i];
+		int m = 0;
+		if (x > 0.0f) {
+			m = n - 1;
+			out[i] = a[m - i] * 2.0f;
+		} else {
+			m = n / 16;
+			out[i] = a[m - 2 * n] + x;
+		}
+	}`
+	cVe = compileTierSrc(t, privSrc, "k", TierVec)
+	cCl = compileTierSrc(t, privSrc, "k", TierClosure)
+	_, errVe = cVe.Run(mk(), nd, RunOptions{Workers: 1})
+	_, errCl = cCl.Run(mk(), nd, RunOptions{Workers: 1})
+	if errVe == nil || errCl == nil {
+		t.Fatalf("side-private: want faults on both tiers, got vec=%v closure=%v", errVe, errCl)
+	}
+	if errVe.Error() != errCl.Error() {
+		t.Errorf("side-private: fault messages differ:\n  vec     %v\n  closure %v", errVe, errCl)
+	}
+}
+
+// TestVecDivergenceBailSidePrivate: a bail from inside nested splits
+// whose regions have written uniform temporaries completes on the
+// scalar VM with every lane's own values of them. m is private to the
+// sides of the outer branch and k to the sides of the middle one (both
+// dead at those joins); the innermost branch has no join (k is live
+// after it), so a group whose lanes disagree there stops two splits
+// deep with three different (m, k) pairs among its lanes. No lane
+// faults, so the whole launch is comparable with the oracle.
+func TestVecDivergenceBailSidePrivate(t *testing.T) {
+	src := `kernel void k(global float* a, global float* out, int n) {
+		int i = get_global_id(0);
+		float x = a[i];
+		int m = 0;
+		float r = 0.0f;
+		if (x > 0.0f) {
+			m = n - 1;
+			if (x > 1.0f) {
+				int k = m - 2;
+				if (x > 2.0f) {
+					k = k - 5;
+				}
+				r = a[k - i % 4];
+			} else {
+				int k = m / 2;
+				r = a[k + i % 4] * 0.5f;
+			}
+			r = r + (float)m;
+		} else {
+			m = n / 8;
+			r = (float)(m * i);
+		}
+		out[i] = r;
+	}`
+	cVe := compileTierSrc(t, src, "k", TierVec)
+	cCl := compileTierSrc(t, src, "k", TierClosure)
+	if cVe.Tier() != TierVec {
+		t.Fatalf("tier = %v, want vec", cVe.Tier())
+	}
+	const n = 64
+	mk := func() []Arg {
+		a, out := NewFloatBuffer(n), NewFloatBuffer(n)
+		for i := range a.F {
+			a.F[i] = float32(i%5) - 0.5 // -0.5 .. 3.5: every branch splits every group
+		}
+		return []Arg{BufArg(a), BufArg(out), IntArg(n)}
+	}
+	nd := NDRange{Global: [3]int{n, 1, 1}, Local: [3]int{16, 1, 1}}
+	argsVe, argsCl := mk(), mk()
+	pVe, err := cVe.Run(argsVe, nd, RunOptions{})
+	if err != nil {
+		t.Fatalf("vec run: %v", err)
+	}
+	pCl, err := cCl.Run(argsCl, nd, RunOptions{})
+	if err != nil {
+		t.Fatalf("closure run: %v", err)
+	}
+	if pVe.VecScalarBails != n/16 {
+		t.Errorf("scalar bails = %d, want every group (%d) to stop at the innermost branch", pVe.VecScalarBails, n/16)
+	}
+	if !reflect.DeepEqual(argsVe[1].Buf.F, argsCl[1].Buf.F) {
+		t.Errorf("output buffers differ between vec and closure:\n  vec     %v\n  closure %v", argsVe[1].Buf.F, argsCl[1].Buf.F)
+	}
+	for b := range pCl.Buckets {
+		if pVe.Buckets[b] != pCl.Buckets[b] {
+			t.Errorf("bucket %d:\n  vec     %+v\n  closure %+v", b, pVe.Buckets[b], pCl.Buckets[b])
+		}
 	}
 }
 

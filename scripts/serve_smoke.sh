@@ -83,6 +83,7 @@ div_src='kernel void diverge(global float* a, global float* out, int n) { int i 
 curl -fsS -X POST -H 'Content-Type: application/json' \
   -d "{\"name\":\"divergent\",\"source\":\"$div_src\"}" "$base/kernels" | tee "$work/divkernel.json"
 grep -q '"tier": "vec"' "$work/divkernel.json"
+grep -q '"vecBailBranches": 0' "$work/divkernel.json"
 curl -fsS -X POST "$base/execute?program=public/divergent&size=0" >/dev/null
 curl -fsS "$base/stats" | tee "$work/stats-vec.json"
 grep -q '"vecDivergences"' "$work/stats-vec.json"

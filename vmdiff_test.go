@@ -239,6 +239,51 @@ func TestVMDifferentialSuite(t *testing.T) {
 	}
 }
 
+// TestVecNoScalarBails is the floor under the vector tier's divergence
+// handling: every varying branch of every vectorized built-in has a
+// join, and at size indices 0-2, full range and chunked, every lane
+// disagreement re-forms there — no group leaves the tier for scalar
+// completion. A new bail here is a
+// performance regression the differential suites cannot see (the scalar
+// completion is byte-identical by construction).
+func TestVecNoScalarBails(t *testing.T) {
+	for _, p := range bench.All() {
+		if !vecExpected[p.Name] {
+			continue
+		}
+		p := p
+		t.Run(p.Name, func(t *testing.T) {
+			t.Parallel()
+			_, _, atc := compileBothTiers(t, p.Name, p.Source, p.Kernel)
+			if n := atc.Vec().BailBranches(); n != 0 {
+				t.Fatalf("%s: %d varying branches without a join:\n%s", p.Name, n, atc.Vec().Disassemble())
+			}
+			for sz := 0; sz <= 2 && sz < len(p.Sizes); sz++ {
+				for _, chunked := range []bool{false, true} {
+					inst, err := p.Instance(sz)
+					if err != nil {
+						t.Fatal(err)
+					}
+					spans := [][2]int{{0, 0}}
+					if chunked {
+						spans = chunks(inst.ND)
+					}
+					for it := 0; it < max(p.Iterations, 1); it++ {
+						for _, ch := range spans {
+							ctx := fmt.Sprintf("%s size %d chunk %v iter %d", p.Name, sz, ch, it)
+							prof := runTier(t, ctx, atc, inst.Args, inst.ND, 1, exec.RunOptions{Lo: ch[0], Hi: ch[1]})[0]
+							if prof.VecScalarBails != 0 || prof.VecReconverges != prof.VecDivergences {
+								t.Fatalf("%s: %d divergences, %d re-formed, %d scalar bails; want every split to re-form",
+									ctx, prof.VecDivergences, prof.VecReconverges, prof.VecScalarBails)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestVMDifferentialBarrierTiers reruns the barrier kernels of the suite
 // on one host worker and on several: each tier's barrier strategy (the
 // closure tree's blocking item pool, the VM's suspend-resume rounds, the
