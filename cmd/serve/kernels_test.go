@@ -396,3 +396,31 @@ func assertBudgetBody(t *testing.T, body []byte, code string) {
 		t.Fatalf("budget payload missing limit: %s", body)
 	}
 }
+
+// TestStatsSplitsExecutionsByVerifier: /stats shows, beside each shard's
+// executions, which check answered them — the cell's first execution goes
+// to the Go reference, a repeat matches the outputs it stored.
+func TestStatsSplitsExecutionsByVerifier(t *testing.T) {
+	s := newServer(t, nil)
+	for i := 0; i < 3; i++ {
+		w := doReq(t, s, http.MethodPost, "/execute?program=vecadd&size=0", nil)
+		var ex engine.Execution
+		if err := json.Unmarshal(w.Body.Bytes(), &ex); err != nil || w.Code != http.StatusOK || !ex.Verified {
+			t.Fatalf("execute %d = %d (%v): %s", i, w.Code, err, w.Body.String())
+		}
+	}
+	var stats struct {
+		Shards []struct {
+			Engine map[string]any `json:"engine"`
+		} `json:"shards"`
+	}
+	w := doReq(t, s, http.MethodGet, "/stats", nil)
+	if err := json.Unmarshal(w.Body.Bytes(), &stats); err != nil || len(stats.Shards) != 1 {
+		t.Fatalf("/stats (%v): %s", err, w.Body.String())
+	}
+	for field, want := range map[string]float64{"executions": 3, "verifiedByMatch": 2, "verifiedByReference": 1} {
+		if got := stats.Shards[0].Engine[field]; got != want {
+			t.Errorf("/stats engine.%s = %v, want %v", field, got, want)
+		}
+	}
+}

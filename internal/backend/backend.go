@@ -14,6 +14,7 @@ package backend
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/exec"
 	"repro/internal/inspire"
@@ -92,33 +93,9 @@ func Analyze(fn *inspire.Function) (*Plan, error) {
 	}
 
 	env := inspire.BuildAffineEnv(fn)
-	inspire.WalkStmts(fn.Body, func(s inspire.Stmt) bool {
-		if se, ok := s.(*inspire.StoreElem); ok {
-			if u := usageByVar[se.Buf]; u != nil {
-				pat := inspire.ClassifyIndexEnv(se.Index, env)
-				if !u.Written {
-					u.WritePattern = pat
-				} else {
-					u.WritePattern = worse(u.WritePattern, pat)
-				}
-				u.Written = true
-			}
-		}
-		return true
-	})
-	inspire.WalkExprs(fn.Body, func(e inspire.Expr) {
-		if ld, ok := e.(*inspire.Load); ok {
-			if u := usageByVar[ld.Buf]; u != nil {
-				pat := inspire.ClassifyIndexEnv(ld.Index, env)
-				if !u.Read {
-					u.ReadPattern = pat
-				} else {
-					u.ReadPattern = worse(u.ReadPattern, pat)
-				}
-				u.Read = true
-			}
-		}
-	})
+	noteAccesses(fn.Body, usageByVar, func(idx inspire.Expr) inspire.AccessPattern {
+		return inspire.ClassifyIndexEnv(idx, env)
+	}, nil)
 
 	for _, p := range fn.Params {
 		if u := usageByVar[p]; u != nil {
@@ -138,6 +115,57 @@ func Analyze(fn *inspire.Function) (*Plan, error) {
 
 	pl.Mix = MixOf(pl.Static)
 	return pl, nil
+}
+
+// noteAccesses records every load and store of body against the usage of
+// the buffer it goes through, following buffers into the helpers they are
+// passed to: a buffer only a helper touches is read or written all the
+// same and its transfers must be priced. classify gives an access's
+// pattern from its index; inside a helper the index is in the callee's
+// variables, which the kernel's affine environment does not describe, so
+// accesses there count as unclassifiable (the buffer is replicated).
+// inline is the chain of helpers being followed, the recursion guard.
+func noteAccesses(body *inspire.Block, usage map[*inspire.Var]*BufferUsage,
+	classify func(inspire.Expr) inspire.AccessPattern, inline []*inspire.Function) {
+	inspire.WalkStmts(body, func(s inspire.Stmt) bool {
+		if se, ok := s.(*inspire.StoreElem); ok {
+			if u := usage[se.Buf]; u != nil {
+				pat := classify(se.Index)
+				if u.Written {
+					pat = worse(u.WritePattern, pat)
+				}
+				u.WritePattern, u.Written = pat, true
+			}
+		}
+		return true
+	})
+	inspire.WalkExprs(body, func(e inspire.Expr) {
+		switch ex := e.(type) {
+		case *inspire.Load:
+			if u := usage[ex.Buf]; u != nil {
+				pat := classify(ex.Index)
+				if u.Read {
+					pat = worse(u.ReadPattern, pat)
+				}
+				u.ReadPattern, u.Read = pat, true
+			}
+		case *inspire.CallFunc:
+			if slices.Contains(inline, ex.Callee) {
+				return
+			}
+			passed := map[*inspire.Var]*BufferUsage{}
+			for i, a := range ex.Args {
+				if vr, ok := a.(*inspire.VarRef); ok && usage[vr.Var] != nil {
+					passed[ex.Callee.Params[i]] = usage[vr.Var]
+				}
+			}
+			if len(passed) > 0 {
+				noteAccesses(ex.Callee.Body, passed, func(inspire.Expr) inspire.AccessPattern {
+					return inspire.AccessUnknown
+				}, append(inline, ex.Callee))
+			}
+		}
+	})
 }
 
 // MixOf converts a static access histogram into the simulator's mix.

@@ -263,3 +263,49 @@ func TestDeviceWorksIntoMatchesDeviceWorks(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalyzeFollowsHelpers: a buffer that only a helper reads or writes
+// is still read or written by the kernel, so the transfer plan must price
+// its copy-in and copy-back; what the kernel passes on through a second
+// helper counts too, and a buffer no helper touches stays untouched.
+func TestAnalyzeFollowsHelpers(t *testing.T) {
+	pl := planFor(t, `float peek(global const float* p, int i) { return p[i]; }
+	float poke(global float* p, int i, float v) { p[i] = v; return v; }
+	float relay(global float* p, int i, float v) { return poke(p, i, v); }
+	kernel void k(global const float* a, global float* w, global float* rw,
+		global float* via, global float* idle, global float* direct, int n) {
+		int i = get_global_id(0);
+		float v = peek(a, i) + peek(rw, i);
+		v = poke(w, i, v) + poke(rw, i, v) + relay(via, i, v);
+		direct[i] = v;
+	}`, "k")
+	for _, want := range []struct {
+		name                      string
+		read, written, splittable bool
+	}{
+		{"a", true, false, false},
+		{"w", false, true, false},
+		{"rw", true, true, false},
+		{"via", false, true, false},
+		{"idle", false, false, true},
+		{"direct", false, true, true},
+	} {
+		u := usage(t, pl, want.name)
+		if u.Read != want.read || u.Written != want.written || u.Splittable != want.splittable {
+			t.Errorf("%s: read=%v written=%v splittable=%v, want %v %v %v",
+				want.name, u.Read, u.Written, u.Splittable, want.read, want.written, want.splittable)
+		}
+	}
+	// The priced transfers follow: every helper-touched buffer moves whole.
+	const n = 1024
+	args := make([]exec.Arg, 7)
+	for i := 0; i < 6; i++ {
+		args[i] = exec.BufArg(exec.NewFloatBuffer(n))
+	}
+	args[6] = exec.IntArg(n)
+	in, out := pl.TransferBytes(args, n, 0, n/2)
+	// in: a, rw whole; w, via whole (written, replicated, not read). out: w, rw, via whole + half of direct.
+	if wantIn, wantOut := int64(4*n*4), int64(3*n*4+n*4/2); in != wantIn || out != wantOut {
+		t.Errorf("TransferBytes = (%d, %d), want (%d, %d)", in, out, wantIn, wantOut)
+	}
+}

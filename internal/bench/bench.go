@@ -34,8 +34,11 @@ type Size struct {
 }
 
 // Instance is one runnable configuration of a program: arguments bound to
-// freshly initialized buffers plus the launch geometry. Extra holds
-// verification snapshots (e.g. pre-execution copies of in-place buffers).
+// initialized buffers plus the launch geometry. Extra holds verification
+// snapshots (e.g. pre-execution copies of in-place buffers), which a
+// verifier only reads. Args need not be the buffers the setup allocated:
+// the serving engine verifies executions that ran on its own copies of
+// the written buffers and the setup's buffers for the rest.
 type Instance struct {
 	Args  []exec.Arg
 	ND    exec.NDRange
@@ -81,6 +84,9 @@ func (p *Program) compile() error {
 		return fmt.Errorf("bench %s: %w", p.Name, err)
 	}
 	inspire.Optimize(u)
+	if err := inspire.Verify(u); err != nil {
+		return fmt.Errorf("bench %s: IR verification: %w", p.Name, err)
+	}
 	k := u.Kernel(p.Kernel)
 	if k == nil {
 		return fmt.Errorf("bench %s: kernel %q not found", p.Name, p.Kernel)
@@ -95,6 +101,18 @@ func (p *Program) compile() error {
 	}
 	p.unit, p.compiled, p.plan = u, comp, plan
 	return nil
+}
+
+// Compiled returns the program's lowered unit, its executable kernel and
+// its multi-device plan. They are built on first use and kept for the
+// life of the process, so every caller — the training sweep's launches
+// (Build) and every serving engine's registry — runs the same
+// *exec.Compiled and shares the group runners parked on it.
+func (p *Program) Compiled() (*inspire.Unit, *exec.Compiled, *backend.Plan, error) {
+	if err := p.compile(); err != nil {
+		return nil, nil, nil, err
+	}
+	return p.unit, p.compiled, p.plan, nil
 }
 
 // Static returns the kernel's static analysis counts.

@@ -36,6 +36,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/features"
 	"repro/internal/harness"
+	"repro/internal/inspire"
 	"repro/internal/ml"
 	"repro/internal/obs"
 	"repro/internal/partition"
@@ -113,6 +114,10 @@ type Options struct {
 	// channel before processing each dequeued observation, so tests can
 	// hold the durable append back and prove Execute never waits on it.
 	obsGate chan struct{}
+	// afterKernel, when set (tests only), sees an execution's arguments
+	// between the kernel and the output check, so tests can corrupt or
+	// inspect what the check is about to read.
+	afterKernel func(args []exec.Arg)
 }
 
 // DefaultObsQueue is the observation ring capacity when Options leaves
@@ -190,11 +195,14 @@ type featureKey struct {
 
 // featureEntry caches the result of runtime feature collection: the
 // combined feature vector, the profile it came from, and the launch the
-// profile was collected on (reused to price candidate partitionings).
+// profile was collected on (reused to price candidate partitionings). The
+// instance that launch ran on is the template every execution of the cell
+// is cut from and checked against (instance.go).
 type featureEntry struct {
 	fv     features.Vector
 	prof   *exec.Profile
 	launch runtime.Launch
+	tmpl   *template
 }
 
 // engineCounters are the engine's monotonically increasing stats.
@@ -202,6 +210,8 @@ type engineCounters struct {
 	predictRequests atomic.Uint64
 	executeRequests atomic.Uint64
 	executions      atomic.Uint64
+	verifiedByMatch atomic.Uint64
+	verifiedByRef   atomic.Uint64
 	compiles        atomic.Uint64
 	featureComputes atomic.Uint64
 	trainings       atomic.Uint64
@@ -232,20 +242,28 @@ type engineCounters struct {
 // Stats is a point-in-time snapshot of the engine's counters and cache
 // sizes. Warmness is visible here: a warm engine serves repeat requests
 // without Compiles, FeatureComputes, Trainings or ArtifactLoads moving.
+// (Compiles counts fills of this engine's program registry; a built-in's
+// kernel is compiled once per process, by whichever engine asks first.)
 type Stats struct {
-	Platform           string `json:"platform"`
-	PredictRequests    uint64 `json:"predictRequests"`
-	ExecuteRequests    uint64 `json:"executeRequests"`
-	Executions         uint64 `json:"executions"`
-	Compiles           uint64 `json:"compiles"`
-	FeatureComputes    uint64 `json:"featureComputes"`
-	Trainings          uint64 `json:"trainings"`
-	ArtifactLoads      uint64 `json:"artifactLoads"`
-	ArtifactSaveFails  uint64 `json:"artifactSaveFailures"`
-	ClampedPredictions uint64 `json:"clampedPredictions"`
-	CachedPrograms     int    `json:"cachedPrograms"`
-	CachedModels       int    `json:"cachedModels"`
-	CachedFeatures     int    `json:"cachedFeatures"`
+	Platform        string `json:"platform"`
+	PredictRequests uint64 `json:"predictRequests"`
+	ExecuteRequests uint64 `json:"executeRequests"`
+	Executions      uint64 `json:"executions"`
+	// VerifiedByMatch and VerifiedByReference split Executions by what
+	// checked the outputs: a bit-for-bit match with the cell's stored,
+	// reference-checked outputs, or the program's Go reference itself
+	// (each cell's first execution, and any that did not match).
+	VerifiedByMatch     uint64 `json:"verifiedByMatch"`
+	VerifiedByReference uint64 `json:"verifiedByReference"`
+	Compiles            uint64 `json:"compiles"`
+	FeatureComputes     uint64 `json:"featureComputes"`
+	Trainings           uint64 `json:"trainings"`
+	ArtifactLoads       uint64 `json:"artifactLoads"`
+	ArtifactSaveFails   uint64 `json:"artifactSaveFailures"`
+	ClampedPredictions  uint64 `json:"clampedPredictions"`
+	CachedPrograms      int    `json:"cachedPrograms"`
+	CachedModels        int    `json:"cachedModels"`
+	CachedFeatures      int    `json:"cachedFeatures"`
 
 	// Adaptive-loop counters (all zero when no observation log is
 	// configured). Observations counts records the background flusher has
@@ -343,19 +361,21 @@ func (e *Engine) Framework() *core.Framework { return e.fw }
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats {
 	return Stats{
-		Platform:           e.opts.Platform,
-		PredictRequests:    e.stats.predictRequests.Load(),
-		ExecuteRequests:    e.stats.executeRequests.Load(),
-		Executions:         e.stats.executions.Load(),
-		Compiles:           e.stats.compiles.Load(),
-		FeatureComputes:    e.stats.featureComputes.Load(),
-		Trainings:          e.stats.trainings.Load(),
-		ArtifactLoads:      e.stats.artifactLoads.Load(),
-		ArtifactSaveFails:  e.stats.saveFailures.Load(),
-		ClampedPredictions: e.stats.clamped.Load(),
-		CachedPrograms:     e.programs.Len(),
-		CachedModels:       e.models.Len(),
-		CachedFeatures:     e.features.Len(),
+		Platform:            e.opts.Platform,
+		PredictRequests:     e.stats.predictRequests.Load(),
+		ExecuteRequests:     e.stats.executeRequests.Load(),
+		Executions:          e.stats.executions.Load(),
+		VerifiedByMatch:     e.stats.verifiedByMatch.Load(),
+		VerifiedByReference: e.stats.verifiedByRef.Load(),
+		Compiles:            e.stats.compiles.Load(),
+		FeatureComputes:     e.stats.featureComputes.Load(),
+		Trainings:           e.stats.trainings.Load(),
+		ArtifactLoads:       e.stats.artifactLoads.Load(),
+		ArtifactSaveFails:   e.stats.saveFailures.Load(),
+		ClampedPredictions:  e.stats.clamped.Load(),
+		CachedPrograms:      e.programs.Len(),
+		CachedModels:        e.models.Len(),
+		CachedFeatures:      e.features.Len(),
 
 		Observations:        e.stats.observations.Load(),
 		ObservationsLabeled: e.stats.observedLabeled.Load(),
@@ -459,13 +479,34 @@ func (e *Engine) program(name string) (*programEntry, error) {
 		return nil, err
 	}
 	return e.programs.Do(name, func() (*programEntry, error) {
-		cp, err := core.CompileSource(bp.Name, bp.Source, bp.Kernel)
+		cp, err := compileProgram(bp)
 		if err != nil {
 			return nil, err
 		}
 		e.stats.compiles.Add(1)
 		return &programEntry{bench: bp, prog: cp}, nil
 	})
+}
+
+// compileProgram builds a registry entry's compiled program. An uploaded
+// kernel is compiled from its stored source each time the registry needs
+// it, so eviction really frees it. A built-in's kernel is the one its
+// bench.Program compiles once per process: the shards of a fleet then run
+// one *exec.Compiled per program, not one each, and what is parked on it
+// between launches (exec's idle group runners) exists once.
+func compileProgram(bp *bench.Program) (*core.Program, error) {
+	if isUserKernel(bp.Name) {
+		return core.CompileSource(bp.Name, bp.Source, bp.Kernel)
+	}
+	unit, comp, plan, err := bp.Compiled()
+	if err != nil {
+		return nil, err
+	}
+	return &core.Program{
+		Name: bp.Name, Kernel: bp.Kernel,
+		Unit: unit, Compiled: comp, Plan: plan,
+		Static: inspire.Analyze(unit.Kernel(bp.Kernel)),
+	}, nil
 }
 
 // featuresFor resolves the feature/profile cache entry for (program,
@@ -483,9 +524,10 @@ func (e *Engine) featuresFor(ctx context.Context, pe *programEntry, sizeIdx int)
 		if err != nil {
 			return nil, err
 		}
+		tmpl := newTemplate(pe.prog.Compiled.Fn, pe.bench, sizeIdx, inst)
 		budget, cancel := e.budgetFor(ctx)
 		defer cancel()
-		if err := budget.ChargeMem(instanceBytes(inst)); err != nil {
+		if err := budget.ChargeMem(tmpl.bytes); err != nil {
 			return nil, err
 		}
 		spec := core.LaunchSpec{Args: inst.Args, ND: inst.ND, Iterations: pe.bench.Iterations, Budget: budget}
@@ -495,7 +537,7 @@ func (e *Engine) featuresFor(ctx context.Context, pe *programEntry, sizeIdx int)
 		}
 		prof.Precompute()
 		e.stats.featureComputes.Add(1)
-		return &featureEntry{fv: fv, prof: prof, launch: e.launch(pe, inst)}, nil
+		return &featureEntry{fv: fv, prof: prof, launch: e.launch(pe, inst), tmpl: tmpl}, nil
 	})
 }
 
@@ -508,20 +550,6 @@ func (e *Engine) budgetFor(ctx context.Context) (*exec.Budget, context.CancelFun
 		ctx, cancel = context.WithTimeout(ctx, e.opts.ExecTimeout)
 	}
 	return exec.NewBudget(ctx, e.opts.MaxSteps, e.opts.MaxMemBytes), cancel
-}
-
-// instanceBytes is the memory-budget charge for one instance: the bytes
-// of every global buffer the setup allocated for the request. (Local
-// buffers are charged inside exec at their true per-worker allocation
-// sites.)
-func instanceBytes(inst *bench.Instance) int64 {
-	var n int64
-	for _, a := range inst.Args {
-		if a.Buf != nil {
-			n += a.Buf.Bytes()
-		}
-	}
-	return n
 }
 
 // noteBudgetAbort classifies a request error into the per-kind budget
@@ -719,28 +747,30 @@ func (e *Engine) Predict(req Request) (*Prediction, error) {
 // unspecified state.
 func (e *Engine) PredictInto(req Request, p *Prediction) error {
 	e.stats.predictRequests.Add(1)
-	if err := e.predictInto(context.Background(), req, p); err != nil {
+	if _, _, err := e.predictInto(context.Background(), req, p); err != nil {
 		e.noteBudgetAbort(err)
 		return err
 	}
 	return nil
 }
 
-func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction) error {
+// predictInto fills *p and returns the cache entries the prediction was
+// made from, which an execution goes on to run.
+func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction) (*programEntry, *featureEntry, error) {
 	pe, err := e.program(req.Program)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	sz := req.SizeIdx
 	if sz < 0 {
 		sz = pe.bench.DefaultSize
 	}
 	if sz >= len(pe.bench.Sizes) {
-		return fmt.Errorf("engine: %s has %d sizes, requested index %d", req.Program, len(pe.bench.Sizes), sz)
+		return nil, nil, fmt.Errorf("engine: %s has %d sizes, requested index %d", req.Program, len(pe.bench.Sizes), sz)
 	}
 	fe, err := e.featuresFor(ctx, pe, sz)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	leftOut := ""
 	if req.LeaveOut {
@@ -748,7 +778,7 @@ func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction) er
 	}
 	ver, err := e.resolveModel(leftOut)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	art := ver.art
 	// The artifact's recorded feature schema must be exactly the schema
@@ -756,11 +786,11 @@ func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction) er
 	// per-position statistics would apply to the wrong features.
 	if len(art.FeatureNames) > 0 {
 		if len(art.FeatureNames) != len(fe.fv.Names) {
-			return fmt.Errorf("engine: artifact expects %d features, program yields %d", len(art.FeatureNames), len(fe.fv.Names))
+			return nil, nil, fmt.Errorf("engine: artifact expects %d features, program yields %d", len(art.FeatureNames), len(fe.fv.Names))
 		}
 		for i, name := range art.FeatureNames {
 			if name != fe.fv.Names[i] {
-				return fmt.Errorf("engine: artifact feature %d is %q, this binary extracts %q", i, name, fe.fv.Names[i])
+				return nil, nil, fmt.Errorf("engine: artifact feature %d is %q, this binary extracts %q", i, name, fe.fv.Names[i])
 			}
 		}
 	}
@@ -776,7 +806,7 @@ func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction) er
 	// allocates per request.
 	predTime, err := e.fw.Runtime.PriceMakespan(fe.launch, fe.prof, e.fw.ClassPartition(served))
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 
 	*p = Prediction{
@@ -803,12 +833,17 @@ func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction) er
 			p.GPUOnlyTime = rec.GPUOnlyTime
 		}
 	}
-	return nil
+	return pe, fe, nil
 }
 
 // Execute answers one execution request: predict, then run the kernel
-// partitioned across the platform's devices on a fresh deterministic
-// instance, and verify the outputs against the Go reference. When an
+// partitioned across the platform's devices on the cell's deterministic
+// instance, and check the outputs. A warm call rebuilds none of that: the
+// read-only inputs are the ones the cell was profiled on, the buffers the
+// kernel may write are recycled and restored, and the outputs are compared
+// bit for bit with the cell's first outputs the Go reference accepted —
+// Verified is true only on a full match or when the reference itself,
+// which every mismatch falls back to, accepts them. When an
 // observation log is configured, every execution is recorded — the
 // closed loop's data collection — asynchronously: the request only
 // enqueues onto a bounded lock-free ring, and a background flusher does
@@ -840,23 +875,20 @@ func (e *Engine) Execute(ctx context.Context, req Request) (*Execution, error) {
 
 func (e *Engine) execute(ctx context.Context, req Request) (*Execution, error) {
 	var pred Prediction
-	if err := e.predictInto(ctx, req, &pred); err != nil {
-		return nil, err
-	}
-	pe, err := e.program(req.Program)
-	if err != nil {
-		return nil, err
-	}
-	inst, err := pe.bench.Instance(pred.SizeIdx)
+	pe, fe, err := e.predictInto(ctx, req, &pred)
 	if err != nil {
 		return nil, err
 	}
 	budget, cancel := e.budgetFor(ctx)
 	defer cancel()
-	if err := budget.ChargeMem(instanceBytes(inst)); err != nil {
+	if err := budget.ChargeMem(fe.tmpl.bytes); err != nil {
 		return nil, err
 	}
-	l := e.launch(pe, inst)
+	l := fe.launch
+	if l.Args, err = fe.tmpl.acquire(); err != nil {
+		return nil, err
+	}
+	defer fe.tmpl.release(l.Args)
 	l.Budget = budget
 	res, err := e.fw.Runtime.Execute(l, e.fw.ClassPartition(pred.Class))
 	if err != nil {
@@ -868,10 +900,19 @@ func (e *Engine) execute(ctx context.Context, req Request) (*Execution, error) {
 		e.stats.vecReconverges.Add(uint64(p.VecReconverges))
 		e.stats.vecScalarBails.Add(uint64(p.VecScalarBails))
 	}
+	if e.opts.afterKernel != nil {
+		e.opts.afterKernel(l.Args)
+	}
 	out := &Execution{Prediction: pred, Makespan: res.Makespan, Verified: true}
-	if err := pe.bench.Verify(inst, pred.SizeIdx); err != nil {
+	byMatch, err := fe.tmpl.check(l.Args)
+	if err != nil {
 		out.Verified = false
 		out.VerifyError = err.Error()
+	}
+	if byMatch {
+		e.stats.verifiedByMatch.Add(1)
+	} else {
+		e.stats.verifiedByRef.Add(1)
 	}
 	if e.opts.ObsLog != nil {
 		e.enqueueObservation(pe, out, res)

@@ -523,3 +523,40 @@ func TestEngineModelLoadFailureNotCached(t *testing.T) {
 		t.Fatalf("recovery stats: %+v", s)
 	}
 }
+
+// BenchmarkEngineExecuteWarm measures a warm /execute on one vec-tier
+// program and one the scalar VM still serves, the way the benchmark's
+// ladder counts engine.execute_allocs_per_op: predict, instance, kernel,
+// output check, and the observation's background labeling and append.
+// scripts/alloc_smoke.sh holds its allocs/op under a ceiling.
+func BenchmarkEngineExecuteWarm(b *testing.B) {
+	for _, prog := range []string{"vecadd", "spmv"} {
+		b.Run(prog, func(b *testing.B) {
+			opts, _ := adaptiveOpts(b)
+			eng, err := New(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close()
+			req := Request{Program: prog, SizeIdx: 1}
+			for i := 0; i < 2; i++ {
+				if _, err := eng.Execute(context.Background(), req); err != nil {
+					b.Fatal(err)
+				}
+			}
+			eng.FlushObservations()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				x, err := eng.Execute(context.Background(), req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !x.Verified {
+					b.Fatalf("verified:false: %s", x.VerifyError)
+				}
+				eng.FlushObservations()
+			}
+		})
+	}
+}

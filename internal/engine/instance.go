@@ -1,0 +1,265 @@
+package engine
+
+import (
+	"math"
+	"math/bits"
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/bench"
+	"repro/internal/exec"
+	"repro/internal/inspire"
+	"repro/internal/minicl"
+)
+
+// What a warm Execute reuses instead of rebuilding. Inputs are a pure
+// function of (program, size), and the feature cache already retains the
+// instance its profiling run executed on, so that instance is the
+// template every execution of the cell is cut from:
+//
+//   - buffers behind const-qualified parameters are shared read-only
+//     with every request (sema refuses any store through them);
+//   - every other global buffer is private to the request: drawn from a
+//     process-wide free list and restored to the contents a fresh
+//     instance gives it;
+//   - the template's own copies of those buffers are dead once the
+//     profile exists, so they hold the outputs of the first execution
+//     the Go reference accepted, and later executions are checked bit for
+//     bit against them (check).
+
+// template is the instance half of a featureEntry.
+type template struct {
+	bench   *bench.Program
+	sizeIdx int
+	// args and nd are the profiled instance's; bytes is what instanceBytes
+	// charges for it, and every request is charged: the whole instance,
+	// shared buffers included.
+	args  []exec.Arg
+	nd    exec.NDRange
+	bytes int64
+	// private lists the global buffer arguments a request gets its own
+	// copy of.
+	private []int
+
+	// The cell's first execution fills these in from one fresh instance
+	// (a cell that only ever predicts pays and keeps nothing): pristine[k]
+	// is what private[k] holds before any kernel ran, nil when that is all
+	// zero (every pure output), which clear restores; extra is the
+	// instance's verification snapshots.
+	prepare  sync.Once
+	prepErr  error
+	pristine []*exec.Buffer
+	extra    map[string]*exec.Buffer
+
+	// stored is set once the template's own private-side buffers hold
+	// reference-checked outputs; storeMu orders the one write that sets it.
+	storeMu sync.Mutex
+	stored  atomic.Bool
+}
+
+// newTemplate makes the instance a cell was profiled on its template.
+func newTemplate(kernel *inspire.Function, bp *bench.Program, sizeIdx int, inst *bench.Instance) *template {
+	t := &template{bench: bp, sizeIdx: sizeIdx, args: inst.Args, nd: inst.ND, bytes: instanceBytes(inst)}
+	for i, p := range kernel.Params {
+		if p.Type.Ptr && p.Type.Space == minicl.Global && !p.Type.Const {
+			t.private = append(t.private, i)
+		}
+	}
+	return t
+}
+
+// snapshot records what the private buffers hold before any kernel ran.
+// The profiling run has long overwritten the template's own, so a fresh
+// instance is built once and picked apart: a buffer that is not all zero
+// is kept as the snapshot — or dropped for the setup's own verification
+// snapshot of it, when it took one (an in-place program's Extra holds
+// exactly that) — and the rest of the instance goes to the collector.
+func (t *template) snapshot() {
+	fresh, err := t.bench.Instance(t.sizeIdx)
+	if err != nil {
+		t.prepErr = err
+		return
+	}
+	t.extra = fresh.Extra
+	t.pristine = make([]*exec.Buffer, len(t.private))
+	for k, arg := range t.private {
+		b := fresh.Args[arg].Buf
+		if allZero(b) {
+			continue
+		}
+		t.pristine[k] = b
+		for _, x := range fresh.Extra {
+			if x != b && x.SameBits(b) {
+				t.pristine[k] = x
+				break
+			}
+		}
+	}
+}
+
+func allZero(b *exec.Buffer) bool {
+	for _, v := range b.F {
+		if math.Float32bits(v) != 0 { // -0.0 is not what clear restores
+			return false
+		}
+	}
+	for _, v := range b.I {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// acquire builds one request's arguments: the template's, with each
+// private buffer replaced by one from the free list holding its pristine
+// contents. release must follow, whatever became of the request.
+func (t *template) acquire() ([]exec.Arg, error) {
+	t.prepare.Do(t.snapshot)
+	if t.prepErr != nil {
+		return nil, t.prepErr
+	}
+	args := make([]exec.Arg, len(t.args))
+	copy(args, t.args)
+	for k, arg := range t.private {
+		own := t.args[arg].Buf
+		b := requestBuffers.get(own.Kind, own.Len())
+		if p := t.pristine[k]; p != nil {
+			copy(b.F, p.F)
+			copy(b.I, p.I)
+		} else {
+			clear(b.F)
+			clear(b.I)
+		}
+		args[arg].Buf = b
+	}
+	return args, nil
+}
+
+// release returns a request's private buffers to the free list. Their
+// contents go with them; the next acquire overwrites every element.
+func (t *template) release(args []exec.Arg) {
+	for _, arg := range t.private {
+		requestBuffers.put(args[arg].Buf)
+	}
+}
+
+// check decides whether an execution's outputs are right. Once the
+// template stores reference-checked outputs, a bit-for-bit match with
+// them answers; anything else — no stored outputs yet, a partitioning
+// that rounds differently, a tier bug, a corrupted buffer — goes to the
+// program's Go reference, whose error (if any) is returned. The first
+// execution the reference accepts becomes the stored outputs.
+func (t *template) check(args []exec.Arg) (byMatch bool, err error) {
+	if t.stored.Load() && t.matches(args) {
+		return true, nil
+	}
+	inst := bench.Instance{Args: args, ND: t.nd, Extra: t.extra}
+	if err := t.bench.Verify(&inst, t.sizeIdx); err != nil {
+		return false, err
+	}
+	t.storeMu.Lock()
+	if !t.stored.Load() {
+		for _, arg := range t.private {
+			own, b := t.args[arg].Buf, args[arg].Buf
+			copy(own.F, b.F)
+			copy(own.I, b.I)
+		}
+		t.stored.Store(true)
+	}
+	t.storeMu.Unlock()
+	return false, nil
+}
+
+func (t *template) matches(args []exec.Arg) bool {
+	for _, arg := range t.private {
+		if !t.args[arg].Buf.SameBits(args[arg].Buf) {
+			return false
+		}
+	}
+	return true
+}
+
+// instanceBytes is the memory-budget charge for one instance: the bytes
+// of every global buffer its setup allocated. (Local buffers are charged
+// inside exec, per worker.)
+func instanceBytes(inst *bench.Instance) int64 {
+	var n int64
+	for _, a := range inst.Args {
+		if a.Buf != nil {
+			n += a.Buf.Bytes()
+		}
+	}
+	return n
+}
+
+// requestBuffers is the one free list every cell of every engine in the
+// process draws its requests' private buffers from.
+var requestBuffers bufferList
+
+// maxPerClass caps each size class of the free list: enough for the
+// requests in flight on a few cores, and a bound on what the list can pin
+// (a class holds buffers under twice its smallest).
+const maxPerClass = 4
+
+// bufferList is a free list of buffers in power-of-two size classes per
+// element kind: class k holds capacities in [2^k, 2^(k+1)). Buffers come
+// back with whatever their last user left in them.
+type bufferList struct {
+	mu      sync.Mutex
+	classes [2][bits.UintSize][]*exec.Buffer // [float, int][class]
+}
+
+func kindIndex(kind minicl.BasicKind) int {
+	if kind == minicl.Float {
+		return 0
+	}
+	return 1
+}
+
+func capOf(b *exec.Buffer) int { return cap(b.F) + cap(b.I) }
+
+// get returns a buffer of n elements of kind: the first listed one of n's
+// class that is large enough, else any of the next class up, else new.
+func (l *bufferList) get(kind minicl.BasicKind, n int) *exec.Buffer {
+	if n > 0 {
+		ki, k := kindIndex(kind), bits.Len(uint(n))-1
+		l.mu.Lock()
+		for c := k; c <= k+1 && c < len(l.classes[ki]); c++ {
+			list := l.classes[ki][c]
+			for i, b := range list {
+				if capOf(b) < n {
+					continue
+				}
+				l.classes[ki][c] = slices.Delete(list, i, i+1)
+				l.mu.Unlock()
+				if kind == minicl.Float {
+					b.F = b.F[:n]
+				} else {
+					b.I = b.I[:n]
+				}
+				return b
+			}
+		}
+		l.mu.Unlock()
+	}
+	if kind == minicl.Float {
+		return exec.NewFloatBuffer(n)
+	}
+	return exec.NewIntBuffer(n)
+}
+
+// put lists b for reuse, or drops it when its class is full.
+func (l *bufferList) put(b *exec.Buffer) {
+	c := capOf(b)
+	if c == 0 {
+		return
+	}
+	ki, k := kindIndex(b.Kind), bits.Len(uint(c))-1
+	l.mu.Lock()
+	if len(l.classes[ki][k]) < maxPerClass {
+		l.classes[ki][k] = append(l.classes[ki][k], b)
+	}
+	l.mu.Unlock()
+}

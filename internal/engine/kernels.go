@@ -240,10 +240,14 @@ func (e *Engine) userBench(qname string) (*bench.Program, error) {
 	return uk.bench, nil
 }
 
-// benchFor routes a program name: qualified names (containing "/") are
-// user kernels, everything else the built-in suite.
+// isUserKernel reports whether a program name is a qualified
+// "tenant/name": no built-in's name contains a "/".
+func isUserKernel(name string) bool { return strings.Contains(name, "/") }
+
+// benchFor routes a program name: qualified names are user kernels,
+// everything else the built-in suite.
 func (e *Engine) benchFor(name string) (*bench.Program, error) {
-	if strings.Contains(name, "/") {
+	if isUserKernel(name) {
 		return e.userBench(name)
 	}
 	return bench.Get(name)

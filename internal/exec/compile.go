@@ -112,6 +112,10 @@ type Compiled struct {
 	// vecErr records why vectorization was skipped under TierAuto.
 	vecProg *vm.VecFunc
 	vecErr  error
+
+	// runners parks the bytecode tiers' finished group runners between
+	// launches (see run.go).
+	runners runnerPool
 }
 
 // HasBarrier reports whether the kernel (including helpers) executes

@@ -17,8 +17,10 @@
 package exec
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"repro/internal/minicl"
 )
@@ -63,6 +65,24 @@ func (b *Buffer) Clone() *Buffer {
 		nb.I = append([]int32(nil), b.I...)
 	}
 	return nb
+}
+
+// SameBits reports whether o holds the same kind and number of elements
+// with the same bit patterns: a NaN equals only a NaN with its payload,
+// and 0.0 differs from -0.0. The elements are compared as bytes, at
+// memory speed.
+func (b *Buffer) SameBits(o *Buffer) bool {
+	return b.Kind == o.Kind &&
+		bytes.Equal(viewBytes(b.F), viewBytes(o.F)) &&
+		bytes.Equal(viewBytes(b.I), viewBytes(o.I))
+}
+
+// viewBytes aliases a slice of 4-byte elements as bytes.
+func viewBytes[T float32 | int32](s []T) []byte {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 4*len(s))
 }
 
 // Arg is one kernel argument. For pointer parameters set Buf (global) or

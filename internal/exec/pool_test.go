@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"context"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -235,14 +237,19 @@ func TestBarrierPanicPropagates(t *testing.T) {
 
 // TestServedTiersCarryNoClosureState pins the either/or split: a kernel
 // compiled for the VM or the vector tier holds no closure body, and its
-// group runner builds only that tier's frames; the closure tree in turn
+// group runner builds only that tier's frames — on the vector tier no
+// per-item scalar frames until a group bails; the closure tree in turn
 // carries no bytecode.
 func TestServedTiersCarryNoClosureState(t *testing.T) {
-	const n, local = 512, 64
-	nd := NDRange{Global: [3]int{n, 1, 1}, Local: [3]int{local, 1, 1}}
-	args := []Arg{BufArg(NewFloatBuffer(n)), BufArg(NewFloatBuffer(n)), LocalArg(local), IntArg(n)}
+	// Groups 0-6 lie below n and stay on the vector tier; group 7's lanes
+	// disagree at reverse's `gid >= n` between the two barriers, which has
+	// no join, and complete on the scalar VM.
+	const total, local, n = 512, 64, 480
+	nd := NDRange{Global: [3]int{total, 1, 1}, Local: [3]int{local, 1, 1}}
+	args := []Arg{BufArg(NewFloatBuffer(total)), BufArg(NewFloatBuffer(total)), LocalArg(local), IntArg(n)}
 	runner := func(c *Compiled) *groupRunner {
-		r := newGroupRunner(c, args, nd, [3]int64{n / local, 1, 1}, make([]Counts, 1), nil)
+		r := c.getRunner(args, nd)
+		r.bind(args, nd, [3]int64{total / local, 1, 1}, make([]Counts, 1), nil)
 		t.Cleanup(r.close)
 		return r
 	}
@@ -256,8 +263,16 @@ func TestServedTiersCarryNoClosureState(t *testing.T) {
 		if r.frames != nil || r.bar != nil {
 			t.Errorf("%v: runner built closure frames", tier)
 		}
-		if len(r.vmFrames) != local || (r.vecFrame != nil) != (tier == TierVec) {
-			t.Errorf("%v: runner frames: %d scalar, vec %v", tier, len(r.vmFrames), r.vecFrame != nil)
+		if (r.vecFrame != nil) != (tier == TierVec) {
+			t.Errorf("%v: runner has a vector frame: %v", tier, r.vecFrame != nil)
+		}
+		r.runGroup(0, 0, 0)
+		if want := map[Tier]int{TierVM: local, TierVec: 0}[tier]; len(r.vmFrames) != want || r.vecBail != 0 {
+			t.Errorf("%v: %d scalar frames and %d bails after a convergent group, want %d and 0", tier, len(r.vmFrames), r.vecBail, want)
+		}
+		r.runGroup(7, 0, 0)
+		if len(r.vmFrames) != local || (r.vecBail == 1) != (tier == TierVec) {
+			t.Errorf("%v: %d scalar frames and %d bails after the divergent group", tier, len(r.vmFrames), r.vecBail)
 		}
 	}
 	cl := tiers[TierClosure]
@@ -268,10 +283,9 @@ func TestServedTiersCarryNoClosureState(t *testing.T) {
 		t.Errorf("closure: runner frames: %d closure, vm %v, vec %v", len(r.frames), r.vmFrames != nil, r.vecFrame != nil)
 	}
 
-	// The same split seen from outside: a launch on a served tier
-	// allocates one set of per-item frames, not two. A VM frame is fewer
-	// objects than a closure frame, and the vector frame on top of the
-	// scalar ones costs less than one object per item.
+	// The same split seen from outside. A closure launch builds its
+	// per-item frames every time; a served tier's runner waits on the
+	// kernel's idle list, so a repeat launch builds none.
 	allocs := map[Tier]float64{}
 	for tier, c := range tiers {
 		allocs[tier] = testing.AllocsPerRun(5, func() {
@@ -280,8 +294,72 @@ func TestServedTiersCarryNoClosureState(t *testing.T) {
 			}
 		})
 	}
-	if allocs[TierVM] > allocs[TierClosure] || allocs[TierVec] > allocs[TierClosure]+local {
-		t.Errorf("allocations per launch: %v, want vm <= closure and vec <= closure+%d", allocs, local)
+	if allocs[TierClosure] < local || allocs[TierVM] > 4 || allocs[TierVec] > 4 {
+		t.Errorf("allocations per repeat launch: %v, want closure >= %d and vm, vec <= 4", allocs, local)
+	}
+}
+
+// TestRunnerReuseRebindsEverything launches one compiled kernel again and
+// again with different buffers, scalar arguments, sizes and budgets, so
+// every launch after the first runs on a runner the previous one parked,
+// and compares each with the same launch on a kernel compiled afresh. A
+// launch that faults or runs out of steps parks its runner too, and the
+// next launch must not see it.
+func TestRunnerReuseRebindsEverything(t *testing.T) {
+	type shot struct {
+		total, n int
+		steps    int64 // step budget, 0 = none
+		fault    bool  // out buffer too short
+	}
+	shots := []shot{
+		{total: 512, n: 480}, {total: 1024, n: 700}, {total: 512, n: 100, fault: true},
+		{total: 256, n: 256}, {total: 512, n: 480, steps: 1}, {total: 1024, n: 1000},
+	}
+	launch := func(c *Compiled, s shot) ([]float32, *Profile, error) {
+		in, out := NewFloatBuffer(s.total), NewFloatBuffer(s.total)
+		for i := range in.F {
+			in.F[i] = float32((i+s.n)%13) * 0.25
+		}
+		if s.fault {
+			out = NewFloatBuffer(s.n / 2)
+		}
+		nd := NDRange{Global: [3]int{s.total, 1, 1}, Local: [3]int{64, 1, 1}}
+		opts := RunOptions{Workers: 1}
+		if s.steps > 0 {
+			opts.Budget = NewBudget(context.Background(), s.steps, 0)
+		}
+		prof, err := c.Run([]Arg{BufArg(in), BufArg(out), LocalArg(64), IntArg(s.n)}, nd, opts)
+		return out.F, prof, err
+	}
+	for _, k := range []struct {
+		src, kernel string
+		tiers       []Tier
+	}{
+		{reverseSrc, "reverse", []Tier{TierVM, TierVec}},
+		{scanSrc, "scan", []Tier{TierVM}},
+	} {
+		for _, tier := range k.tiers {
+			reused := compileTierSrc(t, k.src, k.kernel, tier)
+			for i, s := range shots {
+				got, gotProf, gotErr := launch(reused, s)
+				want, wantProf, wantErr := launch(compileTierSrc(t, k.src, k.kernel, tier), s)
+				if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+					t.Fatalf("%s %v shot %d: error %v on a reused runner, %v on a new one", k.kernel, tier, i, gotErr, wantErr)
+				}
+				if (s.fault || s.steps > 0) && k.kernel == "scan" && gotErr == nil {
+					t.Fatalf("%s %v shot %d: want a fault or budget abort", k.kernel, tier, i)
+				}
+				if gotErr != nil {
+					continue
+				}
+				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotProf.Buckets, wantProf.Buckets) {
+					t.Fatalf("%s %v shot %d: a reused runner's buffers or profile differ from a new one's", k.kernel, tier, i)
+				}
+			}
+			if n := len(reused.runners.idle); n != 1 {
+				t.Errorf("%s %v: %d idle runners after %d one-worker launches, want 1", k.kernel, tier, n, len(shots))
+			}
+		}
 	}
 }
 
@@ -310,5 +388,49 @@ func TestDestBucketsReused(t *testing.T) {
 	}
 	if !reflect.DeepEqual(reused.Buckets, fresh.Buckets) {
 		t.Error("profile from recycled buckets differs from fresh run")
+	}
+}
+
+// TestRunnerPoolConcurrentLaunches shares one compiled kernel between
+// goroutines that launch it at once, each on buffers of its own and with
+// two host workers, so runners are taken from and parked on the idle list
+// concurrently; every launch must compute what a launch on a kernel of
+// its own computes. Run under -race in CI.
+func TestRunnerPoolConcurrentLaunches(t *testing.T) {
+	launch := func(c *Compiled, total, n int) ([]float32, *Profile, error) {
+		in, out := NewFloatBuffer(total), NewFloatBuffer(total)
+		for i := range in.F {
+			in.F[i] = float32((i+n)%13) * 0.25
+		}
+		nd := NDRange{Global: [3]int{total, 1, 1}, Local: [3]int{64, 1, 1}}
+		prof, err := c.Run([]Arg{BufArg(in), BufArg(out), LocalArg(64), IntArg(n)}, nd, RunOptions{Workers: 2})
+		return out.F, prof, err
+	}
+	for _, tier := range []Tier{TierVM, TierVec} {
+		shared := compileTierSrc(t, reverseSrc, "reverse", tier)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			own := compileTierSrc(t, reverseSrc, "reverse", tier)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 6; i++ {
+					total, n := 512<<(i%2), 300+37*g+11*i
+					got, gotProf, err := launch(shared, total, n)
+					want, wantProf, wantErr := launch(own, total, n)
+					if err != nil || wantErr != nil {
+						t.Errorf("%v goroutine %d launch %d: %v, %v", tier, g, i, err, wantErr)
+						return
+					}
+					if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotProf.Buckets, wantProf.Buckets) {
+						t.Errorf("%v goroutine %d launch %d: shared kernel's buffers or profile differ", tier, g, i)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if n := len(shared.runners.idle); n == 0 || n > maxIdleRunners() {
+			t.Errorf("%v: %d idle runners, want 1..%d", tier, n, maxIdleRunners())
+		}
 	}
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -93,84 +94,47 @@ func (c *Compiled) Run(args []Arg, nd NDRange, opts RunOptions) (*Profile, error
 	}
 
 	// Enumerate work groups in the chunk.
-	ngrp := [3]int64{
+	l := &launch{c: c, args: args, nd: nd, budget: opts.Budget, g0lo: lo / lsz0}
+	l.ngrp = [3]int64{
 		int64(nd.Global[0] / nd.Local[0]),
 		int64(nd.Global[1] / nd.Local[1]),
 		int64(nd.Global[2] / nd.Local[2]),
 	}
-	g0lo, g0hi := lo/lsz0, hi/lsz0
-	groupsDim0 := g0hi - g0lo
-	totalGroups := groupsDim0 * int(ngrp[1]) * int(ngrp[2])
+	l.groupsDim0 = hi/lsz0 - l.g0lo
+	l.totalGroups = l.groupsDim0 * int(l.ngrp[1]) * int(l.ngrp[2])
 
 	workers := sched.Workers(opts.Workers)
-	if workers > totalGroups {
-		workers = totalGroups
+	if workers > l.totalGroups {
+		workers = l.totalGroups
 	}
-
-	var nextGroup atomic.Int64
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
-	workerBuckets := make([][]Counts, workers)
-	var vecDiv, vecRec, vecBail atomic.Int64
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		// A single worker accumulates straight into the profile; extra
-		// workers get pooled scratch buckets merged after the join.
-		buckets := prof.Buckets
-		if workers > 1 {
-			buckets = getCounts(nb)
+	if workers == 1 {
+		// A single worker runs on the caller's goroutine and accumulates
+		// straight into the profile.
+		if err := l.work(prof.Buckets); err != nil {
+			return nil, err
 		}
-		workerBuckets[w] = buckets
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					if ee, ok := r.(execError); ok {
-						errCh <- ee.err
-						return
-					}
-					panic(r)
-				}
+	} else {
+		// Extra workers get pooled scratch buckets merged after the join.
+		var wg sync.WaitGroup
+		errs := make([]error, workers)
+		workerBuckets := make([][]Counts, workers)
+		for w := range workerBuckets {
+			workerBuckets[w] = getCounts(nb)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[w] = l.work(workerBuckets[w])
 			}()
-			rt := newGroupRunner(c, args, nd, ngrp, buckets, opts.Budget)
-			defer rt.close()
-			defer func() {
-				vecDiv.Add(rt.vecDiv)
-				vecRec.Add(rt.vecRec)
-				vecBail.Add(rt.vecBail)
-			}()
-			for {
-				g := nextGroup.Add(1) - 1
-				if g >= int64(totalGroups) {
-					return
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				for _, wb := range workerBuckets {
+					putCounts(wb)
 				}
-				// Deadline/cancel backstop between groups: straight-line
-				// kernels never touch fuel, but their per-group work is
-				// bounded by the memory budget, so this check suffices.
-				if err := opts.Budget.Expired(); err != nil {
-					panic(execError{err})
-				}
-				// Decompose linear group index into (g0, g1, g2).
-				g0 := int(g)%groupsDim0 + g0lo
-				rest := int(g) / groupsDim0
-				g1 := rest % int(ngrp[1])
-				g2 := rest / int(ngrp[1])
-				rt.runGroup(g0, g1, g2)
-			}
-		}()
-	}
-	wg.Wait()
-	close(errCh)
-	if err := <-errCh; err != nil {
-		if workers > 1 {
-			for _, wb := range workerBuckets {
-				putCounts(wb)
+				return nil, err
 			}
 		}
-		return nil, err
-	}
-	if workers > 1 {
 		for _, wb := range workerBuckets {
 			for i := range wb {
 				prof.Buckets[i].Add(&wb[i])
@@ -178,10 +142,68 @@ func (c *Compiled) Run(args []Arg, nd NDRange, opts RunOptions) (*Profile, error
 			putCounts(wb)
 		}
 	}
-	prof.VecDivergences = vecDiv.Load()
-	prof.VecReconverges = vecRec.Load()
-	prof.VecScalarBails = vecBail.Load()
+	prof.VecDivergences = l.vecDiv.Load()
+	prof.VecReconverges = l.vecRec.Load()
+	prof.VecScalarBails = l.vecBail.Load()
 	return prof, nil
+}
+
+// launch is what the host workers of one Run share: the bound kernel and
+// geometry, the cursor handing out work groups, and the divergence
+// telemetry they add up.
+type launch struct {
+	c      *Compiled
+	args   []Arg
+	nd     NDRange
+	ngrp   [3]int64
+	budget *Budget
+
+	g0lo, groupsDim0, totalGroups int
+
+	nextGroup               atomic.Int64
+	vecDiv, vecRec, vecBail atomic.Int64
+}
+
+// work executes groups on one host worker until the launch has none left,
+// accumulating their counts into buckets. A kernel fault or budget abort
+// comes back as the error; the worker's runner returns to the kernel's
+// idle list either way.
+func (l *launch) work(buckets []Counts) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			ee, ok := r.(execError)
+			if !ok {
+				panic(r)
+			}
+			err = ee.err
+		}
+	}()
+	rt := l.c.getRunner(l.args, l.nd)
+	defer l.c.putRunner(rt)
+	defer func() {
+		l.vecDiv.Add(rt.vecDiv)
+		l.vecRec.Add(rt.vecRec)
+		l.vecBail.Add(rt.vecBail)
+	}()
+	rt.bind(l.args, l.nd, l.ngrp, buckets, l.budget)
+	for {
+		g := l.nextGroup.Add(1) - 1
+		if g >= int64(l.totalGroups) {
+			return nil
+		}
+		// Deadline/cancel backstop between groups: straight-line
+		// kernels never touch fuel, but their per-group work is
+		// bounded by the memory budget, so this check suffices.
+		if err := l.budget.Expired(); err != nil {
+			return err
+		}
+		// Decompose linear group index into (g0, g1, g2).
+		g0 := int(g)%l.groupsDim0 + l.g0lo
+		rest := int(g) / l.groupsDim0
+		g1 := rest % int(l.ngrp[1])
+		g2 := rest / int(l.ngrp[1])
+		rt.runGroup(g0, g1, g2)
+	}
 }
 
 // checkArgs validates argument kinds against the kernel signature.
@@ -210,9 +232,13 @@ func (c *Compiled) checkArgs(args []Arg) error {
 }
 
 // groupRunner executes work groups for one host worker, reusing the
-// frames of the one tier the kernel was compiled for.
+// frames of the one tier the kernel was compiled for. On the bytecode
+// tiers a runner outlives its launch: putRunner parks it on the kernel's
+// idle list and the next launch with the same work-group shape re-binds
+// it (bind) instead of building frames again.
 type groupRunner struct {
 	c       *Compiled
+	args    []Arg // the launch's arguments, held while bound
 	buckets []Counts
 	nb      int
 	global0 int
@@ -238,13 +264,18 @@ type groupRunner struct {
 	poolDone  sync.WaitGroup
 	poolPanic atomic.Value
 
-	// Bytecode VM tier state (see runvm.go).
-	vmFrames []*vm.Frame
-	vmDone   []bool
+	// Bytecode tier state (see runvm.go). vmGlobals and vmLocals are the
+	// buffer slot tables every frame of the runner shares. The per-item
+	// scalar frames are built by the first group that runs on the scalar
+	// VM: under a vector frame that is the first group to bail, so a
+	// runner that never leaves the vector tier has none.
+	vmGlobals []vm.Buf
+	vmLocals  []vm.Buf
+	vmFrames  []*vm.Frame
+	vmDone    []bool
 
 	// Vector tier state (see runvec.go); vecFrame is nil when the group
-	// runs scalar. The scalar vmFrames stay allocated alongside it: they
-	// complete the group when the lanes diverge.
+	// runs scalar.
 	vecFrame *vm.VecFrame
 	vecGroup [3]int64 // group id whose WI rows vecFrame holds, per dimension (-1 = none)
 
@@ -257,39 +288,114 @@ type groupRunner struct {
 	budget *vm.Budget
 }
 
-func newGroupRunner(c *Compiled, args []Arg, nd NDRange, ngrp [3]int64, buckets []Counts, budget *Budget) *groupRunner {
-	r := &groupRunner{
-		c: c, buckets: buckets, nb: len(buckets), global0: nd.Global[0],
-		lsz:    [3]int64{int64(nd.Local[0]), int64(nd.Local[1]), int64(nd.Local[2])},
-		gsz:    [3]int64{int64(nd.Global[0]), int64(nd.Global[1]), int64(nd.Global[2])},
-		ngr:    ngrp,
-		budget: budget,
+// maxIdleRunners caps a kernel's idle list at the process's worker budget:
+// the device chunks of one request run on about that many runners between
+// them, so a request finds its runners parked by the last one, and a burst
+// of concurrent launches cannot leave more than that behind. Runners past
+// the cap go to the garbage collector.
+func maxIdleRunners() int { return sched.DefaultWorkers() }
+
+// runnerPool is a kernel's idle list: finished bytecode-tier runners
+// (vector frame, scalar frames, local buffers) waiting for the next
+// launch.
+type runnerPool struct {
+	mu   sync.Mutex
+	idle []*groupRunner
+}
+
+// getRunner returns a runner shaped for the launch and not yet bound to
+// it: an idle one whose work-group size and local buffer lengths match,
+// or a new one.
+func (c *Compiled) getRunner(args []Arg, nd NDRange) *groupRunner {
+	lsz := [3]int64{int64(nd.Local[0]), int64(nd.Local[1]), int64(nd.Local[2])}
+	c.runners.mu.Lock()
+	for i, r := range c.runners.idle {
+		if r.fits(lsz, args) {
+			c.runners.idle = slices.Delete(c.runners.idle, i, i+1)
+			c.runners.mu.Unlock()
+			return r
+		}
 	}
-	r.itemsPer = nd.Local[0] * nd.Local[1] * nd.Local[2]
+	c.runners.mu.Unlock()
+
+	r := &groupRunner{c: c, lsz: lsz, itemsPer: nd.Local[0] * nd.Local[1] * nd.Local[2]}
 	r.bucketByL0 = make([]int32, nd.Local[0])
+	for i, p := range c.Fn.Params {
+		if p.Type.Ptr && p.Type.Space == minicl.Local {
+			b := NewIntBuffer(args[i].LocalLen)
+			if p.Type.Elem().IsFloat() {
+				b = NewFloatBuffer(args[i].LocalLen)
+			}
+			r.locals = append(r.locals, b)
+		}
+	}
 	if c.vmProg != nil {
-		r.initVM(args)
+		r.initVM()
 		r.initVec()
-	} else {
-		r.initClosure(args)
 	}
 	return r
 }
 
-// newLocal allocates the per-group buffer behind local parameter i.
-// Local buffers are real per-worker allocations, so they are the closest
-// thing this host runtime has to device local memory: they are charged
-// against the memory budget.
-func (r *groupRunner) newLocal(i int, n int) *Buffer {
-	if err := r.budget.ChargeMem(int64(n) * 4); err != nil {
-		panic(execError{err})
+// fits reports whether the runner's frames and local buffers have the
+// shape a launch with this work-group size and these arguments needs.
+func (r *groupRunner) fits(lsz [3]int64, args []Arg) bool {
+	if r.lsz != lsz {
+		return false
 	}
-	b := NewIntBuffer(n)
-	if r.c.Fn.Params[i].Type.Elem().IsFloat() {
-		b = NewFloatBuffer(n)
+	k := 0
+	for i, p := range r.c.Fn.Params {
+		if p.Type.Ptr && p.Type.Space == minicl.Local {
+			if r.locals[k].Len() != args[i].LocalLen {
+				return false
+			}
+			k++
+		}
 	}
-	r.locals = append(r.locals, b)
-	return b
+	return true
+}
+
+// putRunner ends a runner's launch, whether it finished, faulted or ran
+// out of budget. A bytecode-tier runner lets go of the launch's buffers
+// and joins the idle list: everything a group reads is rewritten per
+// group (work-item rows, counts, local buffers) or per bind (buffer
+// tables, scalar arguments, budget, fuel), so the next launch sees
+// nothing of this one. The closure tier's runner is torn down.
+func (c *Compiled) putRunner(r *groupRunner) {
+	if c.vmProg == nil {
+		r.close()
+		return
+	}
+	r.args, r.buckets, r.budget = nil, nil, nil
+	clear(r.vmGlobals)
+	c.runners.mu.Lock()
+	if len(c.runners.idle) < maxIdleRunners() {
+		c.runners.idle = append(c.runners.idle, r)
+	}
+	c.runners.mu.Unlock()
+}
+
+// bind attaches the runner to one launch: geometry, profile buckets,
+// budget and arguments. Local buffers are real per-worker allocations, so
+// they are the closest thing this host runtime has to device local
+// memory: each launch is charged for them against its memory budget,
+// whether its runner is new or reused.
+func (r *groupRunner) bind(args []Arg, nd NDRange, ngrp [3]int64, buckets []Counts, budget *Budget) {
+	r.args, r.buckets, r.nb, r.global0 = args, buckets, len(buckets), nd.Global[0]
+	r.gsz = [3]int64{int64(nd.Global[0]), int64(nd.Global[1]), int64(nd.Global[2])}
+	r.ngr = ngrp
+	r.budget = budget
+	r.vecDiv, r.vecRec, r.vecBail = 0, 0, 0
+	for _, lb := range r.locals {
+		if err := budget.ChargeMem(lb.Bytes()); err != nil {
+			panic(execError{err})
+		}
+	}
+	if r.c.vmProg == nil {
+		r.initClosure(args)
+		return
+	}
+	r.bindVM()
+	r.bindVec()
 }
 
 // initClosure builds the per-item closure frames and, for barrier
@@ -299,13 +405,15 @@ func (r *groupRunner) initClosure(args []Arg) {
 	// Buffer tables are shared by all frames of the group.
 	locals := make([]*Buffer, c.nLocal)
 	globalBufs := make([]*Buffer, c.nGlobal)
+	nextLocal := 0
 	for i := range c.Fn.Params {
 		s := c.paramSlots[i]
 		switch s.kind {
 		case slotGlobalBuf:
 			globalBufs[s.idx] = args[i].Buf
 		case slotLocalBuf:
-			locals[s.idx] = r.newLocal(i, args[i].LocalLen)
+			locals[s.idx] = r.locals[nextLocal]
+			nextLocal++
 		}
 	}
 
@@ -382,7 +490,7 @@ func (r *groupRunner) runGroup(g0, g1, g2 int) {
 	switch {
 	case r.vecFrame != nil:
 		r.runGroupVec(g0, g1, g2)
-	case r.vmFrames != nil:
+	case r.c.vmProg != nil:
 		r.runGroupVM(g0, g1, g2)
 	default:
 		r.runGroupClosure(g0, g1, g2)

@@ -5,20 +5,22 @@ import "repro/internal/exec/vm"
 // Vector (SIMT) execution path of the group runner. When the kernel
 // vectorized, runGroup dispatches here: the whole work group executes on
 // one W-wide VecFrame, a single dispatch loop retiring every lane per
-// instruction. The scalar VM frames built by initVM stay alongside —
-// when the lanes diverge at a varying branch (or some lane would fault),
-// the vector frame's lanes are scattered into them and the group
-// completes on the scalar VM, which reproduces canonical item-order
-// semantics (including fault messages) exactly.
+// instruction. When a group leaves the tier — its lanes diverge at a
+// varying branch with no join, or some lane would fault — the vector
+// frame's lanes are scattered into per-item scalar frames (built by the
+// first group that needs them) and the group completes on the scalar VM,
+// which reproduces canonical item-order semantics (including fault
+// messages) exactly.
 
 // opWeights is Counts.totalOps as per-field weights in FoldLanes row
 // order (IntOps, FloatOps, TransOps, OtherBuiltins, GlobalLoads,
 // GlobalStores, LocalOps, Branches, Barriers).
 var opWeights = [vm.NCountFields]int64{1, 1, 4, 1, 1, 1, 1, 0, 0}
 
-// initVec builds the runner's W-lane vector frame on top of the scalar
-// frames initVM built. No-op when the kernel is not vectorized or groups
-// are single-item (the scalar VM path is strictly better at W=1).
+// initVec builds the runner's W-lane vector frame over the buffer slot
+// tables initVM built, with the rows that depend only on the work-group
+// shape. No-op when the kernel is not vectorized or groups are
+// single-item (the scalar VM path is strictly better at W=1).
 func (r *groupRunner) initVec() {
 	p := r.c.vecProg
 	if p == nil || r.itemsPer <= 1 {
@@ -26,39 +28,50 @@ func (r *groupRunner) initVec() {
 	}
 	w := r.itemsPer
 	vf := p.NewVecFrame(w)
-	vf.B = r.budget
-	// Share the buffer slot tables initVM built: local slots alias the
-	// runner's per-group locals, so the per-group clear stays visible.
-	f0 := r.vmFrames[0]
-	vf.Globals = f0.Globals
-	vf.Locals = f0.Locals
-	// Scalar parameters broadcast into every lane.
-	for i := range p.Params {
-		pr := &p.Params[i]
-		switch pr.Kind {
-		case vm.ParamInt:
-			vf.SetI(pr.Index, f0.I[pr.Index])
-		case vm.ParamFloat:
-			vf.SetF(pr.Index, f0.F[pr.Index])
-		}
-	}
-	// Launch-constant WI rows broadcast once; the local-id ramps are
-	// also group-invariant (lane li <-> local coords with l0 innermost,
-	// matching the scalar item loops).
-	for d := 0; d < 3; d++ {
-		for l := 0; l < w; l++ {
-			vf.WI[vm.WIGlobalSize][d][l] = r.gsz[d]
-			vf.WI[vm.WILocalSize][d][l] = r.lsz[d]
-			vf.WI[vm.WINumGroups][d][l] = r.ngr[d]
-		}
-	}
+	vf.Globals = r.vmGlobals
+	vf.Locals = r.vmLocals
+	// The local-id ramps are group-invariant (lane li <-> local coords
+	// with l0 innermost, matching the scalar item loops).
 	l01 := r.lsz[0] * r.lsz[1]
 	for l := 0; l < w; l++ {
 		vf.WI[vm.WILocalID][0][l] = int64(l) % r.lsz[0]
 		vf.WI[vm.WILocalID][1][l] = (int64(l) / r.lsz[0]) % r.lsz[1]
 		vf.WI[vm.WILocalID][2][l] = int64(l) / l01
 	}
+	for d := 0; d < 3; d++ {
+		for l := 0; l < w; l++ {
+			vf.WI[vm.WILocalSize][d][l] = r.lsz[d]
+		}
+	}
 	r.vecFrame = vf
+}
+
+// bindVec binds the vector frame to the runner's launch: budget, a fresh
+// fuel lease, the scalar arguments broadcast into every lane and the
+// launch-constant WI rows.
+func (r *groupRunner) bindVec() {
+	vf := r.vecFrame
+	if vf == nil {
+		return
+	}
+	vf.B = r.budget
+	vf.Fuel = 0
+	p := r.c.vecProg
+	for i := range p.Params {
+		pr := &p.Params[i]
+		switch pr.Kind {
+		case vm.ParamInt:
+			vf.SetI(pr.Index, r.args[i].Int)
+		case vm.ParamFloat:
+			vf.SetF(pr.Index, r.args[i].Float)
+		}
+	}
+	for d := 0; d < 3; d++ {
+		for l := 0; l < vf.W; l++ {
+			vf.WI[vm.WIGlobalSize][d][l] = r.gsz[d]
+			vf.WI[vm.WINumGroups][d][l] = r.ngr[d]
+		}
+	}
 	r.vecGroup = [3]int64{-1, -1, -1}
 }
 
@@ -161,11 +174,12 @@ func (r *groupRunner) bailGroupVec(g0, g1, g2 int) {
 	vf := r.vecFrame
 	vp := r.c.vecProg
 	r.vecBail++
+	frames := r.scalarFrames()
 	li := 0
 	for l2 := 0; l2 < int(r.lsz[2]); l2++ {
 		for l1 := 0; l1 < int(r.lsz[1]); l1++ {
 			for l0 := 0; l0 < int(r.lsz[0]); l0++ {
-				f := r.vmFrames[li]
+				f := frames[li]
 				r.setupItemVM(f, g0, g1, g2, l0, l1, l2)
 				// ScatterLane knows the frame layout: uniform registers
 				// come from the scalar slots, and a partially re-formed

@@ -7,52 +7,79 @@ import "repro/internal/exec/vm"
 // and profile accounting mirror the closure path exactly, so buffers
 // and profiles are byte-identical across tiers.
 
-// initVM builds the per-runner VM frames and shared buffer-slot tables.
-func (r *groupRunner) initVM(args []Arg) {
+// initVM builds the buffer-slot tables every frame of the runner shares.
+// Local slots alias the runner's per-group local buffers, so the
+// per-group clear in runGroup is visible to the VM; global slots are
+// filled per launch by bindVM.
+func (r *groupRunner) initVM() {
 	p := r.c.vmProg
-	// Buffer slot tables are shared by every frame of the runner. Local
-	// slots alias the runner's per-group local buffers, so the per-group
-	// clear in runGroup is visible to the VM.
-	var globals, locals []vm.Buf
 	if p.NumGlobals > 0 {
-		globals = make([]vm.Buf, p.NumGlobals)
+		r.vmGlobals = make([]vm.Buf, p.NumGlobals)
 	}
 	if p.NumLocal > 0 {
-		locals = make([]vm.Buf, p.NumLocal)
+		r.vmLocals = make([]vm.Buf, p.NumLocal)
 	}
+	nextLocal := 0
 	for i := range p.Params {
-		pr := &p.Params[i]
+		if pr := &p.Params[i]; pr.Kind == vm.ParamLocal {
+			lb := r.locals[nextLocal]
+			nextLocal++
+			r.vmLocals[pr.Index] = vm.Buf{F: lb.F, I: lb.I}
+		}
+	}
+}
+
+// bindVM points the global buffer slots at the launch's buffers and
+// re-binds the scalar frames, if the runner has built them.
+func (r *groupRunner) bindVM() {
+	p := r.c.vmProg
+	for i := range p.Params {
+		if pr := &p.Params[i]; pr.Kind == vm.ParamGlobal {
+			b := r.args[i].Buf
+			r.vmGlobals[pr.Index] = vm.Buf{F: b.F, I: b.I}
+		}
+	}
+	for _, f := range r.vmFrames {
+		r.bindFrame(f)
+	}
+}
+
+// bindFrame binds a scalar frame to the runner's launch: budget, a fresh
+// fuel lease, geometry and the scalar arguments, identical for every item.
+func (r *groupRunner) bindFrame(f *vm.Frame) {
+	f.B = r.budget
+	f.Fuel = 0
+	f.WI[vm.WIGlobalSize] = r.gsz
+	f.WI[vm.WILocalSize] = r.lsz
+	f.WI[vm.WINumGroups] = r.ngr
+	p := r.c.vmProg
+	for ai := range p.Params {
+		pr := &p.Params[ai]
 		switch pr.Kind {
-		case vm.ParamGlobal:
-			b := args[i].Buf
-			globals[pr.Index] = vm.Buf{F: b.F, I: b.I}
-		case vm.ParamLocal:
-			lb := r.newLocal(i, args[i].LocalLen)
-			locals[pr.Index] = vm.Buf{F: lb.F, I: lb.I}
+		case vm.ParamInt:
+			f.I[pr.Index] = r.args[ai].Int
+		case vm.ParamFloat:
+			f.F[pr.Index] = r.args[ai].Float
 		}
 	}
-	r.vmFrames = make([]*vm.Frame, r.itemsPer)
-	for i := range r.vmFrames {
-		f := p.NewFrame()
-		f.B = r.budget
-		f.Globals = globals
-		f.Locals = locals
-		f.WI[vm.WIGlobalSize] = r.gsz
-		f.WI[vm.WILocalSize] = r.lsz
-		f.WI[vm.WINumGroups] = r.ngr
-		// Bind scalar args once; they are identical for every item.
-		for ai := range p.Params {
-			pr := &p.Params[ai]
-			switch pr.Kind {
-			case vm.ParamInt:
-				f.I[pr.Index] = args[ai].Int
-			case vm.ParamFloat:
-				f.F[pr.Index] = args[ai].Float
-			}
+}
+
+// scalarFrames returns the runner's per-item scalar frames, building and
+// binding them on first use: every group when the scalar VM serves the
+// kernel, only a group that bails when the vector tier does.
+func (r *groupRunner) scalarFrames() []*vm.Frame {
+	if r.vmFrames == nil {
+		r.vmFrames = make([]*vm.Frame, r.itemsPer)
+		for i := range r.vmFrames {
+			f := r.c.vmProg.NewFrame()
+			f.Globals = r.vmGlobals
+			f.Locals = r.vmLocals
+			r.bindFrame(f)
+			r.vmFrames[i] = f
 		}
-		r.vmFrames[i] = f
+		r.vmDone = make([]bool, r.itemsPer)
 	}
-	r.vmDone = make([]bool, r.itemsPer)
+	return r.vmFrames
 }
 
 func (r *groupRunner) setupItemVM(f *vm.Frame, g0, g1, g2, l0, l1, l2 int) {
@@ -79,11 +106,12 @@ func (r *groupRunner) finishItemVM(f *vm.Frame) {
 // runGroupVM executes one work group on the bytecode VM, entirely on the
 // calling goroutine.
 func (r *groupRunner) runGroupVM(g0, g1, g2 int) {
+	frames := r.scalarFrames()
 	li := 0
 	for l2 := 0; l2 < int(r.lsz[2]); l2++ {
 		for l1 := 0; l1 < int(r.lsz[1]); l1++ {
 			for l0 := 0; l0 < int(r.lsz[0]); l0++ {
-				r.setupItemVM(r.vmFrames[li], g0, g1, g2, l0, l1, l2)
+				r.setupItemVM(frames[li], g0, g1, g2, l0, l1, l2)
 				li++
 			}
 		}

@@ -217,6 +217,38 @@ func TestSemaErrors(t *testing.T) {
 	}
 }
 
+// TestSemaConstSurvivesCalls pins const in both directions at a helper
+// call: a const buffer cannot be passed (directly, or on through a second
+// helper) as a pointer it could be written through, while a writable
+// buffer may be passed to a helper that promises only to read it.
+func TestSemaConstSurvivesCalls(t *testing.T) {
+	const poke = "void poke(global float* p, int i) { p[i] = 1.0; }\n"
+	const peek = "float peek(global const float* p, int i) { return p[i]; }\n"
+	for _, c := range []struct {
+		name, src, wantSub string
+	}{
+		{"drop const", poke + "kernel void f(global const float* a) { poke(a, 0); }",
+			"cannot pass global const float* as global float*"},
+		{"drop const in a helper", poke + "void relay(global const float* q) { poke(q, 0); }\n" +
+			"kernel void f(global const float* a) { relay(a); }",
+			"cannot pass global const float* as global float*"},
+		{"keep const", peek + "kernel void f(global const float* a, global float* o) { o[0] = peek(a, 0); }", ""},
+		{"add const", peek + poke + "kernel void f(global float* o) { poke(o, 1); o[0] = peek(o, 1); }", ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Compile(c.src)
+			switch {
+			case c.wantSub == "" && err != nil:
+				t.Fatalf("Compile: %v", err)
+			case c.wantSub != "" && err == nil:
+				t.Fatalf("Compile succeeded, want error containing %q", c.wantSub)
+			case c.wantSub != "" && !strings.Contains(err.Error(), c.wantSub):
+				t.Errorf("error %q does not contain %q", err, c.wantSub)
+			}
+		})
+	}
+}
+
 func TestSemaTypesAnnotated(t *testing.T) {
 	prog, err := Compile(vecaddSrc)
 	if err != nil {

@@ -524,10 +524,13 @@ func (c *checker) checkBuiltin(call *CallExpr, bi *BuiltinInfo, sc *scope) (Type
 
 // assignable reports whether a value of type src can be stored into dst.
 // Implicit int<->uint and int->float conversions are allowed, matching
-// OpenCL C's usual arithmetic conversions for the subset we support.
+// OpenCL C's usual arithmetic conversions for the subset we support. A
+// pointer may gain const on the way (a helper that only reads takes any
+// buffer) but never lose it: a const buffer stays unwritable through
+// every name it is passed under.
 func assignable(dst, src Type) bool {
 	if dst.Equal(src) {
-		return true
+		return !(src.Ptr && src.Const && !dst.Const)
 	}
 	if dst.Ptr || src.Ptr {
 		return false

@@ -119,10 +119,13 @@ func (r *Runtime) checkPartition(p partition.Partition) error {
 }
 
 // Execute runs the launch under the given partitioning: every device's
-// chunk is executed against the shared host buffers (so outputs are real
-// and verifiable) and the launch is priced on the device models. The
-// returned profile covers the full NDRange and can be re-priced for other
-// partitionings with Price.
+// chunk is executed against the launch's host buffers (so outputs are
+// real and verifiable) and the launch is priced on the device models. The
+// buffers are whatever the caller bound: a built instance's, or — the
+// serving engine's case — inputs shared read-only with concurrent
+// launches next to outputs of this launch's own. The returned profile
+// covers the full NDRange and can be re-priced for other partitionings
+// with Price.
 func (r *Runtime) Execute(l Launch, part partition.Partition) (*Result, error) {
 	if err := r.checkPartition(part); err != nil {
 		return nil, err

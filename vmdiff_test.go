@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -621,4 +622,72 @@ kernel void k(global float* a, global float* out, int n) {
 			}
 		})
 	}
+}
+
+// TestConstBuffersNeverWritten is what sharing one input buffer between
+// concurrent requests rests on: on every tier, after every built-in and
+// a helper-reading kernel ran, each buffer behind a const-qualified
+// parameter holds bit for bit what a fresh instance holds. The one
+// source-level way around const — handing the buffer to a helper under a
+// non-const parameter — is refused by the front end, so no tier sees it.
+func TestConstBuffersNeverWritten(t *testing.T) {
+	const poke = `void poke(global float* p, int i) { p[i] = 1.0; }
+kernel void k(global const float* a, global float* o, int n) {
+	int i = get_global_id(0);
+	poke(a, i);
+	o[i] = a[i];
+}`
+	if _, err := inspire.LowerSource("poke", poke); err == nil || !strings.Contains(err.Error(), "cannot pass global const float* as global float*") {
+		t.Fatalf("lowering a kernel that drops const at a call: %v, want the sema refusal", err)
+	}
+
+	constArgs := func(c *exec.Compiled, args []exec.Arg) []exec.Arg {
+		out := make([]exec.Arg, len(args))
+		for i, p := range c.Fn.Params {
+			if p.Type.Ptr && p.Type.Const {
+				out[i] = args[i]
+			}
+		}
+		return out
+	}
+	check := func(t *testing.T, name, source, kernel string, instance func() ([]exec.Arg, exec.NDRange), iters int) {
+		cl, vmc, atc := compileBothTiers(t, name, source, kernel)
+		fresh, _ := instance()
+		for _, c := range []*exec.Compiled{cl, vmc, atc} {
+			args, nd := instance()
+			ctx := fmt.Sprintf("%s on %v", name, c.Tier())
+			runTier(t, ctx, c, args, nd, iters, exec.RunOptions{})
+			diffBuffers(t, ctx+": const buffer vs a fresh instance", constArgs(c, fresh), constArgs(c, args))
+		}
+	}
+	for _, p := range bench.All() {
+		t.Run(p.Name, func(t *testing.T) {
+			t.Parallel()
+			check(t, p.Name, p.Source, p.Kernel, func() ([]exec.Arg, exec.NDRange) {
+				inst, err := p.Instance(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return inst.Args, inst.ND
+			}, p.Iterations)
+		})
+	}
+	t.Run("peek", func(t *testing.T) {
+		const peek = `float peek(global const float* p, int i) { return p[i] * 2.0; }
+float bump(global float* p, int i) { p[i] = p[i] + 1.0; return p[i]; }
+kernel void k(global const float* a, global float* o, int n) {
+	int i = get_global_id(0);
+	o[i] = peek(a, i) + peek(o, i);
+	o[i] = bump(o, i) * 0.5;
+}`
+		const n = 512
+		check(t, "peek", peek, "k", func() ([]exec.Arg, exec.NDRange) {
+			a, o := exec.NewFloatBuffer(n), exec.NewFloatBuffer(n)
+			for i := range a.F {
+				a.F[i] = float32(i%17) - 8
+				o.F[i] = float32(i % 5)
+			}
+			return []exec.Arg{exec.BufArg(a), exec.BufArg(o), exec.IntArg(n)}, exec.ND1(n)
+		}, 1)
+	})
 }
