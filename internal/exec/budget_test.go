@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 	"time"
+	_ "unsafe" // go:linkname, for vmStepLease
 
 	"repro/internal/inspire"
 )
@@ -225,4 +226,81 @@ func TestExpiredBackstopStraightLine(t *testing.T) {
 	bud := NewBudget(ctx, 0, 0)
 	_, err := c.Run([]Arg{BufArg(a), BufArg(b), BufArg(out), IntArg(n)}, ND1(n), RunOptions{Budget: bud})
 	wantBudgetErr(t, err, BudgetDeadline)
+}
+
+// vmStepLease is vm.stepLease, the number of steps a frame draws from a
+// budget's pool at once; only TestFuelParityAtLeaseOne writes it (the
+// generator in kgen_test.go reads it to size its tight budgets).
+//
+//go:linkname vmStepLease repro/internal/exec/vm.stepLease
+var vmStepLease int64
+
+// TestFuelParityAtLeaseOne is the exact fuel oracle. A production lease
+// is 4096 steps per frame — per item on the scalar VM, per group on the
+// vector tier — so a step budget cuts the two off at different points
+// and a vector group could under-charge a jump without any test seeing
+// it. With a lease of one every step is its own draw from the pool:
+// the smallest step limit a launch completes under is then exactly the
+// number of steps it takes, and it must be the same on both tiers for
+// every vectorizable vmdiff kernel — W per jump a group takes together,
+// one per taken lane at a divergence split, one per jump inside a side.
+func TestFuelParityAtLeaseOne(t *testing.T) {
+	defer func(lease int64) { vmStepLease = lease }(vmStepLease)
+	vmStepLease = 1
+
+	vectorizable, splits := 0, false
+	for _, tc := range vmdiffCases() {
+		u, err := inspire.LowerSource("test", tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cVec, err := CompileTier(u.Kernel(tc.kernel), TierVec)
+		if err != nil {
+			continue // not vectorizable: the launch runs on the scalar VM either way
+		}
+		vectorizable++
+		nd := tc.nd
+		if nd.Local[0] == 0 && nd.Global[0]%DefaultLocal0 != 0 {
+			nd.Local[0] = nd.Global[0] // the default would be single-item groups, which never vectorize
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			completes := func(c *Compiled, limit int64) bool {
+				opts := RunOptions{Workers: 1, Budget: NewBudget(context.Background(), limit, 0)}
+				_, err := c.Run(tc.args(), nd, opts)
+				if err != nil {
+					wantBudgetErr(t, err, BudgetSteps)
+				}
+				return err == nil
+			}
+			// The smallest limit c completes under: double until it
+			// does, then bisect (completing is monotone in the limit).
+			steps := func(c *Compiled) int64 {
+				hi := int64(1)
+				for !completes(c, hi) {
+					hi *= 2
+				}
+				lo := hi / 2 // fails, or 0
+				for lo+1 < hi {
+					if mid := (lo + hi) / 2; completes(c, mid) {
+						hi = mid
+					} else {
+						lo = mid
+					}
+				}
+				return hi
+			}
+			sVM, sVec := steps(compileTierSrc(t, tc.src, tc.kernel, TierVM)), steps(cVec)
+			if sVM != sVec {
+				t.Errorf("steps drawn from the pool: vm %d, vec %d", sVM, sVec)
+			}
+			prof, err := cVec.Run(tc.args(), nd, RunOptions{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			splits = splits || prof.VecReconverges > 0
+		})
+	}
+	if vectorizable == 0 || !splits {
+		t.Fatalf("%d vectorizable vmdiff kernels, split and re-formed: %v — the oracle needs both", vectorizable, splits)
+	}
 }

@@ -553,15 +553,13 @@ func kgenCase(t *testing.T, seed int64) {
 	if faulty {
 		l.pad = r.Intn(l.pad)
 	}
-	// Tight budgets: a few leases, so the pool drains mid-group in some
-	// iteration of some tier; and one no kernel here can exhaust.
-	budgets := []int64{int64(1 + r.Intn(3*stepLeaseForTest)), 1 << 40}
+	// Tight budgets: a few leases (vmStepLease, budget_test.go), so the
+	// pool drains mid-group in some iteration of some tier and at
+	// different points on different tiers; and one no kernel here can
+	// exhaust.
+	budgets := []int64{int64(1 + r.Intn(3*int(vmStepLease))), 1 << 40}
 	kgenCheck(t, genKernel(seed, faulty), l, budgets)
 }
-
-// stepLeaseForTest mirrors vm's lease size: budgets are drawn around it
-// so that leases run out at different points on different tiers.
-const stepLeaseForTest = 4096
 
 // TestGeneratedLoopDivergence runs the generator over a fixed seed range.
 func TestGeneratedLoopDivergence(t *testing.T) {

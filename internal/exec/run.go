@@ -277,7 +277,7 @@ type groupRunner struct {
 	// Vector tier state (see runvec.go); vecFrame is nil when the group
 	// runs scalar.
 	vecFrame *vm.VecFrame
-	vecGroup [3]int64 // group id whose WI rows vecFrame holds, per dimension (-1 = none)
+	vecGroup [3]int64 // group id whose global-id ramps vecFrame holds, per dimension (-1 = none)
 
 	// Vector-tier divergence telemetry, accumulated per runner and
 	// merged into the launch profile after the worker join.

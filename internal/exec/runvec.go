@@ -18,9 +18,10 @@ import "repro/internal/exec/vm"
 var opWeights = [vm.NCountFields]int64{1, 1, 4, 1, 1, 1, 1, 0, 0}
 
 // initVec builds the runner's W-lane vector frame over the buffer slot
-// tables initVM built, with the rows that depend only on the work-group
-// shape. No-op when the kernel is not vectorized or groups are
-// single-item (the scalar VM path is strictly better at W=1).
+// tables initVM built, with the local-id ramps, which depend only on
+// the work-group shape. No-op when the kernel is not vectorized or
+// groups are single-item (the scalar VM path is strictly better at
+// W=1).
 func (r *groupRunner) initVec() {
 	p := r.c.vecProg
 	if p == nil || r.itemsPer <= 1 {
@@ -30,32 +31,26 @@ func (r *groupRunner) initVec() {
 	vf := p.NewVecFrame(w)
 	vf.Globals = r.vmGlobals
 	vf.Locals = r.vmLocals
-	// The local-id ramps are group-invariant (lane li <-> local coords
-	// with l0 innermost, matching the scalar item loops).
+	// Lane li <-> local coords with l0 innermost, matching the scalar
+	// item loops.
 	l01 := r.lsz[0] * r.lsz[1]
 	for l := 0; l < w; l++ {
-		vf.WI[vm.WILocalID][0][l] = int64(l) % r.lsz[0]
-		vf.WI[vm.WILocalID][1][l] = (int64(l) / r.lsz[0]) % r.lsz[1]
-		vf.WI[vm.WILocalID][2][l] = int64(l) / l01
-	}
-	for d := 0; d < 3; d++ {
-		for l := 0; l < w; l++ {
-			vf.WI[vm.WILocalSize][d][l] = r.lsz[d]
-		}
+		vf.LaneWI[vm.WILocalID][0][l] = int64(l) % r.lsz[0]
+		vf.LaneWI[vm.WILocalID][1][l] = (int64(l) / r.lsz[0]) % r.lsz[1]
+		vf.LaneWI[vm.WILocalID][2][l] = int64(l) / l01
 	}
 	r.vecFrame = vf
 }
 
-// bindVec binds the vector frame to the runner's launch: budget, a fresh
-// fuel lease, the scalar arguments broadcast into every lane and the
-// launch-constant WI rows.
+// bindVec binds the vector frame to the runner's launch. Its uniform
+// half binds like any scalar frame; the scalar arguments also go into
+// every lane, for a parameter the kernel assigns a varying value.
 func (r *groupRunner) bindVec() {
 	vf := r.vecFrame
 	if vf == nil {
 		return
 	}
-	vf.B = r.budget
-	vf.Fuel = 0
+	r.bindFrame(vf.Frame)
 	p := r.c.vecProg
 	for i := range p.Params {
 		pr := &p.Params[i]
@@ -66,12 +61,6 @@ func (r *groupRunner) bindVec() {
 			vf.SetF(pr.Index, r.args[i].Float)
 		}
 	}
-	for d := 0; d < 3; d++ {
-		for l := 0; l < vf.W; l++ {
-			vf.WI[vm.WIGlobalSize][d][l] = r.gsz[d]
-			vf.WI[vm.WINumGroups][d][l] = r.ngr[d]
-		}
-	}
 	r.vecGroup = [3]int64{-1, -1, -1}
 }
 
@@ -79,19 +68,18 @@ func (r *groupRunner) bindVec() {
 func (r *groupRunner) runGroupVec(g0, g1, g2 int) {
 	vf := r.vecFrame
 	g := [3]int64{int64(g0), int64(g1), int64(g2)}
+	vf.WI[vm.WIGroupID] = g
 	for d := 0; d < 3; d++ {
-		// Groups are handed out dim 0 fastest, so the rows of the other
-		// dimensions usually still hold this group's values.
+		// Groups are handed out dim 0 fastest, so the global-id ramps of
+		// the other dimensions usually still hold this group's values.
 		if r.vecGroup[d] == g[d] {
 			continue
 		}
 		r.vecGroup[d] = g[d]
-		grp := vf.WI[vm.WIGroupID][d]
-		gid := vf.WI[vm.WIGlobalID][d]
-		lid := vf.WI[vm.WILocalID][d]
+		gid := vf.LaneWI[vm.WIGlobalID][d]
+		lid := vf.LaneWI[vm.WILocalID][d]
 		base := g[d] * r.lsz[d]
-		for l := range grp {
-			grp[l] = g[d]
+		for l := range gid {
 			gid[l] = base + lid[l]
 		}
 	}
@@ -144,7 +132,7 @@ func (r *groupRunner) foldGroupVec() {
 		}
 		return
 	}
-	lid0 := vf.WI[vm.WILocalID][0]
+	lid0 := vf.LaneWI[vm.WILocalID][0]
 	if vf.Laned {
 		for l := 0; l < vf.W; l++ {
 			c := Counts(vf.LaneCounts(l))

@@ -59,8 +59,9 @@ func (e *BudgetError) Error() string {
 // stepLease is how many steps a frame takes from the shared pool at
 // once. Large enough that the atomic slow path is amortized to noise,
 // small enough that deadline checks stay responsive (a few thousand
-// loop iterations between clock reads).
-const stepLease = 4096
+// loop iterations between clock reads). A variable only so the fuel
+// parity tests can lease step by step; nothing else writes it.
+var stepLease int64 = 4096
 
 // unboundedFuel is the lease handed to frames with nothing to enforce:
 // effectively infinite, so the slow path runs once per frame lifetime.
@@ -127,10 +128,7 @@ func (b *Budget) TakeLease() (int64, error) {
 		if cur <= 0 {
 			return 0, &BudgetError{Kind: BudgetSteps, Spent: b.stepLimit, Limit: b.stepLimit}
 		}
-		take := int64(stepLease)
-		if take > cur {
-			take = cur
-		}
+		take := min(stepLease, cur)
 		if b.steps.CompareAndSwap(cur, cur-take) {
 			return take, nil
 		}
@@ -179,14 +177,18 @@ func (b *Budget) deadlineErr() *BudgetError {
 	return e
 }
 
-// refill replenishes the frame's fuel from its budget, returning the
-// budget's error when the lease is denied. Called from Run's dispatch
-// loop when fuel runs out.
+// refill pays the frame's fuel deficit from its budget, lease by lease,
+// returning the budget's error when one is denied. The deficit is kept
+// (+=, not =), so every step a launch takes is drawn from the pool
+// exactly once, whatever the lease size and however many items a
+// charge stands for. Called from spend when fuel runs out.
 func (f *Frame) refill() error {
-	lease, err := f.B.TakeLease()
-	if err != nil {
-		return err
+	for f.Fuel < 0 {
+		lease, err := f.B.TakeLease()
+		if err != nil {
+			return err
+		}
+		f.Fuel += lease
 	}
-	f.Fuel = lease
 	return nil
 }

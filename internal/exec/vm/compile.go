@@ -233,9 +233,9 @@ func (c *compiler) constF(v float64) int32 {
 	c.prologue = append(c.prologue, Instr{Op: OpLdcF, A: r, Imm: int64(c.fconst(v))})
 	return r
 }
-func (c *compiler) emit(in Instr) int        { c.code = append(c.code, in); return len(c.code) - 1 }
-func (c *compiler) here() int                { return len(c.code) }
-func (c *compiler) patch(pc, target int)     { c.code[pc].Imm = int64(target) }
+func (c *compiler) emit(in Instr) int    { c.code = append(c.code, in); return len(c.code) - 1 }
+func (c *compiler) here() int            { return len(c.code) }
+func (c *compiler) patch(pc, target int) { c.code[pc].Imm = int64(target) }
 
 func (c *compiler) fconst(v float64) int32 {
 	if i, ok := c.fidx[v]; ok {

@@ -21,13 +21,10 @@ import "fmt"
 // unused top bits of the second accumulator word and spill when it
 // runs out, so no lane can ever overflow into its neighbor.
 //
-// Fault parity is the delicate part. The per-instruction scheme
-// counted div/mod-by-zero, bad OpWIDyn dimensions and budget-exhausted
-// jumps BEFORE faulting, but checked load/store bounds before
-// counting. The arms preserve that by placement: count-then-check ops
-// add their constant at the top of the arm, check-then-count ops after
-// the bounds check, so profiles remain byte-identical with the closure
-// tier and with earlier VM builds.
+// An instruction that can fault checks first and counts after, every
+// one the same way (Frame.fault): no caller sees the counts of a
+// launch that faulted, and a vector group parked at a would-fault
+// instruction must not have counted it, because the scalar rerun will.
 
 const (
 	laneBits = 12
@@ -168,8 +165,9 @@ func (p *Func) buildProfile() error {
 }
 
 // exit spills the accumulated lanes into the frame's counters and
-// parks the PC. One call on every way out of the dispatch loop; cold
-// relative to the loop itself.
+// parks the PC: once when the scalar interpreter returns to Run, and on
+// every way out of the vector dispatch loop, whose frame's uniform half
+// holds the group's shared counts and PC.
 func (p *Func) exit(f *Frame, a0, a1 uint64, pc int) {
 	f.Cnt.addPacked(a0, a1)
 	f.PC = pc

@@ -214,36 +214,36 @@ type Fmt uint8
 
 // Operand formats.
 const (
-	FmtNone    Fmt = iota
-	FmtIabc        // I[A] <- I[B], I[C]
-	FmtIab         // I[A] <- I[B]
-	FmtIabImm      // I[A] <- I[B], Imm
-	FmtIaImm       // I[A] <- Imm
-	FmtFabc        // F[A] <- F[B], F[C]
-	FmtFab         // F[A] <- F[B]
-	FmtFaPool      // F[A] <- FPool[Imm]
-	FmtFaIb        // F[A] <- I[B]
-	FmtIaFb        // I[A] <- F[B]
-	FmtIaFbc       // I[A] <- F[B], F[C]
-	FmtFabcImm     // F[A] <- F[B], F[C], F[Imm]
-	FmtIabcImm     // I[A] <- I[B], I[C], I[Imm]
-	FmtMulImmAdd   // I[A] <- I[B]*imm, I[C]
-	FmtJmp         // pc <- Imm
-	FmtJCond       // test I[A]; pc <- Imm
-	FmtWI          // I[A] <- query B, const dim C
-	FmtWIDyn       // I[A] <- query B, dim I[C]
-	FmtLoadF       // F[A] <- buf B [I[C]]
-	FmtLoadI       // I[A] <- buf B [I[C]]
-	FmtStoreF      // buf B [I[C]] <- F[A]
-	FmtStoreI      // buf B [I[C]] <- I[A]
-	FmtFusedLdF    // F[A] <- F[B] op load(packed Imm, I[C])
-	FmtJCmpI       // if I[A] cc(C) I[B]: pc <- Imm
-	FmtJCmpIImm    // if I[A] cc(B) imm(Imm): pc <- C
-	FmtJCmpF       // if F[A] cc(C) F[B]: pc <- Imm
-	FmtFusedMacF   // F[A] <- F[A] + F[B] * load(packed Imm, I[C])
-	FmtLdIdxF      // F[A] <- buf [I[B]*I[C] + I[r]], packed Imm
-	FmtMacIdxF     // F[A] <- F[A] + F[B] * buf [I[C]*I[r2] + I[r3]], packed Imm
-	FmtIncJCmpI    // I[A] += I[B]; if I[A] cc I[C]: pc <- target
+	FmtNone      Fmt = iota
+	FmtIabc          // I[A] <- I[B], I[C]
+	FmtIab           // I[A] <- I[B]
+	FmtIabImm        // I[A] <- I[B], Imm
+	FmtIaImm         // I[A] <- Imm
+	FmtFabc          // F[A] <- F[B], F[C]
+	FmtFab           // F[A] <- F[B]
+	FmtFaPool        // F[A] <- FPool[Imm]
+	FmtFaIb          // F[A] <- I[B]
+	FmtIaFb          // I[A] <- F[B]
+	FmtIaFbc         // I[A] <- F[B], F[C]
+	FmtFabcImm       // F[A] <- F[B], F[C], F[Imm]
+	FmtIabcImm       // I[A] <- I[B], I[C], I[Imm]
+	FmtMulImmAdd     // I[A] <- I[B]*imm, I[C]
+	FmtJmp           // pc <- Imm
+	FmtJCond         // test I[A]; pc <- Imm
+	FmtWI            // I[A] <- query B, const dim C
+	FmtWIDyn         // I[A] <- query B, dim I[C]
+	FmtLoadF         // F[A] <- buf B [I[C]]
+	FmtLoadI         // I[A] <- buf B [I[C]]
+	FmtStoreF        // buf B [I[C]] <- F[A]
+	FmtStoreI        // buf B [I[C]] <- I[A]
+	FmtFusedLdF      // F[A] <- F[B] op load(packed Imm, I[C])
+	FmtJCmpI         // if I[A] cc(C) I[B]: pc <- Imm
+	FmtJCmpIImm      // if I[A] cc(B) imm(Imm): pc <- C
+	FmtJCmpF         // if F[A] cc(C) F[B]: pc <- Imm
+	FmtFusedMacF     // F[A] <- F[A] + F[B] * load(packed Imm, I[C])
+	FmtLdIdxF        // F[A] <- buf [I[B]*I[C] + I[r]], packed Imm
+	FmtMacIdxF       // F[A] <- F[A] + F[B] * buf [I[C]*I[r2] + I[r3]], packed Imm
+	FmtIncJCmpI      // I[A] += I[B]; if I[A] cc I[C]: pc <- target
 	FmtBar
 )
 

@@ -15,10 +15,16 @@ import (
 // conditions) or one lane-agreement scan (varying forward conditions).
 //
 // Uniform scalarization: registers proven group-uniform live in a
-// single scalar slot (VecFrame.SI/SF) instead of W lanes, and every
-// instruction whose destination is uniform executes exactly once per
-// dispatch (scal[pc]); uniform operands feeding a varying instruction
-// are broadcast into scratch lanes on demand (srcU[pc] marks them).
+// single scalar slot instead of W lanes — the register files of the
+// frame's uniform half, a plain Frame — and every instruction whose
+// destination is uniform executes exactly once per dispatch (scal[pc]),
+// on the scalar VM's own interpreter: Run hands each straight-line span
+// of them (scalEnd) to Func.run over the uniform half, so an opcode's
+// scalar meaning, counter lane and fault check are written once for
+// both tiers. Uniform conditional jumps stay in the vector tier's jump
+// arms, decided by one test on the scalar slots, and uniform operands
+// feeding a varying instruction are broadcast into scratch lanes on
+// demand (srcU[pc] marks them).
 // Loads with uniform indices are uniform too — the lanes run in
 // instruction-level lockstep against the same memory state, so a load
 // from the same address yields lane-equal values. The lane storage of
@@ -103,6 +109,12 @@ type VecFunc struct {
 	// uniform value to a uniform index, or a conditional jump with a
 	// uniform condition.
 	scal []bool
+
+	// scalEnd[pc] is where the straight-line span of scalarized
+	// instructions starting at pc ends: the first index at or after pc
+	// whose instruction is not scal or is a jump. scalEnd[pc] > pc
+	// exactly when the scalar interpreter takes over at pc.
+	scalEnd []int32
 
 	// srcU[pc] marks which register operands of a non-scalarized
 	// instruction are uniform and must be read from the scalar slots
@@ -450,8 +462,9 @@ func notAll(v []bool) []bool {
 }
 
 // computeScal fills scal (instructions that execute once per dispatch
-// on the scalar slots) and srcU (uniform operands of vector
-// instructions that must be broadcast from the scalar slots).
+// on the scalar slots), scalEnd (the spans of them the scalar
+// interpreter runs) and srcU (uniform operands of vector instructions
+// that must be broadcast from the scalar slots).
 func (vf *VecFunc) computeScal(varI, varF []bool) {
 	p := vf.Func
 	uI := func(r int32) bool { return !varI[r] }
@@ -614,6 +627,14 @@ func (vf *VecFunc) computeScal(varI, varF []bool) {
 		}
 		vf.scal[i] = s
 		vf.srcU[i] = u
+	}
+	vf.scalEnd = make([]int32, len(p.Code))
+	end := len(p.Code)
+	for i := end - 1; i >= 0; i-- {
+		if _, jump := jumpTarget(&p.Code[i], i); jump || !vf.scal[i] {
+			end = i
+		}
+		vf.scalEnd[i] = int32(end)
 	}
 }
 
@@ -968,45 +989,54 @@ func (vf *VecFunc) computeJoin(g *flowGraph, pc int, inLoop bool) {
 	vf.regions[pc] = reg
 }
 
-// VecFrame is the per-group SIMT execution state: W-wide lane arrays
-// for the varying registers of both files (lane-major: register r
-// occupies [r*W, r*W+W)), scalar slots for the uniform registers, the
-// shared buffer tables, the work-item lane vectors, and the group's
-// counts.
+// VecFrame is the per-group SIMT execution state. Its uniform half is
+// a Frame — the scalar slots of the uniform registers, the shared
+// buffer tables, the work-item queries every item of a group answers
+// alike, the counts shared by every lane, the PC, the fuel and the
+// budget — and the scalar interpreter runs the scalarized instructions
+// on it as it would a work item's. Beside it: W-wide lane arrays for
+// the varying registers of both files (lane-major: register r occupies
+// [r*W, r*W+W)), the two per-lane work-item queries, and the per-lane
+// count deltas a divergence split leaves.
 type VecFrame struct {
+	// The uniform half (NewVecFrame marks it a span frame). I and F
+	// there are one value per uniform register, written by scalarized
+	// instructions and by SetI/SetF argument binding; a side frame runs
+	// on its own copy (fillSub). Cnt holds the counts shared by every
+	// lane: under convergent execution one accumulation stands for each
+	// item. Fuel is the group's step allowance, charged W per taken
+	// jump.
+	//
+	// Behind a pointer because the size of VecFrame is load-bearing:
+	// when this layout was sized, an unused 400-byte Frame added here
+	// by value, nothing else changed, read +7% blackscholes, +10%
+	// kmeans, +9% dotprod on TierVec and about +5% cpu_ms_per_op on
+	// execute-large.
+	*Frame
+
 	W int
 
-	I []int64   // ceilPow2(NumI) * W lanes (varying registers)
-	F []float64 // ceilPow2(NumF) * W lanes
-
-	// SI/SF are the scalar slots: one value per uniform register,
-	// written by scalarized instructions and by SetI/SetF argument
-	// binding. A side frame runs on its own copy (fillSub). A uniform
+	// I and F are the lanes of the varying registers; they shadow the
+	// uniform half's files, which are Frame.I and Frame.F. A uniform
 	// register's lane storage is garbage, except on a frame that
 	// stopped inside a split (PCLaned), where it carries each lane's
 	// value of the uniform registers the split's region writes.
-	SI []int64
-	SF []float64
+	I []int64   // ceilPow2(NumI) * W lanes
+	F []float64 // ceilPow2(NumF) * W lanes
 
-	Globals []Buf
-	Locals  []Buf
+	// LaneWI holds the two work-item queries that differ lane by lane,
+	// indexed by WIGlobalID and WILocalID, as per-lane ramps. The other
+	// four are scalars in Frame.WI, splatted where a varying register
+	// takes one.
+	LaneWI [2][3][]int64
 
-	// WI holds the six work-item query rows as lane vectors indexed by
-	// the same order as Frame.WI; gid and lid are per-lane ramps, the
-	// rest are broadcast.
-	WI [6][3][]int64
-
-	// Cnt holds the counts shared by every lane: under convergent
-	// execution one accumulation stands for each item. After a
-	// divergence split the sides differ, and the per-lane deltas land
-	// in laneCnt (Laned reports whether any exist), field-major so a
-	// side's delta is one add per lane for each field it moved; an
-	// item's total is Cnt plus its lane's delta (LaneCounts).
-	Cnt     Counts
+	// After a divergence split the sides' counts differ from lane to
+	// lane, and the per-lane deltas on top of Cnt land in laneCnt (Laned
+	// reports whether any exist), field-major so a side's delta is one
+	// add per lane for each field it moved; an item's total is Cnt plus
+	// its lane's delta (LaneCounts).
 	Laned   bool
 	laneCnt []int64 // NCountFields rows of len(idx) lanes
-
-	PC int
 
 	// PCLaned marks a full bail out of a divergence split: the lanes
 	// stopped at different PCs (LanePC) and the caller must complete
@@ -1026,11 +1056,6 @@ type VecFrame struct {
 	Divergences int64
 	Reconverges int64
 
-	// Fuel is the group's step allowance, charged W per taken jump and
-	// refilled in leases from B exactly like Frame.Fuel.
-	Fuel int64
-	B    *Budget
-
 	idx        []int64   // scratch lane indices for two-pass memory ops
 	bcI        []int64   // broadcast scratch: 3 int operand slots
 	bcF        []float64 // broadcast scratch: 3 float operand slots
@@ -1043,27 +1068,27 @@ type VecFrame struct {
 }
 
 // NewVecFrame allocates a W-lane frame for p. Buffer tables, scalar
-// arguments, and WI rows are bound by the caller.
+// arguments, and work-item queries are bound by the caller.
 func (p *VecFunc) NewVecFrame(w int) *VecFrame {
 	ni, nf := ceilPow2(p.NumI), ceilPow2(p.NumF)
 	f := &VecFrame{
-		W:    w,
-		I:    make([]int64, ni*w),
-		F:    make([]float64, nf*w),
-		SI:   make([]int64, ni),
-		SF:   make([]float64, nf),
-		idx:  make([]int64, w),
-		bcI:  make([]int64, 3*w),
-		bcF:  make([]float64, 3*w),
-		mi:   int32(ni - 1),
-		mf:   int32(nf - 1),
-		sel0: make([]int, 0, w),
-		sel1: make([]int, 0, w),
-		Stop: -1,
+		Frame: p.NewFrame(),
+		W:     w,
+		I:     make([]int64, ni*w),
+		F:     make([]float64, nf*w),
+		idx:   make([]int64, w),
+		bcI:   make([]int64, 3*w),
+		bcF:   make([]float64, 3*w),
+		mi:    int32(ni - 1),
+		mf:    int32(nf - 1),
+		sel0:  make([]int, 0, w),
+		sel1:  make([]int, 0, w),
+		Stop:  -1,
 	}
-	for q := range f.WI {
-		for d := range f.WI[q] {
-			f.WI[q][d] = make([]int64, w)
+	f.span = true
+	for q := range f.LaneWI {
+		for d := range f.LaneWI[q] {
+			f.LaneWI[q][d] = make([]int64, w)
 		}
 	}
 	return f
@@ -1106,16 +1131,26 @@ func (f *VecFrame) splatF(s int, v float64) []float64 {
 // slot s when uniform (lane storage of uniform registers is garbage).
 func (f *VecFrame) rdI(r int32, uniform bool, s int) []int64 {
 	if uniform {
-		return f.splatI(s, f.SI[r&f.mi])
+		return f.splatI(s, f.Frame.I[r&f.mi])
 	}
 	return f.lanesI(r)
 }
 
 func (f *VecFrame) rdF(r int32, uniform bool, s int) []float64 {
 	if uniform {
-		return f.splatF(s, f.SF[r&f.mf])
+		return f.splatF(s, f.Frame.F[r&f.mf])
 	}
 	return f.lanesF(r)
+}
+
+// wiRow returns work-item query q in dimension d as a lane slice: the
+// per-lane ramp of gid and lid, or the group's one answer to any other
+// query broadcast into scratch slot s.
+func (f *VecFrame) wiRow(q int32, d int64, s int) []int64 {
+	if q <= WILocalID {
+		return f.LaneWI[q][d][:f.W]
+	}
+	return f.splatI(s, f.WI[q][d])
 }
 
 // SetI binds a scalar into int register r: every lane and the scalar
@@ -1126,7 +1161,7 @@ func (f *VecFrame) SetI(r int32, v int64) {
 	for l := range a {
 		a[l] = v
 	}
-	f.SI[r&f.mi] = v
+	f.Frame.I[r&f.mi] = v
 }
 
 // SetF binds a scalar into float register r.
@@ -1135,39 +1170,19 @@ func (f *VecFrame) SetF(r int32, v float64) {
 	for l := range a {
 		a[l] = v
 	}
-	f.SF[r&f.mf] = v
+	f.Frame.F[r&f.mf] = v
 }
 
 // Reset rewinds the frame to the kernel entry and clears its counts
-// and divergence state. Register lanes keep their values, mirroring
-// Frame.Reset.
+// and divergence state. Register lanes keep their values, as the
+// scalar slots do.
 func (f *VecFrame) Reset() {
-	f.PC = 0
-	f.Cnt = Counts{}
+	f.Frame.Reset()
 	f.Stop = -1
 	f.Laned = false
 	f.PCLaned = false
 	f.Divergences = 0
 	f.Reconverges = 0
-}
-
-// spend burns w units of fuel (one per lane) at a taken jump, refilling
-// the lease from the budget on underflow.
-func (f *VecFrame) spend(w int64) error {
-	f.Fuel -= w
-	for f.Fuel < 0 {
-		lease, err := f.B.TakeLease()
-		if err != nil {
-			return err
-		}
-		f.Fuel += lease
-	}
-	return nil
-}
-
-func (p *VecFunc) exitVec(f *VecFrame, a0, a1 uint64, pc int) {
-	f.Cnt.addPacked(a0, a1)
-	f.PC = pc
 }
 
 // NCountFields is how many Counts fields the dispatch arms accumulate
@@ -1264,14 +1279,14 @@ func (f *VecFrame) ensurePCLaned() {
 func (p *VecFunc) ScatterLane(f *VecFrame, li int, dst *Frame) {
 	for r := 0; r < p.NumI; r++ {
 		if p.uniI[r] {
-			dst.I[r] = f.SI[r]
+			dst.I[r] = f.Frame.I[r]
 		} else {
 			dst.I[r] = f.I[r*f.W+li]
 		}
 	}
 	for r := 0; r < p.NumF; r++ {
 		if p.uniF[r] {
-			dst.F[r] = f.SF[r]
+			dst.F[r] = f.Frame.F[r]
 		} else {
 			dst.F[r] = f.F[r*f.W+li]
 		}
@@ -1304,26 +1319,22 @@ func (p *VecFunc) subFrame(f *VecFrame, i int) *VecFrame {
 // fillSub prepares side frame s to run the lanes sel of f from start
 // to the join point stop for the divergent region of the branch at
 // pc: the varying registers the region needs (and, when it queries
-// them, the WI rows) are compacted into lanes 0..len(sel)-1, the
-// scalar slots are copied — each side owns its copy, so a uniform
-// temporary the region writes stays private to the side and is never
-// copied back (computeJoin admits only ones that are dead at the join)
-// — and buffers and budget are shared.
+// them, the work-item ramps) are compacted into lanes 0..len(sel)-1,
+// the scalar slots are copied — each side owns its uniform half, so a
+// uniform temporary the region writes stays private to the side and is
+// never copied back (computeJoin admits only ones that are dead at the
+// join) — and buffers and budget are shared.
 func (p *VecFunc) fillSub(f, s *VecFrame, sel []int, start, stop, pc int) {
 	k := len(sel)
 	s.W = k
 	s.Globals, s.Locals = f.Globals, f.Locals
 	s.B = f.B
-	copy(s.SI, f.SI)
-	copy(s.SF, f.SF)
+	copy(s.Frame.I, f.Frame.I)
+	copy(s.Frame.F, f.Frame.F)
 	s.depth = f.depth + 1
+	s.Reset()
 	s.Stop = stop
 	s.PC = start
-	s.Cnt = Counts{}
-	s.Laned = false
-	s.PCLaned = false
-	s.Divergences = 0
-	s.Reconverges = 0
 	reg := p.regions[pc]
 	for _, r := range reg.inI {
 		gather(s.I[int(r)*k:][:k], f.I[int(r)*f.W:], sel)
@@ -1332,9 +1343,10 @@ func (p *VecFunc) fillSub(f, s *VecFrame, sel []int, start, stop, pc int) {
 		gather(s.F[int(r)*k:][:k], f.F[int(r)*f.W:], sel)
 	}
 	if reg.wi {
-		for q := range f.WI {
-			for d := range f.WI[q] {
-				gather(s.WI[q][d][:k], f.WI[q][d], sel)
+		s.WI = f.WI
+		for q := range f.LaneWI {
+			for d := range f.LaneWI[q] {
+				gather(s.LaneWI[q][d][:k], f.LaneWI[q][d], sel)
 			}
 		}
 	}
@@ -1377,10 +1389,10 @@ func (p *VecFunc) scatterSub(f, s *VecFrame, sel []int, bail bool, pc int) {
 		f.ensurePCLaned()
 		splatSel(f.LanePC, lanePC, sel)
 		for _, r := range reg.privI {
-			splatSel(f.I[int(r)*f.W:], src.SI[r], sel)
+			splatSel(f.I[int(r)*f.W:], src.Frame.I[r], sel)
 		}
 		for _, r := range reg.privF {
-			splatSel(f.F[int(r)*f.W:], src.SF[r], sel)
+			splatSel(f.F[int(r)*f.W:], src.Frame.F[r], sel)
 		}
 	}
 	if s == nil {

@@ -5,9 +5,9 @@ package vm
 // sides, runs each side as a compacted sub-group through the same
 // dispatch loop up to the branch's join point (the immediate
 // post-dominator recorded by Vectorize), and re-forms the full group
-// there. Each side owns a copy of the scalar slots, so the uniform
-// temporaries a region writes (all dead at the join) never leak from
-// one side into the other or back into the group. Irreducible
+// there. Each side owns its uniform half, so the uniform temporaries a
+// region writes (all dead at the join) never leak from one side into
+// the other or back into the group. Irreducible
 // divergence — no safe join, splits nested past the depth cap, or a
 // would-fault lane inside a side — degrades to the full scalar bail.
 
@@ -42,7 +42,7 @@ func (p *VecFunc) diverge(f *VecFrame, a0, a1 *uint64, pc int) (Status, error) {
 	if j < 0 {
 		// Full bail: park pre-instruction, branch uncounted, so the
 		// scalar completion re-executes it exactly once per item.
-		p.exitVec(f, *a0, *a1, pc)
+		p.exit(f.Frame, *a0, *a1, pc)
 		return Diverged, nil
 	}
 
@@ -65,7 +65,7 @@ func (p *VecFunc) diverge(f *VecFrame, a0, a1 *uint64, pc int) (Status, error) {
 	// one-sided branch is already at the join, and laneCond counted it.
 	target, _ := condJumpTarget(in, pc)
 	f.partition(pc+1 != j, target != j)
-	p.exitVec(f, *a0, *a1, pc)
+	p.exit(f.Frame, *a0, *a1, pc)
 	*a0, *a1 = 0, uint64(p.room)<<roomShift
 	// The taken lanes each spent one step on the jump.
 	if err := f.spend(int64(f.nTaken)); err != nil {
@@ -123,14 +123,32 @@ func (p *VecFunc) runSide(f *VecFrame, i int, sel []int, start, j, pc int) (s *V
 	return s, st, err
 }
 
-// laneCond evaluates the varying conditional jump at pc for every lane
-// into the mask f.idx (1 = taken) and the count f.nTaken, comparing
-// against a uniform operand or an immediate straight from its scalar
-// value, and reports lane 0's outcome and whether every lane agrees
-// with it. On disagreement diverge partitions the same mask, so the
-// condition is evaluated once however the branch goes.
+// laneCond decides the conditional jump at pc for the group. A uniform
+// condition takes one test on the scalar slots. A varying one is
+// evaluated for every lane into the mask f.idx (1 = taken) and the
+// count f.nTaken, comparing against a uniform operand or an immediate
+// straight from its scalar value; laneCond reports lane 0's outcome and
+// whether every lane agrees with it. On disagreement diverge partitions
+// the same mask, so the condition is evaluated once however the branch
+// goes.
 func (p *VecFunc) laneCond(f *VecFrame, pc int) (taken, agree bool) {
 	in := &p.Code[pc]
+	ui, uf := f.Frame.I, f.Frame.F
+	if p.condUniform[pc] {
+		switch in.Op {
+		case OpJZBr, OpJZLog:
+			taken = ui[in.A&f.mi] == 0
+		case OpJNZLog:
+			taken = ui[in.A&f.mi] != 0
+		case OpJCmpI:
+			taken = ccHoldsI(in.C, ui[in.A&f.mi], ui[in.B&f.mi])
+		case OpJCmpIImm:
+			taken = ccHoldsI(in.B, ui[in.A&f.mi], in.Imm)
+		case OpJCmpF:
+			taken = ccHoldsF(in.C, uf[in.A&f.mf], uf[in.B&f.mf])
+		}
+		return taken, true
+	}
 	su := p.srcU[pc]
 	m := f.idx[:f.W]
 	switch in.Op {
@@ -141,9 +159,9 @@ func (p *VecFunc) laneCond(f *VecFrame, pc int) (taken, agree bool) {
 	case OpJCmpI:
 		switch {
 		case su&srcUB != 0:
-			cmpMask1(m, swapCc[in.C], f.lanesI(in.B), f.SI[in.A&f.mi])
+			cmpMask1(m, swapCc[in.C], f.lanesI(in.B), ui[in.A&f.mi])
 		case su&srcUC != 0:
-			cmpMask1(m, in.C, f.lanesI(in.A), f.SI[in.B&f.mi])
+			cmpMask1(m, in.C, f.lanesI(in.A), ui[in.B&f.mi])
 		default:
 			cmpMask(m, in.C, f.lanesI(in.A), f.lanesI(in.B))
 		}
@@ -152,9 +170,9 @@ func (p *VecFunc) laneCond(f *VecFrame, pc int) (taken, agree bool) {
 	case OpJCmpF:
 		switch {
 		case su&srcUB != 0:
-			cmpMask1(m, swapCc[in.C], f.lanesF(in.B), f.SF[in.A&f.mf])
+			cmpMask1(m, swapCc[in.C], f.lanesF(in.B), uf[in.A&f.mf])
 		case su&srcUC != 0:
-			cmpMask1(m, in.C, f.lanesF(in.A), f.SF[in.B&f.mf])
+			cmpMask1(m, in.C, f.lanesF(in.A), uf[in.B&f.mf])
 		default:
 			cmpMask(m, in.C, f.lanesF(in.A), f.lanesF(in.B))
 		}

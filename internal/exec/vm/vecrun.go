@@ -22,21 +22,33 @@ const Diverged Status = 2
 // frame's Stop PC — the join point of a divergence split — is reached,
 // or the step budget is exhausted. Every arm mirrors the scalar VM arm
 // exactly — same float expression shapes (so rounding is
-// bit-identical), same counter constants, same count-vs-check
-// placement — but loops over lanes inside the single dispatch.
-// Memory and fault-checked arms run two passes (scan every lane's
-// index, then execute) so a bail-out leaves the frame exactly at
-// pre-instruction state.
+// bit-identical), same counter constants — but loops over lanes inside
+// the single dispatch. Memory and fault-checked arms run two passes
+// (scan every lane's index, then execute) so a bail-out leaves the
+// frame exactly at pre-instruction state.
 //
-// Scalarization: runs of instructions with uniform destinations are
-// delegated to scalRun, which executes them once per dispatch on the
-// scalar slots. Vector arms read uniform operands through rdI/rdF,
+// Scalarization: a straight-line span of instructions with uniform
+// destinations goes to the scalar interpreter (Func.run) over the
+// frame's uniform half, cut off at the span's end or the join point,
+// whichever comes first, with the accumulators and the PC handed over
+// and back as values. Conditional jumps never sit in a span: one with
+// a uniform condition is decided here by laneCond from the scalar
+// slots, so fuel (W per taken jump) and the spill countdown are charged
+// in one place. Vector arms read uniform operands through rdI/rdF,
 // which broadcast the scalar slot into scratch lanes on demand — the
 // lane storage of a uniform register holds garbage and is never read
 // directly. The hottest memory arms skip the broadcast entirely when
 // the address is uniform: one bounds check, one load, splat the value.
+//
+// Timing this function in isolation does not resolve +-10% on a shared
+// 2-core box (a kernel with no scalarized instruction at all read
+// +1.7%, +7% and +12% across three builds that never touched its
+// path): judge a change to it by alternated end-to-end pairs of
+// cpu_ms_per_op, not by exec.vec.ns_per_op.
 func (p *VecFunc) Run(f *VecFrame) (Status, error) {
 	code := p.Code
+	u := f.Frame
+	ui, uf := u.I, u.F
 	w := f.W
 	wd := int64(w)
 	pc := f.PC
@@ -45,39 +57,18 @@ func (p *VecFunc) Run(f *VecFrame) (Status, error) {
 dispatch:
 	for pc < len(code) {
 		if pc == f.Stop {
-			p.exitVec(f, a0, a1, pc)
+			p.exit(u, a0, a1, pc)
 			return joined, nil
 		}
-		if p.scal[pc] {
-			// The fused counted-loop back-edge is the hottest scalarized
-			// instruction — in a kernel like matmul it is the ONLY one
-			// between two vector dispatches, every iteration. Execute it
-			// inline (mirroring the scalRun arm exactly) instead of
-			// paying the scalRun call prologue for a one-instruction run.
-			if in := &code[pc]; in.Op == OpIncJCmpI {
-				a0 += 2 * lIntOp
-				a1 += lBranch
-				v := f.SI[in.A&f.mi] + f.SI[in.B&f.mi]
-				f.SI[in.A&f.mi] = v
-				cc, target := unpackCcTarget(in.Imm)
-				if ccHoldsI(cc, v, f.SI[in.C&f.mi]) {
-					a1 -= roomOne
-					if a1 < roomOne {
-						f.Cnt.addPacked(a0, a1)
-						a0, a1 = 0, uint64(p.room)<<roomShift
-					}
-					if err := f.spend(wd); err != nil {
-						p.exitVec(f, a0, a1, pc)
-						return Halted, err
-					}
-					pc = int(target)
-				} else {
-					pc++
-				}
-				continue
+		if end := int(p.scalEnd[pc]); end > pc {
+			if pc < f.Stop && f.Stop < end {
+				end = f.Stop
 			}
-			st, done, err := p.scalRun(f, &a0, &a1, &pc, wd)
-			if done {
+			var st Status
+			var err error
+			a0, a1, pc, st, err = p.run(u, code[:end], a0, a1, pc)
+			if st != Halted || err != nil {
+				p.exit(u, a0, a1, pc)
 				return st, err
 			}
 			continue
@@ -87,7 +78,7 @@ dispatch:
 		switch in.Op {
 		case OpNop:
 		case OpHalt:
-			p.exitVec(f, a0, a1, pc)
+			p.exit(u, a0, a1, pc)
 			return Halted, nil
 
 		case OpMovI:
@@ -152,7 +143,7 @@ dispatch:
 			c := f.rdI(in.C, su&srcUC != 0, 1)
 			for l := range c {
 				if c[l] == 0 {
-					p.exitVec(f, a0, a1, pc)
+					p.exit(u, a0, a1, pc)
 					return Diverged, nil
 				}
 			}
@@ -167,7 +158,7 @@ dispatch:
 			c := f.rdI(in.C, su&srcUC != 0, 1)
 			for l := range c {
 				if c[l] == 0 {
-					p.exitVec(f, a0, a1, pc)
+					p.exit(u, a0, a1, pc)
 					return Diverged, nil
 				}
 			}
@@ -481,11 +472,11 @@ dispatch:
 		case OpJmp:
 			a1 -= roomOne
 			if a1 < roomOne {
-				f.Cnt.addPacked(a0, a1)
+				u.Cnt.addPacked(a0, a1)
 				a0, a1 = 0, uint64(p.room)<<roomShift
 			}
-			if err := f.spend(wd); err != nil {
-				p.exitVec(f, a0, a1, pc)
+			if err := u.spend(wd); err != nil {
+				p.exit(u, a0, a1, pc)
 				return Halted, err
 			}
 			pc = int(in.Imm)
@@ -504,11 +495,11 @@ dispatch:
 			if taken {
 				a1 -= roomOne
 				if a1 < roomOne {
-					f.Cnt.addPacked(a0, a1)
+					u.Cnt.addPacked(a0, a1)
 					a0, a1 = 0, uint64(p.room)<<roomShift
 				}
-				if err := f.spend(wd); err != nil {
-					p.exitVec(f, a0, a1, pc)
+				if err := u.spend(wd); err != nil {
+					p.exit(u, a0, a1, pc)
 					return Halted, err
 				}
 				pc = int(in.Imm)
@@ -528,11 +519,11 @@ dispatch:
 			if taken {
 				a1 -= roomOne
 				if a1 < roomOne {
-					f.Cnt.addPacked(a0, a1)
+					u.Cnt.addPacked(a0, a1)
 					a0, a1 = 0, uint64(p.room)<<roomShift
 				}
-				if err := f.spend(wd); err != nil {
-					p.exitVec(f, a0, a1, pc)
+				if err := u.spend(wd); err != nil {
+					p.exit(u, a0, a1, pc)
 					return Halted, err
 				}
 				pc = int(in.Imm)
@@ -552,11 +543,11 @@ dispatch:
 			if taken {
 				a1 -= roomOne
 				if a1 < roomOne {
-					f.Cnt.addPacked(a0, a1)
+					u.Cnt.addPacked(a0, a1)
 					a0, a1 = 0, uint64(p.room)<<roomShift
 				}
-				if err := f.spend(wd); err != nil {
-					p.exitVec(f, a0, a1, pc)
+				if err := u.spend(wd); err != nil {
+					p.exit(u, a0, a1, pc)
 					return Halted, err
 				}
 				pc = int(in.Imm)
@@ -565,41 +556,41 @@ dispatch:
 
 		case OpWI:
 			a0 += lIntOp
-			copy(f.lanesI(in.A), f.WI[in.B][in.C])
+			copy(f.lanesI(in.A), f.wiRow(in.B, int64(in.C), 0))
 		case OpWIDyn:
 			if su&srcUC != 0 {
-				dim := f.SI[in.C&f.mi]
+				dim := ui[in.C&f.mi]
 				if uint64(dim) > 2 {
-					p.exitVec(f, a0, a1, pc)
+					p.exit(u, a0, a1, pc)
 					return Diverged, nil
 				}
 				a0 += lIntOp
-				copy(f.lanesI(in.A), f.WI[in.B][dim])
+				copy(f.lanesI(in.A), f.wiRow(in.B, dim, 0))
 			} else {
 				dim := f.lanesI(in.C)
 				for l := range dim {
 					if uint64(dim[l]) > 2 {
-						p.exitVec(f, a0, a1, pc)
+						p.exit(u, a0, a1, pc)
 						return Diverged, nil
 					}
 				}
 				a0 += lIntOp
 				d := f.lanesI(in.A)
 				dim = dim[:len(d)]
-				q := &f.WI[in.B]
+				q := [3][]int64{f.wiRow(in.B, 0, 0), f.wiRow(in.B, 1, 1), f.wiRow(in.B, 2, 2)}
 				for l := range d {
 					d[l] = q[dim[l]][l]
 				}
 			}
 
 		case OpLdGF:
-			b := &f.Globals[in.B]
+			b := &u.Globals[in.B]
 			n := uint64(len(b.F))
 			if su&srcUC != 0 {
 				// Uniform address: one bounds check, one load, splat.
-				i := f.SI[in.C&f.mi]
+				i := ui[in.C&f.mi]
 				if uint64(i) >= n {
-					p.exitVec(f, a0, a1, pc)
+					p.exit(u, a0, a1, pc)
 					return Diverged, nil
 				}
 				a0 += lGLoad
@@ -612,7 +603,7 @@ dispatch:
 				ix := f.lanesI(in.C)
 				for l := range ix {
 					if uint64(ix[l]) >= n {
-						p.exitVec(f, a0, a1, pc)
+						p.exit(u, a0, a1, pc)
 						return Diverged, nil
 					}
 				}
@@ -625,12 +616,12 @@ dispatch:
 				}
 			}
 		case OpLdGI:
-			b := &f.Globals[in.B]
+			b := &u.Globals[in.B]
 			n := uint64(len(b.I))
 			if su&srcUC != 0 {
-				i := f.SI[in.C&f.mi]
+				i := ui[in.C&f.mi]
 				if uint64(i) >= n {
-					p.exitVec(f, a0, a1, pc)
+					p.exit(u, a0, a1, pc)
 					return Diverged, nil
 				}
 				a0 += lGLoad
@@ -643,7 +634,7 @@ dispatch:
 				ix := f.lanesI(in.C)
 				for l := range ix {
 					if uint64(ix[l]) >= n {
-						p.exitVec(f, a0, a1, pc)
+						p.exit(u, a0, a1, pc)
 						return Diverged, nil
 					}
 				}
@@ -656,12 +647,12 @@ dispatch:
 				}
 			}
 		case OpLdLF:
-			b := &f.Locals[in.B]
+			b := &u.Locals[in.B]
 			n := uint64(len(b.F))
 			if su&srcUC != 0 {
-				i := f.SI[in.C&f.mi]
+				i := ui[in.C&f.mi]
 				if uint64(i) >= n {
-					p.exitVec(f, a0, a1, pc)
+					p.exit(u, a0, a1, pc)
 					return Diverged, nil
 				}
 				a1 += lLocalOp
@@ -674,7 +665,7 @@ dispatch:
 				ix := f.lanesI(in.C)
 				for l := range ix {
 					if uint64(ix[l]) >= n {
-						p.exitVec(f, a0, a1, pc)
+						p.exit(u, a0, a1, pc)
 						return Diverged, nil
 					}
 				}
@@ -687,12 +678,12 @@ dispatch:
 				}
 			}
 		case OpLdLI:
-			b := &f.Locals[in.B]
+			b := &u.Locals[in.B]
 			n := uint64(len(b.I))
 			if su&srcUC != 0 {
-				i := f.SI[in.C&f.mi]
+				i := ui[in.C&f.mi]
 				if uint64(i) >= n {
-					p.exitVec(f, a0, a1, pc)
+					p.exit(u, a0, a1, pc)
 					return Diverged, nil
 				}
 				a1 += lLocalOp
@@ -705,7 +696,7 @@ dispatch:
 				ix := f.lanesI(in.C)
 				for l := range ix {
 					if uint64(ix[l]) >= n {
-						p.exitVec(f, a0, a1, pc)
+						p.exit(u, a0, a1, pc)
 						return Diverged, nil
 					}
 				}
@@ -719,12 +710,12 @@ dispatch:
 			}
 
 		case OpStGF:
-			b := &f.Globals[in.B]
+			b := &u.Globals[in.B]
 			ix := f.rdI(in.C, su&srcUC != 0, 0)
 			n := uint64(len(b.F))
 			for l := range ix {
 				if uint64(ix[l]) >= n {
-					p.exitVec(f, a0, a1, pc)
+					p.exit(u, a0, a1, pc)
 					return Diverged, nil
 				}
 			}
@@ -735,12 +726,12 @@ dispatch:
 				bf[ix[l]] = float32(src[l])
 			}
 		case OpStGI:
-			b := &f.Globals[in.B]
+			b := &u.Globals[in.B]
 			ix := f.rdI(in.C, su&srcUC != 0, 0)
 			n := uint64(len(b.I))
 			for l := range ix {
 				if uint64(ix[l]) >= n {
-					p.exitVec(f, a0, a1, pc)
+					p.exit(u, a0, a1, pc)
 					return Diverged, nil
 				}
 			}
@@ -751,12 +742,12 @@ dispatch:
 				bi[ix[l]] = int32(src[l])
 			}
 		case OpStLF:
-			b := &f.Locals[in.B]
+			b := &u.Locals[in.B]
 			ix := f.rdI(in.C, su&srcUC != 0, 0)
 			n := uint64(len(b.F))
 			for l := range ix {
 				if uint64(ix[l]) >= n {
-					p.exitVec(f, a0, a1, pc)
+					p.exit(u, a0, a1, pc)
 					return Diverged, nil
 				}
 			}
@@ -767,12 +758,12 @@ dispatch:
 				bf[ix[l]] = float32(src[l])
 			}
 		case OpStLI:
-			b := &f.Locals[in.B]
+			b := &u.Locals[in.B]
 			ix := f.rdI(in.C, su&srcUC != 0, 0)
 			n := uint64(len(b.I))
 			for l := range ix {
 				if uint64(ix[l]) >= n {
-					p.exitVec(f, a0, a1, pc)
+					p.exit(u, a0, a1, pc)
 					return Diverged, nil
 				}
 			}
@@ -956,8 +947,8 @@ dispatch:
 				// stride plus uniform offset, one multiply-add per lane
 				// with no broadcast traffic.
 				b := f.lanesI(in.B)[:len(d)]
-				cv := f.SI[in.C&f.mi]
-				xv := f.SI[int32(in.Imm)&f.mi]
+				cv := ui[in.C&f.mi]
+				xv := ui[int32(in.Imm)&f.mi]
 				for l := range d {
 					d[l] = b[l]*cv + xv
 				}
@@ -974,7 +965,7 @@ dispatch:
 			d := f.lanesI(in.A)
 			if su&srcUC != 0 && su&srcUB == 0 {
 				b := f.lanesI(in.B)[:len(d)]
-				cv := f.SI[in.C&f.mi]
+				cv := ui[in.C&f.mi]
 				for l := range d {
 					d[l] = b[l]*in.Imm + cv
 				}
@@ -998,12 +989,12 @@ dispatch:
 			}
 		case OpAddFLdG:
 			slot, _ := unpackMem(in.Imm)
-			bb := &f.Globals[slot]
+			bb := &u.Globals[slot]
 			n := uint64(len(bb.F))
 			if su&srcUC != 0 {
-				i := f.SI[in.C&f.mi]
+				i := ui[in.C&f.mi]
 				if uint64(i) >= n {
-					p.exitVec(f, a0, a1, pc)
+					p.exit(u, a0, a1, pc)
 					return Diverged, nil
 				}
 				a0 += lFloatOp + lGLoad
@@ -1017,7 +1008,7 @@ dispatch:
 				ix := f.lanesI(in.C)
 				for l := range ix {
 					if uint64(ix[l]) >= n {
-						p.exitVec(f, a0, a1, pc)
+						p.exit(u, a0, a1, pc)
 						return Diverged, nil
 					}
 				}
@@ -1032,12 +1023,12 @@ dispatch:
 			}
 		case OpMulFLdG:
 			slot, _ := unpackMem(in.Imm)
-			bb := &f.Globals[slot]
+			bb := &u.Globals[slot]
 			n := uint64(len(bb.F))
 			if su&srcUC != 0 {
-				i := f.SI[in.C&f.mi]
+				i := ui[in.C&f.mi]
 				if uint64(i) >= n {
-					p.exitVec(f, a0, a1, pc)
+					p.exit(u, a0, a1, pc)
 					return Diverged, nil
 				}
 				a0 += lFloatOp + lGLoad
@@ -1051,7 +1042,7 @@ dispatch:
 				ix := f.lanesI(in.C)
 				for l := range ix {
 					if uint64(ix[l]) >= n {
-						p.exitVec(f, a0, a1, pc)
+						p.exit(u, a0, a1, pc)
 						return Diverged, nil
 					}
 				}
@@ -1066,12 +1057,12 @@ dispatch:
 			}
 		case OpSubFLdG:
 			slot, _ := unpackMem(in.Imm)
-			bb := &f.Globals[slot]
+			bb := &u.Globals[slot]
 			n := uint64(len(bb.F))
 			if su&srcUC != 0 {
-				i := f.SI[in.C&f.mi]
+				i := ui[in.C&f.mi]
 				if uint64(i) >= n {
-					p.exitVec(f, a0, a1, pc)
+					p.exit(u, a0, a1, pc)
 					return Diverged, nil
 				}
 				a0 += lFloatOp + lGLoad
@@ -1085,7 +1076,7 @@ dispatch:
 				ix := f.lanesI(in.C)
 				for l := range ix {
 					if uint64(ix[l]) >= n {
-						p.exitVec(f, a0, a1, pc)
+						p.exit(u, a0, a1, pc)
 						return Diverged, nil
 					}
 				}
@@ -1100,12 +1091,12 @@ dispatch:
 			}
 		case OpLdSubFG:
 			slot, _ := unpackMem(in.Imm)
-			bb := &f.Globals[slot]
+			bb := &u.Globals[slot]
 			n := uint64(len(bb.F))
 			if su&srcUC != 0 {
-				i := f.SI[in.C&f.mi]
+				i := ui[in.C&f.mi]
 				if uint64(i) >= n {
-					p.exitVec(f, a0, a1, pc)
+					p.exit(u, a0, a1, pc)
 					return Diverged, nil
 				}
 				a0 += lFloatOp + lGLoad
@@ -1119,7 +1110,7 @@ dispatch:
 				ix := f.lanesI(in.C)
 				for l := range ix {
 					if uint64(ix[l]) >= n {
-						p.exitVec(f, a0, a1, pc)
+						p.exit(u, a0, a1, pc)
 						return Diverged, nil
 					}
 				}
@@ -1134,15 +1125,15 @@ dispatch:
 			}
 		case OpMulAccLdG:
 			slot, _ := unpackMem(in.Imm)
-			bb := &f.Globals[slot]
+			bb := &u.Globals[slot]
 			n := uint64(len(bb.F))
 			if su&srcUC != 0 {
 				// The matvec inner product: every lane multiplies its own
 				// row element by the same vector element — one load for
 				// the whole group.
-				i := f.SI[in.C&f.mi]
+				i := ui[in.C&f.mi]
 				if uint64(i) >= n {
-					p.exitVec(f, a0, a1, pc)
+					p.exit(u, a0, a1, pc)
 					return Diverged, nil
 				}
 				a0 += 2*lFloatOp + lGLoad
@@ -1156,7 +1147,7 @@ dispatch:
 				ix := f.lanesI(in.C)
 				for l := range ix {
 					if uint64(ix[l]) >= n {
-						p.exitVec(f, a0, a1, pc)
+						p.exit(u, a0, a1, pc)
 						return Diverged, nil
 					}
 				}
@@ -1188,7 +1179,7 @@ dispatch:
 			}
 		case OpLdGFIdx:
 			slot, _, r3 := unpackMemIdx(in.Imm)
-			bb := &f.Globals[slot]
+			bb := &u.Globals[slot]
 			bf := bb.F
 			const uniCX = srcUC | srcUX
 			if su&uniCX == uniCX && su&srcUB == 0 {
@@ -1199,13 +1190,13 @@ dispatch:
 				// check, and gather in one pass; dest lanes written
 				// before a would-fault park are rewritten by the scalar
 				// rerun of this very instruction.
-				cs, rs := f.SI[in.C&f.mi], f.SI[r3&f.mi]
+				cs, rs := ui[in.C&f.mi], ui[r3&f.mi]
 				b := f.lanesI(in.B)
 				d := f.lanesF(in.A)[:len(b)]
 				for l := range b {
 					v := b[l]*cs + rs
 					if uint64(v) >= uint64(len(bf)) {
-						p.exitVec(f, a0, a1, pc)
+						p.exit(u, a0, a1, pc)
 						return Diverged, nil
 					}
 					d[l] = float64(bf[v])
@@ -1218,7 +1209,7 @@ dispatch:
 				for l := range b {
 					v := b[l]*c[l] + r[l]
 					if uint64(v) >= uint64(len(bf)) {
-						p.exitVec(f, a0, a1, pc)
+						p.exit(u, a0, a1, pc)
 						return Diverged, nil
 					}
 					d[l] = float64(bf[v])
@@ -1227,16 +1218,16 @@ dispatch:
 			a0 += 2*lIntOp + lGLoad
 		case OpMacLdGIdx:
 			slot, _, r2, r3 := unpackMacIdx(in.Imm)
-			bb := &f.Globals[slot]
+			bb := &u.Globals[slot]
 			n := uint64(len(bb.F))
 			const uniIdx = srcUC | srcUX2 | srcUX
 			if su&uniIdx == uniIdx {
 				// The matmul inner product: the B-matrix address
 				// k*n + j is fully uniform when each lane owns a row —
 				// one bounds check and one load feed all W multiply-adds.
-				v := f.SI[in.C&f.mi]*f.SI[r2&f.mi] + f.SI[r3&f.mi]
+				v := ui[in.C&f.mi]*ui[r2&f.mi] + ui[r3&f.mi]
 				if uint64(v) >= n {
-					p.exitVec(f, a0, a1, pc)
+					p.exit(u, a0, a1, pc)
 					return Diverged, nil
 				}
 				a0 += 2*lIntOp + 2*lFloatOp + lGLoad
@@ -1254,7 +1245,7 @@ dispatch:
 				// lane is written (a park after a partial MAC would
 				// double-accumulate on the scalar rerun) — check first,
 				// then recompute the cheap add in the fused MAC loop.
-				base := f.SI[in.C&f.mi] * f.SI[r2&f.mi]
+				base := ui[in.C&f.mi] * ui[r2&f.mi]
 				bf := bb.F
 				r := f.lanesI(r3)
 				// Gather into the broadcast scratch (no splat uses it on
@@ -1265,7 +1256,7 @@ dispatch:
 				for l := range r {
 					v := base + r[l]
 					if uint64(v) >= uint64(len(bf)) {
-						p.exitVec(f, a0, a1, pc)
+						p.exit(u, a0, a1, pc)
 						return Diverged, nil
 					}
 					t[l] = float64(bf[v])
@@ -1273,7 +1264,7 @@ dispatch:
 				a0 += 2*lIntOp + 2*lFloatOp + lGLoad
 				d := f.lanesF(in.A)[:len(r)]
 				if su&srcUB != 0 {
-					bv := f.SF[in.B&f.mf]
+					bv := uf[in.B&f.mf]
 					for l := range d {
 						d[l] = d[l] + bv*t[l]
 					}
@@ -1289,13 +1280,13 @@ dispatch:
 				if su&uniStride == uniStride {
 					// row varying, stride and offset uniform
 					// (row*n+k): hoist the two scalars.
-					s2, s3 := f.SI[r2&f.mi], f.SI[r3&f.mi]
+					s2, s3 := ui[r2&f.mi], ui[r3&f.mi]
 					c := f.lanesI(in.C)
 					idx = f.idx[:len(c)]
 					for l := range c {
 						v := c[l]*s2 + s3
 						if uint64(v) >= n {
-							p.exitVec(f, a0, a1, pc)
+							p.exit(u, a0, a1, pc)
 							return Diverged, nil
 						}
 						idx[l] = v
@@ -1308,7 +1299,7 @@ dispatch:
 					for l := range c {
 						v := c[l]*i2[l] + i3[l]
 						if uint64(v) >= n {
-							p.exitVec(f, a0, a1, pc)
+							p.exit(u, a0, a1, pc)
 							return Diverged, nil
 						}
 						idx[l] = v
@@ -1319,7 +1310,7 @@ dispatch:
 				idx = idx[:len(d)]
 				bf := bb.F
 				if su&srcUB != 0 {
-					bv := f.SF[in.B&f.mf]
+					bv := uf[in.B&f.mf]
 					for l := range d {
 						d[l] = d[l] + float64(bv*float64(bf[idx[l]]))
 					}
@@ -1346,11 +1337,11 @@ dispatch:
 			if taken {
 				a1 -= roomOne
 				if a1 < roomOne {
-					f.Cnt.addPacked(a0, a1)
+					u.Cnt.addPacked(a0, a1)
 					a0, a1 = 0, uint64(p.room)<<roomShift
 				}
-				if err := f.spend(wd); err != nil {
-					p.exitVec(f, a0, a1, pc)
+				if err := u.spend(wd); err != nil {
+					p.exit(u, a0, a1, pc)
 					return Halted, err
 				}
 				pc = int(in.Imm)
@@ -1371,11 +1362,11 @@ dispatch:
 			if taken {
 				a1 -= roomOne
 				if a1 < roomOne {
-					f.Cnt.addPacked(a0, a1)
+					u.Cnt.addPacked(a0, a1)
 					a0, a1 = 0, uint64(p.room)<<roomShift
 				}
-				if err := f.spend(wd); err != nil {
-					p.exitVec(f, a0, a1, pc)
+				if err := u.spend(wd); err != nil {
+					p.exit(u, a0, a1, pc)
 					return Halted, err
 				}
 				pc = int(in.C)
@@ -1396,38 +1387,37 @@ dispatch:
 			if taken {
 				a1 -= roomOne
 				if a1 < roomOne {
-					f.Cnt.addPacked(a0, a1)
+					u.Cnt.addPacked(a0, a1)
 					a0, a1 = 0, uint64(p.room)<<roomShift
 				}
-				if err := f.spend(wd); err != nil {
-					p.exitVec(f, a0, a1, pc)
+				if err := u.spend(wd); err != nil {
+					p.exit(u, a0, a1, pc)
 					return Halted, err
 				}
 				pc = int(in.Imm)
 				continue
 			}
 		case OpIncJCmpI:
-			// Vectorize guarantees a statically uniform condition here
-			// (addjcmp.i is always a back-edge, and a varying back-edge is
-			// refused), so lane 0 decides for the group with no agreement
-			// scan. Scalarization takes a uniform addjcmp.i before it gets
-			// here; the arm stays for opcode coverage.
+			// The fused counted-loop back-edge — in a kernel like matmul
+			// the only instruction between two vector dispatches, every
+			// iteration. Vectorize guarantees a statically uniform
+			// condition here (addjcmp.i is always a back-edge, and a
+			// varying back-edge is refused), so counter, step and bound
+			// live in the scalar slots: the one scalar-VM arm restated in
+			// this switch.
 			a0 += 2 * lIntOp
 			a1 += lBranch
-			d := f.lanesI(in.A)
-			b := f.lanesI(in.B)[:len(d)]
-			for l := range d {
-				d[l] = d[l] + b[l]
-			}
+			v := ui[in.A&f.mi] + ui[in.B&f.mi]
+			ui[in.A&f.mi] = v
 			cc, target := unpackCcTarget(in.Imm)
-			if ccHoldsI(cc, d[0], f.lanesI(in.C)[0]) {
+			if ccHoldsI(cc, v, ui[in.C&f.mi]) {
 				a1 -= roomOne
 				if a1 < roomOne {
-					f.Cnt.addPacked(a0, a1)
+					u.Cnt.addPacked(a0, a1)
 					a0, a1 = 0, uint64(p.room)<<roomShift
 				}
-				if err := f.spend(wd); err != nil {
-					p.exitVec(f, a0, a1, pc)
+				if err := u.spend(wd); err != nil {
+					p.exit(u, a0, a1, pc)
 					return Halted, err
 				}
 				pc = int(target)
@@ -1435,11 +1425,11 @@ dispatch:
 			}
 
 		default:
-			p.exitVec(f, a0, a1, pc)
+			p.exit(u, a0, a1, pc)
 			return Halted, fmt.Errorf("exec: vm: illegal opcode %d at pc %d", in.Op, pc)
 		}
 		pc++
 	}
-	p.exitVec(f, a0, a1, pc)
+	p.exit(u, a0, a1, pc)
 	return Halted, nil
 }

@@ -85,7 +85,10 @@ const (
 )
 
 // Frame is the per-work-item execution state: the register files, the
-// bound buffers, the NDRange coordinates, and the dynamic counts.
+// bound buffers, the NDRange coordinates, and the dynamic counts. It is
+// also the uniform half of a VecFrame (see NewVecFrame): there I and F
+// are the scalar slots of the group-uniform registers and WI holds the
+// four queries every item of a group answers alike.
 type Frame struct {
 	I []int64
 	F []float64
@@ -100,23 +103,49 @@ type Frame struct {
 	Cnt Counts
 	PC  int
 
-	// Fuel is the frame's local step allowance, decremented at taken
-	// jumps (one per loop iteration). When it underflows, Run refills it
-	// from B; a nil B grants an effectively unlimited lease. Fuel
-	// deliberately survives Reset so a lease spans work items.
+	// Fuel is the frame's local step allowance, charged at taken jumps
+	// (one step per item per loop iteration). When it underflows, spend
+	// refills it from B; a nil B grants an effectively unlimited lease.
+	// Fuel deliberately survives Reset so a lease spans work items.
 	Fuel int64
 	B    *Budget
+
+	// span marks the uniform half of a VecFrame: run executes one
+	// straight-line span of scalarized instructions for the whole group,
+	// and a would-fault instruction parks the group (see fault) instead
+	// of reporting the error.
+	span bool
 }
 
-// spend burns one unit of fuel, refilling the lease from the budget on
-// underflow. The fast path is a decrement and compare; only lease
-// boundaries touch the shared budget.
-func (f *Frame) spend() error {
-	f.Fuel--
+// spend burns w units of fuel — one per item that took the jump: 1 on a
+// scalar frame, the lane count on a vector frame — refilling the lease
+// from the budget on underflow. The fast path is a subtract and
+// compare; only lease boundaries touch the shared budget.
+func (f *Frame) spend(w int64) error {
+	f.Fuel -= w
 	if f.Fuel >= 0 {
 		return nil
 	}
 	return f.refill()
+}
+
+// Fault message formats of the bounds-checked memory arms.
+const (
+	errLoad  = "exec: load %s[%d] out of bounds (len %d)"
+	errStore = "exec: store to %s[%d] out of bounds (len %d)"
+)
+
+// fault ends run at the instruction at pc, which would fault and has
+// neither executed nor counted. A work item's frame reports the error,
+// in the words the closure tier throws. In a span the operands are
+// group-uniform, so every lane would fault: the group parks at pc with
+// Diverged and the caller reruns each lane on its own scalar frame,
+// which reports the canonical item's message.
+func (f *Frame) fault(a0, a1 uint64, pc int, format string, args ...any) (uint64, uint64, int, Status, error) {
+	if f.span {
+		return a0, a1, pc, Diverged, nil
+	}
+	return a0, a1, pc, Halted, fmt.Errorf(format, args...)
 }
 
 // NewFrame allocates a frame sized for fn. Buffer tables (shared by the
@@ -193,40 +222,49 @@ func b2i(b bool) int64 {
 // barrier suspends it, or a fault occurs. Faults
 // (out-of-bounds access, division by zero, bad work-item dimension)
 // return errors with the same messages the closure tier throws.
-//
-// Profile counters are batched in two packed register accumulators
-// (see counts.go): every opcode's counter contribution is a
-// compile-time lane constant, so a counting arm is one register add
-// instead of a memory counter bump, and the accumulators unpack into
-// Frame.Cnt only when lane headroom runs out (checked at taken jumps,
-// where the countdown bounds any linear stretch) or the item exits.
-// Fault parity with the per-instruction scheme is kept by placement:
-// instructions that counted before faulting (div/mod by zero, OpWIDyn,
-// budget exhaustion at jumps, OpBar suspension) add their constant at
-// the top of the arm; those that checked before counting (loads,
-// stores) add it after the bounds check.
 func (p *Func) Run(f *Frame) (Status, error) {
-	code := p.Code
+	a0, a1, pc, st, err := p.run(f, p.Code, 0, uint64(p.room)<<roomShift, f.PC)
+	p.exit(f, a0, a1, pc)
+	return st, err
+}
+
+// run is the one scalar interpreter: it executes code from pc on the
+// frame's registers until it runs off the end of code, halts, a barrier
+// suspends it or an instruction faults, and returns where and how it
+// stopped. Run gives it a work item's frame and the whole kernel. The
+// vector tier gives it the uniform half of a VecFrame and code cut off
+// at the end of a span of scalarized instructions (VecFunc.scalEnd):
+// spans are straight-line, so running off the end is the loop test
+// that is here anyway, and no jump arm ever runs for a group.
+//
+// Profile counters are batched in two packed accumulators (see
+// counts.go): every opcode's counter contribution is a compile-time
+// lane constant, so a counting arm is one register add instead of a
+// memory counter bump, and the accumulators unpack into Frame.Cnt only
+// when lane headroom runs out (checked at taken jumps, where the
+// countdown bounds any linear stretch) or the caller spills them. a1
+// carries the spill countdown in its top bits: taken jumps decrement
+// it, and a countdown of zero forces a spill, so no lane can overflow
+// into its neighbor within one linear stretch of code.
+//
+// The accumulators and the PC come in and go out as values, not through
+// the frame: a span is a handful of instructions between two vector
+// dispatches, and when this was sized, handing them over through frame
+// fields read +2.1 to +6.3% cpu_ms_per_op on execute-large in four
+// pairs where passing and returning them read +0.7 to +2.9%.
+func (p *Func) run(f *Frame, code []Instr, a0, a1 uint64, pc int) (uint64, uint64, int, Status, error) {
 	ri := f.I
 	rf := f.F
 	// Register files are pow2-sized (NewFrame), so masked indices can
 	// never leave the file and the compiler elides the bounds checks.
 	mi := int32(len(ri) - 1)
 	mf := int32(len(rf) - 1)
-	pc := f.PC
-	// Packed counter accumulators. a1 carries the spill countdown in
-	// its top bits (see counts.go): taken jumps decrement it, and a
-	// countdown of zero forces a spill into f.Cnt, so no lane can ever
-	// overflow into its neighbor within one linear stretch of code.
-	var a0 uint64
-	a1 := uint64(p.room) << roomShift
 	for pc < len(code) {
 		in := &code[pc]
 		switch in.Op {
 		case OpNop:
 		case OpHalt:
-			p.exit(f, a0, a1, pc)
-			return Halted, nil
+			return a0, a1, pc, Halted, nil
 
 		case OpMovI:
 			ri[in.A&mi] = ri[in.B&mi]
@@ -253,20 +291,18 @@ func (p *Func) Run(f *Frame) (Status, error) {
 			a0 += lIntOp
 			ri[in.A&mi] = ri[in.B&mi] * ri[in.C&mi]
 		case OpDivI:
-			a0 += lIntOp
 			d := ri[in.C&mi]
 			if d == 0 {
-				p.exit(f, a0, a1, pc)
-				return Halted, fmt.Errorf("exec: integer division by zero")
+				return f.fault(a0, a1, pc, "exec: integer division by zero")
 			}
+			a0 += lIntOp
 			ri[in.A&mi] = ri[in.B&mi] / d
 		case OpModI:
-			a0 += lIntOp
 			d := ri[in.C&mi]
 			if d == 0 {
-				p.exit(f, a0, a1, pc)
-				return Halted, fmt.Errorf("exec: integer modulo by zero")
+				return f.fault(a0, a1, pc, "exec: integer modulo by zero")
 			}
+			a0 += lIntOp
 			ri[in.A&mi] = ri[in.B&mi] % d
 		case OpAndI:
 			a0 += lIntOp
@@ -397,9 +433,8 @@ func (p *Func) Run(f *Frame) (Status, error) {
 				f.Cnt.addPacked(a0, a1)
 				a0, a1 = 0, uint64(p.room)<<roomShift
 			}
-			if err := f.spend(); err != nil {
-				p.exit(f, a0, a1, pc)
-				return Halted, err
+			if err := f.spend(1); err != nil {
+				return a0, a1, pc, Halted, err
 			}
 			pc = int(in.Imm)
 			continue
@@ -411,9 +446,8 @@ func (p *Func) Run(f *Frame) (Status, error) {
 					f.Cnt.addPacked(a0, a1)
 					a0, a1 = 0, uint64(p.room)<<roomShift
 				}
-				if err := f.spend(); err != nil {
-					p.exit(f, a0, a1, pc)
-					return Halted, err
+				if err := f.spend(1); err != nil {
+					return a0, a1, pc, Halted, err
 				}
 				pc = int(in.Imm)
 				continue
@@ -426,9 +460,8 @@ func (p *Func) Run(f *Frame) (Status, error) {
 					f.Cnt.addPacked(a0, a1)
 					a0, a1 = 0, uint64(p.room)<<roomShift
 				}
-				if err := f.spend(); err != nil {
-					p.exit(f, a0, a1, pc)
-					return Halted, err
+				if err := f.spend(1); err != nil {
+					return a0, a1, pc, Halted, err
 				}
 				pc = int(in.Imm)
 				continue
@@ -441,9 +474,8 @@ func (p *Func) Run(f *Frame) (Status, error) {
 					f.Cnt.addPacked(a0, a1)
 					a0, a1 = 0, uint64(p.room)<<roomShift
 				}
-				if err := f.spend(); err != nil {
-					p.exit(f, a0, a1, pc)
-					return Halted, err
+				if err := f.spend(1); err != nil {
+					return a0, a1, pc, Halted, err
 				}
 				pc = int(in.Imm)
 				continue
@@ -453,20 +485,18 @@ func (p *Func) Run(f *Frame) (Status, error) {
 			a0 += lIntOp
 			ri[in.A&mi] = f.WI[in.B][in.C]
 		case OpWIDyn:
-			a0 += lIntOp
 			d := ri[in.C&mi]
 			if d < 0 || d > 2 {
-				p.exit(f, a0, a1, pc)
-				return Halted, fmt.Errorf("exec: work-item query dimension %d out of range", d)
+				return f.fault(a0, a1, pc, "exec: work-item query dimension %d out of range", d)
 			}
+			a0 += lIntOp
 			ri[in.A&mi] = f.WI[in.B][d]
 
 		case OpLdGF:
 			b := &f.Globals[in.B]
 			i := ri[in.C&mi]
 			if i < 0 || i >= int64(len(b.F)) {
-				p.exit(f, a0, a1, pc)
-				return Halted, fmt.Errorf("exec: load %s[%d] out of bounds (len %d)", p.Names[in.Imm], i, len(b.F))
+				return f.fault(a0, a1, pc, errLoad, p.Names[in.Imm], i, len(b.F))
 			}
 			a0 += lGLoad
 			rf[in.A&mf] = float64(b.F[i])
@@ -474,8 +504,7 @@ func (p *Func) Run(f *Frame) (Status, error) {
 			b := &f.Globals[in.B]
 			i := ri[in.C&mi]
 			if i < 0 || i >= int64(len(b.I)) {
-				p.exit(f, a0, a1, pc)
-				return Halted, fmt.Errorf("exec: load %s[%d] out of bounds (len %d)", p.Names[in.Imm], i, len(b.I))
+				return f.fault(a0, a1, pc, errLoad, p.Names[in.Imm], i, len(b.I))
 			}
 			a0 += lGLoad
 			ri[in.A&mi] = int64(b.I[i])
@@ -483,8 +512,7 @@ func (p *Func) Run(f *Frame) (Status, error) {
 			b := &f.Locals[in.B]
 			i := ri[in.C&mi]
 			if i < 0 || i >= int64(len(b.F)) {
-				p.exit(f, a0, a1, pc)
-				return Halted, fmt.Errorf("exec: load %s[%d] out of bounds (len %d)", p.Names[in.Imm], i, len(b.F))
+				return f.fault(a0, a1, pc, errLoad, p.Names[in.Imm], i, len(b.F))
 			}
 			a1 += lLocalOp
 			rf[in.A&mf] = float64(b.F[i])
@@ -492,8 +520,7 @@ func (p *Func) Run(f *Frame) (Status, error) {
 			b := &f.Locals[in.B]
 			i := ri[in.C&mi]
 			if i < 0 || i >= int64(len(b.I)) {
-				p.exit(f, a0, a1, pc)
-				return Halted, fmt.Errorf("exec: load %s[%d] out of bounds (len %d)", p.Names[in.Imm], i, len(b.I))
+				return f.fault(a0, a1, pc, errLoad, p.Names[in.Imm], i, len(b.I))
 			}
 			a1 += lLocalOp
 			ri[in.A&mi] = int64(b.I[i])
@@ -502,8 +529,7 @@ func (p *Func) Run(f *Frame) (Status, error) {
 			b := &f.Globals[in.B]
 			i := ri[in.C&mi]
 			if i < 0 || i >= int64(len(b.F)) {
-				p.exit(f, a0, a1, pc)
-				return Halted, fmt.Errorf("exec: store to %s[%d] out of bounds (len %d)", p.Names[in.Imm], i, len(b.F))
+				return f.fault(a0, a1, pc, errStore, p.Names[in.Imm], i, len(b.F))
 			}
 			a1 += lGStore
 			b.F[i] = float32(rf[in.A&mf])
@@ -511,8 +537,7 @@ func (p *Func) Run(f *Frame) (Status, error) {
 			b := &f.Globals[in.B]
 			i := ri[in.C&mi]
 			if i < 0 || i >= int64(len(b.I)) {
-				p.exit(f, a0, a1, pc)
-				return Halted, fmt.Errorf("exec: store to %s[%d] out of bounds (len %d)", p.Names[in.Imm], i, len(b.I))
+				return f.fault(a0, a1, pc, errStore, p.Names[in.Imm], i, len(b.I))
 			}
 			a1 += lGStore
 			b.I[i] = int32(ri[in.A&mi])
@@ -520,8 +545,7 @@ func (p *Func) Run(f *Frame) (Status, error) {
 			b := &f.Locals[in.B]
 			i := ri[in.C&mi]
 			if i < 0 || i >= int64(len(b.F)) {
-				p.exit(f, a0, a1, pc)
-				return Halted, fmt.Errorf("exec: store to %s[%d] out of bounds (len %d)", p.Names[in.Imm], i, len(b.F))
+				return f.fault(a0, a1, pc, errStore, p.Names[in.Imm], i, len(b.F))
 			}
 			a1 += lLocalOp
 			b.F[i] = float32(rf[in.A&mf])
@@ -529,8 +553,7 @@ func (p *Func) Run(f *Frame) (Status, error) {
 			b := &f.Locals[in.B]
 			i := ri[in.C&mi]
 			if i < 0 || i >= int64(len(b.I)) {
-				p.exit(f, a0, a1, pc)
-				return Halted, fmt.Errorf("exec: store to %s[%d] out of bounds (len %d)", p.Names[in.Imm], i, len(b.I))
+				return f.fault(a0, a1, pc, errStore, p.Names[in.Imm], i, len(b.I))
 			}
 			a1 += lLocalOp
 			b.I[i] = int32(ri[in.A&mi])
@@ -603,8 +626,7 @@ func (p *Func) Run(f *Frame) (Status, error) {
 
 		case OpBar:
 			a1 += lBarrier
-			p.exit(f, a0, a1, pc+1)
-			return Suspended, nil
+			return a0, a1, pc + 1, Suspended, nil
 
 		case OpMulAddI:
 			a0 += 2 * lIntOp
@@ -623,8 +645,7 @@ func (p *Func) Run(f *Frame) (Status, error) {
 			b := &f.Globals[slot]
 			i := ri[in.C&mi]
 			if i < 0 || i >= int64(len(b.F)) {
-				p.exit(f, a0, a1, pc)
-				return Halted, fmt.Errorf("exec: load %s[%d] out of bounds (len %d)", p.Names[name], i, len(b.F))
+				return f.fault(a0, a1, pc, errLoad, p.Names[name], i, len(b.F))
 			}
 			a0 += lFloatOp + lGLoad
 			rf[in.A&mf] = rf[in.B&mf] + float64(b.F[i])
@@ -633,8 +654,7 @@ func (p *Func) Run(f *Frame) (Status, error) {
 			b := &f.Globals[slot]
 			i := ri[in.C&mi]
 			if i < 0 || i >= int64(len(b.F)) {
-				p.exit(f, a0, a1, pc)
-				return Halted, fmt.Errorf("exec: load %s[%d] out of bounds (len %d)", p.Names[name], i, len(b.F))
+				return f.fault(a0, a1, pc, errLoad, p.Names[name], i, len(b.F))
 			}
 			a0 += lFloatOp + lGLoad
 			rf[in.A&mf] = rf[in.B&mf] * float64(b.F[i])
@@ -643,8 +663,7 @@ func (p *Func) Run(f *Frame) (Status, error) {
 			b := &f.Globals[slot]
 			i := ri[in.C&mi]
 			if i < 0 || i >= int64(len(b.F)) {
-				p.exit(f, a0, a1, pc)
-				return Halted, fmt.Errorf("exec: load %s[%d] out of bounds (len %d)", p.Names[name], i, len(b.F))
+				return f.fault(a0, a1, pc, errLoad, p.Names[name], i, len(b.F))
 			}
 			a0 += lFloatOp + lGLoad
 			rf[in.A&mf] = rf[in.B&mf] - float64(b.F[i])
@@ -653,8 +672,7 @@ func (p *Func) Run(f *Frame) (Status, error) {
 			b := &f.Globals[slot]
 			i := ri[in.C&mi]
 			if i < 0 || i >= int64(len(b.F)) {
-				p.exit(f, a0, a1, pc)
-				return Halted, fmt.Errorf("exec: load %s[%d] out of bounds (len %d)", p.Names[name], i, len(b.F))
+				return f.fault(a0, a1, pc, errLoad, p.Names[name], i, len(b.F))
 			}
 			a0 += lFloatOp + lGLoad
 			rf[in.A&mf] = float64(b.F[i]) - rf[in.B&mf]
@@ -663,8 +681,7 @@ func (p *Func) Run(f *Frame) (Status, error) {
 			b := &f.Globals[slot]
 			i := ri[in.C&mi]
 			if i < 0 || i >= int64(len(b.F)) {
-				p.exit(f, a0, a1, pc)
-				return Halted, fmt.Errorf("exec: load %s[%d] out of bounds (len %d)", p.Names[name], i, len(b.F))
+				return f.fault(a0, a1, pc, errLoad, p.Names[name], i, len(b.F))
 			}
 			a0 += 2*lFloatOp + lGLoad
 			rf[in.A&mf] = rf[in.A&mf] + float64(rf[in.B&mf]*float64(b.F[i]))
@@ -679,8 +696,7 @@ func (p *Func) Run(f *Frame) (Status, error) {
 			b := &f.Globals[slot]
 			i := ri[in.B&mi]*ri[in.C&mi] + ri[r3&mi]
 			if i < 0 || i >= int64(len(b.F)) {
-				p.exit(f, a0, a1, pc)
-				return Halted, fmt.Errorf("exec: load %s[%d] out of bounds (len %d)", p.Names[name], i, len(b.F))
+				return f.fault(a0, a1, pc, errLoad, p.Names[name], i, len(b.F))
 			}
 			a0 += 2*lIntOp + lGLoad
 			rf[in.A&mf] = float64(b.F[i])
@@ -689,8 +705,7 @@ func (p *Func) Run(f *Frame) (Status, error) {
 			b := &f.Globals[slot]
 			i := ri[in.C&mi]*ri[r2&mi] + ri[r3&mi]
 			if i < 0 || i >= int64(len(b.F)) {
-				p.exit(f, a0, a1, pc)
-				return Halted, fmt.Errorf("exec: load %s[%d] out of bounds (len %d)", p.Names[name], i, len(b.F))
+				return f.fault(a0, a1, pc, errLoad, p.Names[name], i, len(b.F))
 			}
 			a0 += 2*lIntOp + 2*lFloatOp + lGLoad
 			rf[in.A&mf] = rf[in.A&mf] + float64(rf[in.B&mf]*float64(b.F[i]))
@@ -704,9 +719,8 @@ func (p *Func) Run(f *Frame) (Status, error) {
 					f.Cnt.addPacked(a0, a1)
 					a0, a1 = 0, uint64(p.room)<<roomShift
 				}
-				if err := f.spend(); err != nil {
-					p.exit(f, a0, a1, pc)
-					return Halted, err
+				if err := f.spend(1); err != nil {
+					return a0, a1, pc, Halted, err
 				}
 				pc = int(in.Imm)
 				continue
@@ -720,9 +734,8 @@ func (p *Func) Run(f *Frame) (Status, error) {
 					f.Cnt.addPacked(a0, a1)
 					a0, a1 = 0, uint64(p.room)<<roomShift
 				}
-				if err := f.spend(); err != nil {
-					p.exit(f, a0, a1, pc)
-					return Halted, err
+				if err := f.spend(1); err != nil {
+					return a0, a1, pc, Halted, err
 				}
 				pc = int(in.C)
 				continue
@@ -736,9 +749,8 @@ func (p *Func) Run(f *Frame) (Status, error) {
 					f.Cnt.addPacked(a0, a1)
 					a0, a1 = 0, uint64(p.room)<<roomShift
 				}
-				if err := f.spend(); err != nil {
-					p.exit(f, a0, a1, pc)
-					return Halted, err
+				if err := f.spend(1); err != nil {
+					return a0, a1, pc, Halted, err
 				}
 				pc = int(in.Imm)
 				continue
@@ -754,20 +766,17 @@ func (p *Func) Run(f *Frame) (Status, error) {
 					f.Cnt.addPacked(a0, a1)
 					a0, a1 = 0, uint64(p.room)<<roomShift
 				}
-				if err := f.spend(); err != nil {
-					p.exit(f, a0, a1, pc)
-					return Halted, err
+				if err := f.spend(1); err != nil {
+					return a0, a1, pc, Halted, err
 				}
 				pc = int(int64(uint32(in.Imm)))
 				continue
 			}
 
 		default:
-			p.exit(f, a0, a1, pc)
-			return Halted, fmt.Errorf("exec: vm: illegal opcode %d at pc %d", in.Op, pc)
+			return a0, a1, pc, Halted, fmt.Errorf("exec: vm: illegal opcode %d at pc %d", in.Op, pc)
 		}
 		pc++
 	}
-	p.exit(f, a0, a1, pc)
-	return Halted, nil
+	return a0, a1, pc, Halted, nil
 }

@@ -73,20 +73,15 @@ func vectorizeKernel(t *testing.T, name, source, kernel string) *VecFunc {
 	return vp
 }
 
-// bindVecWI fills the launch-constant WI rows and the local-id ramp for
-// a single 1-D group of w lanes starting at global id base.
+// bindVecWI fills the launch-constant work-item queries and the id
+// ramps for a single 1-D group of w lanes starting at global id base.
 func bindVecWI(f *VecFrame, w int, base int64) {
+	f.WI[WIGlobalSize] = [3]int64{int64(w), 1, 1}
+	f.WI[WILocalSize] = [3]int64{int64(w), 1, 1}
+	f.WI[WINumGroups] = [3]int64{1, 1, 1}
 	for l := 0; l < w; l++ {
-		f.WI[WIGlobalSize][0][l] = int64(w)
-		f.WI[WILocalSize][0][l] = int64(w)
-		for d := 1; d < 3; d++ {
-			f.WI[WIGlobalSize][d][l] = 1
-			f.WI[WILocalSize][d][l] = 1
-			f.WI[WINumGroups][d][l] = 1
-		}
-		f.WI[WINumGroups][0][l] = 1
-		f.WI[WILocalID][0][l] = int64(l)
-		f.WI[WIGlobalID][0][l] = base + int64(l)
+		f.LaneWI[WILocalID][0][l] = int64(l)
+		f.LaneWI[WIGlobalID][0][l] = base + int64(l)
 	}
 }
 
@@ -149,6 +144,9 @@ func TestVecFramePow2(t *testing.T) {
 	vf := vp.NewVecFrame(4)
 	if len(vf.I) != 8*4 || len(vf.F) != 4*4 || vf.mi != 7 || vf.mf != 3 {
 		t.Fatalf("vec frame files %d/%d masks %d/%d", len(vf.I), len(vf.F), vf.mi, vf.mf)
+	}
+	if len(vf.Frame.I) != 8 || len(vf.Frame.F) != 4 {
+		t.Fatalf("vec frame scalar slots %d/%d, want 8/4", len(vf.Frame.I), len(vf.Frame.F))
 	}
 }
 

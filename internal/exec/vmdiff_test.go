@@ -204,17 +204,27 @@ func TestVMDiffProfilesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestVMDiffFaultProfiles: counter flushes on the fault paths must
-// match the closure tier too — the partially executed item's counts
-// land (or not) identically. Errors must carry the same message.
+// TestVMDiffFaultProfiles: a faulting launch must end the same way on
+// every tier — the same message, and every buffer byte-identical:
+// stores before the faulting instruction landed, none after. (Its
+// counts are not compared: Run returns no profile with an error, so no
+// caller can see them.) The uniform cases fault on a group-uniform
+// operand, so on the vector tier the instruction sits in a scalarized
+// span — behind a uniform store in the same span, ahead of another —
+// and the whole group parks there; each runs once at the top of the
+// kernel and once inside one side of a divergence split, where item 0
+// skips the region and finishes before item 1 faults.
 func TestVMDiffFaultProfiles(t *testing.T) {
-	cases := []struct {
+	type faultCase struct {
 		name   string
 		src    string
 		kernel string
 		args   func() []Arg
-		nd     NDRange
-	}{
+	}
+	// Two groups of eight: with a single-item group the vector tier
+	// would hand the launch to the scalar VM.
+	nd := NDRange{Global: [3]int{16, 1, 1}, Local: [3]int{8, 1, 1}}
+	cases := []faultCase{
 		{
 			name: "divide by zero",
 			src: `kernel void k(global int* out, int n) {
@@ -223,7 +233,6 @@ func TestVMDiffFaultProfiles(t *testing.T) {
 			}`,
 			kernel: "k",
 			args:   func() []Arg { return []Arg{BufArg(NewIntBuffer(16)), IntArg(16)} },
-			nd:     ND1(16),
 		},
 		{
 			name: "store out of bounds",
@@ -233,28 +242,60 @@ func TestVMDiffFaultProfiles(t *testing.T) {
 			}`,
 			kernel: "k",
 			args:   func() []Arg { return []Arg{BufArg(NewFloatBuffer(16)), IntArg(16)} },
-			nd:     ND1(16),
 		},
+	}
+	// x is the faulting statement's result; z is a zero argument and d an
+	// out-of-range dimension.
+	for _, u := range []struct{ name, stmt string }{
+		{"uniform divide by zero", `int x = 12 / (n - n);`},
+		{"uniform modulo by zero", `int x = n % z;`},
+		{"uniform dimension global id", `int x = get_global_id(d);`},
+		{"uniform dimension local size", `int x = get_local_size(d);`},
+		{"uniform load out of bounds", `int x = in[n + 100];`},
+		{"uniform store out of bounds", `int x = n; out[n + 100] = x;`},
+	} {
+		args := func() []Arg {
+			in := NewIntBuffer(16)
+			for i := range in.I {
+				in.I[i] = int32(i + 1)
+			}
+			return []Arg{BufArg(in), BufArg(NewIntBuffer(40)), IntArg(16), IntArg(0), IntArg(3)}
+		}
+		const head = `kernel void k(global const int* in, global int* out, int n, int z, int d) {
+				int i = get_global_id(0);`
+		cases = append(cases, faultCase{
+			name:   u.name,
+			src:    head + ` out[0] = n + 1; ` + u.stmt + ` out[1] = x; out[8 + i] = x; }`,
+			kernel: "k", args: args,
+		}, faultCase{
+			name: u.name + " in a divergent side",
+			src: head + ` if (i % 2 == 1) { out[0] = n + 1; ` + u.stmt + ` out[1] = x; }
+				out[8 + i] = in[i]; }`,
+			kernel: "k", args: args,
+		})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cVM := compileTierSrc(t, tc.src, tc.kernel, TierVM)
-			cCl := compileTierSrc(t, tc.src, tc.kernel, TierClosure)
-			cVe := compileTierSrc(t, tc.src, tc.kernel, TierVec)
 			// One worker: which faulting item reports first is only
 			// deterministic when groups run in order.
 			opts := RunOptions{Workers: 1}
-			_, errVM := cVM.Run(tc.args(), tc.nd, opts)
-			_, errCl := cCl.Run(tc.args(), tc.nd, opts)
-			_, errVe := cVe.Run(tc.args(), tc.nd, opts)
-			if errVM == nil || errCl == nil || errVe == nil {
-				t.Fatalf("want faults on all tiers, got vm=%v closure=%v vec=%v", errVM, errCl, errVe)
+			argsCl := tc.args()
+			_, errCl := compileTierSrc(t, tc.src, tc.kernel, TierClosure).Run(argsCl, nd, opts)
+			if errCl == nil {
+				t.Fatal("closure tier did not fault")
 			}
-			if errVM.Error() != errCl.Error() {
-				t.Errorf("fault messages differ:\n  vm      %v\n  closure %v", errVM, errCl)
-			}
-			if errVe.Error() != errCl.Error() {
-				t.Errorf("fault messages differ:\n  vec     %v\n  closure %v", errVe, errCl)
+			for _, tier := range []Tier{TierVM, TierVec} {
+				args := tc.args()
+				_, err := compileTierSrc(t, tc.src, tc.kernel, tier).Run(args, nd, opts)
+				if err == nil || err.Error() != errCl.Error() {
+					t.Errorf("fault messages differ:\n  %-7v %v\n  closure %v", tier, err, errCl)
+				}
+				for ai := range args {
+					b, want := args[ai].Buf, argsCl[ai].Buf
+					if b != nil && (!reflect.DeepEqual(b.F, want.F) || !reflect.DeepEqual(b.I, want.I)) {
+						t.Errorf("arg %d after the fault, %v vs closure:\n  got  %v%v\n  want %v%v", ai, tier, b.F, b.I, want.F, want.I)
+					}
+				}
 			}
 		})
 	}
