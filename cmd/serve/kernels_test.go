@@ -357,6 +357,7 @@ func TestBudgetStatusCodes(t *testing.T) {
 			t.Fatalf("spin execute = %d, want 422: %s", w.Code, w.Body.String())
 		}
 		assertBudgetBody(t, w.Body.Bytes(), "budget:steps")
+		assertPredictBudget(t, s, "public/spin", http.StatusUnprocessableEntity, "budget:steps")
 	})
 	t.Run("deadline", func(t *testing.T) {
 		s := newServer(t, func(o *engine.Options) { o.ExecTimeout = 100 * time.Millisecond })
@@ -368,6 +369,7 @@ func TestBudgetStatusCodes(t *testing.T) {
 			t.Fatalf("spin execute = %d, want 408: %s", w.Code, w.Body.String())
 		}
 		assertBudgetBody(t, w.Body.Bytes(), "budget:deadline")
+		assertPredictBudget(t, s, "public/spin", http.StatusRequestTimeout, "budget:deadline")
 	})
 	t.Run("memory", func(t *testing.T) {
 		s := newServer(t, func(o *engine.Options) { o.MaxMemBytes = 64 })
@@ -376,7 +378,28 @@ func TestBudgetStatusCodes(t *testing.T) {
 			t.Fatalf("execute = %d, want 413: %s", w.Code, w.Body.String())
 		}
 		assertBudgetBody(t, w.Body.Bytes(), "budget:memory")
+		assertPredictBudget(t, s, "vecadd", http.StatusRequestEntityTooLarge, "budget:memory")
 	})
+}
+
+// assertPredictBudget: /predict profiles the kernel under the same
+// budget, and answers its exhaustion as /execute does — the typed
+// status and code, in JSON and over wire.
+func assertPredictBudget(t *testing.T, s *server, program string, status int, code string) {
+	t.Helper()
+	w := doReq(t, s, http.MethodGet, "/predict?program="+program+"&size=0", nil)
+	if w.Code != status {
+		t.Fatalf("json predict = %d, want %d: %s", w.Code, status, w.Body.String())
+	}
+	assertBudgetBody(t, w.Body.Bytes(), code)
+	ww := doWire(t, s, "/predict", wire.AppendPredictRequest(nil, &engine.Request{Program: program, SizeIdx: 0}))
+	msg, payload, err := wire.ParseFrame(ww.Body.Bytes())
+	if err != nil || msg != wire.MsgError || ww.Code != status {
+		t.Fatalf("wire predict = %d, msg %d, err %v; want %d and MsgError", ww.Code, msg, err, status)
+	}
+	if ef, err := wire.DecodeError(payload); err != nil || ef.Code != code || ef.Status != status {
+		t.Fatalf("wire error frame = %+v (%v), want status %d code %q", ef, err, status, code)
+	}
 }
 
 func assertBudgetBody(t *testing.T, body []byte, code string) {

@@ -130,7 +130,6 @@ func main() {
 	retrainInterval := flag.Duration("retrain-interval", time.Minute, "how often the background retrainer checks for new observations")
 	retrainMin := flag.Int("retrain-min", 5, "labeled observations required since the last attempt before retraining")
 	oracleSample := flag.Int("oracle-sample", 1, "label every Nth execution with its measured-best class (1 = all, negative = never)")
-	execTier := flag.String("exec-tier", "auto", "kernel execution tier: auto, vec, or vm")
 	execSteps := flag.Int64("exec-steps", 0, "per-request kernel step budget (0 = unlimited)")
 	execMem := flag.Int64("exec-mem", 0, "per-request buffer allocation budget in bytes (0 = unlimited)")
 	execTimeout := flag.Duration("exec-timeout", 0, "per-request execution wall-clock budget (0 = unlimited)")
@@ -139,12 +138,6 @@ func main() {
 	tenantConc := flag.Int("tenant-concurrency", 0, "max in-flight executions per tenant fleet-wide, 429 + Retry-After over the cap (0 = unlimited)")
 	flag.Parse()
 	sched.SetDefaultWorkers(*parallel)
-	tier, err := exec.ParseTier(*execTier)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	exec.SetDefaultTier(tier)
 
 	if *saveTrained && *models == "" {
 		fail(fmt.Errorf("-save-trained requires -models to name the artifact directory"))
@@ -590,7 +583,7 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	p := predPool.Get().(*engine.Prediction)
 	defer predPool.Put(p)
 	if err := sh.Engine().PredictInto(req, p); err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
+		writeEngineError(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, p)
@@ -776,7 +769,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"uptimeSeconds":     time.Since(s.start).Seconds(),
-		"execTier":          exec.DefaultTier().String(),
 		"platforms":         s.fleet.Platforms(),
 		"shardsPerPlatform": s.fleet.ShardsPerPlatform(),
 		"shards":            shards,

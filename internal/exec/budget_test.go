@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 	_ "unsafe" // go:linkname, for vmStepLease
@@ -242,11 +243,50 @@ var vmStepLease int64
 // it. With a lease of one every step is its own draw from the pool:
 // the smallest step limit a launch completes under is then exactly the
 // number of steps it takes, and it must be the same on both tiers for
-// every vectorizable vmdiff kernel — W per jump a group takes together,
-// one per taken lane at a divergence split, one per jump inside a side.
+// every vectorizable vmdiff kernel and for the generator's non-faulting
+// kernels (kgen_test.go: splits nested inside loops, ragged guarded
+// loops) — W per jump a group takes together, one per taken lane at a
+// divergence split, one per jump inside a side.
 func TestFuelParityAtLeaseOne(t *testing.T) {
 	defer func(lease int64) { vmStepLease = lease }(vmStepLease)
 	vmStepLease = 1
+
+	// parity reports whether the launch split and re-formed a group.
+	parity := func(t *testing.T, cVM, cVec *Compiled, args func() []Arg, nd NDRange) bool {
+		completes := func(c *Compiled, limit int64) bool {
+			opts := RunOptions{Workers: 1, Budget: NewBudget(context.Background(), limit, 0)}
+			_, err := c.Run(args(), nd, opts)
+			if err != nil {
+				wantBudgetErr(t, err, BudgetSteps)
+			}
+			return err == nil
+		}
+		// The smallest limit c completes under: double until it
+		// does, then bisect (completing is monotone in the limit).
+		steps := func(c *Compiled) int64 {
+			hi := int64(1)
+			for !completes(c, hi) {
+				hi *= 2
+			}
+			lo := hi / 2 // fails, or 0
+			for lo+1 < hi {
+				if mid := (lo + hi) / 2; completes(c, mid) {
+					hi = mid
+				} else {
+					lo = mid
+				}
+			}
+			return hi
+		}
+		if sVM, sVec := steps(cVM), steps(cVec); sVM != sVec {
+			t.Errorf("steps drawn from the pool: vm %d, vec %d", sVM, sVec)
+		}
+		prof, err := cVec.Run(args(), nd, RunOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prof.VecReconverges > 0
+	}
 
 	vectorizable, splits := 0, false
 	for _, tc := range vmdiffCases() {
@@ -264,43 +304,31 @@ func TestFuelParityAtLeaseOne(t *testing.T) {
 			nd.Local[0] = nd.Global[0] // the default would be single-item groups, which never vectorize
 		}
 		t.Run(tc.name, func(t *testing.T) {
-			completes := func(c *Compiled, limit int64) bool {
-				opts := RunOptions{Workers: 1, Budget: NewBudget(context.Background(), limit, 0)}
-				_, err := c.Run(tc.args(), nd, opts)
-				if err != nil {
-					wantBudgetErr(t, err, BudgetSteps)
-				}
-				return err == nil
-			}
-			// The smallest limit c completes under: double until it
-			// does, then bisect (completing is monotone in the limit).
-			steps := func(c *Compiled) int64 {
-				hi := int64(1)
-				for !completes(c, hi) {
-					hi *= 2
-				}
-				lo := hi / 2 // fails, or 0
-				for lo+1 < hi {
-					if mid := (lo + hi) / 2; completes(c, mid) {
-						hi = mid
-					} else {
-						lo = mid
-					}
-				}
-				return hi
-			}
-			sVM, sVec := steps(compileTierSrc(t, tc.src, tc.kernel, TierVM)), steps(cVec)
-			if sVM != sVec {
-				t.Errorf("steps drawn from the pool: vm %d, vec %d", sVM, sVec)
-			}
-			prof, err := cVec.Run(tc.args(), nd, RunOptions{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			splits = splits || prof.VecReconverges > 0
+			split := parity(t, compileTierSrc(t, tc.src, tc.kernel, TierVM), cVec, tc.args, nd)
+			splits = splits || split
 		})
 	}
 	if vectorizable == 0 || !splits {
 		t.Fatalf("%d vectorizable vmdiff kernels, split and re-formed: %v — the oracle needs both", vectorizable, splits)
+	}
+
+	seeds, generated, genSplits := int64(150), 0, 0
+	if testing.Short() {
+		seeds = 50
+	}
+	for seed := int64(0); seed < seeds; seed++ {
+		src, l, faulty, _ := kgenSeed(seed)
+		if faulty {
+			continue
+		}
+		generated++
+		t.Run(fmt.Sprint("kgen/", seed), func(t *testing.T) {
+			if parity(t, compileTierSrc(t, src, "k", TierVM), compileTierSrc(t, src, "k", TierVec), l.args, l.nd()) {
+				genSplits++
+			}
+		})
+	}
+	if generated < int(seeds)/2 || genSplits < generated/2 {
+		t.Fatalf("%d of %d seeds gave a non-faulting kernel and %d of those split and re-formed a group", generated, seeds, genSplits)
 	}
 }

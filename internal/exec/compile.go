@@ -128,10 +128,11 @@ type compiler struct {
 	helpers map[*inspire.Function]*Compiled
 }
 
-// Compile translates an IR function into an executable kernel on the
-// process-wide default tier (see DefaultTier).
+// Compile translates an IR function into an executable kernel: on the
+// vector tier when the kernel is vectorizable, on the scalar bytecode VM
+// otherwise (TierAuto). There is no selector.
 func Compile(fn *inspire.Function) (*Compiled, error) {
-	return CompileTier(fn, DefaultTier())
+	return CompileTier(fn, TierAuto)
 }
 
 // compileClosure builds the closure-tree interpreter, the reference

@@ -506,21 +506,6 @@ func TestCompileRejectsKernelOverLaneLimit(t *testing.T) {
 	}
 }
 
-// TestParseTierServingTiersOnly: -exec-tier names exactly the serving
-// tiers; the closure reference and the old aliases are usage errors.
-func TestParseTierServingTiersOnly(t *testing.T) {
-	for s, want := range map[string]Tier{"auto": TierAuto, "vm": TierVM, "vec": TierVec} {
-		if got, err := ParseTier(s); err != nil || got != want || got.String() != s {
-			t.Errorf("ParseTier(%q) = %v, %v", s, got, err)
-		}
-	}
-	for _, s := range []string{"closure", "closures", "bytecode", "vector", "simt", "", "VM"} {
-		if _, err := ParseTier(s); err == nil {
-			t.Errorf("ParseTier(%q) accepted", s)
-		}
-	}
-}
-
 func TestNDRangeNormalization(t *testing.T) {
 	nd, err := ND1(128).normalized()
 	if err != nil {

@@ -535,11 +535,11 @@ func kgenCheck(t *testing.T, src string, l kgenLaunch, budgets []int64) {
 	}
 }
 
-// kgenCase derives a whole case — kernel, launch and budgets — from one
+// kgenSeed derives a whole case — kernel, launch and budgets — from one
 // seed, so a failure reproduces from the seed alone.
-func kgenCase(t *testing.T, seed int64) {
+func kgenSeed(seed int64) (src string, l kgenLaunch, faulty bool, budgets []int64) {
 	r := rand.New(rand.NewSource(seed))
-	l := kgenLaunch{
+	l = kgenLaunch{
 		local: []int{8, 16, 32}[r.Intn(3)],
 		t1:    1 + r.Intn(5),
 		t2:    1 + r.Intn(3),
@@ -548,7 +548,7 @@ func kgenCase(t *testing.T, seed int64) {
 	l.n = l.local * (2 + r.Intn(3))
 	// A third of the kernels are faulty: risky stores past 2n, zero
 	// divisors, and a pad too short for the a[i + sel[i]*s] loads.
-	faulty := r.Intn(3) == 0
+	faulty = r.Intn(3) == 0
 	l.pad = 3 * max(l.t1, l.t2)
 	if faulty {
 		l.pad = r.Intn(l.pad)
@@ -557,8 +557,13 @@ func kgenCase(t *testing.T, seed int64) {
 	// pool drains mid-group in some iteration of some tier and at
 	// different points on different tiers; and one no kernel here can
 	// exhaust.
-	budgets := []int64{int64(1 + r.Intn(3*int(vmStepLease))), 1 << 40}
-	kgenCheck(t, genKernel(seed, faulty), l, budgets)
+	budgets = []int64{int64(1 + r.Intn(3*int(vmStepLease))), 1 << 40}
+	return genKernel(seed, faulty), l, faulty, budgets
+}
+
+func kgenCase(t *testing.T, seed int64) {
+	src, l, _, budgets := kgenSeed(seed)
+	kgenCheck(t, src, l, budgets)
 }
 
 // TestGeneratedLoopDivergence runs the generator over a fixed seed range.

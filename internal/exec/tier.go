@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/exec/vm"
 	"repro/internal/inspire"
@@ -21,7 +20,9 @@ type Tier int
 const (
 	// TierAuto executes on the vector tier whenever the kernel is
 	// vectorizable and on the scalar bytecode VM otherwise; Compile fails
-	// if the kernel cannot be lowered. This is the default.
+	// if the kernel cannot be lowered. This is what Compile does, and the
+	// only selection that serves: the other tiers exist so that tests and
+	// the benchmark can name one.
 	TierAuto Tier = iota
 	// TierClosure compiles the closure-tree reference interpreter.
 	TierClosure
@@ -34,7 +35,7 @@ const (
 	TierVec
 )
 
-// String returns the tier's flag spelling.
+// String returns the tier's name, as POST /kernels reports it.
 func (t Tier) String() string {
 	switch t {
 	case TierClosure:
@@ -47,30 +48,6 @@ func (t Tier) String() string {
 		return "auto"
 	}
 }
-
-// ParseTier parses a serving tier name: auto, vm, or vec. The closure
-// tree is not a serving tier and is reachable only through CompileTier.
-func ParseTier(s string) (Tier, error) {
-	switch s {
-	case "auto":
-		return TierAuto, nil
-	case "vm":
-		return TierVM, nil
-	case "vec":
-		return TierVec, nil
-	}
-	return TierAuto, fmt.Errorf("exec: unknown execution tier %q (want auto, vm, or vec)", s)
-}
-
-var defaultTier atomic.Int32
-
-// DefaultTier returns the process-wide execution tier: TierAuto unless
-// overridden by SetDefaultTier.
-func DefaultTier() Tier { return Tier(defaultTier.Load()) }
-
-// SetDefaultTier overrides the process-wide execution tier (from the
-// -exec-tier flag).
-func SetDefaultTier(t Tier) { defaultTier.Store(int32(t)) }
 
 // CompileTier translates an IR function into an executable kernel on an
 // explicit tier: the closure tree for TierClosure, otherwise the VM

@@ -8,10 +8,13 @@ import "fmt"
 // not need to bump memory-resident counters per instruction. Instead
 // the nine countable fields are packed into 12-bit lanes of two uint64
 // words (five lanes in word 0, four in word 1) held in a pair of
-// register accumulators, and each counting arm folds its contribution
-// in with a single add of a compile-time lane constant. The
-// accumulators are unpacked into the frame's Counts only when lane
-// headroom runs out or the item exits.
+// register accumulators, and a retired instruction folds its
+// contribution in with one add per word: a compile-time lane constant
+// in each arm of the scalar interpreter, the opcode's laneK entry at the
+// bottom of the vector dispatch loop — both held to staticCounts, the
+// one definition, by the opcode spec test. The accumulators are unpacked
+// into the frame's Counts only when lane headroom runs out or the item
+// exits.
 //
 // Lane overflow is bounded statically: Compile rejects kernels whose
 // per-lane code totals exceed a lane (thousands of counted ops, far
@@ -37,8 +40,8 @@ const (
 	roomShift = 48
 	roomOne   = 1 << roomShift
 
-	// Per-lane unit constants for the dispatch arms: one counted op of
-	// a given class is a single constant add to the right accumulator.
+	// Per-lane unit constants: one counted op of a given class is a
+	// single constant add to the right accumulator.
 	// Word 0 lanes (a0).
 	lIntOp   = 1
 	lFloatOp = 1 << laneBits
@@ -114,6 +117,25 @@ func staticCounts(op Opcode) Counts {
 		c.Branches = 1
 	}
 	return c
+}
+
+// laneK[op] is staticCounts(op) packed into the two accumulator words:
+// the one place the vector dispatch learns what an opcode counts. It
+// adds the pair once per retired instruction, whatever the opcode. (The
+// scalar interpreter's arms write their lane constants out — a two-line
+// arm already selects its counter for free, and a table read would sit
+// exactly where dispatch is the cost — and the opcode spec test holds
+// every one of them to staticCounts.)
+var laneK [opCount][2]uint64
+
+func init() {
+	for op := range laneK {
+		c := staticCounts(Opcode(op))
+		laneK[op][0] = uint64(c.IntOps*lIntOp + c.FloatOps*lFloatOp + c.TransOps*lTransOp +
+			c.OtherBuiltins*lOtherB + c.GlobalLoads*lGLoad)
+		laneK[op][1] = uint64(c.GlobalStores*lGStore + c.LocalOps*lLocalOp + c.Branches*lBranch +
+			c.Barriers*lBarrier)
+	}
 }
 
 // addPacked unpacks two accumulator words into the counter struct.

@@ -39,8 +39,8 @@ func useCounts(p *Func) *regUse {
 		rI: make([]int, p.NumI), wI: make([]int, p.NumI),
 		rF: make([]int, p.NumF), wF: make([]int, p.NumF),
 	}
-	readI := func(r int32) { u.rI[r]++ }
-	readF := func(r int32) { u.rF[r]++ }
+	readI := func(r int32, _ uint8) { u.rI[r]++ }
+	readF := func(r int32, _ uint8) { u.rF[r]++ }
 	for i := range p.Code {
 		in := &p.Code[i]
 		srcRegs(in, readI, readF)

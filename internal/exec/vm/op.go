@@ -208,8 +208,11 @@ type Instr struct {
 	Imm     int64
 }
 
-// Fmt describes an opcode's operand shape, for the disassembler and the
-// peephole fuser's register-use analysis.
+// Fmt describes an opcode's operand shape. The disassembler renders it;
+// destReg and srcRegs read it to say which registers an instruction
+// writes and reads, and whatever else needs to know — the peephole
+// fuser's use counts, liveness, the vector tier's scal and srcU tables —
+// asks those two.
 type Fmt uint8
 
 // Operand formats.
@@ -410,75 +413,101 @@ func destReg(in *Instr) (isF bool, r int32, ok bool) {
 	return false, 0, false
 }
 
-// srcRegs calls useI/useF for every register the instruction reads
-// (an accumulating destination — macld.f, macidx.f, addjcmp.i — is a
-// source too) and reports whether it queries a work-item row.
-func srcRegs(in *Instr, useI, useF func(r int32)) (wi bool) {
+// isStore reports whether op writes a buffer element: the one kind of
+// instruction with sources and a side effect but no destination.
+func isStore(op Opcode) bool {
+	f := opTable[op].Fmt
+	return f == FmtStoreF || f == FmtStoreI
+}
+
+// Operand slots: where in an instruction a source register sits, one
+// bit each so that VecFunc.srcU can mark the uniform ones of an
+// instruction. The slots are named after where the vector dispatch arms
+// read the bit, not after the Instr field: B and C are the first and
+// second register source — the B and C fields of an ALU instruction,
+// value and index of a store, the two operands of a fused
+// compare-branch — X is the third (packed in Imm: the addend of fma.f
+// or muladd.i, r of ldidx.f, r3 of macidx.f) and X2 is macidx.f's r2.
+// srcUAcc is an accumulating destination read as a source: no bit,
+// because it is varying whenever its instruction is not scalarized.
+const (
+	srcUB uint8 = 1 << iota
+	srcUC
+	srcUX
+	srcUX2
+	srcUAcc uint8 = 0
+)
+
+// srcRegs calls useI/useF for every register the instruction reads,
+// with the operand slot it sits in (an accumulating destination —
+// macld.f, macidx.f, addjcmp.i — is a source too), and reports whether
+// it queries a work-item row.
+func srcRegs(in *Instr, useI, useF func(r int32, slot uint8)) (wi bool) {
 	info, _ := LookupOp(in.Op)
 	switch info.Fmt {
 	case FmtNone, FmtJmp, FmtBar, FmtIaImm, FmtFaPool:
 	case FmtJCond, FmtJCmpIImm:
-		useI(in.A)
+		useI(in.A, srcUB)
 	case FmtJCmpI:
-		useI(in.A)
-		useI(in.B)
+		useI(in.A, srcUB)
+		useI(in.B, srcUC)
 	case FmtJCmpF:
-		useF(in.A)
-		useF(in.B)
+		useF(in.A, srcUB)
+		useF(in.B, srcUC)
 	case FmtStoreF:
-		useF(in.A)
-		useI(in.C)
+		useF(in.A, srcUB)
+		useI(in.C, srcUC)
 	case FmtStoreI:
-		useI(in.A)
-		useI(in.C)
+		useI(in.A, srcUB)
+		useI(in.C, srcUC)
 	case FmtIab, FmtIabImm, FmtFaIb:
-		useI(in.B)
+		useI(in.B, srcUB)
 	case FmtIabc, FmtMulImmAdd:
-		useI(in.B)
-		useI(in.C)
+		useI(in.B, srcUB)
+		useI(in.C, srcUC)
 	case FmtIncJCmpI:
-		useI(in.A)
-		useI(in.B)
-		useI(in.C)
+		useI(in.A, srcUAcc)
+		useI(in.B, srcUB)
+		useI(in.C, srcUC)
 	case FmtFab, FmtIaFb:
-		useF(in.B)
+		useF(in.B, srcUB)
 	case FmtFabc, FmtIaFbc:
-		useF(in.B)
-		useF(in.C)
+		useF(in.B, srcUB)
+		useF(in.C, srcUC)
 	case FmtFabcImm:
-		useF(in.B)
-		useF(in.C)
-		useF(int32(in.Imm))
+		useF(in.B, srcUB)
+		useF(in.C, srcUC)
+		useF(int32(in.Imm), srcUX)
 	case FmtIabcImm:
-		useI(in.B)
-		useI(in.C)
-		useI(int32(in.Imm))
+		useI(in.B, srcUB)
+		useI(in.C, srcUC)
+		useI(int32(in.Imm), srcUX)
 	case FmtWI:
 		return true
 	case FmtWIDyn:
-		useI(in.C)
+		useI(in.C, srcUC)
 		return true
 	case FmtLoadF, FmtLoadI:
-		useI(in.C)
+		useI(in.C, srcUC)
 	case FmtFusedLdF:
-		useF(in.B)
-		useI(in.C)
+		useF(in.B, srcUB)
+		useI(in.C, srcUC)
 	case FmtFusedMacF:
-		useF(in.A)
-		useF(in.B)
-		useI(in.C)
+		useF(in.A, srcUAcc)
+		useF(in.B, srcUB)
+		useI(in.C, srcUC)
 	case FmtLdIdxF:
 		_, _, r3 := unpackMemIdx(in.Imm)
-		useI(in.B)
-		useI(in.C)
-		useI(r3)
+		useI(in.B, srcUB)
+		useI(in.C, srcUC)
+		useI(r3, srcUX)
 	case FmtMacIdxF:
 		_, _, r2, r3 := unpackMacIdx(in.Imm)
-		useF(in.A)
-		useF(in.B)
-		useI(in.C)
-		useI(r2)
-		useI(r3)
+		useF(in.A, srcUAcc)
+		useF(in.B, srcUB)
+		useI(in.C, srcUC)
+		useI(r2, srcUX2)
+		useI(r3, srcUX)
 	}
 	return false
 }

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"go/ast"
+	"go/parser"
 	"go/token"
 	"path/filepath"
 	"strconv"
@@ -43,6 +44,15 @@ func checkSpans(t *testing.T, vp *VecFunc) {
 	if spans == 0 && vp.ScalarizedOps() > 0 {
 		t.Errorf("%d scalarized instructions and no span", vp.ScalarizedOps())
 	}
+}
+
+func parseSrc(t *testing.T, name string) *ast.File {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), name, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 // builtinKernels reads the benchmark suite's MiniCL sources out of

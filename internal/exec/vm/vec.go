@@ -22,7 +22,7 @@ import (
 // of them (scalEnd) to Func.run over the uniform half, so an opcode's
 // scalar meaning, counter lane and fault check are written once for
 // both tiers. Uniform conditional jumps stay in the vector tier's jump
-// arms, decided by one test on the scalar slots, and uniform operands
+// arm, decided by one test on the scalar slots, and uniform operands
 // feeding a varying instruction are broadcast into scratch lanes on
 // demand (srcU[pc] marks them).
 // Loads with uniform indices are uniform too — the lanes run in
@@ -118,7 +118,8 @@ type VecFunc struct {
 
 	// srcU[pc] marks which register operands of a non-scalarized
 	// instruction are uniform and must be read from the scalar slots
-	// (broadcast on demand) instead of their garbage lane storage.
+	// (broadcast on demand) instead of their garbage lane storage: one
+	// bit per operand slot (srcUB, srcUC, srcUX, srcUX2; see srcRegs).
 	srcU []uint8
 
 	// joinPC[pc] is the re-convergence point of the varying
@@ -135,16 +136,6 @@ type VecFunc struct {
 	// registers a split at pc copies into and out of its side frames.
 	regions []*splitRegion
 }
-
-// srcU operand bits. B and C follow the instruction's register fields;
-// X is the third register operand (packed in Imm for FmtFabcImm /
-// FmtIabcImm, r/r3 for the index-fused loads), X2 is macidx.f's r2.
-const (
-	srcUB uint8 = 1 << iota
-	srcUC
-	srcUX
-	srcUX2
-)
 
 // UniformConds reports how many of the kernel's conditional jumps have
 // statically uniform conditions, and the total number of conditional
@@ -449,7 +440,7 @@ func Vectorize(p *Func) (*VecFunc, error) {
 			return nil, fmt.Errorf("exec: vec: varying branch inside loop body at pc %d (%s)", i, in.Op)
 		}
 	}
-	vf.computeScal(varI, varF)
+	vf.computeScal()
 	return vf, nil
 }
 
@@ -464,169 +455,41 @@ func notAll(v []bool) []bool {
 // computeScal fills scal (instructions that execute once per dispatch
 // on the scalar slots), scalEnd (the spans of them the scalar
 // interpreter runs) and srcU (uniform operands of vector instructions
-// that must be broadcast from the scalar slots).
-func (vf *VecFunc) computeScal(varI, varF []bool) {
+// that must be broadcast from the scalar slots), from what op.go says an
+// instruction reads and writes: a conditional jump is scalarized when
+// its condition is uniform, an instruction with a destination when the
+// destination is (every source then is too), a store when every source
+// is; nop, halt, jmp and barrier never.
+func (vf *VecFunc) computeScal() {
 	p := vf.Func
-	uI := func(r int32) bool { return !varI[r] }
-	uF := func(r int32) bool { return !varF[r] }
+	var u uint8
+	var allU bool
+	note := func(uni []bool) func(r int32, slot uint8) {
+		return func(r int32, slot uint8) {
+			if uni[r] {
+				u |= slot
+			} else {
+				allU = false
+			}
+		}
+	}
+	noteI, noteF := note(vf.uniI), note(vf.uniF)
 	for i := range p.Code {
 		in := &p.Code[i]
-		info, _ := LookupOp(in.Op)
+		u, allU = 0, true
+		srcRegs(in, noteI, noteF)
 		var s bool
-		var u uint8
-		setI := func(bit uint8, r int32) {
-			if uI(r) {
-				u |= bit
-			}
-		}
-		setF := func(bit uint8, r int32) {
-			if uF(r) {
-				u |= bit
-			}
-		}
-		switch info.Fmt {
-		case FmtNone, FmtJmp, FmtBar:
-			// Never scalarized, no register reads.
-		case FmtIab, FmtIabImm:
-			s = uI(in.A)
-			if !s {
-				setI(srcUB, in.B)
-			}
-		case FmtIabc:
-			s = uI(in.A)
-			if !s {
-				setI(srcUB, in.B)
-				setI(srcUC, in.C)
-			}
-		case FmtIaImm:
-			s = uI(in.A)
-		case FmtFab:
-			s = uF(in.A)
-			if !s {
-				setF(srcUB, in.B)
-			}
-		case FmtFabc:
-			s = uF(in.A)
-			if !s {
-				setF(srcUB, in.B)
-				setF(srcUC, in.C)
-			}
-		case FmtFaPool:
-			s = uF(in.A)
-		case FmtFaIb:
-			s = uF(in.A)
-			if !s {
-				setI(srcUB, in.B)
-			}
-		case FmtIaFb:
-			s = uI(in.A)
-			if !s {
-				setF(srcUB, in.B)
-			}
-		case FmtIaFbc:
-			s = uI(in.A)
-			if !s {
-				setF(srcUB, in.B)
-				setF(srcUC, in.C)
-			}
-		case FmtFabcImm:
-			s = uF(in.A)
-			if !s {
-				setF(srcUB, in.B)
-				setF(srcUC, in.C)
-				setF(srcUX, int32(in.Imm))
-			}
-		case FmtIabcImm:
-			s = uI(in.A)
-			if !s {
-				setI(srcUB, in.B)
-				setI(srcUC, in.C)
-				setI(srcUX, int32(in.Imm))
-			}
-		case FmtMulImmAdd:
-			s = uI(in.A)
-			if !s {
-				setI(srcUB, in.B)
-				setI(srcUC, in.C)
-			}
-		case FmtWI:
-			s = uI(in.A)
-		case FmtWIDyn:
-			s = uI(in.A)
-			if !s {
-				setI(srcUC, in.C)
-			}
-		case FmtLoadF:
-			s = uF(in.A)
-			if !s {
-				setI(srcUC, in.C)
-			}
-		case FmtLoadI:
-			s = uI(in.A)
-			if !s {
-				setI(srcUC, in.C)
-			}
-		case FmtStoreF:
-			s = uF(in.A) && uI(in.C)
-			if !s {
-				setF(srcUB, in.A)
-				setI(srcUC, in.C)
-			}
-		case FmtStoreI:
-			s = uI(in.A) && uI(in.C)
-			if !s {
-				setI(srcUB, in.A)
-				setI(srcUC, in.C)
-			}
-		case FmtFusedLdF, FmtFusedMacF:
-			s = uF(in.A)
-			if !s {
-				setF(srcUB, in.B)
-				setI(srcUC, in.C)
-			}
-		case FmtLdIdxF:
-			s = uF(in.A)
-			if !s {
-				_, _, r3 := unpackMemIdx(in.Imm)
-				setI(srcUB, in.B)
-				setI(srcUC, in.C)
-				setI(srcUX, r3)
-			}
-		case FmtMacIdxF:
-			s = uF(in.A)
-			if !s {
-				_, _, r2, r3 := unpackMacIdx(in.Imm)
-				setF(srcUB, in.B)
-				setI(srcUC, in.C)
-				setI(srcUX2, r2)
-				setI(srcUX, r3)
-			}
-		case FmtJCond:
-			// The only register operand of a varying jz/jnz condition
-			// is by definition varying: no broadcast bits needed.
+		if _, jump := condJumpTarget(in, i); jump {
 			s = vf.condUniform[i]
-		case FmtJCmpI:
-			s = vf.condUniform[i]
-			if !s {
-				setI(srcUB, in.A)
-				setI(srcUC, in.B)
-			}
-		case FmtJCmpIImm:
-			s = vf.condUniform[i]
-		case FmtJCmpF:
-			s = vf.condUniform[i]
-			if !s {
-				setF(srcUB, in.A)
-				setF(srcUC, in.B)
-			}
-		case FmtIncJCmpI:
-			// addjcmp.i is always a back-edge and a varying back-edge is
-			// refused at admission, so this is the statically uniform
-			// loop counter.
-			s = vf.condUniform[i]
+		} else if isF, r, ok := destReg(in); ok {
+			s = isF && vf.uniF[r] || !isF && vf.uniI[r]
+		} else {
+			s = allU && isStore(in.Op)
 		}
 		vf.scal[i] = s
-		vf.srcU[i] = u
+		if !s {
+			vf.srcU[i] = u
+		}
 	}
 	vf.scalEnd = make([]int32, len(p.Code))
 	end := len(p.Code)
@@ -834,7 +697,7 @@ func (g *flowGraph) solveLiveness(uniI, uniF []bool) {
 	for v := 0; v < n; v++ {
 		u := regSet(use[v*lw : (v+1)*lw])
 		in := &g.code[v]
-		srcRegs(in, func(r int32) { u.add(int(r)) }, func(r int32) { u.add(numI + int(r)) })
+		srcRegs(in, func(r int32, _ uint8) { u.add(int(r)) }, func(r int32, _ uint8) { u.add(numI + int(r)) })
 		if isF, r, ok := destReg(in); ok {
 			if isF {
 				r += int32(numI)
@@ -938,16 +801,15 @@ func (vf *VecFunc) computeJoin(g *flowGraph, pc int, inLoop bool) {
 	g.solveLiveness(vf.uniI, vf.uniF)
 	target, _ := condJumpTarget(&p.Code[pc], pc)
 	touched, written := make(regSet, g.lw), make(regSet, g.lw)
-	touchI := func(r int32) { touched.add(int(r)) }
-	touchF := func(r int32) { touched.add(g.numI + int(r)) }
+	touchI := func(r int32, _ uint8) { touched.add(int(r)) }
+	touchF := func(r int32, _ uint8) { touched.add(g.numI + int(r)) }
 	reg := &splitRegion{}
 	for _, v := range nodes {
 		in := &p.Code[v]
 		if in.Op == OpBar {
 			return
 		}
-		info, _ := LookupOp(in.Op)
-		if (info.Fmt == FmtStoreF || info.Fmt == FmtStoreI) && vf.uniI[in.C] && (inLoop || target != j) {
+		if isStore(in.Op) && vf.uniI[in.C] && (inLoop || target != j) {
 			return
 		}
 		if isF, r, ok := destReg(in); ok {
@@ -1100,7 +962,10 @@ func (p *VecFunc) NewVecFrame(w int) *VecFrame {
 // obvious f.I[o:o+f.W]: that keeps their inline cost under the reduced
 // budget the compiler applies to inlinees of a "big" function, so the
 // VecFunc.Run dispatch loop gets them inlined instead of paying a call
-// per operand read.
+// per operand read however large it grows. rdI and rdF cost more than
+// that budget and inline only while Run stays under the compiler's
+// big-function threshold; CI greps the compiler's -m output for all
+// four.
 func (f *VecFrame) lanesI(r int32) []int64 {
 	return f.I[int(r&f.mi)*f.W:][:f.W]
 }

@@ -49,18 +49,8 @@ func (p *VecFunc) diverge(f *VecFrame, a0, a1 *uint64, pc int) (Status, error) {
 	in := &p.Code[pc]
 	// The branch retires for every lane whichever way it goes: charge
 	// its static counts once, like any convergent instruction.
-	switch in.Op {
-	case OpJZBr:
-		*a1 += lBranch
-	case OpJZLog, OpJNZLog:
-		*a0 += lIntOp
-	case OpJCmpI, OpJCmpIImm:
-		*a0 += lIntOp
-		*a1 += lBranch
-	case OpJCmpF:
-		*a0 += lFloatOp
-		*a1 += lBranch
-	}
+	*a0 += laneK[in.Op][0]
+	*a1 += laneK[in.Op][1]
 	// Only a side that runs needs its lane list: the empty side of a
 	// one-sided branch is already at the join, and laneCond counted it.
 	target, _ := condJumpTarget(in, pc)
@@ -124,7 +114,8 @@ func (p *VecFunc) runSide(f *VecFrame, i int, sel []int, start, j, pc int) (s *V
 }
 
 // laneCond decides the conditional jump at pc for the group. A uniform
-// condition takes one test on the scalar slots. A varying one is
+// condition takes one test on the scalar slots (addjcmp.i steps its
+// counter first: call laneCond once per retired jump). A varying one is
 // evaluated for every lane into the mask f.idx (1 = taken) and the
 // count f.nTaken, comparing against a uniform operand or an immediate
 // straight from its scalar value; laneCond reports lane 0's outcome and
@@ -146,6 +137,15 @@ func (p *VecFunc) laneCond(f *VecFrame, pc int) (taken, agree bool) {
 			taken = ccHoldsI(in.B, ui[in.A&f.mi], in.Imm)
 		case OpJCmpF:
 			taken = ccHoldsF(in.C, uf[in.A&f.mf], uf[in.B&f.mf])
+		case OpIncJCmpI:
+			// Vectorize guarantees a statically uniform condition here
+			// (addjcmp.i is always a back-edge, and a varying back-edge is
+			// refused), so counter, step and bound live in the scalar
+			// slots: step the counter, then test it.
+			v := ui[in.A&f.mi] + ui[in.B&f.mi]
+			ui[in.A&f.mi] = v
+			cc, _ := unpackCcTarget(in.Imm)
+			taken = ccHoldsI(cc, v, ui[in.C&f.mi])
 		}
 		return taken, true
 	}

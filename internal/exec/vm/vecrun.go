@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Diverged reports that a vector Run stopped because the group's lanes
@@ -17,15 +18,31 @@ import (
 // compacted sub-groups and the group re-forms (see diverge).
 const Diverged Status = 2
 
+// park stops the group at the instruction at pc, which some lane would
+// fault on: it has neither executed nor counted, and the caller reruns
+// it lane by lane on the scalar VM (see Diverged).
+func (p *VecFunc) park(u *Frame, a0, a1 uint64, pc int) (Status, error) {
+	p.exit(u, a0, a1, pc)
+	return Diverged, nil
+}
+
 // Run executes all W lanes of the frame from its saved PC until the
 // kernel halts, the group diverges irreducibly (see Diverged), the
 // frame's Stop PC — the join point of a divergence split — is reached,
-// or the step budget is exhausted. Every arm mirrors the scalar VM arm
-// exactly — same float expression shapes (so rounding is
-// bit-identical), same counter constants — but loops over lanes inside
-// the single dispatch. Memory and fault-checked arms run two passes
-// (scan every lane's index, then execute) so a bail-out leaves the
-// frame exactly at pre-instruction state.
+// or the step budget is exhausted.
+//
+// How an arm is laid out. The opcodes of one operand format (op.go)
+// share one arm and one preamble — `d := lanes(A); b := rd(B); c :=
+// rd(C)` — and an inner switch holds only what differs, the lane loop:
+// the same float expression shape as the scalar VM's arm (so rounding is
+// bit-identical), over W lanes. What an opcode counts is not written
+// here at all: laneK (counts.go, built from staticCounts) is added once
+// at the bottom of the loop, so an arm that parks a would-fault
+// instruction returns before counting it, and the jump arm adds it
+// before it continues at the target. Memory and fault-checked arms scan
+// every lane (index in bounds, divisor non-zero) before they write one,
+// so a park leaves the frame exactly at pre-instruction state, and a
+// store retires its lanes in ascending order.
 //
 // Scalarization: a straight-line span of instructions with uniform
 // destinations goes to the scalar interpreter (Func.run) over the
@@ -44,17 +61,17 @@ const Diverged Status = 2
 // 2-core box (a kernel with no scalarized instruction at all read
 // +1.7%, +7% and +12% across three builds that never touched its
 // path): judge a change to it by alternated end-to-end pairs of
-// cpu_ms_per_op, not by exec.vec.ns_per_op.
+// cpu_ms_per_op, not by exec.vec.ns_per_op. Its size matters too: below
+// the compiler's "big function" threshold rdI and rdF inline into the
+// arms as lanesI and lanesF do, and CI checks that they still do.
 func (p *VecFunc) Run(f *VecFrame) (Status, error) {
 	code := p.Code
 	u := f.Frame
 	ui, uf := u.I, u.F
-	w := f.W
-	wd := int64(w)
+	wd := int64(f.W)
 	pc := f.PC
 	var a0 uint64
 	a1 := uint64(p.room) << roomShift
-dispatch:
 	for pc < len(code) {
 		if pc == f.Stop {
 			p.exit(u, a0, a1, pc)
@@ -77,14 +94,17 @@ dispatch:
 		su := p.srcU[pc]
 		switch in.Op {
 		case OpNop:
+		case OpBar:
+			// The whole lane group is resident and instruction-level
+			// lockstep is stronger than barrier-level lockstep: every
+			// pre-barrier store has retired before any lane proceeds.
+			// (Divergent regions never contain a barrier — computeJoin
+			// refuses them — so this arm never runs in a side frame.)
 		case OpHalt:
 			p.exit(u, a0, a1, pc)
 			return Halted, nil
 
-		case OpMovI:
-			copy(f.lanesI(in.A), f.rdI(in.B, su&srcUB != 0, 0))
-		case OpMovF:
-			copy(f.lanesF(in.A), f.rdF(in.B, su&srcUB != 0, 0))
+		// Constants and conversions, one opcode to a format.
 		case OpLdcI:
 			d := f.lanesI(in.A)
 			for l := range d {
@@ -108,841 +128,280 @@ dispatch:
 			for l := range d {
 				d[l] = int64(b[l])
 			}
-		case OpSnzI:
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = b2i(b[l] != 0)
-			}
 
-		case OpAddI:
-			a0 += lIntOp
+		// I[A] <- I[B].
+		case OpMovI, OpSnzI, OpNegI, OpNotB, OpAbsI:
 			d := f.lanesI(in.A)
 			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdI(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = b[l] + c[l]
-			}
-		case OpSubI:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdI(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = b[l] - c[l]
-			}
-		case OpMulI:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdI(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = b[l] * c[l]
-			}
-		case OpDivI:
-			c := f.rdI(in.C, su&srcUC != 0, 1)
-			for l := range c {
-				if c[l] == 0 {
-					p.exit(u, a0, a1, pc)
-					return Diverged, nil
+			switch in.Op {
+			case OpMovI:
+				copy(d, b)
+			case OpSnzI:
+				for l := range d {
+					d[l] = b2i(b[l] != 0)
 				}
-			}
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			c = c[:len(d)]
-			for l := range d {
-				d[l] = b[l] / c[l]
-			}
-		case OpModI:
-			c := f.rdI(in.C, su&srcUC != 0, 1)
-			for l := range c {
-				if c[l] == 0 {
-					p.exit(u, a0, a1, pc)
-					return Diverged, nil
+			case OpNegI:
+				for l := range d {
+					d[l] = -b[l]
 				}
-			}
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			c = c[:len(d)]
-			for l := range d {
-				d[l] = b[l] % c[l]
-			}
-		case OpAndI:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdI(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = b[l] & c[l]
-			}
-		case OpOrI:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdI(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = b[l] | c[l]
-			}
-		case OpXorI:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdI(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = b[l] ^ c[l]
-			}
-		case OpShlI:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdI(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = b[l] << uint(c[l]&63)
-			}
-		case OpShrI:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdI(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = b[l] >> uint(c[l]&63)
-			}
-		case OpNegI:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = -b[l]
-			}
-		case OpNotB:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = b2i(b[l] == 0)
-			}
-
-		case OpAddIImm:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = b[l] + in.Imm
-			}
-		case OpMulIImm:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = b[l] * in.Imm
-			}
-		case OpDivIImm:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = b[l] / in.Imm
-			}
-		case OpModIImm:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = b[l] % in.Imm
-			}
-		case OpShlIImm:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = b[l] << uint(in.Imm&63)
-			}
-		case OpShrIImm:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = b[l] >> uint(in.Imm&63)
-			}
-		case OpAndIImm:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = b[l] & in.Imm
-			}
-		case OpOrIImm:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = b[l] | in.Imm
-			}
-		case OpXorIImm:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = b[l] ^ in.Imm
-			}
-
-		case OpLtI:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdI(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = b2i(b[l] < c[l])
-			}
-		case OpLeI:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdI(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = b2i(b[l] <= c[l])
-			}
-		case OpGtI:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdI(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = b2i(b[l] > c[l])
-			}
-		case OpGeI:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdI(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = b2i(b[l] >= c[l])
-			}
-		case OpEqI:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdI(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = b2i(b[l] == c[l])
-			}
-		case OpNeI:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdI(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = b2i(b[l] != c[l])
-			}
-
-		case OpLtIImm:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = b2i(b[l] < in.Imm)
-			}
-		case OpLeIImm:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = b2i(b[l] <= in.Imm)
-			}
-		case OpGtIImm:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = b2i(b[l] > in.Imm)
-			}
-		case OpGeIImm:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = b2i(b[l] >= in.Imm)
-			}
-		case OpEqIImm:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = b2i(b[l] == in.Imm)
-			}
-		case OpNeIImm:
-			a0 += lIntOp
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = b2i(b[l] != in.Imm)
-			}
-
-		case OpAddF:
-			a0 += lFloatOp
-			d := f.lanesF(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdF(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = b[l] + c[l]
-			}
-		case OpSubF:
-			a0 += lFloatOp
-			d := f.lanesF(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdF(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = b[l] - c[l]
-			}
-		case OpMulF:
-			a0 += lFloatOp
-			d := f.lanesF(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdF(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = b[l] * c[l]
-			}
-		case OpDivF:
-			a0 += lFloatOp
-			d := f.lanesF(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdF(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = b[l] / c[l]
-			}
-		case OpNegF:
-			a0 += lFloatOp
-			d := f.lanesF(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = -b[l]
-			}
-
-		case OpLtF:
-			a0 += lFloatOp
-			d := f.lanesI(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdF(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = b2i(b[l] < c[l])
-			}
-		case OpLeF:
-			a0 += lFloatOp
-			d := f.lanesI(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdF(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = b2i(b[l] <= c[l])
-			}
-		case OpGtF:
-			a0 += lFloatOp
-			d := f.lanesI(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdF(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = b2i(b[l] > c[l])
-			}
-		case OpGeF:
-			a0 += lFloatOp
-			d := f.lanesI(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdF(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = b2i(b[l] >= c[l])
-			}
-		case OpEqF:
-			a0 += lFloatOp
-			d := f.lanesI(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdF(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = b2i(b[l] == c[l])
-			}
-		case OpNeF:
-			a0 += lFloatOp
-			d := f.lanesI(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdF(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = b2i(b[l] != c[l])
-			}
-
-		case OpJmp:
-			a1 -= roomOne
-			if a1 < roomOne {
-				u.Cnt.addPacked(a0, a1)
-				a0, a1 = 0, uint64(p.room)<<roomShift
-			}
-			if err := u.spend(wd); err != nil {
-				p.exit(u, a0, a1, pc)
-				return Halted, err
-			}
-			pc = int(in.Imm)
-			continue
-		case OpJZBr:
-			taken, agree := p.laneCond(f, pc)
-			if !agree {
-				st, err := p.diverge(f, &a0, &a1, pc)
-				if st != joined || err != nil {
-					return st, err
+			case OpNotB:
+				for l := range d {
+					d[l] = b2i(b[l] == 0)
 				}
-				pc = f.PC
-				continue dispatch
-			}
-			a1 += lBranch
-			if taken {
-				a1 -= roomOne
-				if a1 < roomOne {
-					u.Cnt.addPacked(a0, a1)
-					a0, a1 = 0, uint64(p.room)<<roomShift
-				}
-				if err := u.spend(wd); err != nil {
-					p.exit(u, a0, a1, pc)
-					return Halted, err
-				}
-				pc = int(in.Imm)
-				continue
-			}
-		case OpJZLog:
-			taken, agree := p.laneCond(f, pc)
-			if !agree {
-				st, err := p.diverge(f, &a0, &a1, pc)
-				if st != joined || err != nil {
-					return st, err
-				}
-				pc = f.PC
-				continue dispatch
-			}
-			a0 += lIntOp
-			if taken {
-				a1 -= roomOne
-				if a1 < roomOne {
-					u.Cnt.addPacked(a0, a1)
-					a0, a1 = 0, uint64(p.room)<<roomShift
-				}
-				if err := u.spend(wd); err != nil {
-					p.exit(u, a0, a1, pc)
-					return Halted, err
-				}
-				pc = int(in.Imm)
-				continue
-			}
-		case OpJNZLog:
-			taken, agree := p.laneCond(f, pc)
-			if !agree {
-				st, err := p.diverge(f, &a0, &a1, pc)
-				if st != joined || err != nil {
-					return st, err
-				}
-				pc = f.PC
-				continue dispatch
-			}
-			a0 += lIntOp
-			if taken {
-				a1 -= roomOne
-				if a1 < roomOne {
-					u.Cnt.addPacked(a0, a1)
-					a0, a1 = 0, uint64(p.room)<<roomShift
-				}
-				if err := u.spend(wd); err != nil {
-					p.exit(u, a0, a1, pc)
-					return Halted, err
-				}
-				pc = int(in.Imm)
-				continue
-			}
-
-		case OpWI:
-			a0 += lIntOp
-			copy(f.lanesI(in.A), f.wiRow(in.B, int64(in.C), 0))
-		case OpWIDyn:
-			if su&srcUC != 0 {
-				dim := ui[in.C&f.mi]
-				if uint64(dim) > 2 {
-					p.exit(u, a0, a1, pc)
-					return Diverged, nil
-				}
-				a0 += lIntOp
-				copy(f.lanesI(in.A), f.wiRow(in.B, dim, 0))
-			} else {
-				dim := f.lanesI(in.C)
-				for l := range dim {
-					if uint64(dim[l]) > 2 {
-						p.exit(u, a0, a1, pc)
-						return Diverged, nil
+			case OpAbsI:
+				for l := range d {
+					v := b[l]
+					if v < 0 {
+						v = -v
 					}
-				}
-				a0 += lIntOp
-				d := f.lanesI(in.A)
-				dim = dim[:len(d)]
-				q := [3][]int64{f.wiRow(in.B, 0, 0), f.wiRow(in.B, 1, 1), f.wiRow(in.B, 2, 2)}
-				for l := range d {
-					d[l] = q[dim[l]][l]
-				}
-			}
-
-		case OpLdGF:
-			b := &u.Globals[in.B]
-			n := uint64(len(b.F))
-			if su&srcUC != 0 {
-				// Uniform address: one bounds check, one load, splat.
-				i := ui[in.C&f.mi]
-				if uint64(i) >= n {
-					p.exit(u, a0, a1, pc)
-					return Diverged, nil
-				}
-				a0 += lGLoad
-				d := f.lanesF(in.A)
-				v := float64(b.F[i])
-				for l := range d {
 					d[l] = v
 				}
-			} else {
-				ix := f.lanesI(in.C)
-				for l := range ix {
-					if uint64(ix[l]) >= n {
-						p.exit(u, a0, a1, pc)
-						return Diverged, nil
-					}
-				}
-				a0 += lGLoad
-				d := f.lanesF(in.A)
-				ix = ix[:len(d)]
-				bf := b.F
-				for l := range d {
-					d[l] = float64(bf[ix[l]])
-				}
 			}
-		case OpLdGI:
-			b := &u.Globals[in.B]
-			n := uint64(len(b.I))
-			if su&srcUC != 0 {
-				i := ui[in.C&f.mi]
-				if uint64(i) >= n {
-					p.exit(u, a0, a1, pc)
-					return Diverged, nil
-				}
-				a0 += lGLoad
-				d := f.lanesI(in.A)
-				v := int64(b.I[i])
+
+		// I[A] <- I[B], Imm. The fuser never builds a div.i.k or mod.i.k
+		// with a zero immediate.
+		case OpAddIImm, OpMulIImm, OpDivIImm, OpModIImm, OpShlIImm, OpShrIImm, OpAndIImm, OpOrIImm, OpXorIImm:
+			d := f.lanesI(in.A)
+			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
+			k := in.Imm
+			switch in.Op {
+			case OpAddIImm:
 				for l := range d {
-					d[l] = v
+					d[l] = b[l] + k
 				}
-			} else {
-				ix := f.lanesI(in.C)
-				for l := range ix {
-					if uint64(ix[l]) >= n {
-						p.exit(u, a0, a1, pc)
-						return Diverged, nil
-					}
-				}
-				a0 += lGLoad
-				d := f.lanesI(in.A)
-				ix = ix[:len(d)]
-				bi := b.I
+			case OpMulIImm:
 				for l := range d {
-					d[l] = int64(bi[ix[l]])
+					d[l] = b[l] * k
 				}
-			}
-		case OpLdLF:
-			b := &u.Locals[in.B]
-			n := uint64(len(b.F))
-			if su&srcUC != 0 {
-				i := ui[in.C&f.mi]
-				if uint64(i) >= n {
-					p.exit(u, a0, a1, pc)
-					return Diverged, nil
-				}
-				a1 += lLocalOp
-				d := f.lanesF(in.A)
-				v := float64(b.F[i])
+			case OpDivIImm:
 				for l := range d {
-					d[l] = v
+					d[l] = b[l] / k
 				}
-			} else {
-				ix := f.lanesI(in.C)
-				for l := range ix {
-					if uint64(ix[l]) >= n {
-						p.exit(u, a0, a1, pc)
-						return Diverged, nil
-					}
-				}
-				a1 += lLocalOp
-				d := f.lanesF(in.A)
-				ix = ix[:len(d)]
-				bf := b.F
+			case OpModIImm:
 				for l := range d {
-					d[l] = float64(bf[ix[l]])
+					d[l] = b[l] % k
 				}
-			}
-		case OpLdLI:
-			b := &u.Locals[in.B]
-			n := uint64(len(b.I))
-			if su&srcUC != 0 {
-				i := ui[in.C&f.mi]
-				if uint64(i) >= n {
-					p.exit(u, a0, a1, pc)
-					return Diverged, nil
-				}
-				a1 += lLocalOp
-				d := f.lanesI(in.A)
-				v := int64(b.I[i])
+			case OpShlIImm:
 				for l := range d {
-					d[l] = v
+					d[l] = b[l] << uint(k&63)
 				}
-			} else {
-				ix := f.lanesI(in.C)
-				for l := range ix {
-					if uint64(ix[l]) >= n {
-						p.exit(u, a0, a1, pc)
-						return Diverged, nil
-					}
-				}
-				a1 += lLocalOp
-				d := f.lanesI(in.A)
-				ix = ix[:len(d)]
-				bi := b.I
+			case OpShrIImm:
 				for l := range d {
-					d[l] = int64(bi[ix[l]])
+					d[l] = b[l] >> uint(k&63)
+				}
+			case OpAndIImm:
+				for l := range d {
+					d[l] = b[l] & k
+				}
+			case OpOrIImm:
+				for l := range d {
+					d[l] = b[l] | k
+				}
+			case OpXorIImm:
+				for l := range d {
+					d[l] = b[l] ^ k
 				}
 			}
 
-		case OpStGF:
-			b := &u.Globals[in.B]
-			ix := f.rdI(in.C, su&srcUC != 0, 0)
-			n := uint64(len(b.F))
-			for l := range ix {
-				if uint64(ix[l]) >= n {
-					p.exit(u, a0, a1, pc)
-					return Diverged, nil
+		// I[A] <- I[B], I[C].
+		case OpAddI, OpSubI, OpMulI, OpDivI, OpModI, OpAndI, OpOrI, OpXorI, OpShlI, OpShrI, OpMinI, OpMaxI:
+			d := f.lanesI(in.A)
+			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
+			c := f.rdI(in.C, su&srcUC != 0, 1)[:len(d)]
+			switch in.Op {
+			case OpAddI:
+				for l := range d {
+					d[l] = b[l] + c[l]
 				}
-			}
-			a1 += lGStore
-			src := f.rdF(in.A, su&srcUB != 0, 0)[:len(ix)]
-			bf := b.F
-			for l := range ix {
-				bf[ix[l]] = float32(src[l])
-			}
-		case OpStGI:
-			b := &u.Globals[in.B]
-			ix := f.rdI(in.C, su&srcUC != 0, 0)
-			n := uint64(len(b.I))
-			for l := range ix {
-				if uint64(ix[l]) >= n {
-					p.exit(u, a0, a1, pc)
-					return Diverged, nil
+			case OpSubI:
+				for l := range d {
+					d[l] = b[l] - c[l]
 				}
-			}
-			a1 += lGStore
-			src := f.rdI(in.A, su&srcUB != 0, 1)[:len(ix)]
-			bi := b.I
-			for l := range ix {
-				bi[ix[l]] = int32(src[l])
-			}
-		case OpStLF:
-			b := &u.Locals[in.B]
-			ix := f.rdI(in.C, su&srcUC != 0, 0)
-			n := uint64(len(b.F))
-			for l := range ix {
-				if uint64(ix[l]) >= n {
-					p.exit(u, a0, a1, pc)
-					return Diverged, nil
+			case OpMulI:
+				for l := range d {
+					d[l] = b[l] * c[l]
 				}
-			}
-			a1 += lLocalOp
-			src := f.rdF(in.A, su&srcUB != 0, 0)[:len(ix)]
-			bf := b.F
-			for l := range ix {
-				bf[ix[l]] = float32(src[l])
-			}
-		case OpStLI:
-			b := &u.Locals[in.B]
-			ix := f.rdI(in.C, su&srcUC != 0, 0)
-			n := uint64(len(b.I))
-			for l := range ix {
-				if uint64(ix[l]) >= n {
-					p.exit(u, a0, a1, pc)
-					return Diverged, nil
+			case OpDivI:
+				if slices.Contains(c, 0) {
+					return p.park(u, a0, a1, pc)
 				}
-			}
-			a1 += lLocalOp
-			src := f.rdI(in.A, su&srcUB != 0, 1)[:len(ix)]
-			bi := b.I
-			for l := range ix {
-				bi[ix[l]] = int32(src[l])
+				for l := range d {
+					d[l] = b[l] / c[l]
+				}
+			case OpModI:
+				if slices.Contains(c, 0) {
+					return p.park(u, a0, a1, pc)
+				}
+				for l := range d {
+					d[l] = b[l] % c[l]
+				}
+			case OpAndI:
+				for l := range d {
+					d[l] = b[l] & c[l]
+				}
+			case OpOrI:
+				for l := range d {
+					d[l] = b[l] | c[l]
+				}
+			case OpXorI:
+				for l := range d {
+					d[l] = b[l] ^ c[l]
+				}
+			case OpShlI:
+				for l := range d {
+					d[l] = b[l] << uint(c[l]&63)
+				}
+			case OpShrI:
+				for l := range d {
+					d[l] = b[l] >> uint(c[l]&63)
+				}
+			case OpMinI:
+				for l := range d {
+					d[l] = min(b[l], c[l])
+				}
+			case OpMaxI:
+				for l := range d {
+					d[l] = max(b[l], c[l])
+				}
 			}
 
-		case OpSqrtF:
-			a0 += lTransOp
+		// Compares: the six opcodes of each kind are declared in
+		// condition-code order, so the opcode's offset is the code.
+		case OpLtI, OpLeI, OpGtI, OpGeI, OpEqI, OpNeI:
+			cmpMask(f.lanesI(in.A), int32(in.Op-OpLtI), f.rdI(in.B, su&srcUB != 0, 0), f.rdI(in.C, su&srcUC != 0, 1))
+		case OpLtIImm, OpLeIImm, OpGtIImm, OpGeIImm, OpEqIImm, OpNeIImm:
+			cmpMask1(f.lanesI(in.A), int32(in.Op-OpLtIImm), f.rdI(in.B, su&srcUB != 0, 0), in.Imm)
+		case OpLtF, OpLeF, OpGtF, OpGeF, OpEqF, OpNeF:
+			cmpMask(f.lanesI(in.A), int32(in.Op-OpLtF), f.rdF(in.B, su&srcUB != 0, 0), f.rdF(in.C, su&srcUC != 0, 1))
+
+		// F[A] <- F[B].
+		case OpMovF, OpNegF, OpSqrtF, OpRsqrtF, OpExpF, OpLogF, OpLog2F, OpSinF, OpCosF, OpTanF, OpAbsF, OpFloorF, OpCeilF:
 			d := f.lanesF(in.A)
 			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = math.Sqrt(b[l])
+			switch in.Op {
+			case OpMovF:
+				copy(d, b)
+			case OpNegF:
+				for l := range d {
+					d[l] = -b[l]
+				}
+			case OpSqrtF:
+				for l := range d {
+					d[l] = math.Sqrt(b[l])
+				}
+			case OpRsqrtF:
+				for l := range d {
+					d[l] = 1 / math.Sqrt(b[l])
+				}
+			case OpExpF:
+				for l := range d {
+					d[l] = math.Exp(b[l])
+				}
+			case OpLogF:
+				for l := range d {
+					d[l] = math.Log(b[l])
+				}
+			case OpLog2F:
+				for l := range d {
+					d[l] = math.Log2(b[l])
+				}
+			case OpSinF:
+				for l := range d {
+					d[l] = math.Sin(b[l])
+				}
+			case OpCosF:
+				for l := range d {
+					d[l] = math.Cos(b[l])
+				}
+			case OpTanF:
+				for l := range d {
+					d[l] = math.Tan(b[l])
+				}
+			case OpAbsF:
+				for l := range d {
+					d[l] = math.Abs(b[l])
+				}
+			case OpFloorF:
+				for l := range d {
+					d[l] = math.Floor(b[l])
+				}
+			case OpCeilF:
+				for l := range d {
+					d[l] = math.Ceil(b[l])
+				}
 			}
-		case OpRsqrtF:
-			a0 += lTransOp
-			d := f.lanesF(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = 1 / math.Sqrt(b[l])
-			}
-		case OpExpF:
-			a0 += lTransOp
-			d := f.lanesF(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = math.Exp(b[l])
-			}
-		case OpLogF:
-			a0 += lTransOp
-			d := f.lanesF(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = math.Log(b[l])
-			}
-		case OpLog2F:
-			a0 += lTransOp
-			d := f.lanesF(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = math.Log2(b[l])
-			}
-		case OpSinF:
-			a0 += lTransOp
-			d := f.lanesF(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = math.Sin(b[l])
-			}
-		case OpCosF:
-			a0 += lTransOp
-			d := f.lanesF(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = math.Cos(b[l])
-			}
-		case OpTanF:
-			a0 += lTransOp
-			d := f.lanesF(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = math.Tan(b[l])
-			}
-		case OpPowF:
-			a0 += lTransOp
-			d := f.lanesF(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdF(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = math.Pow(b[l], c[l])
-			}
-		case OpAbsF:
-			a0 += lOtherB
-			d := f.lanesF(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = math.Abs(b[l])
-			}
-		case OpFloorF:
-			a0 += lOtherB
-			d := f.lanesF(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = math.Floor(b[l])
-			}
-		case OpCeilF:
-			a0 += lOtherB
-			d := f.lanesF(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = math.Ceil(b[l])
-			}
-		case OpMinF:
-			a0 += lOtherB
+
+		// F[A] <- F[B], F[C].
+		case OpAddF, OpSubF, OpMulF, OpDivF, OpPowF, OpMinF, OpMaxF, OpAddRsqrtF:
 			d := f.lanesF(in.A)
 			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
 			c := f.rdF(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = math.Min(b[l], c[l])
+			switch in.Op {
+			case OpAddF:
+				for l := range d {
+					d[l] = b[l] + c[l]
+				}
+			case OpSubF:
+				for l := range d {
+					d[l] = b[l] - c[l]
+				}
+			case OpMulF:
+				for l := range d {
+					d[l] = b[l] * c[l]
+				}
+			case OpDivF:
+				for l := range d {
+					d[l] = b[l] / c[l]
+				}
+			case OpPowF:
+				for l := range d {
+					d[l] = math.Pow(b[l], c[l])
+				}
+			case OpMinF:
+				for l := range d {
+					d[l] = math.Min(b[l], c[l])
+				}
+			case OpMaxF:
+				for l := range d {
+					d[l] = math.Max(b[l], c[l])
+				}
+			case OpAddRsqrtF:
+				for l := range d {
+					d[l] = 1 / math.Sqrt(b[l]+c[l])
+				}
 			}
-		case OpMaxF:
-			a0 += lOtherB
-			d := f.lanesF(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdF(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = math.Max(b[l], c[l])
-			}
-		case OpFmaF:
-			a0 += lOtherB
+
+		// F[A] <- F[B], F[C], F[Imm].
+		case OpFmaF, OpClampF, OpMulAddF, OpMulMulF:
 			d := f.lanesF(in.A)
 			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
 			c := f.rdF(in.C, su&srcUC != 0, 1)[:len(d)]
 			m := f.rdF(int32(in.Imm), su&srcUX != 0, 2)[:len(d)]
-			for l := range d {
-				d[l] = b[l]*c[l] + m[l]
-			}
-		case OpClampF:
-			a0 += lOtherB
-			d := f.lanesF(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdF(in.C, su&srcUC != 0, 1)[:len(d)]
-			m := f.rdF(int32(in.Imm), su&srcUX != 0, 2)[:len(d)]
-			for l := range d {
-				d[l] = math.Max(c[l], math.Min(b[l], m[l]))
-			}
-
-		case OpMinI:
-			a0 += lOtherB
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdI(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = min(b[l], c[l])
-			}
-		case OpMaxI:
-			a0 += lOtherB
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdI(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = max(b[l], c[l])
-			}
-		case OpAbsI:
-			a0 += lOtherB
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				v := b[l]
-				if v < 0 {
-					v = -v
+			switch in.Op {
+			case OpFmaF:
+				for l := range d {
+					d[l] = b[l]*c[l] + m[l]
 				}
-				d[l] = v
-			}
-		case OpClampI:
-			a0 += lOtherB
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdI(in.C, su&srcUC != 0, 1)[:len(d)]
-			m := f.rdI(int32(in.Imm), su&srcUX != 0, 2)[:len(d)]
-			for l := range d {
-				d[l] = max(c[l], min(b[l], m[l]))
+			case OpClampF:
+				for l := range d {
+					d[l] = math.Max(c[l], math.Min(b[l], m[l]))
+				}
+			case OpMulAddF:
+				for l := range d {
+					// Explicit conversion as in the scalar arm: the product
+					// rounds separately, never contracted into an FMA.
+					d[l] = float64(b[l]*c[l]) + m[l]
+				}
+			case OpMulMulF:
+				for l := range d {
+					d[l] = float64(b[l]*c[l]) * m[l]
+				}
 			}
 
-		case OpBar:
-			// The whole lane group is resident and instruction-level
-			// lockstep is stronger than barrier-level lockstep: every
-			// pre-barrier store has retired before any lane proceeds.
-			// (Divergent regions never contain a barrier — computeJoin
-			// refuses them — so this arm never runs in a side frame.)
-			a1 += lBarrier
-
-		case OpMulAddI:
-			a0 += 2 * lIntOp
+		// I[A] <- I[B], I[C], I[Imm].
+		case OpClampI, OpMulAddI:
 			d := f.lanesI(in.A)
-			if su&(srcUC|srcUX) == srcUC|srcUX && su&srcUB == 0 {
+			if in.Op == OpMulAddI && su&(srcUC|srcUX) == srcUC|srcUX && su&srcUB == 0 {
 				// The hot address shape: varying base times uniform
 				// stride plus uniform offset, one multiply-add per lane
 				// with no broadcast traffic.
@@ -952,16 +411,21 @@ dispatch:
 				for l := range d {
 					d[l] = b[l]*cv + xv
 				}
-			} else {
-				b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-				c := f.rdI(in.C, su&srcUC != 0, 1)[:len(d)]
-				m := f.rdI(int32(in.Imm), su&srcUX != 0, 2)[:len(d)]
+				break
+			}
+			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
+			c := f.rdI(in.C, su&srcUC != 0, 1)[:len(d)]
+			m := f.rdI(int32(in.Imm), su&srcUX != 0, 2)[:len(d)]
+			if in.Op == OpMulAddI {
 				for l := range d {
 					d[l] = b[l]*c[l] + m[l]
 				}
+			} else {
+				for l := range d {
+					d[l] = max(c[l], min(b[l], m[l]))
+				}
 			}
 		case OpMulImmAddI:
-			a0 += 2 * lIntOp
 			d := f.lanesI(in.A)
 			if su&srcUC != 0 && su&srcUB == 0 {
 				b := f.lanesI(in.B)[:len(d)]
@@ -976,211 +440,161 @@ dispatch:
 					d[l] = b[l]*in.Imm + c[l]
 				}
 			}
-		case OpMulAddF:
-			a0 += 2 * lFloatOp
-			d := f.lanesF(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdF(in.C, su&srcUC != 0, 1)[:len(d)]
-			m := f.rdF(int32(in.Imm), su&srcUX != 0, 2)[:len(d)]
-			for l := range d {
-				// Explicit conversion as in the scalar arm: the product
-				// rounds separately, never contracted into an FMA.
-				d[l] = float64(b[l]*c[l]) + m[l]
+
+		// The one jump arm. laneCond decides a conditional jump for the
+		// group (and steps addjcmp.i's counter: the fused counted-loop
+		// back-edge, in a kernel like matmul the only instruction between
+		// two vector dispatches, every iteration). A taken jump counts,
+		// then pays the spill countdown and W steps of fuel, one for each
+		// item, exactly as the scalar VM's jump arms do for one.
+		case OpJmp, OpJZBr, OpJZLog, OpJNZLog, OpJCmpI, OpJCmpIImm, OpJCmpF, OpIncJCmpI:
+			if in.Op != OpJmp {
+				taken, agree := p.laneCond(f, pc)
+				if !agree {
+					st, err := p.diverge(f, &a0, &a1, pc)
+					if st != joined || err != nil {
+						return st, err
+					}
+					pc = f.PC
+					continue
+				}
+				if !taken {
+					break
+				}
 			}
-		case OpAddFLdG:
-			slot, _ := unpackMem(in.Imm)
-			bb := &u.Globals[slot]
-			n := uint64(len(bb.F))
+			a0 += laneK[in.Op][0]
+			a1 += laneK[in.Op][1]
+			a1 -= roomOne
+			if a1 < roomOne {
+				u.Cnt.addPacked(a0, a1)
+				a0, a1 = 0, uint64(p.room)<<roomShift
+			}
+			if err := u.spend(wd); err != nil {
+				p.exit(u, a0, a1, pc)
+				return Halted, err
+			}
+			pc, _ = jumpTarget(in, pc)
+			continue
+
+		case OpWI:
+			copy(f.lanesI(in.A), f.wiRow(in.B, int64(in.C), 0))
+		case OpWIDyn:
 			if su&srcUC != 0 {
-				i := ui[in.C&f.mi]
-				if uint64(i) >= n {
-					p.exit(u, a0, a1, pc)
-					return Diverged, nil
+				dim := ui[in.C&f.mi]
+				if uint64(dim) > 2 {
+					return p.park(u, a0, a1, pc)
 				}
-				a0 += lFloatOp + lGLoad
-				d := f.lanesF(in.A)
-				b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-				mv := float64(bb.F[i])
-				for l := range d {
-					d[l] = b[l] + mv
-				}
+				copy(f.lanesI(in.A), f.wiRow(in.B, dim, 0))
 			} else {
-				ix := f.lanesI(in.C)
-				for l := range ix {
-					if uint64(ix[l]) >= n {
-						p.exit(u, a0, a1, pc)
-						return Diverged, nil
+				d := f.lanesI(in.A)
+				dim := f.lanesI(in.C)[:len(d)]
+				for l := range dim {
+					if uint64(dim[l]) > 2 {
+						return p.park(u, a0, a1, pc)
 					}
 				}
-				a0 += lFloatOp + lGLoad
-				d := f.lanesF(in.A)
-				b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-				ix = ix[:len(d)]
-				bf := bb.F
+				q := [3][]int64{f.wiRow(in.B, 0, 0), f.wiRow(in.B, 1, 1), f.wiRow(in.B, 2, 2)}
+				for l := range d {
+					d[l] = q[dim[l]][l]
+				}
+			}
+
+		// Loads and stores: the opcode picks the buffer table and the
+		// element type, vecLoad/vecStore do the rest.
+		case OpLdGF, OpLdGI, OpLdLF, OpLdLI:
+			b := &u.memSpace(in.Op)[in.B]
+			var ok bool
+			if in.Op == OpLdGF || in.Op == OpLdLF {
+				ok = vecLoad(f, f.lanesF(in.A), b.F, in.C, su&srcUC != 0)
+			} else {
+				ok = vecLoad(f, f.lanesI(in.A), b.I, in.C, su&srcUC != 0)
+			}
+			if !ok {
+				return p.park(u, a0, a1, pc)
+			}
+		case OpStGF, OpStGI, OpStLF, OpStLI:
+			b := &u.memSpace(in.Op)[in.B]
+			ix := f.rdI(in.C, su&srcUC != 0, 0)
+			var ok bool
+			if in.Op == OpStGF || in.Op == OpStLF {
+				ok = vecStore(b.F, ix, f.rdF(in.A, su&srcUB != 0, 0))
+			} else {
+				ok = vecStore(b.I, ix, f.rdI(in.A, su&srcUB != 0, 1))
+			}
+			if !ok {
+				return p.park(u, a0, a1, pc)
+			}
+
+		// F[A] <- F[B] op load(global slot, I[C]); macld.f accumulates
+		// into F[A].
+		case OpAddFLdG, OpMulFLdG, OpSubFLdG, OpLdSubFG, OpMulAccLdG:
+			slot, _ := unpackMem(in.Imm)
+			bf := u.Globals[slot].F
+			d := f.lanesF(in.A)
+			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
+			if su&srcUC != 0 {
+				// Uniform address — the matvec inner product, where every
+				// lane multiplies its own row element by the same vector
+				// element: one bounds check and one load for the group.
+				i := ui[in.C&f.mi]
+				if uint64(i) >= uint64(len(bf)) {
+					return p.park(u, a0, a1, pc)
+				}
+				mv := float64(bf[i])
+				switch in.Op {
+				case OpAddFLdG:
+					for l := range d {
+						d[l] = b[l] + mv
+					}
+				case OpMulFLdG:
+					for l := range d {
+						d[l] = b[l] * mv
+					}
+				case OpSubFLdG:
+					for l := range d {
+						d[l] = b[l] - mv
+					}
+				case OpLdSubFG:
+					for l := range d {
+						d[l] = mv - b[l]
+					}
+				case OpMulAccLdG:
+					for l := range d {
+						d[l] = d[l] + float64(b[l]*mv)
+					}
+				}
+				break
+			}
+			ix := f.lanesI(in.C)[:len(d)]
+			if !inBounds(ix, len(bf)) {
+				return p.park(u, a0, a1, pc)
+			}
+			switch in.Op {
+			case OpAddFLdG:
 				for l := range d {
 					d[l] = b[l] + float64(bf[ix[l]])
 				}
-			}
-		case OpMulFLdG:
-			slot, _ := unpackMem(in.Imm)
-			bb := &u.Globals[slot]
-			n := uint64(len(bb.F))
-			if su&srcUC != 0 {
-				i := ui[in.C&f.mi]
-				if uint64(i) >= n {
-					p.exit(u, a0, a1, pc)
-					return Diverged, nil
-				}
-				a0 += lFloatOp + lGLoad
-				d := f.lanesF(in.A)
-				b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-				mv := float64(bb.F[i])
-				for l := range d {
-					d[l] = b[l] * mv
-				}
-			} else {
-				ix := f.lanesI(in.C)
-				for l := range ix {
-					if uint64(ix[l]) >= n {
-						p.exit(u, a0, a1, pc)
-						return Diverged, nil
-					}
-				}
-				a0 += lFloatOp + lGLoad
-				d := f.lanesF(in.A)
-				b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-				ix = ix[:len(d)]
-				bf := bb.F
+			case OpMulFLdG:
 				for l := range d {
 					d[l] = b[l] * float64(bf[ix[l]])
 				}
-			}
-		case OpSubFLdG:
-			slot, _ := unpackMem(in.Imm)
-			bb := &u.Globals[slot]
-			n := uint64(len(bb.F))
-			if su&srcUC != 0 {
-				i := ui[in.C&f.mi]
-				if uint64(i) >= n {
-					p.exit(u, a0, a1, pc)
-					return Diverged, nil
-				}
-				a0 += lFloatOp + lGLoad
-				d := f.lanesF(in.A)
-				b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-				mv := float64(bb.F[i])
-				for l := range d {
-					d[l] = b[l] - mv
-				}
-			} else {
-				ix := f.lanesI(in.C)
-				for l := range ix {
-					if uint64(ix[l]) >= n {
-						p.exit(u, a0, a1, pc)
-						return Diverged, nil
-					}
-				}
-				a0 += lFloatOp + lGLoad
-				d := f.lanesF(in.A)
-				b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-				ix = ix[:len(d)]
-				bf := bb.F
+			case OpSubFLdG:
 				for l := range d {
 					d[l] = b[l] - float64(bf[ix[l]])
 				}
-			}
-		case OpLdSubFG:
-			slot, _ := unpackMem(in.Imm)
-			bb := &u.Globals[slot]
-			n := uint64(len(bb.F))
-			if su&srcUC != 0 {
-				i := ui[in.C&f.mi]
-				if uint64(i) >= n {
-					p.exit(u, a0, a1, pc)
-					return Diverged, nil
-				}
-				a0 += lFloatOp + lGLoad
-				d := f.lanesF(in.A)
-				b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-				mv := float64(bb.F[i])
-				for l := range d {
-					d[l] = mv - b[l]
-				}
-			} else {
-				ix := f.lanesI(in.C)
-				for l := range ix {
-					if uint64(ix[l]) >= n {
-						p.exit(u, a0, a1, pc)
-						return Diverged, nil
-					}
-				}
-				a0 += lFloatOp + lGLoad
-				d := f.lanesF(in.A)
-				b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-				ix = ix[:len(d)]
-				bf := bb.F
+			case OpLdSubFG:
 				for l := range d {
 					d[l] = float64(bf[ix[l]]) - b[l]
 				}
-			}
-		case OpMulAccLdG:
-			slot, _ := unpackMem(in.Imm)
-			bb := &u.Globals[slot]
-			n := uint64(len(bb.F))
-			if su&srcUC != 0 {
-				// The matvec inner product: every lane multiplies its own
-				// row element by the same vector element — one load for
-				// the whole group.
-				i := ui[in.C&f.mi]
-				if uint64(i) >= n {
-					p.exit(u, a0, a1, pc)
-					return Diverged, nil
-				}
-				a0 += 2*lFloatOp + lGLoad
-				d := f.lanesF(in.A)
-				b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-				mv := float64(bb.F[i])
-				for l := range d {
-					d[l] = d[l] + float64(b[l]*mv)
-				}
-			} else {
-				ix := f.lanesI(in.C)
-				for l := range ix {
-					if uint64(ix[l]) >= n {
-						p.exit(u, a0, a1, pc)
-						return Diverged, nil
-					}
-				}
-				a0 += 2*lFloatOp + lGLoad
-				d := f.lanesF(in.A)
-				b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-				ix = ix[:len(d)]
-				bf := bb.F
+			case OpMulAccLdG:
 				for l := range d {
 					d[l] = d[l] + float64(b[l]*float64(bf[ix[l]]))
 				}
 			}
-		case OpMulMulF:
-			a0 += 2 * lFloatOp
-			d := f.lanesF(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdF(in.C, su&srcUC != 0, 1)[:len(d)]
-			m := f.rdF(int32(in.Imm), su&srcUX != 0, 2)[:len(d)]
-			for l := range d {
-				d[l] = float64(b[l]*c[l]) * m[l]
-			}
-		case OpAddRsqrtF:
-			a0 += lFloatOp + lTransOp
-			d := f.lanesF(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdF(in.C, su&srcUC != 0, 1)[:len(d)]
-			for l := range d {
-				d[l] = 1 / math.Sqrt(b[l]+c[l])
-			}
+
 		case OpLdGFIdx:
 			slot, _, r3 := unpackMemIdx(in.Imm)
-			bb := &u.Globals[slot]
-			bf := bb.F
+			bf := u.Globals[slot].F
 			const uniCX = srcUC | srcUX
 			if su&uniCX == uniCX && su&srcUB == 0 {
 				// row*stride+off with uniform stride and offset (the
@@ -1196,8 +610,7 @@ dispatch:
 				for l := range b {
 					v := b[l]*cs + rs
 					if uint64(v) >= uint64(len(bf)) {
-						p.exit(u, a0, a1, pc)
-						return Diverged, nil
+						return p.park(u, a0, a1, pc)
 					}
 					d[l] = float64(bf[v])
 				}
@@ -1209,17 +622,15 @@ dispatch:
 				for l := range b {
 					v := b[l]*c[l] + r[l]
 					if uint64(v) >= uint64(len(bf)) {
-						p.exit(u, a0, a1, pc)
-						return Diverged, nil
+						return p.park(u, a0, a1, pc)
 					}
 					d[l] = float64(bf[v])
 				}
 			}
-			a0 += 2*lIntOp + lGLoad
 		case OpMacLdGIdx:
 			slot, _, r2, r3 := unpackMacIdx(in.Imm)
-			bb := &u.Globals[slot]
-			n := uint64(len(bb.F))
+			bf := u.Globals[slot].F
+			n := uint64(len(bf))
 			const uniIdx = srcUC | srcUX2 | srcUX
 			if su&uniIdx == uniIdx {
 				// The matmul inner product: the B-matrix address
@@ -1227,13 +638,11 @@ dispatch:
 				// one bounds check and one load feed all W multiply-adds.
 				v := ui[in.C&f.mi]*ui[r2&f.mi] + ui[r3&f.mi]
 				if uint64(v) >= n {
-					p.exit(u, a0, a1, pc)
-					return Diverged, nil
+					return p.park(u, a0, a1, pc)
 				}
-				a0 += 2*lIntOp + 2*lFloatOp + lGLoad
 				d := f.lanesF(in.A)
 				b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-				mv := float64(bb.F[v])
+				mv := float64(bf[v])
 				for l := range d {
 					d[l] = d[l] + float64(b[l]*mv)
 				}
@@ -1243,25 +652,20 @@ dispatch:
 				// varying offset lanes. The MAC dest is read-modify-write,
 				// so every lane must pass its bounds check before any dest
 				// lane is written (a park after a partial MAC would
-				// double-accumulate on the scalar rerun) — check first,
-				// then recompute the cheap add in the fused MAC loop.
+				// double-accumulate on the scalar rerun): gather into the
+				// broadcast scratch (no splat uses it on this path) so the
+				// bounds checks double as the fault checks, then commit
+				// into the dest only once every lane has passed.
 				base := ui[in.C&f.mi] * ui[r2&f.mi]
-				bf := bb.F
 				r := f.lanesI(r3)
-				// Gather into the broadcast scratch (no splat uses it on
-				// this path) so the bounds checks double as the fault
-				// checks, then commit into the read-modify-write dest
-				// only once every lane has passed.
 				t := f.bcF[:f.W][:len(r)]
 				for l := range r {
 					v := base + r[l]
 					if uint64(v) >= uint64(len(bf)) {
-						p.exit(u, a0, a1, pc)
-						return Diverged, nil
+						return p.park(u, a0, a1, pc)
 					}
 					t[l] = float64(bf[v])
 				}
-				a0 += 2*lIntOp + 2*lFloatOp + lGLoad
 				d := f.lanesF(in.A)[:len(r)]
 				if su&srcUB != 0 {
 					bv := uf[in.B&f.mf]
@@ -1286,8 +690,7 @@ dispatch:
 					for l := range c {
 						v := c[l]*s2 + s3
 						if uint64(v) >= n {
-							p.exit(u, a0, a1, pc)
-							return Diverged, nil
+							return p.park(u, a0, a1, pc)
 						}
 						idx[l] = v
 					}
@@ -1299,16 +702,13 @@ dispatch:
 					for l := range c {
 						v := c[l]*i2[l] + i3[l]
 						if uint64(v) >= n {
-							p.exit(u, a0, a1, pc)
-							return Diverged, nil
+							return p.park(u, a0, a1, pc)
 						}
 						idx[l] = v
 					}
 				}
-				a0 += 2*lIntOp + 2*lFloatOp + lGLoad
 				d := f.lanesF(in.A)
 				idx = idx[:len(d)]
-				bf := bb.F
 				if su&srcUB != 0 {
 					bv := uf[in.B&f.mf]
 					for l := range d {
@@ -1322,114 +722,71 @@ dispatch:
 				}
 			}
 
-		case OpJCmpI:
-			taken, agree := p.laneCond(f, pc)
-			if !agree {
-				st, err := p.diverge(f, &a0, &a1, pc)
-				if st != joined || err != nil {
-					return st, err
-				}
-				pc = f.PC
-				continue dispatch
-			}
-			a0 += lIntOp
-			a1 += lBranch
-			if taken {
-				a1 -= roomOne
-				if a1 < roomOne {
-					u.Cnt.addPacked(a0, a1)
-					a0, a1 = 0, uint64(p.room)<<roomShift
-				}
-				if err := u.spend(wd); err != nil {
-					p.exit(u, a0, a1, pc)
-					return Halted, err
-				}
-				pc = int(in.Imm)
-				continue
-			}
-		case OpJCmpIImm:
-			taken, agree := p.laneCond(f, pc)
-			if !agree {
-				st, err := p.diverge(f, &a0, &a1, pc)
-				if st != joined || err != nil {
-					return st, err
-				}
-				pc = f.PC
-				continue dispatch
-			}
-			a0 += lIntOp
-			a1 += lBranch
-			if taken {
-				a1 -= roomOne
-				if a1 < roomOne {
-					u.Cnt.addPacked(a0, a1)
-					a0, a1 = 0, uint64(p.room)<<roomShift
-				}
-				if err := u.spend(wd); err != nil {
-					p.exit(u, a0, a1, pc)
-					return Halted, err
-				}
-				pc = int(in.C)
-				continue
-			}
-		case OpJCmpF:
-			taken, agree := p.laneCond(f, pc)
-			if !agree {
-				st, err := p.diverge(f, &a0, &a1, pc)
-				if st != joined || err != nil {
-					return st, err
-				}
-				pc = f.PC
-				continue dispatch
-			}
-			a0 += lFloatOp
-			a1 += lBranch
-			if taken {
-				a1 -= roomOne
-				if a1 < roomOne {
-					u.Cnt.addPacked(a0, a1)
-					a0, a1 = 0, uint64(p.room)<<roomShift
-				}
-				if err := u.spend(wd); err != nil {
-					p.exit(u, a0, a1, pc)
-					return Halted, err
-				}
-				pc = int(in.Imm)
-				continue
-			}
-		case OpIncJCmpI:
-			// The fused counted-loop back-edge — in a kernel like matmul
-			// the only instruction between two vector dispatches, every
-			// iteration. Vectorize guarantees a statically uniform
-			// condition here (addjcmp.i is always a back-edge, and a
-			// varying back-edge is refused), so counter, step and bound
-			// live in the scalar slots: the one scalar-VM arm restated in
-			// this switch.
-			a0 += 2 * lIntOp
-			a1 += lBranch
-			v := ui[in.A&f.mi] + ui[in.B&f.mi]
-			ui[in.A&f.mi] = v
-			cc, target := unpackCcTarget(in.Imm)
-			if ccHoldsI(cc, v, ui[in.C&f.mi]) {
-				a1 -= roomOne
-				if a1 < roomOne {
-					u.Cnt.addPacked(a0, a1)
-					a0, a1 = 0, uint64(p.room)<<roomShift
-				}
-				if err := u.spend(wd); err != nil {
-					p.exit(u, a0, a1, pc)
-					return Halted, err
-				}
-				pc = int(target)
-				continue
-			}
-
 		default:
 			p.exit(u, a0, a1, pc)
 			return Halted, fmt.Errorf("exec: vm: illegal opcode %d at pc %d", in.Op, pc)
 		}
+		a0 += laneK[in.Op][0]
+		a1 += laneK[in.Op][1]
 		pc++
 	}
 	p.exit(u, a0, a1, pc)
 	return Halted, nil
+}
+
+// memSpace returns the buffer table a load or store opcode addresses.
+func (f *Frame) memSpace(op Opcode) []Buf {
+	switch op {
+	case OpLdLF, OpLdLI, OpStLF, OpStLI:
+		return f.Locals
+	}
+	return f.Globals
+}
+
+// inBounds reports whether every index addresses a buffer of n elements.
+func inBounds(ix []int64, n int) bool {
+	for _, i := range ix {
+		if uint64(i) >= uint64(n) {
+			return false
+		}
+	}
+	return true
+}
+
+// vecLoad sets d[l] = buf[I[c] of lane l] for every lane, or reports
+// false with nothing written when some lane's index is out of bounds.
+func vecLoad[E float32 | int32, R float64 | int64](f *VecFrame, d []R, buf []E, c int32, uniform bool) bool {
+	if uniform {
+		// Uniform address: one bounds check, one load, splat.
+		i := f.Frame.I[c&f.mi]
+		if uint64(i) >= uint64(len(buf)) {
+			return false
+		}
+		v := R(buf[i])
+		for l := range d {
+			d[l] = v
+		}
+		return true
+	}
+	ix := f.lanesI(c)[:len(d)]
+	if !inBounds(ix, len(buf)) {
+		return false
+	}
+	for l := range d {
+		d[l] = R(buf[ix[l]])
+	}
+	return true
+}
+
+// vecStore sets buf[ix[l]] = src[l] in ascending lane order, or reports
+// false with nothing written when some lane's index is out of bounds.
+func vecStore[E float32 | int32, R float64 | int64](buf []E, ix []int64, src []R) bool {
+	if !inBounds(ix, len(buf)) {
+		return false
+	}
+	src = src[:len(ix)]
+	for l := range ix {
+		buf[ix[l]] = E(src[l])
+	}
+	return true
 }
