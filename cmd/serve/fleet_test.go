@@ -190,38 +190,95 @@ func TestWireExecute(t *testing.T) {
 }
 
 // TestWireErrorFrames: engine and validation failures answer MsgError
-// frames with the JSON path's status codes.
+// frames with the status codes the JSON twin of each request gets. A
+// batch point's failure is not the request's: it answers 200 with the
+// point's error inside.
 func TestWireErrorFrames(t *testing.T) {
 	s := testServer(t)
+	budget := newServer(t, func(o *engine.Options) { o.MaxMemBytes = 64 })
+	pred := func(r engine.Request) []byte { return wire.AppendPredictRequest(nil, &r) }
+	exe := func(r engine.Request) []byte { return wire.AppendExecuteRequest(nil, &r) }
+	batch := func(r engine.Request) []byte { return wire.AppendBatchRequest(nil, []engine.Request{r}) }
+	huge := func(frame []byte) []byte { return append(frame, make([]byte, maxBodyBytes)...) }
+	hugeJSON := `{"program":"vecadd","junk":"` + strings.Repeat("x", maxBodyBytes) + `"}`
 	cases := []struct {
 		name   string
+		srv    *server // nil: testServer
 		target string
 		frame  []byte
+		json   string // the JSON twin's POST body
 		status int
 		code   string
 	}{
-		{"unknown program", "/predict",
-			wire.AppendPredictRequest(nil, &engine.Request{Program: "nope", SizeIdx: -1}),
+		{"unknown program", nil, "/predict",
+			pred(engine.Request{Program: "nope", SizeIdx: -1}), `{"program":"nope"}`,
 			http.StatusUnprocessableEntity, "error"},
-		{"missing program", "/predict",
-			wire.AppendPredictRequest(nil, &engine.Request{SizeIdx: -1}),
+		{"missing program", nil, "/predict",
+			pred(engine.Request{SizeIdx: -1}), `{}`,
 			http.StatusBadRequest, "frame"},
-		{"wrong msg type", "/predict",
-			wire.AppendExecuteRequest(nil, &engine.Request{Program: "vecadd"}),
+		{"wrong msg type", nil, "/predict",
+			exe(engine.Request{Program: "vecadd"}), `["vecadd"]`,
 			http.StatusBadRequest, "frame"},
-		{"garbage", "/predict", []byte{1, 2, 3},
+		{"garbage", nil, "/predict", []byte{1, 2, 3}, `{"program":`,
 			http.StatusBadRequest, "frame"},
-		{"unknown platform", "/predict?platform=mc9",
-			wire.AppendPredictRequest(nil, &engine.Request{Program: "vecadd"}),
+		{"unknown platform", nil, "/predict?platform=mc9",
+			pred(engine.Request{Program: "vecadd"}), `{"program":"vecadd"}`,
 			http.StatusNotFound, "platform"},
+		{"batch unknown program", nil, "/predict/batch",
+			batch(engine.Request{Program: "nope", SizeIdx: -1}), `{"requests":[{"program":"nope"}]}`,
+			http.StatusOK, ""},
+		{"batch missing program", nil, "/predict/batch",
+			batch(engine.Request{SizeIdx: -1}), `{"requests":[{}]}`,
+			http.StatusOK, ""},
+		{"batch malformed body", nil, "/predict/batch", []byte{1, 2, 3}, `{"requests":`,
+			http.StatusBadRequest, "frame"},
+		{"batch oversized body", nil, "/predict/batch",
+			huge(batch(engine.Request{Program: "vecadd"})), `{"requests":[` + hugeJSON + `]}`,
+			http.StatusRequestEntityTooLarge, "body"},
+		{"batch unknown platform", nil, "/predict/batch?platform=mc9",
+			batch(engine.Request{Program: "vecadd"}), `{"requests":[{"program":"vecadd"}]}`,
+			http.StatusNotFound, "platform"},
+		{"batch budget abort", budget, "/predict/batch",
+			batch(engine.Request{Program: "vecadd"}), `{"requests":[{"program":"vecadd","size":0}]}`,
+			http.StatusOK, ""},
+		{"execute unknown program", nil, "/execute",
+			exe(engine.Request{Program: "nope", SizeIdx: -1}), `{"program":"nope"}`,
+			http.StatusUnprocessableEntity, "error"},
+		{"execute missing program", nil, "/execute",
+			exe(engine.Request{SizeIdx: -1}), `{}`,
+			http.StatusBadRequest, "frame"},
+		{"execute malformed body", nil, "/execute", []byte{1, 2, 3}, `{"program":`,
+			http.StatusBadRequest, "frame"},
+		{"execute oversized body", nil, "/execute",
+			huge(exe(engine.Request{Program: "vecadd"})), hugeJSON,
+			http.StatusRequestEntityTooLarge, "body"},
+		{"execute unknown platform", nil, "/execute?platform=mc9",
+			exe(engine.Request{Program: "vecadd"}), `{"program":"vecadd"}`,
+			http.StatusNotFound, "platform"},
+		{"execute budget abort", budget, "/execute",
+			exe(engine.Request{Program: "vecadd"}), `{"program":"vecadd","size":0}`,
+			http.StatusRequestEntityTooLarge, "budget:memory"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := doWire(t, s, tc.target, tc.frame)
+			srv := s
+			if tc.srv != nil {
+				srv = tc.srv
+			}
+			if w := doReq(t, srv, http.MethodPost, tc.target, []byte(tc.json)); w.Code != tc.status {
+				t.Fatalf("json twin status = %d, want %d: %s", w.Code, tc.status, w.Body.String())
+			}
+			w := doWire(t, srv, tc.target, tc.frame)
 			if w.Code != tc.status {
 				t.Fatalf("status = %d, want %d: %s", w.Code, tc.status, w.Body.String())
 			}
 			msg, payload, err := wire.ParseFrame(w.Body.Bytes())
+			if tc.status == http.StatusOK {
+				if _, errs, derr := wire.DecodeBatchResponse(payload); err != nil || msg != wire.MsgBatchResp || derr != nil || errs != 1 {
+					t.Fatalf("want a batch response with one failed point: msg=%d errs=%d err=%v/%v", msg, errs, err, derr)
+				}
+				return
+			}
 			if err != nil || msg != wire.MsgError {
 				t.Fatalf("error response not a MsgError frame: msg=%d err=%v", msg, err)
 			}
@@ -396,6 +453,8 @@ func TestClassifyCoversEveryErrorKind(t *testing.T) {
 		{&engine.CompileError{Name: "k", Err: errors.New("1:2: boom")}, failure{status: http.StatusBadRequest, code: "compile"}},
 		{fmt.Errorf("wrapped: %w", engine.ErrKernelExists), failure{status: http.StatusConflict, code: "exists"}},
 		{fmt.Errorf("wrapped: %w", engine.ErrInvalidKernel), failure{status: http.StatusBadRequest, code: "invalid"}},
+		{fmt.Errorf("wrapped: %w", engine.ErrRetrainInProgress), failure{status: http.StatusConflict}},
+		{&statusError{status: http.StatusNotFound, code: "platform", err: errors.New("mc9")}, failure{status: http.StatusNotFound, code: "platform"}},
 		{errors.New("anything else"), failure{status: http.StatusUnprocessableEntity}},
 	} {
 		got := classify(tc.err)

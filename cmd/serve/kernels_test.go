@@ -18,7 +18,7 @@ import (
 // newServer builds a dedicated server (separate from the shared
 // testServer) so budget and quota tests can configure engine limits
 // without leaking them into every other handler test.
-func newServer(t *testing.T, mutate func(*engine.Options)) *server {
+func newServer(t testing.TB, mutate func(*engine.Options)) *server {
 	t.Helper()
 	db, err := harness.Generate(harness.GenOptions{Programs: []string{"vecadd"}, MaxSizeIdx: 0})
 	if err != nil {

@@ -10,11 +10,15 @@
 // a tenant's cache locality survives across requests while tenant quota
 // state stays fleet-wide (one shared table across all shards).
 //
-// Alongside JSON, the predict/batch/execute endpoints speak a compact
-// binary wire protocol (internal/wire): POST bodies with Content-Type
-// application/x-repro-wire are decoded as wire frames and answered in
-// kind, cutting the encode/decode cost that dominates /predict/batch
-// throughput at high load.
+// Every request takes one pipeline. The route table in (*server).mux
+// lists the endpoints, each with its methods and how far into the fleet
+// it reaches, and one dispatcher answers a wrong method (405 + Allow),
+// an unserved platform (404) and a shed (429 + Retry-After) for all of
+// them. The request's codec, picked from its Content-Type, decodes it
+// and encodes the answer or the classified failure: JSON, or, for
+// application/x-repro-wire bodies, the compact binary wire protocol
+// (internal/wire) that cuts the encode/decode cost dominating
+// /predict/batch throughput at high load.
 //
 // Each shard gates its requests through admission control: a bounded
 // accept queue (-admit-inflight, -admit-queue) and a moving p99 latency
@@ -28,31 +32,9 @@
 // trains candidates, gates them against the live model and hot-swaps
 // validated versions into service — no restart.
 //
-// Endpoints:
+// Usage (serve -h lists every flag):
 //
-//	GET  /healthz                                  liveness + uptime + platforms
-//	GET  /predict?program=P[&size=N][&platform=M]  predicted partitioning
-//	POST /predict/batch                            {"requests":[...]} price N points at once
-//	POST /execute?program=P[&size=N]               run partitioned, verify
-//	GET  /kernels                                  registered user kernels (caller's shard)
-//	POST /kernels                                  {"name","source",...} compile + register a MiniCL kernel
-//	GET  /stats                                    per-shard admission + engine counters
-//	GET  /models                                   model versions + lineage (per platform)
-//	POST /models                                   {"rollback": N} switch version
-//	GET  /retrain                                  retrainer status
-//	POST /retrain                                  trigger a retrain now
-//	GET  /observations                             observation log stats
-//
-// Usage:
-//
-//	serve -addr :8090 -db training_db.json -platforms mc1,mc2 \
-//	      [-shards 1] [-admit-inflight 0] [-admit-queue 0] [-target-p99 0] \
-//	      [-models models/] [-model mlp] [-save-trained] \
-//	      [-warm vecadd,matmul] [-parallel 8] [-cache-limit 0] [-strict] \
-//	      [-obs obslog/] [-obs-buffer 1024] [-adaptive] \
-//	      [-retrain-interval 1m] [-retrain-min 5] [-oracle-sample 1] \
-//	      [-exec-steps 0] [-exec-mem 0] [-exec-timeout 0] \
-//	      [-tenant-max-kernels 32] [-tenant-max-source 1048576] [-tenant-concurrency 0]
+//	serve -addr :8090 -db training_db.json -platforms mc1,mc2 [flags]
 //
 // Uploaded kernels are untrusted: executions run under per-request
 // step/memory/wall-clock budgets (-exec-steps, -exec-mem, -exec-timeout)
@@ -62,7 +44,7 @@
 // aborts answer typed 4xx (code "budget:steps|memory|deadline").
 //
 // The serving path is allocation-conscious end to end: request structs,
-// response structs, JSON encoders and wire buffers are pooled,
+// response structs, JSON encoders, codecs and wire buffers are pooled,
 // predictions are filled in place (engine.PredictInto performs zero
 // heap allocations warm), wire encode/decode is zero-allocation warm
 // (interned program names), and observation recording is asynchronous.
@@ -77,12 +59,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -90,7 +71,6 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/engine"
-	"repro/internal/exec"
 	"repro/internal/fleet"
 	"repro/internal/harness"
 	"repro/internal/obs"
@@ -125,7 +105,6 @@ func main() {
 	cacheLimit := flag.Int("cache-limit", 0, "max entries per engine cache, LRU-ish eviction (0 = unbounded)")
 	strict := flag.Bool("strict", false, "reject JSON bodies containing unknown fields")
 	obsDir := flag.String("obs", "", "observation log directory (empty = do not record executions)")
-	obsBuffer := flag.Int("obs-buffer", 0, "async observation ring capacity (0 = default 1024, negative = record synchronously)")
 	adaptive := flag.Bool("adaptive", false, "run the background retrainer over the observation log (requires -obs)")
 	retrainInterval := flag.Duration("retrain-interval", time.Minute, "how often the background retrainer checks for new observations")
 	retrainMin := flag.Int("retrain-min", 5, "labeled observations required since the last attempt before retraining")
@@ -197,7 +176,6 @@ func main() {
 				ObsLog:            obsLog,
 				OracleSampleEvery: *oracleSample,
 				CacheLimit:        *cacheLimit,
-				ObsQueue:          *obsBuffer,
 				MaxSteps:          *execSteps,
 				MaxMemBytes:       *execMem,
 				ExecTimeout:       *execTimeout,
@@ -310,129 +288,91 @@ type server struct {
 	intern *wire.Intern
 }
 
+// gate is how far into the fleet a route reaches: the whole process,
+// the caller's (platform, tenant) shard, or that shard once its
+// admission gate lets the request in.
+type gate uint8
+
+const (
+	fleetWide gate = iota
+	onShard
+	admitted
+)
+
+// route is one endpoint. Its handler gets the shard (nil when fleetWide)
+// and the request's codec.
+type route struct {
+	path    string
+	methods []string
+	gate    gate
+	handle  func(w http.ResponseWriter, r *http.Request, sh *fleet.Shard, c codec)
+}
+
 func (s *server) mux() *http.ServeMux {
+	get, post := http.MethodGet, http.MethodPost
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/predict", s.handlePredict)
-	mux.HandleFunc("/predict/batch", s.handlePredictBatch)
-	mux.HandleFunc("/execute", s.handleExecute)
-	mux.HandleFunc("/kernels", s.handleKernels)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/models", s.handleModels)
-	mux.HandleFunc("/retrain", s.handleRetrain)
-	mux.HandleFunc("/observations", s.handleObservations)
+	for _, rt := range []route{
+		{"/healthz", []string{get, http.MethodHead}, fleetWide, s.handleHealthz}, // liveness, uptime, platforms
+		{"/predict", []string{get, post}, admitted, s.handlePredict},             // ?program=P[&size=N][&leaveout=1][&platform=M]: predicted partitioning
+		{"/predict/batch", []string{post}, admitted, s.handlePredictBatch},       // {"requests":[...]}: price N points at once
+		{"/execute", []string{post}, admitted, s.handleExecute},                  // ?program=P[&size=N]: run partitioned, verify
+		{"/kernels", []string{get, post}, onShard, s.handleKernels},              // GET the caller's kernels, POST {"name","source",...} to register one
+		{"/stats", []string{get}, fleetWide, s.handleStats},                      // per-shard admission and engine counters
+		{"/models", []string{get, post}, onShard, s.handleModels},                // GET versions and lineage, POST {"rollback": N} to switch
+		{"/retrain", []string{get, post}, onShard, s.handleRetrain},              // GET retrainer status, POST to retrain now
+		{"/observations", []string{get}, fleetWide, s.handleObservations},        // observation log stats
+	} {
+		mux.HandleFunc(rt.path, func(w http.ResponseWriter, r *http.Request) { s.dispatch(rt, w, r) })
+	}
 	return mux
 }
 
-// shard resolves the request's (platform, tenant) shard — platform from
-// the query (default: first configured), tenant from X-Tenant — and
-// answers 404 for unserved platforms (503 if the shard's engine cannot
-// be built). Returns nil when the request was already answered.
-func (s *server) shard(w http.ResponseWriter, r *http.Request) *fleet.Shard {
-	platform := r.URL.Query().Get("platform")
-	sh, err := s.fleet.ShardFor(platform, tenantOf(r))
-	if err == nil {
-		return sh
+// dispatch runs the steps every route shares, answering failures in the
+// request's encoding: a method outside the route's set is 405 + Allow;
+// the shard is the platform query parameter's (default: the first) for
+// X-Tenant, 404 for an unserved platform and 503 when its engine cannot
+// be built; a shard that sheds answers 429 + Retry-After.
+func (s *server) dispatch(rt route, w http.ResponseWriter, r *http.Request) {
+	c := s.codecFor(w, r)
+	defer c.release()
+	if !slices.Contains(rt.methods, r.Method) {
+		allow := strings.Join(rt.methods, ", ")
+		w.Header().Set("Allow", allow)
+		c.fail(&statusError{status: http.StatusMethodNotAllowed,
+			err: fmt.Errorf("method %s not allowed (allow: %s)", r.Method, allow)})
+		return
 	}
-	status := http.StatusServiceUnavailable
-	if platform != "" && !s.served(platform) {
-		status = http.StatusNotFound
-	}
-	if isWire(r) {
-		writeWireError(w, status, "platform", err.Error(), 0)
-	} else {
-		writeError(w, status, err)
-	}
-	return nil
-}
-
-func (s *server) served(platform string) bool {
-	for _, p := range s.fleet.Platforms() {
-		if p == platform {
-			return true
+	var sh *fleet.Shard
+	if rt.gate != fleetWide {
+		platform := r.URL.Query().Get("platform")
+		var err error
+		if sh, err = s.fleet.ShardFor(platform, tenantOf(r)); err != nil {
+			status := http.StatusServiceUnavailable
+			if platform != "" && !slices.Contains(s.fleet.Platforms(), platform) {
+				status = http.StatusNotFound
+			}
+			c.fail(&statusError{status: status, code: "platform", err: err})
+			return
 		}
 	}
-	return false
-}
-
-// admit runs the shard's admission gate, answering 429 + Retry-After
-// (JSON or wire to match the request) when the shard sheds. Returns
-// false when the request was already answered.
-func (s *server) admit(w http.ResponseWriter, r *http.Request, sh *fleet.Shard) (fleet.Permit, bool) {
-	permit, err := sh.Admit(r.Context())
-	if err == nil {
-		return permit, true
-	}
-	var se *fleet.ShedError
-	if errors.As(err, &se) {
-		writeEngineError(w, r, err)
-	} else {
-		// Context cancellation while queued: the client hung up; any
-		// status works, 503 keeps the log honest.
-		writeError(w, http.StatusServiceUnavailable, err)
-	}
-	return fleet.Permit{}, false
-}
-
-func retryAfterSecs(d time.Duration) int {
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return int(secs)
-}
-
-// allowMethods enforces the endpoint's method set: anything else gets
-// 405 with an Allow header listing what would have worked. Returns false
-// when the request was already answered.
-func allowMethods(w http.ResponseWriter, r *http.Request, methods ...string) bool {
-	for _, m := range methods {
-		if r.Method == m {
-			return true
+	if rt.gate == admitted {
+		permit, err := sh.Admit(r.Context())
+		if err != nil {
+			var se *fleet.ShedError
+			if !errors.As(err, &se) {
+				// Cancelled while queued: the client hung up; any status
+				// works, 503 keeps the log honest.
+				err = &statusError{status: http.StatusServiceUnavailable, err: err}
+			}
+			c.fail(err)
+			return
 		}
+		defer permit.Release()
 	}
-	w.Header().Set("Allow", strings.Join(methods, ", "))
-	writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed (allow: %s)", r.Method, strings.Join(methods, ", ")))
-	return false
+	rt.handle(w, r, sh, c)
 }
 
-// decodeBody decodes an optional JSON POST body into v, bounded by
-// maxBodyBytes. An empty body is fine (parameters may be in the query),
-// but anything after the first JSON value is not: trailing garbage means
-// the client built the request wrong (or something is smuggling data),
-// and silently ignoring it would mask the bug. With -strict, unknown
-// fields are rejected too.
-func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	if r.Method != http.MethodPost {
-		return nil
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	// Decode regardless of Content-Length: chunked bodies report -1.
-	dec := json.NewDecoder(r.Body)
-	if s.strict {
-		dec.DisallowUnknownFields()
-	}
-	if err := dec.Decode(v); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil // empty body
-		}
-		return fmt.Errorf("invalid JSON body: %w", err)
-	}
-	if dec.More() {
-		return fmt.Errorf("invalid JSON body: trailing data after the request object")
-	}
-	return nil
-}
-
-// bodyErrStatus picks the status for a request-body error: an oversized
-// body (MaxBytesReader tripped) is 413, anything else malformed is 400.
-func bodyErrStatus(err error) int {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
+func retryAfterSecs(d time.Duration) int { return max(1, int((d+time.Second-1)/time.Second)) }
 
 // tenantOf extracts the caller's tenant from the X-Tenant header; empty
 // means engine.DefaultTenant.
@@ -440,111 +380,18 @@ func tenantOf(r *http.Request) string {
 	return strings.TrimSpace(r.Header.Get("X-Tenant"))
 }
 
-// failure is an engine or admission error classified once for both
-// encodings, so clients can react without parsing messages: budget
-// exhaustion is 422/413/408 by kind (steps/memory/deadline) with the
-// spent/limit pair, quota rejections and sheds are 429 with
-// Retry-After, compile failures 400 (message carries the MiniCL
-// line:column), name conflicts 409, and anything else 422 with no code.
-type failure struct {
-	status    int
-	code      string
-	retrySecs int               // > 0 sets Retry-After
-	budget    *exec.BudgetError // non-nil for "budget:*" codes
+var errNoProgram = errors.New("missing required parameter: program")
+
+// decode reads a single /predict or /execute request through c.
+func decode(c codec, execute bool) (engine.Request, error) {
+	req, err := c.request(execute)
+	if err == nil && req.Program == "" {
+		err = badRequest(errNoProgram)
+	}
+	return req, err
 }
 
-func classify(err error) failure {
-	var be *exec.BudgetError
-	var qe *engine.QuotaError
-	var se *fleet.ShedError
-	var ce *engine.CompileError
-	switch {
-	case errors.As(err, &be):
-		status := http.StatusUnprocessableEntity
-		switch be.Kind {
-		case exec.BudgetMemory:
-			status = http.StatusRequestEntityTooLarge
-		case exec.BudgetDeadline:
-			status = http.StatusRequestTimeout
-		}
-		return failure{status: status, code: "budget:" + be.Kind, budget: be}
-	case errors.As(err, &qe):
-		return failure{status: http.StatusTooManyRequests, code: "quota", retrySecs: retryAfterSecs(qe.RetryAfter)}
-	case errors.As(err, &se):
-		return failure{status: http.StatusTooManyRequests, code: "shed", retrySecs: retryAfterSecs(se.RetryAfter)}
-	case errors.As(err, &ce):
-		return failure{status: http.StatusBadRequest, code: "compile"}
-	case errors.Is(err, engine.ErrKernelExists):
-		return failure{status: http.StatusConflict, code: "exists"}
-	case errors.Is(err, engine.ErrInvalidKernel):
-		return failure{status: http.StatusBadRequest, code: "invalid"}
-	default:
-		return failure{status: http.StatusUnprocessableEntity}
-	}
-}
-
-// writeEngineError answers a classified failure in the request's
-// encoding: a JSON object {"error", "code"?, "spent"?, "limit"?} or a
-// MsgError frame (code "error" when unclassified).
-func writeEngineError(w http.ResponseWriter, r *http.Request, err error) {
-	f := classify(err)
-	if isWire(r) {
-		code := f.code
-		if code == "" {
-			code = "error"
-		}
-		writeWireError(w, f.status, code, err.Error(), f.retrySecs)
-		return
-	}
-	if f.retrySecs > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(f.retrySecs))
-	}
-	body := map[string]any{"error": err.Error()}
-	if f.code != "" {
-		body["code"] = f.code
-	}
-	if f.budget != nil {
-		body["spent"] = f.budget.Spent
-		body["limit"] = f.budget.Limit
-	}
-	writeJSON(w, f.status, body)
-}
-
-// parseRequest builds an engine request from query parameters (any
-// method) or a JSON body (POST with a body).
-func (s *server) parseRequest(w http.ResponseWriter, r *http.Request) (engine.Request, error) {
-	req := engine.Request{SizeIdx: -1}
-	if err := s.decodeBody(w, r, &req); err != nil {
-		return req, err
-	}
-	q := r.URL.Query()
-	if v := q.Get("program"); v != "" {
-		req.Program = v
-	}
-	if v := q.Get("size"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return req, fmt.Errorf("invalid size %q", v)
-		}
-		req.SizeIdx = n
-	}
-	if v := q.Get("leaveout"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return req, fmt.Errorf("invalid leaveout %q", v)
-		}
-		req.LeaveOut = b
-	}
-	if req.Program == "" {
-		return req, fmt.Errorf("missing required parameter: program")
-	}
-	return req, nil
-}
-
-func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet, http.MethodHead) {
-		return
-	}
+func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request, _ *fleet.Shard, _ codec) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":        "ok",
 		"platform":      s.fleet.DefaultPlatform(),
@@ -553,182 +400,85 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// predPool recycles response structs across /predict requests: the
-// engine fills them in place (zero allocations warm), so the handler's
-// per-request garbage is just the response bytes.
+// predPool recycles predictions across /predict and /predict/batch
+// requests: the engine fills them in place (zero allocations warm), so
+// the handler's per-request garbage is just the response bytes.
 var predPool = sync.Pool{New: func() any { return new(engine.Prediction) }}
 
-func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet, http.MethodPost) {
-		return
-	}
-	sh := s.shard(w, r)
-	if sh == nil {
-		return
-	}
-	permit, ok := s.admit(w, r, sh)
-	if !ok {
-		return
-	}
-	defer permit.Release()
-	if isWire(r) {
-		s.wirePredict(w, r, sh)
-		return
-	}
-	req, err := s.parseRequest(w, r)
+func (s *server) handlePredict(_ http.ResponseWriter, _ *http.Request, sh *fleet.Shard, c codec) {
+	req, err := decode(c, false)
 	if err != nil {
-		writeError(w, bodyErrStatus(err), err)
+		c.fail(err)
 		return
 	}
 	p := predPool.Get().(*engine.Prediction)
 	defer predPool.Put(p)
 	if err := sh.Engine().PredictInto(req, p); err != nil {
-		writeEngineError(w, r, err)
+		c.fail(err)
 		return
 	}
-	writeJSON(w, http.StatusOK, p)
+	c.prediction(p)
 }
 
-// batchRequest is the POST /predict/batch body.
-type batchRequest struct {
-	// Requests lists the points to price; each element accepts the same
-	// fields as /predict's body ("program", "size", "leaveOut"). Raw
-	// messages are kept so every element gets /predict's defaulting
-	// (omitted size = the program's default size).
-	Requests []json.RawMessage `json:"requests"`
-}
-
-// batchResult is one element of the batch response: a prediction, or a
-// per-point error (one bad point does not fail its siblings).
-type batchResult struct {
-	engine.Prediction
-	Error string `json:"error,omitempty"`
-}
-
-// batchPool recycles the per-request result slices.
-var batchPool = sync.Pool{New: func() any { return new([]batchResult) }}
-
-// handlePredictBatch prices N points in one request through the
-// engine's scratch API, amortizing HTTP, decoding and encoding overhead
-// across the whole batch.
-func (s *server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodPost) {
-		return
+// handlePredictBatch prices N points in one request, amortizing HTTP,
+// decoding and encoding overhead across the whole batch. A bad point
+// answers its own error without failing its siblings.
+func (s *server) handlePredictBatch(_ http.ResponseWriter, _ *http.Request, sh *fleet.Shard, c codec) {
+	n, err := c.batch()
+	switch {
+	case err != nil:
+	case n == 0:
+		err = badRequest(errors.New("missing or empty requests array"))
+	case n > maxBatch:
+		err = badRequest(fmt.Errorf("batch of %d exceeds the %d-point limit", n, maxBatch))
 	}
-	sh := s.shard(w, r)
-	if sh == nil {
-		return
-	}
-	permit, ok := s.admit(w, r, sh)
-	if !ok {
-		return
-	}
-	defer permit.Release()
-	if isWire(r) {
-		s.wirePredictBatch(w, r, sh)
-		return
-	}
-	var breq batchRequest
-	if err := s.decodeBody(w, r, &breq); err != nil {
-		writeError(w, bodyErrStatus(err), err)
-		return
-	}
-	if len(breq.Requests) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("missing or empty requests array"))
-		return
-	}
-	if len(breq.Requests) > maxBatch {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("batch of %d exceeds the %d-point limit", len(breq.Requests), maxBatch))
-		return
-	}
-	resultsp := batchPool.Get().(*[]batchResult)
-	defer func() {
-		// Same capacity discipline as jsonPool: a maximal batch must not
-		// pin its result slice behind every future small request.
-		if cap(*resultsp) <= 256 {
-			batchPool.Put(resultsp)
-		}
-	}()
-	results := (*resultsp)[:0]
-	errs := 0
-	for i, raw := range breq.Requests {
-		results = append(results, batchResult{})
-		res := &results[len(results)-1]
-		req := engine.Request{SizeIdx: -1}
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		if s.strict {
-			dec.DisallowUnknownFields()
-		}
-		if err := dec.Decode(&req); err != nil {
-			res.Error = fmt.Sprintf("request %d: invalid JSON: %v", i, err)
-			errs++
-			continue
-		}
-		if req.Program == "" {
-			res.Error = fmt.Sprintf("request %d: missing required parameter: program", i)
-			errs++
-			continue
-		}
-		if err := sh.Engine().PredictInto(req, &res.Prediction); err != nil {
-			res.Prediction = engine.Prediction{}
-			res.Error = fmt.Sprintf("request %d: %v", i, err)
-			errs++
-		}
-	}
-	*resultsp = results
-	writeJSON(w, http.StatusOK, map[string]any{
-		"count":   len(results),
-		"errors":  errs,
-		"results": results,
-	})
-}
-
-func (s *server) handleExecute(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodPost) {
-		return
-	}
-	sh := s.shard(w, r)
-	if sh == nil {
-		return
-	}
-	permit, ok := s.admit(w, r, sh)
-	if !ok {
-		return
-	}
-	defer permit.Release()
-	if isWire(r) {
-		s.wireExecute(w, r, sh)
-		return
-	}
-	req, err := s.parseRequest(w, r)
 	if err != nil {
-		writeError(w, bodyErrStatus(err), err)
+		c.fail(err)
+		return
+	}
+	p := predPool.Get().(*engine.Prediction)
+	defer predPool.Put(p)
+	eng := sh.Engine()
+	for i := 0; i < n; i++ {
+		req, err := c.next(i)
+		if err == nil && req.Program == "" {
+			err = errNoProgram
+		}
+		if err == nil {
+			err = eng.PredictInto(req, p)
+		}
+		if err != nil {
+			c.add(nil, fmt.Sprintf("request %d: %v", i, err))
+			continue
+		}
+		c.add(p, "")
+	}
+	c.finish()
+}
+
+func (s *server) handleExecute(_ http.ResponseWriter, r *http.Request, sh *fleet.Shard, c codec) {
+	req, err := decode(c, true)
+	if err != nil {
+		c.fail(err)
 		return
 	}
 	req.Tenant = tenantOf(r)
 	// The request context rides into the kernel: a client that hangs up
 	// mid-execution aborts the kernel instead of burning cycles for
 	// nobody.
-	res, err := sh.Engine().Execute(r.Context(), req)
+	x, err := sh.Engine().Execute(r.Context(), req)
 	if err != nil {
-		writeEngineError(w, r, err)
+		c.fail(err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	c.execution(x)
 }
 
 // handleKernels serves the user-kernel registry: GET lists the caller's
 // shard's registered kernels, POST compiles an uploaded MiniCL source
 // and registers it for the caller's tenant on its shard. Registration
 // quotas charge the fleet-wide tenant table.
-func (s *server) handleKernels(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet, http.MethodPost) {
-		return
-	}
-	sh := s.shard(w, r)
-	if sh == nil {
-		return
-	}
+func (s *server) handleKernels(w http.ResponseWriter, r *http.Request, sh *fleet.Shard, c codec) {
 	if r.Method == http.MethodGet {
 		kernels := sh.Engine().ListKernels()
 		writeJSON(w, http.StatusOK, map[string]any{
@@ -738,26 +488,23 @@ func (s *server) handleKernels(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec engine.KernelSpec
-	if err := s.decodeBody(w, r, &spec); err != nil {
-		writeError(w, bodyErrStatus(err), err)
-		return
+	err := s.decodeBody(w, r, &spec)
+	if err == nil && (spec.Name == "" || spec.Source == "") {
+		err = badRequest(errors.New("missing required fields: name, source"))
 	}
-	if spec.Name == "" || spec.Source == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("missing required fields: name, source"))
+	if err != nil {
+		c.fail(err)
 		return
 	}
 	info, err := sh.Engine().RegisterKernel(tenantOf(r), spec)
 	if err != nil {
-		writeEngineError(w, r, err)
+		c.fail(err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, info)
 }
 
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet) {
-		return
-	}
+func (s *server) handleStats(w http.ResponseWriter, _ *http.Request, _ *fleet.Shard, _ codec) {
 	shards := s.fleet.Stats()
 	// Fleet-wide vector-tier totals, so divergence behavior is visible
 	// without walking every shard's engine counters.
@@ -778,38 +525,28 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// modelsRequest is the POST /models body.
-type modelsRequest struct {
-	// Rollback names the version to make current again.
-	Rollback int `json:"rollback"`
-}
-
-func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet, http.MethodPost) {
-		return
-	}
-	sh := s.shard(w, r)
-	if sh == nil {
-		return
-	}
+// handleModels lists the shard's model versions; POST {"rollback": N}
+// first makes version N current again.
+func (s *server) handleModels(w http.ResponseWriter, r *http.Request, sh *fleet.Shard, c codec) {
 	if r.Method == http.MethodPost {
-		var req modelsRequest
-		if err := s.decodeBody(w, r, &req); err != nil {
-			writeError(w, bodyErrStatus(err), err)
-			return
+		var req struct {
+			Rollback int `json:"rollback"`
 		}
-		if req.Rollback <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("missing or invalid rollback version"))
-			return
+		err := s.decodeBody(w, r, &req)
+		if err == nil && req.Rollback <= 0 {
+			err = badRequest(errors.New("missing or invalid rollback version"))
 		}
-		if _, err := sh.Engine().Rollback(req.Rollback); err != nil {
-			writeError(w, http.StatusUnprocessableEntity, err)
+		if err == nil {
+			_, err = sh.Engine().Rollback(req.Rollback)
+		}
+		if err != nil {
+			c.fail(err)
 			return
 		}
 	}
 	current, versions, err := sh.Engine().ModelVersions("")
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
+		c.fail(err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -819,33 +556,20 @@ func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *server) handleRetrain(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet, http.MethodPost) {
-		return
-	}
-	sh := s.shard(w, r)
-	if sh == nil {
-		return
-	}
+func (s *server) handleRetrain(w http.ResponseWriter, r *http.Request, sh *fleet.Shard, c codec) {
 	if r.Method == http.MethodGet {
 		writeJSON(w, http.StatusOK, sh.Engine().RetrainStatus())
 		return
 	}
 	res, err := sh.Engine().Retrain()
-	switch {
-	case errors.Is(err, engine.ErrRetrainInProgress):
-		writeError(w, http.StatusConflict, err)
-	case err != nil:
-		writeError(w, http.StatusUnprocessableEntity, err)
-	default:
-		writeJSON(w, http.StatusOK, res)
-	}
-}
-
-func (s *server) handleObservations(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet) {
+	if err != nil {
+		c.fail(err)
 		return
 	}
+	writeJSON(w, http.StatusOK, res)
+}
+
+func (s *server) handleObservations(w http.ResponseWriter, _ *http.Request, _ *fleet.Shard, _ codec) {
 	if s.obsLog == nil {
 		writeJSON(w, http.StatusOK, map[string]any{"enabled": false})
 		return
@@ -907,10 +631,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	if _, err := w.Write(jw.buf.Bytes()); err != nil {
 		log.Printf("serve: writing response: %v", err)
 	}
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
 func fail(err error) {

@@ -64,63 +64,79 @@ type Program struct {
 	setup  func(n int, rng *rand.Rand) *Instance
 	verify func(inst *Instance, n int) error
 
-	mu       sync.Mutex // guards lazy compilation
-	unit     *inspire.Unit
-	compiled *exec.Compiled
-	plan     *backend.Plan
+	mu    sync.Mutex // guards lazy compilation
+	front *Front
 }
 
-// compile lazily compiles the program's kernel and plan. It is safe to
-// call from concurrent sweep workers; the first caller compiles, the rest
-// wait and reuse the result.
-func (p *Program) compile() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.compiled != nil {
-		return nil
-	}
-	u, err := inspire.LowerSource(p.Name, p.Source)
+// Front is one MiniCL kernel through the whole front end: the lowered,
+// optimized unit, the kernel's name, its executable form, its
+// multi-device plan and its static analysis counts.
+type Front struct {
+	Kernel   string
+	Unit     *inspire.Unit
+	Compiled *exec.Compiled
+	Plan     *backend.Plan
+	Static   *inspire.StaticCounts
+}
+
+// Compile is the front end every kernel goes through — built-ins, the
+// framework's CompileSource and uploads alike: lower MiniCL source to
+// INSPIRE (errors carry the MiniCL line:column), optimize, verify,
+// compile to an execution tier and analyze the multi-device plan.
+// kernel selects the kernel function; "" picks the first.
+func Compile(name, src, kernel string) (*Front, error) {
+	u, err := inspire.LowerSource(name, src)
 	if err != nil {
-		return fmt.Errorf("bench %s: %w", p.Name, err)
+		return nil, err
+	}
+	if kernel == "" && len(u.Kernels) > 0 {
+		kernel = u.Kernels[0].Name
+	}
+	fn := u.Kernel(kernel)
+	if fn == nil {
+		return nil, fmt.Errorf("kernel %q not found in %q", kernel, name)
 	}
 	inspire.Optimize(u)
 	if err := inspire.Verify(u); err != nil {
-		return fmt.Errorf("bench %s: IR verification: %w", p.Name, err)
+		return nil, fmt.Errorf("IR verification: %w", err)
 	}
-	k := u.Kernel(p.Kernel)
-	if k == nil {
-		return fmt.Errorf("bench %s: kernel %q not found", p.Name, p.Kernel)
-	}
-	comp, err := exec.Compile(k)
+	comp, err := exec.Compile(fn)
 	if err != nil {
-		return fmt.Errorf("bench %s: %w", p.Name, err)
+		return nil, err
 	}
-	plan, err := backend.Analyze(k)
+	plan, err := backend.Analyze(fn)
 	if err != nil {
-		return fmt.Errorf("bench %s: %w", p.Name, err)
+		return nil, err
 	}
-	p.unit, p.compiled, p.plan = u, comp, plan
-	return nil
+	return &Front{Kernel: kernel, Unit: u, Compiled: comp, Plan: plan, Static: inspire.Analyze(fn)}, nil
 }
 
-// Compiled returns the program's lowered unit, its executable kernel and
-// its multi-device plan. They are built on first use and kept for the
-// life of the process, so every caller — the training sweep's launches
-// (Build) and every serving engine's registry — runs the same
-// *exec.Compiled and shares the group runners parked on it.
-func (p *Program) Compiled() (*inspire.Unit, *exec.Compiled, *backend.Plan, error) {
-	if err := p.compile(); err != nil {
-		return nil, nil, nil, err
+// Front returns the program's kernel through the front end. It is built
+// on first use and kept for the life of the process, so every caller —
+// the training sweep's launches (Build) and every serving engine's
+// registry — runs the same *exec.Compiled and shares the group runners
+// parked on it. Safe for concurrent sweep workers: the first caller
+// compiles, the rest wait and reuse the result.
+func (p *Program) Front() (*Front, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.front == nil {
+		f, err := Compile(p.Name, p.Source, p.Kernel)
+		if err != nil {
+			return nil, fmt.Errorf("bench %s: %w", p.Name, err)
+		}
+		p.front = f
 	}
-	return p.unit, p.compiled, p.plan, nil
+	return p.front, nil
 }
 
 // Static returns the kernel's static analysis counts.
 func (p *Program) Static() (*inspire.StaticCounts, error) {
-	if err := p.compile(); err != nil {
+	f, err := p.Front()
+	if err != nil {
 		return nil, err
 	}
-	return inspire.Analyze(p.unit.Kernel(p.Kernel)), nil
+	return f.Static, nil
 }
 
 // Instance builds the deterministic input instance (arguments and launch
@@ -143,7 +159,8 @@ func (p *Program) Instance(szIdx int) (*Instance, error) {
 // Build creates a launch for size index szIdx with deterministic input
 // data, plus the instance for verification.
 func (p *Program) Build(szIdx int) (runtime.Launch, *Instance, error) {
-	if err := p.compile(); err != nil {
+	f, err := p.Front()
+	if err != nil {
 		return runtime.Launch{}, nil, err
 	}
 	inst, err := p.Instance(szIdx)
@@ -151,8 +168,8 @@ func (p *Program) Build(szIdx int) (runtime.Launch, *Instance, error) {
 		return runtime.Launch{}, nil, err
 	}
 	l := runtime.Launch{
-		Kernel:     p.compiled,
-		Plan:       p.plan,
+		Kernel:     f.Compiled,
+		Plan:       f.Plan,
 		Args:       inst.Args,
 		ND:         inst.ND,
 		Iterations: p.Iterations,

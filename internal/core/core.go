@@ -21,64 +21,33 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/backend"
+	"repro/internal/bench"
 	"repro/internal/device"
 	"repro/internal/exec"
 	"repro/internal/features"
 	"repro/internal/harness"
-	"repro/internal/inspire"
 	"repro/internal/ml"
 	"repro/internal/partition"
 	"repro/internal/runtime"
 )
 
 // Program is a compiled single-device OpenCL (MiniCL) program together
-// with everything the framework derived from it: the IR, the static
-// features, the multi-device plan and the executable kernel.
+// with everything the framework derived from it (bench.Front): the IR,
+// the static features, the multi-device plan and the executable kernel.
 type Program struct {
-	Name   string
-	Kernel string
-
-	Unit     *inspire.Unit
-	Compiled *exec.Compiled
-	Plan     *backend.Plan
-	Static   *inspire.StaticCounts
+	Name string
+	*bench.Front
 }
 
-// CompileSource runs the full front-end on MiniCL source. kernel selects
-// the kernel function; the empty string picks the first kernel.
+// CompileSource runs the full front end (bench.Compile) on MiniCL
+// source. kernel selects the kernel function; the empty string picks
+// the first kernel.
 func CompileSource(name, src, kernel string) (*Program, error) {
-	unit, err := inspire.LowerSource(name, src)
+	f, err := bench.Compile(name, src, kernel)
 	if err != nil {
 		return nil, err
 	}
-	if kernel == "" {
-		kernel = unit.Kernels[0].Name
-	}
-	fn := unit.Kernel(kernel)
-	if fn == nil {
-		return nil, fmt.Errorf("core: kernel %q not found in %q", kernel, name)
-	}
-	inspire.Optimize(unit)
-	if err := inspire.Verify(unit); err != nil {
-		return nil, fmt.Errorf("core: IR verification: %w", err)
-	}
-	comp, err := exec.Compile(fn)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := backend.Analyze(fn)
-	if err != nil {
-		return nil, err
-	}
-	return &Program{
-		Name:     name,
-		Kernel:   kernel,
-		Unit:     unit,
-		Compiled: comp,
-		Plan:     plan,
-		Static:   inspire.Analyze(fn),
-	}, nil
+	return &Program{Name: name, Front: f}, nil
 }
 
 // LaunchSpec describes one execution of a program at a problem size.

@@ -62,7 +62,7 @@ func TestObservationOverloadShedsAndCounts(t *testing.T) {
 	opts, log := adaptiveOpts(t)
 	gate := make(chan struct{})
 	opts.obsGate = gate
-	opts.ObsQueue = 2
+	opts.obsRing = 2
 	eng, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -115,27 +115,6 @@ func TestEngineCloseFlushesObservations(t *testing.T) {
 	}
 	if st := log.Stats(); st.Total != executes {
 		t.Fatalf("log after Close: %+v, want %d records", st, executes)
-	}
-}
-
-// TestEngineSynchronousObservationMode: ObsQueue < 0 restores inline
-// recording — the observation is durable the moment Execute returns.
-func TestEngineSynchronousObservationMode(t *testing.T) {
-	opts, log := adaptiveOpts(t)
-	opts.ObsQueue = -1
-	eng, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Execute(context.Background(), Request{Program: "vecadd", SizeIdx: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if st := log.Stats(); st.Total != 1 {
-		t.Fatalf("synchronous mode did not record inline: %+v", st)
-	}
-	eng.FlushObservations() // no-op, must not hang
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -36,7 +36,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/features"
 	"repro/internal/harness"
-	"repro/internal/inspire"
 	"repro/internal/ml"
 	"repro/internal/obs"
 	"repro/internal/partition"
@@ -82,12 +81,6 @@ type Options struct {
 	// with LRU-ish eviction (0 = unbounded, the right default for batch
 	// tools; long-lived serve processes set a cap).
 	CacheLimit int
-	// ObsQueue sizes the asynchronous observation ring buffer between
-	// /execute requests and the background flusher (rounded up to a power
-	// of two). 0 uses DefaultObsQueue; a negative value disables the
-	// flusher and records observations synchronously inside Execute (the
-	// pre-async behavior — useful for tools that exit immediately).
-	ObsQueue int
 
 	// MaxSteps bounds the kernel steps one execution request may spend
 	// (0 = unlimited). Enforced inside both execution tiers; exhaustion
@@ -114,15 +107,18 @@ type Options struct {
 	// channel before processing each dequeued observation, so tests can
 	// hold the durable append back and prove Execute never waits on it.
 	obsGate chan struct{}
+	// obsRing, when set (tests only), replaces DefaultObsQueue as the
+	// observation ring's capacity, so tests can overflow it.
+	obsRing int
 	// afterKernel, when set (tests only), sees an execution's arguments
 	// between the kernel and the output check, so tests can corrupt or
 	// inspect what the check is about to read.
 	afterKernel func(args []exec.Arg)
 }
 
-// DefaultObsQueue is the observation ring capacity when Options leaves
-// ObsQueue zero: deep enough to absorb bursts of concurrent executes,
-// small enough that a stalled flusher caps memory at a few MB.
+// DefaultObsQueue is the observation ring's capacity: deep enough to
+// absorb bursts of concurrent executes, small enough that a stalled
+// flusher caps memory at a few MB.
 const DefaultObsQueue = 1024
 
 // ArtifactPath names the artifact file for (platform, leftOut) inside
@@ -330,8 +326,8 @@ func New(opts Options) (*Engine, error) {
 		e.programs.SetLimit(opts.CacheLimit)
 		e.features.SetLimit(opts.CacheLimit)
 	}
-	if opts.ObsLog != nil && opts.ObsQueue >= 0 {
-		e.obsq.start(e, opts.ObsQueue)
+	if opts.ObsLog != nil {
+		e.obsq.start(e)
 	}
 	return e, nil
 }
@@ -498,15 +494,11 @@ func compileProgram(bp *bench.Program) (*core.Program, error) {
 	if isUserKernel(bp.Name) {
 		return core.CompileSource(bp.Name, bp.Source, bp.Kernel)
 	}
-	unit, comp, plan, err := bp.Compiled()
+	f, err := bp.Front()
 	if err != nil {
 		return nil, err
 	}
-	return &core.Program{
-		Name: bp.Name, Kernel: bp.Kernel,
-		Unit: unit, Compiled: comp, Plan: plan,
-		Static: inspire.Analyze(unit.Kernel(bp.Kernel)),
-	}, nil
+	return &core.Program{Name: bp.Name, Front: f}, nil
 }
 
 // featuresFor resolves the feature/profile cache entry for (program,
@@ -921,13 +913,13 @@ func (e *Engine) execute(ctx context.Context, req Request) (*Execution, error) {
 }
 
 // observe assembles and appends one execution's observation record; the
-// background flusher calls it for each dequeued execution (or Execute
-// itself in synchronous mode). Every OracleSampleEvery-th observation
-// (per engine, counted across all programs in dequeue order) is labeled:
-// the full candidate space is priced against the already-measured
-// profile — O(classes) constant-time range queries, no extra kernel
-// execution — and the measured-best class recorded, which is exactly the
-// oracle label the offline sweep produces.
+// background flusher calls it for each dequeued execution. Every
+// OracleSampleEvery-th observation (per engine, counted across all
+// programs in dequeue order) is labeled: the full candidate space is
+// priced against the already-measured profile — O(classes)
+// constant-time range queries, no extra kernel execution — and the
+// measured-best class recorded, which is exactly the oracle label the
+// offline sweep produces.
 func (e *Engine) observe(pe *programEntry, ex *Execution, deviceTimes []float64) error {
 	fe, err := e.featuresFor(context.Background(), pe, ex.SizeIdx)
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/inspire"
 )
 
 // Runtime kernel registration: untrusted MiniCL source uploaded through
@@ -118,40 +117,25 @@ func (e *Engine) RegisterKernel(tenant string, spec KernelSpec) (*KernelInfo, er
 		return nil, err
 	}
 
-	// Front end: lex/parse/sema → INSPIRE. Errors carry line:column.
-	u, err := inspire.LowerSource(qname, spec.Source)
+	// The whole front end, once — exactly what the program memo runs
+	// after an eviction, so upload-time success means serve-time
+	// compiles cannot fail. Errors carry the MiniCL line:column.
+	cp, err := core.CompileSource(qname, spec.Source, spec.Kernel)
 	if err != nil {
 		return nil, &CompileError{Name: qname, Err: err}
 	}
-	kernelName := spec.Kernel
-	if kernelName == "" {
-		if len(u.Kernels) != 1 {
-			return nil, &CompileError{Name: qname,
-				Err: fmt.Errorf("source defines %d kernels; specify which to serve", len(u.Kernels))}
-		}
-		kernelName = u.Kernels[0].Name
+	if n := len(cp.Unit.Kernels); spec.Kernel == "" && n != 1 {
+		return nil, &CompileError{Name: qname, Err: fmt.Errorf("source defines %d kernels; specify which to serve", n)}
 	}
-	fn := u.Kernel(kernelName)
-	if fn == nil {
-		return nil, &CompileError{Name: qname, Err: fmt.Errorf("kernel %q not found in source", kernelName)}
-	}
-
-	bp, err := bench.UserProgram(qname, "user", spec.Source, kernelName, fn, spec.BaseN, spec.NumSizes)
+	bp, err := bench.UserProgram(qname, "user", spec.Source, cp.Kernel, cp.Unit.Kernel(cp.Kernel), spec.BaseN, spec.NumSizes)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidKernel, err)
-	}
-	// Full pipeline — optimize, verify, exec-compile, backend analysis —
-	// exactly what the program memo runs for built-ins, so upload-time
-	// success means serve-time compiles cannot fail.
-	cp, err := core.CompileSource(qname, spec.Source, kernelName)
-	if err != nil {
-		return nil, &CompileError{Name: qname, Err: err}
 	}
 
 	info := KernelInfo{
 		Name:        qname,
 		Tenant:      tn,
-		Kernel:      kernelName,
+		Kernel:      cp.Kernel,
 		SourceBytes: len(spec.Source),
 		Tier:        cp.Compiled.Tier().String(),
 	}

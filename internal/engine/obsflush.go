@@ -41,7 +41,7 @@ type obsQueue struct {
 }
 
 // pending reports how many enqueued observations the flusher has not
-// processed yet. Zero when the queue never started (synchronous mode).
+// processed yet. Zero when the queue never started (no observation log).
 func (q *obsQueue) pending() uint64 {
 	e, p := q.enqueued.Load(), q.processed.Load()
 	if e < p {
@@ -51,9 +51,10 @@ func (q *obsQueue) pending() uint64 {
 }
 
 // start sizes the ring and launches the flusher goroutine.
-func (q *obsQueue) start(e *Engine, capacity int) {
-	if capacity == 0 {
-		capacity = DefaultObsQueue
+func (q *obsQueue) start(e *Engine) {
+	capacity := DefaultObsQueue
+	if e.opts.obsRing > 0 {
+		capacity = e.opts.obsRing
 	}
 	q.ring = sched.NewRing[pendingObs](capacity)
 	q.notify = make(chan struct{}, 1)
@@ -95,9 +96,8 @@ func (q *obsQueue) drain(e *Engine) {
 	}
 }
 
-// enqueueObservation hands one executed request to the flusher, or
-// records it synchronously when the queue is disabled (ObsQueue < 0).
-// Never blocks: a full ring drops the observation and counts the drop.
+// enqueueObservation hands one executed request to the flusher. Never
+// blocks: a full ring drops the observation and counts the drop.
 func (e *Engine) enqueueObservation(pe *programEntry, ex *Execution, res *runtime.Result) {
 	po := pendingObs{pe: pe, ex: *ex}
 	if len(res.Breakdowns) > 0 {
@@ -105,13 +105,6 @@ func (e *Engine) enqueueObservation(pe *programEntry, ex *Execution, res *runtim
 		for _, b := range res.Breakdowns {
 			po.deviceTimes = append(po.deviceTimes, b.Total)
 		}
-	}
-	if e.obsq.ring == nil {
-		// Synchronous mode: the pre-async behavior.
-		if err := e.observe(pe, ex, po.deviceTimes); err != nil {
-			e.stats.observeFails.Add(1)
-		}
-		return
 	}
 	if !e.obsq.ring.TryPush(po) {
 		e.stats.observeDropped.Add(1)
@@ -128,7 +121,7 @@ func (e *Engine) enqueueObservation(pe *programEntry, ex *Execution, res *runtim
 // call has been durably recorded (or counted as a failure). It is the
 // barrier between traffic and anything reading the log — Retrain calls
 // it before snapshotting, tests call it before asserting on stats.
-// A no-op in synchronous mode.
+// A no-op without an observation log.
 func (e *Engine) FlushObservations() {
 	e.flushObservations(0)
 }

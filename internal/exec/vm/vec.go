@@ -238,24 +238,22 @@ func condJumpTarget(in *Instr, pc int) (int, bool) {
 // the register liveness that decision needs are built at most once, and
 // only for kernels that have a varying conditional jump.
 func Vectorize(p *Func) (*VecFunc, error) {
-	nI, nF := max(p.NumI, 1), max(p.NumF, 1)
-	varI := make([]bool, nI)
-	varF := make([]bool, nF)
-	markI := func(r int32, v bool, changed *bool) {
-		if v && !varI[r] {
-			varI[r] = true
-			*changed = true
+	for i := range p.Code {
+		if _, ok := LookupOp(p.Code[i].Op); !ok {
+			return nil, fmt.Errorf("exec: vec: illegal opcode %d at pc %d", p.Code[i].Op, i)
 		}
 	}
-	markF := func(r int32, v bool, changed *bool) {
-		if v && !varF[r] {
-			varF[r] = true
-			*changed = true
-		}
-	}
+	varI := make([]bool, max(p.NumI, 1))
+	varF := make([]bool, max(p.NumF, 1))
+	// v accumulates whether any source srcRegs reports is varying.
+	var v bool
+	readI := func(r int32, _ uint8) { v = v || varI[r] }
+	readF := func(r int32, _ uint8) { v = v || varF[r] }
 
 	// Data dependence, flow-insensitive: a register is varying if any
-	// write to it anywhere is varying. This is sound because every
+	// write to it anywhere is varying — an instruction whose sources
+	// (op.go's srcRegs) include a varying register, or that queries the
+	// work-item's global or local id. This is sound because every
 	// control path the vector loop actually follows is convergent
 	// (uniform branches by induction, varying branches outside loops by
 	// the runtime agreement check, their divergent regions because a
@@ -263,94 +261,42 @@ func Vectorize(p *Func) (*VecFunc, error) {
 	// the join — see computeJoin — and varying branches inside loops by
 	// the control-dependence pass below), so a "uniform" register always
 	// holds lane-equal values, among the lanes running together,
-	// whenever it is read.
-	// Loads are uniform when every index component is uniform: the
-	// lanes read the same address against the same memory state.
-	propagate := func() error {
+	// whenever it is read. Loads are uniform when every index component
+	// is uniform: the lanes read the same address against the same
+	// memory state.
+	propagate := func() {
 		for changed := true; changed; {
 			changed = false
 			for i := range p.Code {
 				in := &p.Code[i]
-				info, ok := LookupOp(in.Op)
+				isF, r, ok := destReg(in)
 				if !ok {
-					return fmt.Errorf("exec: vec: illegal opcode %d at pc %d", in.Op, i)
+					continue
 				}
-				switch info.Fmt {
-				case FmtNone, FmtJmp, FmtJCond, FmtJCmpI, FmtJCmpIImm, FmtJCmpF,
-					FmtBar, FmtStoreF, FmtStoreI:
-					// No register result.
-				case FmtIab:
-					markI(in.A, varI[in.B], &changed)
-				case FmtIabc:
-					markI(in.A, varI[in.B] || varI[in.C], &changed)
-				case FmtIabImm:
-					markI(in.A, varI[in.B], &changed)
-				case FmtIaImm:
-					// Constant: uniform.
-				case FmtFabc:
-					markF(in.A, varF[in.B] || varF[in.C], &changed)
-				case FmtFab:
-					markF(in.A, varF[in.B], &changed)
-				case FmtFaPool:
-					// Constant: uniform.
-				case FmtFaIb:
-					markF(in.A, varI[in.B], &changed)
-				case FmtIaFb:
-					markI(in.A, varF[in.B], &changed)
-				case FmtIaFbc:
-					markI(in.A, varF[in.B] || varF[in.C], &changed)
-				case FmtFabcImm:
-					markF(in.A, varF[in.B] || varF[in.C] || varF[int32(in.Imm)], &changed)
-				case FmtIabcImm:
-					markI(in.A, varI[in.B] || varI[in.C] || varI[int32(in.Imm)], &changed)
-				case FmtMulImmAdd:
-					markI(in.A, varI[in.B] || varI[in.C], &changed)
-				case FmtWI:
-					markI(in.A, in.B == WIGlobalID || in.B == WILocalID, &changed)
-				case FmtWIDyn:
-					markI(in.A, in.B == WIGlobalID || in.B == WILocalID || varI[in.C], &changed)
-				case FmtLoadF:
-					markF(in.A, varI[in.C], &changed)
-				case FmtLoadI:
-					markI(in.A, varI[in.C], &changed)
-				case FmtFusedLdF:
-					markF(in.A, varF[in.B] || varI[in.C], &changed)
-				case FmtFusedMacF:
-					markF(in.A, varF[in.B] || varI[in.C], &changed)
-				case FmtLdIdxF:
-					_, _, r3 := unpackMemIdx(in.Imm)
-					markF(in.A, varI[in.B] || varI[in.C] || varI[r3], &changed)
-				case FmtMacIdxF:
-					_, _, r2, r3 := unpackMacIdx(in.Imm)
-					markF(in.A, varF[in.B] || varI[in.C] || varI[r2] || varI[r3], &changed)
-				case FmtIncJCmpI:
-					markI(in.A, varI[in.A] || varI[in.B], &changed)
-				default:
-					return fmt.Errorf("exec: vec: unhandled operand format for %s at pc %d", in.Op, i)
+				v = false
+				if srcRegs(in, readI, readF) && (in.B == WIGlobalID || in.B == WILocalID) {
+					v = true
+				}
+				file := varI
+				if isF {
+					file = varF
+				}
+				if v && !file[r] {
+					file[r], changed = true, true
 				}
 			}
 		}
-		return nil
 	}
-	if err := propagate(); err != nil {
-		return nil, err
-	}
+	propagate()
 
 	condU := make([]bool, len(p.Code))
+	// uniformCond: every source of the jump is uniform. addjcmp.i's
+	// bound is a source too; a varying one is refused anyway, as a
+	// varying loop back-edge.
 	uniformCond := func(in *Instr) bool {
-		switch in.Op {
-		case OpJZBr, OpJZLog, OpJNZLog:
-			return !varI[in.A]
-		case OpJCmpI:
-			return !varI[in.A] && !varI[in.B]
-		case OpJCmpIImm:
-			return !varI[in.A]
-		case OpJCmpF:
-			return !varF[in.A] && !varF[in.B]
-		case OpIncJCmpI:
-			return !varI[in.A] && !varI[in.B] && !varI[in.C]
-		}
-		return false
+		v = false
+		srcRegs(in, readI, readF)
+		return !v
 	}
 
 	// Loop bodies are the union of all backward-jump spans [target, pc].
@@ -403,9 +349,7 @@ func Vectorize(p *Func) (*VecFunc, error) {
 			}
 		}
 		if promoted {
-			if err := propagate(); err != nil {
-				return nil, err
-			}
+			propagate()
 		}
 	}
 

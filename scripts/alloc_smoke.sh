@@ -6,7 +6,10 @@
 # regression there silently puts the garbage collector back between
 # requests. A warm /execute is held under 100 (it was about 600 while it
 # rebuilt its instance, its frames and its reference outputs per
-# request). The AllocsPerRun unit tests (TestArtifactPredictZeroAllocs,
+# request). The cmd/serve handler benchmarks (warm wire /predict, wire
+# batch-64, JSON /predict, JSON /execute through the server's mux) are
+# held at what they allocated before the route table and codec replaced
+# the per-handler JSON and wire twins. The AllocsPerRun unit tests (TestArtifactPredictZeroAllocs,
 # TestEnginePredictIntoZeroAllocs) pin the zero property per call; this
 # gate covers the sustained-loop view that CI publishes in benchmark
 # output. Used by CI, runnable locally:
@@ -23,11 +26,15 @@ BenchmarkArtifactPredict 0
 BenchmarkEnginePredictInto$ 0
 BenchmarkWire 0
 BenchmarkEngineExecuteWarm$ 100
+BenchmarkServeWirePredict$ 3
+BenchmarkServeWireBatch64$ 3
+BenchmarkServeJSONPredict$ 10
+BenchmarkServeJSONExecute$ 48
 '
 PINNED="$(printf '%s\n' "$LIMITS" | awk 'NF == 2 { printf "%s%s", sep, $1; sep = "|" }')"
 
 out="$(go test -run='^$' -bench="$PINNED" -benchmem -benchtime=100x \
-	./internal/ml/ ./internal/engine/ ./internal/wire/)"
+	./internal/ml/ ./internal/engine/ ./internal/wire/ ./cmd/serve/)"
 printf '%s\n' "$out"
 
 printf '%s\n' "$out" | awk -v limits="$LIMITS" '
