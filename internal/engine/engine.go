@@ -25,8 +25,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -41,6 +43,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/runtime"
 	"repro/internal/sched"
+	"repro/internal/sim"
 )
 
 // Options configures a deployment engine.
@@ -199,6 +202,21 @@ type featureEntry struct {
 	prof   *exec.Profile
 	launch runtime.Launch
 	tmpl   *template
+	// prices is the cell's price table, one slot per class, each filled
+	// when the class first executes (priceOf).
+	prices []atomic.Pointer[classPrice]
+}
+
+// classPrice is one class's partitioning of a cell priced on the cell's
+// profile: the makespan and each device's busy time. Under the
+// byte-identity contract an execution of the cell counts exactly what the
+// profile holds, so this is what every execution of the (cell, class)
+// measures; checked is set once a measured execution has reproduced it
+// bit for bit.
+type classPrice struct {
+	makespan    float64
+	deviceTimes []float64
+	checked     atomic.Bool
 }
 
 // engineCounters are the engine's monotonically increasing stats.
@@ -233,6 +251,8 @@ type engineCounters struct {
 	vecDivergences atomic.Uint64
 	vecReconverges atomic.Uint64
 	vecScalarBails atomic.Uint64
+
+	makespanMismatches atomic.Uint64
 }
 
 // Stats is a point-in-time snapshot of the engine's counters and cache
@@ -295,6 +315,12 @@ type Stats struct {
 	VecDivergences uint64 `json:"vecDivergences"`
 	VecReconverges uint64 `json:"vecReconverges"`
 	VecScalarBails uint64 `json:"vecScalarBails"`
+
+	// MakespanMismatches counts measured executions whose makespan or
+	// per-device times differed from the cell's price table; each was
+	// answered as measured. Zero on a healthy server: anything else means
+	// a kernel's counts depend on more than its inputs.
+	MakespanMismatches uint64 `json:"makespanMismatches"`
 }
 
 // New builds an engine for the platform named in opts.
@@ -393,6 +419,8 @@ func (e *Engine) Stats() Stats {
 		VecDivergences: e.stats.vecDivergences.Load(),
 		VecReconverges: e.stats.vecReconverges.Load(),
 		VecScalarBails: e.stats.vecScalarBails.Load(),
+
+		MakespanMismatches: e.stats.makespanMismatches.Load(),
 	}
 }
 
@@ -456,7 +484,11 @@ type Prediction struct {
 // across the platform's devices.
 type Execution struct {
 	Prediction
-	// Makespan is the simulated wall time of the partitioned execution.
+	// Makespan is the simulated wall time of the partitioned execution,
+	// priced on the cell's profile: the first execution of each (cell,
+	// class) measures it and checks the price bit for bit, later ones
+	// answer from the price. A measurement that disagrees is what is
+	// answered (Stats.MakespanMismatches).
 	Makespan float64 `json:"makespan"`
 	// Verified reports whether the outputs matched the program's Go
 	// reference implementation.
@@ -529,7 +561,8 @@ func (e *Engine) featuresFor(ctx context.Context, pe *programEntry, sizeIdx int)
 		}
 		prof.Precompute()
 		e.stats.featureComputes.Add(1)
-		return &featureEntry{fv: fv, prof: prof, launch: e.launch(pe, inst), tmpl: tmpl}, nil
+		return &featureEntry{fv: fv, prof: prof, launch: e.launch(pe, inst), tmpl: tmpl,
+			prices: make([]atomic.Pointer[classPrice], e.fw.NumClasses())}, nil
 	})
 }
 
@@ -835,9 +868,14 @@ func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction) (*
 // kernel may write are recycled and restored, and the outputs are compared
 // bit for bit with the cell's first outputs the Go reference accepted —
 // Verified is true only on a full match or when the reference itself,
-// which every mismatch falls back to, accepts them. When an
-// observation log is configured, every execution is recorded — the
-// closed loop's data collection — asynchronously: the request only
+// which every mismatch falls back to, accepts them. Nor does a warm call
+// measure what the prediction already priced: its makespan comes from the
+// cell's price table, built on the cell's profile, and its kernel keeps
+// count totals only. The first execution of each (cell, class) is the
+// self-check that profiles the run and prices it as measured (see run).
+//
+// When an observation log is configured, every execution is recorded —
+// the closed loop's data collection — asynchronously: the request only
 // enqueues onto a bounded lock-free ring, and a background flusher does
 // the oracle labeling and the durable append off the response path. A
 // recording failure never fails a request (ObserveFailures counts it);
@@ -871,6 +909,10 @@ func (e *Engine) execute(ctx context.Context, req Request) (*Execution, error) {
 	if err != nil {
 		return nil, err
 	}
+	price, err := e.priceOf(fe, pred.Class)
+	if err != nil {
+		return nil, err
+	}
 	budget, cancel := e.budgetFor(ctx)
 	defer cancel()
 	if err := budget.ChargeMem(fe.tmpl.bytes); err != nil {
@@ -882,20 +924,18 @@ func (e *Engine) execute(ctx context.Context, req Request) (*Execution, error) {
 	}
 	defer fe.tmpl.release(l.Args)
 	l.Budget = budget
-	res, err := e.fw.Runtime.Execute(l, e.fw.ClassPartition(pred.Class))
+	makespan, deviceTimes, prof, err := e.run(l, pred.Class, price)
 	if err != nil {
 		return nil, err
 	}
 	e.stats.executions.Add(1)
-	if p := res.Profile; p != nil {
-		e.stats.vecDivergences.Add(uint64(p.VecDivergences))
-		e.stats.vecReconverges.Add(uint64(p.VecReconverges))
-		e.stats.vecScalarBails.Add(uint64(p.VecScalarBails))
-	}
+	e.stats.vecDivergences.Add(uint64(prof.VecDivergences))
+	e.stats.vecReconverges.Add(uint64(prof.VecReconverges))
+	e.stats.vecScalarBails.Add(uint64(prof.VecScalarBails))
 	if e.opts.afterKernel != nil {
 		e.opts.afterKernel(l.Args)
 	}
-	out := &Execution{Prediction: pred, Makespan: res.Makespan, Verified: true}
+	out := &Execution{Prediction: pred, Makespan: makespan, Verified: true}
 	byMatch, err := fe.tmpl.check(l.Args)
 	if err != nil {
 		out.Verified = false
@@ -907,9 +947,67 @@ func (e *Engine) execute(ctx context.Context, req Request) (*Execution, error) {
 		e.stats.verifiedByRef.Add(1)
 	}
 	if e.opts.ObsLog != nil {
-		e.enqueueObservation(pe, out, res)
+		e.enqueueObservation(pe, out, deviceTimes)
 	}
 	return out, nil
+}
+
+// run executes one request's launch under class's partitioning and
+// returns its makespan, per-device busy times and profile. Once price is
+// checked, the kernel runs with count totals only (Runtime.Run) and the
+// answer is the price. Until then every execution is the self-check: it
+// profiles and prices the run (Runtime.Execute), and a measurement that
+// reproduces price bit for bit checks it. One that does not is answered
+// as measured and counted in MakespanMismatches, and the (cell, class)
+// stays unchecked, so its next execution measures again.
+func (e *Engine) run(l runtime.Launch, class int, price *classPrice) (makespan float64, deviceTimes []float64, prof *exec.Profile, err error) {
+	part := e.fw.ClassPartition(class)
+	if price.checked.Load() {
+		prof, err = e.fw.Runtime.Run(l, part)
+		return price.makespan, price.deviceTimes, prof, err
+	}
+	res, err := e.fw.Runtime.Execute(l, part)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	deviceTimes = deviceTotals(res.Breakdowns)
+	if !price.matches(res.Makespan, deviceTimes) {
+		e.stats.makespanMismatches.Add(1)
+		return res.Makespan, deviceTimes, res.Profile, nil
+	}
+	price.checked.Store(true)
+	return price.makespan, price.deviceTimes, res.Profile, nil
+}
+
+// priceOf returns the cell's price-table entry for class, pricing the
+// class on the cell's profile the first time it is asked for.
+func (e *Engine) priceOf(fe *featureEntry, class int) (*classPrice, error) {
+	slot := &fe.prices[class]
+	if p := slot.Load(); p != nil {
+		return p, nil
+	}
+	makespan, bds, err := e.fw.Runtime.Price(fe.launch, fe.prof, e.fw.ClassPartition(class))
+	if err != nil {
+		return nil, err
+	}
+	slot.CompareAndSwap(nil, &classPrice{makespan: makespan, deviceTimes: deviceTotals(bds)})
+	return slot.Load(), nil
+}
+
+// matches reports whether a measured makespan and per-device times are
+// the price's, bit for bit.
+func (p *classPrice) matches(makespan float64, deviceTimes []float64) bool {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	return same(makespan, p.makespan) && slices.EqualFunc(deviceTimes, p.deviceTimes, same)
+}
+
+// deviceTotals lists each device's busy time.
+func deviceTotals(bds []sim.Breakdown) []float64 {
+	out := make([]float64, len(bds))
+	for d, b := range bds {
+		out[d] = b.Total
+	}
+	return out
 }
 
 // observe assembles and appends one execution's observation record; the

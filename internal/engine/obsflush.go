@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/runtime"
 	"repro/internal/sched"
 )
 
@@ -21,9 +20,9 @@ import (
 type pendingObs struct {
 	pe *programEntry
 	ex Execution
-	// deviceTimes are the per-device busy times of the measured
-	// execution, extracted before enqueueing (the runtime result is not
-	// retained).
+	// deviceTimes are the execution's per-device busy times: the cell's
+	// price-table entry for its class, shared and read-only, or those of
+	// a measurement that disagreed with it.
 	deviceTimes []float64
 }
 
@@ -98,14 +97,8 @@ func (q *obsQueue) drain(e *Engine) {
 
 // enqueueObservation hands one executed request to the flusher. Never
 // blocks: a full ring drops the observation and counts the drop.
-func (e *Engine) enqueueObservation(pe *programEntry, ex *Execution, res *runtime.Result) {
-	po := pendingObs{pe: pe, ex: *ex}
-	if len(res.Breakdowns) > 0 {
-		po.deviceTimes = make([]float64, 0, len(res.Breakdowns))
-		for _, b := range res.Breakdowns {
-			po.deviceTimes = append(po.deviceTimes, b.Total)
-		}
-	}
+func (e *Engine) enqueueObservation(pe *programEntry, ex *Execution, deviceTimes []float64) {
+	po := pendingObs{pe: pe, ex: *ex, deviceTimes: deviceTimes}
 	if !e.obsq.ring.TryPush(po) {
 		e.stats.observeDropped.Add(1)
 		return

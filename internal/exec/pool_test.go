@@ -363,34 +363,6 @@ func TestRunnerReuseRebindsEverything(t *testing.T) {
 	}
 }
 
-// TestDestBucketsReused checks the chunk-profile buffer recycling contract:
-// a dirty caller-supplied bucket slice must be zeroed and produce a profile
-// identical to a freshly allocated run, and the returned profile must alias
-// the supplied storage.
-func TestDestBucketsReused(t *testing.T) {
-	c := compileSrc(t, vecaddSrc, "vecadd")
-	n := 1024
-	args := []Arg{BufArg(NewFloatBuffer(n)), BufArg(NewFloatBuffer(n)), BufArg(NewFloatBuffer(n)), IntArg(n)}
-	fresh, err := c.Run(args, ND1(n), RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirty := make([]Counts, len(fresh.Buckets))
-	for i := range dirty {
-		dirty[i] = Counts{Items: 999, IntOps: 999, MaxItemOps: 999}
-	}
-	reused, err := c.Run(args, ND1(n), RunOptions{DestBuckets: dirty})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &reused.Buckets[0] != &dirty[0] {
-		t.Error("DestBuckets not used as profile storage")
-	}
-	if !reflect.DeepEqual(reused.Buckets, fresh.Buckets) {
-		t.Error("profile from recycled buckets differs from fresh run")
-	}
-}
-
 // TestRunnerPoolConcurrentLaunches shares one compiled kernel between
 // goroutines that launch it at once, each on buffers of its own and with
 // two host workers, so runners are taken from and parked on the idle list

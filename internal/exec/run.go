@@ -24,11 +24,6 @@ type RunOptions struct {
 	// Workers caps host parallelism (default: the scheduler's
 	// process-wide worker budget, GOMAXPROCS unless overridden).
 	Workers int
-	// DestBuckets, when non-nil with length equal to the resolved bucket
-	// count, is zeroed and used as the returned profile's bucket storage
-	// instead of a fresh allocation. Callers that merge and discard chunk
-	// profiles (runtime.Execute) recycle these buffers across launches.
-	DestBuckets []Counts
 	// Budget, when non-nil, bounds the launch by steps, memory, and wall
 	// clock; exhaustion aborts the run with a *BudgetError. Nil enforces
 	// nothing and adds no per-item cost beyond an amortized fuel counter.
@@ -82,13 +77,7 @@ func (c *Compiled) Run(args []Arg, nd NDRange, opts RunOptions) (*Profile, error
 	if nb > nd.Global[0] {
 		nb = nd.Global[0]
 	}
-	profBuckets := opts.DestBuckets
-	if len(profBuckets) == nb {
-		clear(profBuckets)
-	} else {
-		profBuckets = make([]Counts, nb)
-	}
-	prof := &Profile{Global0: nd.Global[0], Buckets: profBuckets}
+	prof := &Profile{Global0: nd.Global[0], Buckets: make([]Counts, nb)}
 	if lo == hi {
 		return prof, nil
 	}

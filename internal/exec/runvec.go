@@ -113,6 +113,12 @@ const foldMinRun = 8
 func (r *groupRunner) foldGroupVec() {
 	vf := r.vecFrame
 	bl := r.bucketByL0
+	if bl[0] == bl[len(bl)-1] {
+		// Every lane in one bucket, whatever the group's shape — always so
+		// on a one-bucket launch: one field-major fold of the whole group.
+		r.foldLanes(0, vf.W, bl[0])
+		return
+	}
 	if int64(vf.W) == r.lsz[0] && int(bl[vf.W-1]-bl[0]) < vf.W/foldMinRun {
 		// A 1-D group (lane l is local index l) over few buckets: buckets
 		// are nondecreasing along dim 0, so each one's lanes are a
@@ -123,11 +129,7 @@ func (r *groupRunner) foldGroupVec() {
 			for b < vf.W && bl[b] == bl[a] {
 				b++
 			}
-			sum, maxOps := vf.FoldLanes(&opWeights, a, b)
-			c := Counts(sum)
-			c.Items = int64(b - a)
-			c.MaxItemOps = maxOps
-			r.buckets[bl[a]].Add(&c)
+			r.foldLanes(a, b, bl[a])
 			a = b
 		}
 		return
@@ -148,6 +150,15 @@ func (r *groupRunner) foldGroupVec() {
 	for l := 0; l < vf.W; l++ {
 		r.buckets[bl[lid0[l]]].Add(&c)
 	}
+}
+
+// foldLanes adds lanes [a, b) of the finished group to bucket.
+func (r *groupRunner) foldLanes(a, b int, bucket int32) {
+	sum, maxOps := r.vecFrame.FoldLanes(&opWeights, a, b)
+	c := Counts(sum)
+	c.Items = int64(b - a)
+	c.MaxItemOps = maxOps
+	r.buckets[bucket].Add(&c)
 }
 
 // bailGroupVec scalarizes a diverged group: each lane's registers,

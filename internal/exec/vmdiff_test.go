@@ -21,6 +21,9 @@ type vmdiffCase struct {
 	kernel string
 	args   func() []Arg
 	nd     NDRange
+	// vec marks a case that must run on the vector tier: it is there to
+	// cover the vector tier's profile folding.
+	vec bool
 }
 
 func vmdiffCases() []vmdiffCase {
@@ -139,6 +142,68 @@ func vmdiffCases() []vmdiffCase {
 			nd:     ND1(64),
 		},
 		{
+			// 2-D groups (8x4 lanes, dim 0 fastest): at one bucket, or two,
+			// a group folds in one FoldLanes call; over 16 buckets each of
+			// its dim-0 columns lands in a bucket of its own, lane by lane.
+			name: "2-D matmul in 8x4 groups",
+			src: `kernel void k(global const float* a, global const float* b,
+					global float* c, int n) {
+				int row = get_global_id(1);
+				int col = get_global_id(0);
+				float acc = 0.0f;
+				for (int t = 0; t < n; t = t + 1) {
+					acc = acc + a[row * n + t] * b[t * n + col];
+				}
+				c[row * n + col] = acc;
+			}`,
+			kernel: "k",
+			args: func() []Arg {
+				return []Arg{BufArg(randFloats(256, 7)), BufArg(randFloats(256, 8)), BufArg(NewFloatBuffer(256)), IntArg(16)}
+			},
+			nd:  NDRange{Global: [3]int{16, 16, 1}, Local: [3]int{8, 4, 1}},
+			vec: true,
+		},
+		{
+			// The border test splits 2-D groups, so lanes carry count deltas.
+			name: "2-D conv2d in 16x4 groups",
+			src: `kernel void k(global const float* in, global float* out, int w, int h) {
+				int x = get_global_id(0);
+				int y = get_global_id(1);
+				if (x > 0 && x < w - 1 && y > 0 && y < h - 1) {
+					out[y * w + x] =
+						0.2 * in[(y - 1) * w + x - 1] + 0.5 * in[(y - 1) * w + x] - 0.8 * in[(y - 1) * w + x + 1] +
+						-0.3 * in[y * w + x - 1] + 0.6 * in[y * w + x] - 0.9 * in[y * w + x + 1] +
+						0.4 * in[(y + 1) * w + x - 1] + 0.7 * in[(y + 1) * w + x] + 0.1 * in[(y + 1) * w + x + 1];
+				} else if (x < w && y < h) {
+					out[y * w + x] = 0.0;
+				}
+			}`,
+			kernel: "k",
+			args: func() []Arg {
+				return []Arg{BufArg(randFloats(1024, 9)), BufArg(NewFloatBuffer(1024)), IntArg(32), IntArg(32)}
+			},
+			nd:  NDRange{Global: [3]int{32, 32, 1}, Local: [3]int{16, 4, 1}},
+			vec: true,
+		},
+		{
+			// A 2-D launch in 1-D groups of 64, with a guard that splits
+			// the groups crossing x = w.
+			name: "2-D transpose in 64x1 groups",
+			src: `kernel void k(global const float* in, global float* out, int w, int h) {
+				int x = get_global_id(0);
+				int y = get_global_id(1);
+				if (x < w && y < h) {
+					out[x * h + y] = in[y * w + x];
+				}
+			}`,
+			kernel: "k",
+			args: func() []Arg {
+				return []Arg{BufArg(randFloats(512, 10)), BufArg(NewFloatBuffer(512)), IntArg(100), IntArg(4)}
+			},
+			nd:  ND2(128, 4),
+			vec: true,
+		},
+		{
 			name: "integer ops and stores",
 			src: `kernel void k(global int* out, int n) {
 				int i = get_global_id(0);
@@ -154,50 +219,58 @@ func vmdiffCases() []vmdiffCase {
 }
 
 // TestVMDiffProfilesByteIdentical runs every case on both tiers and
-// requires bit-equal output buffers and byte-identical profile buckets.
+// requires bit-equal output buffers and byte-identical profile buckets,
+// at one bucket, two and DefaultBuckets: a served launch keeps one, the
+// profiling run DefaultBuckets, and every fold of a vector group's lanes
+// into buckets must add up to what the closure oracle counts item by item.
 func TestVMDiffProfilesByteIdentical(t *testing.T) {
 	for _, tc := range vmdiffCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			cVM := compileTierSrc(t, tc.src, tc.kernel, TierVM)
 			cCl := compileTierSrc(t, tc.src, tc.kernel, TierClosure)
 			cAu := compileTierSrc(t, tc.src, tc.kernel, TierAuto)
+			if tc.vec && cAu.Tier() != TierVec {
+				t.Fatalf("auto tier is %v, the case needs the vector tier: %v", cAu.Tier(), cAu.VecError())
+			}
+			for _, nb := range []int{1, 2, DefaultBuckets} {
+				opts := RunOptions{Buckets: nb}
+				argsVM, argsCl, argsAu := tc.args(), tc.args(), tc.args()
+				pVM, err := cVM.Run(argsVM, tc.nd, opts)
+				if err != nil {
+					t.Fatalf("vm run: %v", err)
+				}
+				pCl, err := cCl.Run(argsCl, tc.nd, opts)
+				if err != nil {
+					t.Fatalf("closure run: %v", err)
+				}
+				pAu, err := cAu.Run(argsAu, tc.nd, opts)
+				if err != nil {
+					t.Fatalf("auto (%v) run: %v", cAu.Tier(), err)
+				}
 
-			argsVM, argsCl, argsAu := tc.args(), tc.args(), tc.args()
-			pVM, err := cVM.Run(argsVM, tc.nd, RunOptions{})
-			if err != nil {
-				t.Fatalf("vm run: %v", err)
-			}
-			pCl, err := cCl.Run(argsCl, tc.nd, RunOptions{})
-			if err != nil {
-				t.Fatalf("closure run: %v", err)
-			}
-			pAu, err := cAu.Run(argsAu, tc.nd, RunOptions{})
-			if err != nil {
-				t.Fatalf("auto (%v) run: %v", cAu.Tier(), err)
-			}
-
-			for ai := range argsVM {
-				b := argsVM[ai].Buf
-				if b == nil {
-					continue
+				for ai := range argsVM {
+					b := argsVM[ai].Buf
+					if b == nil {
+						continue
+					}
+					if !reflect.DeepEqual(b.F, argsCl[ai].Buf.F) || !reflect.DeepEqual(b.I, argsCl[ai].Buf.I) {
+						t.Errorf("%d buckets: arg %d buffers differ between tiers", nb, ai)
+					}
+					if !reflect.DeepEqual(b.F, argsAu[ai].Buf.F) || !reflect.DeepEqual(b.I, argsAu[ai].Buf.I) {
+						t.Errorf("%d buckets: arg %d buffers differ between vm and auto (%v)", nb, ai, cAu.Tier())
+					}
 				}
-				if !reflect.DeepEqual(b.F, argsCl[ai].Buf.F) || !reflect.DeepEqual(b.I, argsCl[ai].Buf.I) {
-					t.Errorf("arg %d buffers differ between tiers", ai)
+				if pVM.Global0 != pCl.Global0 || len(pVM.Buckets) != len(pCl.Buckets) || len(pAu.Buckets) != len(pCl.Buckets) {
+					t.Fatalf("%d buckets: profile shape: vm %d/%d buckets, auto %d/%d, closure %d/%d", nb,
+						pVM.Global0, len(pVM.Buckets), pAu.Global0, len(pAu.Buckets), pCl.Global0, len(pCl.Buckets))
 				}
-				if !reflect.DeepEqual(b.F, argsAu[ai].Buf.F) || !reflect.DeepEqual(b.I, argsAu[ai].Buf.I) {
-					t.Errorf("arg %d buffers differ between vm and auto (%v)", ai, cAu.Tier())
-				}
-			}
-			if pVM.Global0 != pCl.Global0 || len(pVM.Buckets) != len(pCl.Buckets) {
-				t.Fatalf("profile shape: vm %d/%d buckets, closure %d/%d",
-					pVM.Global0, len(pVM.Buckets), pCl.Global0, len(pCl.Buckets))
-			}
-			for b := range pVM.Buckets {
-				if pVM.Buckets[b] != pCl.Buckets[b] {
-					t.Errorf("bucket %d:\n  vm      %+v\n  closure %+v", b, pVM.Buckets[b], pCl.Buckets[b])
-				}
-				if pAu.Buckets[b] != pCl.Buckets[b] {
-					t.Errorf("bucket %d:\n  auto    %+v\n  closure %+v", b, pAu.Buckets[b], pCl.Buckets[b])
+				for b := range pVM.Buckets {
+					if pVM.Buckets[b] != pCl.Buckets[b] {
+						t.Errorf("%d buckets, bucket %d:\n  vm      %+v\n  closure %+v", nb, b, pVM.Buckets[b], pCl.Buckets[b])
+					}
+					if pAu.Buckets[b] != pCl.Buckets[b] {
+						t.Errorf("%d buckets, bucket %d:\n  auto    %+v\n  closure %+v", nb, b, pAu.Buckets[b], pCl.Buckets[b])
+					}
 				}
 			}
 		})

@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -131,5 +133,88 @@ func TestExecuteParallelError(t *testing.T) {
 	// 7 devices on a 3-device platform: checkPartition must reject it.
 	if _, err := rt.Execute(l, partition.Partition{Shares: []int{1, 1, 1, 1, 1, 1, 4}}); err == nil {
 		t.Fatal("expected partition mismatch error")
+	}
+}
+
+// branchySrc splits every vector group at a varying branch, so a launch
+// carries divergence telemetry as well as counts.
+const branchySrc = `
+kernel void branchy(global const float* in, global float* out, int n) {
+    int i = get_global_id(0);
+    float x = in[i];
+    if (x > 0.5) {
+        x = sqrt(x) * 2.0;
+    } else {
+        x = x + 1.0;
+    }
+    out[i] = x;
+}
+`
+
+// TestRunKeepsExecuteTotals: Run executes what Execute executes — same
+// output buffers, same count totals (Execute's 200 buckets summed are
+// Run's one), same divergence telemetry — sequentially and in parallel,
+// and fails where Execute fails.
+func TestRunKeepsExecuteTotals(t *testing.T) {
+	launch := func() (Launch, *exec.Buffer) {
+		n := 2048
+		in, out := exec.NewFloatBuffer(n), exec.NewFloatBuffer(n)
+		for i := range in.F {
+			in.F[i] = float32(i%97) / 97
+		}
+		return makeLaunch(t, branchySrc, "branchy",
+			[]exec.Arg{exec.BufArg(in), exec.BufArg(out), exec.IntArg(n)}, exec.ND1(n)), out
+	}
+	for _, part := range []partition.Partition{
+		{Shares: []int{4, 3, 3}},
+		{Shares: []int{0, 10, 0}},
+		{Shares: []int{1, 1, 8}},
+	} {
+		for _, workers := range []int{1, 8} {
+			rt := New(device.MC2())
+			rt.Workers = workers
+			exL, exOut := launch()
+			res, err := rt.Execute(exL, part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runL, runOut := launch()
+			prof, err := rt.Run(runL, part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(exOut.F, runOut.F) {
+				t.Fatalf("%v workers=%d: Run wrote other outputs than Execute", part, workers)
+			}
+			if len(prof.Buckets) != 1 || prof.Global0 != res.Profile.Global0 {
+				t.Fatalf("%v workers=%d: Run's profile has %d buckets over %d items", part, workers, len(prof.Buckets), prof.Global0)
+			}
+			if want := res.Profile.Total(); prof.Buckets[0] != want {
+				t.Fatalf("%v workers=%d: Run counted %+v, Execute %+v", part, workers, prof.Buckets[0], want)
+			}
+			p := res.Profile
+			if prof.VecDivergences != p.VecDivergences || prof.VecReconverges != p.VecReconverges ||
+				prof.VecScalarBails != p.VecScalarBails || p.VecDivergences == 0 {
+				t.Fatalf("%v workers=%d: divergences/reconverges/bails %d/%d/%d from Run, %d/%d/%d from Execute",
+					part, workers, prof.VecDivergences, prof.VecReconverges, prof.VecScalarBails,
+					p.VecDivergences, p.VecReconverges, p.VecScalarBails)
+			}
+		}
+	}
+	rt := New(device.MC2())
+	l, _ := launch()
+	if _, err := rt.Run(l, partition.Partition{Shares: []int{10}}); err == nil {
+		t.Error("Run: want partition arity error")
+	}
+	part := partition.Partition{Shares: []int{4, 3, 3}}
+	l.Budget = exec.NewBudget(context.Background(), 100, 0)
+	_, runErr := rt.Run(l, part)
+	l.Budget = exec.NewBudget(context.Background(), 100, 0)
+	_, exErr := rt.Execute(l, part)
+	for _, err := range []error{runErr, exErr} {
+		var be *exec.BudgetError
+		if !errors.As(err, &be) || be.Kind != exec.BudgetSteps {
+			t.Fatalf("100-step budget: Run %v, Execute %v; want a steps abort from both", runErr, exErr)
+		}
 	}
 }

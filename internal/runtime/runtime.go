@@ -5,6 +5,13 @@
 // semantics) and prices the launch on the platform's device models,
 // including all host-device transfers.
 //
+// Execute is the measuring run: it profiles the launch at exec.DefaultBuckets
+// resolution and prices that profile. Run executes the same chunks and
+// keeps only the count totals, for a caller that already knows the price:
+// under the byte-identity contract a launch's counts are a function of its
+// inputs, so the serving engine prices each (cell, class) once on the
+// cell's cached profile and checks that price against one Execute.
+//
 // It also implements the two default strategies the paper compares
 // against — CPU-only and (single-)GPU-only — and the oracle search over
 // the full 10%-step partition space used to label training data.
@@ -60,15 +67,11 @@ type Runtime struct {
 	Platform *device.Platform
 	Opts     sim.Options
 	// Workers bounds the host parallelism of the oracle search (Best) and
-	// of chunked execution (Execute). 0 uses the scheduler's process-wide
-	// default (GOMAXPROCS unless overridden by -parallel); 1 forces the
-	// sequential path. Results are identical for every setting.
+	// of chunked execution (Execute, Run). 0 uses the scheduler's
+	// process-wide default (GOMAXPROCS unless overridden by -parallel); 1
+	// forces the sequential path. Results are identical for every setting.
 	Workers int
 
-	// chunkBufs recycles per-chunk profile bucket slices across Execute
-	// calls (sync.Pool: safe under the concurrent Runtime sharing the
-	// harness sweeps rely on).
-	chunkBufs sync.Pool
 	// priceBufs recycles single-candidate pricing scratch sets for
 	// PriceMakespan — the serving engine's per-request path, which must
 	// not allocate when warm.
@@ -121,27 +124,52 @@ func (r *Runtime) checkPartition(p partition.Partition) error {
 // Execute runs the launch under the given partitioning: every device's
 // chunk is executed against the launch's host buffers (so outputs are
 // real and verifiable) and the launch is priced on the device models. The
-// buffers are whatever the caller bound: a built instance's, or — the
-// serving engine's case — inputs shared read-only with concurrent
-// launches next to outputs of this launch's own. The returned profile
-// covers the full NDRange and can be re-priced for other partitionings
-// with Price.
+// returned profile has DefaultBuckets resolution over the full NDRange and
+// can be re-priced for other partitionings with Price. This is the
+// measuring path: the deployment phase of core.Framework and the serving
+// engine's first execution of each (cell, class), whose price it checks.
 func (r *Runtime) Execute(l Launch, part partition.Partition) (*Result, error) {
-	if err := r.checkPartition(part); err != nil {
+	full, align, err := r.run(l, part, exec.DefaultBuckets)
+	if err != nil {
 		return nil, err
+	}
+	makespan, bds, err := r.price(l, full, part, align)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Partition: part, Makespan: makespan, Breakdowns: bds, Profile: full}, nil
+}
+
+// Run executes the launch under the given partitioning exactly as Execute
+// does — same chunks, same budget, same faults — but keeps one profile
+// bucket and prices nothing: the returned profile's single bucket holds
+// the launch's exact count totals and its Vec* counters the launch's
+// divergence telemetry. The serving engine runs warm executions through
+// it, because their price is already known from the cell's profile. The
+// buffers are whatever the caller bound: a built instance's, or inputs
+// shared read-only with concurrent launches next to outputs of this
+// launch's own.
+func (r *Runtime) Run(l Launch, part partition.Partition) (*exec.Profile, error) {
+	prof, _, err := r.run(l, part, 1)
+	return prof, err
+}
+
+// run executes every device's chunk of the launch and merges the chunk
+// profiles, at the given dim-0 bucket resolution, into one profile over
+// the full NDRange. It also returns the dim-0 alignment pricing needs.
+func (r *Runtime) run(l Launch, part partition.Partition, buckets int) (*exec.Profile, int, error) {
+	if err := r.checkPartition(part); err != nil {
+		return nil, 0, err
 	}
 	align, err := l.align()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	nd, err := l.ND.Normalized()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	full := &exec.Profile{Global0: nd.Global[0], Buckets: make([]exec.Counts, exec.DefaultBuckets)}
-	if len(full.Buckets) > full.Global0 {
-		full.Buckets = make([]exec.Counts, full.Global0)
-	}
+	full := &exec.Profile{Global0: nd.Global[0], Buckets: make([]exec.Counts, min(buckets, nd.Global[0]))}
 	// Each device's disjoint dim-0 chunk runs in its own worker. Chunks
 	// write disjoint work items, the per-chunk profiles are merged in
 	// device order after the join, and every Counts field is an integer
@@ -176,13 +204,11 @@ func (r *Runtime) Execute(l Launch, part partition.Partition) (*Result, error) {
 				w = 1
 			}
 			return l.Kernel.Run(l.Args, nd, exec.RunOptions{
-				Lo: ch[0], Hi: ch[1], Buckets: len(full.Buckets), Workers: w,
-				DestBuckets: r.getChunkBuf(len(full.Buckets)),
-				Budget:      l.Budget,
+				Lo: ch[0], Hi: ch[1], Buckets: len(full.Buckets), Workers: w, Budget: l.Budget,
 			})
 		})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for _, prof := range profs {
 		if prof == nil {
@@ -194,30 +220,9 @@ func (r *Runtime) Execute(l Launch, part partition.Partition) (*Result, error) {
 		full.VecDivergences += prof.VecDivergences
 		full.VecReconverges += prof.VecReconverges
 		full.VecScalarBails += prof.VecScalarBails
-		r.putChunkBuf(prof.Buckets)
 	}
-	makespan, bds, err := r.price(l, full, part, align)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Partition: part, Makespan: makespan, Breakdowns: bds, Profile: full}, nil
+	return full, align, nil
 }
-
-// getChunkBuf returns a recycled per-chunk bucket slice (Run zeroes its
-// DestBuckets, so stale contents are harmless).
-func (r *Runtime) getChunkBuf(n int) []exec.Counts {
-	if v := r.chunkBufs.Get(); v != nil {
-		b := *v.(*[]exec.Counts)
-		if cap(b) >= n {
-			return b[:n]
-		}
-	}
-	return make([]exec.Counts, n)
-}
-
-// putChunkBuf returns a chunk bucket slice to the pool after its counts
-// have been merged into the launch-wide profile.
-func (r *Runtime) putChunkBuf(b []exec.Counts) { r.chunkBufs.Put(&b) }
 
 // Profile executes the full NDRange once (on the host) and returns the
 // dynamic profile, without pricing. Training uses this single execution to

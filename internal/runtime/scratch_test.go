@@ -1,11 +1,9 @@
 package runtime
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/device"
-	"repro/internal/exec"
 	"repro/internal/partition"
 )
 
@@ -154,35 +152,5 @@ func TestSharedSpaceBestMatchesExplicit(t *testing.T) {
 	}
 	if p1.String() != p2.String() || t1 != t2 {
 		t.Fatalf("Best over shared space (%s, %v) != fresh space (%s, %v)", p1, t1, p2, t2)
-	}
-}
-
-// TestExecuteReusesChunkBuffers checks that repeated partitioned
-// executions recycle chunk profile storage while still returning
-// independent, correct launch-wide profiles.
-func TestExecuteReusesChunkBuffers(t *testing.T) {
-	part := partition.Partition{Shares: []int{4, 3, 3}}
-	l1, _ := heavyLaunch(t, 2048)
-	rt := New(device.MC1())
-	res1, err := rt.Execute(l1, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := append([]exec.Counts(nil), res1.Profile.Buckets...)
-	l2, _ := heavyLaunch(t, 2048)
-	res2, err := rt.Execute(l2, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1.Makespan != res2.Makespan {
-		t.Fatalf("identical launches priced differently: %v vs %v", res1.Makespan, res2.Makespan)
-	}
-	// The first result's profile must be unaffected by the second run
-	// (chunk scratch is recycled; launch-wide profiles are not).
-	if !reflect.DeepEqual(res1.Profile.Buckets, before) {
-		t.Fatal("first profile mutated by second Execute")
-	}
-	if !reflect.DeepEqual(res2.Profile.Buckets, before) {
-		t.Fatal("second identical launch produced a different profile")
 	}
 }

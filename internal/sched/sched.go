@@ -4,7 +4,7 @@
 //
 // Every parallel hot path in the repository — the oracle search over the
 // partition space (runtime.Best), per-device chunk execution
-// (runtime.Execute), the training-data sweep (harness.Generate) and
+// (runtime.Execute and Run), the training-data sweep (harness.Generate) and
 // cross-validation folds (ml.LeaveOneGroupOut) — fans out through Map.
 // Results are always returned in input index order, so callers
 // that reduce over them in order produce output identical to a sequential

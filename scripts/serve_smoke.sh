@@ -5,7 +5,9 @@
 # closed loop — executions for a size ABSENT from the seed database are
 # observed (/observations), retrained (/retrain), and the promoted model
 # version serves subsequent predictions (/models, modelVersion) without
-# a restart — and finally verify clean shutdown on SIGTERM. A second
+# a restart — and finally verify clean shutdown on SIGTERM. Every phase
+# checks /stats for "makespanMismatches": 0 — no /execute answered a
+# makespan other than the one priced on its cell's profile. A second
 # serve instance then exercises the untrusted-kernel path: upload via
 # POST /kernels, execute, an infinite-loop kernel killed by the step
 # budget, tenant quota rejection (429 + Retry-After), and idle-program
@@ -141,6 +143,17 @@ curl -fsS -X POST -d '{"rollback":1}' "$base/models" | grep -q '"current": 1'
 curl -fsS "$base/predict?program=vecadd&size=2" | grep -q '"modelVersion": 1'
 curl -fsS -X POST -d '{"rollback":2}' "$base/models" | grep -q '"current": 2'
 
+echo "== every execution's makespan is its cell's price =="
+no_mismatches() {
+  curl -fsS "$base/stats" > "$work/mismatch.json"
+  grep -q '"makespanMismatches": 0' "$work/mismatch.json" ||
+    { echo "FAIL: /stats has no makespanMismatches"; exit 1; }
+  if grep -Eq '"makespanMismatches": [1-9]' "$work/mismatch.json"; then
+    echo "FAIL: an /execute measured another makespan than its cell's price"; exit 1
+  fi
+}
+no_mismatches
+
 echo "== observation log survives on disk =="
 test -s "$work"/obslog/obs-*.jsonl || { echo "FAIL: no observation segments"; exit 1; }
 
@@ -208,6 +221,7 @@ grep -q '"quotaRejections": 1' "$work/stats2.json"
 grep -q '"programsEvicted": 0' "$work/stats2.json" && { echo "FAIL: no evictions with cache-limit 1"; exit 1; }
 grep -q '"budgetAbortsSteps": 0' "$work/stats2.json" && { echo "FAIL: no step-budget aborts counted"; exit 1; }
 curl -fsS -X POST "$base/execute?program=public/scale&size=0" | grep -q '"program": "public/scale"'
+no_mismatches
 
 kill -TERM "$pid"
 for i in $(seq 1 100); do
@@ -284,6 +298,7 @@ echo "burst: $((64 - shed)) served, $shed shed"
 [ "$shed" -gt 0 ] || { echo "FAIL: burst saw no sheds"; exit 1; }
 [ "$shed" -lt 64 ] || { echo "FAIL: burst admitted nothing"; exit 1; }
 curl -fsS "$base/stats" | grep -Eq '"shed": [1-9]' || { echo "FAIL: /stats counted no sheds"; exit 1; }
+no_mismatches
 
 kill -TERM "$pid"
 for i in $(seq 1 100); do
