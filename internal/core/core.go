@@ -106,16 +106,15 @@ func (f *Framework) Train(db *harness.DB, mk ml.NewModel) error {
 	return nil
 }
 
-// Artifact returns the trained model artifact (nil before Train or
-// UseArtifact). Save it with ml.SaveArtifact to make training survive the
-// process.
+// Artifact returns the trained model artifact (nil before Train). Save it
+// with ml.SaveArtifact to make training survive the process.
 func (f *Framework) Artifact() *ml.Artifact { return f.artifact }
 
 // CheckArtifact validates that an artifact can serve predictions on this
 // framework's platform: the platform must match and the artifact's class
 // space (when recorded) must be exactly the framework's partition space,
-// or its class indices would silently map to the wrong partitions. Every
-// artifact load path (UseArtifact, the deployment engine) runs this.
+// or its class indices would silently map to the wrong partitions. Train
+// and every artifact load path of the deployment engine run this.
 func (f *Framework) CheckArtifact(a *ml.Artifact) error {
 	if a == nil || a.Model == nil {
 		return fmt.Errorf("core: artifact has no model")
@@ -133,16 +132,6 @@ func (f *Framework) CheckArtifact(a *ml.Artifact) error {
 			}
 		}
 	}
-	return nil
-}
-
-// UseArtifact installs a previously trained (typically loaded) model
-// artifact as the framework's predictor, skipping training entirely.
-func (f *Framework) UseArtifact(a *ml.Artifact) error {
-	if err := f.CheckArtifact(a); err != nil {
-		return err
-	}
-	f.artifact = a
 	return nil
 }
 

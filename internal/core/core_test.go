@@ -170,15 +170,16 @@ func TestUseArtifact(t *testing.T) {
 		t.Fatalf("trained artifact metadata: %+v", art)
 	}
 
-	// A fresh framework adopts the artifact without training and
-	// predicts identically.
+	// A fresh framework accepts the artifact and, serving it without
+	// training (as the deployment engine does), predicts identically.
 	fw2, err := New(device.MC2())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fw2.UseArtifact(art); err != nil {
+	if err := fw2.CheckArtifact(art); err != nil {
 		t.Fatal(err)
 	}
+	fw2.artifact = art
 	if !fw2.Trained() || fw2.ModelName() != "knn5" {
 		t.Errorf("trained=%t model=%s", fw2.Trained(), fw2.ModelName())
 	}
@@ -201,16 +202,16 @@ func TestUseArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fwMC1.UseArtifact(art); err == nil {
+	if err := fwMC1.CheckArtifact(art); err == nil {
 		t.Error("mc2 artifact accepted on mc1 framework")
 	}
 	bad := *art
 	bad.Space = append([]string{}, art.Space...)
 	bad.Space[3] = "1/2/3"
-	if err := fw2.UseArtifact(&bad); err == nil {
+	if err := fw2.CheckArtifact(&bad); err == nil {
 		t.Error("artifact with mismatched class space accepted")
 	}
-	if err := fw2.UseArtifact(&ml.Artifact{}); err == nil {
+	if err := fw2.CheckArtifact(&ml.Artifact{}); err == nil {
 		t.Error("artifact without model accepted")
 	}
 }

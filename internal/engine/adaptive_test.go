@@ -120,7 +120,7 @@ func TestEngineAdaptiveClosedLoop(t *testing.T) {
 	if v2.Parent != 1 || v2.ObsRecords != 1 || v2.Source != ModelRetrained {
 		t.Fatalf("lineage: %+v", v2)
 	}
-	art := v2.Artifact()
+	art := v2.art
 	if art.Lineage == nil || art.Lineage.ModelVersion != 2 || art.Lineage.Parent != 1 {
 		t.Fatalf("artifact lineage: %+v", art.Lineage)
 	}

@@ -606,23 +606,9 @@ func (e *Engine) launch(pe *programEntry, inst *bench.Instance) runtime.Launch {
 	}
 }
 
-// Model resolves the artifact currently serving the given left-out
-// program (empty = the full model): registry first, then an artifact
-// file in ArtifactDir, then training from the database. Concurrent
-// requests for the same cold model share one resolution. Failures are
-// not cached (sched.Memo.DoRetryable): a transient load error — corrupt
-// file mid-deploy, fd exhaustion — must not poison the key until
-// restart.
-func (e *Engine) Model(leftOut string) (*ml.Artifact, error) {
-	v, err := e.resolveModel(leftOut)
-	if err != nil {
-		return nil, err
-	}
-	return v.art, nil
-}
-
-// resolveModel returns the serving version for leftOut — the per-request
-// path: one memo hit plus one atomic load on a warm engine.
+// resolveModel returns the serving version for leftOut (empty = the full
+// model) — the per-request path: one memo hit plus one atomic load on a
+// warm engine. A cold key resolves through registryFor.
 func (e *Engine) resolveModel(leftOut string) (*ModelVersion, error) {
 	reg, err := e.registryFor(leftOut)
 	if err != nil {
@@ -632,8 +618,11 @@ func (e *Engine) resolveModel(leftOut string) (*ModelVersion, error) {
 }
 
 // registryFor resolves (creating on first use) the version registry for
-// leftOut. Version 1 comes from an artifact file when one exists,
-// otherwise from training on the database.
+// leftOut. Version 1 comes from an artifact file in ArtifactDir when one
+// exists, otherwise from training on the database. Concurrent requests
+// for the same cold model share one resolution. Failures are not cached
+// (sched.Memo.DoRetryable): a transient load error — corrupt file
+// mid-deploy, fd exhaustion — must not poison the key until restart.
 func (e *Engine) registryFor(leftOut string) (*registry, error) {
 	return e.models.DoRetryable(leftOut, func() (*registry, error) {
 		if e.opts.ArtifactDir != "" {

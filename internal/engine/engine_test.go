@@ -138,7 +138,7 @@ func TestEngineLeaveOneOutDistinctModel(t *testing.T) {
 	}
 	// The leave-one-out model must have been fitted without the target
 	// program's samples: verify through the artifact metadata.
-	a, err := eng.Model("vecadd")
+	a, err := servingArtifact(eng, "vecadd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestEngineArtifactByteIdenticalPredictions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, err := fresh.Model("")
+	art, err := servingArtifact(fresh, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestEngineClampedPredictionSurfaced(t *testing.T) {
 	dir := t.TempDir()
 	// Craft an artifact whose model always answers a class far outside
 	// the 66-partition space.
-	dim := features.NumFeatures()
+	dim := len(features.StaticNames) + len(features.RuntimeNames)
 	bad := &ml.Dataset{X: [][]float64{make([]float64, dim)}, Y: []int{500}}
 	art, err := ml.TrainArtifact(bad, func() ml.Classifier { return ml.NewKNN(1) })
 	if err != nil {
@@ -446,7 +446,7 @@ func TestEngineRejectsSpaceMismatchedArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, err := eng.Model("")
+	art, err := servingArtifact(eng, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,4 +559,13 @@ func BenchmarkEngineExecuteWarm(b *testing.B) {
 			}
 		})
 	}
+}
+
+// servingArtifact returns the artifact currently serving leftOut.
+func servingArtifact(e *Engine, leftOut string) (*ml.Artifact, error) {
+	v, err := e.resolveModel(leftOut)
+	if err != nil {
+		return nil, err
+	}
+	return v.art, nil
 }

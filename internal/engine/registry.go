@@ -37,9 +37,6 @@ type ModelVersion struct {
 	art *ml.Artifact
 }
 
-// Artifact returns the version's deployable artifact.
-func (v *ModelVersion) Artifact() *ml.Artifact { return v.art }
-
 // registry is the versioned model store for one (platform, leftOut) key.
 // The serving path reads the current version through one atomic pointer
 // load — a hot swap is a single Store, so an in-flight Predict/Execute

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/exec/vm"
 	"repro/internal/inspire"
@@ -117,10 +116,6 @@ type Compiled struct {
 	// launches (see run.go).
 	runners runnerPool
 }
-
-// HasBarrier reports whether the kernel (including helpers) executes
-// work-group barriers and therefore needs synchronous group execution.
-func (c *Compiled) HasBarrier() bool { return c.hasBarrier }
 
 // compiler compiles one function (kernel or helper).
 type compiler struct {
@@ -515,7 +510,11 @@ func (cc *compiler) intExpr(e inspire.Expr) intFn {
 	case *inspire.WorkItem:
 		return cc.workItem(ex)
 	case *inspire.CallBuiltin:
-		return cc.intBuiltin(ex)
+		args := make([]func(*frame) int64, len(ex.Args))
+		for i, a := range ex.Args {
+			args[i] = cc.intExpr(a)
+		}
+		return builtin(ex, ex.Builtin.Int, args)
 	case *inspire.CallFunc:
 		call := cc.callFunc(ex)
 		return func(f *frame) int64 {
@@ -637,7 +636,11 @@ func (cc *compiler) floatExpr(e inspire.Expr) floatFn {
 	case *inspire.Cast:
 		return cc.floatExpr(ex.X)
 	case *inspire.CallBuiltin:
-		return cc.floatBuiltin(ex)
+		args := make([]func(*frame) float64, len(ex.Args))
+		for i, a := range ex.Args {
+			args[i] = cc.floatExpr(a)
+		}
+		return builtin(ex, ex.Builtin.Float, args)
 	case *inspire.CallFunc:
 		call := cc.callFunc(ex)
 		return func(f *frame) float64 {
@@ -754,18 +757,11 @@ func (cc *compiler) workItem(ex *inspire.WorkItem) intFn {
 	}
 }
 
-// transNames marks expensive float builtins for profiling.
-var transNames = map[string]bool{
-	"exp": true, "log": true, "log2": true, "sin": true, "cos": true,
-	"tan": true, "pow": true, "sqrt": true, "rsqrt": true,
-}
-
-func (cc *compiler) floatBuiltin(ex *inspire.CallBuiltin) floatFn {
-	args := make([]floatFn, len(ex.Args))
-	for i, a := range ex.Args {
-		args[i] = cc.floatExpr(a)
-	}
-	trans := transNames[ex.Name]
+// builtin compiles a call of a math builtin over T, the variant impl
+// implements: the arguments in order, one count of the builtin's cost
+// class, then the registry's reference implementation.
+func builtin[T int64 | float64](ex *inspire.CallBuiltin, impl any, args []func(*frame) T) func(*frame) T {
+	trans := ex.Builtin.Cost == minicl.CostTranscendental
 	count := func(f *frame) {
 		if trans {
 			f.cnt.TransOps++
@@ -773,102 +769,18 @@ func (cc *compiler) floatBuiltin(ex *inspire.CallBuiltin) floatFn {
 			f.cnt.OtherBuiltins++
 		}
 	}
-	switch ex.Name {
-	case "sqrt":
-		a := args[0]
-		return func(f *frame) float64 { count(f); return math.Sqrt(a(f)) }
-	case "rsqrt":
-		a := args[0]
-		return func(f *frame) float64 { count(f); return 1 / math.Sqrt(a(f)) }
-	case "fabs":
-		a := args[0]
-		return func(f *frame) float64 { count(f); return math.Abs(a(f)) }
-	case "exp":
-		a := args[0]
-		return func(f *frame) float64 { count(f); return math.Exp(a(f)) }
-	case "log":
-		a := args[0]
-		return func(f *frame) float64 { count(f); return math.Log(a(f)) }
-	case "log2":
-		a := args[0]
-		return func(f *frame) float64 { count(f); return math.Log2(a(f)) }
-	case "sin":
-		a := args[0]
-		return func(f *frame) float64 { count(f); return math.Sin(a(f)) }
-	case "cos":
-		a := args[0]
-		return func(f *frame) float64 { count(f); return math.Cos(a(f)) }
-	case "tan":
-		a := args[0]
-		return func(f *frame) float64 { count(f); return math.Tan(a(f)) }
-	case "pow":
-		a, b := args[0], args[1]
-		return func(f *frame) float64 { count(f); return math.Pow(a(f), b(f)) }
-	case "fmin", "min":
-		a, b := args[0], args[1]
-		return func(f *frame) float64 { count(f); return math.Min(a(f), b(f)) }
-	case "fmax", "max":
-		a, b := args[0], args[1]
-		return func(f *frame) float64 { count(f); return math.Max(a(f), b(f)) }
-	case "fma", "mad":
-		a, b, c := args[0], args[1], args[2]
-		return func(f *frame) float64 { count(f); return a(f)*b(f) + c(f) }
-	case "floor":
-		a := args[0]
-		return func(f *frame) float64 { count(f); return math.Floor(a(f)) }
-	case "ceil":
-		a := args[0]
-		return func(f *frame) float64 { count(f); return math.Ceil(a(f)) }
-	case "abs":
-		a := args[0]
-		return func(f *frame) float64 { count(f); return math.Abs(a(f)) }
-	case "clamp":
-		a, lo, hi := args[0], args[1], args[2]
-		return func(f *frame) float64 {
-			count(f)
-			return math.Max(lo(f), math.Min(a(f), hi(f)))
-		}
+	switch fn := impl.(type) {
+	case func(T) T:
+		x := args[0]
+		return func(f *frame) T { count(f); return fn(x(f)) }
+	case func(T, T) T:
+		x, y := args[0], args[1]
+		return func(f *frame) T { count(f); return fn(x(f), y(f)) }
+	case func(T, T, T) T:
+		x, y, z := args[0], args[1], args[2]
+		return func(f *frame) T { count(f); return fn(x(f), y(f), z(f)) }
 	}
-	throwf("exec: unknown float builtin %q", ex.Name)
-	return nil
-}
-
-func (cc *compiler) intBuiltin(ex *inspire.CallBuiltin) intFn {
-	args := make([]intFn, len(ex.Args))
-	for i, a := range ex.Args {
-		args[i] = cc.intExpr(a)
-	}
-	switch ex.Name {
-	case "min":
-		a, b := args[0], args[1]
-		return func(f *frame) int64 {
-			f.cnt.OtherBuiltins++
-			return min(a(f), b(f))
-		}
-	case "max":
-		a, b := args[0], args[1]
-		return func(f *frame) int64 {
-			f.cnt.OtherBuiltins++
-			return max(a(f), b(f))
-		}
-	case "abs":
-		a := args[0]
-		return func(f *frame) int64 {
-			f.cnt.OtherBuiltins++
-			v := a(f)
-			if v < 0 {
-				return -v
-			}
-			return v
-		}
-	case "clamp":
-		a, lo, hi := args[0], args[1], args[2]
-		return func(f *frame) int64 {
-			f.cnt.OtherBuiltins++
-			return max(lo(f), min(a(f), hi(f)))
-		}
-	}
-	throwf("exec: unknown int builtin %q", ex.Name)
+	throwf("exec: builtin %s has no %T variant", ex.Builtin.Name, *new(T))
 	return nil
 }
 

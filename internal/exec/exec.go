@@ -162,19 +162,6 @@ func (nd NDRange) normalized() (NDRange, error) {
 	return nd, nil
 }
 
-// Items returns the total number of work items.
-func (nd NDRange) Items() int64 {
-	n := int64(1)
-	for d := 0; d < 3; d++ {
-		g := nd.Global[d]
-		if g == 0 {
-			g = 1
-		}
-		n *= int64(g)
-	}
-	return n
-}
-
 // Counts is a dynamic operation profile: the execution counts of one work
 // item, one profile bucket, or an aggregated chunk.
 type Counts struct {

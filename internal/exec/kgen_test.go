@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/inspire"
+	"repro/internal/minicl"
 )
 
 // Generative differential test for the vector tier's re-convergence: a
@@ -123,15 +124,10 @@ func (g *kgen) fexpr(depth int) string {
 		return fmt.Sprintf("(%s - %s)", x, y)
 	case 2:
 		return fmt.Sprintf("(%s * 0.5f + %s)", x, y)
-	case 3:
-		return fmt.Sprintf("sqrt(fabs(%s))", x)
-	case 4:
-		// NaN for negative operands: comparisons on it must still agree.
-		return fmt.Sprintf("sqrt(%s)", x)
-	case 5:
-		return fmt.Sprintf("fmin(%s, %s)", x, y)
-	case 6:
-		return fmt.Sprintf("mad(%s, 0.25f, %s)", x, y)
+	case 3, 4, 5, 6:
+		// NaN and ±Inf come out of some operands (sqrt or log of a
+		// negative, pow, exp): comparisons on them must still agree.
+		return g.call(kgenMath, x, y, func() string { return g.fexpr(depth - 1) })
 	default:
 		return fmt.Sprintf("(%s > 0.0f ? %s : %s)", x, y, g.fexpr(0))
 	}
@@ -174,8 +170,34 @@ func (g *kgen) iexpr(depth int) string {
 		}
 		return fmt.Sprintf("(%s / %d)", x, 2+g.r.Intn(3))
 	default:
-		return fmt.Sprintf("min(%s, %s)", x, y)
+		return g.call(kgenPoly, x, y, func() string { return g.iexpr(depth - 1) })
 	}
+}
+
+// The builtins the generator calls, drawn from the registry: every math
+// builtin for float expressions, the Poly ones (on int operands, their
+// int variant) for int expressions.
+var kgenMath, kgenPoly = func() (all, poly []*minicl.Builtin) {
+	for _, b := range minicl.Builtins {
+		if b.Kind == minicl.BuiltinMath {
+			all = append(all, b)
+			if b.Poly {
+				poly = append(poly, b)
+			}
+		}
+	}
+	return all, poly
+}()
+
+// call returns a call of a builtin drawn from bs, whatever its arity:
+// x and y are its first two operands, more come from arg.
+func (g *kgen) call(bs []*minicl.Builtin, x, y string, arg func() string) string {
+	b := bs[g.r.Intn(len(bs))]
+	args := []string{x, y}
+	for len(args) < len(b.Args) {
+		args = append(args, arg())
+	}
+	return fmt.Sprintf("%s(%s)", b.Name, strings.Join(args[:len(b.Args)], ", "))
 }
 
 // cond returns a branch condition: mostly lane-varying, sometimes
@@ -490,7 +512,7 @@ func kgenCheck(t *testing.T, src string, l kgenLaunch, budgets []int64) {
 	if verr := comp[2].VecError(); verr != nil {
 		t.Fatalf("generated kernel is not on the vector tier: %v\n%s", verr, src)
 	}
-	hasBarrier := comp[0].HasBarrier()
+	hasBarrier := comp[0].hasBarrier
 
 	var ref [3]kgenOutcome
 	for ti := range tiers {

@@ -552,7 +552,7 @@ func (c *compiler) intInto(e inspire.Expr, dst int32) {
 	case *inspire.WorkItem:
 		c.workItem(ex, dst)
 	case *inspire.CallBuiltin:
-		c.intBuiltin(ex, dst)
+		c.builtin(ex, dst, intVariant)
 	case *inspire.CallFunc:
 		c.callInto(ex, dst, false)
 	default:
@@ -597,7 +597,7 @@ func (c *compiler) fltInto(e inspire.Expr, dst int32) {
 	case *inspire.Cast:
 		c.fltInto(ex.X, dst)
 	case *inspire.CallBuiltin:
-		c.fltBuiltin(ex, dst)
+		c.builtin(ex, dst, floatVariant)
 	case *inspire.CallFunc:
 		c.callInto(ex, dst, true)
 	default:
@@ -726,52 +726,24 @@ func (c *compiler) workItem(ex *inspire.WorkItem, dst int32) {
 	c.emit(Instr{Op: OpWIDyn, A: dst, B: int32(ex.Query), C: d})
 }
 
-var fltUnaryBuiltins = map[string]Opcode{
-	"sqrt": OpSqrtF, "rsqrt": OpRsqrtF, "exp": OpExpF, "log": OpLogF,
-	"log2": OpLog2F, "sin": OpSinF, "cos": OpCosF, "tan": OpTanF,
-	"fabs": OpAbsF, "abs": OpAbsF, "floor": OpFloorF, "ceil": OpCeilF,
-}
-
-var fltBinaryBuiltins = map[string]Opcode{
-	"pow": OpPowF, "fmin": OpMinF, "min": OpMinF, "fmax": OpMaxF, "max": OpMaxF,
-}
-
-func (c *compiler) fltBuiltin(ex *inspire.CallBuiltin, dst int32) {
-	args := make([]int32, len(ex.Args))
+// builtin compiles a call of a math builtin into register dst of the
+// variant's register file: the arguments in order into B, C and the
+// register packed in Imm, then the opcode bindBuiltins resolved for the
+// variant.
+func (c *compiler) builtin(ex *inspire.CallBuiltin, dst int32, variant int) {
+	var args [3]int32
 	for i, a := range ex.Args {
-		args[i] = c.fltVal(a)
+		if variant == floatVariant {
+			args[i] = c.fltVal(a)
+		} else {
+			args[i] = c.intVal(a)
+		}
 	}
-	switch {
-	case fltUnaryBuiltins[ex.Name] != 0:
-		c.emit(Instr{Op: fltUnaryBuiltins[ex.Name], A: dst, B: args[0]})
-	case fltBinaryBuiltins[ex.Name] != 0:
-		c.emit(Instr{Op: fltBinaryBuiltins[ex.Name], A: dst, B: args[0], C: args[1]})
-	case ex.Name == "fma" || ex.Name == "mad":
-		c.emit(Instr{Op: OpFmaF, A: dst, B: args[0], C: args[1], Imm: int64(args[2])})
-	case ex.Name == "clamp":
-		c.emit(Instr{Op: OpClampF, A: dst, B: args[0], C: args[1], Imm: int64(args[2])})
-	default:
-		failf("exec: unknown float builtin %q", ex.Name)
+	op := builtinOps[ex.Builtin.ID][variant]
+	if op == OpNop {
+		failf("exec: builtin %s has no %s variant", ex.Builtin.Name, [2]string{"float", "int"}[variant])
 	}
-}
-
-func (c *compiler) intBuiltin(ex *inspire.CallBuiltin, dst int32) {
-	args := make([]int32, len(ex.Args))
-	for i, a := range ex.Args {
-		args[i] = c.intVal(a)
-	}
-	switch ex.Name {
-	case "min":
-		c.emit(Instr{Op: OpMinI, A: dst, B: args[0], C: args[1]})
-	case "max":
-		c.emit(Instr{Op: OpMaxI, A: dst, B: args[0], C: args[1]})
-	case "abs":
-		c.emit(Instr{Op: OpAbsI, A: dst, B: args[0]})
-	case "clamp":
-		c.emit(Instr{Op: OpClampI, A: dst, B: args[0], C: args[1], Imm: int64(args[2])})
-	default:
-		failf("exec: unknown int builtin %q", ex.Name)
-	}
+	c.emit(Instr{Op: op, A: dst, B: args[0], C: args[1], Imm: int64(args[2])})
 }
 
 // callInto inlines a helper call: arguments are evaluated in order into

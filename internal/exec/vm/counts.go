@@ -1,6 +1,10 @@
 package vm
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/minicl"
+)
 
 // Batched profile counting. Every opcode's counter contribution is
 // static — OpAddI is always one IntOp, OpMacLdGIdx is always two
@@ -55,9 +59,18 @@ const (
 	lBarrier = 1 << (3 * laneBits)
 )
 
-// staticCounts returns op's fixed contribution to the profile.
+// staticCounts returns op's fixed contribution to the profile. A
+// builtin's opcode counts one op of the builtin's registered cost class.
 func staticCounts(op Opcode) Counts {
 	var c Counts
+	if b := opBuiltin[op]; b != nil {
+		if b.Cost == minicl.CostTranscendental {
+			c.TransOps = 1
+		} else {
+			c.OtherBuiltins = 1
+		}
+		return c
+	}
 	switch op {
 	case OpAddI, OpSubI, OpMulI, OpDivI, OpModI, OpAndI, OpOrI, OpXorI,
 		OpShlI, OpShrI, OpNegI, OpNotB,
@@ -74,12 +87,6 @@ func staticCounts(op Opcode) Counts {
 		c.FloatOps = 1
 	case OpMulAddF, OpMulMulF:
 		c.FloatOps = 2
-	case OpSqrtF, OpRsqrtF, OpExpF, OpLogF, OpLog2F, OpSinF, OpCosF,
-		OpTanF, OpPowF:
-		c.TransOps = 1
-	case OpAbsF, OpFloorF, OpCeilF, OpMinF, OpMaxF, OpFmaF, OpClampF,
-		OpMinI, OpMaxI, OpAbsI, OpClampI:
-		c.OtherBuiltins = 1
 	case OpLdGF, OpLdGI:
 		c.GlobalLoads = 1
 	case OpStGF, OpStGI:
@@ -126,9 +133,11 @@ func staticCounts(op Opcode) Counts {
 // arm already selects its counter for free, and a table read would sit
 // exactly where dispatch is the cost — and the opcode spec test holds
 // every one of them to staticCounts.)
+// It is built by initLaneK, from op.go's init once the opcode table and
+// the builtin bindings exist.
 var laneK [opCount][2]uint64
 
-func init() {
+func initLaneK() {
 	for op := range laneK {
 		c := staticCounts(Opcode(op))
 		laneK[op][0] = uint64(c.IntOps*lIntOp + c.FloatOps*lFloatOp + c.TransOps*lTransOp +

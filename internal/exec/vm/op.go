@@ -19,7 +19,11 @@
 // RangeNaive plays for profile range queries); it serves nothing.
 package vm
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/minicl"
+)
 
 // Opcode identifies one VM instruction.
 type Opcode uint8
@@ -121,7 +125,8 @@ const (
 	OpStLI // locals[B].I[I[C]] = int32(I[A])
 
 	// Float builtins. Unary: F[A] = op(F[B]). Binary: F[A] = op(F[B], F[C]).
-	// Transcendentals count TransOps++, the rest OtherBuiltins++.
+	// Each counts one op of its minicl builtin's cost class: TransOps or
+	// OtherBuiltins.
 	OpSqrtF
 	OpRsqrtF
 	OpExpF
@@ -139,7 +144,7 @@ const (
 	OpFmaF   // F[A] = F[B]*F[C] + F[Imm] (unfused multiply-add, like the closure)
 	OpClampF // F[A] = max(F[C], min(F[B], F[Imm]))
 
-	// Integer builtins (OtherBuiltins++).
+	// Integer builtins (the int variants of the Poly builtins).
 	OpMinI
 	OpMaxI
 	OpAbsI   // I[A] = |I[B]|
@@ -390,6 +395,59 @@ func init() {
 	registerOp(OpMacLdGIdx, "macidx.f", FmtMacIdxF, true)
 	registerOp(OpIncJCmpI, "addjcmp.i", FmtIncJCmpI, true)
 	registerOp(OpAddRsqrtF, "addrsqrt.f", FmtFabc, true)
+
+	// What the package derives from the table, in this order: staticCounts
+	// reads the builtin bindings, and laneK is built from staticCounts.
+	bindBuiltins()
+	initLaneK()
+}
+
+// The variants of a math builtin, indexing builtinOps' pairs.
+const (
+	floatVariant = iota
+	intVariant
+)
+
+// builtinOps[b.ID] is math builtin b's float and int opcode (OpNop for a
+// variant it lacks), and opBuiltin[op] the builtin that opcode runs: both
+// resolved from the minicl registry by bindBuiltins.
+var (
+	builtinOps [][2]Opcode
+	opBuiltin  [opCount]*minicl.Builtin
+)
+
+// bindBuiltins resolves each registered math builtin's variants to the
+// opcodes named Mnemonic+".f" and Mnemonic+".i". It panics if one is not
+// registered, takes other operands than the builtin has arguments, or
+// runs builtins of two cost classes (staticCounts counts a builtin
+// opcode by its builtin's class).
+func bindBuiltins() {
+	byName := make(map[string]Opcode, opCount)
+	for op, info := range opTable {
+		byName[info.Name] = Opcode(op)
+	}
+	formats := [2][3]Fmt{{FmtFab, FmtFabc, FmtFabcImm}, {FmtIab, FmtIabc, FmtIabcImm}}
+	builtinOps = make([][2]Opcode, len(minicl.Builtins))
+	opBuiltin = [opCount]*minicl.Builtin{}
+	for _, b := range minicl.Builtins {
+		for v, impl := range [2]any{b.Float, b.Int} {
+			if b.Kind != minicl.BuiltinMath || impl == nil {
+				continue
+			}
+			name := b.Mnemonic + [2]string{".f", ".i"}[v]
+			op, ok := byName[name]
+			switch {
+			case !ok:
+				panic(fmt.Sprintf("vm: builtin %s: no opcode %s", b.Name, name))
+			case opTable[op].Fmt != formats[v][len(b.Args)-1]:
+				panic(fmt.Sprintf("vm: builtin %s: opcode %s does not take %d operands", b.Name, name, len(b.Args)))
+			case opBuiltin[op] != nil && opBuiltin[op].Cost != b.Cost:
+				panic(fmt.Sprintf("vm: opcode %s runs %s and %s, of two cost classes", name, opBuiltin[op].Name, b.Name))
+			}
+			builtinOps[b.ID][v] = op
+			opBuiltin[op] = b
+		}
+	}
 }
 
 // destReg reports the register an instruction writes, if any, and

@@ -1,11 +1,16 @@
 package exec
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/inspire"
+	"repro/internal/minicl"
 )
 
 // vmdiff: the bytecode VM must produce buffers AND profiles
@@ -785,6 +790,203 @@ func TestVecDivergenceBailSidePrivate(t *testing.T) {
 			t.Errorf("bucket %d:\n  vec     %+v\n  closure %+v", b, pVe.Buckets[b], pCl.Buckets[b])
 		}
 	}
+}
+
+// builtinRows is the cross-tier test row of every registered builtin:
+// for a math builtin, the operands where its own edge cases are, run
+// beside builtinFloats (and, for a Poly builtin's int variant, beside
+// builtinInts). A work-item builtin or the barrier needs no operands; its
+// row only says it has been thought about.
+var builtinRows = map[string]struct {
+	f []float64
+	i []int64
+}{
+	"get_global_id": {}, "get_local_id": {}, "get_group_id": {},
+	"get_global_size": {}, "get_local_size": {}, "get_num_groups": {},
+	"barrier": {},
+
+	"sqrt":  {f: []float64{-1, 4, 1e-40}},
+	"rsqrt": {f: []float64{-1, 4, 1e-40}},
+	"fabs":  {f: []float64{-3e38}},
+	"exp":   {f: []float64{88, 89, -104}},
+	"log":   {f: []float64{-1, 1e-40, 2.718281828}},
+	"log2":  {f: []float64{-1, 1e-40, 1024}},
+	"sin":   {f: []float64{3.14159265, 1e10}},
+	"cos":   {f: []float64{3.14159265, 1e10}},
+	"tan":   {f: []float64{1.5707963, -1.5707963}},
+	"pow":   {f: []float64{-2, 0.5, 3}},
+	"fmin":  {},
+	"fmax":  {},
+	"fma":   {f: []float64{3e38}},
+	"mad":   {f: []float64{3e38}},
+	"floor": {f: []float64{-0.5, 2.5, -2.5}},
+	"ceil":  {f: []float64{-0.5, 2.5, -2.5}},
+	"min":   {i: []int64{3}},
+	"max":   {i: []int64{3}},
+	"abs":   {f: []float64{-3e38}, i: []int64{-2147483647}},
+	// lo > hi comes from the cross product of the operands.
+	"clamp": {f: []float64{-2, 2}, i: []int64{-2, 2}},
+}
+
+// The operands every math builtin runs over: NaN, ±Inf, −0, negative
+// arguments, and ones large enough to overflow exp or a product.
+var (
+	builtinFloats = []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+		1, -1.5, 0.5, 2.5, 100, -100, 3e38}
+	builtinInts = []int64{math.MinInt32, -7, -1, 0, 1, 2, 5, math.MaxInt32}
+)
+
+// builtinCase builds the kernel and launch of one builtin's variant:
+// out[i] = name(x[i], y[i], z[i]) over every tuple of its operands for a
+// math builtin, every query at constant and loaded dimensions for a
+// work-item one, and a local-memory exchange around the barrier.
+func builtinCase(b *minicl.Builtin, isInt bool) (src string, args func() []Arg, nd NDRange) {
+	switch b.Kind {
+	case minicl.BuiltinWorkItem:
+		src = fmt.Sprintf(`kernel void k(global const int* d, global int* out) {
+			int i = get_global_id(1) * get_global_size(0) + get_global_id(0);
+			out[i] = %[1]s(0) + 10 * %[1]s(1) + 100 * %[1]s(2) + 1000 * %[1]s(d[i]);
+		}`, b.Name)
+		args = func() []Arg {
+			d := NewIntBuffer(32)
+			for i := range d.I {
+				d.I[i] = int32(i % 3)
+			}
+			return []Arg{BufArg(d), BufArg(NewIntBuffer(32))}
+		}
+		return src, args, NDRange{Global: [3]int{8, 4, 1}, Local: [3]int{4, 2, 1}}
+	case minicl.BuiltinBarrier:
+		src = `kernel void k(global const int* d, global int* out, local int* tmp) {
+			int l = get_local_id(0);
+			tmp[l] = d[get_global_id(0)] * 3;
+			barrier(1);
+			out[get_global_id(0)] = tmp[get_local_size(0) - 1 - l];
+		}`
+		args = func() []Arg {
+			d := NewIntBuffer(32)
+			for i := range d.I {
+				d.I[i] = int32(i)
+			}
+			return []Arg{BufArg(d), BufArg(NewIntBuffer(32)), LocalArg(8)}
+		}
+		return src, args, NDRange{Global: [3]int{32, 1, 1}, Local: [3]int{8, 1, 1}}
+	}
+	row := builtinRows[b.Name]
+	floats, ints := append(slices.Clone(builtinFloats), row.f...), append(slices.Clone(builtinInts), row.i...)
+	elem, vals := "float", len(floats)
+	if isInt {
+		elem, vals = "int", len(ints)
+	}
+	arity := len(b.Args)
+	params := []string{"x[i]", "y[i]", "z[i]"}[:arity]
+	src = fmt.Sprintf(`kernel void k(global const %[1]s* x, global const %[1]s* y, global const %[1]s* z, global %[1]s* out) {
+			int i = get_global_id(0);
+			out[i] = %[2]s(%[3]s);
+		}`, elem, b.Name, strings.Join(params, ", "))
+	// Every tuple of operands, padded with the first to whole groups of 8.
+	tuples := 1
+	for range arity {
+		tuples *= vals
+	}
+	n := (tuples + 7) / 8 * 8
+	args = func() []Arg {
+		bufs := make([]*Buffer, 4)
+		for j := range bufs {
+			if isInt {
+				bufs[j] = NewIntBuffer(n)
+			} else {
+				bufs[j] = NewFloatBuffer(n)
+			}
+		}
+		for t := 0; t < tuples; t++ {
+			for j, r := 0, t; j < arity; j, r = j+1, r/vals {
+				if isInt {
+					bufs[j].I[t] = int32(ints[r%vals])
+				} else {
+					bufs[j].F[t] = float32(floats[r%vals])
+				}
+			}
+		}
+		out := make([]Arg, len(bufs))
+		for j, buf := range bufs {
+			out[j] = BufArg(buf)
+		}
+		return out
+	}
+	return src, args, NDRange{Global: [3]int{n, 1, 1}, Local: [3]int{8, 1, 1}}
+}
+
+// TestBuiltinsEveryTier runs every registered builtin, in each numeric
+// variant it has (float, plus int for a Poly builtin), on the closure
+// oracle, the scalar VM and the vector tier, and requires bit-identical
+// buffers and per-bucket profiles. A registered builtin with no row in
+// builtinRows fails it.
+func TestBuiltinsEveryTier(t *testing.T) {
+	for name := range builtinRows {
+		if _, ok := minicl.LookupBuiltin(name); !ok {
+			t.Errorf("builtinRows has a row for %q, which is not registered", name)
+		}
+	}
+	for _, b := range minicl.Builtins {
+		if _, ok := builtinRows[b.Name]; !ok {
+			t.Errorf("builtin %s is registered but has no row in builtinRows", b.Name)
+			continue
+		}
+		variants := []bool{false}
+		if b.Poly {
+			variants = append(variants, true)
+		}
+		for _, isInt := range variants {
+			t.Run(fmt.Sprintf("%s/int=%v", b.Name, isInt), func(t *testing.T) {
+				src, args, nd := builtinCase(b, isInt)
+				tiers := []Tier{TierClosure, TierVM, TierVec}
+				comp := make([]*Compiled, len(tiers))
+				for ti, tier := range tiers {
+					comp[ti] = compileTierSrc(t, src, "k", tier)
+				}
+				for _, nb := range []int{1, DefaultBuckets} {
+					var ref []Arg
+					var refProf *Profile
+					for ti, tier := range tiers {
+						a := args()
+						p, err := comp[ti].Run(a, nd, RunOptions{Buckets: nb})
+						if err != nil {
+							t.Fatalf("%v: %v", tier, err)
+						}
+						if tier == TierClosure {
+							ref, refProf = a, p
+							continue
+						}
+						for ai := range a {
+							if bitsDiffer(a[ai].Buf, ref[ai].Buf) {
+								t.Errorf("%v: buffer %d differs from the closure oracle's:\n  got  %v%v\n  want %v%v",
+									tier, ai, a[ai].Buf.F, a[ai].Buf.I, ref[ai].Buf.F, ref[ai].Buf.I)
+							}
+						}
+						for bk := range refProf.Buckets {
+							if p.Buckets[bk] != refProf.Buckets[bk] {
+								t.Errorf("%v, %d buckets, bucket %d: %+v, closure oracle %+v", tier, nb, bk, p.Buckets[bk], refProf.Buckets[bk])
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// bitsDiffer reports whether two buffers differ in any bit (nil buffers,
+// local arguments, agree). As in kgenSame, any NaN equals any NaN: which
+// of two NaN operands an operation returns depends on the operand order
+// the compiler picks (fma(0, Inf, NaN) gives either NaN under -race),
+// which the tiers do not promise.
+func bitsDiffer(a, b *Buffer) bool {
+	if a == nil || b == nil {
+		return a != b
+	}
+	return !slices.EqualFunc(a.F, b.F, func(x, y float32) bool {
+		return math.Float32bits(x) == math.Float32bits(y) || x != x && y != y
+	}) || !slices.Equal(a.I, b.I)
 }
 
 // BenchmarkVMProfileBatching exercises the block-batched counter path

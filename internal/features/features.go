@@ -14,7 +14,6 @@
 package features
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/backend"
@@ -34,16 +33,6 @@ func (v Vector) Append(o Vector) Vector {
 		Names:  append(append([]string{}, v.Names...), o.Names...),
 		Values: append(append([]float64{}, v.Values...), o.Values...),
 	}
-}
-
-// Get returns the value of the named feature.
-func (v Vector) Get(name string) (float64, error) {
-	for i, n := range v.Names {
-		if n == name {
-			return v.Values[i], nil
-		}
-	}
-	return 0, fmt.Errorf("features: no feature %q", name)
 }
 
 // log2p1 is log2(1+x), the compression used for count-valued features.
@@ -189,6 +178,3 @@ func Runtime(in RuntimeInput) Vector {
 func Combined(st *inspire.StaticCounts, in RuntimeInput) Vector {
 	return Static(st).Append(Runtime(in))
 }
-
-// NumFeatures is the length of the combined vector.
-func NumFeatures() int { return len(StaticNames) + len(RuntimeNames) }

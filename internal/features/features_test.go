@@ -1,6 +1,7 @@
 package features
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/backend"
@@ -70,8 +71,8 @@ func TestVectorShapes(t *testing.T) {
 		t.Fatalf("runtime vector shape %d/%d", len(rv.Names), len(rv.Values))
 	}
 	cv := Combined(st, rin)
-	if len(cv.Values) != NumFeatures() {
-		t.Fatalf("combined length %d, want %d", len(cv.Values), NumFeatures())
+	if n := len(StaticNames) + len(RuntimeNames); len(cv.Values) != n {
+		t.Fatalf("combined length %d, want %d", len(cv.Values), n)
 	}
 }
 
@@ -79,17 +80,17 @@ func TestStaticDistinguishesKernels(t *testing.T) {
 	stV, _ := setup(t, vecaddSrc, "vecadd", 256, 0)
 	stH, _ := setup(t, heavySrc, "heavy", 256, 10)
 	v, h := Static(stV), Static(stH)
-	vTrans, _ := v.Get("s_frac_trans")
-	hTrans, _ := h.Get("s_frac_trans")
+	vTrans := get(t, v, "s_frac_trans")
+	hTrans := get(t, h, "s_frac_trans")
 	if hTrans <= vTrans {
 		t.Errorf("transcendental fraction: heavy %g should exceed vecadd %g", hTrans, vTrans)
 	}
-	vLoops, _ := v.Get("s_num_loops")
-	hLoops, _ := h.Get("s_num_loops")
+	vLoops := get(t, v, "s_num_loops")
+	hLoops := get(t, h, "s_num_loops")
 	if vLoops != 0 || hLoops != 1 {
 		t.Errorf("loops: vecadd %g heavy %g, want 0/1", vLoops, hLoops)
 	}
-	vMix, _ := v.Get("s_mix_coalesced")
+	vMix := get(t, v, "s_mix_coalesced")
 	if vMix < 0.99 {
 		t.Errorf("vecadd coalesced mix %g, want ~1", vMix)
 	}
@@ -100,15 +101,15 @@ func TestRuntimeGrowsWithProblemSize(t *testing.T) {
 	_, large := setup(t, heavySrc, "heavy", 4096, 20)
 	sv, lv := Runtime(small), Runtime(large)
 	for _, name := range []string{"r_log_items", "r_log_ops", "r_log_bytes_in"} {
-		s, _ := sv.Get(name)
-		l, _ := lv.Get(name)
+		s := get(t, sv, name)
+		l := get(t, lv, name)
 		if l <= s {
 			t.Errorf("%s did not grow with size: %g -> %g", name, s, l)
 		}
 	}
 	// Ops per item should be roughly size-independent for this kernel.
-	s, _ := sv.Get("r_log_ops_per_item")
-	l, _ := lv.Get("r_log_ops_per_item")
+	s := get(t, sv, "r_log_ops_per_item")
+	l := get(t, lv, "r_log_ops_per_item")
 	if diff := l - s; diff > 0.5 || diff < -0.5 {
 		t.Errorf("r_log_ops_per_item drifted: %g -> %g", s, l)
 	}
@@ -119,12 +120,12 @@ func TestRuntimeIterationsScaleOps(t *testing.T) {
 	one := Runtime(rin)
 	rin.Iterations = 16
 	many := Runtime(rin)
-	o, _ := one.Get("r_log_ops")
-	m, _ := many.Get("r_log_ops")
+	o := get(t, one, "r_log_ops")
+	m := get(t, many, "r_log_ops")
 	if m <= o {
 		t.Errorf("iterations did not scale dynamic ops: %g vs %g", m, o)
 	}
-	lo, _ := many.Get("r_log_launches")
+	lo := get(t, many, "r_log_launches")
 	if lo != 4 { // log2(1+16) ~ 4.09 ... actually log2(17)=4.09
 		t.Logf("r_log_launches = %g", lo)
 	}
@@ -139,13 +140,13 @@ func TestImbalanceFeature(t *testing.T) {
 	}`
 	_, rin := setup2(t, src, "tri", 512)
 	v := Runtime(rin)
-	imb, _ := v.Get("r_imbalance")
+	imb := get(t, v, "r_imbalance")
 	if imb < 1.5 {
 		t.Errorf("triangular workload imbalance = %g, want > 1.5", imb)
 	}
 	_, rinU := setup(t, vecaddSrc, "vecadd", 512, 0)
 	u := Runtime(rinU)
-	imbU, _ := u.Get("r_imbalance")
+	imbU := get(t, u, "r_imbalance")
 	if imbU > 1.3 {
 		t.Errorf("uniform workload imbalance = %g, want ~1", imbU)
 	}
@@ -183,14 +184,21 @@ func TestVectorHelpers(t *testing.T) {
 	if len(c.Names) != 3 || c.Values[2] != 3 {
 		t.Errorf("Append = %+v", c)
 	}
-	if _, err := c.Get("missing"); err == nil {
-		t.Error("Get(missing) should fail")
-	}
-	if got, _ := c.Get("b"); got != 2 {
-		t.Errorf("Get(b) = %g", got)
+	if got := get(t, c, "b"); got != 2 {
+		t.Errorf("b = %g, want 2", got)
 	}
 	// Append must not mutate the receiver.
 	if len(v.Names) != 2 {
 		t.Error("Append mutated receiver")
 	}
+}
+
+// get returns the value of the named feature of v.
+func get(t *testing.T, v Vector, name string) float64 {
+	t.Helper()
+	i := slices.Index(v.Names, name)
+	if i < 0 {
+		t.Fatalf("no feature %q", name)
+	}
+	return v.Values[i]
 }

@@ -53,15 +53,6 @@ func (c *ProfileCache) Profile(rt *runtime.Runtime, program string, sizeIdx int,
 	})
 }
 
-// Len reports how many profiles the cache holds.
-func (c *ProfileCache) Len() int { return c.memo.Len() }
-
-// SetLimit caps the cache at n profiles with LRU-ish eviction (0 =
-// unbounded, the default — batch sweeps want every profile kept). A
-// long-lived serving process sets a cap so the cache cannot grow without
-// bound.
-func (c *ProfileCache) SetLimit(n int) { c.memo.SetLimit(n) }
-
 // splitBudget divides a worker budget (0 = the scheduler's process-wide
 // default) between an outer fan-out over n items and the inner work each
 // item performs: outer concurrency is capped at n, and the remaining

@@ -64,12 +64,6 @@ type StaticCounts struct {
 // static counts.
 const LoopWeight = 16.0
 
-// transcendentals is the set of expensive float builtins.
-var transcendentals = map[string]bool{
-	"exp": true, "log": true, "log2": true, "sin": true, "cos": true,
-	"tan": true, "pow": true, "sqrt": true, "rsqrt": true,
-}
-
 // Analyze computes static counts for a kernel function. Helper function
 // bodies are folded into the caller's counts once per call site.
 func Analyze(fn *Function) *StaticCounts {
@@ -202,7 +196,7 @@ func (an *analyzer) expr(e Expr, depth int) {
 		for _, a := range ex.Args {
 			an.expr(a, depth)
 		}
-		if transcendentals[ex.Name] {
+		if ex.Builtin.Cost == minicl.CostTranscendental {
 			c.TranscendentalOps++
 			c.WeightedTransOps += w
 		} else {
@@ -231,8 +225,11 @@ type AffineEnv = affineEnv
 // (the backend) that classify individual accesses.
 func BuildAffineEnv(fn *Function) AffineEnv { return buildAffineEnv(fn) }
 
-// ClassifyIndexEnv classifies an index expression using a prebuilt
-// variable environment.
+// ClassifyIndexEnv classifies a buffer index expression by its dependence
+// on get_global_id(0), seeing through the locals env defines. The
+// classification is a conservative symbolic pass: unresolved variables
+// are treated as unknown-but-uniform terms, so gid*stride+var is still
+// recognized as strided.
 func ClassifyIndexEnv(idx Expr, env AffineEnv) AccessPattern {
 	return classifyWithEnv(idx, env)
 }
@@ -272,14 +269,6 @@ func buildAffineEnv(fn *Function) affineEnv {
 		return true
 	})
 	return env
-}
-
-// ClassifyIndex classifies a buffer index expression by its dependence on
-// get_global_id(0). The classification is a conservative symbolic pass:
-// unresolved variables are treated as unknown-but-uniform terms, so
-// gid*stride+var is still recognized as strided.
-func ClassifyIndex(idx Expr) AccessPattern {
-	return classifyWithEnv(idx, nil)
 }
 
 func classifyWithEnv(idx Expr, env affineEnv) AccessPattern {

@@ -143,10 +143,11 @@ func TestClassifyIndexPatterns(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			u := mustLower(t, tc.src)
 			k := u.Kernel("f")
+			env := BuildAffineEnv(k)
 			var got AccessPattern = -1
 			WalkStmts(k.Body, func(s Stmt) bool {
 				if se, ok := s.(*StoreElem); ok {
-					got = ClassifyIndex(se.Index)
+					got = ClassifyIndexEnv(se.Index, env)
 				}
 				return true
 			})
@@ -166,17 +167,19 @@ func TestClassifyIndexRowMajor2D(t *testing.T) {
 		}
 	}`
 	u := mustLower(t, src)
+	k := u.Kernel("f")
+	env := BuildAffineEnv(k)
 	var got AccessPattern = -1
-	WalkStmts(u.Kernel("f").Body, func(s Stmt) bool {
+	WalkStmts(k.Body, func(s Stmt) bool {
 		if se, ok := s.(*StoreElem); ok {
-			got = ClassifyIndex(se.Index)
+			got = ClassifyIndexEnv(se.Index, env)
 		}
 		return true
 	})
-	// i is a variable (uniform unknown after decl), so i*n+j is classified
-	// uniform: the analysis is intentionally conservative about locals.
-	if got != AccessUniform && got != AccessStrided {
-		t.Errorf("classified %s, want uniform or strided", got)
+	// The environment sees through i = gid, so i*n+j strides by n; the
+	// loop counter j is gid-independent.
+	if got != AccessStrided {
+		t.Errorf("classified %s, want strided", got)
 	}
 }
 

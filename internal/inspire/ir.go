@@ -64,7 +64,8 @@ func (o Op) IsCompare() bool { return o >= OpLt && o <= OpNe }
 // IsLogical reports whether the operator is && or ||.
 func (o Op) IsLogical() bool { return o == OpLAnd || o == OpLOr }
 
-// WIQuery enumerates work-item index space queries.
+// WIQuery enumerates work-item index space queries: a work-item
+// builtin's minicl.Builtin.Query.
 type WIQuery int
 
 // Work-item query kinds, mirroring the OpenCL builtins.
@@ -77,13 +78,8 @@ const (
 	NumGroups
 )
 
-var wiNames = [...]string{
-	GlobalID: "get_global_id", LocalID: "get_local_id", GroupID: "get_group_id",
-	GlobalSize: "get_global_size", LocalSize: "get_local_size", NumGroups: "get_num_groups",
-}
-
 // String returns the OpenCL builtin name of the query.
-func (q WIQuery) String() string { return wiNames[q] }
+func (q WIQuery) String() string { return minicl.QueryBuiltin(int(q)).Name }
 
 // Var is an IR variable: a kernel parameter or a declared local.
 // Vars are compared by identity (pointer), IDs exist for printing and for
@@ -110,16 +106,6 @@ func (u *Unit) Kernel(name string) *Function {
 	for _, k := range u.Kernels {
 		if k.Name == name {
 			return k
-		}
-	}
-	return nil
-}
-
-// Helper returns the helper function named name, or nil.
-func (u *Unit) Helper(name string) *Function {
-	for _, h := range u.Helpers {
-		if h.Name == name {
-			return h
 		}
 	}
 	return nil
@@ -282,11 +268,12 @@ type WorkItem struct {
 	Dim   Expr
 }
 
-// CallBuiltin invokes a math builtin (sqrt, exp, min, ...).
+// CallBuiltin invokes a math builtin (sqrt, exp, min, ...): its registry
+// entry, resolved once by lowering.
 type CallBuiltin struct {
-	Name string
-	Args []Expr
-	Typ  minicl.Type
+	Builtin *minicl.Builtin
+	Args    []Expr
+	Typ     minicl.Type
 }
 
 // CallFunc invokes a user helper function.

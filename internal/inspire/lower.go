@@ -209,7 +209,7 @@ func (lw *lowerer) lowerStmt(s minicl.Stmt) (Stmt, error) {
 		return &Continue{}, nil
 	case *minicl.ExprStmt:
 		if call, ok := st.X.(*minicl.CallExpr); ok {
-			if bi, isB := minicl.Builtins[call.Name]; isB && bi.Barrier {
+			if bi, isB := minicl.LookupBuiltin(call.Name); isB && bi.Kind == minicl.BuiltinBarrier {
 				return &Barrier{}, nil
 			}
 		}
@@ -400,44 +400,27 @@ func (lw *lowerer) lowerCall(ex *minicl.CallExpr) (Expr, error) {
 		}
 		args[i] = e
 	}
-	if bi, ok := minicl.Builtins[ex.Name]; ok {
-		if bi.WorkItem {
-			return &WorkItem{Query: wiQueryOf(ex.Name), Dim: args[0]}, nil
+	if bi, ok := minicl.LookupBuiltin(ex.Name); ok {
+		if bi.Kind == minicl.BuiltinWorkItem {
+			return &WorkItem{Query: WIQuery(bi.Query), Dim: args[0]}, nil
 		}
 		t := ex.Type()
-		// Coerce float-builtin args to float, poly-builtin args to the
-		// resolved result type.
+		// Coerce each argument to its parameter type; a poly builtin's
+		// to the resolved result type.
 		for i := range args {
-			if bi.Float {
-				args[i] = convert(args[i], minicl.TypeFloat)
-			} else if bi.Poly {
+			if bi.Poly {
 				args[i] = convert(args[i], t)
+			} else {
+				args[i] = convert(args[i], bi.Args[i])
 			}
 		}
-		return &CallBuiltin{Name: ex.Name, Args: args, Typ: t}, nil
+		return &CallBuiltin{Builtin: bi, Args: args, Typ: t}, nil
 	}
 	callee, ok := lw.shells[ex.Name]
 	if !ok {
 		return nil, fmt.Errorf("inspire: unresolved call %q at %s", ex.Name, ex.Pos)
 	}
 	return &CallFunc{Callee: callee, Args: args}, nil
-}
-
-func wiQueryOf(name string) WIQuery {
-	switch name {
-	case "get_global_id":
-		return GlobalID
-	case "get_local_id":
-		return LocalID
-	case "get_group_id":
-		return GroupID
-	case "get_global_size":
-		return GlobalSize
-	case "get_local_size":
-		return LocalSize
-	default:
-		return NumGroups
-	}
 }
 
 // convert inserts a Cast when the expression type differs from want.

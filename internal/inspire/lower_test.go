@@ -229,6 +229,31 @@ func TestVerifyCatchesConstStore(t *testing.T) {
 	}
 }
 
+// TestVerifyCatchesBadBuiltinCall: a builtin call must carry a math
+// builtin's registry entry and one argument per parameter.
+func TestVerifyCatchesBadBuiltinCall(t *testing.T) {
+	sqrt, _ := minicl.LookupBuiltin("sqrt")
+	gid, _ := minicl.LookupBuiltin("get_global_id")
+	one := &ConstFloat{Value: 1}
+	for _, tc := range []struct {
+		name string
+		call *CallBuiltin
+		want string
+	}{
+		{"no entry", &CallBuiltin{Args: []Expr{one}, Typ: minicl.TypeFloat}, "without a math builtin"},
+		{"work-item entry", &CallBuiltin{Builtin: gid, Args: []Expr{one}, Typ: minicl.TypeInt}, "without a math builtin"},
+		{"too many args", &CallBuiltin{Builtin: sqrt, Args: []Expr{one, one}, Typ: minicl.TypeFloat}, "with 2 args, want 1"},
+		{"no args", &CallBuiltin{Builtin: sqrt, Typ: minicl.TypeFloat}, "with 0 args, want 1"},
+	} {
+		u := mustLower(t, vecaddSrc)
+		k := u.Kernel("vecadd")
+		k.Body.Stmts = append(k.Body.Stmts, &Eval{X: tc.call})
+		if err := Verify(u); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Verify error = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestPrintRoundTripStable(t *testing.T) {
 	u := mustLower(t, vecaddSrc)
 	s1 := Print(u)

@@ -158,7 +158,7 @@ func ExprString(e Expr) string {
 		for i, a := range ex.Args {
 			args[i] = ExprString(a)
 		}
-		return fmt.Sprintf("%s(%s)", ex.Name, strings.Join(args, ", "))
+		return fmt.Sprintf("%s(%s)", ex.Builtin.Name, strings.Join(args, ", "))
 	case *CallFunc:
 		args := make([]string, len(ex.Args))
 		for i, a := range ex.Args {

@@ -9,8 +9,9 @@ import (
 // Verify checks structural well-formedness of a lowered unit: every variable
 // referenced is a parameter or was declared earlier in scope order, variable
 // IDs are dense and unique per function, stores target non-const buffers,
-// and expression types are internally consistent. It returns the first
-// violation found.
+// calls pass one argument per parameter (a builtin call's parameters are
+// its math builtin's registry entry's), and expression types are
+// internally consistent. It returns the first violation found.
 //
 // Verify is used by tests and by the compile pipeline in debug mode; a unit
 // produced by Lower from a checked program must always verify.
@@ -241,6 +242,13 @@ func (v *verifier) expr(e Expr) error {
 	case *WorkItem:
 		return v.expr(ex.Dim)
 	case *CallBuiltin:
+		if ex.Builtin == nil || ex.Builtin.Kind != minicl.BuiltinMath {
+			return fmt.Errorf("builtin call without a math builtin entry")
+		}
+		if len(ex.Args) != len(ex.Builtin.Args) {
+			return fmt.Errorf("call to builtin %s with %d args, want %d",
+				ex.Builtin.Name, len(ex.Args), len(ex.Builtin.Args))
+		}
 		for _, a := range ex.Args {
 			if err := v.expr(a); err != nil {
 				return err

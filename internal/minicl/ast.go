@@ -12,27 +12,6 @@ type Program struct {
 	Funcs []*FuncDecl
 }
 
-// Kernel returns the kernel function named name, or nil.
-func (p *Program) Kernel(name string) *FuncDecl {
-	for _, f := range p.Funcs {
-		if f.IsKernel && f.Name == name {
-			return f
-		}
-	}
-	return nil
-}
-
-// Kernels returns all kernel-qualified functions in declaration order.
-func (p *Program) Kernels() []*FuncDecl {
-	var ks []*FuncDecl
-	for _, f := range p.Funcs {
-		if f.IsKernel {
-			ks = append(ks, f)
-		}
-	}
-	return ks
-}
-
 // Param is a function parameter declaration.
 type Param struct {
 	Name string

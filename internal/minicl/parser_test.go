@@ -20,9 +20,9 @@ func TestParseVecadd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := prog.Kernel("vecadd")
-	if k == nil {
-		t.Fatal("kernel vecadd not found")
+	k := prog.Funcs[0]
+	if len(prog.Funcs) != 1 || k.Name != "vecadd" || !k.IsKernel {
+		t.Fatalf("functions %v, want kernel vecadd alone", prog.Funcs)
 	}
 	if len(k.Params) != 4 {
 		t.Fatalf("got %d params, want 4", len(k.Params))
@@ -128,8 +128,8 @@ kernel void f(global float* o) { o[0] = square(3.0); }
 	if prog.Funcs[0].IsKernel {
 		t.Error("helper square marked as kernel")
 	}
-	if len(prog.Kernels()) != 1 {
-		t.Errorf("got %d kernels, want 1", len(prog.Kernels()))
+	if !prog.Funcs[1].IsKernel {
+		t.Error("kernel not marked as kernel")
 	}
 }
 
@@ -254,7 +254,7 @@ func TestSemaTypesAnnotated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := prog.Kernel("vecadd")
+	k := prog.Funcs[0]
 	ifs := k.Body.Stmts[1].(*IfStmt)
 	if got := ifs.Cond.Type(); !got.IsBool() {
 		t.Errorf("condition type = %s, want bool", got)

@@ -2,58 +2,6 @@ package minicl
 
 import "fmt"
 
-// BuiltinInfo describes a MiniCL builtin function signature.
-type BuiltinInfo struct {
-	Name string
-	// Args lists parameter types; for Poly builtins the types are patterns
-	// resolved against the first numeric argument.
-	Args []Type
-	Ret  Type
-	// Poly marks numeric-polymorphic builtins (min/max/clamp/abs): all
-	// numeric arguments and the result take the type of the first argument.
-	Poly bool
-	// WorkItem marks NDRange-query builtins (get_global_id etc.).
-	WorkItem bool
-	// Barrier marks the work-group barrier.
-	Barrier bool
-	// Float marks floating-point math builtins (cost class "transcendental"
-	// or heavy float op in the cost model).
-	Float bool
-}
-
-// Builtins is the table of functions callable from MiniCL kernels.
-var Builtins = map[string]*BuiltinInfo{
-	"get_global_id":   {Name: "get_global_id", Args: []Type{TypeInt}, Ret: TypeInt, WorkItem: true},
-	"get_local_id":    {Name: "get_local_id", Args: []Type{TypeInt}, Ret: TypeInt, WorkItem: true},
-	"get_group_id":    {Name: "get_group_id", Args: []Type{TypeInt}, Ret: TypeInt, WorkItem: true},
-	"get_global_size": {Name: "get_global_size", Args: []Type{TypeInt}, Ret: TypeInt, WorkItem: true},
-	"get_local_size":  {Name: "get_local_size", Args: []Type{TypeInt}, Ret: TypeInt, WorkItem: true},
-	"get_num_groups":  {Name: "get_num_groups", Args: []Type{TypeInt}, Ret: TypeInt, WorkItem: true},
-	"barrier":         {Name: "barrier", Ret: TypeVoid, Barrier: true},
-
-	"sqrt":  {Name: "sqrt", Args: []Type{TypeFloat}, Ret: TypeFloat, Float: true},
-	"rsqrt": {Name: "rsqrt", Args: []Type{TypeFloat}, Ret: TypeFloat, Float: true},
-	"fabs":  {Name: "fabs", Args: []Type{TypeFloat}, Ret: TypeFloat, Float: true},
-	"exp":   {Name: "exp", Args: []Type{TypeFloat}, Ret: TypeFloat, Float: true},
-	"log":   {Name: "log", Args: []Type{TypeFloat}, Ret: TypeFloat, Float: true},
-	"log2":  {Name: "log2", Args: []Type{TypeFloat}, Ret: TypeFloat, Float: true},
-	"sin":   {Name: "sin", Args: []Type{TypeFloat}, Ret: TypeFloat, Float: true},
-	"cos":   {Name: "cos", Args: []Type{TypeFloat}, Ret: TypeFloat, Float: true},
-	"tan":   {Name: "tan", Args: []Type{TypeFloat}, Ret: TypeFloat, Float: true},
-	"pow":   {Name: "pow", Args: []Type{TypeFloat, TypeFloat}, Ret: TypeFloat, Float: true},
-	"fmin":  {Name: "fmin", Args: []Type{TypeFloat, TypeFloat}, Ret: TypeFloat, Float: true},
-	"fmax":  {Name: "fmax", Args: []Type{TypeFloat, TypeFloat}, Ret: TypeFloat, Float: true},
-	"fma":   {Name: "fma", Args: []Type{TypeFloat, TypeFloat, TypeFloat}, Ret: TypeFloat, Float: true},
-	"mad":   {Name: "mad", Args: []Type{TypeFloat, TypeFloat, TypeFloat}, Ret: TypeFloat, Float: true},
-	"floor": {Name: "floor", Args: []Type{TypeFloat}, Ret: TypeFloat, Float: true},
-	"ceil":  {Name: "ceil", Args: []Type{TypeFloat}, Ret: TypeFloat, Float: true},
-
-	"min":   {Name: "min", Args: []Type{{}, {}}, Poly: true},
-	"max":   {Name: "max", Args: []Type{{}, {}}, Poly: true},
-	"abs":   {Name: "abs", Args: []Type{{}}, Poly: true},
-	"clamp": {Name: "clamp", Args: []Type{{}, {}, {}}, Poly: true},
-}
-
 // scope is a lexically nested symbol table for sema.
 type scope struct {
 	parent *scope
@@ -96,7 +44,7 @@ func Check(prog *Program) error {
 		if _, dup := helpers[f.Name]; dup {
 			return errf(f.Pos, "duplicate function %q", f.Name)
 		}
-		if _, isBuiltin := Builtins[f.Name]; isBuiltin {
+		if _, isBuiltin := LookupBuiltin(f.Name); isBuiltin {
 			return errf(f.Pos, "function %q shadows a builtin", f.Name)
 		}
 		helpers[f.Name] = f
@@ -443,7 +391,7 @@ func (c *checker) checkBinary(b *BinaryExpr, sc *scope) (Type, error) {
 }
 
 func (c *checker) checkCall(call *CallExpr, sc *scope) (Type, error) {
-	if bi, ok := Builtins[call.Name]; ok {
+	if bi, ok := LookupBuiltin(call.Name); ok {
 		return c.checkBuiltin(call, bi, sc)
 	}
 	f, ok := c.helpers[call.Name]
@@ -470,8 +418,8 @@ func (c *checker) checkCall(call *CallExpr, sc *scope) (Type, error) {
 	return f.Ret, nil
 }
 
-func (c *checker) checkBuiltin(call *CallExpr, bi *BuiltinInfo, sc *scope) (Type, error) {
-	if bi.Barrier {
+func (c *checker) checkBuiltin(call *CallExpr, bi *Builtin, sc *scope) (Type, error) {
+	if bi.Kind == BuiltinBarrier {
 		// barrier() or barrier(CLK_LOCAL_MEM_FENCE)-style single int arg.
 		if len(call.Args) > 1 {
 			return Type{}, errf(call.Pos, "barrier takes at most one argument")

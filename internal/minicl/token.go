@@ -7,6 +7,13 @@
 // control flow (if/for/while), and the common math builtins. The front-end
 // produces a typed AST which internal/inspire lowers into the INSPIRE-like
 // intermediate representation.
+//
+// The package also owns the builtin registry (builtins.go), the one place
+// a builtin is declared: its signature, its cost class, its VM opcode
+// mnemonic and its reference implementation. Sema, lowering, the static
+// features, the closure oracle and the VM compiler all read it, so a new
+// builtin is one registry entry (plus, for a math builtin, its VM opcodes
+// and a row in the cross-tier builtin test).
 package minicl
 
 import "fmt"

@@ -52,20 +52,9 @@ type Type struct {
 var (
 	TypeVoid  = Type{Basic: Void}
 	TypeInt   = Type{Basic: Int}
-	TypeUint  = Type{Basic: Uint}
 	TypeFloat = Type{Basic: Float}
 	TypeBool  = Type{Basic: Bool}
 )
-
-// GlobalPtr returns a global-address-space pointer to the basic kind.
-func GlobalPtr(b BasicKind, readOnly bool) Type {
-	return Type{Basic: b, Ptr: true, Space: Global, Const: readOnly}
-}
-
-// LocalPtr returns a local-address-space pointer to the basic kind.
-func LocalPtr(b BasicKind) Type {
-	return Type{Basic: b, Ptr: true, Space: Local}
-}
 
 // IsNumeric reports whether the type is a scalar int, uint or float.
 func (t Type) IsNumeric() bool {
@@ -89,18 +78,6 @@ func (t Type) Elem() Type {
 		panic("minicl: Elem on non-pointer type")
 	}
 	return Type{Basic: t.Basic}
-}
-
-// Size returns the size in bytes of one element of the type.
-func (t Type) Size() int {
-	switch t.Basic {
-	case Int, Uint, Float:
-		return 4
-	case Bool:
-		return 1
-	default:
-		return 0
-	}
 }
 
 // String returns the OpenCL-style spelling of the type.

@@ -15,20 +15,6 @@ type FoldResult struct {
 	TestIdx   []int // indices into the original dataset
 }
 
-// Accuracy returns the exact-label accuracy of the fold.
-func (f *FoldResult) Accuracy() float64 {
-	if len(f.Actual) == 0 {
-		return 0
-	}
-	hit := 0
-	for i := range f.Actual {
-		if f.Predicted[i] == f.Actual[i] {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(f.Actual))
-}
-
 // CVResult aggregates all folds of a cross validation.
 type CVResult struct {
 	Folds []FoldResult
@@ -98,17 +84,4 @@ func LeaveOneGroupOut(d *Dataset, mk NewModel) (*CVResult, error) {
 		return nil, err
 	}
 	return &CVResult{Folds: folds}, nil
-}
-
-// TrainFull fits a model (with scaling) on the whole dataset and returns a
-// predictor closure over raw (unscaled) feature vectors. This is the
-// deployment path: the shipped model is trained on the full training DB.
-// It is TrainArtifact without the wrapping — one training recipe, so
-// artifact-based predictions can never diverge from closure-based ones.
-func TrainFull(d *Dataset, mk NewModel) (func(x []float64) int, Classifier, error) {
-	a, err := TrainArtifact(d, mk)
-	if err != nil {
-		return nil, nil, err
-	}
-	return a.Predict, a.Model, nil
 }

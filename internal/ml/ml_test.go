@@ -100,16 +100,16 @@ func TestDeterministicTraining(t *testing.T) {
 		func() Classifier { return NewTree() },
 		func() Classifier { return NewKNN(3) },
 	} {
-		pred1, _, err := TrainFull(d, mk)
+		a1, err := TrainArtifact(d, mk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pred2, _, err := TrainFull(d, mk)
+		a2, err := TrainArtifact(d, mk)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, x := range test.X {
-			if pred1(x) != pred2(x) {
+			if a1.Predict(x) != a2.Predict(x) {
 				t.Fatalf("%s: nondeterministic prediction", mk().Name())
 			}
 		}
@@ -267,7 +267,14 @@ func TestTreeDepthBounded(t *testing.T) {
 	if err := tr.Fit(sc.TransformDataset(d)); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Depth(); got > 3 {
+	var depth func(n *treeNode) int
+	depth = func(n *treeNode) int {
+		if n == nil || n.leaf {
+			return 0
+		}
+		return 1 + max(depth(n.left), depth(n.right))
+	}
+	if got := depth(tr.root); got > 3 {
 		t.Errorf("tree depth %d exceeds MaxDepth 3", got)
 	}
 }
@@ -295,7 +302,9 @@ func TestMLPProbabilitiesSumToOne(t *testing.T) {
 	if err := m.Fit(sc.TransformDataset(d)); err != nil {
 		t.Fatal(err)
 	}
-	p := m.Probabilities(sc.Transform(d.X[0]))
+	// The output layer PredictScratch takes the argmax of.
+	p := make([]float64, m.out)
+	m.forward(sc.Transform(d.X[0]), make([]float64, m.Hidden), p)
 	sum := 0.0
 	for _, v := range p {
 		if v < 0 || v > 1 {

@@ -194,14 +194,6 @@ func (m *MLP) PredictScratch(x []float64, s *Scratch) int {
 	return argmax(probs)
 }
 
-// Probabilities returns the softmax class distribution for x.
-func (m *MLP) Probabilities(x []float64) []float64 {
-	hidden := make([]float64, m.Hidden)
-	probs := make([]float64, m.out)
-	m.forward(x, hidden, probs)
-	return probs
-}
-
 func zero(m [][]float64) {
 	for i := range m {
 		for j := range m[i] {

@@ -167,20 +167,3 @@ func (p *PCA) TransformDataset(d *Dataset) *Dataset {
 	}
 	return out
 }
-
-// ExplainedRatio returns the fraction of total captured variance per
-// component.
-func (p *PCA) ExplainedRatio() []float64 {
-	total := 0.0
-	for _, e := range p.Explained {
-		total += e
-	}
-	out := make([]float64, len(p.Explained))
-	if total == 0 {
-		return out
-	}
-	for i, e := range p.Explained {
-		out[i] = e / total
-	}
-	return out
-}

@@ -39,9 +39,12 @@ func TestPCARecoversDominantDirection(t *testing.T) {
 	if dot < 0.99 {
 		t.Errorf("first component %v misaligned with (1,1,0) (|dot| = %.3f)", c0, dot)
 	}
-	ratios := p.ExplainedRatio()
-	if ratios[0] < 0.9 {
-		t.Errorf("dominant component explains only %.2f of variance", ratios[0])
+	total := 0.0
+	for _, e := range p.Explained {
+		total += e
+	}
+	if ratio := p.Explained[0] / total; ratio < 0.9 {
+		t.Errorf("dominant component explains only %.2f of variance", ratio)
 	}
 }
 

@@ -140,15 +140,6 @@ func (p *PCA) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// MarshalModel serializes a fitted classifier to its JSON envelope.
-func MarshalModel(c Classifier) ([]byte, error) {
-	env, err := envelope(c)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(env)
-}
-
 // envelope builds the tagged form of one classifier.
 func envelope(c Classifier) (modelEnvelope, error) {
 	var (
@@ -213,17 +204,9 @@ func envelope(c Classifier) (modelEnvelope, error) {
 	return modelEnvelope{Kind: kind, Spec: raw}, nil
 }
 
-// UnmarshalModel deserializes a classifier from its JSON envelope. Loaded
+// fromEnvelope rebuilds a classifier from its JSON envelope. Loaded
 // composite models (twostage, pca-pipeline) are predict-only; every other
 // family can be refitted.
-func UnmarshalModel(data []byte) (Classifier, error) {
-	var env modelEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, err
-	}
-	return fromEnvelope(env)
-}
-
 func fromEnvelope(env modelEnvelope) (Classifier, error) {
 	switch env.Kind {
 	case kindKNN:
@@ -515,10 +498,11 @@ func (a *Artifact) PredictScratch(x []float64, s *Scratch) int {
 	return predictScratch(a.Model, x, s)
 }
 
-// TrainArtifact fits a fresh model (with feature scaling) on the dataset
-// and wraps it as a deployable artifact. This is the serializing form of
-// TrainFull: the returned artifact predicts exactly what the in-memory
-// model does, before and after a Save/Load round trip.
+// TrainArtifact fits a fresh model (with feature scaling) on the whole
+// dataset and wraps it as a deployable artifact: the deployment path, the
+// shipped model trained on the full training DB. The artifact predicts
+// exactly what the in-memory model does, before and after a Save/Load
+// round trip.
 func TrainArtifact(d *Dataset, mk NewModel) (*Artifact, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"math/rand"
 	"os"
@@ -60,11 +61,11 @@ func TestModelRoundTripAllFamilies(t *testing.T) {
 			if err := model.Fit(sd); err != nil {
 				t.Fatal(err)
 			}
-			data, err := MarshalModel(model)
+			data, err := marshalModel(model)
 			if err != nil {
 				t.Fatalf("marshal: %v", err)
 			}
-			loaded, err := UnmarshalModel(data)
+			loaded, err := unmarshalModel(data)
 			if err != nil {
 				t.Fatalf("unmarshal: %v", err)
 			}
@@ -78,7 +79,7 @@ func TestModelRoundTripAllFamilies(t *testing.T) {
 					t.Fatalf("probe %d: fresh=%d loaded=%d", i, want, got)
 				}
 			}
-			again, err := MarshalModel(loaded)
+			again, err := marshalModel(loaded)
 			if err != nil {
 				t.Fatalf("re-marshal: %v", err)
 			}
@@ -99,11 +100,11 @@ func TestLoadedModelRefit(t *testing.T) {
 		if err := model.Fit(d); err != nil {
 			t.Fatal(err)
 		}
-		data, err := MarshalModel(model)
+		data, err := marshalModel(model)
 		if err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := UnmarshalModel(data)
+		loaded, err := unmarshalModel(data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,16 +242,34 @@ func TestGoldenArtifact(t *testing.T) {
 	}
 }
 
+// marshalModel and unmarshalModel encode one classifier as the JSON
+// envelope an artifact's modelSpec holds.
+func marshalModel(c Classifier) ([]byte, error) {
+	env, err := envelope(c)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(env)
+}
+
+func unmarshalModel(data []byte) (Classifier, error) {
+	var env modelEnvelope
+	if err := json.Unmarshal(data, &env); err != nil {
+		return nil, err
+	}
+	return fromEnvelope(env)
+}
+
 func TestUnmarshalModelErrors(t *testing.T) {
-	if _, err := UnmarshalModel([]byte(`{"kind":"nope","spec":{}}`)); err == nil {
+	if _, err := unmarshalModel([]byte(`{"kind":"nope","spec":{}}`)); err == nil {
 		t.Error("unknown kind accepted")
 	}
-	if _, err := UnmarshalModel([]byte(`{`)); err == nil {
+	if _, err := unmarshalModel([]byte(`{`)); err == nil {
 		t.Error("syntax error accepted")
 	}
 	// A corrupt tree (forward cycle) must be rejected, not crash.
 	bad := []byte(`{"kind":"tree","spec":{"classes":2,"nodes":[{"f":0,"t":0,"l":0,"r":-1,"y":0}]}}`)
-	if _, err := UnmarshalModel(bad); err == nil {
+	if _, err := unmarshalModel(bad); err == nil {
 		t.Error("corrupt tree accepted")
 	}
 }

@@ -182,17 +182,3 @@ func (t *Tree) Predict(x []float64) int {
 	}
 	return n.label
 }
-
-// Depth returns the maximum depth of the fitted tree (diagnostics).
-func (t *Tree) Depth() int { return nodeDepth(t.root) }
-
-func nodeDepth(n *treeNode) int {
-	if n == nil || n.leaf {
-		return 0
-	}
-	l, r := nodeDepth(n.left), nodeDepth(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}

@@ -142,9 +142,11 @@ const (
 // The full record set is mirrored in memory (populated by Open's replay,
 // extended by Append): Snapshot serves from that mirror without touching
 // the disk, so a retrain snapshot never stalls concurrent Append calls —
-// i.e. in-flight /execute responses — behind segment re-reads. Bounded
-// by Compact; observations are small, so the mirror is the deliberate
-// latency-for-memory trade.
+// i.e. in-flight /execute responses — behind segment re-reads.
+// Observations are small, so the mirror is the deliberate
+// latency-for-memory trade; only Compact shrinks it, and nothing in
+// cmd/serve calls Compact, so a serving process's mirror grows with
+// every observation it records.
 type Log struct {
 	mu      sync.Mutex
 	dir     string

@@ -6,7 +6,6 @@
 package partition
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 	"sync"
@@ -31,15 +30,6 @@ func (p Partition) Steps() int {
 	return s
 }
 
-// Fraction returns device i's share as a fraction in [0,1].
-func (p Partition) Fraction(i int) float64 {
-	steps := p.Steps()
-	if steps == 0 {
-		return 0
-	}
-	return float64(p.Shares[i]) / float64(steps)
-}
-
 // IsSingle reports whether the whole range goes to one device, returning
 // its index.
 func (p Partition) IsSingle() (int, bool) {
@@ -53,17 +43,6 @@ func (p Partition) IsSingle() (int, bool) {
 		}
 	}
 	return idx, idx >= 0
-}
-
-// ActiveDevices returns how many devices receive a non-zero share.
-func (p Partition) ActiveDevices() int {
-	n := 0
-	for _, v := range p.Shares {
-		if v > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // String renders the partition as "50/30/20".
@@ -80,50 +59,10 @@ func (p Partition) String() string {
 	return strings.Join(parts, "/")
 }
 
-// Parse parses a "50/30/20" percentage string into a partition with
-// DefaultSteps share units.
-func Parse(s string) (Partition, error) {
-	fields := strings.Split(s, "/")
-	shares := make([]int, len(fields))
-	total := 0
-	for i, f := range fields {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return Partition{}, fmt.Errorf("partition: bad component %q", f)
-		}
-		if v < 0 || v > 100 {
-			return Partition{}, fmt.Errorf("partition: component %d out of range", v)
-		}
-		if v%(100/DefaultSteps) != 0 {
-			return Partition{}, fmt.Errorf("partition: %d%% not a multiple of the %d%% step", v, 100/DefaultSteps)
-		}
-		shares[i] = v / (100 / DefaultSteps)
-		total += v
-	}
-	if total != 100 {
-		return Partition{}, fmt.Errorf("partition: shares sum to %d%%, want 100%%", total)
-	}
-	return Partition{Shares: shares}, nil
-}
-
 // Single returns the partition giving everything to device idx.
 func Single(nDevices, idx int) Partition {
 	shares := make([]int, nDevices)
 	shares[idx] = DefaultSteps
-	return Partition{Shares: shares}
-}
-
-// Even returns the most even partition possible on the step grid.
-func Even(nDevices int) Partition {
-	shares := make([]int, nDevices)
-	base := DefaultSteps / nDevices
-	rem := DefaultSteps - base*nDevices
-	for i := range shares {
-		shares[i] = base
-		if i < rem {
-			shares[i]++
-		}
-	}
 	return Partition{Shares: shares}
 }
 
@@ -170,17 +109,6 @@ func SharedSpace(nDevices, steps int) []Partition {
 	}
 	v, _ := spaceCache.LoadOrStore(key, Space(nDevices, steps))
 	return v.([]Partition)
-}
-
-// SpaceSize returns the number of partitions Space(nDevices, steps) yields
-// (the number of weak compositions: C(steps+nDevices-1, nDevices-1)).
-func SpaceSize(nDevices, steps int) int {
-	n, k := steps+nDevices-1, nDevices-1
-	res := 1
-	for i := 1; i <= k; i++ {
-		res = res * (n - k + i) / i
-	}
-	return res
 }
 
 // Chunks maps the partition onto dim-0 range [0, global0), aligning chunk

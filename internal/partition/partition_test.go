@@ -1,10 +1,14 @@
 package partition
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
+// TestSpaceSize: Space yields every weak composition of steps over the
+// devices, C(steps+devices-1, devices-1) partitions.
 func TestSpaceSize(t *testing.T) {
 	cases := []struct{ dev, steps, want int }{
 		{3, 10, 66}, // the paper's space: 3 devices, 10% steps
@@ -17,9 +21,6 @@ func TestSpaceSize(t *testing.T) {
 		got := Space(c.dev, c.steps)
 		if len(got) != c.want {
 			t.Errorf("len(Space(%d,%d)) = %d, want %d", c.dev, c.steps, len(got), c.want)
-		}
-		if sz := SpaceSize(c.dev, c.steps); sz != c.want {
-			t.Errorf("SpaceSize(%d,%d) = %d, want %d", c.dev, c.steps, sz, c.want)
 		}
 	}
 }
@@ -52,40 +53,37 @@ func TestSingleAndEven(t *testing.T) {
 	if idx, ok := s.IsSingle(); !ok || idx != 1 {
 		t.Errorf("Single(3,1).IsSingle() = %d,%t", idx, ok)
 	}
-	if s.Fraction(1) != 1.0 || s.Fraction(0) != 0 {
-		t.Error("Single fractions wrong")
+	if s.Steps() != DefaultSteps || s.Shares[1] != DefaultSteps {
+		t.Errorf("Single(3,1) = %v, want all %d steps on device 1", s.Shares, DefaultSteps)
 	}
-	e := Even(3)
-	if e.Steps() != DefaultSteps {
-		t.Errorf("Even steps = %d", e.Steps())
+	// The most even 3-way split is not single, and its chunks follow
+	// its shares.
+	e := Partition{Shares: []int{4, 3, 3}}
+	if _, ok := e.IsSingle(); ok {
+		t.Error("4/3/3 reported single")
 	}
-	if e.Shares[0] != 4 || e.Shares[1] != 3 || e.Shares[2] != 3 {
-		t.Errorf("Even(3) = %v, want [4 3 3]", e.Shares)
-	}
-	if e.ActiveDevices() != 3 {
-		t.Errorf("Even(3).ActiveDevices() = %d", e.ActiveDevices())
+	if ch := e.Chunks(100, 1); ch[0] != [2]int{0, 40} || ch[1] != [2]int{40, 70} || ch[2] != [2]int{70, 100} {
+		t.Errorf("4/3/3 chunks = %v", ch)
 	}
 }
 
+// TestStringAndParseRoundTrip: String renders a partition on the 10%
+// grid exactly, one percentage per device, so reading its components
+// back gives the shares.
 func TestStringAndParseRoundTrip(t *testing.T) {
+	if s := (Partition{Shares: []int{5, 3, 2}}).String(); s != "50/30/20" {
+		t.Errorf("String = %q, want 50/30/20", s)
+	}
 	for _, p := range Space(3, 10) {
 		s := p.String()
-		q, err := Parse(s)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", s, err)
+		fields := strings.Split(s, "/")
+		if len(fields) != len(p.Shares) {
+			t.Fatalf("%q has %d components, want %d", s, len(fields), len(p.Shares))
 		}
-		for i := range p.Shares {
-			if p.Shares[i] != q.Shares[i] {
-				t.Fatalf("round trip %q -> %v, want %v", s, q.Shares, p.Shares)
+		for i, f := range fields {
+			if v, err := strconv.Atoi(f); err != nil || v != p.Shares[i]*100/DefaultSteps {
+				t.Fatalf("%q component %d = %q, want %d%%", s, i, f, p.Shares[i]*100/DefaultSteps)
 			}
-		}
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	for _, s := range []string{"50/30", "x/50/50", "110/0/-10", "55/25/20", "100/10/0"} {
-		if _, err := Parse(s); err == nil {
-			t.Errorf("Parse(%q) succeeded, want error", s)
 		}
 	}
 }
@@ -152,10 +150,17 @@ func TestChunksAlignment(t *testing.T) {
 	}
 }
 
+// TestFractionZeroSteps: a partition with no share units gives every
+// device an empty chunk and is not single.
 func TestFractionZeroSteps(t *testing.T) {
 	p := Partition{Shares: []int{0, 0}}
-	if p.Fraction(0) != 0 {
-		t.Error("Fraction on zero partition should be 0")
+	if p.Steps() != 0 || p.String() != "0/0" {
+		t.Errorf("zero partition: steps %d, %q", p.Steps(), p)
+	}
+	for i, ch := range p.Chunks(100, 1) {
+		if ch != [2]int{} {
+			t.Errorf("zero partition chunk %d = %v, want empty", i, ch)
+		}
 	}
 	if _, ok := p.IsSingle(); ok {
 		t.Error("zero partition is not single")

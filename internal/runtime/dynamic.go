@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/exec"
-	"repro/internal/partition"
 	"repro/internal/sim"
 )
 
@@ -106,32 +105,4 @@ func (r *Runtime) DynamicSchedule(l Launch, prof *exec.Profile, chunks int) (*Dy
 		return nil, fmt.Errorf("runtime: dynamic schedule dispatched no work")
 	}
 	return res, nil
-}
-
-// NearestPartition snaps a share vector onto the 10%-step grid (for
-// reporting dynamic schedules in partition notation).
-func NearestPartition(shares []float64) partition.Partition {
-	out := make([]int, len(shares))
-	total := 0
-	for i, s := range shares {
-		out[i] = int(s*partition.DefaultSteps + 0.5)
-		total += out[i]
-	}
-	// Fix rounding drift on the largest share.
-	for total != partition.DefaultSteps && len(out) > 0 {
-		maxI := 0
-		for i := range out {
-			if out[i] > out[maxI] {
-				maxI = i
-			}
-		}
-		if total > partition.DefaultSteps {
-			out[maxI]--
-			total--
-		} else {
-			out[maxI]++
-			total++
-		}
-	}
-	return partition.Partition{Shares: out}
 }

@@ -89,18 +89,3 @@ func TestDynamicScheduleChunkClamping(t *testing.T) {
 		t.Errorf("chunks = %d, want <= 4", dyn.Chunks)
 	}
 }
-
-func TestNearestPartition(t *testing.T) {
-	p := NearestPartition([]float64{0.52, 0.28, 0.20})
-	if p.Steps() != 10 {
-		t.Fatalf("steps = %d", p.Steps())
-	}
-	if p.Shares[0] != 5 || p.Shares[1] != 3 || p.Shares[2] != 2 {
-		t.Errorf("shares = %v, want [5 3 2]", p.Shares)
-	}
-	// Rounding drift repair.
-	q := NearestPartition([]float64{0.55, 0.55, 0})
-	if q.Steps() != 10 {
-		t.Errorf("drift not repaired: %v", q.Shares)
-	}
-}

@@ -158,7 +158,7 @@ func TestSizeSensitivity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return best.Fraction(1) + best.Fraction(2)
+		return float64(best.Shares[1]+best.Shares[2]) / float64(best.Steps())
 	}
 	small := gpuShare(256)
 	large := gpuShare(65536)

@@ -33,9 +33,6 @@ func NewP2(q float64) *P2 {
 	return p
 }
 
-// Count reports how many observations the estimator has absorbed.
-func (p *P2) Count() int { return p.n }
-
 // Observe absorbs one sample.
 func (p *P2) Observe(x float64) {
 	if p.n < 5 {

@@ -59,8 +59,8 @@ func TestP2SmallSamples(t *testing.T) {
 	if got := p.Quantile(); got != 0 {
 		t.Fatalf("empty estimator quantile = %v, want 0", got)
 	}
-	if p.Count() != 0 {
-		t.Fatalf("empty estimator count = %d", p.Count())
+	if p.n != 0 {
+		t.Fatalf("empty estimator count = %d", p.n)
 	}
 	p.Observe(7)
 	if got := p.Quantile(); got != 7 {

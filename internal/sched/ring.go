@@ -41,22 +41,6 @@ func NewRing[T any](capacity int) *Ring[T] {
 	return r
 }
 
-// Cap returns the ring's capacity.
-func (r *Ring[T]) Cap() int { return len(r.slots) }
-
-// Len returns the approximate number of queued elements (exact when no
-// push or pop is concurrently in flight).
-func (r *Ring[T]) Len() int {
-	n := int64(r.tail.Load()) - int64(r.head.Load())
-	if n < 0 {
-		n = 0
-	}
-	if n > int64(len(r.slots)) {
-		n = int64(len(r.slots))
-	}
-	return int(n)
-}
-
 // TryPush enqueues v, returning false immediately when the ring is full.
 func (r *Ring[T]) TryPush(v T) bool {
 	for {

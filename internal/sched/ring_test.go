@@ -7,8 +7,8 @@ import (
 
 func TestRingFIFOAndBounds(t *testing.T) {
 	r := NewRing[int](4)
-	if r.Cap() != 4 {
-		t.Fatalf("Cap = %d, want 4", r.Cap())
+	if len(r.slots) != 4 {
+		t.Fatalf("capacity = %d, want 4", len(r.slots))
 	}
 	if _, ok := r.TryPop(); ok {
 		t.Fatal("pop from empty ring succeeded")
@@ -21,8 +21,8 @@ func TestRingFIFOAndBounds(t *testing.T) {
 	if r.TryPush(99) {
 		t.Fatal("push into full ring succeeded")
 	}
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", r.Len())
+	if n := r.tail.Load() - r.head.Load(); n != 4 {
+		t.Fatalf("queued = %d, want 4", n)
 	}
 	for i := 0; i < 4; i++ {
 		v, ok := r.TryPop()
@@ -46,8 +46,8 @@ func TestRingFIFOAndBounds(t *testing.T) {
 
 func TestRingCapacityRounding(t *testing.T) {
 	for _, c := range []struct{ ask, want int }{{0, 2}, {1, 2}, {2, 2}, {3, 4}, {5, 8}, {1000, 1024}} {
-		if got := NewRing[int](c.ask).Cap(); got != c.want {
-			t.Errorf("NewRing(%d).Cap() = %d, want %d", c.ask, got, c.want)
+		if got := len(NewRing[int](c.ask).slots); got != c.want {
+			t.Errorf("NewRing(%d) capacity = %d, want %d", c.ask, got, c.want)
 		}
 	}
 }

@@ -57,6 +57,3 @@ func (in *Intern) Str(b []byte) string {
 	in.p.Store(&next)
 	return s
 }
-
-// Len reports the number of interned strings (tests and stats).
-func (in *Intern) Len() int { return len(*in.p.Load()) }

@@ -61,7 +61,6 @@ var (
 	ErrTrailing    = errors.New("wire: trailing bytes after frame")
 	ErrTruncated   = errors.New("wire: payload truncated")
 	ErrBadValue    = errors.New("wire: field value out of range")
-	ErrBadMessage  = errors.New("wire: unexpected message type")
 )
 
 // ParseFrame validates and splits one complete frame. The input must be

@@ -306,8 +306,8 @@ func TestInternDeduplicates(t *testing.T) {
 	if a != "vecadd" || b != "vecadd" {
 		t.Fatalf("intern returned %q, %q", a, b)
 	}
-	if in.Len() != 1 {
-		t.Errorf("Len = %d, want 1", in.Len())
+	if len(*in.p.Load()) != 1 {
+		t.Errorf("Len = %d, want 1", len(*in.p.Load()))
 	}
 }
 
@@ -320,8 +320,8 @@ func TestInternCapStopsGrowth(t *testing.T) {
 		}
 		in.Str(buf)
 	}
-	if in.Len() > internCap {
-		t.Errorf("Len = %d, want <= %d", in.Len(), internCap)
+	if len(*in.p.Load()) > internCap {
+		t.Errorf("Len = %d, want <= %d", len(*in.p.Load()), internCap)
 	}
 }
 
@@ -344,7 +344,7 @@ func TestInternConcurrent(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		<-done
 	}
-	if in.Len() != 4 {
-		t.Errorf("Len = %d, want 4", in.Len())
+	if len(*in.p.Load()) != 4 {
+		t.Errorf("Len = %d, want 4", len(*in.p.Load()))
 	}
 }
