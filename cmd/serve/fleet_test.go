@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/fleet"
@@ -28,7 +30,21 @@ func fleetServer(t *testing.T, platforms []string, shards int, adm fleet.Admissi
 	if err != nil {
 		t.Fatal(err)
 	}
+	return newFleet(t, db, platforms, shards, adm, true)
+}
+
+// newFleet is fleetServer over db. Without shareCells every engine keeps
+// a private cell cache, as engines did before fleets shared one.
+func newFleet(t *testing.T, db *harness.DB, platforms []string, shards int, adm fleet.AdmissionConfig, shareCells bool) *server {
+	t.Helper()
 	shared := engine.NewTenantTable()
+	var cells *engine.CellCache
+	if shareCells {
+		var err error
+		if cells, err = engine.NewCellCache(platforms...); err != nil {
+			t.Fatal(err)
+		}
+	}
 	rt, err := fleet.New(fleet.Options{
 		Platforms:         platforms,
 		ShardsPerPlatform: shards,
@@ -36,7 +52,7 @@ func fleetServer(t *testing.T, platforms []string, shards int, adm fleet.Admissi
 		NewEngine: func(platform string, shard int) (*engine.Engine, error) {
 			return engine.New(engine.Options{
 				Platform: platform, DB: db, Model: harness.FastModel(),
-				SharedTenants: shared,
+				SharedTenants: shared, SharedCells: cells,
 			})
 		},
 	})
@@ -432,6 +448,108 @@ func TestMultiPlatformRouting(t *testing.T) {
 	}
 	if !seen["mc1"] || !seen["mc2"] {
 		t.Errorf("stats missing a platform's shards: %+v", stats.Shards)
+	}
+}
+
+// TestFleetProfilesEachCellOnce: a fleet of mc1 and mc2 with two shards
+// each, sharing one cell cache, serves /predict then /execute of every
+// built-in at sizes 0-1 through all four engines. Each (program, size) is
+// profiled once for the whole fleet — not once per engine, as a fleet of
+// private caches does — and every answer is bit for bit the private
+// fleet's, verified, and priced without a makespan mismatch.
+func TestFleetProfilesEachCellOnce(t *testing.T) {
+	db, err := harness.Generate(harness.GenOptions{Programs: []string{"vecadd", "matmul"}, MaxSizeIdx: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	platforms := []string{"mc1", "mc2"}
+	fleets := []*server{
+		newFleet(t, db, platforms, 2, fleet.AdmissionConfig{}, true),
+		newFleet(t, db, platforms, 2, fleet.AdmissionConfig{}, false),
+	}
+	// One tenant per (platform, shard).
+	type target struct{ platform, tenant string }
+	var targets []target
+	for _, p := range platforms {
+		for idx := 0; idx < 2; idx++ {
+			for i := 0; ; i++ {
+				tenant := fmt.Sprintf("tenant-%d", i)
+				sh, err := fleets[0].fleet.ShardFor(p, tenant)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sh.Index == idx {
+					targets = append(targets, target{p, tenant})
+					break
+				}
+			}
+		}
+	}
+
+	type answer struct {
+		class                               int
+		predicted, makespan, oracle, served uint64
+	}
+	cells := 0
+	for _, bp := range bench.All() {
+		for sz := 0; sz <= 1 && sz < len(bp.Sizes); sz++ {
+			cells++
+			for _, tg := range targets {
+				var got [2]answer
+				for i, s := range fleets {
+					q := fmt.Sprintf("?program=%s&size=%d&platform=%s", bp.Name, sz, tg.platform)
+					w := doReqT(t, s, http.MethodGet, "/predict"+q, tg.tenant, nil)
+					var p engine.Prediction
+					if err := json.Unmarshal(w.Body.Bytes(), &p); err != nil || w.Code != http.StatusOK {
+						t.Fatalf("predict %s = %d (%v): %s", q, w.Code, err, w.Body.String())
+					}
+					w = doReqT(t, s, http.MethodPost, "/execute"+q, tg.tenant, nil)
+					var x engine.Execution
+					if err := json.Unmarshal(w.Body.Bytes(), &x); err != nil || w.Code != http.StatusOK || !x.Verified {
+						t.Fatalf("execute %s = %d (%v): %s", q, w.Code, err, w.Body.String())
+					}
+					if x.Prediction != p {
+						t.Fatalf("execute %s predicted %+v, /predict %+v", q, x.Prediction, p)
+					}
+					got[i] = answer{x.Class, math.Float64bits(x.PredictedTime), math.Float64bits(x.Makespan),
+						math.Float64bits(x.OracleTime), math.Float64bits(p.PredictedTime)}
+				}
+				if got[0] != got[1] {
+					t.Fatalf("%s size %d on %s for %s: shared cells answered %+v, private %+v",
+						bp.Name, sz, tg.platform, tg.tenant, got[0], got[1])
+				}
+			}
+		}
+	}
+	if cells != 46 {
+		t.Fatalf("%d (program, size) cells, want 46", cells)
+	}
+
+	for i, want := range []int{cells, 4 * cells} {
+		w := doReq(t, fleets[i], http.MethodGet, "/stats", nil)
+		var stats struct {
+			CachedCells int                `json:"cachedCells"`
+			Shards      []fleet.ShardStats `json:"shards"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &stats); err != nil {
+			t.Fatal(err)
+		}
+		var computes, executions, byReference uint64
+		for _, sh := range stats.Shards {
+			computes += sh.Engine.FeatureComputes
+			executions += sh.Engine.Executions
+			byReference += sh.Engine.VerifiedByReference
+			if sh.Engine.MakespanMismatches != 0 {
+				t.Errorf("fleet %d shard %s/%d: %d makespan mismatches", i, sh.Platform, sh.Shard, sh.Engine.MakespanMismatches)
+			}
+		}
+		// The stored outputs are the cell's, so a shared cell is checked
+		// against the Go reference once, on whichever engine ran it first.
+		if len(stats.Shards) != 4 || computes != uint64(want) || stats.CachedCells != want ||
+			executions != uint64(4*cells) || byReference != uint64(want) {
+			t.Errorf("fleet %d: %d shards, %d feature computes, %d cached cells, %d executions, %d verified by reference; want 4, %d, %d, %d, %d",
+				i, len(stats.Shards), computes, stats.CachedCells, executions, byReference, want, want, 4*cells, want)
+		}
 	}
 }
 

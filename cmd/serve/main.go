@@ -8,7 +8,9 @@
 // `platform` query parameter picks one (default: the first). Requests
 // route consistently by (platform, X-Tenant) to a shard (jump hash), so
 // a tenant's cache locality survives across requests while tenant quota
-// state stays fleet-wide (one shared table across all shards).
+// state stays fleet-wide (one shared table across all shards). So does
+// the cell cache: each (program, size) is profiled, and its instance
+// held, once per process, whichever platforms and shards serve it.
 //
 // Every request takes one pipeline. The route table in (*server).mux
 // lists the endpoints, each with its methods and how far into the fleet
@@ -69,7 +71,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/device"
 	"repro/internal/engine"
 	"repro/internal/fleet"
 	"repro/internal/harness"
@@ -102,7 +103,7 @@ func main() {
 	saveTrained := flag.Bool("save-trained", false, "persist models trained on the fly (and promoted by -adaptive) into -models")
 	warm := flag.String("warm", "", "comma-separated programs to pre-warm (compile, profile, predict) at startup")
 	parallel := flag.Int("parallel", 0, "worker goroutines for execution and oracle search (0 = GOMAXPROCS)")
-	cacheLimit := flag.Int("cache-limit", 0, "max entries per engine cache, LRU-ish eviction (0 = unbounded)")
+	cacheLimit := flag.Int("cache-limit", 0, "max entries in the fleet's cell cache and in each engine's program cache, LRU-ish eviction (0 = unbounded)")
 	strict := flag.Bool("strict", false, "reject JSON bodies containing unknown fields")
 	obsDir := flag.String("obs", "", "observation log directory (empty = do not record executions)")
 	adaptive := flag.Bool("adaptive", false, "run the background retrainer over the observation log (requires -obs)")
@@ -131,12 +132,17 @@ func main() {
 			platformList[i] = strings.TrimSpace(platformList[i])
 		}
 	}
-	// Validate platform names up front: shards build lazily, and a typo
-	// must fail at startup, not on the first unlucky request.
-	for _, p := range platformList {
-		if _, err := device.ByName(p); err != nil {
-			fail(err)
-		}
+	// One tenant quota table, one observation log and one cell cache span
+	// the fleet: a (program, size)'s features, profile and instance are
+	// built and held once, whichever platforms and shards serve it.
+	// Everything else (program and model caches, obs ring, stats) is per
+	// shard. Building the cell cache validates the platform names up
+	// front: shards build lazily, and a typo must fail at startup, not on
+	// the first unlucky request.
+	sharedTenants := engine.NewTenantTable()
+	sharedCells, err := engine.NewCellCache(platformList...)
+	if err != nil {
+		fail(err)
 	}
 	mk, err := harness.ModelByName(*modelName)
 	if err != nil {
@@ -154,10 +160,6 @@ func main() {
 		defer obsLog.Close()
 	}
 
-	// One tenant quota table and one observation log span the fleet;
-	// everything else (program/model/feature caches, obs ring, stats) is
-	// per shard.
-	sharedTenants := engine.NewTenantTable()
 	rt, err := fleet.New(fleet.Options{
 		Platforms:         platformList,
 		ShardsPerPlatform: *shards,
@@ -185,6 +187,7 @@ func main() {
 					MaxConcurrent:  *tenantConc,
 				},
 				SharedTenants: sharedTenants,
+				SharedCells:   sharedCells,
 			})
 			if err == nil {
 				log.Printf("shard %s/%d up", platform, shard)
@@ -317,7 +320,7 @@ func (s *server) mux() *http.ServeMux {
 		{"/predict/batch", []string{post}, admitted, s.handlePredictBatch},       // {"requests":[...]}: price N points at once
 		{"/execute", []string{post}, admitted, s.handleExecute},                  // ?program=P[&size=N]: run partitioned, verify
 		{"/kernels", []string{get, post}, onShard, s.handleKernels},              // GET the caller's kernels, POST {"name","source",...} to register one
-		{"/stats", []string{get}, fleetWide, s.handleStats},                      // per-shard admission and engine counters
+		{"/stats", []string{get}, fleetWide, s.handleStats},                      // fleet cell count, per-shard admission and engine counters
 		{"/models", []string{get, post}, onShard, s.handleModels},                // GET versions and lineage, POST {"rollback": N} to switch
 		{"/retrain", []string{get, post}, onShard, s.handleRetrain},              // GET retrainer status, POST to retrain now
 		{"/observations", []string{get}, fleetWide, s.handleObservations},        // observation log stats
@@ -514,10 +517,20 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request, _ *fleet.Sh
 		vecRec += st.Engine.VecReconverges
 		vecBail += st.Engine.VecScalarBails
 	}
+	// Cells are counted once per cache, however many shards share it.
+	caches := map[*engine.CellCache]bool{}
+	cells := 0
+	for _, sh := range s.fleet.Shards() {
+		if c := sh.Engine().Cells(); !caches[c] {
+			caches[c] = true
+			cells += c.Len()
+		}
+	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"uptimeSeconds":     time.Since(s.start).Seconds(),
 		"platforms":         s.fleet.Platforms(),
 		"shardsPerPlatform": s.fleet.ShardsPerPlatform(),
+		"cachedCells":       cells,
 		"shards":            shards,
 		"vecDivergences":    vecDiv,
 		"vecReconverges":    vecRec,

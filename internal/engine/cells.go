@@ -1,0 +1,127 @@
+package engine
+
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/bench"
+	"repro/internal/device"
+	"repro/internal/exec"
+	"repro/internal/features"
+	"repro/internal/partition"
+	"repro/internal/runtime"
+	"repro/internal/sched"
+)
+
+// CellCache holds one cell per (program, size): the features, the
+// profile they came from and the instance that profile ran on. None of
+// these depend on the platform — the offline sweep profiles each
+// (program, size) once for every platform too — so a fleet builds one
+// cache and hands it to every engine (Options.SharedCells): each
+// (program, size) is then profiled and held once per process, not once
+// per (platform, shard). Only the price table is per platform, because
+// the price is; each cell keeps one slot array per platform the cache was
+// built for.
+//
+// Cells are keyed by the *bench.Program itself. A built-in is a process
+// singleton, so every engine hits the same cell; an upload's
+// bench.Program is created per registration, so one engine's upload never
+// sees another's cell, whatever the two are named.
+//
+// Engines that share a cache must share the limits a cell is built and
+// bounded under (New enforces it): a first-touch profile runs under the
+// budget of whichever engine asked first, and the cache's LRU cap is
+// CacheLimit.
+type CellCache struct {
+	memo sched.Memo[cellKey, *cell]
+	// platforms are the served platforms in slot order; platform i's
+	// price slots are prices[offsets[i]:offsets[i+1]] of every cell.
+	platforms []string
+	offsets   []int
+
+	mu     sync.Mutex
+	joined bool
+	limits cellLimits // the first engine's
+}
+
+// cellLimits are the Options a shared cell depends on.
+type cellLimits struct {
+	MaxSteps    int64
+	MaxMemBytes int64
+	ExecTimeout time.Duration
+	CacheLimit  int
+}
+
+// NewCellCache returns an empty cell cache for engines of the named
+// platforms.
+func NewCellCache(platforms ...string) (*CellCache, error) {
+	if len(platforms) == 0 {
+		return nil, fmt.Errorf("engine: cell cache for no platform")
+	}
+	c := &CellCache{platforms: platforms, offsets: []int{0}}
+	for i, name := range platforms {
+		plat, err := device.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		if slices.Contains(platforms[:i], name) {
+			return nil, fmt.Errorf("engine: cell cache lists platform %q twice", name)
+		}
+		classes := len(partition.SharedSpace(plat.NumDevices(), partition.DefaultSteps))
+		c.offsets = append(c.offsets, c.offsets[i]+classes)
+	}
+	return c, nil
+}
+
+// Len reports how many cells the cache holds (computed or in flight).
+func (c *CellCache) Len() int { return c.memo.Len() }
+
+// priceSlots is the length of a cell's price table: every platform's
+// classes.
+func (c *CellCache) priceSlots() int { return c.offsets[len(c.offsets)-1] }
+
+// join admits an engine built with opts: its platform must be one the
+// cache has slots for, and its limits those of the engines already
+// sharing the cache. It returns where the platform's price slots start.
+func (c *CellCache) join(opts Options) (int, error) {
+	i := slices.Index(c.platforms, opts.Platform)
+	if i < 0 {
+		return 0, fmt.Errorf("engine: cell cache serves platforms %v, not %q", c.platforms, opts.Platform)
+	}
+	lim := cellLimits{MaxSteps: opts.MaxSteps, MaxMemBytes: opts.MaxMemBytes, ExecTimeout: opts.ExecTimeout, CacheLimit: opts.CacheLimit}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.joined {
+		c.joined, c.limits = true, lim
+		if lim.CacheLimit > 0 {
+			c.memo.SetLimit(lim.CacheLimit)
+		}
+	} else if lim != c.limits {
+		return 0, fmt.Errorf("engine: %s engine limits %+v differ from %+v, which the engines sharing its cell cache run under", opts.Platform, lim, c.limits)
+	}
+	return c.offsets[i], nil
+}
+
+// cellKey identifies one cell.
+type cellKey struct {
+	bench   *bench.Program
+	sizeIdx int
+}
+
+// cell caches the result of runtime feature collection: the combined
+// feature vector, the profile it came from, and the launch the profile
+// was collected on (reused to price candidate partitionings). The
+// instance that launch ran on is the template every execution of the cell
+// is cut from and checked against (instance.go).
+type cell struct {
+	fv     features.Vector
+	prof   *exec.Profile
+	launch runtime.Launch
+	tmpl   *template
+	// prices is the cell's price table, one slot per (platform, class),
+	// each filled when the class first executes on the platform (priceOf).
+	prices []atomic.Pointer[classPrice]
+}

@@ -12,8 +12,12 @@
 //   - a trained-model artifact cache keyed by (platform, left-out
 //     program), backed by artifact files on disk with a train-on-the-fly
 //     fallback,
-//   - a per-(program, size) feature/profile cache, so the one profiled
-//     execution that runtime feature collection requires happens once.
+//   - a per-(program, size) cell cache — features, profile and instance
+//     — so the one profiled execution that runtime feature collection
+//     requires happens once. The cell does not depend on the platform,
+//     so a fleet shares one CellCache across all its engines
+//     (Options.SharedCells) and a (program, size) is profiled and held
+//     once per process.
 //
 // All three caches deduplicate concurrent identical requests through
 // sched.Memo: two clients asking for the same cold entry share one
@@ -36,7 +40,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/exec"
-	"repro/internal/features"
 	"repro/internal/harness"
 	"repro/internal/ml"
 	"repro/internal/obs"
@@ -80,9 +83,10 @@ type Options struct {
 	// no-regression gate holds out for the live-vs-candidate comparison
 	// (default 0.25, clamped to [0, 0.5]).
 	HoldoutFrac float64
-	// CacheLimit caps the compiled-program and feature/profile caches
-	// with LRU-ish eviction (0 = unbounded, the right default for batch
-	// tools; long-lived serve processes set a cap).
+	// CacheLimit caps the compiled-program and cell caches with LRU-ish
+	// eviction (0 = unbounded, the right default for batch tools;
+	// long-lived serve processes set a cap). A shared cell cache is capped
+	// once, not per engine.
 	CacheLimit int
 
 	// MaxSteps bounds the kernel steps one execution request may spend
@@ -105,6 +109,13 @@ type Options struct {
 	// table to every shard so per-tenant caps hold across the whole
 	// fleet rather than per shard.
 	SharedTenants *TenantTable
+	// SharedCells, when set, is the cell cache this engine uses instead of
+	// a private one. A fleet router passes the same cache to every shard
+	// of every platform so each (program, size) is profiled and held once
+	// per fleet; New refuses an engine whose platform the cache has no
+	// slots for, or whose MaxSteps, MaxMemBytes, ExecTimeout or CacheLimit
+	// differ from those of the engines already sharing it.
+	SharedCells *CellCache
 
 	// obsGate, when set (tests only), makes the flusher receive from the
 	// channel before processing each dequeued observation, so tests can
@@ -142,7 +153,10 @@ type Engine struct {
 
 	programs sched.Memo[string, *programEntry]
 	models   sched.Memo[string, *registry] // key = left-out program ("" = full)
-	features sched.Memo[featureKey, *featureEntry]
+	// cells is the cell cache, private or shared (Options.SharedCells);
+	// this engine's price slots in each cell start at priceBase.
+	cells     *CellCache
+	priceBase int
 
 	// space / spaceStrs mirror the framework's partition space; cpuClass
 	// and gpuClass are the reference strategies' class indices. All are
@@ -186,33 +200,12 @@ const (
 	ModelRetrained = "retrained"
 )
 
-// featureKey identifies one feature/profile computation.
-type featureKey struct {
-	program string
-	sizeIdx int
-}
-
-// featureEntry caches the result of runtime feature collection: the
-// combined feature vector, the profile it came from, and the launch the
-// profile was collected on (reused to price candidate partitionings). The
-// instance that launch ran on is the template every execution of the cell
-// is cut from and checked against (instance.go).
-type featureEntry struct {
-	fv     features.Vector
-	prof   *exec.Profile
-	launch runtime.Launch
-	tmpl   *template
-	// prices is the cell's price table, one slot per class, each filled
-	// when the class first executes (priceOf).
-	prices []atomic.Pointer[classPrice]
-}
-
 // classPrice is one class's partitioning of a cell priced on the cell's
-// profile: the makespan and each device's busy time. Under the
-// byte-identity contract an execution of the cell counts exactly what the
-// profile holds, so this is what every execution of the (cell, class)
-// measures; checked is set once a measured execution has reproduced it
-// bit for bit.
+// profile for one platform: the makespan and each device's busy time.
+// Under the byte-identity contract an execution of the cell counts exactly
+// what the profile holds, so this is what every execution of the (cell,
+// platform, class) measures; checked is set once a measured execution on
+// any of the platform's shards has reproduced it bit for bit.
 type classPrice struct {
 	makespan    float64
 	deviceTimes []float64
@@ -259,7 +252,9 @@ type engineCounters struct {
 // sizes. Warmness is visible here: a warm engine serves repeat requests
 // without Compiles, FeatureComputes, Trainings or ArtifactLoads moving.
 // (Compiles counts fills of this engine's program registry; a built-in's
-// kernel is compiled once per process, by whichever engine asks first.)
+// kernel is compiled once per process, by whichever engine asks first.
+// Likewise FeatureComputes counts the cells this engine profiled: in a
+// shared cell cache, whichever engine touches a cell first.)
 type Stats struct {
 	Platform        string `json:"platform"`
 	PredictRequests uint64 `json:"predictRequests"`
@@ -279,7 +274,6 @@ type Stats struct {
 	ClampedPredictions  uint64 `json:"clampedPredictions"`
 	CachedPrograms      int    `json:"cachedPrograms"`
 	CachedModels        int    `json:"cachedModels"`
-	CachedFeatures      int    `json:"cachedFeatures"`
 
 	// Adaptive-loop counters (all zero when no observation log is
 	// configured). Observations counts records the background flusher has
@@ -348,9 +342,17 @@ func New(opts Options) (*Engine, error) {
 	}
 	e.cpuClass = e.classOf(fw.Runtime.CPUOnly())
 	e.gpuClass = e.classOf(fw.Runtime.GPUOnly())
+	e.cells = opts.SharedCells
+	if e.cells == nil {
+		if e.cells, err = NewCellCache(opts.Platform); err != nil {
+			return nil, err
+		}
+	}
+	if e.priceBase, err = e.cells.join(opts); err != nil {
+		return nil, err
+	}
 	if opts.CacheLimit > 0 {
 		e.programs.SetLimit(opts.CacheLimit)
-		e.features.SetLimit(opts.CacheLimit)
 	}
 	if opts.ObsLog != nil {
 		e.obsq.start(e)
@@ -380,6 +382,10 @@ func (e *Engine) classOf(p partition.Partition) int {
 // callers that need pricing or reference strategies).
 func (e *Engine) Framework() *core.Framework { return e.fw }
 
+// Cells returns the engine's cell cache: Options.SharedCells, or the
+// engine's private one.
+func (e *Engine) Cells() *CellCache { return e.cells }
+
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats {
 	return Stats{
@@ -397,7 +403,6 @@ func (e *Engine) Stats() Stats {
 		ClampedPredictions:  e.stats.clamped.Load(),
 		CachedPrograms:      e.programs.Len(),
 		CachedModels:        e.models.Len(),
-		CachedFeatures:      e.features.Len(),
 
 		Observations:        e.stats.observations.Load(),
 		ObservationsLabeled: e.stats.observedLabeled.Load(),
@@ -533,17 +538,17 @@ func compileProgram(bp *bench.Program) (*core.Program, error) {
 	return &core.Program{Name: bp.Name, Front: f}, nil
 }
 
-// featuresFor resolves the feature/profile cache entry for (program,
-// size), profiling one execution on first use. The profiling run is
-// budgeted with the engine's default limits — user kernels must not
-// wedge the profiler any more than the executor — plus the caller's
-// context, so a disconnected client aborts even a first-touch profile
-// of a hostile kernel. Failures are not cached (DoRetryable): a budget
-// abort or cancellation on first profile must not poison the (program,
-// size) key forever — coalesced waiters see the error once and the
-// next request re-profiles.
-func (e *Engine) featuresFor(ctx context.Context, pe *programEntry, sizeIdx int) (*featureEntry, error) {
-	return e.features.DoRetryable(featureKey{program: pe.bench.Name, sizeIdx: sizeIdx}, func() (*featureEntry, error) {
+// cellFor resolves the cell for (program, size), profiling one execution
+// on first use. The profiling run is budgeted with the engine's default
+// limits — user kernels must not wedge the profiler any more than the
+// executor — plus the caller's context, so a disconnected client aborts
+// even a first-touch profile of a hostile kernel. Failures are not cached
+// (DoRetryable): a budget abort or cancellation on first profile must not
+// poison the (program, size) key forever — coalesced waiters, on any
+// engine sharing the cache, see the error once and the next request
+// re-profiles.
+func (e *Engine) cellFor(ctx context.Context, pe *programEntry, sizeIdx int) (*cell, error) {
+	return e.cells.memo.DoRetryable(cellKey{bench: pe.bench, sizeIdx: sizeIdx}, func() (*cell, error) {
 		inst, err := pe.bench.Instance(sizeIdx)
 		if err != nil {
 			return nil, err
@@ -561,8 +566,8 @@ func (e *Engine) featuresFor(ctx context.Context, pe *programEntry, sizeIdx int)
 		}
 		prof.Precompute()
 		e.stats.featureComputes.Add(1)
-		return &featureEntry{fv: fv, prof: prof, launch: e.launch(pe, inst), tmpl: tmpl,
-			prices: make([]atomic.Pointer[classPrice], e.fw.NumClasses())}, nil
+		return &cell{fv: fv, prof: prof, launch: e.launch(pe, inst), tmpl: tmpl,
+			prices: make([]atomic.Pointer[classPrice], e.cells.priceSlots())}, nil
 	})
 }
 
@@ -770,7 +775,7 @@ func (e *Engine) PredictInto(req Request, p *Prediction) error {
 
 // predictInto fills *p and returns the cache entries the prediction was
 // made from, which an execution goes on to run.
-func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction) (*programEntry, *featureEntry, error) {
+func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction) (*programEntry, *cell, error) {
 	pe, err := e.program(req.Program)
 	if err != nil {
 		return nil, nil, err
@@ -782,7 +787,7 @@ func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction) (*
 	if sz >= len(pe.bench.Sizes) {
 		return nil, nil, fmt.Errorf("engine: %s has %d sizes, requested index %d", req.Program, len(pe.bench.Sizes), sz)
 	}
-	fe, err := e.featuresFor(ctx, pe, sz)
+	fe, err := e.cellFor(ctx, pe, sz)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -968,10 +973,11 @@ func (e *Engine) run(l runtime.Launch, class int, price *classPrice) (makespan f
 	return price.makespan, price.deviceTimes, res.Profile, nil
 }
 
-// priceOf returns the cell's price-table entry for class, pricing the
-// class on the cell's profile the first time it is asked for.
-func (e *Engine) priceOf(fe *featureEntry, class int) (*classPrice, error) {
-	slot := &fe.prices[class]
+// priceOf returns the cell's price-table entry for class on the engine's
+// platform, pricing the class on the cell's profile the first time one of
+// the platform's engines asks for it.
+func (e *Engine) priceOf(fe *cell, class int) (*classPrice, error) {
+	slot := &fe.prices[e.priceBase+class]
 	if p := slot.Load(); p != nil {
 		return p, nil
 	}
@@ -1008,7 +1014,7 @@ func deviceTotals(bds []sim.Breakdown) []float64 {
 // measured-best class recorded, which is exactly the oracle label the
 // offline sweep produces.
 func (e *Engine) observe(pe *programEntry, ex *Execution, deviceTimes []float64) error {
-	fe, err := e.featuresFor(context.Background(), pe, ex.SizeIdx)
+	fe, err := e.cellFor(context.Background(), pe, ex.SizeIdx)
 	if err != nil {
 		return err
 	}

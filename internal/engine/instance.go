@@ -14,9 +14,10 @@ import (
 )
 
 // What a warm Execute reuses instead of rebuilding. Inputs are a pure
-// function of (program, size), and the feature cache already retains the
+// function of (program, size), and the cell cache already retains the
 // instance its profiling run executed on, so that instance is the
-// template every execution of the cell is cut from:
+// template every execution of the cell, on every engine sharing the
+// cache, is cut from:
 //
 //   - buffers behind const-qualified parameters are shared read-only
 //     with every request (sema refuses any store through them);
@@ -28,7 +29,7 @@ import (
 //     the Go reference accepted, and later executions are checked bit for
 //     bit against them (check).
 
-// template is the instance half of a featureEntry.
+// template is the instance half of a cell.
 type template struct {
 	bench   *bench.Program
 	sizeIdx int

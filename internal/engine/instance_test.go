@@ -140,7 +140,7 @@ func TestSharedInputsSurviveConcurrentExecutions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fe, err := eng.featuresFor(context.Background(), pe, 1)
+			fe, err := eng.cellFor(context.Background(), pe, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,10 +246,10 @@ func TestInPlaceKernelRestoredEveryExecution(t *testing.T) {
 	}
 }
 
-// TestEvictionReleasesTemplate: the template lives in the featureEntry
-// and nowhere else, so evicting the entry (a 1-entry cache and another
-// cell) leaves the instance, its snapshots and stored outputs to the
-// garbage collector.
+// TestEvictionReleasesTemplate: the template lives in the cell and
+// nowhere else, so evicting the cell (a 1-entry cache and another cell)
+// leaves the instance, its snapshots and stored outputs to the garbage
+// collector.
 func TestEvictionReleasesTemplate(t *testing.T) {
 	eng, _ := tappedEngine(t, "mc2", 1)
 	if _, err := eng.RegisterKernel("", KernelSpec{Name: "bump", Source: bumpSrc}); err != nil {
@@ -263,7 +263,7 @@ func TestEvictionReleasesTemplate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fe, err := eng.featuresFor(context.Background(), pe, 0)
+		fe, err := eng.cellFor(context.Background(), pe, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,8 +273,8 @@ func TestEvictionReleasesTemplate(t *testing.T) {
 		runtime.SetFinalizer(fe.tmpl, func(*template) { close(collected) })
 	}()
 	mustExecute(t, eng, Request{Program: "vecadd", SizeIdx: 0})
-	if n := eng.Stats().CachedFeatures; n != 1 {
-		t.Fatalf("%d cached feature entries with CacheLimit 1", n)
+	if n := eng.cells.Len(); n != 1 {
+		t.Fatalf("%d cached cells with CacheLimit 1", n)
 	}
 	eng.FlushObservations()
 	for deadline := time.Now().Add(10 * time.Second); ; {

@@ -3,8 +3,10 @@
 // routed consistently by hashing (platform, tenant), per-shard
 // admission control, and fleet-wide stats. It is what lets one serve
 // process carry several platforms — `-platforms mc1,mc2` — with tenant
-// quota state shared across every shard (engine.Options.SharedTenants)
-// while each shard keeps its own program/model/feature caches.
+// quota state (engine.Options.SharedTenants) and the cell cache of
+// per-(program, size) features, profiles and instances
+// (engine.Options.SharedCells) shared across every shard, while each
+// shard keeps its own program and model caches.
 package fleet
 
 import (
@@ -23,13 +25,15 @@ type Options struct {
 	// the default for requests that name none. Must be non-empty.
 	Platforms []string
 	// ShardsPerPlatform splits each platform's tenants across this many
-	// engines (default 1). More shards = more cache and lock isolation
-	// between tenant populations, at the cost of per-shard cache warmup.
+	// engines (default 1). More shards = more program/model cache and lock
+	// isolation between tenant populations, at the cost of per-shard
+	// cache warmup (shared cells warm once for the fleet).
 	ShardsPerPlatform int
 	// NewEngine builds the engine for one shard. The router calls it at
 	// most once per shard at a time (failures retry on the next request
-	// for that shard). It must wire SharedTenants/ObsLog itself if the
-	// fleet is to share quota state and the observation pipeline.
+	// for that shard). It must wire SharedTenants/SharedCells/ObsLog
+	// itself if the fleet is to share quota state, cells and the
+	// observation pipeline.
 	NewEngine func(platform string, shard int) (*engine.Engine, error)
 	// Admission is applied per shard.
 	Admission AdmissionConfig

@@ -21,12 +21,16 @@ func testRouter(t *testing.T, opts Options) (*Router, *atomic.Int64) {
 	}
 	var built atomic.Int64
 	shared := engine.NewTenantTable()
+	cells, err := engine.NewCellCache(opts.Platforms...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if opts.NewEngine == nil {
 		opts.NewEngine = func(platform string, shard int) (*engine.Engine, error) {
 			built.Add(1)
 			return engine.New(engine.Options{
 				Platform: platform, DB: db, Model: harness.FastModel(),
-				SharedTenants: shared,
+				SharedTenants: shared, SharedCells: cells,
 			})
 		}
 	}

@@ -13,7 +13,9 @@
 # budget, tenant quota rejection (429 + Retry-After), and idle-program
 # eviction with transparent recompile. A third instance exercises the
 # fleet path: -platforms mc1,mc2 with sharded engines, per-platform
-# routing and per-shard /stats, and admission control shedding an
+# routing and per-shard /stats, one profile for a (program, size) served
+# on both platforms (the fleet's shared cell cache), and admission
+# control shedding an
 # overload burst with 429 + Retry-After. (Sustained JSON/wire/batch
 # traffic with every response checked is the benchmark's job:
 # bash benchmark/run.sh --workload predict-serve.) Used by CI and
@@ -248,6 +250,13 @@ grep -q 'mc2' "$work/fleet-healthz.json"
 echo "== requests route per platform and tenant; shards appear in /stats =="
 curl -fsS "$base/predict?program=vecadd&size=1&platform=mc1" | grep -q '"partition"'
 curl -fsS -H 'X-Tenant: alice' "$base/predict?program=vecadd&size=1&platform=mc2" | grep -q '"partition"'
+
+echo "== one cell per fleet: a built-in predicted on both platforms is profiled once =="
+curl -fsS "$base/stats" > "$work/fleet-cells.json"
+computes=$(grep -o '"featureComputes": [0-9]*' "$work/fleet-cells.json" | awk '{ n += $2 } END { print n + 0 }')
+[ "$computes" = "1" ] || { echo "FAIL: vecadd size 1 on mc1 and mc2 took $computes feature computes, want 1"; exit 1; }
+grep -q '"cachedCells": 1,' "$work/fleet-cells.json" || { echo "FAIL: /stats does not report one cached cell"; exit 1; }
+
 curl -fsS -H 'X-Tenant: bob' "$base/predict?program=matmul&size=0&platform=mc2" | grep -q '"partition"'
 curl -fsS "$base/stats" | tee "$work/fleet-stats.json"
 grep -q '"platform": "mc1"' "$work/fleet-stats.json"
