@@ -528,8 +528,9 @@ func TestFleetProfilesEachCellOnce(t *testing.T) {
 	for i, want := range []int{cells, 4 * cells} {
 		w := doReq(t, fleets[i], http.MethodGet, "/stats", nil)
 		var stats struct {
-			CachedCells int                `json:"cachedCells"`
-			Shards      []fleet.ShardStats `json:"shards"`
+			CachedCells   int                `json:"cachedCells"`
+			CellTemplates int                `json:"cellTemplates"`
+			Shards        []fleet.ShardStats `json:"shards"`
 		}
 		if err := json.Unmarshal(w.Body.Bytes(), &stats); err != nil {
 			t.Fatal(err)
@@ -545,10 +546,11 @@ func TestFleetProfilesEachCellOnce(t *testing.T) {
 		}
 		// The stored outputs are the cell's, so a shared cell is checked
 		// against the Go reference once, on whichever engine ran it first.
-		if len(stats.Shards) != 4 || computes != uint64(want) || stats.CachedCells != want ||
+		// Every cell executed, so every cell built its template, once.
+		if len(stats.Shards) != 4 || computes != uint64(want) || stats.CachedCells != want || stats.CellTemplates != want ||
 			executions != uint64(4*cells) || byReference != uint64(want) {
-			t.Errorf("fleet %d: %d shards, %d feature computes, %d cached cells, %d executions, %d verified by reference; want 4, %d, %d, %d, %d",
-				i, len(stats.Shards), computes, stats.CachedCells, executions, byReference, want, want, 4*cells, want)
+			t.Errorf("fleet %d: %d shards, %d feature computes, %d cached cells, %d templates, %d executions, %d verified by reference; want 4, %d, %d, %d, %d, %d",
+				i, len(stats.Shards), computes, stats.CachedCells, stats.CellTemplates, executions, byReference, want, want, want, 4*cells, want)
 		}
 	}
 }

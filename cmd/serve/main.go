@@ -10,7 +10,8 @@
 // a tenant's cache locality survives across requests while tenant quota
 // state stays fleet-wide (one shared table across all shards). So does
 // the cell cache: each (program, size) is profiled, and its instance
-// held, once per process, whichever platforms and shards serve it.
+// template built on first execution, once per process, whichever
+// platforms and shards serve it.
 //
 // Every request takes one pipeline. The route table in (*server).mux
 // lists the endpoints, each with its methods and how far into the fleet
@@ -133,8 +134,9 @@ func main() {
 		}
 	}
 	// One tenant quota table, one observation log and one cell cache span
-	// the fleet: a (program, size)'s features, profile and instance are
-	// built and held once, whichever platforms and shards serve it.
+	// the fleet: a (program, size)'s features, profile and (once it
+	// executes) instance template are built and held once, whichever
+	// platforms and shards serve it.
 	// Everything else (program and model caches, obs ring, stats) is per
 	// shard. Building the cell cache validates the platform names up
 	// front: shards build lazily, and a typo must fail at startup, not on
@@ -517,13 +519,15 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request, _ *fleet.Sh
 		vecRec += st.Engine.VecReconverges
 		vecBail += st.Engine.VecScalarBails
 	}
-	// Cells are counted once per cache, however many shards share it.
+	// Cells, and the templates their first executions built, are counted
+	// once per cache, however many shards share it.
 	caches := map[*engine.CellCache]bool{}
-	cells := 0
+	cells, templates := 0, 0
 	for _, sh := range s.fleet.Shards() {
 		if c := sh.Engine().Cells(); !caches[c] {
 			caches[c] = true
 			cells += c.Len()
+			templates += c.Templates()
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -531,6 +535,7 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request, _ *fleet.Sh
 		"platforms":         s.fleet.Platforms(),
 		"shardsPerPlatform": s.fleet.ShardsPerPlatform(),
 		"cachedCells":       cells,
+		"cellTemplates":     templates,
 		"shards":            shards,
 		"vecDivergences":    vecDiv,
 		"vecReconverges":    vecRec,

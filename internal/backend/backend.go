@@ -189,12 +189,27 @@ func MixOf(st *inspire.StaticCounts) sim.AccessMix {
 	return m.Normalize()
 }
 
+// ArgBytes appends each argument's byte size to dst: a buffer's Bytes(),
+// 0 for anything else. Pricing reads these sizes and never the buffers'
+// contents, so a launch that is only priced need not keep its buffers.
+func ArgBytes(dst []int64, args []exec.Arg) []int64 {
+	for _, a := range args {
+		var n int64
+		if a.Buf != nil {
+			n = a.Buf.Bytes()
+		}
+		dst = append(dst, n)
+	}
+	return dst
+}
+
 // TransferBytes computes host->device and device->host traffic for
-// executing dim-0 chunk [lo,hi) of a launch with the given arguments.
-// global0 is the full dim-0 extent. Buffers not used by the kernel move
-// nothing; splittable buffers move their proportional slice; everything
-// else is replicated in full (and written back in full if written).
-func (pl *Plan) TransferBytes(args []exec.Arg, global0, lo, hi int) (in, out int64) {
+// executing dim-0 chunk [lo,hi) of a launch whose arguments have the given
+// byte sizes (ArgBytes). global0 is the full dim-0 extent. Buffers not used
+// by the kernel move nothing; splittable buffers move their proportional
+// slice; everything else is replicated in full (and written back in full if
+// written).
+func (pl *Plan) TransferBytes(argBytes []int64, global0, lo, hi int) (in, out int64) {
 	if hi <= lo || global0 <= 0 {
 		return 0, 0
 	}
@@ -206,10 +221,10 @@ func (pl *Plan) TransferBytes(args []exec.Arg, global0, lo, hi int) (in, out int
 		}
 		u := pl.Usages[ui]
 		ui++
-		if args[i].Buf == nil {
+		bytes := argBytes[i]
+		if bytes == 0 {
 			continue
 		}
-		bytes := args[i].Buf.Bytes()
 		prop := int64(float64(bytes) * frac)
 		if u.Read {
 			if u.Splittable {
@@ -236,12 +251,13 @@ func (pl *Plan) TransferBytes(args []exec.Arg, global0, lo, hi int) (in, out int
 
 // DeviceWorks builds the per-device sim.Work vector for a partitioned
 // launch: chunk profiles from a full-range profile, transfer bytes from
-// the plan, and the kernel's access mix. launches is the number of kernel
-// invocations the work represents (iterative applications re-launch the
-// kernel but keep buffers resident, so transfers are charged once).
-func (pl *Plan) DeviceWorks(prof *exec.Profile, args []exec.Arg, part partition.Partition,
+// the plan and the arguments' byte sizes, and the kernel's access mix.
+// launches is the number of kernel invocations the work represents
+// (iterative applications re-launch the kernel but keep buffers resident,
+// so transfers are charged once).
+func (pl *Plan) DeviceWorks(prof *exec.Profile, argBytes []int64, part partition.Partition,
 	align int, launches int) []sim.Work {
-	works, _ := pl.DeviceWorksInto(nil, nil, prof, args, part, align, launches)
+	works, _ := pl.DeviceWorksInto(nil, nil, prof, argBytes, part, align, launches)
 	return works
 }
 
@@ -251,7 +267,7 @@ func (pl *Plan) DeviceWorks(prof *exec.Profile, args []exec.Arg, part partition.
 // query; every computed value is identical to DeviceWorks'. It returns the
 // works plus the chunk scratch for reuse on the next candidate.
 func (pl *Plan) DeviceWorksInto(dst []sim.Work, chunkScratch [][2]int, prof *exec.Profile,
-	args []exec.Arg, part partition.Partition, align int, launches int) ([]sim.Work, [][2]int) {
+	argBytes []int64, part partition.Partition, align int, launches int) ([]sim.Work, [][2]int) {
 	chunks := part.ChunksInto(chunkScratch, prof.Global0, align)
 	var works []sim.Work
 	if cap(dst) >= len(chunks) {
@@ -266,7 +282,7 @@ func (pl *Plan) DeviceWorksInto(dst []sim.Work, chunkScratch [][2]int, prof *exe
 		}
 		counts := prof.Range(ch[0], ch[1])
 		scaleCounts(&counts, launches)
-		in, outB := pl.TransferBytes(args, prof.Global0, ch[0], ch[1])
+		in, outB := pl.TransferBytes(argBytes, prof.Global0, ch[0], ch[1])
 		works[d] = sim.Work{
 			Counts:      counts,
 			Mix:         pl.Mix,

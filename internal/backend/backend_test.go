@@ -127,15 +127,15 @@ func TestTransferBytesProportional(t *testing.T) {
 		exec.BufArg(exec.NewFloatBuffer(n)),
 		exec.IntArg(n),
 	}
-	in, out := pl.TransferBytes(args, n, 0, n)
+	in, out := pl.TransferBytes(ArgBytes(nil, args), n, 0, n)
 	if in != 8000 || out != 4000 {
 		t.Errorf("full range: in=%d out=%d, want 8000/4000", in, out)
 	}
-	in, out = pl.TransferBytes(args, n, 0, 500)
+	in, out = pl.TransferBytes(ArgBytes(nil, args), n, 0, 500)
 	if in != 4000 || out != 2000 {
 		t.Errorf("half range: in=%d out=%d, want 4000/2000", in, out)
 	}
-	in, out = pl.TransferBytes(args, n, 500, 500)
+	in, out = pl.TransferBytes(ArgBytes(nil, args), n, 500, 500)
 	if in != 0 || out != 0 {
 		t.Errorf("empty range: in=%d out=%d, want 0/0", in, out)
 	}
@@ -154,7 +154,7 @@ func TestTransferBytesReplicated(t *testing.T) {
 	n := 100
 	abuf, bbuf, cbuf := exec.NewFloatBuffer(n*n), exec.NewFloatBuffer(n*n), exec.NewFloatBuffer(n*n)
 	args := []exec.Arg{exec.BufArg(abuf), exec.BufArg(bbuf), exec.BufArg(cbuf), exec.IntArg(n)}
-	in, out := pl.TransferBytes(args, n, 0, 50)
+	in, out := pl.TransferBytes(ArgBytes(nil, args), n, 0, 50)
 	// a: half (splittable) = 20000, b: whole = 40000, c out: half = 20000.
 	if in != 20000+40000 {
 		t.Errorf("in = %d, want 60000", in)
@@ -183,7 +183,7 @@ func TestDeviceWorksPartition(t *testing.T) {
 		exec.IntArg(n),
 	}
 	part := partition.Partition{Shares: []int{5, 3, 2}}
-	works := pl.DeviceWorks(prof, args, part, 1, 1)
+	works := pl.DeviceWorks(prof, ArgBytes(nil, args), part, 1, 1)
 	if len(works) != 3 {
 		t.Fatalf("got %d works", len(works))
 	}
@@ -210,8 +210,8 @@ func TestDeviceWorksLaunchScaling(t *testing.T) {
 	n := 100
 	prof := &exec.Profile{Global0: n, Buckets: []exec.Counts{{Items: int64(n), FloatOps: int64(n), GlobalLoads: int64(n), GlobalStores: int64(n), MaxItemOps: 3}}}
 	args := []exec.Arg{exec.BufArg(exec.NewFloatBuffer(n))}
-	one := pl.DeviceWorks(prof, args, partition.Single(1, 0), 1, 1)
-	ten := pl.DeviceWorks(prof, args, partition.Single(1, 0), 1, 10)
+	one := pl.DeviceWorks(prof, ArgBytes(nil, args), partition.Single(1, 0), 1, 1)
+	ten := pl.DeviceWorks(prof, ArgBytes(nil, args), partition.Single(1, 0), 1, 10)
 	if ten[0].Counts.FloatOps != 10*one[0].Counts.FloatOps {
 		t.Errorf("launches did not scale compute: %d vs %d", ten[0].Counts.FloatOps, one[0].Counts.FloatOps)
 	}
@@ -256,8 +256,8 @@ func TestDeviceWorksIntoMatchesDeviceWorks(t *testing.T) {
 		{Shares: []int{0, 10, 0}},
 		{Shares: []int{7, 0, 3}},
 	} {
-		want := pl.DeviceWorks(prof, args, part, 64, 3)
-		works, chunks = pl.DeviceWorksInto(works, chunks, prof, args, part, 64, 3)
+		want := pl.DeviceWorks(prof, ArgBytes(nil, args), part, 64, 3)
+		works, chunks = pl.DeviceWorksInto(works, chunks, prof, ArgBytes(nil, args), part, 64, 3)
 		if !reflect.DeepEqual(works, want) {
 			t.Fatalf("partition %s: DeviceWorksInto %+v != DeviceWorks %+v", part, works, want)
 		}
@@ -303,7 +303,7 @@ func TestAnalyzeFollowsHelpers(t *testing.T) {
 		args[i] = exec.BufArg(exec.NewFloatBuffer(n))
 	}
 	args[6] = exec.IntArg(n)
-	in, out := pl.TransferBytes(args, n, 0, n/2)
+	in, out := pl.TransferBytes(ArgBytes(nil, args), n, 0, n/2)
 	// in: a, rw whole; w, via whole (written, replicated, not read). out: w, rw, via whole + half of direct.
 	if wantIn, wantOut := int64(4*n*4), int64(3*n*4+n*4/2); in != wantIn || out != wantOut {
 		t.Errorf("TransferBytes = (%d, %d), want (%d, %d)", in, out, wantIn, wantOut)

@@ -17,8 +17,9 @@ import (
 )
 
 // CellCache holds one cell per (program, size): the features, the
-// profile they came from and the instance that profile ran on. None of
-// these depend on the platform — the offline sweep profiles each
+// profile they came from, the argument sizes pricing reads and — once the
+// cell has executed — the instance template executions are cut from. None
+// of these depend on the platform — the offline sweep profiles each
 // (program, size) once for every platform too — so a fleet builds one
 // cache and hands it to every engine (Options.SharedCells): each
 // (program, size) is then profiled and held once per process, not once
@@ -79,6 +80,18 @@ func NewCellCache(platforms ...string) (*CellCache, error) {
 // Len reports how many cells the cache holds (computed or in flight).
 func (c *CellCache) Len() int { return c.memo.Len() }
 
+// Templates reports how many of the cache's cells hold a template: the
+// cells that have executed since they were profiled.
+func (c *CellCache) Templates() int {
+	n := 0
+	c.memo.Range(func(fe *cell) {
+		if fe.tmpl.Load() != nil {
+			n++
+		}
+	})
+	return n
+}
+
 // priceSlots is the length of a cell's price table: every platform's
 // classes.
 func (c *CellCache) priceSlots() int { return c.offsets[len(c.offsets)-1] }
@@ -111,17 +124,47 @@ type cellKey struct {
 	sizeIdx int
 }
 
-// cell caches the result of runtime feature collection: the combined
-// feature vector, the profile it came from, and the launch the profile
-// was collected on (reused to price candidate partitionings). The
-// instance that launch ran on is the template every execution of the cell
-// is cut from and checked against (instance.go).
+// cell is what the cache keeps for one (program, size). Until the cell
+// first executes, that is exactly what pricing reads: the combined feature
+// vector, the profile it came from, and the launch the profile was
+// collected on reduced to its shape — kernel, plan, NDRange and each
+// argument's byte size (launch.ArgBytes), no buffers. The instance the
+// profiling run executed on is dropped once the profile exists, so a cell
+// that is only ever predicted keeps no buffer at all. Its first execution
+// builds the template every execution of the cell is cut from and checked
+// against (instance.go).
 type cell struct {
 	fv     features.Vector
 	prof   *exec.Profile
 	launch runtime.Launch
-	tmpl   *template
+	// bytes is what instanceBytes charges for the cell's instance; every
+	// execution is charged it, shared buffers included.
+	bytes int64
+	// tmpl is nil until the cell's first execution builds it (template);
+	// tmplMu orders the builds.
+	tmplMu sync.Mutex
+	tmpl   atomic.Pointer[template]
 	// prices is the cell's price table, one slot per (platform, class),
 	// each filled when the class first executes on the platform (priceOf).
 	prices []atomic.Pointer[classPrice]
+}
+
+// template returns the cell's template, building it from one fresh
+// instance on the cell's first execution. A failed build is not kept: the
+// next execution tries again.
+func (c *cell) template(pe *programEntry, sizeIdx int) (*template, error) {
+	if t := c.tmpl.Load(); t != nil {
+		return t, nil
+	}
+	c.tmplMu.Lock()
+	defer c.tmplMu.Unlock()
+	if t := c.tmpl.Load(); t != nil {
+		return t, nil
+	}
+	t, err := newTemplate(pe.prog.Compiled.Fn, pe.bench, sizeIdx)
+	if err != nil {
+		return nil, err
+	}
+	c.tmpl.Store(t)
+	return t, nil
 }

@@ -3,12 +3,15 @@ package engine
 import (
 	"context"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/exec"
+	"repro/internal/features"
 	"repro/internal/harness"
 )
 
@@ -132,5 +135,134 @@ func TestUploadCellsAreNotShared(t *testing.T) {
 		if mc1, mc2 := float64(outs["mc1"].F[i]), float64(outs["mc2"].F[i]); mc1 != scale || math.Abs(mc2-square) > 1e-6*square {
 			t.Fatalf("out[%d] = %g on mc1 and %g on mc2, want each source's %g and %g", i, mc1, mc2, scale, square)
 		}
+	}
+}
+
+// TestPredictOnlyCellsHoldNoInstance: predicting every built-in at sizes
+// 0-3 builds 92 cells and not one template, and what those cells retain
+// is what pricing reads — features, profiles and argument sizes — not the
+// instances (about 53 MB of buffers) their profiling runs executed on.
+func TestPredictOnlyCellsHoldNoInstance(t *testing.T) {
+	eng, err := New(fastOpts(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Compile every program and train the model up front, so that the
+	// heap grows by the cells alone.
+	for _, bp := range bench.All() {
+		if _, err := eng.program(bp.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := eng.resolveModel(""); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, bp := range bench.All() {
+		for sz := 0; sz <= 3 && sz < len(bp.Sizes); sz++ {
+			if _, err := eng.Predict(Request{Program: bp.Name, SizeIdx: sz}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n, tmpls := eng.cells.Len(), eng.cells.Templates(); n != 92 || tmpls != 0 {
+		t.Fatalf("%d cells with %d templates after predicting 23 programs at sizes 0-3, want 92 with 0", n, tmpls)
+	}
+	for _, bp := range bench.All() {
+		pe, err := eng.program(bp.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fe, err := eng.cellFor(context.Background(), pe, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fe.launch.Args != nil {
+			t.Fatalf("%s: the cell's pricing launch carries its arguments", bp.Name)
+		}
+	}
+	if raceEnabled {
+		return // the race detector's shadow memory swamps the bound
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("92 predicted cells retain %.1f MB", float64(grew)/(1<<20))
+	if grew >= 16<<20 {
+		t.Fatal("want under 16 MB")
+	}
+	runtime.KeepAlive(eng)
+}
+
+// TestShapePricingMatchesInstance: a cell prices from its arguments'
+// sizes alone, and that is bit for bit what pricing a launch built on a
+// real instance gives, for every class on both platforms; the cell's
+// features are those of the real instance too.
+func TestShapePricingMatchesInstance(t *testing.T) {
+	maxSize := 3
+	if testing.Short() {
+		maxSize = 1
+	}
+	cells := mustCellCache(t, "mc1", "mc2")
+	for _, platform := range []string{"mc1", "mc2"} {
+		eng, err := New(Options{Platform: platform, DB: testDB(t), Model: harness.FastModel(), SharedCells: cells})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bp := range bench.All() {
+			st, err := bp.Static()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pe, err := eng.program(bp.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for sz := 0; sz <= maxSize && sz < len(bp.Sizes); sz++ {
+				fe, err := eng.cellFor(context.Background(), pe, sz)
+				if err != nil {
+					t.Fatal(err)
+				}
+				l, inst, err := bp.Build(sz)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := eng.fw.Runtime.PriceAll(fe.launch, fe.prof, eng.space, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := eng.fw.Runtime.PriceAll(l, fe.prof, eng.space, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != 66 || !sameBits(got, want) {
+					t.Fatalf("%s %s size %d: priced from sizes %v, from the instance %v", platform, bp.Name, sz, got, want)
+				}
+				fv := features.Combined(st, features.RuntimeInput{Profile: fe.prof, Plan: l.Plan, Args: inst.Args, Iterations: l.Iterations})
+				if !slices.Equal(fe.fv.Names, fv.Names) || !sameBits(fe.fv.Values, fv.Values) {
+					t.Fatalf("%s %s size %d: cell features %v, the instance's %v", platform, bp.Name, sz, fe.fv.Values, fv.Values)
+				}
+			}
+		}
+	}
+}
+
+// TestEvictedPredictOnlyCellReprofiles: a cell evicted before it ever
+// executed is profiled again on its next request, and its first execution
+// then builds its template and verifies.
+func TestEvictedPredictOnlyCellReprofiles(t *testing.T) {
+	eng, _ := tappedEngine(t, "mc2", 1)
+	for _, sz := range []int{0, 1} {
+		if _, err := eng.Predict(Request{Program: "vecadd", SizeIdx: sz}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if x := mustExecute(t, eng, Request{Program: "vecadd", SizeIdx: 0}); !x.Verified {
+		t.Fatalf("verified:false: %s", x.VerifyError)
+	}
+	if st := eng.Stats(); st.FeatureComputes != 3 || eng.cells.Len() != 1 || eng.cells.Templates() != 1 {
+		t.Fatalf("%d feature computes, %d cells, %d templates; want 3, 1, 1", st.FeatureComputes, eng.cells.Len(), eng.cells.Templates())
 	}
 }

@@ -12,9 +12,11 @@
 //   - a trained-model artifact cache keyed by (platform, left-out
 //     program), backed by artifact files on disk with a train-on-the-fly
 //     fallback,
-//   - a per-(program, size) cell cache — features, profile and instance
-//     — so the one profiled execution that runtime feature collection
-//     requires happens once. The cell does not depend on the platform,
+//   - a per-(program, size) cell cache — features, profile and argument
+//     sizes, plus an instance template once the cell first executes — so
+//     the one profiled execution that runtime feature collection requires
+//     happens once, and a cell that is only ever predicted keeps no
+//     buffer. The cell does not depend on the platform,
 //     so a fleet shares one CellCache across all its engines
 //     (Options.SharedCells) and a (program, size) is profiled and held
 //     once per process.
@@ -36,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/device"
@@ -539,7 +542,8 @@ func compileProgram(bp *bench.Program) (*core.Program, error) {
 }
 
 // cellFor resolves the cell for (program, size), profiling one execution
-// on first use. The profiling run is budgeted with the engine's default
+// on first use and keeping what pricing reads of it, not the instance it
+// ran on (see cell). The profiling run is budgeted with the engine's default
 // limits — user kernels must not wedge the profiler any more than the
 // executor — plus the caller's context, so a disconnected client aborts
 // even a first-touch profile of a hostile kernel. Failures are not cached
@@ -553,10 +557,10 @@ func (e *Engine) cellFor(ctx context.Context, pe *programEntry, sizeIdx int) (*c
 		if err != nil {
 			return nil, err
 		}
-		tmpl := newTemplate(pe.prog.Compiled.Fn, pe.bench, sizeIdx, inst)
+		bytes := instanceBytes(inst)
 		budget, cancel := e.budgetFor(ctx)
 		defer cancel()
-		if err := budget.ChargeMem(tmpl.bytes); err != nil {
+		if err := budget.ChargeMem(bytes); err != nil {
 			return nil, err
 		}
 		spec := core.LaunchSpec{Args: inst.Args, ND: inst.ND, Iterations: pe.bench.Iterations, Budget: budget}
@@ -566,7 +570,11 @@ func (e *Engine) cellFor(ctx context.Context, pe *programEntry, sizeIdx int) (*c
 		}
 		prof.Precompute()
 		e.stats.featureComputes.Add(1)
-		return &cell{fv: fv, prof: prof, launch: e.launch(pe, inst), tmpl: tmpl,
+		// Pricing reads the arguments' sizes, not their contents: the
+		// instance goes to the collector when this returns.
+		shape := e.launch(pe, inst)
+		shape.Args, shape.ArgBytes = nil, backend.ArgBytes(nil, inst.Args)
+		return &cell{fv: fv, prof: prof, launch: shape, bytes: bytes,
 			prices: make([]atomic.Pointer[classPrice], e.cells.priceSlots())}, nil
 	})
 }
@@ -857,9 +865,10 @@ func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction) (*
 
 // Execute answers one execution request: predict, then run the kernel
 // partitioned across the platform's devices on the cell's deterministic
-// instance, and check the outputs. A warm call rebuilds none of that: the
-// read-only inputs are the ones the cell was profiled on, the buffers the
-// kernel may write are recycled and restored, and the outputs are compared
+// instance, and check the outputs. The cell's first execution builds that
+// instance once, as the cell's template; a warm call rebuilds none of it:
+// the read-only inputs are the template's, the buffers the kernel may
+// write are recycled and restored, and the outputs are compared
 // bit for bit with the cell's first outputs the Go reference accepted —
 // Verified is true only on a full match or when the reference itself,
 // which every mismatch falls back to, accepts them. Nor does a warm call
@@ -909,14 +918,16 @@ func (e *Engine) execute(ctx context.Context, req Request) (*Execution, error) {
 	}
 	budget, cancel := e.budgetFor(ctx)
 	defer cancel()
-	if err := budget.ChargeMem(fe.tmpl.bytes); err != nil {
+	if err := budget.ChargeMem(fe.bytes); err != nil {
+		return nil, err
+	}
+	tmpl, err := fe.template(pe, pred.SizeIdx)
+	if err != nil {
 		return nil, err
 	}
 	l := fe.launch
-	if l.Args, err = fe.tmpl.acquire(); err != nil {
-		return nil, err
-	}
-	defer fe.tmpl.release(l.Args)
+	l.Args = tmpl.acquire()
+	defer tmpl.release(l.Args)
 	l.Budget = budget
 	makespan, deviceTimes, prof, err := e.run(l, pred.Class, price)
 	if err != nil {
@@ -930,7 +941,7 @@ func (e *Engine) execute(ctx context.Context, req Request) (*Execution, error) {
 		e.opts.afterKernel(l.Args)
 	}
 	out := &Execution{Prediction: pred, Makespan: makespan, Verified: true}
-	byMatch, err := fe.tmpl.check(l.Args)
+	byMatch, err := tmpl.check(l.Args)
 	if err != nil {
 		out.Verified = false
 		out.VerifyError = err.Error()

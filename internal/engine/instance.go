@@ -14,89 +14,79 @@ import (
 )
 
 // What a warm Execute reuses instead of rebuilding. Inputs are a pure
-// function of (program, size), and the cell cache already retains the
-// instance its profiling run executed on, so that instance is the
-// template every execution of the cell, on every engine sharing the
-// cache, is cut from:
+// function of (program, size), so a cell's first execution builds one
+// fresh instance and makes it the template every execution of the cell,
+// on every engine sharing the cache, is cut from:
 //
 //   - buffers behind const-qualified parameters are shared read-only
 //     with every request (sema refuses any store through them);
 //   - every other global buffer is private to the request: drawn from a
-//     process-wide free list and restored to the contents a fresh
-//     instance gives it;
-//   - the template's own copies of those buffers are dead once the
-//     profile exists, so they hold the outputs of the first execution
-//     the Go reference accepted, and later executions are checked bit for
-//     bit against them (check).
+//     process-wide free list and restored to the contents the template's
+//     pristine copy holds (or cleared, when a fresh instance gives it all
+//     zeros);
+//   - the outputs of the first execution the Go reference accepted are
+//     stored — in the template's own private buffer when that is not the
+//     pristine copy, else in one allocated by that first store — and
+//     later executions are checked bit for bit against them (check).
+//
+// A cell that is only ever predicted builds none of this (cell.template).
 
 // template is the instance half of a cell.
 type template struct {
 	bench   *bench.Program
 	sizeIdx int
-	// args and nd are the profiled instance's; bytes is what instanceBytes
-	// charges for it, and every request is charged: the whole instance,
-	// shared buffers included.
+	// args, nd and extra are the fresh instance's; extra holds its
+	// verification snapshots.
 	args  []exec.Arg
 	nd    exec.NDRange
-	bytes int64
+	extra map[string]*exec.Buffer
 	// private lists the global buffer arguments a request gets its own
-	// copy of.
-	private []int
-
-	// The cell's first execution fills these in from one fresh instance
-	// (a cell that only ever predicts pays and keeps nothing): pristine[k]
-	// is what private[k] holds before any kernel ran, nil when that is all
-	// zero (every pure output), which clear restores; extra is the
-	// instance's verification snapshots.
-	prepare  sync.Once
-	prepErr  error
+	// copy of. pristine[k] is what private[k] holds before any kernel ran,
+	// nil when that is all zero (every pure output), which clear restores.
+	private  []int
 	pristine []*exec.Buffer
-	extra    map[string]*exec.Buffer
 
-	// stored is set once the template's own private-side buffers hold
-	// reference-checked outputs; storeMu orders the one write that sets it.
+	// outs[k] holds private[k]'s stored outputs once stored is set;
+	// storeMu orders the one write that sets it.
 	storeMu sync.Mutex
+	outs    []*exec.Buffer
 	stored  atomic.Bool
 }
 
-// newTemplate makes the instance a cell was profiled on its template.
-func newTemplate(kernel *inspire.Function, bp *bench.Program, sizeIdx int, inst *bench.Instance) *template {
-	t := &template{bench: bp, sizeIdx: sizeIdx, args: inst.Args, nd: inst.ND, bytes: instanceBytes(inst)}
+// newTemplate builds a template from one fresh instance of (bp, sizeIdx),
+// picking its private buffers apart: one that is all zero needs no
+// pristine copy and will hold the stored outputs; one that is not is the
+// pristine copy — or the setup's own verification snapshot of it is, when
+// it took one (an in-place program's Extra holds exactly that), and the
+// instance's buffer is then free to hold the stored outputs.
+func newTemplate(kernel *inspire.Function, bp *bench.Program, sizeIdx int) (*template, error) {
+	inst, err := bp.Instance(sizeIdx)
+	if err != nil {
+		return nil, err
+	}
+	t := &template{bench: bp, sizeIdx: sizeIdx, args: inst.Args, nd: inst.ND, extra: inst.Extra}
 	for i, p := range kernel.Params {
 		if p.Type.Ptr && p.Type.Space == minicl.Global && !p.Type.Const {
 			t.private = append(t.private, i)
 		}
 	}
-	return t
-}
-
-// snapshot records what the private buffers hold before any kernel ran.
-// The profiling run has long overwritten the template's own, so a fresh
-// instance is built once and picked apart: a buffer that is not all zero
-// is kept as the snapshot — or dropped for the setup's own verification
-// snapshot of it, when it took one (an in-place program's Extra holds
-// exactly that) — and the rest of the instance goes to the collector.
-func (t *template) snapshot() {
-	fresh, err := t.bench.Instance(t.sizeIdx)
-	if err != nil {
-		t.prepErr = err
-		return
-	}
-	t.extra = fresh.Extra
 	t.pristine = make([]*exec.Buffer, len(t.private))
+	t.outs = make([]*exec.Buffer, len(t.private))
 	for k, arg := range t.private {
-		b := fresh.Args[arg].Buf
+		b := inst.Args[arg].Buf
 		if allZero(b) {
+			t.outs[k] = b
 			continue
 		}
 		t.pristine[k] = b
-		for _, x := range fresh.Extra {
+		for _, x := range inst.Extra {
 			if x != b && x.SameBits(b) {
-				t.pristine[k] = x
+				t.pristine[k], t.outs[k] = x, b
 				break
 			}
 		}
 	}
+	return t, nil
 }
 
 func allZero(b *exec.Buffer) bool {
@@ -116,11 +106,7 @@ func allZero(b *exec.Buffer) bool {
 // acquire builds one request's arguments: the template's, with each
 // private buffer replaced by one from the free list holding its pristine
 // contents. release must follow, whatever became of the request.
-func (t *template) acquire() ([]exec.Arg, error) {
-	t.prepare.Do(t.snapshot)
-	if t.prepErr != nil {
-		return nil, t.prepErr
-	}
+func (t *template) acquire() []exec.Arg {
 	args := make([]exec.Arg, len(t.args))
 	copy(args, t.args)
 	for k, arg := range t.private {
@@ -135,7 +121,7 @@ func (t *template) acquire() ([]exec.Arg, error) {
 		}
 		args[arg].Buf = b
 	}
-	return args, nil
+	return args
 }
 
 // release returns a request's private buffers to the free list. Their
@@ -162,10 +148,14 @@ func (t *template) check(args []exec.Arg) (byMatch bool, err error) {
 	}
 	t.storeMu.Lock()
 	if !t.stored.Load() {
-		for _, arg := range t.private {
-			own, b := t.args[arg].Buf, args[arg].Buf
-			copy(own.F, b.F)
-			copy(own.I, b.I)
+		for k, arg := range t.private {
+			b := args[arg].Buf
+			if t.outs[k] == nil {
+				t.outs[k] = b.Clone()
+				continue
+			}
+			copy(t.outs[k].F, b.F)
+			copy(t.outs[k].I, b.I)
 		}
 		t.stored.Store(true)
 	}
@@ -174,8 +164,8 @@ func (t *template) check(args []exec.Arg) (byMatch bool, err error) {
 }
 
 func (t *template) matches(args []exec.Arg) bool {
-	for _, arg := range t.private {
-		if !t.args[arg].Buf.SameBits(args[arg].Buf) {
+	for k, arg := range t.private {
+		if !t.outs[k].SameBits(args[arg].Buf) {
 			return false
 		}
 	}

@@ -144,9 +144,13 @@ func TestSharedInputsSurviveConcurrentExecutions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			own := fe.tmpl.args
+			tmpl := fe.tmpl.Load()
+			if tmpl == nil {
+				t.Fatal("the executed cell holds no template")
+			}
+			own := tmpl.args
 			private := map[int]bool{}
-			for _, arg := range fe.tmpl.private {
+			for _, arg := range tmpl.private {
 				private[arg] = true
 			}
 			var inFlight sync.Map // private buffers of executions between kernel and check
@@ -246,10 +250,10 @@ func TestInPlaceKernelRestoredEveryExecution(t *testing.T) {
 	}
 }
 
-// TestEvictionReleasesTemplate: the template lives in the cell and
-// nowhere else, so evicting the cell (a 1-entry cache and another cell)
-// leaves the instance, its snapshots and stored outputs to the garbage
-// collector.
+// TestEvictionReleasesTemplate: the template the cell's first execution
+// built lives in the cell and nowhere else, so evicting the cell (a
+// 1-entry cache and another cell) leaves the instance, its snapshots and
+// stored outputs to the garbage collector.
 func TestEvictionReleasesTemplate(t *testing.T) {
 	eng, _ := tappedEngine(t, "mc2", 1)
 	if _, err := eng.RegisterKernel("", KernelSpec{Name: "bump", Source: bumpSrc}); err != nil {
@@ -267,10 +271,11 @@ func TestEvictionReleasesTemplate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !fe.tmpl.stored.Load() || fe.tmpl.pristine[0] == nil {
-			t.Fatal("the cell holds no stored outputs or no snapshot to release")
+		tmpl := fe.tmpl.Load()
+		if tmpl == nil || !tmpl.stored.Load() || tmpl.pristine[0] == nil {
+			t.Fatal("the cell holds no template, stored outputs or snapshot to release")
 		}
-		runtime.SetFinalizer(fe.tmpl, func(*template) { close(collected) })
+		runtime.SetFinalizer(tmpl, func(*template) { close(collected) })
 	}()
 	mustExecute(t, eng, Request{Program: "vecadd", SizeIdx: 0})
 	if n := eng.cells.Len(); n != 1 {

@@ -143,7 +143,7 @@ func Runtime(in RuntimeInput) Vector {
 	}
 	totalOps *= float64(iters)
 
-	bytesIn, bytesOut := in.Plan.TransferBytes(in.Args, in.Profile.Global0, 0, in.Profile.Global0)
+	bytesIn, bytesOut := in.Plan.TransferBytes(backend.ArgBytes(nil, in.Args), in.Profile.Global0, 0, in.Profile.Global0)
 	intensity := totalOps / float64(bytesIn+bytesOut+1)
 
 	imbalance := 1.0

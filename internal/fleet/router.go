@@ -4,7 +4,7 @@
 // admission control, and fleet-wide stats. It is what lets one serve
 // process carry several platforms — `-platforms mc1,mc2` — with tenant
 // quota state (engine.Options.SharedTenants) and the cell cache of
-// per-(program, size) features, profiles and instances
+// per-(program, size) features, profiles and instance templates
 // (engine.Options.SharedCells) shared across every shard, while each
 // shard keeps its own program and model caches.
 package fleet

@@ -57,6 +57,7 @@ func (r *Runtime) DynamicSchedule(l Launch, prof *exec.Profile, chunks int) (*Dy
 	var totalItems int64
 
 	launches := l.iterations()
+	argBytes := l.argBytes(nil)
 	for c := 0; c < chunks; c++ {
 		lo := global0 * c / chunks / align * align
 		hi := global0 * (c + 1) / chunks / align * align
@@ -67,7 +68,7 @@ func (r *Runtime) DynamicSchedule(l Launch, prof *exec.Profile, chunks int) (*Dy
 			continue
 		}
 		counts := prof.Range(lo, hi)
-		in, out := l.Plan.TransferBytes(l.Args, global0, lo, hi)
+		in, out := l.Plan.TransferBytes(argBytes, global0, lo, hi)
 		// Pick the device that finishes this chunk earliest. Each chunk
 		// is its own kernel launch with its own transfers — the price of
 		// deciding at run time.

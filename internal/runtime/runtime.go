@@ -35,7 +35,11 @@ type Launch struct {
 	Kernel *exec.Compiled
 	Plan   *backend.Plan
 	Args   []exec.Arg
-	ND     exec.NDRange
+	// ArgBytes, when set, is each argument's byte size (backend.ArgBytes),
+	// which pricing then reads instead of deriving it from Args. A launch
+	// that is only priced, never run, needs these sizes and no buffers.
+	ArgBytes []int64
+	ND       exec.NDRange
 	// Iterations is the number of times the application launches the
 	// kernel (iterative solvers). Buffers stay device-resident between
 	// launches, so transfers are charged once while compute scales.
@@ -52,6 +56,15 @@ func (l *Launch) iterations() int {
 		return 1
 	}
 	return l.Iterations
+}
+
+// argBytes returns the arguments' byte sizes pricing reads: ArgBytes when
+// set, else the sizes of Args' buffers, derived into dst's storage.
+func (l *Launch) argBytes(dst []int64) []int64 {
+	if l.ArgBytes != nil {
+		return l.ArgBytes
+	}
+	return backend.ArgBytes(dst[:0], l.Args)
 }
 
 // Result reports one partitioned execution.
@@ -80,18 +93,21 @@ type Runtime struct {
 
 // priceScratch is the per-worker buffer set of the oracle search: chunk
 // layout, device works and breakdowns are reused across every candidate a
-// worker prices, so the steady-state search allocates nothing.
+// worker prices, so the steady-state search allocates nothing. sizes is
+// where PriceMakespan derives a launch's argument byte sizes from its Args.
 type priceScratch struct {
 	chunks [][2]int
 	works  []sim.Work
 	bds    []sim.Breakdown
+	sizes  []int64
 }
 
-// priceInto prices one partitioning using the scratch buffers. It computes
-// exactly what price computes, without allocating.
-func (r *Runtime) priceInto(sc *priceScratch, l Launch, prof *exec.Profile,
+// priceInto prices one partitioning of a launch whose arguments have the
+// given byte sizes, using the scratch buffers. It computes exactly what
+// price computes, without allocating.
+func (r *Runtime) priceInto(sc *priceScratch, l Launch, argBytes []int64, prof *exec.Profile,
 	part partition.Partition, align int) (float64, error) {
-	sc.works, sc.chunks = l.Plan.DeviceWorksInto(sc.works, sc.chunks, prof, l.Args, part, align, l.iterations())
+	sc.works, sc.chunks = l.Plan.DeviceWorksInto(sc.works, sc.chunks, prof, argBytes, part, align, l.iterations())
 	t, bds, err := sim.MakespanInto(sc.bds, r.Platform, sc.works, r.Opts)
 	sc.bds = bds
 	return t, err
@@ -249,7 +265,7 @@ func (r *Runtime) Price(l Launch, prof *exec.Profile, part partition.Partition) 
 }
 
 func (r *Runtime) price(l Launch, prof *exec.Profile, part partition.Partition, align int) (float64, []sim.Breakdown, error) {
-	works := l.Plan.DeviceWorks(prof, l.Args, part, align, l.iterations())
+	works := l.Plan.DeviceWorks(prof, l.argBytes(nil), part, align, l.iterations())
 	return sim.Makespan(r.Platform, works, r.Opts)
 }
 
@@ -268,7 +284,11 @@ func (r *Runtime) PriceMakespan(l Launch, prof *exec.Profile, part partition.Par
 	if sc == nil {
 		sc = new(priceScratch)
 	}
-	t, err := r.priceInto(sc, l, prof, part, align)
+	argBytes := l.argBytes(sc.sizes)
+	if l.ArgBytes == nil {
+		sc.sizes = argBytes // derived: keep the storage for the next call
+	}
+	t, err := r.priceInto(sc, l, argBytes, prof, part, align)
 	r.priceBufs.Put(sc)
 	return t, err
 }
@@ -332,6 +352,7 @@ func (r *Runtime) priceSpace(l Launch, prof *exec.Profile, space []partition.Par
 		return nil, err
 	}
 	prof.Precompute()
+	argBytes := l.argBytes(nil)
 	workers := sched.Workers(r.Workers)
 	if workers > len(space) {
 		workers = len(space)
@@ -342,7 +363,7 @@ func (r *Runtime) priceSpace(l Launch, prof *exec.Profile, space []partition.Par
 			hi := len(space) * (s + 1) / workers
 			var sc priceScratch
 			for i := lo; i < hi; i++ {
-				t, err := r.priceInto(&sc, l, prof, space[i], align)
+				t, err := r.priceInto(&sc, l, argBytes, prof, space[i], align)
 				if err != nil {
 					return struct{}{}, err
 				}

@@ -3,6 +3,7 @@ package runtime
 import (
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/device"
 	"repro/internal/partition"
 )
@@ -62,7 +63,8 @@ func TestPriceAllReusesDst(t *testing.T) {
 
 // TestPriceMakespanMatchesPriceAndAllocsNothing checks the serving
 // engine's single-candidate pricing path: same makespan as Price, zero
-// heap allocations once the scratch pool is warm.
+// heap allocations once the scratch pool is warm, whether the launch
+// carries its buffers or only their sizes (ArgBytes).
 func TestPriceMakespanMatchesPriceAndAllocsNothing(t *testing.T) {
 	l, _ := vecaddLaunch(t, 4096)
 	rt := New(device.MC2())
@@ -71,30 +73,36 @@ func TestPriceMakespanMatchesPriceAndAllocsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	prof.Precompute()
+	shape := l
+	shape.Args, shape.ArgBytes = nil, backend.ArgBytes(nil, l.Args)
 	space := partition.SharedSpace(3, partition.DefaultSteps)
 	for i, part := range space {
 		want, _, err := rt.Price(l, prof, part)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := rt.PriceMakespan(l, prof, part)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("candidate %d (%s): PriceMakespan %v != Price %v", i, part, got, want)
+		for _, pl := range []Launch{l, shape} {
+			got, err := rt.PriceMakespan(pl, prof, part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("candidate %d (%s), sizes only %v: PriceMakespan %v != Price %v", i, part, pl.Args == nil, got, want)
+			}
 		}
 	}
 	if raceEnabled {
 		return // race instrumentation allocates; correctness was checked above
 	}
 	part := space[len(space)/2]
-	if avg := testing.AllocsPerRun(100, func() {
-		if _, err := rt.PriceMakespan(l, prof, part); err != nil {
-			t.Fatal(err)
+	for _, pl := range []Launch{l, shape} {
+		if avg := testing.AllocsPerRun(100, func() {
+			if _, err := rt.PriceMakespan(pl, prof, part); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("warm PriceMakespan (sizes only %v) allocates %.2f/op, want 0", pl.Args == nil, avg)
 		}
-	}); avg != 0 {
-		t.Errorf("warm PriceMakespan allocates %.2f/op, want 0", avg)
 	}
 }
 

@@ -187,6 +187,21 @@ func (m *Memo[K, V]) Evictions() uint64 {
 	return m.evicted.Load()
 }
 
+// Range calls fn with the value of every entry whose computation has
+// finished without error, from one published snapshot: lock-free, like a
+// warm hit, and blind to entries added or evicted while it runs.
+func (m *Memo[K, V]) Range(fn func(V)) {
+	mp := m.read.Load()
+	if mp == nil {
+		return
+	}
+	for _, e := range *mp {
+		if e.done.Load() && e.err == nil {
+			fn(e.val)
+		}
+	}
+}
+
 // Len reports how many keys are currently cached (computed or in flight).
 func (m *Memo[K, V]) Len() int {
 	m.mu.Lock()

@@ -245,3 +245,24 @@ func TestMemoLimitNeverEvictsInFlight(t *testing.T) {
 		t.Fatalf("Len after drain = %d, want 1", m.Len())
 	}
 }
+
+// TestMemoRangeSeesFinishedSuccesses: Range visits every entry whose
+// computation succeeded, and neither a cached failure nor one still in
+// flight.
+func TestMemoRangeSeesFinishedSuccesses(t *testing.T) {
+	var m Memo[string, int]
+	m.Range(func(int) { t.Fatal("Range visited an empty memo") })
+	for k, v := range map[string]int{"a": 1, "b": 2} {
+		m.Do(k, func() (int, error) { return v, nil })
+	}
+	m.Do("fail", func() (int, error) { return 99, errors.New("boom") })
+	started, release := make(chan struct{}), make(chan struct{})
+	go m.Do("slow", func() (int, error) { close(started); <-release; return 100, nil })
+	<-started
+	sum := 0
+	m.Range(func(v int) { sum += v })
+	close(release)
+	if sum != 3 {
+		t.Fatalf("Range summed %d, want 3 (a and b only)", sum)
+	}
+}

@@ -14,9 +14,9 @@
 # eviction with transparent recompile. A third instance exercises the
 # fleet path: -platforms mc1,mc2 with sharded engines, per-platform
 # routing and per-shard /stats, one profile for a (program, size) served
-# on both platforms (the fleet's shared cell cache), and admission
-# control shedding an
-# overload burst with 429 + Retry-After. (Sustained JSON/wire/batch
+# on both platforms (the fleet's shared cell cache) with no instance
+# template until the cell's first /execute builds one, and admission
+# control shedding an overload burst with 429 + Retry-After. (Sustained JSON/wire/batch
 # traffic with every response checked is the benchmark's job:
 # bash benchmark/run.sh --workload predict-serve.) Used by CI and
 # runnable locally:
@@ -256,6 +256,12 @@ curl -fsS "$base/stats" > "$work/fleet-cells.json"
 computes=$(grep -o '"featureComputes": [0-9]*' "$work/fleet-cells.json" | awk '{ n += $2 } END { print n + 0 }')
 [ "$computes" = "1" ] || { echo "FAIL: vecadd size 1 on mc1 and mc2 took $computes feature computes, want 1"; exit 1; }
 grep -q '"cachedCells": 1,' "$work/fleet-cells.json" || { echo "FAIL: /stats does not report one cached cell"; exit 1; }
+grep -q '"cellTemplates": 0,' "$work/fleet-cells.json" || { echo "FAIL: a predicted-only cell holds an instance template"; exit 1; }
+
+echo "== the cell's first /execute builds its template =="
+curl -fsS -X POST "$base/execute?program=vecadd&size=1&platform=mc1" | grep -q '"verified": true'
+curl -fsS "$base/stats" > "$work/fleet-cells.json"
+grep -q '"cellTemplates": 1,' "$work/fleet-cells.json" || { echo "FAIL: one executed cell does not report one template"; exit 1; }
 
 curl -fsS -H 'X-Tenant: bob' "$base/predict?program=matmul&size=0&platform=mc2" | grep -q '"partition"'
 curl -fsS "$base/stats" | tee "$work/fleet-stats.json"
