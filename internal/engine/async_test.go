@@ -149,3 +149,50 @@ func TestEnginePredictIntoZeroAllocs(t *testing.T) {
 		t.Fatalf("PredictInto %+v != Predict %+v", p, *q)
 	}
 }
+
+// TestFailedAppendsAreNotObserved: Observations and ObservationsLabeled
+// count records the log accepted. Against a closed log every execution is
+// an ObserveFailure and none is an observation, labeled or not.
+func TestFailedAppendsAreNotObserved(t *testing.T) {
+	opts, log := adaptiveOpts(t)
+	eng, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const n = 3
+	for range n {
+		mustExecute(t, eng, Request{Program: "vecadd", SizeIdx: 0})
+	}
+	eng.FlushObservations()
+	if st := eng.Stats(); st.Observations != 0 || st.ObservationsLabeled != 0 || st.ObserveFailures != n {
+		t.Fatalf("%d observations, %d labeled, %d failures against a closed log; want 0, 0 and %d",
+			st.Observations, st.ObservationsLabeled, st.ObserveFailures, n)
+	}
+}
+
+// TestOracleSampleEveryCountsDequeues: with OracleSampleEvery 3, the
+// first of every three dequeued executions is labeled.
+func TestOracleSampleEveryCountsDequeues(t *testing.T) {
+	opts, log := adaptiveOpts(t)
+	opts.OracleSampleEvery = 3
+	eng, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for range 7 {
+		mustExecute(t, eng, Request{Program: "vecadd", SizeIdx: 0})
+	}
+	for i, o := range observed(t, eng, log) {
+		if o.Labeled != (i%3 == 0) {
+			t.Fatalf("observation %d labeled %v", i, o.Labeled)
+		}
+	}
+	if st := eng.Stats(); st.Observations != 7 || st.ObservationsLabeled != 3 {
+		t.Fatalf("%d observations, %d labeled; want 7 and 3", st.Observations, st.ObservationsLabeled)
+	}
+}

@@ -128,11 +128,13 @@ type cellKey struct {
 // first executes, that is exactly what pricing reads: the combined feature
 // vector, the profile it came from, and the launch the profile was
 // collected on reduced to its shape — kernel, plan, NDRange and each
-// argument's byte size (launch.ArgBytes), no buffers. The instance the
-// profiling run executed on is dropped once the profile exists, so a cell
-// that is only ever predicted keeps no buffer at all. Its first execution
-// builds the template every execution of the cell is cut from and checked
-// against (instance.go).
+// argument's byte size (launch.ArgBytes), no buffers. A cell first
+// reached through /predict drops the instance its profiling run executed
+// on once the profile exists, so a cell that is only ever predicted keeps
+// no buffer at all, and its first execution builds the template every
+// execution of the cell is cut from and checked against (instance.go).
+// A cell first reached through /execute is profiled on the request's
+// buffers, cut from its template already (Engine.cellFor).
 type cell struct {
 	fv     features.Vector
 	prof   *exec.Profile
@@ -147,6 +149,12 @@ type cell struct {
 	// prices is the cell's price table, one slot per (platform, class),
 	// each filled when the class first executes on the platform (priceOf).
 	prices []atomic.Pointer[classPrice]
+	// checked is set once an execution after the profiling run, on any
+	// platform and class, has measured a profile equal to prof bucket for
+	// bucket and the class's price bit for bit (Engine.run). A launch does
+	// not depend on its class and each price is a pure function of (prof,
+	// class), so that one match checks every class on every platform.
+	checked atomic.Bool
 }
 
 // template returns the cell's template, building it from one fresh
@@ -161,10 +169,11 @@ func (c *cell) template(pe *programEntry, sizeIdx int) (*template, error) {
 	if t := c.tmpl.Load(); t != nil {
 		return t, nil
 	}
-	t, err := newTemplate(pe.prog.Compiled.Fn, pe.bench, sizeIdx)
+	inst, err := pe.bench.Instance(sizeIdx)
 	if err != nil {
 		return nil, err
 	}
+	t := newTemplate(pe.prog.Compiled.Fn, pe.bench, sizeIdx, inst)
 	c.tmpl.Store(t)
 	return t, nil
 }

@@ -111,7 +111,7 @@ func TestUploadCellsAreNotShared(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fe, err := eng.cellFor(context.Background(), pe, req.SizeIdx)
+		fe, err := eng.cellFor(context.Background(), pe, req.SizeIdx, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestPredictOnlyCellsHoldNoInstance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fe, err := eng.cellFor(context.Background(), pe, 0)
+		fe, err := eng.cellFor(context.Background(), pe, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestShapePricingMatchesInstance(t *testing.T) {
 				t.Fatal(err)
 			}
 			for sz := 0; sz <= maxSize && sz < len(bp.Sizes); sz++ {
-				fe, err := eng.cellFor(context.Background(), pe, sz)
+				fe, err := eng.cellFor(context.Background(), pe, sz, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

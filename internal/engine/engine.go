@@ -100,10 +100,10 @@ type Options struct {
 	// allocate (0 = unlimited).
 	MaxMemBytes int64
 	// ExecTimeout bounds one execution request's wall clock (0 = only
-	// the caller context's own deadline applies). Profiling runs under
-	// the same step/memory/time limits but never under a request
-	// context, so one client's cancellation cannot poison the shared
-	// feature cache.
+	// the caller context's own deadline applies). A cell's profiling run
+	// is bounded the same way, under the context of the request that
+	// needed it; an aborted one is not cached, so one client's
+	// cancellation cannot poison the shared cell cache.
 	ExecTimeout time.Duration
 	// Tenant configures per-tenant kernel quotas and concurrency caps.
 	Tenant TenantLimits
@@ -127,9 +127,11 @@ type Options struct {
 	// obsRing, when set (tests only), replaces DefaultObsQueue as the
 	// observation ring's capacity, so tests can overflow it.
 	obsRing int
-	// afterKernel, when set (tests only), sees an execution's arguments
-	// between the kernel and the output check, so tests can corrupt or
-	// inspect what the check is about to read.
+	// afterKernel, when set (tests only), sees the arguments of every
+	// kernel run the engine makes — a cell's profiling run and each
+	// execution's — right after the run and before an execution's output
+	// check, so tests can count runs and corrupt or inspect what the check
+	// is about to read.
 	afterKernel func(args []exec.Arg)
 }
 
@@ -207,12 +209,11 @@ const (
 // profile for one platform: the makespan and each device's busy time.
 // Under the byte-identity contract an execution of the cell counts exactly
 // what the profile holds, so this is what every execution of the (cell,
-// platform, class) measures; checked is set once a measured execution on
-// any of the platform's shards has reproduced it bit for bit.
+// platform, class) measures; the cell's checked flag says whether an
+// execution has confirmed it.
 type classPrice struct {
 	makespan    float64
 	deviceTimes []float64
-	checked     atomic.Bool
 }
 
 // engineCounters are the engine's monotonically increasing stats.
@@ -313,10 +314,11 @@ type Stats struct {
 	VecReconverges uint64 `json:"vecReconverges"`
 	VecScalarBails uint64 `json:"vecScalarBails"`
 
-	// MakespanMismatches counts measured executions whose makespan or
-	// per-device times differed from the cell's price table; each was
-	// answered as measured. Zero on a healthy server: anything else means
-	// a kernel's counts depend on more than its inputs.
+	// MakespanMismatches counts measured executions whose profile
+	// differed from the cell's, or whose makespan or per-device times
+	// differed from the cell's price table; each was answered as
+	// measured. Zero on a healthy server: anything else means a kernel's
+	// counts depend on more than its inputs.
 	MakespanMismatches uint64 `json:"makespanMismatches"`
 }
 
@@ -493,10 +495,10 @@ type Prediction struct {
 type Execution struct {
 	Prediction
 	// Makespan is the simulated wall time of the partitioned execution,
-	// priced on the cell's profile: the first execution of each (cell,
-	// class) measures it and checks the price bit for bit, later ones
-	// answer from the price. A measurement that disagrees is what is
-	// answered (Stats.MakespanMismatches).
+	// priced on the cell's profile: the first execution after the cell's
+	// profiling run measures it and checks profile and price bit for bit,
+	// later ones answer from the price. A measurement that disagrees is
+	// what is answered (Stats.MakespanMismatches).
 	Makespan float64 `json:"makespan"`
 	// Verified reports whether the outputs matched the program's Go
 	// reference implementation.
@@ -542,20 +544,36 @@ func compileProgram(bp *bench.Program) (*core.Program, error) {
 }
 
 // cellFor resolves the cell for (program, size), profiling one execution
-// on first use and keeping what pricing reads of it, not the instance it
-// ran on (see cell). The profiling run is budgeted with the engine's default
-// limits — user kernels must not wedge the profiler any more than the
-// executor — plus the caller's context, so a disconnected client aborts
-// even a first-touch profile of a hostile kernel. Failures are not cached
-// (DoRetryable): a budget abort or cancellation on first profile must not
-// poison the (program, size) key forever — coalesced waiters, on any
-// engine sharing the cache, see the error once and the next request
-// re-profiles.
-func (e *Engine) cellFor(ctx context.Context, pe *programEntry, sizeIdx int) (*cell, error) {
+// on first use and keeping what pricing reads of it (see cell). A cold
+// cell reached through /predict (first == nil) is profiled on a throwaway
+// instance and keeps no template. One reached through /execute is built
+// in one pass, and its profiling run is that request's execution: the
+// fresh instance becomes the cell's template, the request's buffers are
+// acquired from it, the run on them gives the profile and the features,
+// and the Go reference checks (and the template stores) the outputs
+// before the cell is published. first then records the run; a request
+// coalesced on the cold key finds it untouched and executes normally.
+//
+// The profiling run is budgeted with the engine's default limits — user
+// kernels must not wedge the profiler any more than the executor — plus
+// the caller's context, so a disconnected client aborts even a first-touch
+// profile of a hostile kernel; the instance is charged once. Failures are
+// not cached (DoRetryable): a budget abort or cancellation on first
+// profile must not poison the (program, size) key forever — coalesced
+// waiters, on any engine sharing the cache, see the error once and the
+// next request re-profiles.
+func (e *Engine) cellFor(ctx context.Context, pe *programEntry, sizeIdx int, first *ran) (*cell, error) {
 	return e.cells.memo.DoRetryable(cellKey{bench: pe.bench, sizeIdx: sizeIdx}, func() (*cell, error) {
 		inst, err := pe.bench.Instance(sizeIdx)
 		if err != nil {
 			return nil, err
+		}
+		args := inst.Args
+		var tmpl *template
+		if first != nil {
+			tmpl = newTemplate(pe.prog.Compiled.Fn, pe.bench, sizeIdx, inst)
+			args = tmpl.acquire()
+			defer tmpl.release(args)
 		}
 		bytes := instanceBytes(inst)
 		budget, cancel := e.budgetFor(ctx)
@@ -563,20 +581,35 @@ func (e *Engine) cellFor(ctx context.Context, pe *programEntry, sizeIdx int) (*c
 		if err := budget.ChargeMem(bytes); err != nil {
 			return nil, err
 		}
-		spec := core.LaunchSpec{Args: inst.Args, ND: inst.ND, Iterations: pe.bench.Iterations, Budget: budget}
+		spec := core.LaunchSpec{Args: args, ND: inst.ND, Iterations: pe.bench.Iterations, Budget: budget}
 		fv, prof, err := e.fw.Features(pe.prog, spec)
 		if err != nil {
 			return nil, err
 		}
+		e.afterKernel(args)
 		prof.Precompute()
 		e.stats.featureComputes.Add(1)
-		// Pricing reads the arguments' sizes, not their contents: the
-		// instance goes to the collector when this returns.
+		// Pricing reads the arguments' sizes, not their contents: unless it
+		// became the template, the instance goes to the collector when this
+		// returns.
 		shape := e.launch(pe, inst)
 		shape.Args, shape.ArgBytes = nil, backend.ArgBytes(nil, inst.Args)
-		return &cell{fv: fv, prof: prof, launch: shape, bytes: bytes,
-			prices: make([]atomic.Pointer[classPrice], e.cells.priceSlots())}, nil
+		fe := &cell{fv: fv, prof: prof, launch: shape, bytes: bytes,
+			prices: make([]atomic.Pointer[classPrice], e.cells.priceSlots())}
+		if first != nil {
+			_, first.verifyErr = tmpl.check(args)
+			first.prof = prof
+			fe.tmpl.Store(tmpl)
+		}
+		return fe, nil
 	})
+}
+
+// afterKernel hands a kernel run's arguments to Options.afterKernel.
+func (e *Engine) afterKernel(args []exec.Arg) {
+	if e.opts.afterKernel != nil {
+		e.opts.afterKernel(args)
+	}
 }
 
 // budgetFor builds one kernel run's budget: engine default limits,
@@ -774,7 +807,7 @@ func (e *Engine) Predict(req Request) (*Prediction, error) {
 // unspecified state.
 func (e *Engine) PredictInto(req Request, p *Prediction) error {
 	e.stats.predictRequests.Add(1)
-	if _, _, err := e.predictInto(context.Background(), req, p); err != nil {
+	if _, _, err := e.predictInto(context.Background(), req, p, nil); err != nil {
 		e.noteBudgetAbort(err)
 		return err
 	}
@@ -782,8 +815,9 @@ func (e *Engine) PredictInto(req Request, p *Prediction) error {
 }
 
 // predictInto fills *p and returns the cache entries the prediction was
-// made from, which an execution goes on to run.
-func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction) (*programEntry, *cell, error) {
+// made from, which an execution goes on to run. An execution passes first:
+// if the cell is cold, its profiling run is the execution (cellFor).
+func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction, first *ran) (*programEntry, *cell, error) {
 	pe, err := e.program(req.Program)
 	if err != nil {
 		return nil, nil, err
@@ -795,7 +829,7 @@ func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction) (*
 	if sz >= len(pe.bench.Sizes) {
 		return nil, nil, fmt.Errorf("engine: %s has %d sizes, requested index %d", req.Program, len(pe.bench.Sizes), sz)
 	}
-	fe, err := e.cellFor(ctx, pe, sz)
+	fe, err := e.cellFor(ctx, pe, sz, first)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -874,8 +908,10 @@ func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction) (*
 // which every mismatch falls back to, accepts them. Nor does a warm call
 // measure what the prediction already priced: its makespan comes from the
 // cell's price table, built on the cell's profile, and its kernel keeps
-// count totals only. The first execution of each (cell, class) is the
-// self-check that profiles the run and prices it as measured (see run).
+// count totals only. The kernel runs once per request: on a cold cell the
+// cell's profiling run is the execution (cellFor), and the first execution
+// after the profiling run is the self-check that profiles the run again
+// and prices it as measured (see run).
 //
 // When an observation log is configured, every execution is recorded —
 // the closed loop's data collection — asynchronously: the request only
@@ -908,7 +944,8 @@ func (e *Engine) Execute(ctx context.Context, req Request) (*Execution, error) {
 
 func (e *Engine) execute(ctx context.Context, req Request) (*Execution, error) {
 	var pred Prediction
-	pe, fe, err := e.predictInto(ctx, req, &pred)
+	var r ran
+	pe, fe, err := e.predictInto(ctx, req, &pred, &r)
 	if err != nil {
 		return nil, err
 	}
@@ -916,72 +953,88 @@ func (e *Engine) execute(ctx context.Context, req Request) (*Execution, error) {
 	if err != nil {
 		return nil, err
 	}
-	budget, cancel := e.budgetFor(ctx)
-	defer cancel()
-	if err := budget.ChargeMem(fe.bytes); err != nil {
-		return nil, err
-	}
-	tmpl, err := fe.template(pe, pred.SizeIdx)
-	if err != nil {
-		return nil, err
-	}
-	l := fe.launch
-	l.Args = tmpl.acquire()
-	defer tmpl.release(l.Args)
-	l.Budget = budget
-	makespan, deviceTimes, prof, err := e.run(l, pred.Class, price)
-	if err != nil {
-		return nil, err
+	r.makespan, r.deviceTimes = price.makespan, price.deviceTimes
+	if r.prof == nil { // the cell was not built by this request's run
+		if err := e.run(ctx, pe, fe, pred.SizeIdx, pred.Class, price, &r); err != nil {
+			return nil, err
+		}
 	}
 	e.stats.executions.Add(1)
-	e.stats.vecDivergences.Add(uint64(prof.VecDivergences))
-	e.stats.vecReconverges.Add(uint64(prof.VecReconverges))
-	e.stats.vecScalarBails.Add(uint64(prof.VecScalarBails))
-	if e.opts.afterKernel != nil {
-		e.opts.afterKernel(l.Args)
-	}
-	out := &Execution{Prediction: pred, Makespan: makespan, Verified: true}
-	byMatch, err := tmpl.check(l.Args)
-	if err != nil {
+	e.stats.vecDivergences.Add(uint64(r.prof.VecDivergences))
+	e.stats.vecReconverges.Add(uint64(r.prof.VecReconverges))
+	e.stats.vecScalarBails.Add(uint64(r.prof.VecScalarBails))
+	out := &Execution{Prediction: pred, Makespan: r.makespan, Verified: true}
+	if r.verifyErr != nil {
 		out.Verified = false
-		out.VerifyError = err.Error()
+		out.VerifyError = r.verifyErr.Error()
 	}
-	if byMatch {
+	if r.byMatch {
 		e.stats.verifiedByMatch.Add(1)
 	} else {
 		e.stats.verifiedByRef.Add(1)
 	}
 	if e.opts.ObsLog != nil {
-		e.enqueueObservation(pe, out, deviceTimes)
+		e.enqueueObservation(pe, out, r.deviceTimes)
 	}
 	return out, nil
 }
 
-// run executes one request's launch under class's partitioning and
-// returns its makespan, per-device busy times and profile. Once price is
-// checked, the kernel runs with count totals only (Runtime.Run) and the
-// answer is the price. Until then every execution is the self-check: it
-// profiles and prices the run (Runtime.Execute), and a measurement that
-// reproduces price bit for bit checks it. One that does not is answered
-// as measured and counted in MakespanMismatches, and the (cell, class)
-// stays unchecked, so its next execution measures again.
-func (e *Engine) run(l runtime.Launch, class int, price *classPrice) (makespan float64, deviceTimes []float64, prof *exec.Profile, err error) {
-	part := e.fw.ClassPartition(class)
-	if price.checked.Load() {
-		prof, err = e.fw.Runtime.Run(l, part)
-		return price.makespan, price.deviceTimes, prof, err
+// ran is what one execution's kernel run leaves for its answer: the
+// makespan and per-device busy times answered, the run's profile, and what
+// checked its outputs.
+type ran struct {
+	makespan    float64
+	deviceTimes []float64
+	prof        *exec.Profile
+	byMatch     bool
+	verifyErr   error
+}
+
+// run executes one request on an existing cell, on buffers acquired from
+// the cell's template, under class's partitioning, and checks the outputs. Once the
+// cell is checked, the kernel runs with count totals only (Runtime.Run)
+// and r keeps price. Until then every execution is the self-check: it
+// profiles and prices the run (Runtime.Execute), and a measurement whose
+// profile equals the cell's bucket for bucket and whose makespan and
+// device times reproduce price bit for bit checks the cell. One that does
+// not is answered as measured and counted in MakespanMismatches, and the
+// cell stays unchecked, so its next execution measures again.
+func (e *Engine) run(ctx context.Context, pe *programEntry, fe *cell, sizeIdx, class int, price *classPrice, r *ran) error {
+	budget, cancel := e.budgetFor(ctx)
+	defer cancel()
+	if err := budget.ChargeMem(fe.bytes); err != nil {
+		return err
 	}
-	res, err := e.fw.Runtime.Execute(l, part)
+	tmpl, err := fe.template(pe, sizeIdx)
 	if err != nil {
-		return 0, nil, nil, err
+		return err
 	}
-	deviceTimes = deviceTotals(res.Breakdowns)
-	if !price.matches(res.Makespan, deviceTimes) {
-		e.stats.makespanMismatches.Add(1)
-		return res.Makespan, deviceTimes, res.Profile, nil
+	l := fe.launch
+	l.Args = tmpl.acquire()
+	defer tmpl.release(l.Args)
+	l.Budget = budget
+	part := e.fw.ClassPartition(class)
+	if fe.checked.Load() {
+		if r.prof, err = e.fw.Runtime.Run(l, part); err != nil {
+			return err
+		}
+	} else {
+		res, err := e.fw.Runtime.Execute(l, part)
+		if err != nil {
+			return err
+		}
+		r.prof = res.Profile
+		deviceTimes := deviceTotals(res.Breakdowns)
+		if price.matches(res.Makespan, deviceTimes) && slices.Equal(res.Profile.Buckets, fe.prof.Buckets) {
+			fe.checked.Store(true)
+		} else {
+			e.stats.makespanMismatches.Add(1)
+			r.makespan, r.deviceTimes = res.Makespan, deviceTimes
+		}
 	}
-	price.checked.Store(true)
-	return price.makespan, price.deviceTimes, res.Profile, nil
+	e.afterKernel(l.Args)
+	r.byMatch, r.verifyErr = tmpl.check(l.Args)
+	return nil
 }
 
 // priceOf returns the cell's price-table entry for class on the engine's
@@ -1017,19 +1070,19 @@ func deviceTotals(bds []sim.Breakdown) []float64 {
 }
 
 // observe assembles and appends one execution's observation record; the
-// background flusher calls it for each dequeued execution. Every
-// OracleSampleEvery-th observation (per engine, counted across all
-// programs in dequeue order) is labeled: the full candidate space is
-// priced against the already-measured profile — O(classes)
-// constant-time range queries, no extra kernel execution — and the
-// measured-best class recorded, which is exactly the oracle label the
-// offline sweep produces.
-func (e *Engine) observe(pe *programEntry, ex *Execution, deviceTimes []float64) error {
-	fe, err := e.cellFor(context.Background(), pe, ex.SizeIdx)
+// background flusher calls it for each dequeued execution, n being how
+// many it dequeued before this one. Every OracleSampleEvery-th
+// observation (per engine, counted across all programs in dequeue order)
+// is labeled: the full candidate space is priced against the
+// already-measured profile — O(classes) constant-time range queries, no
+// extra kernel execution — and the measured-best class recorded, which is
+// exactly the oracle label the offline sweep produces. The observation
+// counters move only once the log has accepted the record.
+func (e *Engine) observe(pe *programEntry, ex *Execution, deviceTimes []float64, n uint64) error {
+	fe, err := e.cellFor(context.Background(), pe, ex.SizeIdx, nil)
 	if err != nil {
 		return err
 	}
-	n := e.stats.observations.Add(1)
 	o := obs.Observation{
 		Time:         time.Now().UnixNano(),
 		Platform:     e.opts.Platform,
@@ -1050,7 +1103,7 @@ func (e *Engine) observe(pe *programEntry, ex *Execution, deviceTimes []float64)
 	if every == 0 {
 		every = 1
 	}
-	if every > 0 && (n-1)%uint64(every) == 0 {
+	if every > 0 && n%uint64(every) == 0 {
 		times := make([]float64, len(e.space))
 		if _, err := e.fw.Runtime.PriceAll(fe.launch, fe.prof, e.space, times); err != nil {
 			return err
@@ -1072,8 +1125,13 @@ func (e *Engine) observe(pe *programEntry, ex *Execution, deviceTimes []float64)
 		if e.gpuClass >= 0 {
 			o.GPUOnlyTime = times[e.gpuClass]
 		}
+	}
+	if _, err := e.opts.ObsLog.Append(o); err != nil {
+		return err
+	}
+	e.stats.observations.Add(1)
+	if o.Labeled {
 		e.stats.observedLabeled.Add(1)
 	}
-	_, err = e.opts.ObsLog.Append(o)
-	return err
+	return nil
 }

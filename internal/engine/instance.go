@@ -29,7 +29,10 @@ import (
 //     pristine copy, else in one allocated by that first store — and
 //     later executions are checked bit for bit against them (check).
 //
-// A cell that is only ever predicted builds none of this (cell.template).
+// When /execute is the first to touch a cell, the instance the cell is
+// profiled from is the template's, and the profiling run is that
+// request's execution (Engine.cellFor). A cell that is only ever
+// predicted builds none of this (cell.template).
 
 // template is the instance half of a cell.
 type template struct {
@@ -53,17 +56,14 @@ type template struct {
 	stored  atomic.Bool
 }
 
-// newTemplate builds a template from one fresh instance of (bp, sizeIdx),
-// picking its private buffers apart: one that is all zero needs no
-// pristine copy and will hold the stored outputs; one that is not is the
-// pristine copy — or the setup's own verification snapshot of it is, when
-// it took one (an in-place program's Extra holds exactly that), and the
-// instance's buffer is then free to hold the stored outputs.
-func newTemplate(kernel *inspire.Function, bp *bench.Program, sizeIdx int) (*template, error) {
-	inst, err := bp.Instance(sizeIdx)
-	if err != nil {
-		return nil, err
-	}
+// newTemplate makes inst, a fresh instance of (bp, sizeIdx) no kernel has
+// run on, a template, picking its private buffers apart: one that is all
+// zero needs no pristine copy and will hold the stored outputs; one that
+// is not is the pristine copy — or the setup's own verification snapshot
+// of it is, when it took one (an in-place program's Extra holds exactly
+// that), and the instance's buffer is then free to hold the stored
+// outputs.
+func newTemplate(kernel *inspire.Function, bp *bench.Program, sizeIdx int, inst *bench.Instance) *template {
 	t := &template{bench: bp, sizeIdx: sizeIdx, args: inst.Args, nd: inst.ND, extra: inst.Extra}
 	for i, p := range kernel.Params {
 		if p.Type.Ptr && p.Type.Space == minicl.Global && !p.Type.Const {
@@ -86,7 +86,7 @@ func newTemplate(kernel *inspire.Function, bp *bench.Program, sizeIdx int) (*tem
 			}
 		}
 	}
-	return t, nil
+	return t
 }
 
 func allZero(b *exec.Buffer) bool {

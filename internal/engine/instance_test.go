@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -140,7 +141,7 @@ func TestSharedInputsSurviveConcurrentExecutions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fe, err := eng.cellFor(context.Background(), pe, 1)
+			fe, err := eng.cellFor(context.Background(), pe, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -267,7 +268,7 @@ func TestEvictionReleasesTemplate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fe, err := eng.cellFor(context.Background(), pe, 0)
+		fe, err := eng.cellFor(context.Background(), pe, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -464,5 +465,147 @@ func TestBufferListClasses(t *testing.T) {
 	}
 	if got := fmt.Sprint(l.get(minicl.Float, 0).Len(), l.get(minicl.Int, 0).Len()); got != "0 0" {
 		t.Fatalf("empty buffers: %s", got)
+	}
+}
+
+// TestColdExecuteRunsKernelOnce: a cell's first /execute runs the kernel
+// once — the cell's profiling run is the execution — and leaves one
+// feature compute, one reference check and the cell's template. The
+// cell's profile and features are bit for bit those a cell first reached
+// through /predict gets from its throwaway instance, whose first execution
+// is then its second run. The next execution is the self-check, and it
+// matches. On a 1-D launch and two 2-D ones.
+func TestColdExecuteRunsKernelOnce(t *testing.T) {
+	for _, prog := range []string{"vecadd", "matmul", "stencil2d"} {
+		t.Run(prog, func(t *testing.T) {
+			req := Request{Program: prog, SizeIdx: 1}
+			var runs [2]atomic.Int64
+			cold, tap := tappedEngine(t, "mc2", 0)
+			tap.set(func([]exec.Arg) { runs[0].Add(1) })
+			predicted, ptap := tappedEngine(t, "mc2", 0)
+			ptap.set(func([]exec.Arg) { runs[1].Add(1) })
+
+			x := mustExecute(t, cold, req)
+			st := cold.Stats()
+			if !x.Verified || runs[0].Load() != 1 || st.FeatureComputes != 1 || st.VerifiedByReference != 1 || cold.cells.Templates() != 1 {
+				t.Fatalf("cold execute: verified %v, %d kernel runs, %d feature computes, %d verified by reference, %d templates; want true and 1 each",
+					x.Verified, runs[0].Load(), st.FeatureComputes, st.VerifiedByReference, cold.cells.Templates())
+			}
+			if _, err := predicted.Predict(req); err != nil {
+				t.Fatal(err)
+			}
+			if runs[1].Load() != 1 || predicted.cells.Templates() != 0 {
+				t.Fatalf("predict: %d kernel runs, %d templates; want 1 and 0", runs[1].Load(), predicted.cells.Templates())
+			}
+			if y := mustExecute(t, predicted, req); y.Makespan != x.Makespan || y.Class != x.Class || runs[1].Load() != 2 {
+				t.Fatalf("predict-first execute: makespan %v, class %d, %d kernel runs; want %v, %d and 2", y.Makespan, y.Class, runs[1].Load(), x.Makespan, x.Class)
+			}
+
+			var fes [2]*cell
+			for i, eng := range []*Engine{cold, predicted} {
+				pe, err := eng.program(prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fes[i], err = eng.cellFor(context.Background(), pe, req.SizeIdx, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a, b := fes[0].prof, fes[1].prof
+			if a.Global0 != b.Global0 || !slices.Equal(a.Buckets, b.Buckets) || a.VecDivergences != b.VecDivergences ||
+				a.VecReconverges != b.VecReconverges || a.VecScalarBails != b.VecScalarBails {
+				t.Fatal("the cold execute's profile differs from the predict-first cell's")
+			}
+			if !slices.Equal(fes[0].fv.Names, fes[1].fv.Names) || !sameBits(fes[0].fv.Values, fes[1].fv.Values) || fes[0].bytes != fes[1].bytes {
+				t.Fatalf("cold execute features %v (%d bytes), predict-first %v (%d bytes)", fes[0].fv.Values, fes[0].bytes, fes[1].fv.Values, fes[1].bytes)
+			}
+
+			mustExecute(t, cold, req)
+			if st := cold.Stats(); runs[0].Load() != 2 || st.VerifiedByMatch != 1 || st.MakespanMismatches != 0 || !fes[0].checked.Load() {
+				t.Fatalf("second execute: %d kernel runs, %d verified by match, %d mismatches, checked %v; want 2, 1, 0 and true",
+					runs[0].Load(), st.VerifiedByMatch, st.MakespanMismatches, fes[0].checked.Load())
+			}
+		})
+	}
+}
+
+// TestFailedColdExecuteIsNotCached: a cold /execute whose run aborts
+// caches no cell and returns the buffer it acquired to the free list, and
+// the next request builds the cell afresh.
+func TestFailedColdExecuteIsNotCached(t *testing.T) {
+	eng, _ := tappedEngine(t, "mc2", 0)
+	if _, err := eng.RegisterKernel("", KernelSpec{Name: "bump", Source: bumpSrc}); err != nil {
+		t.Fatal(err)
+	}
+	listed := func() (n int) {
+		requestBuffers.mu.Lock()
+		defer requestBuffers.mu.Unlock()
+		for _, kind := range requestBuffers.classes {
+			for _, class := range kind {
+				n += len(class)
+			}
+		}
+		return n
+	}
+	requestBuffers.mu.Lock()
+	clear(requestBuffers.classes[kindIndex(minicl.Float)][:])
+	clear(requestBuffers.classes[kindIndex(minicl.Int)][:])
+	requestBuffers.mu.Unlock()
+
+	req := Request{Program: "public/bump", SizeIdx: 1}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := eng.Execute(ctx, req)
+	var be *exec.BudgetError
+	if !errors.As(err, &be) || be.Kind != exec.BudgetDeadline {
+		t.Fatalf("canceled cold execution: %v, want a deadline budget abort", err)
+	}
+	if st := eng.Stats(); eng.cells.Len() != 0 || st.FeatureComputes != 0 || st.Executions != 0 || listed() != 1 {
+		t.Fatalf("after the abort: %d cells, %d feature computes, %d executions, %d listed buffers; want 0, 0, 0 and 1",
+			eng.cells.Len(), st.FeatureComputes, st.Executions, listed())
+	}
+	x := mustExecute(t, eng, req)
+	if st := eng.Stats(); !x.Verified || st.FeatureComputes != 1 || st.VerifiedByReference != 1 || eng.cells.Templates() != 1 || listed() != 1 {
+		t.Fatalf("next execute: verified %v, %d feature computes, %d verified by reference, %d templates, %d listed buffers; want true, 1, 1, 1 and 1",
+			x.Verified, st.FeatureComputes, st.VerifiedByReference, eng.cells.Templates(), listed())
+	}
+}
+
+// TestConcurrentColdExecutesShareOneBuild: requests racing to execute one
+// cold cell run the kernel once each. One of them builds the cell, and its
+// run is the profiling run and the one reference check; the others wait
+// for that build and then execute on the finished cell, each checked by
+// match.
+func TestConcurrentColdExecutesShareOneBuild(t *testing.T) {
+	const n = 8
+	var runs atomic.Int64
+	eng, tap := tappedEngine(t, "mc1", 0)
+	tap.set(func([]exec.Arg) { runs.Add(1) })
+	req := Request{Program: "matmul", SizeIdx: 1}
+	if _, err := eng.program(req.Program); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.resolveModel(""); err != nil {
+		t.Fatal(err)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			x, err := eng.Execute(context.Background(), req)
+			if err != nil || !x.Verified {
+				t.Errorf("execute: %v, %+v", err, x)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	st := eng.Stats()
+	if runs.Load() != n || st.FeatureComputes != 1 || st.VerifiedByReference != 1 || st.VerifiedByMatch != n-1 || st.MakespanMismatches != 0 {
+		t.Fatalf("%d kernel runs, %d feature computes, %d verified by reference, %d by match, %d mismatches; want %d, 1, 1, %d and 0",
+			runs.Load(), st.FeatureComputes, st.VerifiedByReference, st.VerifiedByMatch, st.MakespanMismatches, n, n-1)
 	}
 }

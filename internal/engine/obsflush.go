@@ -88,7 +88,7 @@ func (q *obsQueue) drain(e *Engine) {
 		if e.opts.obsGate != nil {
 			<-e.opts.obsGate // test hook: hold the durable append back
 		}
-		if err := e.observe(po.pe, &po.ex, po.deviceTimes); err != nil {
+		if err := e.observe(po.pe, &po.ex, po.deviceTimes, q.processed.Load()); err != nil {
 			e.stats.observeFails.Add(1)
 		}
 		q.processed.Add(1)

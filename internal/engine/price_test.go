@@ -9,7 +9,9 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/exec"
+	"repro/internal/harness"
 	"repro/internal/obs"
+	"repro/internal/partition"
 	"repro/internal/runtime"
 )
 
@@ -60,9 +62,10 @@ func mustCellCache(t testing.TB, platforms ...string) *CellCache {
 
 // TestPriceTableMatchesExecute: for every built-in at sizes 0-1, an mc1
 // and an mc2 engine share one cell cache and run concurrently. On each,
-// the first execution (the self-check, measured) and a warm one (priced
-// from the table) answer the makespan /predict priced, which is bit for
-// bit what Runtime.Execute measures on the same launch and partitioning;
+// two executions — among the four, the cell's profiling run, the
+// self-check that measures and runs priced from the table — answer the
+// makespan /predict priced, which is bit for bit what Runtime.Execute
+// measures on the same launch and partitioning;
 // both observations carry Runtime.Execute's per-device times; the
 // vector-tier counters in Stats add up to what the measured runs count;
 // no execution disagrees with its platform's table; and each (program,
@@ -138,14 +141,15 @@ func TestPriceTableMatchesExecute(t *testing.T) {
 }
 
 // TestMakespanMismatchAnsweredAsMeasured breaks the byte-identity premise
-// by hand on one platform of a shared cell: one bucket of the cell's
-// cached profile is perturbed before the cell first executes there, so
-// that platform's price table no longer prices what the kernel does. The
-// self-check must notice, answer (and observe) what it measured, count
-// the mismatch, and measure again next time. The other platform's (cell,
-// class) is left alone: neither priced nor checked by those mismatches,
-// priced on the intact profile and checked by its own first execution,
-// which in turn checks nothing for the platform that mismatched.
+// by hand on a cell shared by mc1 and mc2: one bucket of the cell's cached
+// profile is perturbed after /predict profiled it and before it first
+// executes, so the profile no longer holds what the kernel counts and the
+// price tables built on it no longer price it. The self-check must notice
+// on either platform, answer (and observe) what it measured, count the
+// mismatch and leave the cell unchecked, so that the next execution
+// measures again. Once the profile is restored and the tables priced on it
+// again, one matching execution on the other platform checks the cell, and
+// the first platform's next execution answers from its own table.
 func TestMakespanMismatchAnsweredAsMeasured(t *testing.T) {
 	for _, order := range [][2]string{{"mc1", "mc2"}, {"mc2", "mc1"}} {
 		t.Run("mismatch on "+order[0], func(t *testing.T) {
@@ -172,7 +176,7 @@ func TestMakespanMismatchAnsweredAsMeasured(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fe, err := bad.cellFor(context.Background(), pe, req.SizeIdx)
+			fe, err := bad.cellFor(context.Background(), pe, req.SizeIdx, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,10 +190,10 @@ func TestMakespanMismatchAnsweredAsMeasured(t *testing.T) {
 			if math.Float64bits(res.Makespan) != math.Float64bits(pred.PredictedTime) {
 				t.Fatalf("Runtime.Execute %v, predicted on the intact profile %v", res.Makespan, pred.PredictedTime)
 			}
-			var price *classPrice
 			for i := uint64(1); i <= 2; i++ {
 				x := mustExecute(t, bad, req)
-				if price, err = bad.priceOf(fe, x.Class); err != nil {
+				price, err := bad.priceOf(fe, x.Class)
+				if err != nil {
 					t.Fatal(err)
 				}
 				if price.makespan == res.Makespan {
@@ -199,8 +203,8 @@ func TestMakespanMismatchAnsweredAsMeasured(t *testing.T) {
 					t.Fatalf("execution %d: makespan %v, predicted %v; want the measured %v and the table's %v",
 						i, x.Makespan, x.PredictedTime, res.Makespan, price.makespan)
 				}
-				if st := bad.Stats(); st.MakespanMismatches != i || price.checked.Load() {
-					t.Fatalf("execution %d: %d mismatches, checked %v; want %d and false", i, st.MakespanMismatches, price.checked.Load(), i)
+				if st := bad.Stats(); st.MakespanMismatches != i || fe.checked.Load() {
+					t.Fatalf("execution %d: %d mismatches, checked %v; want %d and false", i, st.MakespanMismatches, fe.checked.Load(), i)
 				}
 			}
 			for _, o := range observed(t, bad, logs[0]) {
@@ -209,37 +213,167 @@ func TestMakespanMismatchAnsweredAsMeasured(t *testing.T) {
 						o.Makespan, o.DeviceTimes, res.Makespan, deviceTotals(res.Breakdowns))
 				}
 			}
-			for class := range good.fw.NumClasses() {
-				if fe.prices[good.priceBase+class].Load() != nil {
-					t.Fatalf("%s's mismatches priced %s's class %d", order[0], order[1], class)
-				}
+			x := mustExecute(t, good, req)
+			want := measure(t, good, req.Program, req.SizeIdx, x.Class).Makespan
+			if x.Makespan != want || good.Stats().MakespanMismatches != 1 || fe.checked.Load() {
+				t.Fatalf("%s on the perturbed profile: makespan %v, %d mismatches, checked %v; want the measured %v, 1 and false",
+					order[1], x.Makespan, good.Stats().MakespanMismatches, fe.checked.Load(), want)
 			}
 
+			good.FlushObservations() // its flusher reads the profile
 			fe.prof = intact
+			for i := range fe.prices {
+				fe.prices[i].Store(nil)
+			}
 			for i := 0; i < 2; i++ {
 				x := mustExecute(t, good, req)
-				want := measure(t, good, req.Program, req.SizeIdx, x.Class).Makespan
 				if math.Float64bits(x.Makespan) != math.Float64bits(want) || math.Float64bits(x.PredictedTime) != math.Float64bits(want) {
 					t.Fatalf("%s execution %d: makespan %v, predicted %v, Runtime.Execute %v", order[1], i, x.Makespan, x.PredictedTime, want)
 				}
-				gp, err := good.priceOf(fe, x.Class)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st := good.Stats(); st.MakespanMismatches != 0 || !gp.checked.Load() {
-					t.Fatalf("%s execution %d: %d mismatches, checked %v; want 0 and true", order[1], i, st.MakespanMismatches, gp.checked.Load())
+				if st := good.Stats(); st.MakespanMismatches != 1 || !fe.checked.Load() {
+					t.Fatalf("%s execution %d: %d mismatches, checked %v; want 1 and true", order[1], i, st.MakespanMismatches, fe.checked.Load())
 				}
 			}
-			if price.checked.Load() {
-				t.Fatalf("%s's self-check checked %s's (cell, class)", order[1], order[0])
-			}
-			if x := mustExecute(t, bad, req); x.Makespan != res.Makespan || bad.Stats().MakespanMismatches != 3 {
-				t.Fatalf("%s after %s checked: makespan %v, %d mismatches; want the measured %v and 3",
+			if x := mustExecute(t, bad, req); x.Makespan != res.Makespan || bad.Stats().MakespanMismatches != 2 {
+				t.Fatalf("%s after %s checked the cell: makespan %v, %d mismatches; want %v and 2",
 					order[0], order[1], x.Makespan, bad.Stats().MakespanMismatches, res.Makespan)
 			}
 			if n := bad.Stats().FeatureComputes + good.Stats().FeatureComputes; n != 1 || cells.Len() != 1 {
 				t.Fatalf("%d feature computes and %d cells for one (program, size), want 1 and 1", n, cells.Len())
 			}
 		})
+	}
+}
+
+// TestServedRunReproducesProfile: for every built-in at sizes 0-1, on a
+// cell shared by an mc1 and an mc2 engine, the 2-D launches included,
+// every execution after the cell's first (its profiling run) reproduces
+// the cached profile. The cell is put back on the measuring path before
+// each of them, so each measures its profile and its class's price and
+// compares both with the cell's; none mismatches. What a run counts does
+// not depend on its class either: Runtime.Execute on the template's
+// buffers profiles exactly the cached profile under CPU-only, GPU-only
+// and an even split on both platforms.
+func TestServedRunReproducesProfile(t *testing.T) {
+	for _, bp := range bench.All() {
+		t.Run(bp.Name, func(t *testing.T) {
+			t.Parallel()
+			cells := mustCellCache(t, "mc1", "mc2")
+			var engs []*Engine
+			for _, platform := range []string{"mc1", "mc2"} {
+				eng, err := New(Options{Platform: platform, DB: testDB(t), Model: harness.FastModel(), SharedCells: cells})
+				if err != nil {
+					t.Fatal(err)
+				}
+				engs = append(engs, eng)
+			}
+			for sz := 0; sz <= 1 && sz < len(bp.Sizes); sz++ {
+				req := Request{Program: bp.Name, SizeIdx: sz}
+				mustExecute(t, engs[sz%2], req)
+				pe, err := engs[0].program(bp.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fe, err := engs[0].cellFor(context.Background(), pe, sz, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 2; i++ {
+					for _, eng := range engs {
+						fe.checked.Store(false)
+						if x := mustExecute(t, eng, req); !x.Verified || !fe.checked.Load() {
+							t.Fatalf("%s size %d: verified %v, checked %v: the execution did not reproduce the cell's profile and price",
+								eng.opts.Platform, sz, x.Verified, fe.checked.Load())
+						}
+					}
+				}
+				tmpl := fe.tmpl.Load()
+				for _, eng := range engs {
+					rt := eng.fw.Runtime
+					for _, part := range []partition.Partition{rt.CPUOnly(), rt.GPUOnly(), {Shares: []int{4, 3, 3}}} {
+						l := fe.launch
+						l.Args = tmpl.acquire()
+						res, err := rt.Execute(l, part)
+						tmpl.release(l.Args)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(res.Profile.Buckets, fe.prof.Buckets) {
+							t.Fatalf("%s size %d under %v: the profile differs from the cell's", eng.opts.Platform, sz, part)
+						}
+					}
+				}
+			}
+			var computes uint64
+			for _, eng := range engs {
+				st := eng.Stats()
+				if st.MakespanMismatches != 0 {
+					t.Fatalf("%s: %d makespan mismatches", eng.opts.Platform, st.MakespanMismatches)
+				}
+				computes += st.FeatureComputes
+			}
+			if want := uint64(min(2, len(bp.Sizes))); computes != want {
+				t.Fatalf("%d feature computes, want %d", computes, want)
+			}
+		})
+	}
+}
+
+// TestProfileMismatchAloneIsCaught: the self-check compares profiles, not
+// only prices. Two unequal buckets of a cell's cached profile are swapped,
+// which leaves every total — and so the CPU-only price, which prices the
+// whole range on one device — as it was. A CPU-only execution then
+// reproduces that price bit for bit but not the profile: it is counted as
+// a mismatch and leaves the cell unchecked.
+func TestProfileMismatchAloneIsCaught(t *testing.T) {
+	eng, err := New(fastOpts(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Program: "spmv", SizeIdx: 1}
+	if _, err := eng.Predict(req); err != nil {
+		t.Fatal(err)
+	}
+	pe, err := eng.program(req.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe, err := eng.cellFor(context.Background(), pe, req.SizeIdx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	intact := fe.prof
+	cpu := eng.fw.Runtime.CPUOnly()
+	want, _, err := eng.fw.Runtime.Price(fe.launch, intact, cpu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped := &exec.Profile{Global0: intact.Global0, Buckets: slices.Clone(intact.Buckets)}
+	last := len(swapped.Buckets) - 1
+	i := slices.IndexFunc(swapped.Buckets, func(c exec.Counts) bool { return c != swapped.Buckets[last] })
+	if i < 0 {
+		t.Fatal("every bucket of the profile is the same: nothing to swap")
+	}
+	swapped.Buckets[i], swapped.Buckets[last] = swapped.Buckets[last], swapped.Buckets[i]
+	swapped.Precompute()
+	fe.prof = swapped
+
+	price, err := eng.priceOf(fe, eng.cpuClass)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(price.makespan) != math.Float64bits(want) {
+		t.Fatalf("the swap moved the CPU-only price: %v, intact %v", price.makespan, want)
+	}
+	var r ran
+	r.makespan, r.deviceTimes = price.makespan, price.deviceTimes
+	if err := eng.run(context.Background(), pe, fe, req.SizeIdx, eng.cpuClass, price, &r); err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(r.makespan) != math.Float64bits(want) || r.verifyErr != nil {
+		t.Fatalf("makespan %v, verify error %v; want %v and none", r.makespan, r.verifyErr, want)
+	}
+	if st := eng.Stats(); st.MakespanMismatches != 1 || fe.checked.Load() {
+		t.Fatalf("%d mismatches, checked %v; want 1 and false", st.MakespanMismatches, fe.checked.Load())
 	}
 }

@@ -82,8 +82,13 @@ func (m *MLP) Fit(d *Dataset) error {
 	g2 := initMat(m.Hidden+1, m.out, 0)
 	hidden := make([]float64, m.Hidden)
 	probs := make([]float64, m.out)
+	dout := make([]float64, m.out)
 	dh := make([]float64, m.Hidden)
 
+	// Every weight, gradient and sum below accumulates its terms in the
+	// same order as the textbook loop nest (TestMLPFitMatchesReference
+	// holds Fit to it bit for bit); only the loops are reordered to walk
+	// each matrix row by row.
 	for epoch := 0; epoch < m.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		lr := m.LearnRate / (1 + 0.01*float64(epoch))
@@ -95,49 +100,31 @@ func (m *MLP) Fit(d *Dataset) error {
 			zero(g1)
 			zero(g2)
 			for _, s := range order[start:end] {
-				x, y := d.X[s], d.Y[s]
-				var soft []float64
-				if len(d.Soft) > 0 {
-					soft = d.Soft[s]
-				}
-				target := func(k int) float64 {
-					if soft != nil {
-						return soft[k]
-					}
-					if k == y {
-						return 1
-					}
-					return 0
-				}
+				x := d.X[s]
 				m.forward(x, hidden, probs)
 				// Output delta: softmax + cross-entropy gradient against
 				// the (hard or cost-sensitive soft) target distribution.
-				for k := 0; k < m.out; k++ {
-					delta := probs[k] - target(k)
-					for h := 0; h < m.Hidden; h++ {
-						g2[h][k] += delta * hidden[h]
+				copy(dout, probs)
+				if len(d.Soft) > 0 {
+					for k, t := range d.Soft[s][:len(dout)] {
+						dout[k] -= t
 					}
-					g2[m.Hidden][k] += delta // bias
+				} else {
+					dout[d.Y[s]] -= 1
 				}
-				// Hidden delta through tanh'.
-				for h := 0; h < m.Hidden; h++ {
-					sum := 0.0
-					for k := 0; k < m.out; k++ {
-						sum += (probs[k] - target(k)) * m.w2[h][k]
-					}
-					dh[h] = sum * (1 - hidden[h]*hidden[h])
-				}
-				for i := 0; i < m.in; i++ {
-					xi := x[i]
+				m.backHidden(g2, dout, hidden, dh)
+				for i, xi := range x[:m.in] {
 					if xi == 0 {
 						continue
 					}
-					for h := 0; h < m.Hidden; h++ {
-						g1[i][h] += dh[h] * xi
+					row := g1[i][:len(dh)]
+					for h, d := range dh {
+						row[h] += d * xi
 					}
 				}
-				for h := 0; h < m.Hidden; h++ {
-					g1[m.in][h] += dh[h] // bias
+				bias := g1[m.in][:len(dh)]
+				for h, d := range dh {
+					bias[h] += d
 				}
 			}
 			scale := 1.0 / float64(end-start)
@@ -148,24 +135,63 @@ func (m *MLP) Fit(d *Dataset) error {
 	return nil
 }
 
-// forward computes hidden activations and output probabilities in place.
-func (m *MLP) forward(x []float64, hidden, probs []float64) {
-	for h := 0; h < m.Hidden; h++ {
-		sum := m.w1[m.in][h]
-		for i := 0; i < m.in; i++ {
-			sum += m.w1[i][h] * x[i]
+// backHidden adds one sample's output-layer gradient to g2 — dout[k] *
+// hidden[h] into g2[h][k], dout[k] into the bias row — and sets dh to its
+// hidden-layer delta: sum over k of dout[k] * w2[h][k], in k order,
+// through tanh'. Both walk row h of g2 and w2 together, four rows at a
+// time, so four independent sums are in flight.
+func (m *MLP) backHidden(g2 [][]float64, dout, hidden, dh []float64) {
+	h := 0
+	for ; h+4 <= len(hidden); h += 4 {
+		g0, g1, g2r, g3 := g2[h][:len(dout)], g2[h+1][:len(dout)], g2[h+2][:len(dout)], g2[h+3][:len(dout)]
+		w0, w1, w2, w3 := m.w2[h][:len(dout)], m.w2[h+1][:len(dout)], m.w2[h+2][:len(dout)], m.w2[h+3][:len(dout)]
+		h0, h1, h2, h3 := hidden[h], hidden[h+1], hidden[h+2], hidden[h+3]
+		var s0, s1, s2, s3 float64
+		for k, d := range dout {
+			g0[k] += d * h0
+			g1[k] += d * h1
+			g2r[k] += d * h2
+			g3[k] += d * h3
+			s0 += d * w0[k]
+			s1 += d * w1[k]
+			s2 += d * w2[k]
+			s3 += d * w3[k]
 		}
-		hidden[h] = math.Tanh(sum)
+		dh[h] = s0 * (1 - h0*h0)
+		dh[h+1] = s1 * (1 - h1*h1)
+		dh[h+2] = s2 * (1 - h2*h2)
+		dh[h+3] = s3 * (1 - h3*h3)
 	}
-	maxLogit := math.Inf(-1)
-	for k := 0; k < m.out; k++ {
-		sum := m.w2[m.Hidden][k]
-		for h := 0; h < m.Hidden; h++ {
-			sum += m.w2[h][k] * hidden[h]
+	for ; h < len(hidden); h++ {
+		gr, wr, hv := g2[h][:len(dout)], m.w2[h][:len(dout)], hidden[h]
+		sum := 0.0
+		for k, d := range dout {
+			gr[k] += d * hv
+			sum += d * wr[k]
 		}
-		probs[k] = sum
-		if sum > maxLogit {
-			maxLogit = sum
+		dh[h] = sum * (1 - hv*hv)
+	}
+	bias := g2[len(hidden)][:len(dout)]
+	for k, d := range dout {
+		bias[k] += d
+	}
+}
+
+// forward computes hidden activations and output probabilities in place.
+// Each activation and logit is its bias plus its weighted inputs in input
+// order (addRows).
+func (m *MLP) forward(x []float64, hidden, probs []float64) {
+	copy(hidden, m.w1[m.in])
+	addRows(hidden, m.w1[:m.in], x[:m.in])
+	for h, v := range hidden {
+		hidden[h] = math.Tanh(v)
+	}
+	copy(probs, m.w2[m.Hidden])
+	addRows(probs, m.w2[:m.Hidden], hidden)
+	maxLogit := math.Inf(-1)
+	for _, v := range probs {
+		if v > maxLogit {
+			maxLogit = v
 		}
 	}
 	total := 0.0
@@ -175,6 +201,30 @@ func (m *MLP) forward(x []float64, hidden, probs []float64) {
 	}
 	for k := range probs {
 		probs[k] /= total
+	}
+}
+
+// addRows adds rows[r][j] * coef[r] to dst[j] for every r in order, so
+// each dst[j] accumulates its terms exactly as a loop over r would; it
+// takes four rows per pass over dst.
+func addRows(dst []float64, rows [][]float64, coef []float64) {
+	r := 0
+	for ; r+4 <= len(coef); r += 4 {
+		r0, r1, r2, r3 := rows[r][:len(dst)], rows[r+1][:len(dst)], rows[r+2][:len(dst)], rows[r+3][:len(dst)]
+		c0, c1, c2, c3 := coef[r], coef[r+1], coef[r+2], coef[r+3]
+		for j, v := range dst {
+			v += r0[j] * c0
+			v += r1[j] * c1
+			v += r2[j] * c2
+			v += r3[j] * c3
+			dst[j] = v
+		}
+	}
+	for ; r < len(coef); r++ {
+		row, c := rows[r][:len(dst)], coef[r]
+		for j := range dst {
+			dst[j] += row[j] * c
+		}
 	}
 }
 

@@ -111,18 +111,14 @@ func SharedSpace(nDevices, steps int) []Partition {
 	return v.([]Partition)
 }
 
-// Chunks maps the partition onto dim-0 range [0, global0), aligning chunk
-// boundaries down to multiples of align (the work-group size). Devices
-// with zero shares get empty chunks. The chunks exactly tile the range:
-// chunk[i] = [start_i, end_i) with end_i == start_{i+1}. Rounding may give
-// the last active device slightly more or less than its nominal share.
-func (p Partition) Chunks(global0, align int) [][2]int {
-	return p.ChunksInto(nil, global0, align)
-}
-
-// ChunksInto is Chunks with caller-supplied storage: dst is reused when its
-// capacity suffices, so hot pricing loops (the oracle search) compute chunk
-// layouts without allocating per candidate.
+// ChunksInto maps the partition onto dim-0 range [0, global0), aligning
+// chunk boundaries down to multiples of align (the work-group size).
+// Devices with zero shares get empty chunks. The chunks exactly tile the
+// range: chunk[i] = [start_i, end_i) with end_i == start_{i+1}. Rounding
+// may give the last active device slightly more or less than its nominal
+// share. dst is reused when its capacity suffices, so hot pricing loops
+// (the oracle search) compute chunk layouts without allocating per
+// candidate.
 func (p Partition) ChunksInto(dst [][2]int, global0, align int) [][2]int {
 	if align <= 0 {
 		align = 1

@@ -62,7 +62,7 @@ func TestSingleAndEven(t *testing.T) {
 	if _, ok := e.IsSingle(); ok {
 		t.Error("4/3/3 reported single")
 	}
-	if ch := e.Chunks(100, 1); ch[0] != [2]int{0, 40} || ch[1] != [2]int{40, 70} || ch[2] != [2]int{70, 100} {
+	if ch := e.ChunksInto(nil, 100, 1); ch[0] != [2]int{0, 40} || ch[1] != [2]int{40, 70} || ch[2] != [2]int{70, 100} {
 		t.Errorf("4/3/3 chunks = %v", ch)
 	}
 }
@@ -95,7 +95,7 @@ func TestChunksTileExactly(t *testing.T) {
 		p := Partition{Shares: []int{s0, s1, 10 - s0 - s1}}
 		align := 1 << (alignPow % 7) // 1..64
 		global := (int(g16)%2048 + 1) * align
-		chunks := p.Chunks(global, align)
+		chunks := p.ChunksInto(nil, global, align)
 		prev := 0
 		for i, ch := range chunks {
 			if ch[0] != prev {
@@ -119,7 +119,7 @@ func TestChunksTileExactly(t *testing.T) {
 
 func TestChunksZeroShareEmpty(t *testing.T) {
 	p := Partition{Shares: []int{10, 0, 0}}
-	chunks := p.Chunks(1000, 64)
+	chunks := p.ChunksInto(nil, 1000, 64)
 	if chunks[0] != [2]int{0, 1000} {
 		t.Errorf("chunk 0 = %v", chunks[0])
 	}
@@ -132,7 +132,7 @@ func TestChunksZeroShareEmpty(t *testing.T) {
 
 func TestChunksShareProportions(t *testing.T) {
 	p := Partition{Shares: []int{5, 3, 2}}
-	chunks := p.Chunks(1000, 1)
+	chunks := p.ChunksInto(nil, 1000, 1)
 	if chunks[0] != [2]int{0, 500} || chunks[1] != [2]int{500, 800} || chunks[2] != [2]int{800, 1000} {
 		t.Errorf("chunks = %v", chunks)
 	}
@@ -140,7 +140,7 @@ func TestChunksShareProportions(t *testing.T) {
 
 func TestChunksAlignment(t *testing.T) {
 	p := Partition{Shares: []int{5, 5}}
-	chunks := p.Chunks(1000, 64)
+	chunks := p.ChunksInto(nil, 1000, 64)
 	// 500 rounds down to 448 (7*64).
 	if chunks[0][1]%64 != 0 {
 		t.Errorf("boundary %d not aligned", chunks[0][1])
@@ -157,7 +157,7 @@ func TestFractionZeroSteps(t *testing.T) {
 	if p.Steps() != 0 || p.String() != "0/0" {
 		t.Errorf("zero partition: steps %d, %q", p.Steps(), p)
 	}
-	for i, ch := range p.Chunks(100, 1) {
+	for i, ch := range p.ChunksInto(nil, 100, 1) {
 		if ch != [2]int{} {
 			t.Errorf("zero partition chunk %d = %v, want empty", i, ch)
 		}
@@ -190,7 +190,7 @@ func TestChunksIntoReuse(t *testing.T) {
 	p := Partition{Shares: []int{5, 3, 2}}
 	scratch := make([][2]int, 0, 3)
 	got := p.ChunksInto(scratch, 1000, 64)
-	want := p.Chunks(1000, 64)
+	want := p.ChunksInto(nil, 1000, 64)
 	if len(got) != len(want) {
 		t.Fatalf("len %d != %d", len(got), len(want))
 	}

@@ -81,14 +81,20 @@ func TestBestInFinerGrid(t *testing.T) {
 }
 
 // TestExecuteParallelMatchesSequential is the golden determinism check for
-// chunked execution: per-device chunks executed concurrently must produce
-// the same output buffers, profile and makespan as sequential chunk
-// execution.
+// a launch's host workers: Execute at one worker and at eight must produce
+// the same output buffers, profile, makespan and breakdowns. And since a
+// launch runs once over the whole NDRange whatever the partitioning, its
+// profile is the same under every partitioning, and the same as Profile's.
 func TestExecuteParallelMatchesSequential(t *testing.T) {
 	parts := []partition.Partition{
 		{Shares: []int{4, 3, 3}},
 		{Shares: []int{0, 10, 0}},
 		{Shares: []int{1, 1, 8}},
+	}
+	profL, _ := heavyLaunch(t, 2048)
+	want, err := New(device.MC1()).Profile(profL)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, part := range parts {
 		seqL, seqOut := heavyLaunch(t, 2048)
@@ -119,20 +125,32 @@ func TestExecuteParallelMatchesSequential(t *testing.T) {
 		if !reflect.DeepEqual(seqRes.Breakdowns, parRes.Breakdowns) {
 			t.Fatalf("partition %v: breakdowns differ between sequential and parallel execution", part)
 		}
+		if !reflect.DeepEqual(seqRes.Profile.Buckets, want.Buckets) {
+			t.Fatalf("partition %v: Execute's profile differs from Profile's", part)
+		}
 	}
 }
 
-// TestExecuteParallelError checks error propagation through the worker
-// pool: an invalid chunk alignment must surface as an error, not a hang or
-// a partial result.
+// TestExecuteParallelError: a partitioning over more devices than the
+// platform has is refused by Execute and Run before anything runs, at any
+// worker count.
 func TestExecuteParallelError(t *testing.T) {
-	l, _ := vecaddLaunch(t, 1024)
+	l, out := vecaddLaunch(t, 1024)
 	l.ND.Local[0] = 64
 	rt := New(device.MC2())
 	rt.Workers = 8
 	// 7 devices on a 3-device platform: checkPartition must reject it.
-	if _, err := rt.Execute(l, partition.Partition{Shares: []int{1, 1, 1, 1, 1, 1, 4}}); err == nil {
-		t.Fatal("expected partition mismatch error")
+	bad := partition.Partition{Shares: []int{1, 1, 1, 1, 1, 1, 4}}
+	if _, err := rt.Execute(l, bad); err == nil {
+		t.Fatal("Execute: expected partition mismatch error")
+	}
+	if _, err := rt.Run(l, bad); err == nil {
+		t.Fatal("Run: expected partition mismatch error")
+	}
+	for i, v := range out.F {
+		if v != 0 {
+			t.Fatalf("out[%d] = %g: a refused launch ran", i, v)
+		}
 	}
 }
 
@@ -153,8 +171,8 @@ kernel void branchy(global const float* in, global float* out, int n) {
 
 // TestRunKeepsExecuteTotals: Run executes what Execute executes — same
 // output buffers, same count totals (Execute's 200 buckets summed are
-// Run's one), same divergence telemetry — sequentially and in parallel,
-// and fails where Execute fails.
+// Run's one), same divergence telemetry — at one host worker and at
+// eight, and fails where Execute fails.
 func TestRunKeepsExecuteTotals(t *testing.T) {
 	launch := func() (Launch, *exec.Buffer) {
 		n := 2048

@@ -1,16 +1,18 @@
 // Package runtime is the multi-device execution engine: the counterpart of
 // the paper's Insieme runtime system. Given a compiled kernel, a backend
-// plan and a task partitioning, it executes each device's contiguous dim-0
-// chunk against the shared host buffers (preserving single-device
-// semantics) and prices the launch on the platform's device models,
-// including all host-device transfers.
+// plan and a task partitioning, it executes the kernel as one launch over
+// the whole NDRange against the host buffers and prices the partitioning
+// on the platform's device models, including all host-device transfers.
+// Under the byte-identity contract each device's dim-0 chunk computes and
+// counts exactly what that chunk of one launch does, so the per-device
+// split lives only in pricing (backend.Plan.DeviceWorksInto).
 //
 // Execute is the measuring run: it profiles the launch at exec.DefaultBuckets
-// resolution and prices that profile. Run executes the same chunks and
+// resolution and prices that profile. Run executes the same launch and
 // keeps only the count totals, for a caller that already knows the price:
-// under the byte-identity contract a launch's counts are a function of its
-// inputs, so the serving engine prices each (cell, class) once on the
-// cell's cached profile and checks that price against one Execute.
+// a launch's counts are a function of its inputs, so the serving engine
+// prices a cell's classes on the cell's cached profile and checks that
+// profile against one Execute.
 //
 // It also implements the two default strategies the paper compares
 // against — CPU-only and (single-)GPU-only — and the oracle search over
@@ -45,8 +47,7 @@ type Launch struct {
 	// launches, so transfers are charged once while compute scales.
 	Iterations int
 	// Budget, when non-nil, bounds host execution of this launch (steps,
-	// memory, wall clock); shared across all device chunks so the whole
-	// launch draws from one pool.
+	// memory, wall clock).
 	Budget *exec.Budget
 }
 
@@ -80,9 +81,10 @@ type Runtime struct {
 	Platform *device.Platform
 	Opts     sim.Options
 	// Workers bounds the host parallelism of the oracle search (Best) and
-	// of chunked execution (Execute, Run). 0 uses the scheduler's
-	// process-wide default (GOMAXPROCS unless overridden by -parallel); 1
-	// forces the sequential path. Results are identical for every setting.
+	// the host workers of each launch (Profile, Execute, Run). 0 uses the
+	// scheduler's process-wide default (GOMAXPROCS unless overridden by
+	// -parallel); 1 forces the sequential path. Results are identical for
+	// every setting.
 	Workers int
 
 	// priceBufs recycles single-candidate pricing scratch sets for
@@ -137,118 +139,59 @@ func (r *Runtime) checkPartition(p partition.Partition) error {
 	return nil
 }
 
-// Execute runs the launch under the given partitioning: every device's
-// chunk is executed against the launch's host buffers (so outputs are
-// real and verifiable) and the launch is priced on the device models. The
-// returned profile has DefaultBuckets resolution over the full NDRange and
-// can be re-priced for other partitionings with Price. This is the
-// measuring path: the deployment phase of core.Framework and the serving
-// engine's first execution of each (cell, class), whose price it checks.
+// Execute profiles the launch (Profile) against its host buffers, so
+// outputs are real and verifiable, and prices the given partitioning of
+// that profile on the device models. The returned profile can be
+// re-priced for other partitionings with Price. This is the measuring
+// path: the deployment phase of core.Framework and the serving engine's
+// self-check of a cell's cached profile.
 func (r *Runtime) Execute(l Launch, part partition.Partition) (*Result, error) {
-	full, align, err := r.run(l, part, exec.DefaultBuckets)
-	if err != nil {
-		return nil, err
-	}
-	makespan, bds, err := r.price(l, full, part, align)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Partition: part, Makespan: makespan, Breakdowns: bds, Profile: full}, nil
-}
-
-// Run executes the launch under the given partitioning exactly as Execute
-// does — same chunks, same budget, same faults — but keeps one profile
-// bucket and prices nothing: the returned profile's single bucket holds
-// the launch's exact count totals and its Vec* counters the launch's
-// divergence telemetry. The serving engine runs warm executions through
-// it, because their price is already known from the cell's profile. The
-// buffers are whatever the caller bound: a built instance's, or inputs
-// shared read-only with concurrent launches next to outputs of this
-// launch's own.
-func (r *Runtime) Run(l Launch, part partition.Partition) (*exec.Profile, error) {
-	prof, _, err := r.run(l, part, 1)
-	return prof, err
-}
-
-// run executes every device's chunk of the launch and merges the chunk
-// profiles, at the given dim-0 bucket resolution, into one profile over
-// the full NDRange. It also returns the dim-0 alignment pricing needs.
-func (r *Runtime) run(l Launch, part partition.Partition, buckets int) (*exec.Profile, int, error) {
 	if err := r.checkPartition(part); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	align, err := l.align()
+	prof, err := r.Profile(l)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	nd, err := l.ND.Normalized()
+	makespan, bds, err := r.Price(l, prof, part)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	full := &exec.Profile{Global0: nd.Global[0], Buckets: make([]exec.Counts, min(buckets, nd.Global[0]))}
-	// Each device's disjoint dim-0 chunk runs in its own worker. Chunks
-	// write disjoint work items, the per-chunk profiles are merged in
-	// device order after the join, and every Counts field is an integer
-	// sum (or max), so the result is byte-identical to sequential chunk
-	// execution.
-	//
-	// Each chunk's kernel-level worker count is proportional to its
-	// share of the work: skewed partitions (shares up to 10:1) don't
-	// starve the large chunk, while total parallelism stays within the
-	// budget up to rounding (at most one extra worker per device).
-	chunks := part.Chunks(nd.Global[0], align)
-	active, totalItems := 0, 0
-	for _, ch := range chunks {
-		if ch[1] > ch[0] {
-			active++
-			totalItems += ch[1] - ch[0]
-		}
-	}
-	budget := sched.Workers(r.Workers)
-	outer := budget
-	if outer > active {
-		outer = active
-	}
-	profs, err := sched.Map(context.Background(), len(chunks), outer,
-		func(_ context.Context, i int) (*exec.Profile, error) {
-			ch := chunks[i]
-			if ch[1] <= ch[0] {
-				return nil, nil
-			}
-			w := budget * (ch[1] - ch[0]) / totalItems
-			if w < 1 {
-				w = 1
-			}
-			return l.Kernel.Run(l.Args, nd, exec.RunOptions{
-				Lo: ch[0], Hi: ch[1], Buckets: len(full.Buckets), Workers: w, Budget: l.Budget,
-			})
-		})
-	if err != nil {
-		return nil, 0, err
-	}
-	for _, prof := range profs {
-		if prof == nil {
-			continue
-		}
-		for i := range prof.Buckets {
-			full.Buckets[i].Add(&prof.Buckets[i])
-		}
-		full.VecDivergences += prof.VecDivergences
-		full.VecReconverges += prof.VecReconverges
-		full.VecScalarBails += prof.VecScalarBails
-	}
-	return full, align, nil
+	return &Result{Partition: part, Makespan: makespan, Breakdowns: bds, Profile: prof}, nil
 }
 
-// Profile executes the full NDRange once (on the host) and returns the
-// dynamic profile, without pricing. Training uses this single execution to
-// price every candidate partitioning analytically.
+// Run executes the launch exactly as Execute does — same budget, same
+// faults — but keeps one profile bucket and prices nothing: the returned
+// profile's single bucket holds the launch's exact count totals and its
+// Vec* counters the launch's divergence telemetry. The serving engine
+// runs warm executions through it, because their price is already known
+// from the cell's profile. The buffers are whatever the caller bound: a
+// built instance's, or inputs shared read-only with concurrent launches
+// next to outputs of this launch's own.
+func (r *Runtime) Run(l Launch, part partition.Partition) (*exec.Profile, error) {
+	if err := r.checkPartition(part); err != nil {
+		return nil, err
+	}
+	return r.run(l, 1)
+}
+
+// Profile executes the launch once over its whole NDRange and returns its
+// dynamic profile at exec.DefaultBuckets resolution, without pricing.
+// Training uses this single execution to price every candidate
+// partitioning analytically.
 func (r *Runtime) Profile(l Launch) (*exec.Profile, error) {
+	return r.run(l, exec.DefaultBuckets)
+}
+
+// run is every execution's one kernel launch over the whole NDRange, at
+// the given dim-0 bucket resolution. A partitioning only prices: what a
+// launch computes and counts does not depend on it.
+func (r *Runtime) run(l Launch, buckets int) (*exec.Profile, error) {
 	nd, err := l.ND.Normalized()
 	if err != nil {
 		return nil, err
 	}
-	return l.Kernel.Run(l.Args, nd, exec.RunOptions{Workers: r.Workers, Budget: l.Budget})
+	return l.Kernel.Run(l.Args, nd, exec.RunOptions{Buckets: buckets, Workers: r.Workers, Budget: l.Budget})
 }
 
 // Price computes the simulated makespan of a partitioning from an
@@ -261,10 +204,6 @@ func (r *Runtime) Price(l Launch, prof *exec.Profile, part partition.Partition) 
 	if err != nil {
 		return 0, nil, err
 	}
-	return r.price(l, prof, part, align)
-}
-
-func (r *Runtime) price(l Launch, prof *exec.Profile, part partition.Partition, align int) (float64, []sim.Breakdown, error) {
 	works := l.Plan.DeviceWorks(prof, l.argBytes(nil), part, align, l.iterations())
 	return sim.Makespan(r.Platform, works, r.Opts)
 }

@@ -3,9 +3,10 @@
 // error propagation and context cancellation.
 //
 // Every parallel hot path in the repository — the oracle search over the
-// partition space (runtime.Best), per-device chunk execution
-// (runtime.Execute and Run), the training-data sweep (harness.Generate) and
-// cross-validation folds (ml.LeaveOneGroupOut) — fans out through Map.
+// partition space (runtime.Best), the training-data sweep
+// (harness.Generate) and cross-validation folds (ml.LeaveOneGroupOut) —
+// fans out through Map; a kernel launch spreads its work groups over the
+// same budget (Workers) itself, in exec.Run.
 // Results are always returned in input index order, so callers
 // that reduce over them in order produce output identical to a sequential
 // loop; parallelism never changes results, only wall-clock time.

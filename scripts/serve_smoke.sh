@@ -15,7 +15,9 @@
 # fleet path: -platforms mc1,mc2 with sharded engines, per-platform
 # routing and per-shard /stats, one profile for a (program, size) served
 # on both platforms (the fleet's shared cell cache) with no instance
-# template until the cell's first /execute builds one, and admission
+# template until the cell's first /execute builds one, a cold /execute
+# whose one kernel run profiles its cell and builds its template, the
+# cell's self-check on the other platform, and admission
 # control shedding an overload burst with 429 + Retry-After. (Sustained JSON/wire/batch
 # traffic with every response checked is the benchmark's job:
 # bash benchmark/run.sh --workload predict-serve.) Used by CI and
@@ -262,6 +264,20 @@ echo "== the cell's first /execute builds its template =="
 curl -fsS -X POST "$base/execute?program=vecadd&size=1&platform=mc1" | grep -q '"verified": true'
 curl -fsS "$base/stats" > "$work/fleet-cells.json"
 grep -q '"cellTemplates": 1,' "$work/fleet-cells.json" || { echo "FAIL: one executed cell does not report one template"; exit 1; }
+
+echo "== a cold /execute's kernel run is its cell's profiling run =="
+curl -fsS -X POST "$base/execute?program=saxpy&size=0&platform=mc2" | grep -q '"verified": true'
+curl -fsS "$base/stats" > "$work/fleet-cold.json"
+computes=$(grep -o '"featureComputes": [0-9]*' "$work/fleet-cold.json" | awk '{ n += $2 } END { print n + 0 }')
+[ "$computes" = "2" ] || { echo "FAIL: a cold /execute of a fresh cell took $((computes - 1)) feature computes, want 1"; exit 1; }
+grep -q '"cellTemplates": 2,' "$work/fleet-cold.json" || { echo "FAIL: a cold /execute did not leave its cell one template"; exit 1; }
+curl -fsS -X POST "$base/execute?program=saxpy&size=0&platform=mc1" | grep -q '"verified": true'
+curl -fsS "$base/stats" > "$work/fleet-cold.json"
+grep -q '"makespanMismatches": 0' "$work/fleet-cold.json" ||
+  { echo "FAIL: /stats has no makespanMismatches"; exit 1; }
+if grep -Eq '"makespanMismatches": [1-9]' "$work/fleet-cold.json"; then
+  echo "FAIL: the self-check on the second platform disagreed with the cell's profile"; exit 1
+fi
 
 curl -fsS -H 'X-Tenant: bob' "$base/predict?program=matmul&size=0&platform=mc2" | grep -q '"partition"'
 curl -fsS "$base/stats" | tee "$work/fleet-stats.json"
