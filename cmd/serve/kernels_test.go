@@ -166,7 +166,7 @@ func TestKernelTierAndVecReason(t *testing.T) {
 	if info.Tier != "vec" || info.VecReason != "" {
 		t.Fatalf("in-loop branch kernel: tier %q reason %q, want vec and no reason", info.Tier, info.VecReason)
 	}
-	// A lane-varying trip count stays on the scalar VM and says so.
+	// A lane-varying trip count runs its loop under a mask: vector tier.
 	w = uploadKernel(t, s, "", engine.KernelSpec{Name: "tri", Source: `kernel void tri(global float* a, global float* out, int n) {
 	int i = get_global_id(0);
 	int m = i % 7;
@@ -182,8 +182,31 @@ func TestKernelTierAndVecReason(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &info); err != nil {
 		t.Fatal(err)
 	}
-	if info.Tier != "vm" || !strings.Contains(info.VecReason, "back-edge") {
-		t.Fatalf("varying-trip kernel: tier %q reason %q, want vm and a back-edge reason", info.Tier, info.VecReason)
+	if info.Tier != "vec" || info.VecReason != "" {
+		t.Fatalf("varying-trip kernel: tier %q reason %q, want vec and no reason", info.Tier, info.VecReason)
+	}
+	// A barrier in a varying in-loop region: the sides of a split would
+	// deadlock each other, so the kernel stays on the scalar VM and says
+	// why.
+	w = uploadKernel(t, s, "", engine.KernelSpec{Name: "bar", Source: `kernel void bar(global float* a, global float* out, local float* tmp, int n) {
+	int i = get_global_id(0);
+	int l = get_local_id(0);
+	for (int j = 0; j < n; j++) {
+		if (a[i + j] > 0.5) {
+			tmp[l] = a[i];
+			barrier(1);
+		}
+	}
+	out[i] = tmp[l];
+}`})
+	if w.Code != http.StatusCreated {
+		t.Fatalf("upload bar = %d: %s", w.Code, w.Body.String())
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Tier != "vm" || !strings.Contains(info.VecReason, "inside loop body") {
+		t.Fatalf("in-loop barrier kernel: tier %q reason %q, want vm and an in-loop reason", info.Tier, info.VecReason)
 	}
 
 	w = doReq(t, s, http.MethodGet, "/kernels", nil)
@@ -197,8 +220,8 @@ func TestKernelTierAndVecReason(t *testing.T) {
 	for _, k := range listed.Kernels {
 		reasons[k.Name] = k.Tier + ":" + k.VecReason
 	}
-	if reasons["public/count"] != "vec:" || !strings.Contains(reasons["public/tri"], "vm:") ||
-		!strings.Contains(reasons["public/tri"], "back-edge") {
+	if reasons["public/count"] != "vec:" || reasons["public/tri"] != "vec:" ||
+		!strings.Contains(reasons["public/bar"], "vm:") || !strings.Contains(reasons["public/bar"], "inside loop body") {
 		t.Fatalf("GET /kernels: %v", reasons)
 	}
 }

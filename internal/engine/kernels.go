@@ -65,11 +65,15 @@ type KernelInfo struct {
 	SizeNs      []int  `json:"sizeNs"`
 	Tier        string `json:"tier"`
 	// VecReason is why the kernel is not on the vector tier when Tier
-	// is "vm" (the vectorizer's refusal); empty otherwise.
+	// is "vm" (the vectorizer's refusal): a varying branch inside a loop
+	// whose region holds a barrier or a store through a uniform index.
+	// Empty otherwise; lane-varying trip counts run under loop masks.
 	VecReason string `json:"vecReason,omitempty"`
 	// VecBailBranches is how many varying branches of a kernel on the
 	// vector tier have no join: a group whose lanes disagree there
-	// leaves the tier and completes item by item on the scalar VM.
+	// leaves the tier and completes item by item on the scalar VM. A
+	// loop exit has one, the loop's exit join, where a loop mask
+	// re-forms the group.
 	VecBailBranches int `json:"vecBailBranches"`
 }
 

@@ -236,6 +236,35 @@ func TestExpiredBackstopStraightLine(t *testing.T) {
 //go:linkname vmStepLease repro/internal/exec/vm.stepLease
 var vmStepLease int64
 
+// stepsTaken returns the smallest step limit under which c completes
+// the launch on one worker: with vmStepLease at one, exactly the number
+// of steps the launch takes. It doubles the limit until the launch
+// completes, then bisects (completing is monotone in the limit).
+func stepsTaken(t *testing.T, c *Compiled, args func() []Arg, nd NDRange) int64 {
+	t.Helper()
+	completes := func(limit int64) bool {
+		opts := RunOptions{Workers: 1, Budget: NewBudget(context.Background(), limit, 0)}
+		_, err := c.Run(args(), nd, opts)
+		if err != nil {
+			wantBudgetErr(t, err, BudgetSteps)
+		}
+		return err == nil
+	}
+	hi := int64(1)
+	for !completes(hi) {
+		hi *= 2
+	}
+	lo := hi / 2 // fails, or 0
+	for lo+1 < hi {
+		if mid := (lo + hi) / 2; completes(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
+}
+
 // TestFuelParityAtLeaseOne is the exact fuel oracle. A production lease
 // is 4096 steps per frame — per item on the scalar VM, per group on the
 // vector tier — so a step budget cuts the two off at different points
@@ -253,32 +282,7 @@ func TestFuelParityAtLeaseOne(t *testing.T) {
 
 	// parity reports whether the launch split and re-formed a group.
 	parity := func(t *testing.T, cVM, cVec *Compiled, args func() []Arg, nd NDRange) bool {
-		completes := func(c *Compiled, limit int64) bool {
-			opts := RunOptions{Workers: 1, Budget: NewBudget(context.Background(), limit, 0)}
-			_, err := c.Run(args(), nd, opts)
-			if err != nil {
-				wantBudgetErr(t, err, BudgetSteps)
-			}
-			return err == nil
-		}
-		// The smallest limit c completes under: double until it
-		// does, then bisect (completing is monotone in the limit).
-		steps := func(c *Compiled) int64 {
-			hi := int64(1)
-			for !completes(c, hi) {
-				hi *= 2
-			}
-			lo := hi / 2 // fails, or 0
-			for lo+1 < hi {
-				if mid := (lo + hi) / 2; completes(c, mid) {
-					hi = mid
-				} else {
-					lo = mid
-				}
-			}
-			return hi
-		}
-		if sVM, sVec := steps(cVM), steps(cVec); sVM != sVec {
+		if sVM, sVec := stepsTaken(t, cVM, args, nd), stepsTaken(t, cVec, args, nd); sVM != sVec {
 			t.Errorf("steps drawn from the pool: vm %d, vec %d", sVM, sVec)
 		}
 		prof, err := cVec.Run(args(), nd, RunOptions{Workers: 1})

@@ -22,6 +22,12 @@ import (
 // conditions inside one or two uniform-trip loops, with global and local
 // stores in the divergent region, barriers after the join, would-fault
 // lanes in late iterations, and step budgets that run out mid-group;
+// loops the vector tier runs under a loop mask — trip counts that vary
+// from item to item (a per-item bound or start, as in spmv), `while`
+// loops with a compound `&&` exit test, and `break` / `continue` under
+// varying guards in every loop without a barrier — at the top level and
+// nested in uniform loops, with lanes that fault in an iteration k > 0
+// while others are still looping;
 // and, after the loops, the divergent regions outside any loop that may
 // write uniform registers: short-circuit guards with uniform
 // subexpressions computed inside them, uniform temporaries declared in a
@@ -62,7 +68,9 @@ type kgen struct {
 	faulty   bool     // emit risky indices and divisors
 	tmpAny   bool     // current phase may read other lanes' tmp cells
 	tmpStore bool     // current phase may store tmp[l]
-	loops    []string // in-scope uniform loop counters, innermost last
+	loops    []string // in-scope loop counters, innermost last
+	exits    bool     // the innermost loop holds no barrier: break and continue may leave it
+	nvar     int      // varying loops emitted so far, which names their counters
 }
 
 const (
@@ -80,7 +88,8 @@ func (g *kgen) line(format string, args ...any) {
 func (g *kgen) pick(options ...string) string { return options[g.r.Intn(len(options))] }
 
 // counter returns an in-scope loop counter, or outside every loop a trip
-// count: uniform and in the same range.
+// count: in the same range, 0..max(t1, t2), and uniform unless it counts
+// a varying loop.
 func (g *kgen) counter() string {
 	if len(g.loops) == 0 {
 		return g.pick("t1", "t2")
@@ -221,9 +230,12 @@ func (g *kgen) cond() string {
 
 // stmt emits one statement at nested-if depth depth.
 func (g *kgen) stmt(depth int) {
-	k := g.r.Intn(10)
+	k := g.r.Intn(12)
 	if depth >= kgenMaxDepth && k >= 6 {
 		k = g.r.Intn(6)
+	}
+	if k == 10 && !g.exits || k == 11 && len(g.loops) >= 3 {
+		k = 6
 	}
 	switch k {
 	case 0:
@@ -250,6 +262,10 @@ func (g *kgen) stmt(depth int) {
 		} else {
 			g.line("%s = %s;", g.fvar(), g.fexpr(1))
 		}
+	case 10:
+		g.escape()
+	case 11:
+		g.vloop(depth)
 	default:
 		g.line("if (%s) {", g.cond())
 		g.block(depth+1, 1+g.r.Intn(3))
@@ -259,6 +275,55 @@ func (g *kgen) stmt(depth int) {
 		}
 		g.line("}")
 	}
+}
+
+// escape leaves the innermost loop under a varying guard: a break,
+// sometimes after a statement the leaving lanes run on their way out,
+// or a continue.
+func (g *kgen) escape() {
+	g.line("if (%s) {", g.cond())
+	g.indent++
+	if g.r.Intn(2) == 0 {
+		g.stmt(kgenMaxDepth)
+	}
+	g.line("%s;", g.pick("break", "continue"))
+	g.indent--
+	g.line("}")
+}
+
+// vloop emits a loop whose trip count varies from item to item: a
+// per-item bound (spmv's row length), a per-item start, or a `while`
+// loop with a compound `&&` exit test that steps its counter first, so
+// a continue cannot skip the step. Each is bounded by a trip count, so
+// its counter stays in counter()'s range. It holds no barrier: lanes
+// leave it at different iterations. In a faulty kernel its body may
+// start with a load past the short pad for the items whose sel is
+// large, in an iteration k > 0, while the others still loop.
+func (g *kgen) vloop(depth int) {
+	c, t := fmt.Sprintf("w%d", g.nvar), g.pick("t1", "t2")
+	g.nvar++
+	switch g.r.Intn(3) {
+	case 0:
+		g.line("for (int %s = 0; %s < (sel[i] + %d) %% (%s + 1); %s++) {", c, c, g.r.Intn(4), t, c)
+	case 1:
+		g.line("for (int %s = sel[(i + %d) %% n] %% 2; %s < %s; %s++) {", c, 1+g.r.Intn(5), c, t, c)
+	default:
+		g.line("int %s = 0;", c)
+		g.line("while (%s < %s && %s) {", c, t, g.cond())
+		g.indent++
+		g.line("%s++;", c)
+		g.indent--
+	}
+	exits := g.exits
+	g.loops, g.exits = append(g.loops, c), true
+	if g.faulty && g.r.Intn(2) == 0 {
+		g.indent++
+		g.line("%s += a[i + sel[i] * %s];", g.fvar(), c)
+		g.indent--
+	}
+	g.block(depth+1, 1+g.r.Intn(3))
+	g.loops, g.exits = g.loops[:len(g.loops)-1], exits
+	g.line("}")
 }
 
 func (g *kgen) block(depth, n int) {
@@ -275,7 +340,7 @@ func (g *kgen) block(depth, n int) {
 // outer loop, sometimes a nested second loop.
 func (g *kgen) loop(counter, bound string, nest bool) {
 	g.line("for (int %s = 0; %s < %s; %s++) {", counter, counter, bound, counter)
-	g.loops = append(g.loops, counter)
+	g.loops, g.exits = append(g.loops, counter), !g.barriers
 	g.tmpAny, g.tmpStore = g.barriers, !g.barriers
 	g.block(0, 1+g.r.Intn(3))
 	if g.barriers {
@@ -296,6 +361,7 @@ func (g *kgen) loop(counter, bound string, nest bool) {
 		g.indent--
 	}
 	g.loops = g.loops[:len(g.loops)-1]
+	g.exits = false
 	g.line("}")
 }
 
@@ -348,9 +414,9 @@ func (g *kgen) raggedLoop() {
 	g.line("if (i < n - %d) {", 1+g.r.Intn(7))
 	g.indent++
 	g.line("for (int q = 0; q < %s; q++) {", g.pick("t1", "t2"))
-	g.loops = append(g.loops, "q")
+	g.loops, g.exits = append(g.loops, "q"), true
 	g.block(0, 1+g.r.Intn(3))
-	g.loops = g.loops[:len(g.loops)-1]
+	g.loops, g.exits = g.loops[:len(g.loops)-1], false
 	g.line("}")
 	g.indent--
 	g.line("}")
@@ -403,7 +469,7 @@ func genKernel(seed int64, faulty bool) string {
 	}
 	// Outside the loops only a work item's own tmp cell is in reach.
 	g.tmpAny, g.tmpStore = false, true
-	for _, emit := range []func(){g.guard, g.raggedLoop, g.groupStore} {
+	for _, emit := range []func(){g.guard, g.raggedLoop, func() { g.vloop(0) }, g.groupStore} {
 		if g.r.Intn(3) > 0 {
 			emit()
 		}

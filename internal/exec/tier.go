@@ -99,4 +99,7 @@ func (c *Compiled) Vec() *vm.VecFunc { return c.vecProg }
 
 // VecError returns why vectorization was skipped under TierAuto, if it
 // was; nil when the vector program is attached or was never requested.
+// Loop masks admit lane-varying trip counts and exits, so the refusals
+// left are a varying branch inside a loop whose region holds a barrier
+// or a store through a uniform index; every built-in vectorizes.
 func (c *Compiled) VecError() error { return c.vecErr }

@@ -51,8 +51,11 @@ func Disassemble(p *Func) string {
 // line ends with where a split group re-forms (`join <pc>`) or `bail`
 // when disagreement there takes the full scalar bail, and the header
 // lists the uniform registers some divergent region writes, which live
-// in each side's private scalar slots. Golden tests pin this output so
-// classification changes are deliberate.
+// in each side's private scalar slots, and every loop mask: a varying
+// branch inside a loop whose region holds a loop (a varying back-edge
+// or exit, a `break` under a varying guard), with the exit join where
+// the lanes it parks meet the last ones out (`pc->join`). Golden tests
+// pin this output so classification changes are deliberate.
 func (p *VecFunc) Disassemble() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "vec func %s\n", p.Name)
@@ -79,6 +82,15 @@ func (p *VecFunc) Disassemble() string {
 			fmt.Fprintf(&b, " f%d", r)
 		}
 		b.WriteByte('\n')
+	}
+	masks := ""
+	for pc, reg := range p.regions {
+		if reg != nil && reg.loop {
+			masks += fmt.Sprintf(" %d->%d", pc, p.joinPC[pc])
+		}
+	}
+	if masks != "" {
+		fmt.Fprintf(&b, "  loop masks:%s\n", masks)
 	}
 	for pc := range p.Code {
 		mark, join := byte(' '), ""

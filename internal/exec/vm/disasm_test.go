@@ -256,6 +256,53 @@ kernel void conv2d(global const float* in, global float* out, int w, int h) {
 		kernel: "dot",
 		source: goldenSource("dot_local"),
 	},
+	{
+		// The suite's mandelbrot: the `&&` exit test's second branch is
+		// a loop mask joining after the loop (the first re-forms at the
+		// second), and the iteration count the loop leaves live there is
+		// varying although every value it takes is computed uniformly.
+		name:   "vec_mandelbrot",
+		kernel: "mandelbrot",
+		source: `
+kernel void mandelbrot(global int* out, int w, int h, int maxIter) {
+	int x = get_global_id(0);
+	int y = get_global_id(1);
+	if (x < w && y < h) {
+		float cr = (float)x / (float)w * 3.5 - 2.5;
+		float ci = (float)y / (float)h * 2.0 - 1.0;
+		float zr = 0.0;
+		float zi = 0.0;
+		int it = 0;
+		while (it < maxIter && zr * zr + zi * zi < 4.0) {
+			float nzr = zr * zr - zi * zi + cr;
+			zi = 2.0 * zr * zi + ci;
+			zr = nzr;
+			it++;
+		}
+		out[y * w + x] = it;
+	}
+}`,
+	},
+	{
+		// The suite's spmv: a varying addjcmp.i back-edge (per-row trip
+		// counts) is a loop mask joining at its fall-through, and the
+		// rotated loop's guard joins there too.
+		name:   "vec_spmv",
+		kernel: "spmv",
+		source: `
+kernel void spmv(global const int* rowptr, global const int* col, global const float* val,
+                 global const float* x, global float* y, int rows) {
+	int i = get_global_id(0);
+	if (i < rows) {
+		float acc = 0.0;
+		int end = rowptr[i + 1];
+		for (int j = rowptr[i]; j < end; j++) {
+			acc += val[j] * x[col[j]];
+		}
+		y[i] = acc;
+	}
+}`,
+	},
 }
 
 // goldenSource returns the source of the named goldenKernels entry.

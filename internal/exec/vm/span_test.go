@@ -102,8 +102,8 @@ func TestScalEndSpansAreStraightLineAndScalarized(t *testing.T) {
 		vectorized++
 		t.Run(b.name, func(t *testing.T) { checkSpans(t, vp) })
 	}
-	if len(builtins) != 23 || vectorized != 20 {
-		t.Errorf("read %d built-in kernels, %d vectorizable; want 23 and 20", len(builtins), vectorized)
+	if len(builtins) != 23 || vectorized != 23 {
+		t.Errorf("read %d built-in kernels, %d vectorizable; want 23 and 23", len(builtins), vectorized)
 	}
 	for _, tc := range vecGoldenKernels {
 		t.Run(tc.name, func(t *testing.T) { checkSpans(t, vectorizeKernel(t, tc.name, tc.source, tc.kernel)) })

@@ -7,12 +7,12 @@ import (
 )
 
 // SIMT vector execution tier. Vectorize analyzes a compiled Func for
-// register uniformity at the bytecode level and, when the kernel's loop
-// trip counts are group-uniform, produces a VecFunc that executes W work
-// items per instruction dispatch: varying registers become W-wide lane
-// arrays, straight-line arms loop over lanes inside one switch arm, and
-// branches take one comparison per group (statically uniform
-// conditions) or one lane-agreement scan (varying forward conditions).
+// register uniformity at the bytecode level and produces a VecFunc that
+// executes W work items per instruction dispatch: varying registers
+// become W-wide lane arrays, straight-line arms loop over lanes inside
+// one switch arm, and branches take one comparison per group
+// (statically uniform conditions) or one lane-agreement scan (varying
+// conditions).
 //
 // Uniform scalarization: registers proven group-uniform live in a
 // single scalar slot instead of W lanes — the register files of the
@@ -47,19 +47,23 @@ import (
 // each side then computes it in its own private copy of the scalar
 // slots, which is never copied back (register liveness, see
 // computeJoin; the same liveness narrows what a split copies in and
-// out). A varying branch inside a loop body is expected to disagree, so
-// it is admitted only when its region is loop-free — the group re-forms
-// every iteration — and every register the region writes is classified
-// varying (control dependence; see Vectorize). Only irreducible
-// divergence — no safe join point (a barrier in the region, a uniform
-// register written there and read after the join, a store through a
-// uniform index with both sides present), nested splits beyond the
-// depth cap, or a would-fault lane inside a split — falls back to the
-// full bail: Run returns Diverged and the caller completes each lane on
-// the scalar VM from its per-lane PC, with its own side's value of
-// every register the region wrote. Scalar completion walks items in
-// canonical order, so it reproduces the canonical item-order fault
-// message and per-item counts exactly.
+// out). A varying branch inside a loop body is expected to disagree:
+// when its region is loop-free the group re-forms every iteration, and
+// every register the region writes is classified varying (control
+// dependence; see Vectorize). When its region holds a loop — a varying
+// back-edge or exit, a `break` under a varying guard — the join is the
+// loop's exit join and the loop runs under a mask: lanes that leave
+// park there while the rest loop on in a frame narrowed in place, and
+// the group re-forms when the last lane is out (see diverge). Only
+// irreducible divergence — no safe join point (a barrier in the region,
+// a uniform register written there and read after the join, a store
+// through a uniform index with both sides present or in a loop),
+// nested splits beyond the depth cap, or a would-fault lane inside a
+// split — falls back to the full bail: Run returns Diverged and the
+// caller completes each lane on the scalar VM from its per-lane PC,
+// with its own side's value of every register the region wrote. Scalar
+// completion walks items in canonical order, so it reproduces the
+// canonical item-order fault message and per-item counts exactly.
 //
 // The contract: buffers, profiles and fault messages are byte-identical
 // with the scalar VM and the closure tier for kernels in which distinct
@@ -84,8 +88,11 @@ import (
 // fuel is charged W per taken jump (W items each spent one step); a
 // scalarized jump still charges W. After a split the sides accumulate
 // per-lane count deltas (VecFrame.laneCnt) on top of the shared
-// counts, so per-item totals stay exact. The spill-room cadence is
-// identical to the scalar VM.
+// counts, so per-item totals stay exact; under a loop mask the looping
+// frame is only as wide as the lanes still in the loop, so its counts
+// and its W per taken jump are theirs, and a lane that leaves takes its
+// counts back to the group. The spill-room cadence is identical to the
+// scalar VM.
 
 // VecFunc is the vectorized view of a compiled kernel: the same
 // bytecode, plus the uniformity classification that drives
@@ -165,7 +172,9 @@ func (p *VecFunc) ScalarizedOps() int {
 }
 
 // BailBranches reports how many varying branches have no join: lane
-// disagreement there sends the whole group to scalar completion.
+// disagreement there sends the whole group to scalar completion. A
+// varying loop exit or back-edge always has one (its loop's exit join)
+// or the kernel is refused, so only a branch outside any loop counts.
 func (p *VecFunc) BailBranches() int {
 	n := 0
 	for pc := range p.Code {
@@ -227,16 +236,18 @@ func condJumpTarget(in *Instr, pc int) (int, bool) {
 
 // Vectorize classifies every register of p as group-uniform or varying
 // and decides whether the kernel's loop structure admits SIMT
-// execution. It fails when a loop back-edge condition is varying (the
-// lanes would iterate different trip counts) or a varying conditional
-// jump inside a loop body guards a region the group cannot re-form
-// after within the same iteration (the region reaches a back-edge — a
-// nested loop or a break — or is ineligible for masked execution; see
-// computeJoin). Every other varying forward branch is admitted, checked
+// execution. It fails only when a varying conditional jump inside a
+// loop — a varying back-edge, a varying exit, or a varying branch in the
+// body — guards a region that is ineligible for masked execution (a
+// barrier, or a store through a uniform index; see computeJoin): the
+// group could neither re-form after it within the iteration nor run its
+// loop under a mask. Every other varying branch is admitted, checked
 // for agreement at runtime, and annotated with its re-convergence point
-// when the divergent region is safe to run masked. The flow graph and
-// the register liveness that decision needs are built at most once, and
-// only for kernels that have a varying conditional jump.
+// when the divergent region is safe to run masked; for a loop region
+// that point is the loop's exit join, where the lanes a loop mask parked
+// meet the last ones out. The flow graph and the register liveness that
+// decision needs are built at most once, and only for kernels that have
+// a varying conditional jump.
 func Vectorize(p *Func) (*VecFunc, error) {
 	for i := range p.Code {
 		if _, ok := LookupOp(p.Code[i].Op); !ok {
@@ -291,8 +302,8 @@ func Vectorize(p *Func) (*VecFunc, error) {
 
 	condU := make([]bool, len(p.Code))
 	// uniformCond: every source of the jump is uniform. addjcmp.i's
-	// bound is a source too; a varying one is refused anyway, as a
-	// varying loop back-edge.
+	// bound is a source too, and a varying bound makes the counter
+	// varying as well (it is the instruction's destination).
 	uniformCond := func(in *Instr) bool {
 		v = false
 		srcRegs(in, readI, readF)
@@ -315,32 +326,47 @@ func Vectorize(p *Func) (*VecFunc, error) {
 	// agreement check — it would bail every iteration — so when the
 	// region up to its immediate post-dominator is loop-free (the group
 	// re-forms within the same iteration) every register the region
-	// writes is promoted to varying, and the data fixpoint reruns until
-	// nothing moves. Branches outside loops keep the optimistic
-	// agree-or-bail treatment: the `if (gid < n)` guard around a whole
-	// kernel holds uniform loop counters that must stay uniform. The
-	// post-dominator sets are built once, and only when some in-loop
+	// writes is promoted to varying. When the region is not loop-free —
+	// a varying loop exit or back-edge, a `break` under a varying guard,
+	// a nested loop under one — lanes leave it at different iterations
+	// (the loop mask, see diverge), so a register it writes that is live
+	// at the exit join is promoted: each lane leaves with its own value.
+	// One that dies before the join stays uniform, lane-equal among the
+	// lanes still looping and private to the side that runs them. The
+	// data fixpoint reruns until nothing moves. Branches outside loops
+	// keep the optimistic agree-or-bail treatment: the `if (gid < n)`
+	// guard around a whole kernel holds uniform loop counters that must
+	// stay uniform. The post-dominator sets (and, for loop regions,
+	// register liveness) are built once, and only when some in-loop
 	// branch is varying.
 	var g *flowGraph
 	for promoted := true; promoted; {
 		promoted = false
 		for i := range p.Code {
 			in := &p.Code[i]
-			if t, ok := condJumpTarget(in, i); !ok || t <= i || !inLoop[i] || uniformCond(in) {
+			if _, ok := condJumpTarget(in, i); !ok || !inLoop[i] || uniformCond(in) {
 				continue
 			}
 			if g == nil {
-				g = newFlowGraph(p.Code)
+				g = newFlowGraph(p.Code, len(varI), len(varF))
 			}
 			region, loopFree := g.region(i)
+			var liveJoin regSet
 			if !loopFree {
-				continue
+				if region == nil {
+					continue
+				}
+				g.solveLiveness()
+				liveJoin = g.liveIn(g.ipdom(i))
 			}
 			for _, v := range region {
 				if isF, r, ok := destReg(&p.Code[v]); ok {
-					file := varI
+					file, b := varI, int(r)
 					if isF {
-						file = varF
+						file, b = varF, g.numI+int(r)
+					}
+					if liveJoin != nil && !liveJoin.has(b) {
+						continue
 					}
 					if !file[r] {
 						file[r], promoted = true, true
@@ -371,16 +397,15 @@ func Vectorize(p *Func) (*VecFunc, error) {
 		if u {
 			continue
 		}
-		if t <= i {
-			return nil, fmt.Errorf("exec: vec: varying loop back-edge at pc %d (%s)", i, in.Op)
-		}
-		// Past this point the jump is forward, so it is not an addjcmp.i:
-		// the fuser only builds one on a back-edge (tryIncJCmp).
 		if g == nil {
-			g = newFlowGraph(p.Code)
+			g = newFlowGraph(p.Code, len(varI), len(varF))
 		}
 		vf.computeJoin(g, i, inLoop[i])
-		if inLoop[i] && vf.joinPC[i] < 0 {
+		switch {
+		case vf.joinPC[i] >= 0 || !inLoop[i]:
+		case t <= i:
+			return nil, fmt.Errorf("exec: vec: varying loop back-edge at pc %d (%s)", i, in.Op)
+		default:
 			return nil, fmt.Errorf("exec: vec: varying branch inside loop body at pc %d (%s)", i, in.Op)
 		}
 	}
@@ -456,12 +481,14 @@ type flowGraph struct {
 	ipd   []int    // immediate post-dominators, computed on demand (-2 = not yet)
 
 	// live holds the live-in register sets (solveLiveness): (n+1) regSet
-	// rows of lw words. Nil until the first varying branch needs a join.
-	// uni is the set of uniform registers.
-	live []uint64
-	uni  regSet
-	lw   int
-	numI int
+	// rows of lw words over numI int and numF float registers. Nil until
+	// the first varying branch needs a join or a loop region's
+	// promotion. uni is the set of uniform registers, set by the first
+	// computeJoin once the classification is final.
+	live       []uint64
+	uni        regSet
+	lw         int
+	numI, numF int
 
 	seen  []bool // region walk scratch
 	stack []int
@@ -493,11 +520,13 @@ func (g *flowGraph) row(v int) []uint64 { return g.pd[v*g.words : (v+1)*g.words]
 // newFlowGraph solves the post-dominator dataflow: pdom[exit] = {exit},
 // pdom[v] = {v} ∪ ∩ pdom[succ]. Kernels are a few hundred instructions
 // at most, so the quadratic iteration is irrelevant at compile time.
-func newFlowGraph(code []Instr) *flowGraph {
+func newFlowGraph(code []Instr, numI, numF int) *flowGraph {
 	n := len(code)
 	words := (n + 1 + 63) / 64
 	g := &flowGraph{
 		code:  code,
+		numI:  numI,
+		numF:  numF,
 		words: words,
 		pd:    make([]uint64, (n+1)*words),
 		ipd:   make([]int, n),
@@ -613,28 +642,16 @@ func (g *flowGraph) region(pc int) (nodes []int, loopFree bool) {
 // solveLiveness runs backward may-liveness over the graph: a register
 // is live into v when some path from v reads it before writing it.
 // live-in[v] = use[v] ∪ (∪ live-in[succ] ∖ def[v]); nothing is live
-// into the exit. Word-parallel rows, solved at most once per kernel;
-// uniI/uniF (the register classification) become the set g.uni in the
-// same layout.
-func (g *flowGraph) solveLiveness(uniI, uniF []bool) {
+// into the exit. Word-parallel rows, solved at most once per kernel.
+// Liveness does not depend on the classification, so the promotion
+// fixpoint and computeJoin share one solution.
+func (g *flowGraph) solveLiveness() {
 	if g.live != nil {
 		return
 	}
-	n, numI := len(g.code), len(uniI)
-	g.numI = numI
-	g.lw = (numI + len(uniF) + 63) / 64
+	n, numI := len(g.code), g.numI
+	g.lw = (numI + g.numF + 63) / 64
 	lw := g.lw
-	g.uni = make(regSet, lw)
-	for r, u := range uniI {
-		if u {
-			g.uni.add(r)
-		}
-	}
-	for r, u := range uniF {
-		if u {
-			g.uni.add(numI + r)
-		}
-	}
 	g.live = make([]uint64, (n+1)*lw)
 	use := make([]uint64, n*lw)
 	def := make([]uint64, n*lw)
@@ -677,6 +694,8 @@ type regSet []uint64
 
 func (s regSet) add(b int) { s[b/64] |= 1 << (b % 64) }
 
+func (s regSet) has(b int) bool { return s[b/64]&(1<<(b%64)) != 0 }
+
 func (s regSet) or(o regSet) {
 	for w, x := range o {
 		s[w] |= x
@@ -709,12 +728,26 @@ func (g *flowGraph) regLists(set regSet) (ri, rf []int32) {
 // are dead at the join. Registers outside these sets are skipped
 // entirely, which is most of the cost of a divergence on
 // register-heavy kernels.
+//
+// A region with a loop in it (one a lane can leave at different
+// iterations: a varying back-edge or exit, a `break` under a varying
+// guard) also names its exit side: the side of the branch whose lanes
+// reach the join without passing the branch again (-1 for a loop-free
+// region, or when both sides loop). A side frame that stops at this
+// join and meets the branch retires those lanes to its parent and runs
+// on narrowed to the rest (see diverge); stay lists the varying
+// registers live into the other side's entry, the ones the narrowing
+// compacts. loop marks a loop mask proper: the branch is itself inside
+// the loop.
 type splitRegion struct {
 	inI, inF     []int32
 	outI, outF   []int32
 	wrI, wrF     []int32
 	privI, privF []int32
+	stayI, stayF []int32
 	wi           bool
+	loop         bool
+	exit         int8
 }
 
 // computeJoin records, for the varying conditional jump at pc, the
@@ -722,32 +755,47 @@ type splitRegion struct {
 // post-dominator, provided the divergent region between the branch and
 // the join is safe to run one side at a time:
 //   - no barrier (the sides would deadlock each other);
-//   - a uniform register is written only by a branch outside any loop,
-//     and only when it is not live into the join: a value that dies
-//     before the join needs no blend, so each side computes it in its
-//     own private scalar slots (an in-loop region never writes one —
-//     Vectorize promoted everything it writes to varying);
+//   - a uniform register the region writes is not live into the join:
+//     a value that dies before the join needs no blend, so each side
+//     computes it in its own private scalar slots (inside a loop,
+//     Vectorize promoted the ones that are live there to varying);
 //   - a store through a uniform index only in a one-sided region (the
 //     taken target is the join) of a branch outside any loop: one side
 //     stores, and its lanes retire in ascending order exactly as the
 //     convergent store arm retires them, so the element ends up with
 //     the canonical last writer's value. With both sides present, side
-//     order would replace item order;
-//   - for a branch inside a loop, no back-edge (the group must re-form
-//     every iteration).
+//     order would replace item order, and under a loop mask the lane
+//     that iterates longest would.
+//
+// The region may hold a loop: its sides then run under a loop mask
+// until every lane has reached the join (see diverge), and the region
+// records which side leaves the loop.
 func (vf *VecFunc) computeJoin(g *flowGraph, pc int, inLoop bool) {
 	p := vf.Func
 	nodes, loopFree := g.region(pc)
 	j := g.ipdom(pc)
-	if j < 0 || inLoop && !loopFree {
+	if j < 0 {
 		return
 	}
-	g.solveLiveness(vf.uniI, vf.uniF)
+	g.solveLiveness()
+	if g.uni == nil {
+		g.uni = make(regSet, g.lw)
+		for r, u := range vf.uniI {
+			if u {
+				g.uni.add(r)
+			}
+		}
+		for r, u := range vf.uniF {
+			if u {
+				g.uni.add(g.numI + r)
+			}
+		}
+	}
 	target, _ := condJumpTarget(&p.Code[pc], pc)
 	touched, written := make(regSet, g.lw), make(regSet, g.lw)
 	touchI := func(r int32, _ uint8) { touched.add(int(r)) }
 	touchF := func(r int32, _ uint8) { touched.add(g.numI + int(r)) }
-	reg := &splitRegion{}
+	reg := &splitRegion{exit: -1, loop: inLoop && !loopFree}
 	for _, v := range nodes {
 		in := &p.Code[v]
 		if in.Op == OpBar {
@@ -777,7 +825,7 @@ func (vf *VecFunc) computeJoin(g *flowGraph, pc int, inLoop bool) {
 	in, wr, out, priv := make(regSet, g.lw), make(regSet, g.lw), make(regSet, g.lw), make(regSet, g.lw)
 	for w := range touched {
 		priv[w] = written[w] & g.uni[w]
-		if inLoop && priv[w] != 0 || priv[w]&liveJoin[w] != 0 {
+		if priv[w]&liveJoin[w] != 0 {
 			return
 		}
 		in[w] = touched[w] &^ g.uni[w] & liveEntry[w]
@@ -788,11 +836,56 @@ func (vf *VecFunc) computeJoin(g *flowGraph, pc int, inLoop bool) {
 	reg.wrI, reg.wrF = g.regLists(wr)
 	reg.outI, reg.outF = g.regLists(out)
 	reg.privI, reg.privF = g.regLists(priv)
+	if !loopFree && j < len(p.Code) {
+		// The exit side: an empty one, else the first that reaches the
+		// join without coming back to the branch.
+		starts := [2]int{pc + 1, target}
+		for side, e := range starts {
+			if e == j || reg.exit < 0 && !g.reaches(e, pc, j) {
+				reg.exit = int8(side)
+			}
+		}
+		if reg.exit >= 0 {
+			stay := make(regSet, g.lw)
+			for w, x := range g.liveIn(starts[1-reg.exit]) {
+				stay[w] = x &^ g.uni[w]
+			}
+			reg.stayI, reg.stayF = g.regLists(stay)
+		}
+	}
 	if vf.regions == nil {
 		vf.regions = make([]*splitRegion, len(p.Code))
 	}
 	vf.joinPC[pc] = j
 	vf.regions[pc] = reg
+}
+
+// reaches reports whether node to is reachable from node from on a path
+// that does not pass through avoid.
+func (g *flowGraph) reaches(from, to, avoid int) bool {
+	n := len(g.code)
+	clear(g.seen)
+	g.stack = g.stack[:0]
+	push := func(v int) {
+		if v >= 0 && v != avoid && !g.seen[v] {
+			g.seen[v] = true
+			if v < n {
+				g.stack = append(g.stack, v)
+			}
+		}
+	}
+	push(from)
+	for len(g.stack) > 0 {
+		v := g.stack[len(g.stack)-1]
+		if v == to {
+			return true
+		}
+		g.stack = g.stack[:len(g.stack)-1]
+		a, b := g.succs(v)
+		push(a)
+		push(b)
+	}
+	return false
 }
 
 // VecFrame is the per-group SIMT execution state. Its uniform half is
@@ -1162,7 +1255,9 @@ func (p *VecFunc) fillSub(f, s *VecFrame, sel []int, start, stop, pc int) {
 }
 
 // gather compacts the lanes sel of src into dst; scatter is its inverse.
-func gather[T int64 | float64](dst, src []T, sel []int) {
+// With sel ascending, dst may be src itself or any slice that starts at
+// or before it: each lane is read before any write reaches it.
+func gather[T int | int64 | float64](dst, src []T, sel []int) {
 	for i, l := range sel {
 		dst[i] = src[l]
 	}
@@ -1252,6 +1347,81 @@ func (p *VecFunc) scatterSub(f, s *VecFrame, sel []int, bail bool, pc int) {
 	}
 	f.Divergences += s.Divergences
 	f.Reconverges += s.Reconverges
+}
+
+// retire is the other half of a loop mask (see mask): side s of f,
+// whose lanes are f's lanes sel, returned narrowed at its branch s.PC
+// after the branch at pc split it off. Its parked lanes (s.sel1) hand
+// back to f what scatterSub would hand back at the join — the varying
+// registers the region of pc writes that are live there, and their
+// counts as per-lane deltas — and s narrows in place to the lanes still
+// running (s.sel0) and moves on to the branch's staying side: the
+// varying registers live there, the work-item ramps when the region
+// queries them and the per-lane count rows are compacted, register by
+// register in ascending order, so no lane is overwritten before it is
+// read. It returns sel narrowed the same way.
+func (p *VecFunc) retire(f, s *VecFrame, sel []int, pc int) []int {
+	reg := p.regions[pc]
+	k, w := s.W, len(f.idx)
+	done, live := s.sel1, s.sel0
+	for _, r := range reg.outI {
+		scatterAt(f.I[int(r)*f.W:], s.I[int(r)*k:][:k], done, sel)
+	}
+	for _, r := range reg.outF {
+		scatterAt(f.F[int(r)*f.W:], s.F[int(r)*k:][:k], done, sel)
+	}
+	f.ensureLaned()
+	for fi, d := range s.Cnt.fields() {
+		moved := s.Laned && s.moved&(1<<fi) != 0
+		if d == 0 && !moved {
+			continue
+		}
+		dst := f.laneCnt[fi*w:]
+		for _, l := range done {
+			v := d
+			if moved {
+				v += s.laneCnt[fi*w+l]
+			}
+			dst[sel[l]] += v
+		}
+		f.moved |= 1 << fi
+	}
+
+	br := p.regions[s.PC]
+	n := len(live)
+	for _, r := range br.stayI {
+		gather(s.I[int(r)*n:][:n], s.I[int(r)*k:][:k], live)
+	}
+	for _, r := range br.stayF {
+		gather(s.F[int(r)*n:][:n], s.F[int(r)*k:][:k], live)
+	}
+	if reg.wi {
+		for q := range s.LaneWI {
+			for d := range s.LaneWI[q] {
+				gather(s.LaneWI[q][d], s.LaneWI[q][d], live)
+			}
+		}
+	}
+	if s.Laned {
+		for fi := range NCountFields {
+			if s.moved&(1<<fi) != 0 {
+				gather(s.laneCnt[fi*w:], s.laneCnt[fi*w:], live)
+			}
+		}
+	}
+	gather(sel, sel, live)
+	s.W = n
+	target, _ := condJumpTarget(&p.Code[s.PC], s.PC)
+	s.PC = [2]int{s.PC + 1, target}[1-br.exit]
+	return sel[:n]
+}
+
+// scatterAt copies the lanes of src that lanes lists to their parent
+// lanes in dst: lane l goes to sel[l].
+func scatterAt[T int64 | float64](dst, src []T, lanes, sel []int) {
+	for _, l := range lanes {
+		dst[sel[l]] = src[l]
+	}
 }
 
 // splatSel sets the lanes sel of dst to v.

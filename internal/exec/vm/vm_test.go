@@ -150,42 +150,18 @@ func TestVecFramePow2(t *testing.T) {
 	}
 }
 
-// TestVectorizeRejects pins the eligibility rules: a varying loop
-// back-edge refuses to vectorize, and a varying branch inside a loop
-// body does too unless the group can re-form at its join within the
-// same iteration.
+// TestVectorizeRejects pins the eligibility rules: a varying branch
+// inside a loop — a back-edge, an exit test, a branch in the body —
+// refuses to vectorize only when its region cannot run masked, because
+// it holds a barrier or a store through a uniform index. The loop
+// shapes a mask admits (varying trip counts and exit tests, nested
+// loops and breaks under a varying guard, a guard that writes the loop
+// counter) are held to the other tiers by TestVecLoopMasks in package
+// exec.
 func TestVectorizeRejects(t *testing.T) {
 	cases := []struct {
 		name, src, kernel, wantErr string
 	}{
-		{
-			name: "varying_trip_count",
-			src: `kernel void k(global float* out, int n) {
-				int i = get_global_id(0);
-				int m = i % 7;
-				float acc = 0.0f;
-				for (int j = 0; j < m; j = j + 1) {
-					acc = acc + 1.0f;
-				}
-				out[i] = acc;
-			}`,
-			kernel: "k", wantErr: "varying loop back-edge",
-		},
-		{
-			// The bound is recomputed every iteration, so the loop is not
-			// rotated: its exit test is a forward branch whose region is
-			// the whole body, back-edge included.
-			name: "varying_exit_test",
-			src: `kernel void k(global float* out, int n) {
-				int i = get_global_id(0);
-				float acc = 0.0f;
-				for (int j = 0; j < i % 7; j = j + 1) {
-					acc = acc + 1.0f;
-				}
-				out[i] = acc;
-			}`,
-			kernel: "k", wantErr: "varying branch inside loop body",
-		},
 		{
 			// The sides of the split would deadlock each other.
 			name: "in_loop_region_with_barrier",
@@ -203,38 +179,20 @@ func TestVectorizeRejects(t *testing.T) {
 			kernel: "k", wantErr: "varying branch inside loop body",
 		},
 		{
-			// A nested loop: the region reaches the inner back-edge.
-			name: "in_loop_region_with_nested_loop",
-			src: `kernel void k(global float* a, global float* out, int n) {
+			// A per-item trip count around a barrier: the lanes that left
+			// the loop would never reach it.
+			name: "varying_trip_count_with_barrier",
+			src: `kernel void k(global float* a, global float* out, local float* tmp, int n) {
 				int i = get_global_id(0);
-				float acc = 0.0f;
-				for (int j = 0; j < n; j = j + 1) {
-					if (a[i + j] > 0.5f) {
-						for (int t = 0; t < 3; t = t + 1) {
-							acc = acc + 1.0f;
-						}
-					}
+				int l = get_local_id(0);
+				int m = i % 7;
+				for (int j = 0; j < m; j = j + 1) {
+					tmp[l] = a[i + j];
+					barrier(1);
 				}
-				out[i] = acc;
+				out[i] = tmp[l];
 			}`,
-			kernel: "k", wantErr: "varying branch inside loop body",
-		},
-		{
-			// A break: the join is past the loop, so the region reaches
-			// the loop's own back-edge.
-			name: "in_loop_region_with_break",
-			src: `kernel void k(global float* a, global float* out, int n) {
-				int i = get_global_id(0);
-				float acc = 0.0f;
-				for (int j = 0; j < n; j = j + 1) {
-					if (a[i + j] > 0.5f) {
-						break;
-					}
-					acc = acc + 1.0f;
-				}
-				out[i] = acc;
-			}`,
-			kernel: "k", wantErr: "varying branch inside loop body",
+			kernel: "k", wantErr: "varying loop back-edge",
 		},
 		{
 			// Side order would replace canonical item order on out[0].
@@ -249,23 +207,6 @@ func TestVectorizeRejects(t *testing.T) {
 				out[i + 1] = 1.0f;
 			}`,
 			kernel: "k", wantErr: "varying branch inside loop body",
-		},
-		{
-			// Control dependence makes the loop counter varying, and with
-			// it the trip count.
-			name: "in_loop_region_writes_loop_counter",
-			src: `kernel void k(global float* a, global float* out, int n) {
-				int i = get_global_id(0);
-				float acc = 0.0f;
-				for (int j = 0; j < n; j = j + 1) {
-					if (a[i + j] > 0.5f) {
-						j = j + 1;
-					}
-					acc = acc + 1.0f;
-				}
-				out[i] = acc;
-			}`,
-			kernel: "k", wantErr: "varying loop back-edge",
 		},
 	}
 	for _, tc := range cases {

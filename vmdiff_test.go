@@ -55,16 +55,16 @@ func compileBothTiers(t *testing.T, name, source, kernel string) (cl, vmc, atc *
 }
 
 // vecExpected names the built-in programs TierAuto must put on the
-// vector tier: their loops have group-uniform trip counts, and every
-// varying branch inside one re-converges within the iteration. The rest
-// (mandelbrot, bfs, spmv) carry varying loop back-edges and stay scalar.
+// vector tier: all 23. Every varying branch inside a loop either
+// re-converges within the iteration or runs its loop under a mask
+// (mandelbrot's `&&` exit test, bfs's and spmv's per-row trip counts).
 var vecExpected = map[string]bool{
 	"blackscholes": true, "nbody": true, "md": true, "bitonicsort": true,
 	"matmul": true, "matvec": true, "transpose": true, "atax": true,
 	"convolution2d": true, "stencil2d": true, "hotspot": true, "srad": true,
 	"pathfinder": true, "vecadd": true, "saxpy": true,
 	"histogram": true, "kmeans": true, "dotprod": true, "reduction": true,
-	"prefixsum": true,
+	"prefixsum": true, "mandelbrot": true, "bfs": true, "spmv": true,
 }
 
 // diffBuffers requires bitwise-equal buffer contents across tiers.
@@ -159,9 +159,9 @@ func TestVMDifferentialSuite(t *testing.T) {
 	// Floor on vector-tier coverage: the per-program tier assertions
 	// below enforce the exact expected set, and this guard keeps anyone
 	// from quietly shrinking that set when a program regresses to
-	// scalar — 20 of the 23 programs must stay vectorizable.
-	if nvec := len(vecExpected); nvec < 20 {
-		t.Fatalf("vectorizable floor: %d programs in vecExpected, need >= 20", nvec)
+	// scalar — all 23 programs must stay vectorizable.
+	if nvec := len(vecExpected); nvec < 23 {
+		t.Fatalf("vectorizable floor: %d programs in vecExpected, need >= 23", nvec)
 	}
 	for _, p := range progs {
 		p := p
