@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -35,9 +36,15 @@ type benchBody struct{ bytes.Reader }
 func (*benchBody) Close() error { return nil }
 
 // benchServe serves the same request b.N times after one untimed warm-up
-// request, failing on any status but 200.
-func benchServe(b *testing.B, method, target, contentType string, body []byte) {
-	s := newServer(b, nil)
+// request, failing on any status but 200, on a server whose engine
+// options mutate adjusts.
+func benchServe(b *testing.B, mutate func(*engine.Options), method, target, contentType string, body []byte) {
+	s := newServer(b, mutate)
+	defer func() {
+		for _, sh := range s.fleet.Shards() {
+			sh.Engine().Close()
+		}
+	}()
 	h := s.mux()
 	r := httptest.NewRequest(method, target, nil)
 	if contentType != "" {
@@ -59,6 +66,9 @@ func benchServe(b *testing.B, method, target, contentType string, body []byte) {
 		}
 	}
 	serve()
+	for _, sh := range s.fleet.Shards() {
+		sh.Engine().FlushObservations() // the warm-up's cell label
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -67,7 +77,7 @@ func benchServe(b *testing.B, method, target, contentType string, body []byte) {
 }
 
 func BenchmarkServeWirePredict(b *testing.B) {
-	benchServe(b, http.MethodPost, "/predict", wire.ContentType,
+	benchServe(b, nil, http.MethodPost, "/predict", wire.ContentType,
 		wire.AppendPredictRequest(nil, &engine.Request{Program: "vecadd", SizeIdx: 0}))
 }
 
@@ -76,13 +86,21 @@ func BenchmarkServeWireBatch64(b *testing.B) {
 	for i := range reqs {
 		reqs[i] = engine.Request{Program: "vecadd", SizeIdx: i % 2}
 	}
-	benchServe(b, http.MethodPost, "/predict/batch", wire.ContentType, wire.AppendBatchRequest(nil, reqs))
+	benchServe(b, nil, http.MethodPost, "/predict/batch", wire.ContentType, wire.AppendBatchRequest(nil, reqs))
 }
 
 func BenchmarkServeJSONPredict(b *testing.B) {
-	benchServe(b, http.MethodGet, "/predict?program=vecadd&size=0", "", nil)
+	benchServe(b, nil, http.MethodGet, "/predict?program=vecadd&size=0", "", nil)
 }
 
+// BenchmarkServeJSONExecute records its executions in an observation log,
+// as cmd/serve -obs does: what a served /execute allocates to be observed
+// counts against the ceiling.
 func BenchmarkServeJSONExecute(b *testing.B) {
-	benchServe(b, http.MethodPost, "/execute?program=vecadd&size=0", "", nil)
+	log, err := obs.Open(obs.Options{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer log.Close()
+	benchServe(b, func(o *engine.Options) { o.ObsLog = log }, http.MethodPost, "/execute?program=vecadd&size=0", "", nil)
 }

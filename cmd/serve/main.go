@@ -29,9 +29,11 @@
 // of queueing without bound; /stats counts admitted/shed/queueDepth/p99
 // per shard.
 //
-// With -obs it records every execution into a durable observation log
-// (shared by all shards), and with -adaptive it closes the loop: a
-// background retrainer merges the observations with the seed database,
+// With -obs it records executions into a durable observation log (shared
+// by all shards): each executed cell's oracle label once per platform,
+// and how many executions each (cell, class, model version) served. With
+// -adaptive it closes the loop: a background retrainer merges the labels
+// with the seed database,
 // trains candidates, gates them against the live model and hot-swaps
 // validated versions into service — no restart.
 //
@@ -50,7 +52,8 @@
 // response structs, JSON encoders, codecs and wire buffers are pooled,
 // predictions are filled in place (engine.PredictInto performs zero
 // heap allocations warm), wire encode/decode is zero-allocation warm
-// (interned program names), and observation recording is asynchronous.
+// (interned program names), and observing an execution is one counter
+// bump.
 //
 // SIGINT/SIGTERM drain in-flight requests and exit cleanly.
 package main
@@ -109,8 +112,7 @@ func main() {
 	obsDir := flag.String("obs", "", "observation log directory (empty = do not record executions)")
 	adaptive := flag.Bool("adaptive", false, "run the background retrainer over the observation log (requires -obs)")
 	retrainInterval := flag.Duration("retrain-interval", time.Minute, "how often the background retrainer checks for new observations")
-	retrainMin := flag.Int("retrain-min", 5, "labeled observations required since the last attempt before retraining")
-	oracleSample := flag.Int("oracle-sample", 1, "label every Nth execution with its measured-best class (1 = all, negative = never)")
+	retrainMin := flag.Int("retrain-min", 5, "new cell labels required since the last attempt before retraining")
 	execSteps := flag.Int64("exec-steps", 0, "per-request kernel step budget (0 = unlimited)")
 	execMem := flag.Int64("exec-mem", 0, "per-request buffer allocation budget in bytes (0 = unlimited)")
 	execTimeout := flag.Duration("exec-timeout", 0, "per-request execution wall-clock budget (0 = unlimited)")
@@ -137,7 +139,8 @@ func main() {
 	// the fleet: a (program, size)'s features, profile and (once it
 	// executes) instance template are built and held once, whichever
 	// platforms and shards serve it.
-	// Everything else (program and model caches, obs ring, stats) is per
+	// Everything else (program and model caches, execution counters,
+	// stats) is per
 	// shard. Building the cell cache validates the platform names up
 	// front: shards build lazily, and a typo must fail at startup, not on
 	// the first unlucky request.
@@ -172,17 +175,16 @@ func main() {
 		},
 		NewEngine: func(platform string, shard int) (*engine.Engine, error) {
 			eng, err := engine.New(engine.Options{
-				Platform:          platform,
-				DB:                db,
-				ArtifactDir:       *models,
-				Model:             mk,
-				SaveTrained:       *saveTrained,
-				ObsLog:            obsLog,
-				OracleSampleEvery: *oracleSample,
-				CacheLimit:        *cacheLimit,
-				MaxSteps:          *execSteps,
-				MaxMemBytes:       *execMem,
-				ExecTimeout:       *execTimeout,
+				Platform:    platform,
+				DB:          db,
+				ArtifactDir: *models,
+				Model:       mk,
+				SaveTrained: *saveTrained,
+				ObsLog:      obsLog,
+				CacheLimit:  *cacheLimit,
+				MaxSteps:    *execSteps,
+				MaxMemBytes: *execMem,
+				ExecTimeout: *execTimeout,
 				Tenant: engine.TenantLimits{
 					MaxKernels:     *tenantKernels,
 					MaxSourceBytes: *tenantSource,
@@ -202,7 +204,7 @@ func main() {
 	}
 	// Close all created shards after the HTTP server has drained
 	// (deferred before obsLog's Close, so it runs first): the final
-	// flushes land every observation enqueued by completed requests.
+	// flushes land every execution completed requests counted.
 	closeShards := func() {
 		for _, sh := range rt.Shards() {
 			sh.Engine().Close()
@@ -235,7 +237,7 @@ func main() {
 			fail(err)
 		}
 		defer stopRetrain()
-		log.Printf("adaptive retrainer running (interval %s, threshold %d labeled observations)", *retrainInterval, *retrainMin)
+		log.Printf("adaptive retrainer running (interval %s, threshold %d new labels)", *retrainInterval, *retrainMin)
 	}
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.mux()}
@@ -247,8 +249,8 @@ func main() {
 	}()
 
 	// fail() exits without running defers; once the server has been
-	// serving, every error exit must drain the async observation rings
-	// first so executions that already answered stay durable.
+	// serving, every error exit must flush the execution counters first
+	// so executions that already answered stay durable.
 	failServing := func(err error) {
 		closeShards()
 		if obsLog != nil {
@@ -325,7 +327,7 @@ func (s *server) mux() *http.ServeMux {
 		{"/stats", []string{get}, fleetWide, s.handleStats},                      // fleet cell count, per-shard admission and engine counters
 		{"/models", []string{get, post}, onShard, s.handleModels},                // GET versions and lineage, POST {"rollback": N} to switch
 		{"/retrain", []string{get, post}, onShard, s.handleRetrain},              // GET retrainer status, POST to retrain now
-		{"/observations", []string{get}, fleetWide, s.handleObservations},        // observation log stats
+		{"/observations", []string{get}, fleetWide, s.handleObservations},        // observation log stats: label records, counter keys, executions counted
 	} {
 		mux.HandleFunc(rt.path, func(w http.ResponseWriter, r *http.Request) { s.dispatch(rt, w, r) })
 	}
@@ -530,6 +532,12 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request, _ *fleet.Sh
 			templates += c.Templates()
 		}
 	}
+	// Model health: each model version's served oracle efficiency, from
+	// the observation log's counters as the background flushes left them.
+	var health []obs.Health
+	if s.obsLog != nil {
+		health = s.obsLog.Health()
+	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"uptimeSeconds":     time.Since(s.start).Seconds(),
 		"platforms":         s.fleet.Platforms(),
@@ -540,6 +548,7 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request, _ *fleet.Sh
 		"vecDivergences":    vecDiv,
 		"vecReconverges":    vecRec,
 		"vecScalarBails":    vecBail,
+		"modelHealth":       health,
 	})
 }
 
@@ -592,7 +601,7 @@ func (s *server) handleObservations(w http.ResponseWriter, _ *http.Request, _ *f
 		writeJSON(w, http.StatusOK, map[string]any{"enabled": false})
 		return
 	}
-	// Read-your-writes for operators: drain every shard's async ring so
+	// Read-your-writes for operators: flush every shard's counters so
 	// the stats reflect each execution that has already answered.
 	// Bounded — a stalled flusher degrades this endpoint to slightly
 	// stale stats (flushed=false plus a pending count), never to a hung

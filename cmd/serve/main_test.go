@@ -21,6 +21,7 @@ import (
 var (
 	srvOnce sync.Once
 	srvVal  *server
+	srvDB   *harness.DB
 	srvErr  error
 )
 
@@ -46,6 +47,7 @@ func testServer(t *testing.T) *server {
 			srvErr = err
 			return
 		}
+		srvDB = db
 		// Not t.TempDir(): the server outlives the first test that builds
 		// it, so its log directory must not be tied to that test's
 		// cleanup.
@@ -185,7 +187,7 @@ func TestAdaptiveEndpointsRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &obsResp); err != nil {
 		t.Fatal(err)
 	}
-	if !obsResp.Enabled || obsResp.Log.Total < 1 || obsResp.Log.Labeled < 1 {
+	if !obsResp.Enabled || obsResp.Log.Executions < 1 || obsResp.Log.Labeled < 1 {
 		t.Fatalf("observations: %+v", obsResp)
 	}
 
@@ -378,5 +380,81 @@ func TestPredictValidation(t *testing.T) {
 	}
 	if p.Partition == "" || p.ModelVersion < 1 {
 		t.Fatalf("prediction: %+v", p)
+	}
+}
+
+// TestObservationCountsAndModelHealth: after 3 executions of one cell and
+// 2 of another, /observations reports 2 label records, 2 counter keys and
+// 5 executions, and /stats reports the model's served oracle efficiency
+// as computed by hand from the two labels and the classes served:
+// (3·oracle₁ + 2·oracle₂) / (3·time₁(class₁) + 2·time₂(class₂)).
+func TestObservationCountsAndModelHealth(t *testing.T) {
+	testServer(t) // builds srvDB
+	log, err := obs.Open(obs.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	eng, err := engine.New(engine.Options{Platform: "mc2", DB: srvDB, Model: harness.FastModel(), ObsLog: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	rt, err := fleetOver(eng, "mc2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &server{fleet: rt, obsLog: log, start: time.Now(), intern: wire.NewIntern()}
+
+	served := map[string]int{}
+	runs := map[string]int{"vecadd": 3, "matmul": 2}
+	for prog, n := range runs {
+		for range n {
+			w := doReq(t, s, http.MethodPost, "/execute?program="+prog+"&size=0", nil)
+			if w.Code != http.StatusOK {
+				t.Fatalf("execute %s = %d: %s", prog, w.Code, w.Body.String())
+			}
+			var ex engine.Execution
+			if err := json.Unmarshal(w.Body.Bytes(), &ex); err != nil {
+				t.Fatal(err)
+			}
+			served[prog] = ex.Class
+		}
+	}
+
+	w := doReq(t, s, http.MethodGet, "/observations", nil)
+	var obsResp struct {
+		Log obs.Stats `json:"log"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &obsResp); err != nil {
+		t.Fatal(err)
+	}
+	if st := obsResp.Log; st.Labeled != 2 || st.CounterKeys != 2 || st.Executions != 5 {
+		t.Fatalf("/observations log %+v, want 2 labels, 2 counter keys, 5 executions", st)
+	}
+
+	labels, err := log.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var num, den float64
+	for _, o := range labels {
+		n := float64(runs[o.Program])
+		num += n * o.OracleTime
+		den += n * o.Times[served[o.Program]]
+	}
+	w = doReq(t, s, http.MethodGet, "/stats", nil)
+	var stats struct {
+		ModelHealth []obs.Health `json:"modelHealth"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	want := obs.Health{Platform: "mc2", ModelVersion: 1, Executions: 5, OracleEfficiency: num / den}
+	if len(stats.ModelHealth) != 1 || stats.ModelHealth[0] != want {
+		t.Fatalf("/stats modelHealth %+v, want [%+v]", stats.ModelHealth, want)
+	}
+	if want.OracleEfficiency <= 0 || want.OracleEfficiency > 1 {
+		t.Fatalf("served oracle efficiency %v outside (0, 1]", want.OracleEfficiency)
 	}
 }

@@ -9,8 +9,8 @@
 // cmd/serve) load these artifacts instead of retraining.
 //
 // With -from-observations it folds a serving deployment's observation
-// log (cmd/serve -obs) into the database before training: labeled
-// observations become first-class training records, so models trained
+// log (cmd/serve -obs) into the database before training: each cell's
+// newest label becomes a first-class training record, so models trained
 // here benefit from every oracle label production traffic produced —
 // the offline half of the adaptive loop.
 //
@@ -80,7 +80,7 @@ func main() {
 			fail(err)
 		}
 		added, skipped := db.AppendObservations(snap)
-		fmt.Printf("observation log %s: merged %d labeled records (%d skipped: unlabeled, unverified or mismatched schema)\n",
+		fmt.Printf("observation log %s: merged %d cell labels (%d skipped: unlabeled, unverified or mismatched schema)\n",
 			*fromObs, added, skipped)
 	}
 	if err := db.Save(*out); err != nil {

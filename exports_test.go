@@ -26,8 +26,6 @@ var deadExportAllow = map[string]string{
 		"this encodes one, as a Go client would",
 	"wire.DecodeExecution": "client half of a wire message: the server encodes executions; this decodes one",
 	"wire.DecodeError":     "client half of a wire message: the server encodes error frames; this decodes one",
-	"obs.Log.Compact": "finding: nothing outside tests compacts the observation log, so the in-memory " +
-		"mirror of a serving process grows without bound; a soak run must catch it",
 }
 
 // TestNoDeadExports is the dead-export gate: every exported identifier

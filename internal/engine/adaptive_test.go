@@ -16,14 +16,21 @@ import (
 // database (3 programs at sizes 0-1), a fresh observation log, kNN.
 func adaptiveOpts(t testing.TB) (Options, *obs.Log) {
 	t.Helper()
-	log, err := obs.Open(obs.Options{Dir: t.TempDir()})
+	log := openLog(t, t.TempDir())
+	o := fastOpts(t)
+	o.ObsLog = log
+	return o, log
+}
+
+// openLog opens the observation log in dir, closed when the test ends.
+func openLog(t testing.TB, dir string) *obs.Log {
+	t.Helper()
+	log, err := obs.Open(obs.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { log.Close() })
-	o := fastOpts(t)
-	o.ObsLog = log
-	return o, log
+	return log
 }
 
 // TestEngineAdaptiveClosedLoop pins the PR's acceptance criterion end to
@@ -45,7 +52,8 @@ func TestEngineAdaptiveClosedLoop(t *testing.T) {
 		t.Fatalf("seed model version = %d, want 1", before.ModelVersion)
 	}
 
-	// Serve traffic: every execution is recorded and oracle-labeled.
+	// Serve traffic: every execution is counted, and the cell is
+	// oracle-labeled once.
 	const executes = 8
 	for i := 0; i < executes; i++ {
 		ex, err := eng.Execute(context.Background(), Request{Program: "vecadd", SizeIdx: 2})
@@ -56,12 +64,13 @@ func TestEngineAdaptiveClosedLoop(t *testing.T) {
 			t.Fatalf("execution %d failed verification: %s", i, ex.VerifyError)
 		}
 	}
-	// Recording is asynchronous: the flush barrier makes every enqueued
-	// observation durable before the assertions read the log.
+	// Recording is asynchronous: the flush barrier makes every counted
+	// execution and the cell's label durable before the assertions read
+	// the log.
 	eng.FlushObservations()
 	st := eng.Stats()
-	if st.Observations != executes || st.ObservationsLabeled != executes {
-		t.Fatalf("observations = %d labeled = %d, want %d/%d", st.Observations, st.ObservationsLabeled, executes, executes)
+	if st.Observations != executes || st.ObservationsLabeled != 1 {
+		t.Fatalf("observations = %d labeled = %d, want %d/1", st.Observations, st.ObservationsLabeled, executes)
 	}
 	if st.ObservationsPending != 0 || st.ObservationsDropped != 0 {
 		t.Fatalf("after flush: pending = %d dropped = %d, want 0/0", st.ObservationsPending, st.ObservationsDropped)
@@ -69,6 +78,9 @@ func TestEngineAdaptiveClosedLoop(t *testing.T) {
 	snap, err := log.Snapshot()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(snap) != 1 {
+		t.Fatalf("%d labels for one cell", len(snap))
 	}
 	oracleClass := snap[0].BestClass
 	if !snap[0].Labeled || len(snap[0].Times) == 0 {
@@ -83,10 +95,10 @@ func TestEngineAdaptiveClosedLoop(t *testing.T) {
 	if !res.Promoted || res.NewVersion != 2 {
 		t.Fatalf("retrain did not promote: %+v", res)
 	}
-	// The 8 identical executions dedupe to ONE training record (repeat
-	// observations of a deterministic cell carry no new information and
-	// must not leak across the gate's holdout split).
-	if res.ObsRecords != 1 || res.SkippedObservations != executes-1 || res.SeedRecords == 0 || res.HoldoutSize == 0 {
+	// The 8 executions of one cell are ONE training record: the cell's
+	// label (repeat executions of a deterministic cell carry no new
+	// information and must not leak across the gate's holdout split).
+	if res.ObsRecords != 1 || res.SkippedObservations != 0 || res.SeedRecords == 0 || res.HoldoutSize == 0 {
 		t.Fatalf("retrain composition: %+v", res)
 	}
 	if res.GateCandidate < res.GateLive {
@@ -126,14 +138,16 @@ func TestEngineAdaptiveClosedLoop(t *testing.T) {
 	}
 }
 
+// TestEngineRetrainRejectsWithoutLabels: a cell that is only ever
+// predicted records nothing, so a retrain after predictions alone finds
+// no label to train on and rejects.
 func TestEngineRetrainRejectsWithoutLabels(t *testing.T) {
-	opts, _ := adaptiveOpts(t)
-	opts.OracleSampleEvery = -1 // record, never label
+	opts, log := adaptiveOpts(t)
 	eng, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Execute(context.Background(), Request{Program: "vecadd", SizeIdx: 0}); err != nil {
+	if _, err := eng.Predict(Request{Program: "vecadd", SizeIdx: 2}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := eng.Retrain() // flushes pending observations itself
@@ -145,6 +159,9 @@ func TestEngineRetrainRejectsWithoutLabels(t *testing.T) {
 	}
 	if s := eng.Stats(); s.RetrainRejections != 1 || s.RetrainPromotions != 0 {
 		t.Fatalf("stats: %+v", s)
+	}
+	if st := log.Stats(); st.Labeled != 0 || st.Executions != 0 {
+		t.Fatalf("a prediction was recorded: %+v", st)
 	}
 	// Predictions still come from version 1.
 	p, err := eng.Predict(Request{Program: "vecadd", SizeIdx: 0})
@@ -368,8 +385,10 @@ func TestEngineBackgroundRetrainer(t *testing.T) {
 	if _, err := eng.StartRetrainer(time.Second, 1); err == nil {
 		t.Fatal("second retrainer started")
 	}
+	// Two new cells: each is labeled once, however often it executes,
+	// so the threshold of 2 counts cells, not requests.
 	for i := 0; i < 4; i++ {
-		if _, err := eng.Execute(context.Background(), Request{Program: "vecadd", SizeIdx: 2}); err != nil {
+		if _, err := eng.Execute(context.Background(), Request{Program: "vecadd", SizeIdx: 2 + i%2}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -403,7 +422,7 @@ func TestEngineBackgroundRetrainer(t *testing.T) {
 	}
 	attempts := st.Attempts
 	for i := 0; i < 3; i++ {
-		if _, err := eng.Execute(context.Background(), Request{Program: "vecadd", SizeIdx: 3}); err != nil {
+		if _, err := eng.Execute(context.Background(), Request{Program: "matmul", SizeIdx: 2 + i%2}); err != nil {
 			t.Fatal(err)
 		}
 	}

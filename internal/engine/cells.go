@@ -98,7 +98,8 @@ func (c *CellCache) priceSlots() int { return c.offsets[len(c.offsets)-1] }
 
 // join admits an engine built with opts: its platform must be one the
 // cache has slots for, and its limits those of the engines already
-// sharing the cache. It returns where the platform's price slots start.
+// sharing the cache. It returns the platform's slot: its price slots
+// start at offsets[slot], and its label flag is labeled[slot].
 func (c *CellCache) join(opts Options) (int, error) {
 	i := slices.Index(c.platforms, opts.Platform)
 	if i < 0 {
@@ -115,7 +116,7 @@ func (c *CellCache) join(opts Options) (int, error) {
 	} else if lim != c.limits {
 		return 0, fmt.Errorf("engine: %s engine limits %+v differ from %+v, which the engines sharing its cell cache run under", opts.Platform, lim, c.limits)
 	}
-	return c.offsets[i], nil
+	return i, nil
 }
 
 // cellKey identifies one cell.
@@ -149,6 +150,10 @@ type cell struct {
 	// prices is the cell's price table, one slot per (platform, class),
 	// each filled when the class first executes on the platform (priceOf).
 	prices []atomic.Pointer[classPrice]
+	// labeled holds one flag per platform of the cache, set by the cell's
+	// first execution on the platform, which queues the cell's label
+	// (Engine.record).
+	labeled []atomic.Bool
 	// checked is set once an execution after the profiling run, on any
 	// platform and class, has measured a profile equal to prof bucket for
 	// bucket and the class's price bit for bit (Engine.run). A launch does

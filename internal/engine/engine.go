@@ -71,16 +71,16 @@ type Options struct {
 	// process skips training entirely.
 	SaveTrained bool
 
-	// ObsLog, when set, records every executed request into the durable
-	// observation store: the adaptive loop's raw material. Nil disables
-	// observation (the engine behaves exactly as before).
+	// ObsLog, when set, records executions into the durable observation
+	// store, the adaptive loop's raw material: each cell's oracle label
+	// once per platform, and per-(cell, class, model version) execution
+	// counts. Nil disables observation (the engine behaves exactly as
+	// before). Engines that share a cell cache share one log: a cell is
+	// labeled once per platform, by whichever of them executes it first.
 	ObsLog *obs.Log
-	// OracleSampleEvery labels every Nth execution with its measured-best
-	// class (the full candidate space is priced on the already-measured
-	// profile — the same oracle labeling the offline sweep performs).
-	// 0 and 1 label every execution; negative disables labeling.
-	// Unlabeled observations still feed traffic statistics but cannot
-	// train.
+	// OracleSampleEvery is a no-op kept for callers that still set it:
+	// every executed cell is labeled once. New refuses any value but 0
+	// and 1.
 	OracleSampleEvery int
 	// HoldoutFrac is the fraction of the merged training set the
 	// no-regression gate holds out for the live-vs-candidate comparison
@@ -120,13 +120,11 @@ type Options struct {
 	// differ from those of the engines already sharing it.
 	SharedCells *CellCache
 
-	// obsGate, when set (tests only), makes the flusher receive from the
-	// channel before processing each dequeued observation, so tests can
-	// hold the durable append back and prove Execute never waits on it.
-	obsGate chan struct{}
-	// obsRing, when set (tests only), replaces DefaultObsQueue as the
-	// observation ring's capacity, so tests can overflow it.
-	obsRing int
+	// beforeAppend, when set (tests only), runs before each append the
+	// observation flusher makes, which fails if it returns an error, so
+	// tests can hold the durable append back, prove Execute never waits
+	// on it, and make the log refuse records.
+	beforeAppend func() error
 	// afterKernel, when set (tests only), sees the arguments of every
 	// kernel run the engine makes — a cell's profiling run and each
 	// execution's — right after the run and before an execution's output
@@ -134,11 +132,6 @@ type Options struct {
 	// is about to read.
 	afterKernel func(args []exec.Arg)
 }
-
-// DefaultObsQueue is the observation ring's capacity: deep enough to
-// absorb bursts of concurrent executes, small enough that a stalled
-// flusher caps memory at a few MB.
-const DefaultObsQueue = 1024
 
 // ArtifactPath names the artifact file for (platform, leftOut) inside
 // dir. Train-phase writers and the engine's loader agree through this
@@ -159,9 +152,11 @@ type Engine struct {
 	programs sched.Memo[string, *programEntry]
 	models   sched.Memo[string, *registry] // key = left-out program ("" = full)
 	// cells is the cell cache, private or shared (Options.SharedCells);
-	// this engine's price slots in each cell start at priceBase.
+	// this engine's price slots in each cell start at priceBase, and its
+	// platform's label flag is the cell's labeled[platSlot].
 	cells     *CellCache
 	priceBase int
+	platSlot  int
 
 	// space / spaceStrs mirror the framework's partition space; cpuClass
 	// and gpuClass are the reference strategies' class indices. All are
@@ -174,7 +169,7 @@ type Engine struct {
 
 	stats   engineCounters
 	retrain retrainState
-	obsq    obsQueue
+	obs     recorder
 
 	// kernels is the runtime-registered user-kernel table (kernels.go);
 	// tenants holds per-tenant quota accounting (tenant.go).
@@ -280,11 +275,14 @@ type Stats struct {
 	CachedModels        int    `json:"cachedModels"`
 
 	// Adaptive-loop counters (all zero when no observation log is
-	// configured). Observations counts records the background flusher has
-	// durably appended; ObservationsPending counts executions still
-	// queued in the async ring; ObservationsDropped counts executions the
-	// full ring rejected under overload (the deliberate shed: responses
-	// never stall on the log).
+	// configured). Observations counts executions whose counts the
+	// background flusher has durably appended, ObservationsPending those
+	// counted but not yet flushed, and ObservationsDropped those whose
+	// counts Close's final flush could not write: a flush the log refuses
+	// keeps its counts for the next one, so nothing else is dropped.
+	// ObservationsLabeled counts the label records this engine appended,
+	// one per cell it executed first on its platform. ObserveFailures
+	// counts appends the log refused.
 	Observations        uint64 `json:"observations"`
 	ObservationsLabeled uint64 `json:"observationsLabeled"`
 	ObservationsPending uint64 `json:"observationsPending"`
@@ -335,6 +333,9 @@ func New(opts Options) (*Engine, error) {
 	if opts.Model == nil {
 		opts.Model = harness.DefaultModel()
 	}
+	if opts.OracleSampleEvery != 0 && opts.OracleSampleEvery != 1 {
+		return nil, fmt.Errorf("engine: OracleSampleEvery %d: every executed cell is labeled once, so only 0 and 1 are accepted", opts.OracleSampleEvery)
+	}
 	e := &Engine{fw: fw, opts: opts}
 	e.tenants = opts.SharedTenants
 	if e.tenants == nil {
@@ -353,14 +354,15 @@ func New(opts Options) (*Engine, error) {
 			return nil, err
 		}
 	}
-	if e.priceBase, err = e.cells.join(opts); err != nil {
+	if e.platSlot, err = e.cells.join(opts); err != nil {
 		return nil, err
 	}
+	e.priceBase = e.cells.offsets[e.platSlot]
 	if opts.CacheLimit > 0 {
 		e.programs.SetLimit(opts.CacheLimit)
 	}
 	if opts.ObsLog != nil {
-		e.obsq.start(e)
+		e.obs.start(e)
 	}
 	return e, nil
 }
@@ -411,7 +413,7 @@ func (e *Engine) Stats() Stats {
 
 		Observations:        e.stats.observations.Load(),
 		ObservationsLabeled: e.stats.observedLabeled.Load(),
-		ObservationsPending: e.obsq.pending(),
+		ObservationsPending: e.pendingObservations(),
 		ObservationsDropped: e.stats.observeDropped.Load(),
 		ObserveFailures:     e.stats.observeFails.Load(),
 		RetrainAttempts:     e.stats.retrainAttempts.Load(),
@@ -595,7 +597,8 @@ func (e *Engine) cellFor(ctx context.Context, pe *programEntry, sizeIdx int, fir
 		shape := e.launch(pe, inst)
 		shape.Args, shape.ArgBytes = nil, backend.ArgBytes(nil, inst.Args)
 		fe := &cell{fv: fv, prof: prof, launch: shape, bytes: bytes,
-			prices: make([]atomic.Pointer[classPrice], e.cells.priceSlots())}
+			prices:  make([]atomic.Pointer[classPrice], e.cells.priceSlots()),
+			labeled: make([]atomic.Bool, len(e.cells.platforms))}
 		if first != nil {
 			_, first.verifyErr = tmpl.check(args)
 			first.prof = prof
@@ -914,12 +917,11 @@ func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction, fi
 // and prices it as measured (see run).
 //
 // When an observation log is configured, every execution is recorded —
-// the closed loop's data collection — asynchronously: the request only
-// enqueues onto a bounded lock-free ring, and a background flusher does
-// the oracle labeling and the durable append off the response path. A
-// recording failure never fails a request (ObserveFailures counts it);
-// under overload a full ring drops the observation instead of stalling
-// the response (ObservationsDropped counts those).
+// the closed loop's data collection — without touching the log: the
+// request bumps one atomic counter, and the first execution of a cell on
+// the platform queues the cell's oracle label; a background flusher
+// labels and appends off the response path (obsflush.go). A recording
+// failure never fails a request (ObserveFailures counts it).
 //
 // The run is bounded by the engine's resource budgets plus ctx's
 // deadline and cancellation: a hostile or runaway kernel aborts
@@ -974,7 +976,7 @@ func (e *Engine) execute(ctx context.Context, req Request) (*Execution, error) {
 		e.stats.verifiedByRef.Add(1)
 	}
 	if e.opts.ObsLog != nil {
-		e.enqueueObservation(pe, out, r.deviceTimes)
+		e.record(pe, fe, out, r.deviceTimes)
 	}
 	return out, nil
 }
@@ -1067,71 +1069,4 @@ func deviceTotals(bds []sim.Breakdown) []float64 {
 		out[d] = b.Total
 	}
 	return out
-}
-
-// observe assembles and appends one execution's observation record; the
-// background flusher calls it for each dequeued execution, n being how
-// many it dequeued before this one. Every OracleSampleEvery-th
-// observation (per engine, counted across all programs in dequeue order)
-// is labeled: the full candidate space is priced against the
-// already-measured profile — O(classes) constant-time range queries, no
-// extra kernel execution — and the measured-best class recorded, which is
-// exactly the oracle label the offline sweep produces. The observation
-// counters move only once the log has accepted the record.
-func (e *Engine) observe(pe *programEntry, ex *Execution, deviceTimes []float64, n uint64) error {
-	fe, err := e.cellFor(context.Background(), pe, ex.SizeIdx, nil)
-	if err != nil {
-		return err
-	}
-	o := obs.Observation{
-		Time:         time.Now().UnixNano(),
-		Platform:     e.opts.Platform,
-		Program:      pe.bench.Name,
-		Suite:        pe.bench.Suite,
-		SizeIdx:      ex.SizeIdx,
-		SizeLabel:    ex.SizeLabel,
-		SizeN:        ex.SizeN,
-		FeatureNames: fe.fv.Names,
-		Features:     fe.fv.Values,
-		Class:        ex.Class,
-		Partition:    ex.Partition,
-		Makespan:     ex.Makespan,
-		Verified:     ex.Verified,
-		DeviceTimes:  deviceTimes,
-	}
-	every := e.opts.OracleSampleEvery
-	if every == 0 {
-		every = 1
-	}
-	if every > 0 && n%uint64(every) == 0 {
-		times := make([]float64, len(e.space))
-		if _, err := e.fw.Runtime.PriceAll(fe.launch, fe.prof, e.space, times); err != nil {
-			return err
-		}
-		best := 0
-		for c, tm := range times {
-			if tm < times[best] {
-				best = c
-			}
-		}
-		o.Labeled = true
-		o.BestClass = best
-		o.BestPartition = e.spaceStrs[best]
-		o.OracleTime = times[best]
-		o.Times = times
-		if e.cpuClass >= 0 {
-			o.CPUOnlyTime = times[e.cpuClass]
-		}
-		if e.gpuClass >= 0 {
-			o.GPUOnlyTime = times[e.gpuClass]
-		}
-	}
-	if _, err := e.opts.ObsLog.Append(o); err != nil {
-		return err
-	}
-	e.stats.observations.Add(1)
-	if o.Labeled {
-		e.stats.observedLabeled.Add(1)
-	}
-	return nil
 }

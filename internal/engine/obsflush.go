@@ -1,11 +1,14 @@
-// Asynchronous observation recording: the serving half of the closed
-// loop used to append (and oracle-label) observations inline with the
-// /execute response, paying pricing and durable-write latency per
-// request. Now Execute only pushes onto a bounded lock-free ring
-// (sched.Ring) and a single background flusher drains it: labeling and
-// the JSONL append happen entirely off the response path. A full ring
-// sheds the observation (counted, never blocking), and shutdown flushes
-// whatever is still queued.
+// Observation recording, per cell rather than per request. A cell's
+// oracle label is a pure function of its cached profile, so each (cell,
+// platform) is labeled once, at its first execution on the platform: the
+// execution queues the cell, and the background flusher prices the full
+// candidate space on the profile and appends the label. Every execution
+// only bumps an atomic counter keyed by (cell, class served, model
+// version, left-out model, verified); the flusher writes one aggregate
+// count record per key touched since its last flush, every
+// obsFlushInterval and whenever FlushObservations, a retrain attempt or
+// Close asks. Nothing on the response path prices, encodes or writes, and
+// nothing it records grows with the number of requests served.
 package engine
 
 import (
@@ -13,114 +16,273 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/sched"
+	"repro/internal/bench"
+	"repro/internal/obs"
 )
 
-// pendingObs is one executed request waiting to be recorded.
-type pendingObs struct {
-	pe *programEntry
-	ex Execution
-	// deviceTimes are the execution's per-device busy times: the cell's
-	// price-table entry for its class, shared and read-only, or those of
-	// a measurement that disagreed with it.
+// obsFlushInterval is how often the background flusher writes the
+// counters touched since its previous flush.
+const obsFlushInterval = time.Second
+
+// countKey is one execution counter of an engine.
+type countKey struct {
+	bench                 *bench.Program
+	sizeIdx, class, model int
+	leftOut, verified     bool
+}
+
+// countSlot is a counter: n executions counted, of which flushed are in
+// the log. Only the flusher touches flushed.
+type countSlot struct {
+	n       atomic.Uint64
+	flushed uint64
+}
+
+// labelJob is a cell waiting for its label on the engine's platform: the
+// cell and the execution that claimed it.
+type labelJob struct {
+	pe          *programEntry
+	fe          *cell
+	ex          Execution
 	deviceTimes []float64
 }
 
-// obsQueue is the ring + flusher pair owned by one engine.
-type obsQueue struct {
-	ring   *sched.Ring[pendingObs]
-	notify chan struct{} // capacity 1: "the ring may be non-empty"
-	stop   chan struct{}
-	done   chan struct{} // closed when the flusher has exited
+// recorder holds one engine's counters and pending labels, and runs its
+// flusher.
+type recorder struct {
+	mu     sync.RWMutex // bumps hold it shared, the flusher exclusively
+	counts map[countKey]*countSlot
 
-	enqueued  atomic.Uint64 // successfully pushed
-	processed atomic.Uint64 // dequeued and recorded (or counted failed)
+	labelMu sync.Mutex
+	labels  []labelJob
 
-	closeOnce sync.Once
+	kick       chan struct{} // capacity 1: "flush soon"
+	stop, done chan struct{}
+	// asked numbers flush requests; served is the newest request a
+	// completed flush covers.
+	asked, served atomic.Uint64
+	closeOnce     sync.Once
 }
 
-// pending reports how many enqueued observations the flusher has not
-// processed yet. Zero when the queue never started (no observation log).
-func (q *obsQueue) pending() uint64 {
-	e, p := q.enqueued.Load(), q.processed.Load()
-	if e < p {
-		return 0
-	}
-	return e - p
+// start launches the flusher goroutine.
+func (r *recorder) start(e *Engine) {
+	r.counts = map[countKey]*countSlot{}
+	r.kick = make(chan struct{}, 1)
+	r.stop = make(chan struct{})
+	r.done = make(chan struct{})
+	go r.run(e)
 }
 
-// start sizes the ring and launches the flusher goroutine.
-func (q *obsQueue) start(e *Engine) {
-	capacity := DefaultObsQueue
-	if e.opts.obsRing > 0 {
-		capacity = e.opts.obsRing
-	}
-	q.ring = sched.NewRing[pendingObs](capacity)
-	q.notify = make(chan struct{}, 1)
-	q.stop = make(chan struct{})
-	q.done = make(chan struct{})
-	go q.run(e)
-}
-
-// run is the flusher loop: sleep until nudged, then drain the ring. On
-// stop it performs one final drain, so Close loses nothing that was
-// enqueued.
-func (q *obsQueue) run(e *Engine) {
-	defer close(q.done)
+// run is the flusher loop: flush on every tick and every kick, and once
+// more on stop, so Close loses nothing that was counted.
+func (r *recorder) run(e *Engine) {
+	defer close(r.done)
+	t := time.NewTicker(obsFlushInterval)
+	defer t.Stop()
 	for {
+		stopping := false
 		select {
-		case <-q.stop:
-			q.drain(e)
+		case <-r.stop:
+			stopping = true
+		case <-r.kick:
+		case <-t.C:
+		}
+		asked := r.asked.Load()
+		e.flushOnce()
+		r.served.Store(asked)
+		if stopping {
 			return
-		case <-q.notify:
-			q.drain(e)
 		}
 	}
 }
 
-// drain processes everything currently in the ring.
-func (q *obsQueue) drain(e *Engine) {
-	for {
-		po, ok := q.ring.TryPop()
-		if !ok {
-			return
+// nudge asks the flusher to run soon. Never blocks.
+func (r *recorder) nudge() {
+	select {
+	case r.kick <- struct{}{}:
+	default: // a kick is already pending
+	}
+}
+
+// record counts one execution and, if it is the cell's first on the
+// engine's platform, queues the cell's label.
+func (e *Engine) record(pe *programEntry, fe *cell, ex *Execution, deviceTimes []float64) {
+	r := &e.obs
+	k := countKey{bench: pe.bench, sizeIdx: ex.SizeIdx, class: ex.Class, model: ex.ModelVersion,
+		leftOut: ex.LeftOut != "", verified: ex.Verified}
+	r.mu.RLock()
+	s := r.counts[k]
+	if s != nil {
+		s.n.Add(1)
+	}
+	r.mu.RUnlock()
+	if s == nil {
+		r.mu.Lock()
+		if s = r.counts[k]; s == nil {
+			s = new(countSlot)
+			r.counts[k] = s
 		}
-		if e.opts.obsGate != nil {
-			<-e.opts.obsGate // test hook: hold the durable append back
-		}
-		if err := e.observe(po.pe, &po.ex, po.deviceTimes, q.processed.Load()); err != nil {
+		s.n.Add(1)
+		r.mu.Unlock()
+	}
+	if fe.labeled[e.platSlot].CompareAndSwap(false, true) {
+		r.labelMu.Lock()
+		r.labels = append(r.labels, labelJob{pe: pe, fe: fe, ex: *ex, deviceTimes: deviceTimes})
+		r.labelMu.Unlock()
+		r.nudge()
+	}
+}
+
+// flushOnce appends the pending labels and one count record per counter
+// touched since the previous flush. What the log refuses stays pending
+// for the next flush; a counter untouched since the previous flush is
+// dropped, to be made again by its next execution.
+func (e *Engine) flushOnce() {
+	r := &e.obs
+	r.labelMu.Lock()
+	jobs := r.labels
+	r.labels = nil
+	r.labelMu.Unlock()
+	var retry []labelJob
+	for i := range jobs {
+		if err := e.appendLabel(&jobs[i]); err != nil {
 			e.stats.observeFails.Add(1)
+			retry = append(retry, jobs[i])
+			continue
 		}
-		q.processed.Add(1)
+		e.stats.observedLabeled.Add(1)
 	}
-}
+	if len(retry) > 0 {
+		r.labelMu.Lock()
+		r.labels = append(retry, r.labels...)
+		r.labelMu.Unlock()
+	}
 
-// enqueueObservation hands one executed request to the flusher. Never
-// blocks: a full ring drops the observation and counts the drop.
-func (e *Engine) enqueueObservation(pe *programEntry, ex *Execution, deviceTimes []float64) {
-	po := pendingObs{pe: pe, ex: *ex, deviceTimes: deviceTimes}
-	if !e.obsq.ring.TryPush(po) {
-		e.stats.observeDropped.Add(1)
+	type touched struct {
+		s *countSlot
+		n uint64
+	}
+	var batch []obs.Count
+	var slots []touched
+	r.mu.Lock()
+	for k, s := range r.counts {
+		n := s.n.Load()
+		if n == s.flushed {
+			delete(r.counts, k)
+			continue
+		}
+		batch = append(batch, obs.Count{N: n - s.flushed, CountKey: obs.CountKey{
+			Platform: e.opts.Platform, Program: k.bench.Name, SizeIdx: k.sizeIdx, Class: k.class,
+			ModelVersion: k.model, LeftOut: k.leftOut, Verified: k.verified,
+		}})
+		slots = append(slots, touched{s, n})
+	}
+	r.mu.Unlock()
+	if len(batch) == 0 {
 		return
 	}
-	e.obsq.enqueued.Add(1)
-	select {
-	case e.obsq.notify <- struct{}{}:
-	default: // a nudge is already pending
+	if err := e.appendCounts(batch); err != nil {
+		e.stats.observeFails.Add(1)
+		return
 	}
+	var sum uint64
+	for _, t := range slots {
+		sum += t.n - t.s.flushed
+		t.s.flushed = t.n
+	}
+	e.stats.observations.Add(sum)
 }
 
-// FlushObservations blocks until every observation enqueued before the
-// call has been durably recorded (or counted as a failure). It is the
-// barrier between traffic and anything reading the log — Retrain calls
-// it before snapshotting, tests call it before asserting on stats.
-// A no-op without an observation log.
+// appendLabel prices the full candidate space on the cell's profile —
+// O(classes) constant-time range queries, no kernel run — and appends the
+// cell's label: the measured-best class, exactly the oracle label the
+// offline sweep produces, with the claiming execution's answer.
+func (e *Engine) appendLabel(j *labelJob) error {
+	times := make([]float64, len(e.space))
+	if _, err := e.fw.Runtime.PriceAll(j.fe.launch, j.fe.prof, e.space, times); err != nil {
+		return err
+	}
+	best := 0
+	for c, tm := range times {
+		if tm < times[best] {
+			best = c
+		}
+	}
+	o := obs.Observation{
+		Time:         time.Now().UnixNano(),
+		Platform:     e.opts.Platform,
+		Program:      j.pe.bench.Name,
+		Suite:        j.pe.bench.Suite,
+		SizeIdx:      j.ex.SizeIdx,
+		SizeLabel:    j.ex.SizeLabel,
+		SizeN:        j.ex.SizeN,
+		FeatureNames: j.fe.fv.Names,
+		Features:     j.fe.fv.Values,
+		Class:        j.ex.Class,
+		Partition:    j.ex.Partition,
+		Makespan:     j.ex.Makespan,
+		DeviceTimes:  j.deviceTimes,
+		Verified:     j.ex.Verified,
+
+		Labeled:       true,
+		BestClass:     best,
+		BestPartition: e.spaceStrs[best],
+		OracleTime:    times[best],
+		Times:         times,
+	}
+	if e.cpuClass >= 0 {
+		o.CPUOnlyTime = times[e.cpuClass]
+	}
+	if e.gpuClass >= 0 {
+		o.GPUOnlyTime = times[e.gpuClass]
+	}
+	if err := e.beforeAppend(); err != nil {
+		return err
+	}
+	_, err := e.opts.ObsLog.Append(o)
+	return err
+}
+
+// appendCounts appends one flush's count records.
+func (e *Engine) appendCounts(batch []obs.Count) error {
+	if err := e.beforeAppend(); err != nil {
+		return err
+	}
+	return e.opts.ObsLog.AppendCounts(batch)
+}
+
+// beforeAppend runs Options.beforeAppend.
+func (e *Engine) beforeAppend() error {
+	if e.opts.beforeAppend != nil {
+		return e.opts.beforeAppend()
+	}
+	return nil
+}
+
+// pendingObservations reports how many executions are counted but not yet
+// in the log (or dropped).
+func (e *Engine) pendingObservations() uint64 {
+	if e.opts.ObsLog == nil {
+		return 0
+	}
+	done := e.stats.observations.Load() + e.stats.observeDropped.Load()
+	if n := e.stats.executions.Load(); n > done {
+		return n - done
+	}
+	return 0
+}
+
+// FlushObservations blocks until every execution counted before the call
+// is durably recorded, and every cell labeled, or the flush failed
+// (ObserveFailures counts it). It is the barrier between traffic and
+// anything reading the log — Retrain calls it before snapshotting, tests
+// call it before asserting on stats. A no-op without an observation log.
 func (e *Engine) FlushObservations() {
 	e.flushObservations(0)
 }
 
 // TryFlushObservations is FlushObservations with a deadline: it reports
-// whether the queue drained within the timeout. Request handlers that
+// whether the flush completed within the timeout. Request handlers that
 // only want read-your-writes freshness use this, so a stalled flusher
 // (hung filesystem under the log, say) degrades them to slightly stale
 // stats instead of blocking them forever.
@@ -129,41 +291,45 @@ func (e *Engine) TryFlushObservations(timeout time.Duration) bool {
 }
 
 func (e *Engine) flushObservations(timeout time.Duration) bool {
-	q := &e.obsq
-	if q.ring == nil {
+	r := &e.obs
+	if r.kick == nil {
 		return true
 	}
 	var deadline time.Time
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
 	}
-	target := q.enqueued.Load()
-	for q.processed.Load() < target {
+	want := r.asked.Add(1)
+	r.nudge()
+	for r.served.Load() < want {
+		select {
+		case <-r.done: // closed: its final flush covered everything
+			return true
+		default:
+		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return false
-		}
-		select {
-		case q.notify <- struct{}{}:
-		default:
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
 	return true
 }
 
-// Close stops the observation flusher after a final drain: everything
-// enqueued by Execute calls that returned before Close is durably
-// recorded. Safe to call multiple times and on engines without an
-// observation log. Callers stop traffic first (the HTTP server drains
-// in-flight requests before the engine closes).
+// Close stops the observation flusher after a final flush: everything
+// counted by Execute calls that returned before Close is durably
+// recorded, or, if that flush fails, counted in ObservationsDropped.
+// Safe to call multiple times and on engines without an observation log.
+// Callers stop traffic first (the HTTP server drains in-flight requests
+// before the engine closes).
 func (e *Engine) Close() error {
-	q := &e.obsq
-	if q.ring == nil {
+	r := &e.obs
+	if r.kick == nil {
 		return nil
 	}
-	q.closeOnce.Do(func() {
-		close(q.stop)
-		<-q.done
+	r.closeOnce.Do(func() {
+		close(r.stop)
+		<-r.done
+		e.stats.observeDropped.Add(e.pendingObservations())
 	})
 	return nil
 }

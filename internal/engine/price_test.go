@@ -39,7 +39,8 @@ func measure(t *testing.T, eng *Engine, program string, size, class int) *runtim
 	return res
 }
 
-// observed flushes the engine's observations and returns them in order.
+// observed flushes the engine's observations and returns the log's
+// labels in order.
 func observed(t *testing.T, eng *Engine, log *obs.Log) []obs.Observation {
 	t.Helper()
 	eng.FlushObservations()
@@ -66,7 +67,8 @@ func mustCellCache(t testing.TB, platforms ...string) *CellCache {
 // self-check that measures and runs priced from the table — answer the
 // makespan /predict priced, which is bit for bit what Runtime.Execute
 // measures on the same launch and partitioning;
-// both observations carry Runtime.Execute's per-device times; the
+// the cell's label carries Runtime.Execute's per-device times, and prices
+// the served class at what Runtime.Execute measures; the
 // vector-tier counters in Stats add up to what the measured runs count;
 // no execution disagrees with its platform's table; and each (program,
 // size) was profiled once between the two engines.
@@ -105,10 +107,11 @@ func TestPriceTableMatchesExecute(t *testing.T) {
 								t.Fatalf("size %d: makespan %v, predicted %v, Runtime.Execute %v", sz, x.Makespan, x.PredictedTime, res.Makespan)
 							}
 						}
-						for _, o := range observed(t, eng, log)[2*sz:] {
-							if !sameBits(o.DeviceTimes, deviceTotals(res.Breakdowns)) {
-								t.Fatalf("size %d: observed device times %v, Runtime.Execute %v", sz, o.DeviceTimes, deviceTotals(res.Breakdowns))
-							}
+						labels := observed(t, eng, log)
+						if o := labels[len(labels)-1]; o.SizeIdx != sz || !sameBits(o.DeviceTimes, deviceTotals(res.Breakdowns)) ||
+							math.Float64bits(o.Times[warm.Class]) != math.Float64bits(res.Makespan) {
+							t.Fatalf("size %d: label of size %d has device times %v and prices class %d at %v; Runtime.Execute %v, %v",
+								sz, o.SizeIdx, o.DeviceTimes, warm.Class, o.Times[warm.Class], deviceTotals(res.Breakdowns), res.Makespan)
 						}
 						p := res.Profile
 						wantDiv += 2 * uint64(p.VecDivergences)
@@ -145,7 +148,7 @@ func TestPriceTableMatchesExecute(t *testing.T) {
 // profile is perturbed after /predict profiled it and before it first
 // executes, so the profile no longer holds what the kernel counts and the
 // price tables built on it no longer price it. The self-check must notice
-// on either platform, answer (and observe) what it measured, count the
+// on either platform, answer (and label with) what it measured, count the
 // mismatch and leave the cell unchecked, so that the next execution
 // measures again. Once the profile is restored and the tables priced on it
 // again, one matching execution on the other platform checks the cell, and
@@ -207,11 +210,10 @@ func TestMakespanMismatchAnsweredAsMeasured(t *testing.T) {
 					t.Fatalf("execution %d: %d mismatches, checked %v; want %d and false", i, st.MakespanMismatches, fe.checked.Load(), i)
 				}
 			}
-			for _, o := range observed(t, bad, logs[0]) {
-				if o.Makespan != res.Makespan || !sameBits(o.DeviceTimes, deviceTotals(res.Breakdowns)) {
-					t.Fatalf("observed makespan %v, device times %v; measured %v, %v",
-						o.Makespan, o.DeviceTimes, res.Makespan, deviceTotals(res.Breakdowns))
-				}
+			if labels := observed(t, bad, logs[0]); len(labels) != 1 || labels[0].Makespan != res.Makespan ||
+				!sameBits(labels[0].DeviceTimes, deviceTotals(res.Breakdowns)) {
+				t.Fatalf("labels %+v; want one, carrying the measured makespan %v and device times %v",
+					labels, res.Makespan, deviceTotals(res.Breakdowns))
 			}
 			x := mustExecute(t, good, req)
 			want := measure(t, good, req.Program, req.SizeIdx, x.Class).Makespan
@@ -220,7 +222,7 @@ func TestMakespanMismatchAnsweredAsMeasured(t *testing.T) {
 					order[1], x.Makespan, good.Stats().MakespanMismatches, fe.checked.Load(), want)
 			}
 
-			good.FlushObservations() // its flusher reads the profile
+			good.FlushObservations() // its flusher prices the label on the profile
 			fe.prof = intact
 			for i := range fe.prices {
 				fe.prices[i].Store(nil)

@@ -1,5 +1,6 @@
-// Adaptive retraining: the engine's closed loop. Observations harvested
-// from served executions are merged with the seed training database,
+// Adaptive retraining: the engine's closed loop. The oracle labels of
+// the cells served executions touched are merged with the seed training
+// database,
 // a candidate model is trained, and a no-regression gate decides whether
 // it replaces the live model — atomically, while requests keep flowing.
 package engine
@@ -48,9 +49,8 @@ type RetrainResult struct {
 	// SeedRecords / ObsRecords is the merged training-set composition.
 	SeedRecords int `json:"seedRecords"`
 	ObsRecords  int `json:"obsRecords"`
-	// SkippedObservations counts log entries that could not train
-	// (unlabeled, unverified, other platform, mismatched schema) or
-	// were superseded by a newer observation of the same cell.
+	// SkippedObservations counts cell labels that could not train
+	// (unlabeled, unverified, other platform, mismatched schema).
 	SkippedObservations int `json:"skippedObservations,omitempty"`
 	// Reason explains a non-promotion.
 	Reason string `json:"reason,omitempty"`
@@ -69,9 +69,9 @@ type RetrainStatus struct {
 	Promotions uint64 `json:"promotions"`
 	Rejections uint64 `json:"rejections"`
 
-	// LabeledObservations is the log's current labeled count;
-	// LastTrainedLabeled the count when the last attempt ran (the
-	// background threshold compares the two).
+	// LabeledObservations is how many label records the log has read or
+	// appended; LastTrainedLabeled that count when the last attempt ran
+	// (the background threshold compares the two).
 	LabeledObservations uint64 `json:"labeledObservations"`
 	LastTrainedLabeled  uint64 `json:"lastTrainedLabeled"`
 
@@ -113,7 +113,7 @@ func (e *Engine) Retrain() (*RetrainResult, error) {
 	e.retrain.mu.Unlock()
 
 	// Recorded traffic must be visible to this attempt: wait for the
-	// async flusher to durably append everything already executed.
+	// flusher to label every executed cell and write every count.
 	e.FlushObservations()
 	// Capture the labeled count BEFORE the snapshot: labels arriving
 	// while training runs are not in this attempt's training set, so
@@ -152,16 +152,13 @@ func (e *Engine) retrainOnce(attempt uint64) (*RetrainResult, error) {
 	live := reg.current()
 	res := &RetrainResult{Attempt: attempt, LiveVersion: live.Version}
 
-	// Only observations matching the live model's feature schema can
-	// join its training set (positional vectors tolerate nothing less).
+	// Only labels matching the live model's feature schema can join its
+	// training set (positional vectors tolerate nothing less). The
+	// snapshot holds one label per cell, so no row lands on both sides
+	// of the holdout split.
 	wantNames := live.art.FeatureNames
 	obsRecs, skipped := harness.ObservationRecords(e.spaceStrs, wantNames, e.opts.Platform, snap)
-	// Repeat executions of one deterministic cell are identical rows:
-	// left in, copies of the same row land on BOTH sides of the holdout
-	// split and let a memorizing candidate inflate its gate score. Keep
-	// only the newest observation per cell.
-	obsRecs, dups := dedupeNewestPerCell(obsRecs)
-	res.ObsRecords, res.SkippedObservations = len(obsRecs), skipped+dups
+	res.ObsRecords, res.SkippedObservations = len(obsRecs), skipped
 	if len(obsRecs) == 0 {
 		res.Reason = "no usable labeled observations"
 		e.stats.retrainRejected.Add(1)
@@ -271,27 +268,6 @@ func indicesBelow(idx []int, n int) []int {
 	return out
 }
 
-// dedupeNewestPerCell keeps, per (program, size) cell, only the newest
-// record (the input is in log order). Platform is uniform here: the
-// caller already filtered to the engine's platform.
-func dedupeNewestPerCell(recs []harness.Record) (out []harness.Record, dropped int) {
-	type cell struct {
-		program string
-		sizeIdx int
-	}
-	last := map[cell]int{}
-	for i, r := range recs {
-		last[cell{r.Program, r.SizeIdx}] = i
-	}
-	out = make([]harness.Record, 0, len(last))
-	for i, r := range recs {
-		if last[cell{r.Program, r.SizeIdx}] == i {
-			out = append(out, r)
-		}
-	}
-	return out, len(recs) - len(out)
-}
-
 // RetrainStatus reports the retrainer's current state.
 func (e *Engine) RetrainStatus() RetrainStatus {
 	st := RetrainStatus{
@@ -314,8 +290,9 @@ func (e *Engine) RetrainStatus() RetrainStatus {
 }
 
 // StartRetrainer launches the background retraining loop: every
-// interval, if at least minNew labeled observations arrived since the
-// last attempt, run Retrain. Returns a stop function that halts the loop
+// interval, if at least minNew label records arrived since the last
+// attempt (a label is recorded once per cell and platform, so this
+// counts cells served for the first time), run Retrain. Returns a stop function that halts the loop
 // and waits for an in-flight attempt to finish. The loop never crashes
 // the engine: attempt errors are recorded in RetrainStatus.
 func (e *Engine) StartRetrainer(interval time.Duration, minNew int) (stop func(), err error) {

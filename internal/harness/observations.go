@@ -11,8 +11,9 @@ import (
 // be labeled (its measured-best class sampled), verified, and carry the
 // complete feature vector and per-class time vector — i.e. everything
 // the offline sweep would have produced for the same (program, size)
-// cell. The deployment engine records exactly this shape, so serving
-// traffic and Generate feed one training pipeline.
+// cell. The deployment engine records exactly this shape, once per cell
+// and platform, so serving traffic and Generate feed one training
+// pipeline.
 func ObservationRecord(space []string, o obs.Observation) (Record, error) {
 	if !o.Labeled {
 		return Record{}, fmt.Errorf("harness: observation %d (%s/%d) is unlabeled", o.Seq, o.Program, o.SizeIdx)
@@ -94,9 +95,9 @@ func sameNames(a, b []string) bool {
 	return true
 }
 
-// AppendObservations merges a log's labeled observations into the
-// database as first-class training records (the offline
-// `train -from-observations` path). Observations must match the
+// AppendObservations merges a log's cell labels (obs.Log.Snapshot: the
+// newest label of every cell) into the database as first-class training
+// records (the offline `train -from-observations` path). Observations must match the
 // database's feature schema when the database already has records; the
 // lookup indexes stay coherent (Find keeps preferring the original
 // sweep's record for a cell both sources cover — measured-on-sweep data

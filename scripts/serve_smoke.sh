@@ -125,6 +125,13 @@ done
 curl -fsS "$base/observations" | tee "$work/obs.json"
 grep -q '"enabled": true' "$work/obs.json"
 grep -q '"labeled": ' "$work/obs.json"
+grep -q '"counterKeys": ' "$work/obs.json"
+grep -q '"executions": ' "$work/obs.json"
+
+echo "== model health: served oracle efficiency per model version =="
+curl -fsS "$base/stats" > "$work/health.json"
+grep -q '"modelHealth": \[' "$work/health.json" || { echo "FAIL: /stats has no modelHealth"; exit 1; }
+grep -q '"oracleEfficiency": ' "$work/health.json" || { echo "FAIL: modelHealth without oracleEfficiency"; exit 1; }
 
 echo "== trigger retrain: candidate must pass the no-regression gate =="
 curl -fsS -X POST "$base/retrain" | tee "$work/retrain.json"
