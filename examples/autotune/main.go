@@ -38,28 +38,25 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		type cand struct {
-			part partition.Partition
-			time float64
+		space := partition.SharedSpace(plat.NumDevices(), partition.DefaultSteps)
+		lb, err := rt.Label(l, prof, space)
+		if err != nil {
+			log.Fatal(err)
 		}
-		var cands []cand
-		for _, part := range partition.Space(plat.NumDevices(), partition.DefaultSteps) {
-			tm, _, err := rt.Price(l, prof, part)
-			if err != nil {
-				log.Fatal(err)
-			}
-			cands = append(cands, cand{part, tm})
+		// Rank the candidates, fastest first; ties keep the space's order.
+		rank := make([]int, len(space))
+		for i := range rank {
+			rank[i] = i
 		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].time < cands[j].time })
+		sort.SliceStable(rank, func(i, j int) bool { return lb.Times[rank[i]] < lb.Times[rank[j]] })
 
 		fmt.Printf("%s on %s, size %s: %d candidate partitionings\n",
-			name, plat.Name, p.Sizes[p.DefaultSize].Label, len(cands))
-		for i := 0; i < 5; i++ {
-			fmt.Printf("  #%d  %-9s  %.4g ms\n", i+1, cands[i].part, cands[i].time*1e3)
+			name, plat.Name, p.Sizes[p.DefaultSize].Label, len(space))
+		for i, c := range rank[:5] {
+			fmt.Printf("  #%d  %-9s  %.4g ms\n", i+1, space[c], lb.Times[c]*1e3)
 		}
-		cpu, _, _ := rt.Price(l, prof, rt.CPUOnly())
-		gpu, _, _ := rt.Price(l, prof, rt.GPUOnly())
+		oracle, cpu, gpu := lb.Times[lb.Best], lb.Times[lb.CPUOnly], lb.Times[lb.GPUOnly]
 		fmt.Printf("  CPU-only %.4g ms (%.2fx off oracle), GPU-only %.4g ms (%.2fx off oracle)\n\n",
-			cpu*1e3, cpu/cands[0].time, gpu*1e3, gpu/cands[0].time)
+			cpu*1e3, cpu/oracle, gpu*1e3, gpu/oracle)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/exec"
+	"repro/internal/partition"
 	"repro/internal/runtime"
 )
 
@@ -36,6 +37,7 @@ func main() {
 	}
 	for _, plat := range device.Platforms() {
 		rt := runtime.New(plat)
+		space := partition.SharedSpace(plat.NumDevices(), partition.DefaultSteps)
 		fmt.Printf("platform %s (CPU/GPU1/GPU2):\n", plat.Name)
 		for n := 4096; n <= 1<<20; n *= 4 {
 			spot, out := exec.NewFloatBuffer(n), exec.NewFloatBuffer(n)
@@ -52,14 +54,12 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			best, bestTime, err := rt.Best(l, prof)
+			lb, err := rt.Label(l, prof, space)
 			if err != nil {
 				log.Fatal(err)
 			}
-			cpu, _, _ := rt.Price(l, prof, rt.CPUOnly())
-			gpu, _, _ := rt.Price(l, prof, rt.GPUOnly())
 			fmt.Printf("  n=%8d  oracle=%-9s  %.4g ms   (CPU-only %.4g ms, GPU-only %.4g ms)\n",
-				n, best, bestTime*1e3, cpu*1e3, gpu*1e3)
+				n, space[lb.Best], lb.Times[lb.Best]*1e3, lb.Times[lb.CPUOnly]*1e3, lb.Times[lb.GPUOnly]*1e3)
 		}
 	}
 }

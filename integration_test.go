@@ -175,6 +175,44 @@ kernel void poly(global const float* x, global float* y, int n) {
 	}
 }
 
+// TestFrameworkRunLeavesVerifiedOutputs: Framework.Run writes a program's
+// outputs to the caller's buffers exactly once, so a kernel that updates a
+// buffer in place (saxpy's y += a*x) leaves what one launch leaves. Every
+// built-in at size 0, run on its own instance on both platforms, passes
+// its Go reference.
+func TestFrameworkRunLeavesVerifiedOutputs(t *testing.T) {
+	db, err := harness.Generate(harness.GenOptions{Programs: []string{"vecadd", "matmul"}, MaxSizeIdx: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, plat := range device.Platforms() {
+		fw, err := core.New(plat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.Train(db, harness.FastModel()); err != nil {
+			t.Fatal(err)
+		}
+		for _, bp := range bench.All() {
+			f, err := bp.Front()
+			if err != nil {
+				t.Fatal(err)
+			}
+			inst, err := bp.Instance(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := core.LaunchSpec{Args: inst.Args, ND: inst.ND, Iterations: bp.Iterations}
+			if _, err := fw.Run(&core.Program{Name: bp.Name, Front: f}, spec); err != nil {
+				t.Fatal(err)
+			}
+			if err := bp.Verify(inst, 0); err != nil {
+				t.Errorf("%s %s: %v", plat.Name, bp.Name, err)
+			}
+		}
+	}
+}
+
 // TestAllProgramsOracleNeverWorseThanDefaults is a suite-wide sanity
 // invariant of the measurement pipeline.
 func TestAllProgramsOracleNeverWorseThanDefaults(t *testing.T) {
@@ -188,10 +226,11 @@ func TestAllProgramsOracleNeverWorseThanDefaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, oracle, err := rt.Best(l, prof)
+		lb, err := rt.Label(l, prof, partition.SharedSpace(3, partition.DefaultSteps))
 		if err != nil {
 			t.Fatal(err)
 		}
+		oracle := lb.Times[lb.Best]
 		for _, def := range []partition.Partition{rt.CPUOnly(), rt.GPUOnly()} {
 			dt, _, err := rt.Price(l, prof, def)
 			if err != nil {

@@ -254,19 +254,12 @@ func (pl *Plan) TransferBytes(argBytes []int64, global0, lo, hi int) (in, out in
 // the plan and the arguments' byte sizes, and the kernel's access mix.
 // launches is the number of kernel invocations the work represents
 // (iterative applications re-launch the kernel but keep buffers resident,
-// so transfers are charged once).
-func (pl *Plan) DeviceWorks(prof *exec.Profile, argBytes []int64, part partition.Partition,
-	align int, launches int) []sim.Work {
-	works, _ := pl.DeviceWorksInto(nil, nil, prof, argBytes, part, align, launches)
-	return works
-}
-
-// DeviceWorksInto is DeviceWorks with caller-supplied storage: dst receives
-// the works and chunkScratch the chunk layout, both reused when their
-// capacity suffices. The chunk counts come from the profile's O(1) range
-// query; every computed value is identical to DeviceWorks'. It returns the
-// works plus the chunk scratch for reuse on the next candidate.
-func (pl *Plan) DeviceWorksInto(dst []sim.Work, chunkScratch [][2]int, prof *exec.Profile,
+// so transfers are charged once). dst receives the works and chunkScratch
+// the chunk layout, both reused when their capacity suffices (nil for
+// fresh ones); the chunk counts come from the profile's O(1) range query.
+// It returns the works plus the chunk scratch for reuse on the next
+// candidate.
+func (pl *Plan) DeviceWorks(dst []sim.Work, chunkScratch [][2]int, prof *exec.Profile,
 	argBytes []int64, part partition.Partition, align int, launches int) ([]sim.Work, [][2]int) {
 	chunks := part.ChunksInto(chunkScratch, prof.Global0, align)
 	var works []sim.Work

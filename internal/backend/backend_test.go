@@ -7,7 +7,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/inspire"
 	"repro/internal/partition"
-	"repro/internal/sim"
 )
 
 func planFor(t *testing.T, src, kernel string) *Plan {
@@ -183,7 +182,7 @@ func TestDeviceWorksPartition(t *testing.T) {
 		exec.IntArg(n),
 	}
 	part := partition.Partition{Shares: []int{5, 3, 2}}
-	works := pl.DeviceWorks(prof, ArgBytes(nil, args), part, 1, 1)
+	works, chunks := pl.DeviceWorks(nil, nil, prof, ArgBytes(nil, args), part, 1, 1)
 	if len(works) != 3 {
 		t.Fatalf("got %d works", len(works))
 	}
@@ -201,6 +200,25 @@ func TestDeviceWorksPartition(t *testing.T) {
 	if works[0].TransferIn != 4000 {
 		t.Errorf("device 0 in = %d, want 4000", works[0].TransferIn)
 	}
+	// Storage handed back in is reused across candidates (the oracle
+	// search's pattern): on a profile whose buckets differ, each result is
+	// exactly what fresh storage gives, with no stale state left from the
+	// previous candidate, empty chunks included.
+	varied := &exec.Profile{Global0: n, Buckets: make([]exec.Counts, 10)}
+	for i := range varied.Buckets {
+		varied.Buckets[i] = exec.Counts{Items: 100, FloatOps: 100 + int64(i), GlobalLoads: 200, GlobalStores: 100, MaxItemOps: int64(4 + i%3)}
+	}
+	for _, part := range []partition.Partition{
+		{Shares: []int{5, 3, 2}},
+		{Shares: []int{0, 10, 0}},
+		{Shares: []int{7, 0, 3}},
+	} {
+		want, _ := pl.DeviceWorks(nil, nil, varied, ArgBytes(nil, args), part, 64, 3)
+		works, chunks = pl.DeviceWorks(works, chunks, varied, ArgBytes(nil, args), part, 64, 3)
+		if !reflect.DeepEqual(works, want) {
+			t.Fatalf("partition %s on reused storage: %+v, on fresh storage %+v", part, works, want)
+		}
+	}
 }
 
 func TestDeviceWorksLaunchScaling(t *testing.T) {
@@ -210,8 +228,8 @@ func TestDeviceWorksLaunchScaling(t *testing.T) {
 	n := 100
 	prof := &exec.Profile{Global0: n, Buckets: []exec.Counts{{Items: int64(n), FloatOps: int64(n), GlobalLoads: int64(n), GlobalStores: int64(n), MaxItemOps: 3}}}
 	args := []exec.Arg{exec.BufArg(exec.NewFloatBuffer(n))}
-	one := pl.DeviceWorks(prof, ArgBytes(nil, args), partition.Single(1, 0), 1, 1)
-	ten := pl.DeviceWorks(prof, ArgBytes(nil, args), partition.Single(1, 0), 1, 10)
+	one, _ := pl.DeviceWorks(nil, nil, prof, ArgBytes(nil, args), partition.Single(1, 0), 1, 1)
+	ten, _ := pl.DeviceWorks(nil, nil, prof, ArgBytes(nil, args), partition.Single(1, 0), 1, 10)
 	if ten[0].Counts.FloatOps != 10*one[0].Counts.FloatOps {
 		t.Errorf("launches did not scale compute: %d vs %d", ten[0].Counts.FloatOps, one[0].Counts.FloatOps)
 	}
@@ -226,41 +244,6 @@ func TestDeviceWorksLaunchScaling(t *testing.T) {
 func TestAnalyzeNilKernel(t *testing.T) {
 	if _, err := Analyze(nil); err == nil {
 		t.Error("Analyze(nil) should fail")
-	}
-}
-
-func TestDeviceWorksIntoMatchesDeviceWorks(t *testing.T) {
-	pl := planFor(t, `kernel void vecadd(global const float* a, global const float* b,
-		global float* c, int n) {
-		int i = get_global_id(0);
-		if (i < n) { c[i] = a[i] + b[i]; }
-	}`, "vecadd")
-	n := 1000
-	prof := &exec.Profile{Global0: n, Buckets: make([]exec.Counts, 10)}
-	for i := range prof.Buckets {
-		prof.Buckets[i] = exec.Counts{Items: 100, FloatOps: 100 + int64(i), GlobalLoads: 200, GlobalStores: 100, MaxItemOps: int64(4 + i%3)}
-	}
-	args := []exec.Arg{
-		exec.BufArg(exec.NewFloatBuffer(n)),
-		exec.BufArg(exec.NewFloatBuffer(n)),
-		exec.BufArg(exec.NewFloatBuffer(n)),
-		exec.IntArg(n),
-	}
-	var works []sim.Work
-	var chunks [][2]int
-	// Reuse the same scratch across several candidates (the oracle-search
-	// pattern): every result must match the allocating path exactly,
-	// including stale-state clearing for empty chunks.
-	for _, part := range []partition.Partition{
-		{Shares: []int{5, 3, 2}},
-		{Shares: []int{0, 10, 0}},
-		{Shares: []int{7, 0, 3}},
-	} {
-		want := pl.DeviceWorks(prof, ArgBytes(nil, args), part, 64, 3)
-		works, chunks = pl.DeviceWorksInto(works, chunks, prof, ArgBytes(nil, args), part, 64, 3)
-		if !reflect.DeepEqual(works, want) {
-			t.Fatalf("partition %s: DeviceWorksInto %+v != DeviceWorks %+v", part, works, want)
-		}
 	}
 }
 

@@ -77,7 +77,7 @@ func New(plat *device.Platform) (*Framework, error) {
 	return &Framework{
 		Platform: plat,
 		Runtime:  runtime.New(plat),
-		space:    partition.Space(plat.NumDevices(), partition.DefaultSteps),
+		space:    partition.SharedSpace(plat.NumDevices(), partition.DefaultSteps),
 	}, nil
 }
 
@@ -187,21 +187,18 @@ func (f *Framework) ClassPartition(cls int) partition.Partition { return f.space
 // one source of truth for the valid class range [0, NumClasses).
 func (f *Framework) NumClasses() int { return len(f.space) }
 
-// Predict returns the model's partitioning for a program at a problem
-// size, along with the profile used for feature extraction.
-func (f *Framework) Predict(p *Program, spec LaunchSpec) (partition.Partition, *exec.Profile, error) {
+// predict returns the model's class for a program at a problem size,
+// along with the profile of the one run feature extraction made.
+func (f *Framework) predict(p *Program, spec LaunchSpec) (int, *exec.Profile, error) {
 	if !f.Trained() {
-		return partition.Partition{}, nil, fmt.Errorf("core: framework is not trained")
+		return 0, nil, fmt.Errorf("core: framework is not trained")
 	}
 	fv, prof, err := f.Features(p, spec)
 	if err != nil {
-		return partition.Partition{}, nil, err
+		return 0, nil, err
 	}
 	cls, _, err := f.PredictClass(fv.Values)
-	if err != nil {
-		return partition.Partition{}, nil, err
-	}
-	return f.space[cls], prof, nil
+	return cls, prof, err
 }
 
 // Report summarizes one framework-guided execution.
@@ -224,35 +221,28 @@ func (r *Report) SpeedupVsCPU() float64 { return r.CPUOnly / r.Makespan }
 func (r *Report) SpeedupVsGPU() float64 { return r.GPUOnly / r.Makespan }
 
 // Run executes the program under the model-predicted partitioning
-// (deployment phase). Outputs are written to the buffers in spec.Args; the
-// report compares the prediction against the default strategies and the
-// oracle.
+// (deployment phase). The kernel runs once: the profiling run that feeds
+// the features writes the outputs to the buffers in spec.Args, and under
+// the byte-identity contract a partitioned run computes exactly the same,
+// so the partitioning only prices. The report reads the profile's oracle
+// label: the prediction against the default strategies and the oracle.
 func (f *Framework) Run(p *Program, spec LaunchSpec) (*Report, error) {
-	part, prof, err := f.Predict(p, spec)
+	cls, prof, err := f.predict(p, spec)
 	if err != nil {
 		return nil, err
 	}
-	l := f.launch(p, spec)
-	rep := &Report{Partition: part}
-	if rep.Makespan, _, err = f.Runtime.Price(l, prof, part); err != nil {
+	lb, err := f.Runtime.Label(f.launch(p, spec), prof, f.space)
+	if err != nil {
 		return nil, err
 	}
-	if rep.CPUOnly, _, err = f.Runtime.Price(l, prof, f.Runtime.CPUOnly()); err != nil {
-		return nil, err
-	}
-	if rep.GPUOnly, _, err = f.Runtime.Price(l, prof, f.Runtime.GPUOnly()); err != nil {
-		return nil, err
-	}
-	if rep.OraclePartition, rep.Oracle, err = f.Runtime.Best(l, prof); err != nil {
-		return nil, err
-	}
-	// The profiled execution already produced the program's outputs on
-	// the host buffers; re-execute partitioned only to exercise the real
-	// multi-device path (semantically identical, asserted by tests).
-	if _, err := f.Runtime.Execute(l, part); err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return &Report{
+		Partition:       f.space[cls],
+		Makespan:        lb.Times[cls],
+		CPUOnly:         lb.Times[lb.CPUOnly],
+		GPUOnly:         lb.Times[lb.GPUOnly],
+		Oracle:          lb.Times[lb.Best],
+		OraclePartition: f.space[lb.Best],
+	}, nil
 }
 
 func (f *Framework) launch(p *Program, spec LaunchSpec) runtime.Launch {

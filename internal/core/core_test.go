@@ -125,8 +125,8 @@ func TestPredictRequiresTraining(t *testing.T) {
 			exec.BufArg(exec.NewFloatBuffer(n)), exec.FloatArg(1), exec.IntArg(n)},
 		ND: exec.ND1(n),
 	}
-	if _, _, err := fw.Predict(p, spec); err == nil {
-		t.Error("Predict on untrained framework should fail")
+	if _, err := fw.Run(p, spec); err == nil {
+		t.Error("Run on untrained framework should fail")
 	}
 	// Features work without training.
 	fv, prof, err := fw.Features(p, spec)

@@ -11,7 +11,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/exec"
 	"repro/internal/features"
-	"repro/internal/partition"
 	"repro/internal/runtime"
 	"repro/internal/sched"
 )
@@ -23,9 +22,9 @@ import (
 // (program, size) once for every platform too — so a fleet builds one
 // cache and hands it to every engine (Options.SharedCells): each
 // (program, size) is then profiled and held once per process, not once
-// per (platform, shard). Only the price table is per platform, because
-// the price is; each cell keeps one slot array per platform the cache was
-// built for.
+// per (platform, shard). Only the oracle label is per platform, because
+// the prices are; each cell keeps one label slot per platform the cache
+// was built for.
 //
 // Cells are keyed by the *bench.Program itself. A built-in is a process
 // singleton, so every engine hits the same cell; an upload's
@@ -38,10 +37,9 @@ import (
 // CacheLimit.
 type CellCache struct {
 	memo sched.Memo[cellKey, *cell]
-	// platforms are the served platforms in slot order; platform i's
-	// price slots are prices[offsets[i]:offsets[i+1]] of every cell.
+	// platforms are the served platforms in slot order: platform i's
+	// label is labels[i] of every cell.
 	platforms []string
-	offsets   []int
 
 	mu     sync.Mutex
 	joined bool
@@ -62,19 +60,15 @@ func NewCellCache(platforms ...string) (*CellCache, error) {
 	if len(platforms) == 0 {
 		return nil, fmt.Errorf("engine: cell cache for no platform")
 	}
-	c := &CellCache{platforms: platforms, offsets: []int{0}}
 	for i, name := range platforms {
-		plat, err := device.ByName(name)
-		if err != nil {
+		if _, err := device.ByName(name); err != nil {
 			return nil, err
 		}
 		if slices.Contains(platforms[:i], name) {
 			return nil, fmt.Errorf("engine: cell cache lists platform %q twice", name)
 		}
-		classes := len(partition.SharedSpace(plat.NumDevices(), partition.DefaultSteps))
-		c.offsets = append(c.offsets, c.offsets[i]+classes)
 	}
-	return c, nil
+	return &CellCache{platforms: platforms}, nil
 }
 
 // Len reports how many cells the cache holds (computed or in flight).
@@ -92,14 +86,10 @@ func (c *CellCache) Templates() int {
 	return n
 }
 
-// priceSlots is the length of a cell's price table: every platform's
-// classes.
-func (c *CellCache) priceSlots() int { return c.offsets[len(c.offsets)-1] }
-
 // join admits an engine built with opts: its platform must be one the
 // cache has slots for, and its limits those of the engines already
-// sharing the cache. It returns the platform's slot: its price slots
-// start at offsets[slot], and its label flag is labeled[slot].
+// sharing the cache. It returns the platform's slot: the index of its
+// label and its label flag in every cell.
 func (c *CellCache) join(opts Options) (int, error) {
 	i := slices.Index(c.platforms, opts.Platform)
 	if i < 0 {
@@ -147,12 +137,15 @@ type cell struct {
 	// tmplMu orders the builds.
 	tmplMu sync.Mutex
 	tmpl   atomic.Pointer[template]
-	// prices is the cell's price table, one slot per (platform, class),
-	// each filled when the class first executes on the platform (priceOf).
-	prices []atomic.Pointer[classPrice]
+	// labels holds the cell's oracle label on each platform of the cache:
+	// every class priced on prof, filled the first time one of the
+	// platform's engines predicts or executes the cell (Engine.label).
+	// What /predict answers, what /execute answers and the label record
+	// the observation log gets all index this one row.
+	labels []atomic.Pointer[runtime.Label]
 	// labeled holds one flag per platform of the cache, set by the cell's
 	// first execution on the platform, which queues the cell's label
-	// (Engine.record).
+	// record (Engine.record).
 	labeled []atomic.Bool
 	// checked is set once an execution after the profiling run, on any
 	// platform and class, has measured a profile equal to prof bucket for

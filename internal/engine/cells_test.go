@@ -229,16 +229,16 @@ func TestShapePricingMatchesInstance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := eng.fw.Runtime.PriceAll(fe.launch, fe.prof, eng.space, nil)
+				got, err := eng.label(fe)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := eng.fw.Runtime.PriceAll(l, fe.prof, eng.space, nil)
+				want, err := eng.fw.Runtime.Label(l, fe.prof, eng.space)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(got) != 66 || !sameBits(got, want) {
-					t.Fatalf("%s %s size %d: priced from sizes %v, from the instance %v", platform, bp.Name, sz, got, want)
+				if len(got.Times) != 66 || !sameBits(got.Times, want.Times) {
+					t.Fatalf("%s %s size %d: label priced from sizes %v, from the instance %v", platform, bp.Name, sz, got.Times, want.Times)
 				}
 				fv := features.Combined(st, features.RuntimeInput{Profile: fe.prof, Plan: l.Plan, Args: inst.Args, Iterations: l.Iterations})
 				if !slices.Equal(fe.fv.Names, fv.Names) || !sameBits(fe.fv.Values, fv.Values) {

@@ -152,20 +152,16 @@ type Engine struct {
 	programs sched.Memo[string, *programEntry]
 	models   sched.Memo[string, *registry] // key = left-out program ("" = full)
 	// cells is the cell cache, private or shared (Options.SharedCells);
-	// this engine's price slots in each cell start at priceBase, and its
-	// platform's label flag is the cell's labeled[platSlot].
-	cells     *CellCache
-	priceBase int
-	platSlot  int
+	// this engine's platform's label in each cell is labels[platSlot],
+	// and its label flag labeled[platSlot].
+	cells    *CellCache
+	platSlot int
 
-	// space / spaceStrs mirror the framework's partition space; cpuClass
-	// and gpuClass are the reference strategies' class indices. All are
-	// fixed at construction — observation labeling reads them per
-	// execution.
+	// space / spaceStrs mirror the framework's partition space, fixed at
+	// construction: a label prices space, and answers name a class by
+	// its spaceStrs entry.
 	space     []partition.Partition
 	spaceStrs []string
-	cpuClass  int
-	gpuClass  int
 
 	stats   engineCounters
 	retrain retrainState
@@ -199,17 +195,6 @@ const (
 	// the no-regression gate.
 	ModelRetrained = "retrained"
 )
-
-// classPrice is one class's partitioning of a cell priced on the cell's
-// profile for one platform: the makespan and each device's busy time.
-// Under the byte-identity contract an execution of the cell counts exactly
-// what the profile holds, so this is what every execution of the (cell,
-// platform, class) measures; the cell's checked flag says whether an
-// execution has confirmed it.
-type classPrice struct {
-	makespan    float64
-	deviceTimes []float64
-}
 
 // engineCounters are the engine's monotonically increasing stats.
 type engineCounters struct {
@@ -314,7 +299,7 @@ type Stats struct {
 
 	// MakespanMismatches counts measured executions whose profile
 	// differed from the cell's, or whose makespan or per-device times
-	// differed from the cell's price table; each was answered as
+	// differed from the cell's label and prices; each was answered as
 	// measured. Zero on a healthy server: anything else means a kernel's
 	// counts depend on more than its inputs.
 	MakespanMismatches uint64 `json:"makespanMismatches"`
@@ -346,8 +331,6 @@ func New(opts Options) (*Engine, error) {
 	for i, p := range e.space {
 		e.spaceStrs[i] = p.String()
 	}
-	e.cpuClass = e.classOf(fw.Runtime.CPUOnly())
-	e.gpuClass = e.classOf(fw.Runtime.GPUOnly())
 	e.cells = opts.SharedCells
 	if e.cells == nil {
 		if e.cells, err = NewCellCache(opts.Platform); err != nil {
@@ -357,7 +340,6 @@ func New(opts Options) (*Engine, error) {
 	if e.platSlot, err = e.cells.join(opts); err != nil {
 		return nil, err
 	}
-	e.priceBase = e.cells.offsets[e.platSlot]
 	if opts.CacheLimit > 0 {
 		e.programs.SetLimit(opts.CacheLimit)
 	}
@@ -365,24 +347,6 @@ func New(opts Options) (*Engine, error) {
 		e.obs.start(e)
 	}
 	return e, nil
-}
-
-// classOf finds the class index of a partition in the engine's space
-// (-1 if absent — cannot happen for the reference strategies).
-func (e *Engine) classOf(p partition.Partition) int {
-	for i, q := range e.space {
-		same := true
-		for d := range q.Shares {
-			if q.Shares[d] != p.Shares[d] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return i
-		}
-	}
-	return -1
 }
 
 // Framework exposes the underlying core framework (runtime access for
@@ -482,8 +446,9 @@ type Prediction struct {
 	LeftOut      string `json:"leftOut,omitempty"`
 
 	// PredictedTime is the simulated makespan under the served
-	// partitioning. The remaining reference times come from the
-	// training database when available.
+	// partitioning: the served class's entry in the cell's label. The
+	// remaining reference times come from the training database when
+	// available.
 	PredictedTime   float64 `json:"predictedTime"`
 	OracleTime      float64 `json:"oracleTime,omitempty"`
 	OraclePartition string  `json:"oraclePartition,omitempty"`
@@ -497,10 +462,10 @@ type Prediction struct {
 type Execution struct {
 	Prediction
 	// Makespan is the simulated wall time of the partitioned execution,
-	// priced on the cell's profile: the first execution after the cell's
-	// profiling run measures it and checks profile and price bit for bit,
-	// later ones answer from the price. A measurement that disagrees is
-	// what is answered (Stats.MakespanMismatches).
+	// priced on the cell's profile: PredictedTime. The first execution
+	// after the cell's profiling run measures it and checks profile and
+	// price bit for bit, later ones answer from the label. A measurement
+	// that disagrees is what is answered (Stats.MakespanMismatches).
 	Makespan float64 `json:"makespan"`
 	// Verified reports whether the outputs matched the program's Go
 	// reference implementation.
@@ -597,7 +562,7 @@ func (e *Engine) cellFor(ctx context.Context, pe *programEntry, sizeIdx int, fir
 		shape := e.launch(pe, inst)
 		shape.Args, shape.ArgBytes = nil, backend.ArgBytes(nil, inst.Args)
 		fe := &cell{fv: fv, prof: prof, launch: shape, bytes: bytes,
-			prices:  make([]atomic.Pointer[classPrice], e.cells.priceSlots()),
+			labels:  make([]atomic.Pointer[runtime.Label], len(e.cells.platforms)),
 			labeled: make([]atomic.Bool, len(e.cells.platforms))}
 		if first != nil {
 			_, first.verifyErr = tmpl.check(args)
@@ -866,9 +831,9 @@ func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction, fi
 		e.stats.clamped.Add(1)
 	}
 	// The partition string comes from the precomputed space table and the
-	// makespan from the pooled pricing scratch: neither renders nor
-	// allocates per request.
-	predTime, err := e.fw.Runtime.PriceMakespan(fe.launch, fe.prof, e.fw.ClassPartition(served))
+	// makespan from the cell's label: neither renders nor allocates per
+	// request.
+	lb, err := e.label(fe)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -887,7 +852,7 @@ func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction, fi
 		ModelSource:   ver.Source,
 		ModelVersion:  ver.Version,
 		LeftOut:       leftOut,
-		PredictedTime: predTime,
+		PredictedTime: lb.Times[served],
 	}
 	if e.opts.DB != nil {
 		if rec := e.opts.DB.Find(e.opts.Platform, req.Program, sz); rec != nil {
@@ -909,9 +874,9 @@ func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction, fi
 // bit for bit with the cell's first outputs the Go reference accepted —
 // Verified is true only on a full match or when the reference itself,
 // which every mismatch falls back to, accepts them. Nor does a warm call
-// measure what the prediction already priced: its makespan comes from the
-// cell's price table, built on the cell's profile, and its kernel keeps
-// count totals only. The kernel runs once per request: on a cold cell the
+// measure what the prediction already priced: its makespan is the
+// prediction's, read from the cell's label, and its kernel keeps count
+// totals only. The kernel runs once per request: on a cold cell the
 // cell's profiling run is the execution (cellFor), and the first execution
 // after the profiling run is the self-check that profiles the run again
 // and prices it as measured (see run).
@@ -951,13 +916,9 @@ func (e *Engine) execute(ctx context.Context, req Request) (*Execution, error) {
 	if err != nil {
 		return nil, err
 	}
-	price, err := e.priceOf(fe, pred.Class)
-	if err != nil {
-		return nil, err
-	}
-	r.makespan, r.deviceTimes = price.makespan, price.deviceTimes
+	r.makespan = pred.PredictedTime
 	if r.prof == nil { // the cell was not built by this request's run
-		if err := e.run(ctx, pe, fe, pred.SizeIdx, pred.Class, price, &r); err != nil {
+		if err := e.run(ctx, pe, fe, pred.SizeIdx, pred.Class, &r); err != nil {
 			return nil, err
 		}
 	}
@@ -982,8 +943,9 @@ func (e *Engine) execute(ctx context.Context, req Request) (*Execution, error) {
 }
 
 // ran is what one execution's kernel run leaves for its answer: the
-// makespan and per-device busy times answered, the run's profile, and what
-// checked its outputs.
+// makespan answered, the per-device busy times measured when they are not
+// the label's (nil otherwise), the run's profile, and what checked its
+// outputs.
 type ran struct {
 	makespan    float64
 	deviceTimes []float64
@@ -993,15 +955,17 @@ type ran struct {
 }
 
 // run executes one request on an existing cell, on buffers acquired from
-// the cell's template, under class's partitioning, and checks the outputs. Once the
-// cell is checked, the kernel runs with count totals only (Runtime.Run)
-// and r keeps price. Until then every execution is the self-check: it
-// profiles and prices the run (Runtime.Execute), and a measurement whose
-// profile equals the cell's bucket for bucket and whose makespan and
-// device times reproduce price bit for bit checks the cell. One that does
-// not is answered as measured and counted in MakespanMismatches, and the
-// cell stays unchecked, so its next execution measures again.
-func (e *Engine) run(ctx context.Context, pe *programEntry, fe *cell, sizeIdx, class int, price *classPrice, r *ran) error {
+// the cell's template, under class's partitioning, and checks the
+// outputs; r.makespan holds the class's entry in the cell's label. Once
+// the cell is checked, the kernel runs with count totals only
+// (Runtime.Run) and r keeps that makespan. Until then every execution is
+// the self-check: it profiles and prices the run (Runtime.Execute), and a
+// measurement whose profile equals the cell's bucket for bucket, whose
+// makespan is the label's and whose device times are those Price gives on
+// the cell's profile, all bit for bit, checks the cell. One that does not
+// is answered as measured and counted in MakespanMismatches, and the cell
+// stays unchecked, so its next execution measures again.
+func (e *Engine) run(ctx context.Context, pe *programEntry, fe *cell, sizeIdx, class int, r *ran) error {
 	budget, cancel := e.budgetFor(ctx)
 	defer cancel()
 	if err := budget.ChargeMem(fe.bytes); err != nil {
@@ -1025,9 +989,15 @@ func (e *Engine) run(ctx context.Context, pe *programEntry, fe *cell, sizeIdx, c
 		if err != nil {
 			return err
 		}
+		_, priced, err := e.fw.Runtime.Price(fe.launch, fe.prof, part)
+		if err != nil {
+			return err
+		}
 		r.prof = res.Profile
 		deviceTimes := deviceTotals(res.Breakdowns)
-		if price.matches(res.Makespan, deviceTimes) && slices.Equal(res.Profile.Buckets, fe.prof.Buckets) {
+		same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+		if same(res.Makespan, r.makespan) && slices.EqualFunc(deviceTimes, deviceTotals(priced), same) &&
+			slices.Equal(res.Profile.Buckets, fe.prof.Buckets) {
 			fe.checked.Store(true)
 		} else {
 			e.stats.makespanMismatches.Add(1)
@@ -1039,27 +1009,20 @@ func (e *Engine) run(ctx context.Context, pe *programEntry, fe *cell, sizeIdx, c
 	return nil
 }
 
-// priceOf returns the cell's price-table entry for class on the engine's
-// platform, pricing the class on the cell's profile the first time one of
-// the platform's engines asks for it.
-func (e *Engine) priceOf(fe *cell, class int) (*classPrice, error) {
-	slot := &fe.prices[e.priceBase+class]
-	if p := slot.Load(); p != nil {
-		return p, nil
+// label returns the cell's oracle label on the engine's platform, pricing
+// every class on the cell's profile the first time one of the platform's
+// engines touches the cell.
+func (e *Engine) label(fe *cell) (*runtime.Label, error) {
+	slot := &fe.labels[e.platSlot]
+	if lb := slot.Load(); lb != nil {
+		return lb, nil
 	}
-	makespan, bds, err := e.fw.Runtime.Price(fe.launch, fe.prof, e.fw.ClassPartition(class))
+	lb, err := e.fw.Runtime.Label(fe.launch, fe.prof, e.space)
 	if err != nil {
 		return nil, err
 	}
-	slot.CompareAndSwap(nil, &classPrice{makespan: makespan, deviceTimes: deviceTotals(bds)})
+	slot.CompareAndSwap(nil, &lb)
 	return slot.Load(), nil
-}
-
-// matches reports whether a measured makespan and per-device times are
-// the price's, bit for bit.
-func (p *classPrice) matches(makespan float64, deviceTimes []float64) bool {
-	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	return same(makespan, p.makespan) && slices.EqualFunc(deviceTimes, p.deviceTimes, same)
 }
 
 // deviceTotals lists each device's busy time.

@@ -1,8 +1,8 @@
 // Observation recording, per cell rather than per request. A cell's
 // oracle label is a pure function of its cached profile, so each (cell,
-// platform) is labeled once, at its first execution on the platform: the
-// execution queues the cell, and the background flusher prices the full
-// candidate space on the profile and appends the label. Every execution
+// platform) is recorded once, at its first execution on the platform: the
+// execution queues the cell, and the background flusher appends the
+// cell's label, the row /predict and /execute answer from. Every execution
 // only bumps an atomic counter keyed by (cell, class served, model
 // version, left-out model, verified); the flusher writes one aggregate
 // count record per key touched since its last flush, every
@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/obs"
+	"repro/internal/runtime"
 )
 
 // obsFlushInterval is how often the background flusher writes the
@@ -38,11 +39,13 @@ type countSlot struct {
 	flushed uint64
 }
 
-// labelJob is a cell waiting for its label on the engine's platform: the
-// cell and the execution that claimed it.
+// labelJob is a cell waiting for its label record on the engine's
+// platform: the cell, the execution that claimed it, and the device times
+// that execution measured when they were not the label's (nil otherwise).
 type labelJob struct {
 	pe          *programEntry
 	fe          *cell
+	lb          *runtime.Label
 	ex          Execution
 	deviceTimes []float64
 }
@@ -127,7 +130,7 @@ func (e *Engine) record(pe *programEntry, fe *cell, ex *Execution, deviceTimes [
 	}
 	if fe.labeled[e.platSlot].CompareAndSwap(false, true) {
 		r.labelMu.Lock()
-		r.labels = append(r.labels, labelJob{pe: pe, fe: fe, ex: *ex, deviceTimes: deviceTimes})
+		r.labels = append(r.labels, labelJob{pe: pe, fe: fe, lb: fe.labels[e.platSlot].Load(), ex: *ex, deviceTimes: deviceTimes})
 		r.labelMu.Unlock()
 		r.nudge()
 	}
@@ -193,20 +196,17 @@ func (e *Engine) flushOnce() {
 	e.stats.observations.Add(sum)
 }
 
-// appendLabel prices the full candidate space on the cell's profile —
-// O(classes) constant-time range queries, no kernel run — and appends the
-// cell's label: the measured-best class, exactly the oracle label the
-// offline sweep produces, with the claiming execution's answer.
+// appendLabel appends the cell's label on the engine's platform — exactly
+// the oracle label the offline sweep produces — with the claiming
+// execution's answer. Its device times, unless that execution measured
+// them, are priced here, off the request path.
 func (e *Engine) appendLabel(j *labelJob) error {
-	times := make([]float64, len(e.space))
-	if _, err := e.fw.Runtime.PriceAll(j.fe.launch, j.fe.prof, e.space, times); err != nil {
-		return err
-	}
-	best := 0
-	for c, tm := range times {
-		if tm < times[best] {
-			best = c
+	if j.deviceTimes == nil {
+		_, bds, err := e.fw.Runtime.Price(j.fe.launch, j.fe.prof, e.fw.ClassPartition(j.ex.Class))
+		if err != nil {
+			return err
 		}
+		j.deviceTimes = deviceTotals(bds)
 	}
 	o := obs.Observation{
 		Time:         time.Now().UnixNano(),
@@ -225,16 +225,12 @@ func (e *Engine) appendLabel(j *labelJob) error {
 		Verified:     j.ex.Verified,
 
 		Labeled:       true,
-		BestClass:     best,
-		BestPartition: e.spaceStrs[best],
-		OracleTime:    times[best],
-		Times:         times,
-	}
-	if e.cpuClass >= 0 {
-		o.CPUOnlyTime = times[e.cpuClass]
-	}
-	if e.gpuClass >= 0 {
-		o.GPUOnlyTime = times[e.gpuClass]
+		BestClass:     j.lb.Best,
+		BestPartition: e.spaceStrs[j.lb.Best],
+		OracleTime:    j.lb.Times[j.lb.Best],
+		CPUOnlyTime:   j.lb.Times[j.lb.CPUOnly],
+		GPUOnlyTime:   j.lb.Times[j.lb.GPUOnly],
+		Times:         j.lb.Times,
 	}
 	if err := e.beforeAppend(); err != nil {
 		return err

@@ -64,13 +64,13 @@ func mustCellCache(t testing.TB, platforms ...string) *CellCache {
 // TestPriceTableMatchesExecute: for every built-in at sizes 0-1, an mc1
 // and an mc2 engine share one cell cache and run concurrently. On each,
 // two executions — among the four, the cell's profiling run, the
-// self-check that measures and runs priced from the table — answer the
+// self-check that measures and runs answered from the label — answer the
 // makespan /predict priced, which is bit for bit what Runtime.Execute
 // measures on the same launch and partitioning;
-// the cell's label carries Runtime.Execute's per-device times, and prices
-// the served class at what Runtime.Execute measures; the
+// the cell's label record carries Runtime.Execute's per-device times, and
+// prices the served class at what Runtime.Execute measures; the
 // vector-tier counters in Stats add up to what the measured runs count;
-// no execution disagrees with its platform's table; and each (program,
+// no execution disagrees with its platform's label; and each (program,
 // size) was profiled once between the two engines.
 func TestPriceTableMatchesExecute(t *testing.T) {
 	type program struct {
@@ -146,13 +146,14 @@ func TestPriceTableMatchesExecute(t *testing.T) {
 // TestMakespanMismatchAnsweredAsMeasured breaks the byte-identity premise
 // by hand on a cell shared by mc1 and mc2: one bucket of the cell's cached
 // profile is perturbed after /predict profiled it and before it first
-// executes, so the profile no longer holds what the kernel counts and the
-// price tables built on it no longer price it. The self-check must notice
-// on either platform, answer (and label with) what it measured, count the
-// mismatch and leave the cell unchecked, so that the next execution
-// measures again. Once the profile is restored and the tables priced on it
-// again, one matching execution on the other platform checks the cell, and
-// the first platform's next execution answers from its own table.
+// executes, and the label /predict priced is dropped, so the profile no
+// longer holds what the kernel counts and the labels priced on it no
+// longer price it. The self-check must notice on either platform, answer
+// (and record) what it measured, count the mismatch and leave the cell
+// unchecked, so that the next execution measures again. Once the profile
+// is restored and the labels priced on it again, one matching execution on
+// the other platform checks the cell, and the first platform's next
+// execution answers from its own label.
 func TestMakespanMismatchAnsweredAsMeasured(t *testing.T) {
 	for _, order := range [][2]string{{"mc1", "mc2"}, {"mc2", "mc1"}} {
 		t.Run("mismatch on "+order[0], func(t *testing.T) {
@@ -188,6 +189,7 @@ func TestMakespanMismatchAnsweredAsMeasured(t *testing.T) {
 			bent.Buckets[0].IntOps += 1e9
 			bent.Precompute()
 			fe.prof = bent
+			fe.labels[bad.platSlot].Store(nil)
 
 			res := measure(t, bad, req.Program, req.SizeIdx, pred.Class)
 			if math.Float64bits(res.Makespan) != math.Float64bits(pred.PredictedTime) {
@@ -195,16 +197,13 @@ func TestMakespanMismatchAnsweredAsMeasured(t *testing.T) {
 			}
 			for i := uint64(1); i <= 2; i++ {
 				x := mustExecute(t, bad, req)
-				price, err := bad.priceOf(fe, x.Class)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if price.makespan == res.Makespan {
+				row := fe.labels[bad.platSlot].Load().Times[x.Class]
+				if row == res.Makespan {
 					t.Fatal("the perturbed bucket did not move the price")
 				}
-				if x.Makespan != res.Makespan || x.PredictedTime != price.makespan {
-					t.Fatalf("execution %d: makespan %v, predicted %v; want the measured %v and the table's %v",
-						i, x.Makespan, x.PredictedTime, res.Makespan, price.makespan)
+				if x.Makespan != res.Makespan || x.PredictedTime != row {
+					t.Fatalf("execution %d: makespan %v, predicted %v; want the measured %v and the label's %v",
+						i, x.Makespan, x.PredictedTime, res.Makespan, row)
 				}
 				if st := bad.Stats(); st.MakespanMismatches != i || fe.checked.Load() {
 					t.Fatalf("execution %d: %d mismatches, checked %v; want %d and false", i, st.MakespanMismatches, fe.checked.Load(), i)
@@ -222,10 +221,10 @@ func TestMakespanMismatchAnsweredAsMeasured(t *testing.T) {
 					order[1], x.Makespan, good.Stats().MakespanMismatches, fe.checked.Load(), want)
 			}
 
-			good.FlushObservations() // its flusher prices the label on the profile
+			good.FlushObservations() // its label record, priced on the perturbed profile
 			fe.prof = intact
-			for i := range fe.prices {
-				fe.prices[i].Store(nil)
+			for i := range fe.labels {
+				fe.labels[i].Store(nil)
 			}
 			for i := 0; i < 2; i++ {
 				x := mustExecute(t, good, req)
@@ -322,11 +321,12 @@ func TestServedRunReproducesProfile(t *testing.T) {
 }
 
 // TestProfileMismatchAloneIsCaught: the self-check compares profiles, not
-// only prices. Two unequal buckets of a cell's cached profile are swapped,
-// which leaves every total — and so the CPU-only price, which prices the
-// whole range on one device — as it was. A CPU-only execution then
-// reproduces that price bit for bit but not the profile: it is counted as
-// a mismatch and leaves the cell unchecked.
+// only prices. Two unequal buckets of a cell's cached profile are swapped
+// and the cell's label priced again on it, which leaves every total — and
+// so the CPU-only price, which prices the whole range on one device — as
+// it was. A CPU-only execution then reproduces that price bit for bit but
+// not the profile: it is counted as a mismatch and leaves the cell
+// unchecked.
 func TestProfileMismatchAloneIsCaught(t *testing.T) {
 	eng, err := New(fastOpts(t))
 	if err != nil {
@@ -359,17 +359,17 @@ func TestProfileMismatchAloneIsCaught(t *testing.T) {
 	swapped.Buckets[i], swapped.Buckets[last] = swapped.Buckets[last], swapped.Buckets[i]
 	swapped.Precompute()
 	fe.prof = swapped
+	fe.labels[eng.platSlot].Store(nil)
 
-	price, err := eng.priceOf(fe, eng.cpuClass)
+	lb, err := eng.label(fe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Float64bits(price.makespan) != math.Float64bits(want) {
-		t.Fatalf("the swap moved the CPU-only price: %v, intact %v", price.makespan, want)
+	if math.Float64bits(lb.Times[lb.CPUOnly]) != math.Float64bits(want) {
+		t.Fatalf("the swap moved the CPU-only price: %v, intact %v", lb.Times[lb.CPUOnly], want)
 	}
-	var r ran
-	r.makespan, r.deviceTimes = price.makespan, price.deviceTimes
-	if err := eng.run(context.Background(), pe, fe, req.SizeIdx, eng.cpuClass, price, &r); err != nil {
+	r := ran{makespan: lb.Times[lb.CPUOnly]}
+	if err := eng.run(context.Background(), pe, fe, req.SizeIdx, lb.CPUOnly, &r); err != nil {
 		t.Fatal(err)
 	}
 	if math.Float64bits(r.makespan) != math.Float64bits(want) || r.verifyErr != nil {
@@ -377,5 +377,52 @@ func TestProfileMismatchAloneIsCaught(t *testing.T) {
 	}
 	if st := eng.Stats(); st.MakespanMismatches != 1 || fe.checked.Load() {
 		t.Fatalf("%d mismatches, checked %v; want 1 and false", st.MakespanMismatches, fe.checked.Load())
+	}
+}
+
+// TestServedLabelIsTheSweepRecord: serving traffic and the offline sweep
+// feed one training pipeline, so the label a serving process records for a
+// cell must be the sweep's record of that cell. For every built-in at
+// sizes 0-1, an mc1 and an mc2 engine sharing one cell cache and one
+// observation log each execute the cell once; every label record in the
+// log equals harness.Generate's record of the same (platform, program,
+// size) bit for bit: candidate times, oracle class, partition and time,
+// default strategies' times and features.
+func TestServedLabelIsTheSweepRecord(t *testing.T) {
+	db, err := harness.Generate(harness.GenOptions{MaxSizeIdx: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := mustCellCache(t, "mc1", "mc2")
+	log := openLog(t, t.TempDir())
+	for _, platform := range []string{"mc1", "mc2"} {
+		eng, err := New(Options{Platform: platform, DB: testDB(t), Model: harness.FastModel(), SharedCells: cells, ObsLog: log})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bp := range bench.All() {
+			for sz := 0; sz <= 1 && sz < len(bp.Sizes); sz++ {
+				mustExecute(t, eng, Request{Program: bp.Name, SizeIdx: sz})
+			}
+		}
+		eng.Close()
+	}
+	labels, err := log.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(labels) != len(db.Records) {
+		t.Fatalf("%d label records, the sweep has %d records", len(labels), len(db.Records))
+	}
+	for _, o := range labels {
+		rec := db.Find(o.Platform, o.Program, o.SizeIdx)
+		if rec == nil {
+			t.Fatalf("%s %s size %d: no sweep record", o.Platform, o.Program, o.SizeIdx)
+		}
+		if !sameBits(o.Times, rec.Times) || o.BestClass != rec.BestClass || o.BestPartition != rec.BestPartition ||
+			!sameBits([]float64{o.OracleTime, o.CPUOnlyTime, o.GPUOnlyTime}, []float64{rec.OracleTime, rec.CPUOnlyTime, rec.GPUOnlyTime}) ||
+			!slices.Equal(o.FeatureNames, rec.FeatureNames) || !sameBits(o.Features, rec.Features) {
+			t.Fatalf("%s %s size %d: served label %+v\nsweep record %+v", o.Platform, o.Program, o.SizeIdx, o, *rec)
+		}
 	}
 }

@@ -11,9 +11,12 @@
 //     chunk is derived from one profiling run — the exhaustive
 //     partitioning search of the training phase never re-executes kernels.
 //
-// Kernels are compiled to typed closures (one func per IR node) rather
-// than walked, which keeps per-operation overhead low enough to profile
-// millions of work items in tests.
+// Kernels are lowered to register bytecode (package vm) rather than
+// walked: a kernel whose control flow the vectorizer admits runs a whole
+// work group per dispatch on the vector tier, any other on the scalar VM
+// (Compile). The closure tree (one typed func per IR node) serves
+// nothing; it is the reference interpreter the differential suites hold
+// both tiers to (tier.go).
 package exec
 
 import (

@@ -278,10 +278,10 @@ type groupRunner struct {
 }
 
 // maxIdleRunners caps a kernel's idle list at the process's worker budget:
-// the device chunks of one request run on about that many runners between
-// them, so a request finds its runners parked by the last one, and a burst
-// of concurrent launches cannot leave more than that behind. Runners past
-// the cap go to the garbage collector.
+// one launch runs its work groups on about that many runners, so a launch
+// finds its runners parked by the last one, and a burst of concurrent
+// launches cannot leave more than that behind. Runners past the cap go to
+// the garbage collector.
 func maxIdleRunners() int { return sched.DefaultWorkers() }
 
 // runnerPool is a kernel's idle list: finished bytecode-tier runners

@@ -308,27 +308,17 @@ func Generate(opts GenOptions) (*DB, error) {
 					SizeN:        p.Sizes[sz].N,
 					FeatureNames: fv.Names,
 					Features:     fv.Values,
-					Times:        make([]float64, len(space)),
 				}
-				// One scratch-reusing pass prices the whole space; the
-				// tie-break (strict less, earlier candidate wins) matches
-				// the per-candidate loop it replaces.
-				if _, err := rt.PriceAll(l, prof, space, rec.Times); err != nil {
+				lb, err := rt.Label(l, prof, space)
+				if err != nil {
 					return nil, err
 				}
-				best, bestTime := 0, rec.Times[0]
-				for ci, tm := range rec.Times {
-					if tm < bestTime {
-						best, bestTime = ci, tm
-					}
-				}
-				rec.BestClass = best
-				rec.BestPartition = db.Space[best]
-				rec.OracleTime = bestTime
-				cpuClass := classOf(space, rt.CPUOnly())
-				gpuClass := classOf(space, rt.GPUOnly())
-				rec.CPUOnlyTime = rec.Times[cpuClass]
-				rec.GPUOnlyTime = rec.Times[gpuClass]
+				rec.Times = lb.Times
+				rec.BestClass = lb.Best
+				rec.BestPartition = db.Space[lb.Best]
+				rec.OracleTime = lb.Times[lb.Best]
+				rec.CPUOnlyTime = lb.Times[lb.CPUOnly]
+				rec.GPUOnlyTime = lb.Times[lb.GPUOnly]
 				recs = append(recs, rec)
 			}
 			return recs, nil
@@ -340,23 +330,6 @@ func Generate(opts GenOptions) (*DB, error) {
 		db.Records = append(db.Records, recs...)
 	}
 	return db, nil
-}
-
-// classOf finds the class index of a partition in the space.
-func classOf(space []partition.Partition, p partition.Partition) int {
-	for i, q := range space {
-		same := true
-		for d := range q.Shares {
-			if q.Shares[d] != p.Shares[d] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return i
-		}
-	}
-	return -1
 }
 
 // Save writes the database as JSON.

@@ -31,8 +31,8 @@ func TwoStageModel() ml.NewModel {
 			return ml.StageMixed
 		}
 	}
-	cpuClass := classOf(space, partition.Single(3, device.CPUIndex))
-	gpuClass := classOf(space, partition.Single(3, 1))
+	// Both platforms put the CPU at device 0 and their first GPU at 1.
+	cpuClass, gpuClass := runtime.New(device.MC1()).ReferenceClasses(space)
 	return func() ml.Classifier {
 		return ml.NewTwoStage(kindOf, cpuClass, gpuClass,
 			func() ml.Classifier { return ml.NewMLP(16, 42) },
@@ -88,15 +88,7 @@ func DynamicComparison(platformName string, programs []string, chunks int) ([]Dy
 			if err != nil {
 				return DynamicRow{}, err
 			}
-			_, oracle, err := rt.Best(l, prof)
-			if err != nil {
-				return DynamicRow{}, err
-			}
-			cpu, _, err := rt.Price(l, prof, rt.CPUOnly())
-			if err != nil {
-				return DynamicRow{}, err
-			}
-			gpu, _, err := rt.Price(l, prof, rt.GPUOnly())
+			lb, err := rt.Label(l, prof, partition.SharedSpace(plat.NumDevices(), partition.DefaultSteps))
 			if err != nil {
 				return DynamicRow{}, err
 			}
@@ -104,9 +96,9 @@ func DynamicComparison(platformName string, programs []string, chunks int) ([]Dy
 				Program:   name,
 				Platform:  platformName,
 				Dynamic:   dyn.Makespan,
-				Oracle:    oracle,
-				CPUOnly:   cpu,
-				GPUOnly:   gpu,
+				Oracle:    lb.Times[lb.Best],
+				CPUOnly:   lb.Times[lb.CPUOnly],
+				GPUOnly:   lb.Times[lb.GPUOnly],
 				DynChunks: dyn.Chunks,
 			}, nil
 		})

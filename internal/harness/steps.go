@@ -74,7 +74,7 @@ func StepAblation(platformName string, programs []string, stepsList []int) ([]St
 				// Every program prices the same grids; share the memoized
 				// enumerations instead of re-generating them per cell.
 				space := partition.SharedSpace(plat.NumDevices(), steps)
-				_, best, err := rt.BestIn(l, prof, space)
+				lb, err := rt.Label(l, prof, space)
 				if err != nil {
 					return nil, err
 				}
@@ -83,7 +83,7 @@ func StepAblation(platformName string, programs []string, stepsList []int) ([]St
 					Platform:   platformName,
 					Steps:      steps,
 					SpaceSize:  len(space),
-					OracleTime: best,
+					OracleTime: lb.Times[lb.Best],
 				})
 			}
 			return out, nil

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/exec"
+	"repro/internal/partition"
 )
 
 func TestDynamicScheduleBasics(t *testing.T) {
@@ -62,10 +63,11 @@ func TestDynamicVsOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, oracle, err := rt.Best(l, prof)
+	lb, err := rt.Label(l, prof, partition.SharedSpace(3, partition.DefaultSteps))
 	if err != nil {
 		t.Fatal(err)
 	}
+	oracle := lb.Times[lb.Best]
 	if dyn.Makespan < oracle*0.99 {
 		t.Errorf("dynamic %g beats static oracle %g: per-chunk costs unaccounted", dyn.Makespan, oracle)
 	}

@@ -26,7 +26,8 @@ func heavyLaunch(t *testing.T, n int) (Launch, *exec.Buffer) {
 
 // TestBestParallelMatchesSequential is the golden determinism check for
 // the oracle search: the parallel search must return the bit-identical
-// partition and makespan the sequential loop returns.
+// label — times, best class, reference classes — the sequential loop
+// returns.
 func TestBestParallelMatchesSequential(t *testing.T) {
 	for _, plat := range []*device.Platform{device.MC1(), device.MC2()} {
 		l, _ := vecaddLaunch(t, 4096)
@@ -36,20 +37,20 @@ func TestBestParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantPart, wantTime, err := seq.Best(l, prof)
+		space := partition.SharedSpace(plat.NumDevices(), partition.DefaultSteps)
+		want, err := seq.Label(l, prof, space)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 8} {
 			par := New(plat)
 			par.Workers = workers
-			gotPart, gotTime, err := par.Best(l, prof)
+			got, err := par.Label(l, prof, space)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(gotPart, wantPart) || gotTime != wantTime {
-				t.Fatalf("%s workers=%d: Best = (%v, %v), sequential = (%v, %v)",
-					plat.Name, workers, gotPart, gotTime, wantPart, wantTime)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s workers=%d: Label = %+v, sequential = %+v", plat.Name, workers, got, want)
 			}
 		}
 	}
@@ -65,18 +66,18 @@ func TestBestInFinerGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	space := partition.Space(3, 20)
-	wantPart, wantTime, err := seq.BestIn(l, prof, space)
+	want, err := seq.Label(l, prof, space)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := New(device.MC2())
 	par.Workers = 8
-	gotPart, gotTime, err := par.BestIn(l, prof, space)
+	got, err := par.Label(l, prof, space)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gotPart, wantPart) || gotTime != wantTime {
-		t.Fatalf("BestIn parallel (%v, %v) != sequential (%v, %v)", gotPart, gotTime, wantPart, wantTime)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Label parallel %+v != sequential %+v", got, want)
 	}
 }
 

@@ -5,7 +5,7 @@
 // on the platform's device models, including all host-device transfers.
 // Under the byte-identity contract each device's dim-0 chunk computes and
 // counts exactly what that chunk of one launch does, so the per-device
-// split lives only in pricing (backend.Plan.DeviceWorksInto).
+// split lives only in pricing (backend.Plan.DeviceWorks).
 //
 // Execute is the measuring run: it profiles the launch at exec.DefaultBuckets
 // resolution and prices that profile. Run executes the same launch and
@@ -15,13 +15,16 @@
 // profile against one Execute.
 //
 // It also implements the two default strategies the paper compares
-// against — CPU-only and (single-)GPU-only — and the oracle search over
-// the full 10%-step partition space used to label training data.
+// against — CPU-only and (single-)GPU-only — and the oracle label: every
+// candidate of a partition space priced on one profile, its fastest
+// candidate and the two default strategies' classes (Label), which the
+// training sweep, the serving engine and the framework all read.
 package runtime
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/backend"
@@ -80,16 +83,15 @@ type Result struct {
 type Runtime struct {
 	Platform *device.Platform
 	Opts     sim.Options
-	// Workers bounds the host parallelism of the oracle search (Best) and
-	// the host workers of each launch (Profile, Execute, Run). 0 uses the
-	// scheduler's process-wide default (GOMAXPROCS unless overridden by
-	// -parallel); 1 forces the sequential path. Results are identical for
-	// every setting.
+	// Workers bounds the host parallelism of the oracle search (Label,
+	// PriceAll) and the host workers of each launch (Profile, Execute,
+	// Run). 0 uses the scheduler's process-wide default (GOMAXPROCS unless
+	// overridden by -parallel); 1 forces the sequential path. Results are
+	// identical for every setting.
 	Workers int
 
 	// priceBufs recycles single-candidate pricing scratch sets for
-	// PriceMakespan — the serving engine's per-request path, which must
-	// not allocate when warm.
+	// PriceMakespan, so that a warm call does not allocate.
 	priceBufs sync.Pool
 }
 
@@ -105,12 +107,13 @@ type priceScratch struct {
 }
 
 // priceInto prices one partitioning of a launch whose arguments have the
-// given byte sizes, using the scratch buffers. It computes exactly what
-// price computes, without allocating.
+// given byte sizes into the scratch buffers, which keep the per-device
+// breakdowns; a warm scratch allocates nothing. Every pricing path runs
+// through it.
 func (r *Runtime) priceInto(sc *priceScratch, l Launch, argBytes []int64, prof *exec.Profile,
 	part partition.Partition, align int) (float64, error) {
-	sc.works, sc.chunks = l.Plan.DeviceWorksInto(sc.works, sc.chunks, prof, argBytes, part, align, l.iterations())
-	t, bds, err := sim.MakespanInto(sc.bds, r.Platform, sc.works, r.Opts)
+	sc.works, sc.chunks = l.Plan.DeviceWorks(sc.works, sc.chunks, prof, argBytes, part, align, l.iterations())
+	t, bds, err := sim.Makespan(sc.bds, r.Platform, sc.works, r.Opts)
 	sc.bds = bds
 	return t, err
 }
@@ -204,13 +207,17 @@ func (r *Runtime) Price(l Launch, prof *exec.Profile, part partition.Partition) 
 	if err != nil {
 		return 0, nil, err
 	}
-	works := l.Plan.DeviceWorks(prof, l.argBytes(nil), part, align, l.iterations())
-	return sim.Makespan(r.Platform, works, r.Opts)
+	var sc priceScratch
+	t, err := r.priceInto(&sc, l, l.argBytes(nil), prof, part, align)
+	if err != nil {
+		return 0, nil, err
+	}
+	return t, sc.bds, nil
 }
 
 // PriceMakespan is Price without the per-device breakdowns: it computes
-// the same makespan through a pooled scratch set, so a warm call — the
-// serving engine's per-prediction path — performs zero heap allocations.
+// the same makespan through a pooled scratch set, so a warm call performs
+// zero heap allocations. The benchmark's pricing micro times it.
 func (r *Runtime) PriceMakespan(l Launch, prof *exec.Profile, part partition.Partition) (float64, error) {
 	if err := r.checkPartition(part); err != nil {
 		return 0, err
@@ -232,34 +239,50 @@ func (r *Runtime) PriceMakespan(l Launch, prof *exec.Profile, part partition.Par
 	return t, err
 }
 
-// Best exhaustively searches the 10%-step partition space for the
-// minimum-makespan partitioning (the oracle used to label training data).
-// Ties break toward the earlier partition in enumeration order, which is
-// deterministic. The space enumeration is memoized process-wide per
-// (devices, steps), so repeated searches share one canonical slice.
-func (r *Runtime) Best(l Launch, prof *exec.Profile) (partition.Partition, float64, error) {
-	return r.BestIn(l, prof, partition.SharedSpace(r.Platform.NumDevices(), partition.DefaultSteps))
+// Label is a profile's oracle label over a partition space: what the
+// paper's training phase records for one (program, size) on one platform.
+type Label struct {
+	// Times is every candidate's makespan, in the space's order.
+	Times []float64
+	// Best is the fastest candidate; ties go to the earlier one.
+	Best int
+	// CPUOnly and GPUOnly are the classes of the two default strategies,
+	// -1 for one the space lacks.
+	CPUOnly, GPUOnly int
 }
 
-// BestIn prices every candidate partitioning in parallel (pricing is
-// read-only over the profile, so the search is embarrassingly parallel)
-// and returns the minimum-makespan one. Each worker prices a contiguous
-// shard of the space with its own scratch buffers, so the steady-state
-// search performs zero allocations per candidate. The reduction runs over
-// the priced times in enumeration order, so ties break toward the earlier
-// candidate exactly like the sequential loop.
-func (r *Runtime) BestIn(l Launch, prof *exec.Profile, space []partition.Partition) (partition.Partition, float64, error) {
-	times, err := r.priceSpace(l, prof, space, make([]float64, len(space)))
+// Label prices every candidate of space on prof (PriceAll) and labels the
+// profile with the fastest candidate and the default strategies' classes.
+// It is the one place a times vector is reduced to its oracle.
+func (r *Runtime) Label(l Launch, prof *exec.Profile, space []partition.Partition) (Label, error) {
+	times, err := r.PriceAll(l, prof, space, nil)
 	if err != nil {
-		return partition.Partition{}, 0, err
+		return Label{}, err
 	}
-	best := 0
+	lb := Label{Times: times}
 	for i, t := range times {
-		if t < times[best] {
-			best = i
+		if t < times[lb.Best] {
+			lb.Best = i
 		}
 	}
-	return space[best], times[best], nil
+	lb.CPUOnly, lb.GPUOnly = r.ReferenceClasses(space)
+	return lb, nil
+}
+
+// ReferenceClasses returns the classes of the CPU-only and GPU-only
+// strategies in space, -1 for one the space lacks.
+func (r *Runtime) ReferenceClasses(space []partition.Partition) (cpu, gpu int) {
+	cpuOnly, gpuOnly := r.CPUOnly(), r.GPUOnly()
+	cpu, gpu = -1, -1
+	for i, p := range space {
+		if cpu < 0 && slices.Equal(p.Shares, cpuOnly.Shares) {
+			cpu = i
+		}
+		if gpu < 0 && slices.Equal(p.Shares, gpuOnly.Shares) {
+			gpu = i
+		}
+	}
+	return cpu, gpu
 }
 
 // PriceAll prices every candidate in the space from one profile and

@@ -111,10 +111,11 @@ func TestBestBeatsOrEqualsDefaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, bestTime, err := rt.Best(l, prof)
+		lb, err := rt.Label(l, prof, partition.SharedSpace(plat.NumDevices(), partition.DefaultSteps))
 		if err != nil {
 			t.Fatal(err)
 		}
+		bestTime := lb.Times[lb.Best]
 		for _, def := range []partition.Partition{rt.CPUOnly(), rt.GPUOnly()} {
 			dt, _, err := rt.Price(l, prof, def)
 			if err != nil {
@@ -154,10 +155,12 @@ func TestSizeSensitivity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		best, _, err := rt.Best(l, prof)
+		space := partition.SharedSpace(3, partition.DefaultSteps)
+		lb, err := rt.Label(l, prof, space)
 		if err != nil {
 			t.Fatal(err)
 		}
+		best := space[lb.Best]
 		return float64(best.Shares[1]+best.Shares[2]) / float64(best.Steps())
 	}
 	small := gpuShare(256)

@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/backend"
@@ -61,8 +63,47 @@ func TestPriceAllReusesDst(t *testing.T) {
 	}
 }
 
-// TestPriceMakespanMatchesPriceAndAllocsNothing checks the serving
-// engine's single-candidate pricing path: same makespan as Price, zero
+// TestLabel checks what a label holds: the times PriceAll gives, the
+// first of the fastest candidates, and the default strategies' classes,
+// -1 for one the space lacks.
+func TestLabel(t *testing.T) {
+	l, _ := vecaddLaunch(t, 4096)
+	for _, plat := range []*device.Platform{device.MC1(), device.MC2()} {
+		rt := New(plat)
+		prof, err := rt.Profile(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		space := partition.SharedSpace(plat.NumDevices(), partition.DefaultSteps)
+		lb, err := rt.Label(l, prof, space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		times, err := rt.PriceAll(l, prof, space, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(lb.Times, times) || slices.Index(times, slices.Min(times)) != lb.Best {
+			t.Fatalf("%s: label times %v, best %d; PriceAll %v", plat.Name, lb.Times, lb.Best, times)
+		}
+		if !slices.Equal(space[lb.CPUOnly].Shares, rt.CPUOnly().Shares) || !slices.Equal(space[lb.GPUOnly].Shares, rt.GPUOnly().Shares) {
+			t.Fatalf("%s: reference classes %d (%s) and %d (%s)", plat.Name, lb.CPUOnly, space[lb.CPUOnly], lb.GPUOnly, space[lb.GPUOnly])
+		}
+
+		// The second candidate ties the first, so it is never the best.
+		even := partition.Partition{Shares: []int{4, 3, 3}}
+		tied, err := rt.Label(l, prof, []partition.Partition{even, even, rt.GPUOnly()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tied.Best == 1 || tied.CPUOnly != -1 || tied.GPUOnly != 2 {
+			t.Fatalf("%s: label over (even, even, GPU-only) %+v; want best 0 or 2, CPU-only -1, GPU-only 2", plat.Name, tied)
+		}
+	}
+}
+
+// TestPriceMakespanMatchesPriceAndAllocsNothing checks the pooled
+// single-candidate pricing path: same makespan as Price, zero
 // heap allocations once the scratch pool is warm, whether the launch
 // carries its buffers or only their sizes (ArgBytes).
 func TestPriceMakespanMatchesPriceAndAllocsNothing(t *testing.T) {
@@ -123,7 +164,7 @@ func TestBestInAllocationFree(t *testing.T) {
 	prof.Precompute()
 	measure := func(space []partition.Partition) float64 {
 		return testing.AllocsPerRun(20, func() {
-			if _, _, err := rt.BestIn(l, prof, space); err != nil {
+			if _, err := rt.Label(l, prof, space); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -141,8 +182,8 @@ func TestBestInAllocationFree(t *testing.T) {
 	}
 }
 
-// TestSharedSpaceBestMatchesExplicit checks Best (memoized shared space)
-// against BestIn over a freshly enumerated space.
+// TestSharedSpaceBestMatchesExplicit checks the label over the memoized
+// shared space against the label over a freshly enumerated one.
 func TestSharedSpaceBestMatchesExplicit(t *testing.T) {
 	l, _ := vecaddLaunch(t, 4096)
 	rt := New(device.MC1())
@@ -150,15 +191,15 @@ func TestSharedSpaceBestMatchesExplicit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, t1, err := rt.Best(l, prof)
+	shared, err := rt.Label(l, prof, partition.SharedSpace(3, partition.DefaultSteps))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, t2, err := rt.BestIn(l, prof, partition.Space(3, partition.DefaultSteps))
+	fresh, err := rt.Label(l, prof, partition.Space(3, partition.DefaultSteps))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p1.String() != p2.String() || t1 != t2 {
-		t.Fatalf("Best over shared space (%s, %v) != fresh space (%s, %v)", p1, t1, p2, t2)
+	if !reflect.DeepEqual(shared, fresh) {
+		t.Fatalf("label over the shared space %+v != over a fresh space %+v", shared, fresh)
 	}
 }

@@ -193,15 +193,10 @@ func DeviceTime(d *device.Profile, w Work, opts Options) Breakdown {
 // all devices run concurrently, so the makespan is the maximum of the
 // per-device totals. works must be indexed like plat.Devices; devices with
 // zero items contribute nothing. Shared-link platforms divide transfer
-// bandwidth among the discrete devices that actually move data.
-func Makespan(plat *device.Platform, works []Work, opts Options) (float64, []Breakdown, error) {
-	return MakespanInto(nil, plat, works, opts)
-}
-
-// MakespanInto is Makespan with caller-supplied breakdown storage: dst is
-// reused when its capacity suffices, so the oracle search prices candidates
-// without allocating. The computed times are identical to Makespan's.
-func MakespanInto(dst []Breakdown, plat *device.Platform, works []Work, opts Options) (float64, []Breakdown, error) {
+// bandwidth among the discrete devices that actually move data. The
+// breakdowns go into dst, reused when its capacity suffices (nil for a
+// fresh one), so the oracle search prices candidates without allocating.
+func Makespan(dst []Breakdown, plat *device.Platform, works []Work, opts Options) (float64, []Breakdown, error) {
 	if len(works) != len(plat.Devices) {
 		return 0, nil, fmt.Errorf("sim: %d works for %d devices", len(works), len(plat.Devices))
 	}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/device"
@@ -196,7 +195,7 @@ func TestMixNormalize(t *testing.T) {
 func TestMakespanIsMax(t *testing.T) {
 	plat := device.MC2()
 	works := []Work{computeWork(1e6, 100), computeWork(1e5, 100), {}}
-	ms, bds, err := Makespan(plat, works, Options{IgnoreTransfers: true})
+	ms, bds, err := Makespan(nil, plat, works, Options{IgnoreTransfers: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +217,11 @@ func TestMakespanLinkSharing(t *testing.T) {
 	plat := device.MC2()
 	one := []Work{{}, streamWork(2e6), {}}
 	two := []Work{{}, streamWork(2e6), streamWork(2e6)}
-	_, bd1, err := Makespan(plat, one, Options{})
+	_, bd1, err := Makespan(nil, plat, one, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, bd2, err := Makespan(plat, two, Options{})
+	_, bd2, err := Makespan(nil, plat, two, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +232,7 @@ func TestMakespanLinkSharing(t *testing.T) {
 }
 
 func TestMakespanArityError(t *testing.T) {
-	if _, _, err := Makespan(device.MC2(), []Work{{}}, Options{}); err == nil {
+	if _, _, err := Makespan(nil, device.MC2(), []Work{{}}, Options{}); err == nil {
 		t.Error("want works/devices arity error")
 	}
 }
@@ -266,42 +265,5 @@ func TestLaunchesScaleOverheadNotTransfer(t *testing.T) {
 	// latency grows.
 	if bd10.Transfer >= 10*bd1.Transfer {
 		t.Error("transfers should not scale linearly with launches")
-	}
-}
-
-// TestMakespanIntoMatchesMakespan checks the scratch-reusing pricing path
-// against the allocating one, including breakdown contents and stale-state
-// clearing across reuses.
-func TestMakespanIntoMatchesMakespan(t *testing.T) {
-	plat := device.MC2()
-	mkWorks := func(seed int64) []Work {
-		works := make([]Work, len(plat.Devices))
-		for i := range works {
-			works[i] = Work{
-				Counts: exec.Counts{
-					Items: int64(1000 * (i + 1)), IntOps: 5000, FloatOps: 20000 + seed,
-					GlobalLoads: 30000, GlobalStores: 10000, Branches: 2000, MaxItemOps: 60,
-				},
-				Mix:        AccessMix{Coalesced: 1},
-				TransferIn: 1 << 20, TransferOut: 1 << 18, Launches: 1,
-			}
-		}
-		return works
-	}
-	var scratch []Breakdown
-	for seed := int64(0); seed < 3; seed++ {
-		works := mkWorks(seed)
-		wantT, wantB, err := Makespan(plat, works, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotT, gotB, err := MakespanInto(scratch, plat, works, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		scratch = gotB
-		if gotT != wantT || !reflect.DeepEqual(gotB, wantB) {
-			t.Fatalf("seed %d: MakespanInto (%v, %+v) != Makespan (%v, %+v)", seed, gotT, gotB, wantT, wantB)
-		}
 	}
 }
