@@ -7,6 +7,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/inspire"
 	"repro/internal/partition"
+	"repro/internal/sim"
 )
 
 func planFor(t *testing.T, src, kernel string) *Plan {
@@ -182,7 +183,7 @@ func TestDeviceWorksPartition(t *testing.T) {
 		exec.IntArg(n),
 	}
 	part := partition.Partition{Shares: []int{5, 3, 2}}
-	works, chunks := pl.DeviceWorks(nil, nil, prof, ArgBytes(nil, args), part, 1, 1)
+	works, _ := pl.DeviceWorks(nil, nil, prof, ArgBytes(nil, args), part, 1, 1)
 	if len(works) != 3 {
 		t.Fatalf("got %d works", len(works))
 	}
@@ -199,25 +200,6 @@ func TestDeviceWorksPartition(t *testing.T) {
 	}
 	if works[0].TransferIn != 4000 {
 		t.Errorf("device 0 in = %d, want 4000", works[0].TransferIn)
-	}
-	// Storage handed back in is reused across candidates (the oracle
-	// search's pattern): on a profile whose buckets differ, each result is
-	// exactly what fresh storage gives, with no stale state left from the
-	// previous candidate, empty chunks included.
-	varied := &exec.Profile{Global0: n, Buckets: make([]exec.Counts, 10)}
-	for i := range varied.Buckets {
-		varied.Buckets[i] = exec.Counts{Items: 100, FloatOps: 100 + int64(i), GlobalLoads: 200, GlobalStores: 100, MaxItemOps: int64(4 + i%3)}
-	}
-	for _, part := range []partition.Partition{
-		{Shares: []int{5, 3, 2}},
-		{Shares: []int{0, 10, 0}},
-		{Shares: []int{7, 0, 3}},
-	} {
-		want, _ := pl.DeviceWorks(nil, nil, varied, ArgBytes(nil, args), part, 64, 3)
-		works, chunks = pl.DeviceWorks(works, chunks, varied, ArgBytes(nil, args), part, 64, 3)
-		if !reflect.DeepEqual(works, want) {
-			t.Fatalf("partition %s on reused storage: %+v, on fresh storage %+v", part, works, want)
-		}
 	}
 }
 
@@ -244,6 +226,43 @@ func TestDeviceWorksLaunchScaling(t *testing.T) {
 func TestAnalyzeNilKernel(t *testing.T) {
 	if _, err := Analyze(nil); err == nil {
 		t.Error("Analyze(nil) should fail")
+	}
+}
+
+// TestDeviceWorksIntoMatchesDeviceWorks checks DeviceWorks on storage
+// handed back in against DeviceWorks on fresh storage.
+func TestDeviceWorksIntoMatchesDeviceWorks(t *testing.T) {
+	pl := planFor(t, `kernel void vecadd(global const float* a, global const float* b,
+		global float* c, int n) {
+		int i = get_global_id(0);
+		if (i < n) { c[i] = a[i] + b[i]; }
+	}`, "vecadd")
+	n := 1000
+	prof := &exec.Profile{Global0: n, Buckets: make([]exec.Counts, 10)}
+	for i := range prof.Buckets {
+		prof.Buckets[i] = exec.Counts{Items: 100, FloatOps: 100 + int64(i), GlobalLoads: 200, GlobalStores: 100, MaxItemOps: int64(4 + i%3)}
+	}
+	args := []exec.Arg{
+		exec.BufArg(exec.NewFloatBuffer(n)),
+		exec.BufArg(exec.NewFloatBuffer(n)),
+		exec.BufArg(exec.NewFloatBuffer(n)),
+		exec.IntArg(n),
+	}
+	var works []sim.Work
+	var chunks [][2]int
+	// Reuse the same storage across several candidates (the oracle-search
+	// pattern): every result must match fresh storage exactly, with no
+	// stale state left from the previous candidate, empty chunks included.
+	for _, part := range []partition.Partition{
+		{Shares: []int{5, 3, 2}},
+		{Shares: []int{0, 10, 0}},
+		{Shares: []int{7, 0, 3}},
+	} {
+		want, _ := pl.DeviceWorks(nil, nil, prof, ArgBytes(nil, args), part, 64, 3)
+		works, chunks = pl.DeviceWorks(works, chunks, prof, ArgBytes(nil, args), part, 64, 3)
+		if !reflect.DeepEqual(works, want) {
+			t.Fatalf("partition %s on reused storage: %+v, on fresh storage %+v", part, works, want)
+		}
 	}
 }
 

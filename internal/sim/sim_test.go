@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/device"
@@ -265,5 +266,42 @@ func TestLaunchesScaleOverheadNotTransfer(t *testing.T) {
 	// latency grows.
 	if bd10.Transfer >= 10*bd1.Transfer {
 		t.Error("transfers should not scale linearly with launches")
+	}
+}
+
+// TestMakespanIntoMatchesMakespan checks Makespan on breakdowns handed
+// back in against Makespan on fresh ones, including breakdown contents and
+// stale-state clearing across reuses.
+func TestMakespanIntoMatchesMakespan(t *testing.T) {
+	plat := device.MC2()
+	mkWorks := func(seed int64) []Work {
+		works := make([]Work, len(plat.Devices))
+		for i := range works {
+			works[i] = Work{
+				Counts: exec.Counts{
+					Items: int64(1000 * (i + 1)), IntOps: 5000, FloatOps: 20000 + seed,
+					GlobalLoads: 30000, GlobalStores: 10000, Branches: 2000, MaxItemOps: 60,
+				},
+				Mix:        AccessMix{Coalesced: 1},
+				TransferIn: 1 << 20, TransferOut: 1 << 18, Launches: 1,
+			}
+		}
+		return works
+	}
+	var scratch []Breakdown
+	for seed := int64(0); seed < 3; seed++ {
+		works := mkWorks(seed)
+		wantT, wantB, err := Makespan(nil, plat, works, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotT, gotB, err := Makespan(scratch, plat, works, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch = gotB
+		if gotT != wantT || !reflect.DeepEqual(gotB, wantB) {
+			t.Fatalf("seed %d: reused storage (%v, %+v) != fresh storage (%v, %+v)", seed, gotT, gotB, wantT, wantB)
+		}
 	}
 }
