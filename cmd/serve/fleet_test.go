@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,6 +19,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/fleet"
 	"repro/internal/harness"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -30,36 +32,100 @@ func fleetServer(t *testing.T, platforms []string, shards int, adm fleet.Admissi
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newFleet(t, db, platforms, shards, adm, true)
+	return newFleet(t, db, platforms, shards, adm, nil)
 }
 
-// newFleet is fleetServer over db. Without shareCells every engine keeps
-// a private cell cache, as engines did before fleets shared one.
-func newFleet(t *testing.T, db *harness.DB, platforms []string, shards int, adm fleet.AdmissionConfig, shareCells bool) *server {
+// newFleet is fleetServer over db; mutate, when set, adjusts every
+// engine's options. Clearing SharedCells gives each engine private cells
+// and models, as engines had before fleets shared them.
+func newFleet(t *testing.T, db *harness.DB, platforms []string, shards int, adm fleet.AdmissionConfig, mutate func(*engine.Options)) *server {
 	t.Helper()
 	shared := engine.NewTenantTable()
-	var cells *engine.CellCache
-	if shareCells {
-		var err error
-		if cells, err = engine.NewCellCache(platforms...); err != nil {
-			t.Fatal(err)
-		}
+	cells, err := engine.NewCellCache(platforms...)
+	if err != nil {
+		t.Fatal(err)
 	}
 	rt, err := fleet.New(fleet.Options{
 		Platforms:         platforms,
 		ShardsPerPlatform: shards,
 		Admission:         adm,
 		NewEngine: func(platform string, shard int) (*engine.Engine, error) {
-			return engine.New(engine.Options{
+			o := engine.Options{
 				Platform: platform, DB: db, Model: harness.FastModel(),
 				SharedTenants: shared, SharedCells: cells,
-			})
+			}
+			if mutate != nil {
+				mutate(&o)
+			}
+			return engine.New(o)
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		for _, sh := range rt.Shards() {
+			sh.Engine().Close()
+		}
+	})
 	return &server{fleet: rt, start: time.Now(), intern: wire.NewIntern()}
+}
+
+var (
+	seedOnce sync.Once
+	seedVal  *harness.DB
+	seedErr  error
+)
+
+// seedDB is a seed database the retrainer's gate can work with: vecadd
+// and matmul at sizes 0-1 on both platforms.
+func seedDB(t *testing.T) *harness.DB {
+	t.Helper()
+	seedOnce.Do(func() {
+		seedVal, seedErr = harness.Generate(harness.GenOptions{Programs: []string{"vecadd", "matmul"}, MaxSizeIdx: 1})
+	})
+	if seedErr != nil {
+		t.Fatal(seedErr)
+	}
+	return seedVal
+}
+
+// withObsLog returns a newFleet mutation that gives every engine one
+// observation log, closed when the test ends.
+func withObsLog(t *testing.T) func(*engine.Options) {
+	t.Helper()
+	log, err := obs.Open(obs.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { log.Close() })
+	return func(o *engine.Options) { o.ObsLog = log }
+}
+
+// shardTarget is a tenant that routes to one shard of a platform.
+type shardTarget struct{ platform, tenant string }
+
+// shardTargets finds one tenant per (platform, shard) of s, in platform
+// then shard order.
+func shardTargets(t *testing.T, s *server) []shardTarget {
+	t.Helper()
+	var out []shardTarget
+	for _, p := range s.fleet.Platforms() {
+		for idx := 0; idx < s.fleet.ShardsPerPlatform(); idx++ {
+			for i := 0; ; i++ {
+				tenant := fmt.Sprintf("tenant-%d", i)
+				sh, err := s.fleet.ShardFor(p, tenant)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sh.Index == idx {
+					out = append(out, shardTarget{p, tenant})
+					break
+				}
+			}
+		}
+	}
+	return out
 }
 
 // doWire posts a wire frame and returns the recorder.
@@ -458,33 +524,12 @@ func TestMultiPlatformRouting(t *testing.T) {
 // private caches does — and every answer is bit for bit the private
 // fleet's, verified, and priced without a makespan mismatch.
 func TestFleetProfilesEachCellOnce(t *testing.T) {
-	db, err := harness.Generate(harness.GenOptions{Programs: []string{"vecadd", "matmul"}, MaxSizeIdx: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	platforms := []string{"mc1", "mc2"}
 	fleets := []*server{
-		newFleet(t, db, platforms, 2, fleet.AdmissionConfig{}, true),
-		newFleet(t, db, platforms, 2, fleet.AdmissionConfig{}, false),
+		newFleet(t, seedDB(t), platforms, 2, fleet.AdmissionConfig{}, nil),
+		newFleet(t, seedDB(t), platforms, 2, fleet.AdmissionConfig{}, func(o *engine.Options) { o.SharedCells = nil }),
 	}
-	// One tenant per (platform, shard).
-	type target struct{ platform, tenant string }
-	var targets []target
-	for _, p := range platforms {
-		for idx := 0; idx < 2; idx++ {
-			for i := 0; ; i++ {
-				tenant := fmt.Sprintf("tenant-%d", i)
-				sh, err := fleets[0].fleet.ShardFor(p, tenant)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sh.Index == idx {
-					targets = append(targets, target{p, tenant})
-					break
-				}
-			}
-		}
-	}
+	targets := shardTargets(t, fleets[0])
 
 	type answer struct {
 		class                               int
@@ -584,5 +629,148 @@ func TestClassifyCoversEveryErrorKind(t *testing.T) {
 		if got.budget = nil; got != tc.want {
 			t.Errorf("classify(%v) = %+v, want %+v", tc.err, got, tc.want)
 		}
+	}
+}
+
+// modelVersionOf predicts program at size on tg's shard and returns the
+// model version that answered.
+func modelVersionOf(t *testing.T, s *server, tg shardTarget, program string, size int) int {
+	t.Helper()
+	w := doReqT(t, s, http.MethodGet, fmt.Sprintf("/predict?program=%s&size=%d&platform=%s", program, size, tg.platform), tg.tenant, nil)
+	var p engine.Prediction
+	if err := json.Unmarshal(w.Body.Bytes(), &p); err != nil || w.Code != http.StatusOK {
+		t.Fatalf("predict for %+v = %d (%v): %s", tg, w.Code, err, w.Body.String())
+	}
+	return p.ModelVersion
+}
+
+// executeAs runs program at size on tg's shard.
+func executeAs(t *testing.T, s *server, tg shardTarget, program string, size int) {
+	t.Helper()
+	w := doReqT(t, s, http.MethodPost, fmt.Sprintf("/execute?program=%s&size=%d&platform=%s", program, size, tg.platform), tg.tenant, nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("execute for %+v = %d: %s", tg, w.Code, w.Body.String())
+	}
+}
+
+// TestFleetShardsShareOneModel: the two shards of one platform serve one
+// model. A retrain through one tenant's shard promotes the version every
+// tenant of the platform is served, and a rollback through the other
+// shard is seen by both.
+func TestFleetShardsShareOneModel(t *testing.T) {
+	s := newFleet(t, seedDB(t), []string{"mc2"}, 2, fleet.AdmissionConfig{}, withObsLog(t))
+	tgs := shardTargets(t, s)
+	for _, tg := range tgs {
+		if v := modelVersionOf(t, s, tg, "vecadd", 2); v != 1 {
+			t.Fatalf("seed model on %+v is version %d", tg, v)
+		}
+	}
+	// A size absent from the seed database, executed on shard 1 only.
+	executeAs(t, s, tgs[1], "vecadd", 2)
+	w := doReqT(t, s, http.MethodPost, "/retrain?platform=mc2", tgs[0].tenant, nil)
+	var res engine.RetrainResult
+	if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil || w.Code != http.StatusOK {
+		t.Fatalf("retrain = %d (%v): %s", w.Code, err, w.Body.String())
+	}
+	if !res.Promoted || res.NewVersion != 2 || res.ObsRecords != 1 {
+		t.Fatalf("retrain through shard 0 of an execution on shard 1: %+v", res)
+	}
+	for _, tg := range tgs {
+		if v := modelVersionOf(t, s, tg, "vecadd", 2); v != 2 {
+			t.Errorf("after the promotion %+v is served version %d", tg, v)
+		}
+	}
+
+	w = doReqT(t, s, http.MethodPost, "/models?platform=mc2", tgs[1].tenant, []byte(`{"rollback":1}`))
+	if w.Code != http.StatusOK {
+		t.Fatalf("rollback = %d: %s", w.Code, w.Body.String())
+	}
+	for _, tg := range tgs {
+		if v := modelVersionOf(t, s, tg, "vecadd", 2); v != 1 {
+			t.Errorf("after the rollback %+v is served version %d", tg, v)
+		}
+		w := doReqT(t, s, http.MethodGet, "/models?platform=mc2", tg.tenant, nil)
+		var models struct {
+			Current  int                   `json:"current"`
+			Versions []engine.ModelVersion `json:"versions"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &models); err != nil {
+			t.Fatal(err)
+		}
+		if models.Current != 1 || len(models.Versions) != 2 {
+			t.Errorf("/models for %+v: %+v", tg, models)
+		}
+	}
+}
+
+// TestAdaptiveRetrainsEveryPlatform: -adaptive over mc1,mc2 starts one
+// retrainer per platform, and each promotes from executions on its own
+// platform, whichever shard served them, on every shard.
+func TestAdaptiveRetrainsEveryPlatform(t *testing.T) {
+	s := newFleet(t, seedDB(t), []string{"mc1", "mc2"}, 2, fleet.AdmissionConfig{}, withObsLog(t))
+	stop, err := startPlatforms(s.fleet, nil, true, 20*time.Millisecond, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	tgs := shardTargets(t, s)
+	for _, tg := range tgs {
+		executeAs(t, s, tg, "vecadd", 2)
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for _, p := range s.fleet.Platforms() {
+		for {
+			w := doReq(t, s, http.MethodGet, "/retrain?platform="+p, nil)
+			var st engine.RetrainStatus
+			if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+				t.Fatal(err)
+			}
+			if !st.Background {
+				t.Fatalf("no retrainer runs on %s: %+v", p, st)
+			}
+			if st.Promotions > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("the %s retrainer never promoted: %+v", p, st)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	for _, tg := range tgs {
+		if v := modelVersionOf(t, s, tg, "vecadd", 2); v < 2 {
+			t.Errorf("%+v is served version %d after its platform's retrainer promoted", tg, v)
+		}
+	}
+}
+
+// TestFleetLoadsEachArtifactOnce: a 2-platform x 2-shard fleet serving
+// from artifact files loads each platform's artifact once, not once per
+// shard, and trains nothing.
+func TestFleetLoadsEachArtifactOnce(t *testing.T) {
+	dir := t.TempDir()
+	platforms := []string{"mc1", "mc2"}
+	for _, p := range platforms {
+		eng, err := engine.New(engine.Options{Platform: p, DB: seedDB(t), Model: harness.FastModel(), ArtifactDir: dir, SaveTrained: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Predict(engine.Request{Program: "vecadd", SizeIdx: 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := newFleet(t, seedDB(t), platforms, 2, fleet.AdmissionConfig{}, func(o *engine.Options) { o.ArtifactDir = dir })
+	for _, tg := range shardTargets(t, s) {
+		modelVersionOf(t, s, tg, "vecadd", 0)
+	}
+	var shards int
+	var loads, trainings uint64
+	for _, st := range s.fleet.Stats() {
+		shards++
+		loads += st.Engine.ArtifactLoads
+		trainings += st.Engine.Trainings
+	}
+	if shards != 4 || loads != 2 || trainings != 0 {
+		t.Fatalf("%d shards loaded %d artifacts and trained %d models, want 4, 2, 0", shards, loads, trainings)
 	}
 }

@@ -1,6 +1,6 @@
 // Command serve exposes the deployment engine fleet as an HTTP API: a
 // long-lived process that serves one engine shard per (platform,
-// tenant), loads (or trains once) each shard's partitioning model
+// tenant), loads (or trains once) each platform's partitioning model
 // lazily, keeps compiled programs and feature profiles warm, and
 // answers prediction and execution requests until shut down.
 //
@@ -11,7 +11,9 @@
 // state stays fleet-wide (one shared table across all shards). So does
 // the cell cache: each (program, size) is profiled, and its instance
 // template built on first execution, once per process, whichever
-// platforms and shards serve it.
+// platforms and shards serve it. And each platform serves one model:
+// its shards share one model store, so /predict, /models and /retrain
+// answer the same versions whichever shard a tenant lands on.
 //
 // Every request takes one pipeline. The route table in (*server).mux
 // lists the endpoints, each with its methods and how far into the fleet
@@ -32,10 +34,10 @@
 // With -obs it records executions into a durable observation log (shared
 // by all shards): each executed cell's oracle label once per platform,
 // and how many executions each (cell, class, model version) served. With
-// -adaptive it closes the loop: a background retrainer merges the labels
-// with the seed database,
-// trains candidates, gates them against the live model and hot-swaps
-// validated versions into service — no restart.
+// -adaptive it closes the loop: one background retrainer per platform
+// merges the labels with the seed database, trains candidates, gates
+// them against the live model and hot-swaps validated versions into
+// service on every shard of the platform — no restart.
 //
 // Usage (serve -h lists every flag):
 //
@@ -105,7 +107,7 @@ func main() {
 	models := flag.String("models", "", "model artifact directory (from cmd/train -model-out)")
 	modelName := flag.String("model", "mlp", fmt.Sprintf("fallback model family: %s", strings.Join(harness.ModelNames(), ", ")))
 	saveTrained := flag.Bool("save-trained", false, "persist models trained on the fly (and promoted by -adaptive) into -models")
-	warm := flag.String("warm", "", "comma-separated programs to pre-warm (compile, profile, predict) at startup")
+	warm := flag.String("warm", "", "comma-separated programs to pre-warm (compile, profile, predict) on every platform at startup")
 	parallel := flag.Int("parallel", 0, "worker goroutines for execution and oracle search (0 = GOMAXPROCS)")
 	cacheLimit := flag.Int("cache-limit", 0, "max entries in the fleet's cell cache and in each engine's program cache, LRU-ish eviction (0 = unbounded)")
 	strict := flag.Bool("strict", false, "reject JSON bodies containing unknown fields")
@@ -138,12 +140,11 @@ func main() {
 	// One tenant quota table, one observation log and one cell cache span
 	// the fleet: a (program, size)'s features, profile and (once it
 	// executes) instance template are built and held once, whichever
-	// platforms and shards serve it.
-	// Everything else (program and model caches, execution counters,
-	// stats) is per
-	// shard. Building the cell cache validates the platform names up
-	// front: shards build lazily, and a typo must fail at startup, not on
-	// the first unlucky request.
+	// platforms and shards serve it, and so is each platform's model
+	// store. Everything else (program caches, execution counters, stats)
+	// is per shard. Building the cell cache validates the platform names
+	// up front: shards build lazily, and a typo must fail at startup, not
+	// on the first unlucky request.
 	sharedTenants := engine.NewTenantTable()
 	sharedCells, err := engine.NewCellCache(platformList...)
 	if err != nil {
@@ -212,33 +213,13 @@ func main() {
 	}
 	defer closeShards()
 
-	// Build the default tenant's shard on the default platform eagerly:
-	// configuration errors (bad db, missing artifacts) surface at
-	// startup, and the common case serves warm from the first request.
-	defShard, err := rt.ShardFor("", "")
+	warmList := strings.FieldsFunc(*warm, func(r rune) bool { return r == ',' })
+	stopRetrain, err := startPlatforms(rt, warmList, *adaptive, *retrainInterval, *retrainMin)
 	if err != nil {
 		fail(err)
 	}
+	defer stopRetrain()
 	srv := &server{fleet: rt, obsLog: obsLog, start: time.Now(), strict: *strict, intern: wire.NewIntern()}
-
-	if *warm != "" {
-		for _, prog := range strings.Split(*warm, ",") {
-			if _, err := defShard.Engine().Predict(engine.Request{Program: prog, SizeIdx: -1}); err != nil {
-				fail(fmt.Errorf("warmup %s: %w", prog, err))
-			}
-			log.Printf("warmed %s", prog)
-		}
-	}
-	if *adaptive {
-		// The retrainer runs on the eagerly built default shard; lazily
-		// created shards retrain on demand via POST /retrain.
-		stopRetrain, err := defShard.Engine().StartRetrainer(*retrainInterval, *retrainMin)
-		if err != nil {
-			fail(err)
-		}
-		defer stopRetrain()
-		log.Printf("adaptive retrainer running (interval %s, threshold %d new labels)", *retrainInterval, *retrainMin)
-	}
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.mux()}
 	errc := make(chan error, 1)
@@ -283,6 +264,47 @@ func main() {
 	log.Printf("shutdown complete (%d predictions, %d executions served)", preds, execs)
 }
 
+// startPlatforms builds the default tenant's shard of every platform, so
+// configuration errors (bad db, unknown platform) surface at startup,
+// predicts each program of warm there, and with adaptive starts the
+// platform's retrainer on it: the shards of a platform share its models,
+// so one retrainer serves them all. It returns the function that stops
+// the retrainers.
+func startPlatforms(rt *fleet.Router, warm []string, adaptive bool, interval time.Duration, minNew int) (stop func(), err error) {
+	var stops []func()
+	stop = func() {
+		for _, s := range stops {
+			s()
+		}
+	}
+	defer func() {
+		if err != nil {
+			stop()
+		}
+	}()
+	for _, platform := range rt.Platforms() {
+		var sh *fleet.Shard
+		if sh, err = rt.ShardFor(platform, ""); err != nil {
+			return nil, err
+		}
+		for _, prog := range warm {
+			if _, err = sh.Engine().Predict(engine.Request{Program: prog, SizeIdx: -1}); err != nil {
+				return nil, fmt.Errorf("warmup %s on %s: %w", prog, platform, err)
+			}
+			log.Printf("warmed %s on %s", prog, platform)
+		}
+		if adaptive {
+			var s func()
+			if s, err = sh.Engine().StartRetrainer(interval, minNew); err != nil {
+				return nil, err
+			}
+			stops = append(stops, s)
+			log.Printf("adaptive retrainer running on %s (interval %s, threshold %d new labels)", platform, interval, minNew)
+		}
+	}
+	return stop, nil
+}
+
 type server struct {
 	fleet  *fleet.Router
 	obsLog *obs.Log
@@ -325,8 +347,8 @@ func (s *server) mux() *http.ServeMux {
 		{"/execute", []string{post}, admitted, s.handleExecute},                  // ?program=P[&size=N]: run partitioned, verify
 		{"/kernels", []string{get, post}, onShard, s.handleKernels},              // GET the caller's kernels, POST {"name","source",...} to register one
 		{"/stats", []string{get}, fleetWide, s.handleStats},                      // fleet cell count, per-shard admission and engine counters
-		{"/models", []string{get, post}, onShard, s.handleModels},                // GET versions and lineage, POST {"rollback": N} to switch
-		{"/retrain", []string{get, post}, onShard, s.handleRetrain},              // GET retrainer status, POST to retrain now
+		{"/models", []string{get, post}, onShard, s.handleModels},                // the platform's model: GET versions and lineage, POST {"rollback": N} to switch
+		{"/retrain", []string{get, post}, onShard, s.handleRetrain},              // the platform's retrainer: GET status, POST to retrain now
 		{"/observations", []string{get}, fleetWide, s.handleObservations},        // observation log stats: label records, counter keys, executions counted
 	} {
 		mux.HandleFunc(rt.path, func(w http.ResponseWriter, r *http.Request) { s.dispatch(rt, w, r) })
@@ -552,8 +574,8 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request, _ *fleet.Sh
 	})
 }
 
-// handleModels lists the shard's model versions; POST {"rollback": N}
-// first makes version N current again.
+// handleModels lists the platform's model versions; POST {"rollback": N}
+// first makes version N current again on every shard of the platform.
 func (s *server) handleModels(w http.ResponseWriter, r *http.Request, sh *fleet.Shard, c codec) {
 	if r.Method == http.MethodPost {
 		var req struct {

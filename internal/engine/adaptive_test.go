@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -157,8 +158,8 @@ func TestEngineRetrainRejectsWithoutLabels(t *testing.T) {
 	if res.Promoted || res.Reason == "" {
 		t.Fatalf("labelless retrain promoted: %+v", res)
 	}
-	if s := eng.Stats(); s.RetrainRejections != 1 || s.RetrainPromotions != 0 {
-		t.Fatalf("stats: %+v", s)
+	if st := eng.RetrainStatus(); st.Rejections != 1 || st.Promotions != 0 {
+		t.Fatalf("retrain status: %+v", st)
 	}
 	if st := log.Stats(); st.Labeled != 0 || st.Executions != 0 {
 		t.Fatalf("a prediction was recorded: %+v", st)
@@ -212,8 +213,8 @@ func TestEngineRollback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Version != 1 {
-		t.Fatalf("rollback landed on %d", v.Version)
+	if v.ModelVersion != 1 {
+		t.Fatalf("rollback landed on %d", v.ModelVersion)
 	}
 	p, err := eng.Predict(Request{Program: "matmul", SizeIdx: 0})
 	if err != nil {
@@ -266,7 +267,8 @@ func TestEngineAdaptivePersistsPromotedModel(t *testing.T) {
 		t.Fatalf("persisted artifact lineage: %+v", art.Lineage)
 	}
 
-	second, err := New(Options{Platform: "mc2", DB: testDB(t), Model: harness.FastModel(), ArtifactDir: opts.ArtifactDir})
+	second, err := New(Options{Platform: "mc2", DB: testDB(t), Model: harness.FastModel(), ArtifactDir: opts.ArtifactDir,
+		ObsLog: openLog(t, t.TempDir())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,29 +278,105 @@ func TestEngineAdaptivePersistsPromotedModel(t *testing.T) {
 	if s := second.Stats(); s.Trainings != 0 || s.ArtifactLoads != 1 {
 		t.Fatalf("second engine did not warm-start from the promoted model: %+v", s)
 	}
-	// The reloaded registry's v1 surfaces the promoted model's history.
-	_, versions, err := second.ModelVersions("")
+	// The reloaded registry starts at the promoted version, its history
+	// intact.
+	cur, versions, err := second.ModelVersions("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if versions[0].ObsRecords == 0 || versions[0].GateCandidate == 0 {
-		t.Fatalf("reloaded version lost its lineage: %+v", versions[0])
+	if v := versions[0]; cur != 2 || len(versions) != 1 || v.ModelVersion != 2 || v.Parent != 1 ||
+		v.Source != ModelFromArtifact || v.ObsRecords == 0 || v.GateCandidate == 0 {
+		t.Fatalf("reloaded registry: current %d, versions %+v", cur, versions)
+	}
+	// Its next promotion is version 3, so the observation log never sees
+	// two models numbered 2, and a rollback names the versions it has.
+	for i := 0; i < 4; i++ {
+		if _, err := second.Execute(context.Background(), Request{Program: "matmul", SizeIdx: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err = second.Retrain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Promoted || res.NewVersion != 3 || res.LiveVersion != 2 {
+		t.Fatalf("retrain after restart: %+v", res)
+	}
+	if _, err := second.Rollback(1); err == nil || !strings.Contains(err.Error(), "have [2 3]") {
+		t.Fatalf("rollback to a version the restarted registry never had: %v", err)
+	}
+	if v, err := second.Rollback(2); err != nil || v.ModelVersion != 2 {
+		t.Fatalf("rollback to the reloaded version: %+v, %v", v, err)
+	}
+}
+
+// TestRetrainTrainsOnSiblingObservations: two mc2 engines sharing a cell
+// cache share one model. A cell first executed on the second is in the
+// training set of a retrain made at once through the first, although the
+// second's flusher is slow to append its label, and the promoted version
+// serves on both.
+func TestRetrainTrainsOnSiblingObservations(t *testing.T) {
+	opts, _ := adaptiveOpts(t)
+	opts.SharedCells = mustCellCache(t, "mc2")
+	first, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	slow := opts
+	slow.beforeAppend = func() error {
+		time.Sleep(200 * time.Millisecond)
+		return nil
+	}
+	second, err := New(slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	if _, err := second.Execute(context.Background(), Request{Program: "vecadd", SizeIdx: 2}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := first.Retrain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Promoted || res.ObsRecords != 1 {
+		t.Fatalf("retrain through the first engine: %+v", res)
+	}
+	for _, eng := range []*Engine{first, second} {
+		p, err := eng.Predict(Request{Program: "vecadd", SizeIdx: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.ModelVersion != 2 {
+			t.Fatalf("an engine of the platform serves version %d after the promotion", p.ModelVersion)
+		}
+	}
+	if st := second.RetrainStatus(); st.Attempts != 1 || st.Promotions != 1 {
+		t.Fatalf("the second engine's view of the platform's retrainer: %+v", st)
 	}
 }
 
 // TestEngineHotSwapUnderConcurrentServing hammers Predict and Execute
-// from many goroutines while the main goroutine retrains (hot-swapping
-// versions) and rolls back, repeatedly. The race detector (CI runs this
-// package with -race) proves no torn swap; the assertions prove every
-// request was served by a complete, plausible version.
+// from many goroutines on two engines sharing a platform's models while
+// the main goroutine retrains (hot-swapping versions) and rolls back
+// through either, repeatedly. The race detector (CI runs this package
+// with -race) proves no torn swap; the assertions prove every request was
+// served by a complete, plausible version.
 func TestEngineHotSwapUnderConcurrentServing(t *testing.T) {
 	opts, _ := adaptiveOpts(t)
-	eng, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
+	opts.SharedCells = mustCellCache(t, "mc2")
+	var engs [2]*Engine
+	for i := range engs {
+		eng, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		engs[i] = eng
 	}
 	// Warm the caches so the hammer measures serving, not compilation.
-	if _, err := eng.Execute(context.Background(), Request{Program: "vecadd", SizeIdx: 2}); err != nil {
+	if _, err := engs[0].Execute(context.Background(), Request{Program: "vecadd", SizeIdx: 2}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -309,6 +387,7 @@ func TestEngineHotSwapUnderConcurrentServing(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
+			eng := engs[c/2%2]
 			for i := 0; ; i++ {
 				select {
 				case <-done:
@@ -343,7 +422,7 @@ func TestEngineHotSwapUnderConcurrentServing(t *testing.T) {
 	// Drive promotions and rollbacks under load.
 	swaps := 0
 	for i := 0; i < 3; i++ {
-		res, err := eng.Retrain()
+		res, err := engs[i%2].Retrain()
 		if err != nil && !errors.Is(err, ErrRetrainInProgress) {
 			t.Errorf("retrain %d: %v", i, err)
 			break
@@ -353,7 +432,7 @@ func TestEngineHotSwapUnderConcurrentServing(t *testing.T) {
 		}
 	}
 	if swaps > 0 {
-		if _, err := eng.Rollback(1); err != nil {
+		if _, err := engs[1].Rollback(1); err != nil {
 			t.Errorf("rollback under load: %v", err)
 		}
 	}
@@ -362,9 +441,11 @@ func TestEngineHotSwapUnderConcurrentServing(t *testing.T) {
 	if swaps == 0 {
 		t.Fatal("no promotion happened; the hammer never crossed a swap")
 	}
-	eng.FlushObservations()
-	if s := eng.Stats(); s.ObserveFailures != 0 {
-		t.Fatalf("observation failures under load: %+v", s)
+	for _, eng := range engs {
+		eng.FlushObservations()
+		if s := eng.Stats(); s.ObserveFailures != 0 {
+			t.Fatalf("observation failures under load: %+v", s)
+		}
 	}
 }
 

@@ -26,6 +26,10 @@ import (
 // the prices are; each cell keeps one label slot per platform the cache
 // was built for.
 //
+// The cache also keeps one model store per platform (models): every
+// engine of a platform that shares the cache serves, promotes and rolls
+// back the same model versions.
+//
 // Cells are keyed by the *bench.Program itself. A built-in is a process
 // singleton, so every engine hits the same cell; an upload's
 // bench.Program is created per registration, so one engine's upload never
@@ -38,8 +42,9 @@ import (
 type CellCache struct {
 	memo sched.Memo[cellKey, *cell]
 	// platforms are the served platforms in slot order: platform i's
-	// label is labels[i] of every cell.
+	// label is labels[i] of every cell, and its models are models[i].
 	platforms []string
+	models    []modelStore
 
 	mu     sync.Mutex
 	joined bool
@@ -68,7 +73,7 @@ func NewCellCache(platforms ...string) (*CellCache, error) {
 			return nil, fmt.Errorf("engine: cell cache lists platform %q twice", name)
 		}
 	}
-	return &CellCache{platforms: platforms}, nil
+	return &CellCache{platforms: platforms, models: make([]modelStore, len(platforms))}, nil
 }
 
 // Len reports how many cells the cache holds (computed or in flight).
@@ -86,11 +91,13 @@ func (c *CellCache) Templates() int {
 	return n
 }
 
-// join admits an engine built with opts: its platform must be one the
-// cache has slots for, and its limits those of the engines already
-// sharing the cache. It returns the platform's slot: the index of its
-// label and its label flag in every cell.
-func (c *CellCache) join(opts Options) (int, error) {
+// join admits engine e: its platform must be one the cache has slots
+// for, its limits those of the engines already sharing the cache, and its
+// model options those of its platform's model store (modelStore.join).
+// It returns the platform's slot: the index of its label and its label
+// flag in every cell, and of its model store.
+func (c *CellCache) join(e *Engine) (int, error) {
+	opts := e.opts
 	i := slices.Index(c.platforms, opts.Platform)
 	if i < 0 {
 		return 0, fmt.Errorf("engine: cell cache serves platforms %v, not %q", c.platforms, opts.Platform)
@@ -106,7 +113,7 @@ func (c *CellCache) join(opts Options) (int, error) {
 	} else if lim != c.limits {
 		return 0, fmt.Errorf("engine: %s engine limits %+v differ from %+v, which the engines sharing its cell cache run under", opts.Platform, lim, c.limits)
 	}
-	return i, nil
+	return i, c.models[i].join(e)
 }
 
 // cellKey identifies one cell.

@@ -53,6 +53,22 @@ func TestCellCacheLimitsMustMatch(t *testing.T) {
 			}
 		}
 	}
+	// The engines of one platform share its models too, so they must
+	// agree on what the models are loaded, trained and observed from.
+	log := openLog(t, t.TempDir())
+	for field, mutate := range map[string]func(*Options){
+		"DB":          func(o *Options) { o.DB = nil },
+		"ArtifactDir": func(o *Options) { o.ArtifactDir = t.TempDir() },
+		"Model":       func(o *Options) { o.Model = harness.DefaultModel() },
+		"SaveTrained": func(o *Options) { o.SaveTrained = true },
+		"ObsLog":      func(o *Options) { o.ObsLog = log },
+	} {
+		o := base
+		mutate(&o)
+		if _, err := New(o); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("mc1 engine with another %s: %v, want an error naming it", field, err)
+		}
+	}
 	o := base
 	o.Platform = "mc2"
 	second, err := New(o)
@@ -154,7 +170,7 @@ func TestPredictOnlyCellsHoldNoInstance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := eng.resolveModel(""); err != nil {
+	if _, err := eng.registryFor(""); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats

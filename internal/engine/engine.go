@@ -9,9 +9,6 @@
 //
 //   - a compiled-program registry (each benchmark kernel is compiled
 //     once per process),
-//   - a trained-model artifact cache keyed by (platform, left-out
-//     program), backed by artifact files on disk with a train-on-the-fly
-//     fallback,
 //   - a per-(program, size) cell cache — features, profile and argument
 //     sizes, plus an instance template once the cell first executes — so
 //     the one profiled execution that runtime feature collection requires
@@ -19,7 +16,13 @@
 //     buffer. The cell does not depend on the platform,
 //     so a fleet shares one CellCache across all its engines
 //     (Options.SharedCells) and a (program, size) is profiled and held
-//     once per process.
+//     once per process,
+//   - one model store per platform of the cell cache: a versioned
+//     registry per left-out program, backed by artifact files on disk
+//     with a train-on-the-fly fallback, and the adaptive retrainer's
+//     state (retrain.go). Every engine of a platform sharing the cache —
+//     every shard of a fleet — serves, promotes and rolls back the same
+//     versions.
 //
 // All three caches deduplicate concurrent identical requests through
 // sched.Memo: two clients asking for the same cold entry share one
@@ -82,10 +85,6 @@ type Options struct {
 	// every executed cell is labeled once. New refuses any value but 0
 	// and 1.
 	OracleSampleEvery int
-	// HoldoutFrac is the fraction of the merged training set the
-	// no-regression gate holds out for the live-vs-candidate comparison
-	// (default 0.25, clamped to [0, 0.5]).
-	HoldoutFrac float64
 	// CacheLimit caps the compiled-program and cell caches with LRU-ish
 	// eviction (0 = unbounded, the right default for batch tools;
 	// long-lived serve processes set a cap). A shared cell cache is capped
@@ -113,11 +112,14 @@ type Options struct {
 	// fleet rather than per shard.
 	SharedTenants *TenantTable
 	// SharedCells, when set, is the cell cache this engine uses instead of
-	// a private one. A fleet router passes the same cache to every shard
-	// of every platform so each (program, size) is profiled and held once
-	// per fleet; New refuses an engine whose platform the cache has no
-	// slots for, or whose MaxSteps, MaxMemBytes, ExecTimeout or CacheLimit
-	// differ from those of the engines already sharing it.
+	// a private one, and its platform's model store with it. A fleet
+	// router passes the same cache to every shard of every platform so
+	// each (program, size) is profiled and held once per fleet and each
+	// platform serves one model; New refuses an engine whose platform the
+	// cache has no slots for, whose MaxSteps, MaxMemBytes, ExecTimeout or
+	// CacheLimit differ from those of the engines already sharing it, or
+	// whose DB, ArtifactDir, Model family, SaveTrained or ObsLog differ
+	// from those of the engines of its platform.
 	SharedCells *CellCache
 
 	// beforeAppend, when set (tests only), runs before each append the
@@ -150,10 +152,10 @@ type Engine struct {
 	opts Options
 
 	programs sched.Memo[string, *programEntry]
-	models   sched.Memo[string, *registry] // key = left-out program ("" = full)
 	// cells is the cell cache, private or shared (Options.SharedCells);
 	// this engine's platform's label in each cell is labels[platSlot],
-	// and its label flag labeled[platSlot].
+	// its label flag labeled[platSlot], and its models the cache's
+	// models[platSlot].
 	cells    *CellCache
 	platSlot int
 
@@ -163,9 +165,8 @@ type Engine struct {
 	space     []partition.Partition
 	spaceStrs []string
 
-	stats   engineCounters
-	retrain retrainState
-	obs     recorder
+	stats engineCounters
+	obs   recorder
 
 	// kernels is the runtime-registered user-kernel table (kernels.go);
 	// tenants holds per-tenant quota accounting (tenant.go).
@@ -214,10 +215,6 @@ type engineCounters struct {
 	observedLabeled atomic.Uint64
 	observeFails    atomic.Uint64
 	observeDropped  atomic.Uint64
-	retrainAttempts atomic.Uint64
-	retrainPromoted atomic.Uint64
-	retrainRejected atomic.Uint64
-	rollbacks       atomic.Uint64
 
 	kernelsRegistered   atomic.Uint64
 	quotaRejections     atomic.Uint64
@@ -238,7 +235,10 @@ type engineCounters struct {
 // (Compiles counts fills of this engine's program registry; a built-in's
 // kernel is compiled once per process, by whichever engine asks first.
 // Likewise FeatureComputes counts the cells this engine profiled: in a
-// shared cell cache, whichever engine touches a cell first.)
+// shared cell cache, whichever engine touches a cell first; and
+// Trainings and ArtifactLoads the models it trained or loaded for its
+// platform's store. CachedModels and Rollbacks are the platform's, the
+// same on every engine sharing its store, as is RetrainStatus.)
 type Stats struct {
 	Platform        string `json:"platform"`
 	PredictRequests uint64 `json:"predictRequests"`
@@ -273,9 +273,6 @@ type Stats struct {
 	ObservationsPending uint64 `json:"observationsPending"`
 	ObservationsDropped uint64 `json:"observationsDropped"`
 	ObserveFailures     uint64 `json:"observeFailures"`
-	RetrainAttempts     uint64 `json:"retrainAttempts"`
-	RetrainPromotions   uint64 `json:"retrainPromotions"`
-	RetrainRejections   uint64 `json:"retrainRejections"`
 	Rollbacks           uint64 `json:"rollbacks"`
 
 	// Untrusted-kernel serving counters. ProgramsEvicted counts compiled
@@ -337,14 +334,16 @@ func New(opts Options) (*Engine, error) {
 			return nil, err
 		}
 	}
-	if e.platSlot, err = e.cells.join(opts); err != nil {
-		return nil, err
-	}
 	if opts.CacheLimit > 0 {
 		e.programs.SetLimit(opts.CacheLimit)
 	}
 	if opts.ObsLog != nil {
 		e.obs.start(e)
+	}
+	// Joined last: the platform's retrains flush the engine from then on.
+	if e.platSlot, err = e.cells.join(e); err != nil {
+		e.Close()
+		return nil, err
 	}
 	return e, nil
 }
@@ -356,6 +355,9 @@ func (e *Engine) Framework() *core.Framework { return e.fw }
 // Cells returns the engine's cell cache: Options.SharedCells, or the
 // engine's private one.
 func (e *Engine) Cells() *CellCache { return e.cells }
+
+// models returns the engine's platform's model store.
+func (e *Engine) models() *modelStore { return &e.cells.models[e.platSlot] }
 
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats {
@@ -373,17 +375,14 @@ func (e *Engine) Stats() Stats {
 		ArtifactSaveFails:   e.stats.saveFailures.Load(),
 		ClampedPredictions:  e.stats.clamped.Load(),
 		CachedPrograms:      e.programs.Len(),
-		CachedModels:        e.models.Len(),
+		CachedModels:        e.models().regs.Len(),
 
 		Observations:        e.stats.observations.Load(),
 		ObservationsLabeled: e.stats.observedLabeled.Load(),
 		ObservationsPending: e.pendingObservations(),
 		ObservationsDropped: e.stats.observeDropped.Load(),
 		ObserveFailures:     e.stats.observeFails.Load(),
-		RetrainAttempts:     e.stats.retrainAttempts.Load(),
-		RetrainPromotions:   e.stats.retrainPromoted.Load(),
-		RetrainRejections:   e.stats.retrainRejected.Load(),
-		Rollbacks:           e.stats.rollbacks.Load(),
+		Rollbacks:           e.models().rollbacks.Load(),
 
 		KernelsRegistered:    e.stats.kernelsRegistered.Load(),
 		ProgramsEvicted:      e.programs.Evictions(),
@@ -409,7 +408,8 @@ type Request struct {
 	SizeIdx int `json:"size"`
 	// LeaveOut holds the requested program out of the training set
 	// (evaluation mode: the paper's unseen-program scenario). The full
-	// model is used otherwise.
+	// model is used otherwise, and for a program the training database
+	// has no rows for, which it holds out already.
 	LeaveOut bool `json:"leaveOut,omitempty"`
 	// Tenant is the requesting tenant (set by the serving layer from the
 	// X-Tenant header, never from the request body; empty means
@@ -620,25 +620,15 @@ func (e *Engine) launch(pe *programEntry, inst *bench.Instance) runtime.Launch {
 	}
 }
 
-// resolveModel returns the serving version for leftOut (empty = the full
-// model) — the per-request path: one memo hit plus one atomic load on a
-// warm engine. A cold key resolves through registryFor.
-func (e *Engine) resolveModel(leftOut string) (*ModelVersion, error) {
-	reg, err := e.registryFor(leftOut)
-	if err != nil {
-		return nil, err
-	}
-	return reg.current(), nil
-}
-
-// registryFor resolves (creating on first use) the version registry for
-// leftOut. Version 1 comes from an artifact file in ArtifactDir when one
-// exists, otherwise from training on the database. Concurrent requests
-// for the same cold model share one resolution. Failures are not cached
-// (sched.Memo.DoRetryable): a transient load error — corrupt file
-// mid-deploy, fd exhaustion — must not poison the key until restart.
+// registryFor resolves (creating on first use) the platform's version
+// registry for leftOut (empty = the full model): one memo hit on a warm
+// engine. Its first version comes from an artifact file in ArtifactDir
+// when one exists, otherwise from training on the database. Concurrent
+// requests for the same cold model share one resolution. Failures are
+// not cached (sched.Memo.DoRetryable): a transient load error — corrupt
+// file mid-deploy, fd exhaustion — must not poison the key until restart.
 func (e *Engine) registryFor(leftOut string) (*registry, error) {
-	return e.models.DoRetryable(leftOut, func() (*registry, error) {
+	return e.models().regs.DoRetryable(leftOut, func() (*registry, error) {
 		if e.opts.ArtifactDir != "" {
 			path := ArtifactPath(e.opts.ArtifactDir, e.opts.Platform, leftOut)
 			if _, err := os.Stat(path); err == nil {
@@ -661,8 +651,8 @@ func (e *Engine) registryFor(leftOut string) (*registry, error) {
 	})
 }
 
-// ModelVersions lists the registry for leftOut: the serving version
-// number plus every version's lineage, oldest first.
+// ModelVersions lists the platform's registry for leftOut: the serving
+// version number plus every version's lineage, oldest first.
 func (e *Engine) ModelVersions(leftOut string) (current int, versions []ModelVersion, err error) {
 	reg, err := e.registryFor(leftOut)
 	if err != nil {
@@ -672,8 +662,9 @@ func (e *Engine) ModelVersions(leftOut string) (current int, versions []ModelVer
 	return current, versions, nil
 }
 
-// Rollback makes an earlier version of the full model current again.
-// In-flight requests see the swap atomically, exactly like a promotion.
+// Rollback makes an earlier version of the platform's full model current
+// again, on every engine serving it. In-flight requests see the swap
+// atomically, exactly like a promotion.
 // With SaveTrained, the rolled-back version is also re-persisted to
 // ArtifactDir — promotions overwrite the on-disk artifact, so without
 // this a restart would silently reinstate the model the operator just
@@ -687,7 +678,7 @@ func (e *Engine) Rollback(version int) (ModelVersion, error) {
 	if err != nil {
 		return ModelVersion{}, err
 	}
-	e.stats.rollbacks.Add(1)
+	e.models().rollbacks.Add(1)
 	if e.opts.SaveTrained && e.opts.ArtifactDir != "" {
 		path := ArtifactPath(e.opts.ArtifactDir, e.opts.Platform, "")
 		if err := ml.SaveArtifact(path, v.art); err != nil {
@@ -804,11 +795,17 @@ func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction, fi
 	leftOut := ""
 	if req.LeaveOut {
 		leftOut = req.Program
+		if e.opts.DB != nil {
+			if _, ok := e.opts.DB.MaxSizeIdx(e.opts.Platform, req.Program); !ok {
+				leftOut = ""
+			}
+		}
 	}
-	ver, err := e.resolveModel(leftOut)
+	reg, err := e.registryFor(leftOut)
 	if err != nil {
 		return nil, nil, err
 	}
+	ver := reg.current()
 	art := ver.art
 	// The artifact's recorded feature schema must be exactly the schema
 	// this binary extracts — same names, same order — or the scaler's
@@ -850,7 +847,7 @@ func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction, fi
 		Partition:     e.spaceStrs[served],
 		Model:         art.ModelName,
 		ModelSource:   ver.Source,
-		ModelVersion:  ver.Version,
+		ModelVersion:  ver.ModelVersion,
 		LeftOut:       leftOut,
 		PredictedTime: lb.Times[served],
 	}

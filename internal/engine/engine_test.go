@@ -145,6 +145,18 @@ func TestEngineLeaveOneOutDistinctModel(t *testing.T) {
 	if a.LeftOut != "vecadd" {
 		t.Fatalf("artifact leftOut = %q", a.LeftOut)
 	}
+	// saxpy has no rows in the database, so the full model holds it out
+	// already and serves its leave-out requests: nothing more trains.
+	other, err := eng.Predict(Request{Program: "saxpy", SizeIdx: 0, LeaveOut: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.LeftOut != "" {
+		t.Fatalf("leave-out of a program absent from the database served the %q model", other.LeftOut)
+	}
+	if s := eng.Stats(); s.Trainings != 2 || s.CachedModels != 2 {
+		t.Fatalf("leave-out of a program absent from the database trained a model: stats=%+v", s)
+	}
 }
 
 // TestEngineArtifactByteIdenticalPredictions pins the PR's acceptance
@@ -565,9 +577,9 @@ func BenchmarkEngineExecuteWarm(b *testing.B) {
 
 // servingArtifact returns the artifact currently serving leftOut.
 func servingArtifact(e *Engine, leftOut string) (*ml.Artifact, error) {
-	v, err := e.resolveModel(leftOut)
+	reg, err := e.registryFor(leftOut)
 	if err != nil {
 		return nil, err
 	}
-	return v.art, nil
+	return reg.current().art, nil
 }

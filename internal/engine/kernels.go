@@ -23,7 +23,8 @@ import (
 var ErrKernelExists = errors.New("engine: kernel name already registered")
 
 // ErrInvalidKernel reports a spec rejected before compilation (bad
-// name, bad size family) — a client error, not a quota or compile one.
+// tenant or kernel name, bad size family) — a client error, not a quota
+// or compile one.
 var ErrInvalidKernel = errors.New("engine: invalid kernel spec")
 
 // CompileError wraps a front-end failure for an uploaded kernel so the
@@ -90,7 +91,11 @@ type kernelTable struct {
 	m  map[string]*userKernel
 }
 
-func validKernelName(name string) bool {
+// validName reports whether name may be a tenant or kernel name. The
+// qualified name "tenant/name" becomes a left-out program, which
+// ArtifactPath joins into a file path, so neither half may hold a path
+// separator or a dot.
+func validName(name string) bool {
 	if name == "" || len(name) > 64 {
 		return false
 	}
@@ -109,8 +114,8 @@ func validKernelName(name string) bool {
 // its qualified name.
 func (e *Engine) RegisterKernel(tenant string, spec KernelSpec) (*KernelInfo, error) {
 	tn := tenantName(tenant)
-	if !validKernelName(spec.Name) {
-		return nil, fmt.Errorf("%w: name %q (want [a-zA-Z0-9_-], at most 64 chars)", ErrInvalidKernel, spec.Name)
+	if !validName(tn) || !validName(spec.Name) {
+		return nil, fmt.Errorf("%w: tenant %q, name %q (each want [a-zA-Z0-9_-], at most 64 chars)", ErrInvalidKernel, tn, spec.Name)
 	}
 	qname := tn + "/" + spec.Name
 

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -277,5 +279,35 @@ func TestRegisterKernelValidation(t *testing.T) {
 	var qe *QuotaError
 	if !errors.As(err, &qe) || !strings.Contains(qe.Reason, "source bytes") {
 		t.Fatalf("source quota err = %v, want *QuotaError about source bytes", err)
+	}
+}
+
+// TestRegisterKernelRefusesPathTenant: the tenant is half of an upload's
+// qualified name, which a leave-out model's artifact path is built from.
+// With ArtifactDir a/b, tenant "../../../escape" once let a leave-out
+// /predict of its kernel train a model and write a/escape/k.json; a
+// tenant outside the kernel-name charset is now refused before anything
+// compiles, trains or is written.
+func TestRegisterKernelRefusesPathTenant(t *testing.T) {
+	root := t.TempDir()
+	opts := fastOpts(t)
+	opts.ArtifactDir, opts.SaveTrained = filepath.Join(root, "a", "b"), true
+	eng, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tenant := range []string{"../../../escape", "a.b", "x/y", strings.Repeat("t", 65)} {
+		if _, err := eng.RegisterKernel(tenant, KernelSpec{Name: "k", Source: scaleSrc}); !errors.Is(err, ErrInvalidKernel) {
+			t.Errorf("tenant %q: err = %v, want ErrInvalidKernel", tenant, err)
+		}
+	}
+	if _, err := eng.Predict(Request{Program: "../../../escape/k", SizeIdx: 0, LeaveOut: true}); err == nil {
+		t.Error("a refused upload serves")
+	}
+	if _, err := os.Stat(filepath.Join(root, "a", "escape")); !os.IsNotExist(err) {
+		t.Errorf("an artifact was written outside ArtifactDir: %v", err)
+	}
+	if s := eng.Stats(); s.KernelsRegistered != 0 || s.Trainings != 0 {
+		t.Errorf("stats after refused uploads: %+v", s)
 	}
 }

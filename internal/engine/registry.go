@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ml"
+	"repro/internal/sched"
 )
 
 // ModelVersion is one entry in a model registry: a deployable artifact
@@ -14,27 +15,29 @@ import (
 // later versions are promoted by the retrainer after passing the
 // no-regression gate against their parent.
 type ModelVersion struct {
-	// Version is the registry-assigned number, starting at 1.
-	Version int `json:"version"`
+	// Lineage is the artifact's own: ModelVersion is the registry
+	// number (an artifact persisted by an earlier adaptive run keeps the
+	// number it was promoted under), Parent the version it was gated
+	// against, then the training-set composition and the gate's
+	// held-out accuracies (zero for a seed model, which predates the
+	// gate).
+	ml.Lineage
 	// Source is the provenance tag (ModelFromArtifact, ModelTrained,
 	// ModelTrainedSaved, ModelTrainedSaveFailed or ModelRetrained).
 	Source string `json:"source"`
 	// ModelName is the model family.
 	ModelName string `json:"model"`
-	// Parent is the version this model was gated against (0 for v1).
-	Parent int `json:"parent,omitempty"`
-	// SeedRecords / ObsRecords is the training-set composition: offline
-	// sweep rows vs. rows harvested from the observation log.
-	SeedRecords int `json:"seedRecords,omitempty"`
-	ObsRecords  int `json:"obsRecords,omitempty"`
-	// GateLive and GateCandidate are the held-out accuracies that
-	// admitted this version (candidate must not drop below live), over
-	// HoldoutSize samples. Zero for v1, which predates the gate.
-	GateLive      float64 `json:"gateLive,omitempty"`
-	GateCandidate float64 `json:"gateCandidate,omitempty"`
-	HoldoutSize   int     `json:"holdoutSize,omitempty"`
 
 	art *ml.Artifact
+}
+
+// newVersion makes art a registry version whose lineage is lin; the
+// artifact's Lineage then points at the version's, so the two cannot
+// disagree. The artifact must not be shared until the version is.
+func newVersion(art *ml.Artifact, source string, lin ml.Lineage) *ModelVersion {
+	v := &ModelVersion{Lineage: lin, Source: source, ModelName: art.ModelName, art: art}
+	art.Lineage = &v.Lineage
+	return v
 }
 
 // registry is the versioned model store for one (platform, leftOut) key.
@@ -46,22 +49,17 @@ type ModelVersion struct {
 type registry struct {
 	mu       sync.Mutex // guards versions and promotion/rollback ordering
 	cur      atomic.Pointer[ModelVersion]
-	versions []*ModelVersion
+	versions []*ModelVersion // oldest first
 }
 
-// newRegistry starts a registry at version 1.
+// newRegistry starts a registry at art, version 1 unless art carries the
+// lineage of an earlier promotion.
 func newRegistry(art *ml.Artifact, source string) *registry {
-	v := &ModelVersion{Version: 1, Source: source, ModelName: art.ModelName, art: art}
+	lin := ml.Lineage{ModelVersion: 1}
 	if art.Lineage != nil {
-		// An artifact persisted by a previous adaptive run carries its
-		// own lineage; surface it instead of pretending it is a seed.
-		v.Parent = art.Lineage.Parent
-		v.SeedRecords = art.Lineage.SeedRecords
-		v.ObsRecords = art.Lineage.ObsRecords
-		v.GateLive = art.Lineage.GateLive
-		v.GateCandidate = art.Lineage.GateCandidate
-		v.HoldoutSize = art.Lineage.HoldoutSize
+		lin = *art.Lineage
 	}
+	v := newVersion(art, source, lin)
 	r := &registry{versions: []*ModelVersion{v}}
 	r.cur.Store(v)
 	return r
@@ -71,36 +69,18 @@ func newRegistry(art *ml.Artifact, source string) *registry {
 // hot path.
 func (r *registry) current() *ModelVersion { return r.cur.Load() }
 
-// promote appends a gated candidate as the next version and hot-swaps it
-// into service. The artifact's lineage is stamped here, under the
-// registry lock, before the version becomes visible — the artifact must
-// not be shared until promote returns.
-func (r *registry) promote(art *ml.Artifact, source string, v ModelVersion) *ModelVersion {
+// promote appends a gated candidate with lineage lin as the version after
+// the newest, gated against the current one, and hot-swaps it into
+// service.
+func (r *registry) promote(art *ml.Artifact, lin ml.Lineage) *ModelVersion {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	v.Version = len(r.versions) + 1
-	v.Parent = r.cur.Load().Version
-	v.Source = source
-	v.ModelName = art.ModelName
-	v.art = art
-	var trainedAt int64
-	if art.Lineage != nil {
-		trainedAt = art.Lineage.TrainedAtUnix // stamped by the trainer
-	}
-	art.Lineage = &ml.Lineage{
-		ModelVersion:  v.Version,
-		Parent:        v.Parent,
-		SeedRecords:   v.SeedRecords,
-		ObsRecords:    v.ObsRecords,
-		GateLive:      v.GateLive,
-		GateCandidate: v.GateCandidate,
-		HoldoutSize:   v.HoldoutSize,
-		TrainedAtUnix: trainedAt,
-	}
-	nv := &v
-	r.versions = append(r.versions, nv)
-	r.cur.Store(nv)
-	return nv
+	lin.ModelVersion = r.versions[len(r.versions)-1].ModelVersion + 1
+	lin.Parent = r.cur.Load().ModelVersion
+	v := newVersion(art, ModelRetrained, lin)
+	r.versions = append(r.versions, v)
+	r.cur.Store(v)
+	return v
 }
 
 // rollback makes an earlier version current again. The version stays in
@@ -109,13 +89,15 @@ func (r *registry) promote(art *ml.Artifact, source string, v ModelVersion) *Mod
 func (r *registry) rollback(version int) (*ModelVersion, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, v := range r.versions {
-		if v.Version == version {
+	have := make([]int, len(r.versions))
+	for i, v := range r.versions {
+		if v.ModelVersion == version {
 			r.cur.Store(v)
 			return v, nil
 		}
+		have[i] = v.ModelVersion
 	}
-	return nil, fmt.Errorf("engine: no model version %d (have 1..%d)", version, len(r.versions))
+	return nil, fmt.Errorf("engine: no model version %d (have %v)", version, have)
 }
 
 // list returns the current version number and a copy of the full history
@@ -123,10 +105,46 @@ func (r *registry) rollback(version int) (*ModelVersion, error) {
 func (r *registry) list() (current int, out []ModelVersion) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	current = r.cur.Load().Version
+	current = r.cur.Load().ModelVersion
 	out = make([]ModelVersion, len(r.versions))
 	for i, v := range r.versions {
 		out[i] = *v
 	}
 	return current, out
+}
+
+// modelStore is one platform's models: a registry per left-out program
+// and the retrainer's state. A cell cache keeps one per platform
+// (CellCache.join), so every engine of the platform sharing it — every
+// shard of a fleet — resolves, promotes and rolls back the same versions,
+// and retrains single-flight (runMu) with one attempt count.
+type modelStore struct {
+	regs sched.Memo[string, *registry] // key = left-out program ("" = full)
+
+	runMu                                   sync.Mutex // held for the duration of one retrain attempt (TryLock)
+	attempts, promoted, rejected, rollbacks atomic.Uint64
+
+	mu             sync.Mutex // guards the fields below
+	engines        []*Engine  // every engine that joined, in join order
+	last           *RetrainResult
+	lastErr        string
+	inProgress     bool
+	background     bool
+	trainedLabeled uint64 // labeled count at the last attempt
+}
+
+// join admits e, whose model options must be those of the engines
+// already sharing the store: what its models are loaded, trained,
+// persisted and observed from.
+func (s *modelStore) join(e *Engine) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.engines) > 0 {
+		f, o := s.engines[0].opts, e.opts
+		if o.DB != f.DB || o.ArtifactDir != f.ArtifactDir || o.Model().Name() != f.Model().Name() || o.SaveTrained != f.SaveTrained || o.ObsLog != f.ObsLog {
+			return fmt.Errorf("engine: %s engine's DB, ArtifactDir, Model, SaveTrained or ObsLog differ from those of the engines of its platform sharing its cell cache", o.Platform)
+		}
+	}
+	s.engines = append(s.engines, e)
+	return nil
 }

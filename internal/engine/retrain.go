@@ -8,6 +8,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -15,9 +16,9 @@ import (
 	"repro/internal/ml"
 )
 
-// defaultHoldoutFrac is the gate's held-out slice when Options leaves
-// HoldoutFrac zero.
-const defaultHoldoutFrac = 0.25
+// holdoutFrac is the fraction of the merged training set the
+// no-regression gate holds out for the live-vs-candidate comparison.
+const holdoutFrac = 0.25
 
 // retrainSeedBase seeds the deterministic stratified holdout; each
 // attempt shifts it so successive gates evaluate different slices (a
@@ -30,7 +31,7 @@ var ErrRetrainInProgress = errors.New("engine: retrain already in progress")
 
 // RetrainResult reports one retrain attempt.
 type RetrainResult struct {
-	// Attempt numbers the attempt (monotonic per engine).
+	// Attempt numbers the attempt (monotonic per platform).
 	Attempt uint64 `json:"attempt"`
 	// Promoted reports whether the candidate passed the gate and was
 	// hot-swapped in as NewVersion.
@@ -79,24 +80,13 @@ type RetrainStatus struct {
 	LastError string         `json:"lastError,omitempty"`
 }
 
-// retrainState serializes retrain attempts and remembers the last
-// outcome for status reporting.
-type retrainState struct {
-	runMu sync.Mutex // held for the duration of one attempt (TryLock)
-
-	mu             sync.Mutex // guards the fields below
-	last           *RetrainResult
-	lastErr        string
-	inProgress     bool
-	background     bool
-	trainedLabeled uint64 // labeled count at the last attempt
-}
-
 // Retrain runs one synchronous retrain attempt: snapshot the observation
 // log, merge with the seed database, train a candidate, gate it against
 // the live model on a stratified held-out slice, and promote it into the
-// registry if it does not regress. Single-flight: a concurrent call
-// returns ErrRetrainInProgress.
+// registry if it does not regress. The attempt retrains the platform's
+// model, which every engine sharing the cell cache serves, from what all
+// of them observed. Single-flight per platform: a concurrent call through
+// any of them returns ErrRetrainInProgress.
 //
 // A gate rejection is a successful attempt (Promoted=false with a
 // Reason), not an error; errors mean the attempt itself could not run.
@@ -104,41 +94,49 @@ func (e *Engine) Retrain() (*RetrainResult, error) {
 	if e.opts.ObsLog == nil {
 		return nil, errors.New("engine: adaptive retraining requires an observation log")
 	}
-	if !e.retrain.runMu.TryLock() {
+	ms := e.models()
+	if !ms.runMu.TryLock() {
 		return nil, ErrRetrainInProgress
 	}
-	defer e.retrain.runMu.Unlock()
-	e.retrain.mu.Lock()
-	e.retrain.inProgress = true
-	e.retrain.mu.Unlock()
+	defer ms.runMu.Unlock()
+	ms.mu.Lock()
+	ms.inProgress = true
+	ms.mu.Unlock()
 
 	// Recorded traffic must be visible to this attempt: wait for the
-	// flusher to label every executed cell and write every count.
-	e.FlushObservations()
+	// flusher of every engine of the platform to label every executed
+	// cell and write every count.
+	ms.mu.Lock()
+	engines := slices.Clone(ms.engines)
+	ms.mu.Unlock()
+	for _, eng := range engines {
+		eng.FlushObservations()
+	}
 	// Capture the labeled count BEFORE the snapshot: labels arriving
 	// while training runs are not in this attempt's training set, so
 	// they must still count toward the next threshold check.
 	labeledBefore := e.opts.ObsLog.LabeledCount()
-	attempt := e.stats.retrainAttempts.Add(1)
+	attempt := ms.attempts.Add(1)
 	res, err := e.retrainOnce(attempt)
 
-	e.retrain.mu.Lock()
-	e.retrain.inProgress = false
+	ms.mu.Lock()
+	ms.inProgress = false
 	if err != nil {
 		// A failed attempt consumed nothing: leave trainedLabeled alone
 		// so the background loop retries on its next tick instead of
 		// waiting for minNew brand-new labels.
-		e.retrain.lastErr = err.Error()
+		ms.lastErr = err.Error()
 	} else {
-		e.retrain.trainedLabeled = labeledBefore
-		e.retrain.last = res
-		e.retrain.lastErr = ""
+		ms.trainedLabeled = labeledBefore
+		ms.last = res
+		ms.lastErr = ""
 	}
-	e.retrain.mu.Unlock()
+	ms.mu.Unlock()
 	return res, err
 }
 
 func (e *Engine) retrainOnce(attempt uint64) (*RetrainResult, error) {
+	ms := e.models()
 	snap, err := e.opts.ObsLog.Snapshot()
 	if err != nil {
 		return nil, err
@@ -150,7 +148,7 @@ func (e *Engine) retrainOnce(attempt uint64) (*RetrainResult, error) {
 		return nil, err
 	}
 	live := reg.current()
-	res := &RetrainResult{Attempt: attempt, LiveVersion: live.Version}
+	res := &RetrainResult{Attempt: attempt, LiveVersion: live.ModelVersion}
 
 	// Only labels matching the live model's feature schema can join its
 	// training set (positional vectors tolerate nothing less). The
@@ -161,7 +159,7 @@ func (e *Engine) retrainOnce(attempt uint64) (*RetrainResult, error) {
 	res.ObsRecords, res.SkippedObservations = len(obsRecs), skipped
 	if len(obsRecs) == 0 {
 		res.Reason = "no usable labeled observations"
-		e.stats.retrainRejected.Add(1)
+		ms.rejected.Add(1)
 		return res, nil
 	}
 
@@ -178,14 +176,10 @@ func (e *Engine) retrainOnce(attempt uint64) (*RetrainResult, error) {
 		}
 	}
 
-	frac := e.opts.HoldoutFrac
-	if frac == 0 {
-		frac = defaultHoldoutFrac
-	}
-	trainIdx, holdIdx := ml.StratifiedHoldout(data, frac, retrainSeedBase+int64(attempt))
+	trainIdx, holdIdx := ml.StratifiedHoldout(data, holdoutFrac, retrainSeedBase+int64(attempt))
 	if len(holdIdx) == 0 || len(trainIdx) == 0 {
 		res.Reason = fmt.Sprintf("dataset too small to gate (%d samples)", data.Len())
-		e.stats.retrainRejected.Add(1)
+		ms.rejected.Add(1)
 		return res, nil
 	}
 	res.HoldoutSize = len(holdIdx)
@@ -216,7 +210,7 @@ func (e *Engine) retrainOnce(attempt uint64) (*RetrainResult, error) {
 	}
 	if res.GateCandidate < res.GateLive {
 		res.Reason = fmt.Sprintf("candidate held-out accuracy %.4f regresses vs live %.4f", res.GateCandidate, res.GateLive)
-		e.stats.retrainRejected.Add(1)
+		ms.rejected.Add(1)
 		return res, nil
 	}
 
@@ -234,16 +228,16 @@ func (e *Engine) retrainOnce(attempt uint64) (*RetrainResult, error) {
 	}
 	e.stats.trainings.Add(1)
 
-	cand.Lineage = &ml.Lineage{TrainedAtUnix: time.Now().Unix()} // rest stamped by promote
-	nv := reg.promote(cand, ModelRetrained, ModelVersion{
+	nv := reg.promote(cand, ml.Lineage{
 		SeedRecords:   res.SeedRecords,
 		ObsRecords:    res.ObsRecords,
 		GateLive:      res.GateLive,
 		GateCandidate: res.GateCandidate,
 		HoldoutSize:   res.HoldoutSize,
+		TrainedAtUnix: time.Now().Unix(),
 	})
-	res.Promoted, res.NewVersion = true, nv.Version
-	e.stats.retrainPromoted.Add(1)
+	res.Promoted, res.NewVersion = true, nv.ModelVersion
+	ms.promoted.Add(1)
 
 	if e.opts.SaveTrained && e.opts.ArtifactDir != "" {
 		// Persist the promoted model so a restart warm-starts from the
@@ -268,33 +262,36 @@ func indicesBelow(idx []int, n int) []int {
 	return out
 }
 
-// RetrainStatus reports the retrainer's current state.
+// RetrainStatus reports the state of the platform's retrainer.
 func (e *Engine) RetrainStatus() RetrainStatus {
+	ms := e.models()
 	st := RetrainStatus{
 		Enabled:    e.opts.ObsLog != nil,
-		Attempts:   e.stats.retrainAttempts.Load(),
-		Promotions: e.stats.retrainPromoted.Load(),
-		Rejections: e.stats.retrainRejected.Load(),
+		Attempts:   ms.attempts.Load(),
+		Promotions: ms.promoted.Load(),
+		Rejections: ms.rejected.Load(),
 	}
 	if st.Enabled {
 		st.LabeledObservations = e.opts.ObsLog.LabeledCount()
 	}
-	e.retrain.mu.Lock()
-	st.Background = e.retrain.background
-	st.InProgress = e.retrain.inProgress
-	st.Last = e.retrain.last
-	st.LastError = e.retrain.lastErr
-	st.LastTrainedLabeled = e.retrain.trainedLabeled
-	e.retrain.mu.Unlock()
+	ms.mu.Lock()
+	st.Background = ms.background
+	st.InProgress = ms.inProgress
+	st.Last = ms.last
+	st.LastError = ms.lastErr
+	st.LastTrainedLabeled = ms.trainedLabeled
+	ms.mu.Unlock()
 	return st
 }
 
-// StartRetrainer launches the background retraining loop: every
-// interval, if at least minNew label records arrived since the last
+// StartRetrainer launches the platform's background retraining loop:
+// every interval, if at least minNew label records arrived since the last
 // attempt (a label is recorded once per cell and platform, so this
-// counts cells served for the first time), run Retrain. Returns a stop function that halts the loop
-// and waits for an in-flight attempt to finish. The loop never crashes
-// the engine: attempt errors are recorded in RetrainStatus.
+// counts cells served for the first time), run Retrain. A platform has
+// one loop, whichever of its engines started it. Returns a stop function
+// that halts the loop and waits for an in-flight attempt to finish. The
+// loop never crashes the engine: attempt errors are recorded in
+// RetrainStatus.
 func (e *Engine) StartRetrainer(interval time.Duration, minNew int) (stop func(), err error) {
 	if e.opts.ObsLog == nil {
 		return nil, errors.New("engine: adaptive retraining requires an observation log")
@@ -305,13 +302,14 @@ func (e *Engine) StartRetrainer(interval time.Duration, minNew int) (stop func()
 	if minNew < 1 {
 		minNew = 1
 	}
-	e.retrain.mu.Lock()
-	if e.retrain.background {
-		e.retrain.mu.Unlock()
-		return nil, errors.New("engine: retrainer already running")
+	ms := e.models()
+	ms.mu.Lock()
+	if ms.background {
+		ms.mu.Unlock()
+		return nil, fmt.Errorf("engine: %s retrainer already running", e.opts.Platform)
 	}
-	e.retrain.background = true
-	e.retrain.mu.Unlock()
+	ms.background = true
+	ms.mu.Unlock()
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -325,9 +323,9 @@ func (e *Engine) StartRetrainer(interval time.Duration, minNew int) (stop func()
 			case <-done:
 				return
 			case <-t.C:
-				e.retrain.mu.Lock()
-				trained := e.retrain.trainedLabeled
-				e.retrain.mu.Unlock()
+				ms.mu.Lock()
+				trained := ms.trainedLabeled
+				ms.mu.Unlock()
 				if e.opts.ObsLog.LabeledCount() < trained+uint64(minNew) {
 					continue
 				}
@@ -343,9 +341,9 @@ func (e *Engine) StartRetrainer(interval time.Duration, minNew int) (stop func()
 		stopOnce.Do(func() {
 			close(done)
 			wg.Wait()
-			e.retrain.mu.Lock()
-			e.retrain.background = false
-			e.retrain.mu.Unlock()
+			ms.mu.Lock()
+			ms.background = false
+			ms.mu.Unlock()
 		})
 	}, nil
 }

@@ -5,8 +5,10 @@
 // process carry several platforms — `-platforms mc1,mc2` — with tenant
 // quota state (engine.Options.SharedTenants) and the cell cache of
 // per-(program, size) features, profiles and instance templates
-// (engine.Options.SharedCells) shared across every shard, while each
-// shard keeps its own program and model caches.
+// (engine.Options.SharedCells) shared across every shard. The cell cache
+// also holds one model store per platform, so the shards of a platform
+// serve, promote and roll back one model; each shard keeps its own
+// program cache, registered kernels and counters.
 package fleet
 
 import (
@@ -25,14 +27,14 @@ type Options struct {
 	// the default for requests that name none. Must be non-empty.
 	Platforms []string
 	// ShardsPerPlatform splits each platform's tenants across this many
-	// engines (default 1). More shards = more program/model cache and lock
+	// engines (default 1). More shards = more program cache and lock
 	// isolation between tenant populations, at the cost of per-shard
-	// cache warmup (shared cells warm once for the fleet).
+	// cache warmup (shared cells and models warm once for the fleet).
 	ShardsPerPlatform int
 	// NewEngine builds the engine for one shard. The router calls it at
 	// most once per shard at a time (failures retry on the next request
 	// for that shard). It must wire SharedTenants/SharedCells/ObsLog
-	// itself if the fleet is to share quota state, cells and the
+	// itself if the fleet is to share quota state, cells, models and the
 	// observation pipeline.
 	NewEngine func(platform string, shard int) (*engine.Engine, error)
 	// Admission is applied per shard.

@@ -17,8 +17,9 @@
 # on both platforms (the fleet's shared cell cache) with no instance
 # template until the cell's first /execute builds one, a cold /execute
 # whose one kernel run profiles its cell and builds its template, the
-# cell's self-check on the other platform, and admission
-# control shedding an overload burst with 429 + Retry-After. (Sustained JSON/wire/batch
+# cell's self-check on the other platform, one retrainer per platform
+# and one model per platform whichever shard a tenant lands on, and
+# admission control shedding an overload burst with 429 + Retry-After. (Sustained JSON/wire/batch
 # traffic with every response checked is the benchmark's job:
 # bash benchmark/run.sh --workload predict-serve.) Used by CI and
 # runnable locally:
@@ -245,6 +246,7 @@ pid=""
 echo "== fleet: one process, two platforms, sharded engines, admission control =="
 "$work/serve" -addr "127.0.0.1:$port" -db "$work/db.json" -platforms mc1,mc2 \
   -shards 2 -models "$work/models" -model knn \
+  -obs "$work/obslog-fleet" -adaptive -retrain-interval 1h -retrain-min 1 \
   -admit-inflight 1 -admit-queue 0 -exec-steps 4000000000 -exec-timeout 30s &
 pid=$!
 for i in $(seq 1 100); do
@@ -285,6 +287,25 @@ grep -q '"makespanMismatches": 0' "$work/fleet-cold.json" ||
 if grep -Eq '"makespanMismatches": [1-9]' "$work/fleet-cold.json"; then
   echo "FAIL: the self-check on the second platform disagreed with the cell's profile"; exit 1
 fi
+
+echo "== one retrainer and one model per platform, whichever shard a tenant lands on =="
+for p in mc1 mc2; do
+  curl -fsS "$base/retrain?platform=$p" | grep -q '"background": true' ||
+    { echo "FAIL: no retrainer runs on $p"; exit 1; }
+done
+# On mc2 the default tenant hashes to shard 1 and alice to shard 0: the
+# execution on shard 0 trains the model a retrain through shard 1
+# promotes, and both tenants are served it.
+curl -fsS -H 'X-Tenant: alice' -X POST "$base/execute?program=vecadd&size=2&platform=mc2" | grep -q '"verified": true'
+curl -fsS -X POST "$base/retrain?platform=mc2" | tee "$work/fleet-retrain.json"
+grep -q '"promoted": true' "$work/fleet-retrain.json"
+grep -q '"newVersion": 2' "$work/fleet-retrain.json"
+curl -fsS "$base/models?platform=mc2" | grep -q '"current": 2' ||
+  { echo "FAIL: the default tenant's mc2 shard does not serve the promoted model"; exit 1; }
+curl -fsS -H 'X-Tenant: alice' "$base/models?platform=mc2" | grep -q '"current": 2' ||
+  { echo "FAIL: alice's mc2 shard does not serve the promoted model"; exit 1; }
+curl -fsS "$base/models?platform=mc1" | grep -q '"current": 1' ||
+  { echo "FAIL: a retrain of mc2 moved mc1's model"; exit 1; }
 
 curl -fsS -H 'X-Tenant: bob' "$base/predict?program=matmul&size=0&platform=mc2" | grep -q '"partition"'
 curl -fsS "$base/stats" | tee "$work/fleet-stats.json"
