@@ -512,3 +512,53 @@ func TestEngineBackgroundRetrainer(t *testing.T) {
 		t.Fatalf("stopped retrainer kept retraining: %d -> %d", attempts, got)
 	}
 }
+
+// TestRetrainerCountsOwnPlatformLabels: mc1 and mc2 engines share one
+// observation log, each with a background retrainer waking for one new
+// label. An mc1 execution labels an mc1 cell and wakes mc1's retrainer;
+// mc2's sees no label of its own and stays idle until an mc2 execution.
+func TestRetrainerCountsOwnPlatformLabels(t *testing.T) {
+	opts, log := adaptiveOpts(t)
+	opts.SharedCells = mustCellCache(t, "mc1", "mc2")
+	engs := map[string]*Engine{}
+	for _, platform := range []string{"mc1", "mc2"} {
+		o := opts
+		o.Platform = platform
+		eng, err := New(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		stop, err := eng.StartRetrainer(5*time.Millisecond, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stop()
+		engs[platform] = eng
+	}
+	waitAttempt := func(platform string) {
+		t.Helper()
+		deadline := time.After(10 * time.Second)
+		for engs[platform].RetrainStatus().Attempts == 0 {
+			select {
+			case <-deadline:
+				t.Fatalf("%s retrainer never woke: %+v", platform, engs[platform].RetrainStatus())
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}
+	mustExecute(t, engs["mc1"], Request{Program: "vecadd", SizeIdx: 2})
+	engs["mc1"].FlushObservations()
+	if n1, n2 := log.LabeledCount("mc1"), log.LabeledCount("mc2"); n1 != 1 || n2 != 0 {
+		t.Fatalf("labels: mc1 %d, mc2 %d; want 1 and 0", n1, n2)
+	}
+	waitAttempt("mc1")
+	// mc2's retrainer ticks every 5 ms; give it several ticks.
+	time.Sleep(50 * time.Millisecond)
+	if st := engs["mc2"].RetrainStatus(); st.Attempts != 0 || st.LabeledObservations != 0 {
+		t.Fatalf("an mc1 label woke mc2's retrainer: %+v", st)
+	}
+	mustExecute(t, engs["mc2"], Request{Program: "vecadd", SizeIdx: 2})
+	engs["mc2"].FlushObservations()
+	waitAttempt("mc2")
+}

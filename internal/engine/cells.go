@@ -22,8 +22,10 @@ import (
 // (program, size) once for every platform too — so a fleet builds one
 // cache and hands it to every engine (Options.SharedCells): each
 // (program, size) is then profiled and held once per process, not once
-// per (platform, shard). Only the oracle label is per platform, because
-// the prices are; each cell keeps one label slot per platform the cache
+// per (platform, shard). Only what a platform answers for the cell is per
+// platform: its oracle label, because the prices are, and the class its
+// serving model gives the cell, because each platform has its own model.
+// Each cell keeps one label slot and one class slot per platform the cache
 // was built for.
 //
 // The cache also keeps one model store per platform (models): every
@@ -42,7 +44,8 @@ import (
 type CellCache struct {
 	memo sched.Memo[cellKey, *cell]
 	// platforms are the served platforms in slot order: platform i's
-	// label is labels[i] of every cell, and its models are models[i].
+	// label is labels[i] of every cell, its class classes[i], and its
+	// models are models[i].
 	platforms []string
 	models    []modelStore
 
@@ -94,8 +97,8 @@ func (c *CellCache) Templates() int {
 // join admits engine e: its platform must be one the cache has slots
 // for, its limits those of the engines already sharing the cache, and its
 // model options those of its platform's model store (modelStore.join).
-// It returns the platform's slot: the index of its label and its label
-// flag in every cell, and of its model store.
+// It returns the platform's slot: the index of its label, its class and
+// its label flag in every cell, and of its model store.
 func (c *CellCache) join(e *Engine) (int, error) {
 	opts := e.opts
 	i := slices.Index(c.platforms, opts.Platform)
@@ -150,6 +153,11 @@ type cell struct {
 	// What /predict answers, what /execute answers and the label record
 	// the observation log gets all index this one row.
 	labels []atomic.Pointer[runtime.Label]
+	// classes holds the class each platform's serving model gives the
+	// cell, with the model version it was computed for: /predict and
+	// /execute run the model only when the version they serve is not the
+	// slot's (Engine.class).
+	classes []atomic.Pointer[servedClass]
 	// labeled holds one flag per platform of the cache, set by the cell's
 	// first execution on the platform, which queues the cell's label
 	// record (Engine.record).
@@ -160,6 +168,15 @@ type cell struct {
 	// not depend on its class and each price is a pure function of (prof,
 	// class), so that one match checks every class on every platform.
 	checked atomic.Bool
+}
+
+// servedClass is one model version's class for one cell: the model's raw
+// output, and whether it fell outside the partition space (served as class
+// 0).
+type servedClass struct {
+	ver     *ModelVersion
+	raw     int
+	clamped bool
 }
 
 // template returns the cell's template, building it from one fresh

@@ -154,8 +154,8 @@ type Engine struct {
 	programs sched.Memo[string, *programEntry]
 	// cells is the cell cache, private or shared (Options.SharedCells);
 	// this engine's platform's label in each cell is labels[platSlot],
-	// its label flag labeled[platSlot], and its models the cache's
-	// models[platSlot].
+	// its class classes[platSlot], its label flag labeled[platSlot], and
+	// its models the cache's models[platSlot].
 	cells    *CellCache
 	platSlot int
 
@@ -210,6 +210,7 @@ type engineCounters struct {
 	artifactLoads   atomic.Uint64
 	saveFailures    atomic.Uint64
 	clamped         atomic.Uint64
+	modelEvals      atomic.Uint64
 
 	observations    atomic.Uint64
 	observedLabeled atomic.Uint64
@@ -256,8 +257,13 @@ type Stats struct {
 	ArtifactLoads       uint64 `json:"artifactLoads"`
 	ArtifactSaveFails   uint64 `json:"artifactSaveFailures"`
 	ClampedPredictions  uint64 `json:"clampedPredictions"`
-	CachedPrograms      int    `json:"cachedPrograms"`
-	CachedModels        int    `json:"cachedModels"`
+	// ModelEvaluations counts the model runs this engine made: one per
+	// (cell, model version) its platform's engines had not classified
+	// yet. A warm request runs no model, so repeat traffic leaves it flat
+	// while PredictRequests and ClampedPredictions count every request.
+	ModelEvaluations uint64 `json:"modelEvaluations"`
+	CachedPrograms   int    `json:"cachedPrograms"`
+	CachedModels     int    `json:"cachedModels"`
 
 	// Adaptive-loop counters (all zero when no observation log is
 	// configured). Observations counts executions whose counts the
@@ -374,6 +380,7 @@ func (e *Engine) Stats() Stats {
 		ArtifactLoads:       e.stats.artifactLoads.Load(),
 		ArtifactSaveFails:   e.stats.saveFailures.Load(),
 		ClampedPredictions:  e.stats.clamped.Load(),
+		ModelEvaluations:    e.stats.modelEvals.Load(),
 		CachedPrograms:      e.programs.Len(),
 		CachedModels:        e.models().regs.Len(),
 
@@ -563,6 +570,7 @@ func (e *Engine) cellFor(ctx context.Context, pe *programEntry, sizeIdx int, fir
 		shape.Args, shape.ArgBytes = nil, backend.ArgBytes(nil, inst.Args)
 		fe := &cell{fv: fv, prof: prof, launch: shape, bytes: bytes,
 			labels:  make([]atomic.Pointer[runtime.Label], len(e.cells.platforms)),
+			classes: make([]atomic.Pointer[servedClass], len(e.cells.platforms)),
 			labeled: make([]atomic.Bool, len(e.cells.platforms))}
 		if first != nil {
 			_, first.verifyErr = tmpl.check(args)
@@ -759,11 +767,13 @@ func (e *Engine) Predict(req Request) (*Prediction, error) {
 }
 
 // PredictInto is Predict into a caller-owned struct: the serving hot
-// path. A warm call performs zero heap allocations (every buffer it
-// needs — model scratch, pricing scratch — comes from per-engine pools),
-// so callers that pool their Prediction structs serve requests without
-// touching the garbage collector at all. On error *p is left in an
-// unspecified state.
+// path. A warm call runs no model and prices nothing: the class comes from
+// the cell's class slot, computed once per (cell, platform, model
+// version) and answered only while that version serves (a promotion or
+// rollback makes the next call run the new model once), and the time from
+// the cell's label. It performs zero heap allocations, so callers that
+// pool their Prediction structs serve requests without touching the
+// garbage collector at all. On error *p is left in an unspecified state.
 func (e *Engine) PredictInto(req Request, p *Prediction) error {
 	e.stats.predictRequests.Add(1)
 	if _, _, err := e.predictInto(context.Background(), req, p, nil); err != nil {
@@ -806,25 +816,13 @@ func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction, fi
 		return nil, nil, err
 	}
 	ver := reg.current()
-	art := ver.art
-	// The artifact's recorded feature schema must be exactly the schema
-	// this binary extracts — same names, same order — or the scaler's
-	// per-position statistics would apply to the wrong features.
-	if len(art.FeatureNames) > 0 {
-		if len(art.FeatureNames) != len(fe.fv.Names) {
-			return nil, nil, fmt.Errorf("engine: artifact expects %d features, program yields %d", len(art.FeatureNames), len(fe.fv.Names))
-		}
-		for i, name := range art.FeatureNames {
-			if name != fe.fv.Names[i] {
-				return nil, nil, fmt.Errorf("engine: artifact feature %d is %q, this binary extracts %q", i, name, fe.fv.Names[i])
-			}
-		}
+	sc, err := e.class(fe, ver)
+	if err != nil {
+		return nil, nil, err
 	}
-
-	raw := art.Predict(fe.fv.Values)
-	served, clamped := raw, false
-	if nc := e.fw.NumClasses(); served < 0 || served >= nc {
-		served, clamped = 0, true
+	served := sc.raw
+	if sc.clamped {
+		served = 0
 		e.stats.clamped.Add(1)
 	}
 	// The partition string comes from the precomputed space table and the
@@ -842,10 +840,10 @@ func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction, fi
 		SizeLabel:     pe.bench.Sizes[sz].Label,
 		SizeN:         pe.bench.Sizes[sz].N,
 		Class:         served,
-		RawClass:      raw,
-		Clamped:       clamped,
+		RawClass:      sc.raw,
+		Clamped:       sc.clamped,
 		Partition:     e.spaceStrs[served],
-		Model:         art.ModelName,
+		Model:         ver.ModelName,
 		ModelSource:   ver.Source,
 		ModelVersion:  ver.ModelVersion,
 		LeftOut:       leftOut,
@@ -1004,6 +1002,38 @@ func (e *Engine) run(ctx context.Context, pe *programEntry, fe *cell, sizeIdx, c
 	e.afterKernel(l.Args)
 	r.byMatch, r.verifyErr = tmpl.check(l.Args)
 	return nil
+}
+
+// class returns the class ver gives the cell on the engine's platform.
+// The class is a pure function of the artifact and the cell's features,
+// so the platform's engines run the model once per (cell, model version)
+// and keep the answer in the cell's class slot; another version — a
+// promotion, a rollback, a leave-out model — misses, runs the model and
+// replaces the entry. A hit is one atomic load.
+func (e *Engine) class(fe *cell, ver *ModelVersion) (*servedClass, error) {
+	slot := &fe.classes[e.platSlot]
+	if sc := slot.Load(); sc != nil && sc.ver == ver {
+		return sc, nil
+	}
+	art := ver.art
+	// The artifact's recorded feature schema must be exactly the schema
+	// this binary extracts — same names, same order — or the scaler's
+	// per-position statistics would apply to the wrong features.
+	if len(art.FeatureNames) > 0 {
+		if len(art.FeatureNames) != len(fe.fv.Names) {
+			return nil, fmt.Errorf("engine: artifact expects %d features, program yields %d", len(art.FeatureNames), len(fe.fv.Names))
+		}
+		for i, name := range art.FeatureNames {
+			if name != fe.fv.Names[i] {
+				return nil, fmt.Errorf("engine: artifact feature %d is %q, this binary extracts %q", i, name, fe.fv.Names[i])
+			}
+		}
+	}
+	raw := art.Predict(fe.fv.Values)
+	e.stats.modelEvals.Add(1)
+	sc := &servedClass{ver: ver, raw: raw, clamped: raw < 0 || raw >= e.fw.NumClasses()}
+	slot.Store(sc)
+	return sc, nil
 }
 
 // label returns the cell's oracle label on the engine's platform, pricing

@@ -51,12 +51,13 @@ func TestEngineWarmPredictNoRework(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := eng.Stats()
-	if cold.Compiles != 1 || cold.FeatureComputes != 1 || cold.Trainings != 1 {
-		t.Fatalf("cold request: compiles=%d features=%d trainings=%d, want 1/1/1", cold.Compiles, cold.FeatureComputes, cold.Trainings)
+	if cold.Compiles != 1 || cold.FeatureComputes != 1 || cold.Trainings != 1 || cold.ModelEvaluations != 1 {
+		t.Fatalf("cold request: compiles=%d features=%d trainings=%d model evaluations=%d, want 1/1/1/1", cold.Compiles, cold.FeatureComputes, cold.Trainings, cold.ModelEvaluations)
 	}
 
 	// The acceptance criterion: a warm engine answers repeat requests
-	// with zero retraining, zero recompilation and zero re-profiling.
+	// with zero retraining, zero recompilation, zero re-profiling and no
+	// model run.
 	for i := 0; i < 10; i++ {
 		again, err := eng.Predict(req)
 		if err != nil {
@@ -68,7 +69,7 @@ func TestEngineWarmPredictNoRework(t *testing.T) {
 	}
 	warm := eng.Stats()
 	if warm.Compiles != cold.Compiles || warm.FeatureComputes != cold.FeatureComputes ||
-		warm.Trainings != cold.Trainings || warm.ArtifactLoads != cold.ArtifactLoads {
+		warm.Trainings != cold.Trainings || warm.ArtifactLoads != cold.ArtifactLoads || warm.ModelEvaluations != cold.ModelEvaluations {
 		t.Fatalf("warm requests redid offline work: cold=%+v warm=%+v", cold, warm)
 	}
 	if warm.PredictRequests != 11 {
@@ -311,15 +312,18 @@ func TestEngineClampedPredictionSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := eng.Predict(Request{Program: "vecadd", SizeIdx: 0})
-	if err != nil {
-		t.Fatal(err)
+	// The model runs once for the cell; the clamp is counted per request.
+	for i := 0; i < 3; i++ {
+		p, err := eng.Predict(Request{Program: "vecadd", SizeIdx: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.Clamped || p.RawClass != 500 || p.Class != 0 {
+			t.Fatalf("out-of-range prediction not surfaced: %+v", p)
+		}
 	}
-	if !p.Clamped || p.RawClass != 500 || p.Class != 0 {
-		t.Fatalf("out-of-range prediction not surfaced: %+v", p)
-	}
-	if s := eng.Stats(); s.ClampedPredictions != 1 {
-		t.Fatalf("clamped counter: %+v", s)
+	if s := eng.Stats(); s.ClampedPredictions != 3 || s.ModelEvaluations != 1 {
+		t.Fatalf("clamped counter %d, model evaluations %d over 3 requests of one cell, want 3 and 1", s.ClampedPredictions, s.ModelEvaluations)
 	}
 }
 
@@ -372,24 +376,34 @@ func BenchmarkEnginePredictWarm(b *testing.B) {
 }
 
 // BenchmarkEnginePredictInto measures the allocation-free serving hot
-// path: a pooled Prediction struct filled in place. The CI alloc smoke
-// fails the build if this reports nonzero allocs/op.
+// path: a pooled Prediction struct filled in place, once per model family
+// (knn, the tests' fast model, and mlp, the one cmd/serve serves by
+// default). A warm call runs neither: the cell's class is the version's,
+// kept in the cell. The CI alloc smoke fails the build if either reports
+// nonzero allocs/op.
 func BenchmarkEnginePredictInto(b *testing.B) {
-	eng, err := New(fastOpts(b))
-	if err != nil {
-		b.Fatal(err)
-	}
-	req := Request{Program: "vecadd", SizeIdx: 1}
-	var p Prediction
-	if err := eng.PredictInto(req, &p); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := eng.PredictInto(req, &p); err != nil {
-			b.Fatal(err)
-		}
+	for _, family := range []struct {
+		name  string
+		model ml.NewModel
+	}{{"knn", harness.FastModel()}, {"mlp", harness.DefaultModel()}} {
+		b.Run(family.name, func(b *testing.B) {
+			eng, err := New(Options{Platform: "mc2", DB: testDB(b), Model: family.model})
+			if err != nil {
+				b.Fatal(err)
+			}
+			req := Request{Program: "vecadd", SizeIdx: 1}
+			var p Prediction
+			if err := eng.PredictInto(req, &p); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := eng.PredictInto(req, &p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

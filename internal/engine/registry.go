@@ -130,7 +130,7 @@ type modelStore struct {
 	lastErr        string
 	inProgress     bool
 	background     bool
-	trainedLabeled uint64 // labeled count at the last attempt
+	trainedLabeled uint64 // the platform's labeled count at the last attempt
 }
 
 // join admits e, whose model options must be those of the engines

@@ -70,9 +70,9 @@ type RetrainStatus struct {
 	Promotions uint64 `json:"promotions"`
 	Rejections uint64 `json:"rejections"`
 
-	// LabeledObservations is how many label records the log has read or
-	// appended; LastTrainedLabeled that count when the last attempt ran
-	// (the background threshold compares the two).
+	// LabeledObservations is how many label records of the platform the
+	// log has read or appended; LastTrainedLabeled that count when the
+	// last attempt ran (the background threshold compares the two).
 	LabeledObservations uint64 `json:"labeledObservations"`
 	LastTrainedLabeled  uint64 `json:"lastTrainedLabeled"`
 
@@ -115,7 +115,7 @@ func (e *Engine) Retrain() (*RetrainResult, error) {
 	// Capture the labeled count BEFORE the snapshot: labels arriving
 	// while training runs are not in this attempt's training set, so
 	// they must still count toward the next threshold check.
-	labeledBefore := e.opts.ObsLog.LabeledCount()
+	labeledBefore := e.opts.ObsLog.LabeledCount(e.opts.Platform)
 	attempt := ms.attempts.Add(1)
 	res, err := e.retrainOnce(attempt)
 
@@ -272,7 +272,7 @@ func (e *Engine) RetrainStatus() RetrainStatus {
 		Rejections: ms.rejected.Load(),
 	}
 	if st.Enabled {
-		st.LabeledObservations = e.opts.ObsLog.LabeledCount()
+		st.LabeledObservations = e.opts.ObsLog.LabeledCount(e.opts.Platform)
 	}
 	ms.mu.Lock()
 	st.Background = ms.background
@@ -285,13 +285,13 @@ func (e *Engine) RetrainStatus() RetrainStatus {
 }
 
 // StartRetrainer launches the platform's background retraining loop:
-// every interval, if at least minNew label records arrived since the last
-// attempt (a label is recorded once per cell and platform, so this
-// counts cells served for the first time), run Retrain. A platform has
-// one loop, whichever of its engines started it. Returns a stop function
-// that halts the loop and waits for an in-flight attempt to finish. The
-// loop never crashes the engine: attempt errors are recorded in
-// RetrainStatus.
+// every interval, if at least minNew label records of the platform
+// arrived since the last attempt (a label is recorded once per cell and
+// platform, so this counts cells served on the platform for the first
+// time), run Retrain. A platform has one loop, whichever of its engines
+// started it. Returns a stop function that halts the loop and waits for
+// an in-flight attempt to finish. The loop never crashes the engine:
+// attempt errors are recorded in RetrainStatus.
 func (e *Engine) StartRetrainer(interval time.Duration, minNew int) (stop func(), err error) {
 	if e.opts.ObsLog == nil {
 		return nil, errors.New("engine: adaptive retraining requires an observation log")
@@ -326,7 +326,7 @@ func (e *Engine) StartRetrainer(interval time.Duration, minNew int) (stop func()
 				ms.mu.Lock()
 				trained := ms.trainedLabeled
 				ms.mu.Unlock()
-				if e.opts.ObsLog.LabeledCount() < trained+uint64(minNew) {
+				if e.opts.ObsLog.LabeledCount(e.opts.Platform) < trained+uint64(minNew) {
 					continue
 				}
 				// Errors and rejections land in RetrainStatus; a

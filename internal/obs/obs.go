@@ -260,7 +260,7 @@ type Log struct {
 	// The mirror: the newest label per cell and the counters.
 	labels  map[Key]Observation
 	counts  map[CountKey]uint64
-	labeled uint64 // label records folded
+	labeled map[string]uint64 // label records folded, per platform
 	// records is how many records the segments replay reads hold: what a
 	// compaction would fold into len(labels)+len(counts).
 	records int
@@ -280,7 +280,7 @@ func Open(opts Options) (*Log, error) {
 	}
 	l := &Log{
 		dir: opts.Dir, maxSeg: opts.MaxSegmentBytes, write: (*os.File).Write,
-		labels: map[Key]Observation{}, counts: map[CountKey]uint64{},
+		labels: map[Key]Observation{}, counts: map[CountKey]uint64{}, labeled: map[string]uint64{},
 	}
 	segs, err := l.segments()
 	if err != nil {
@@ -468,7 +468,7 @@ func (l *Log) fold(r *line) error {
 
 // foldLabel makes o its cell's label unless the cell holds a newer one.
 func (l *Log) foldLabel(o *Observation) {
-	l.labeled++
+	l.labeled[o.Platform]++
 	if old, ok := l.labels[o.Key()]; !ok || old.Seq < o.Seq {
 		l.labels[o.Key()] = *o
 	}
@@ -703,10 +703,12 @@ func (l *Log) Stats() Stats {
 	defer l.mu.Unlock()
 	segs, _ := l.segments()
 	st := Stats{
-		Labeled:     l.labeled,
 		Cells:       len(l.labels),
 		CounterKeys: len(l.counts),
 		Segments:    len(segs),
+	}
+	for _, n := range l.labeled {
+		st.Labeled += n
 	}
 	for k, n := range l.counts {
 		st.Executions += n
@@ -765,13 +767,13 @@ func (l *Log) Health() []Health {
 	return hs
 }
 
-// LabeledCount returns the number of label records read or appended
-// without touching the disk (the retrainer's threshold check polls
-// this).
-func (l *Log) LabeledCount() uint64 {
+// LabeledCount returns the number of label records of platform read or
+// appended, without touching the disk: each platform's retrainer polls its
+// own platform's count, so labels of another platform never wake it.
+func (l *Log) LabeledCount(platform string) uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.labeled
+	return l.labeled[platform]
 }
 
 // Close seals the log. Further appends fail; a new Open resumes where

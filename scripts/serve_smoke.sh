@@ -5,7 +5,9 @@
 # closed loop — executions for a size ABSENT from the seed database are
 # observed (/observations), retrained (/retrain), and the promoted model
 # version serves subsequent predictions (/models, modelVersion) without
-# a restart — and finally verify clean shutdown on SIGTERM. Every phase
+# a restart — and finally verify clean shutdown on SIGTERM. Warm
+# predicts run no model ("modelEvaluations" stays flat) and a promotion
+# makes a warm cell's next predict run the new version once. Every phase
 # checks /stats for "makespanMismatches": 0 — no /execute answered a
 # makespan other than the one priced on its cell's profile. A second
 # serve instance then exercises the untrusted-kernel path: upload via
@@ -70,6 +72,20 @@ grep -q '"model": "knn5"' "$work/predict.json"
 
 echo "== predict (repeat, warm) =="
 curl -fsS "$base/predict?program=vecadd&size=1" >/dev/null
+
+# model_evals sums the shards' modelEvaluations: the model runs the
+# engines made, one per (cell, platform, model version).
+model_evals() {
+  curl -fsS "$base/stats" | grep -o '"modelEvaluations": [0-9]*' | awk '{ n += $2 } END { print n + 0 }'
+}
+
+echo "== warm predicts run no model: modelEvaluations stays flat =="
+evals=$(model_evals)
+for i in $(seq 1 10); do
+  curl -fsS "$base/predict?program=vecadd&size=1" >/dev/null
+done
+[ "$(model_evals)" = "$evals" ] ||
+  { echo "FAIL: ten warm predicts of one cell moved modelEvaluations from $evals to $(model_evals)"; exit 1; }
 
 echo "== execute =="
 curl -fsS -X POST "$base/execute?program=matmul&size=0" | tee "$work/execute.json"
@@ -144,6 +160,13 @@ curl -fsS "$base/models" | tee "$work/models.json"
 grep -q '"current": 2' "$work/models.json"
 grep -q '"source": "retrained"' "$work/models.json"
 grep -q '"obsRecords"' "$work/models.json"
+
+echo "== the warm cell's next predict runs version 2 once =="
+evals=$(model_evals)
+curl -fsS "$base/predict?program=vecadd&size=1" | grep -q '"modelVersion": 2' ||
+  { echo "FAIL: the warm cell is not served by version 2"; exit 1; }
+[ "$(model_evals)" = "$((evals + 1))" ] ||
+  { echo "FAIL: the first predict under version 2 moved modelEvaluations from $evals to $(model_evals), want +1"; exit 1; }
 
 echo "== the new version serves immediately, no restart =="
 curl -fsS "$base/predict?program=vecadd&size=2" | tee "$work/predict2.json"
