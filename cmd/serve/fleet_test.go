@@ -380,7 +380,7 @@ func TestWireErrorFrames(t *testing.T) {
 // the same request succeeds.
 func TestShedThroughHandler(t *testing.T) {
 	s := fleetServer(t, []string{"mc2"}, 1,
-		fleet.AdmissionConfig{MaxInflight: 1, MaxQueue: 0, RetryAfter: 3 * time.Second})
+		fleet.AdmissionConfig{MaxInflight: 1, MaxQueue: 0})
 	sh, err := s.fleet.ShardFor("", "")
 	if err != nil {
 		t.Fatal(err)
@@ -394,8 +394,8 @@ func TestShedThroughHandler(t *testing.T) {
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("json shed = %d: %s", w.Code, w.Body.String())
 	}
-	if w.Header().Get("Retry-After") != "3" {
-		t.Errorf("Retry-After = %q, want 3", w.Header().Get("Retry-After"))
+	if w.Header().Get("Retry-After") != "1" {
+		t.Errorf("Retry-After = %q, want 1", w.Header().Get("Retry-After"))
 	}
 	if !strings.Contains(w.Body.String(), `"shed"`) {
 		t.Errorf("missing shed code: %s", w.Body.String())
@@ -406,8 +406,8 @@ func TestShedThroughHandler(t *testing.T) {
 	if ww.Code != http.StatusTooManyRequests {
 		t.Fatalf("wire shed = %d", ww.Code)
 	}
-	if ww.Header().Get("Retry-After") != "3" {
-		t.Errorf("wire Retry-After = %q, want 3", ww.Header().Get("Retry-After"))
+	if ww.Header().Get("Retry-After") != "1" {
+		t.Errorf("wire Retry-After = %q, want 1", ww.Header().Get("Retry-After"))
 	}
 	msg, payload, err := wire.ParseFrame(ww.Body.Bytes())
 	if err != nil || msg != wire.MsgError {
@@ -417,7 +417,7 @@ func TestShedThroughHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ef.Code != "shed" || ef.RetryAfterSecs != 3 {
+	if ef.Code != "shed" || ef.RetryAfterSecs != 1 {
 		t.Errorf("error frame = %+v", ef)
 	}
 

@@ -19,9 +19,8 @@ import (
 // A reason is one of: a test reference implementation, golden tooling,
 // the client half of a wire message, or a recorded finding.
 var deadExportAllow = map[string]string{
-	"exec.Profile.RangeNaive": "test reference implementation: the linear scan Range and the range index are checked against",
-	"vm.Disassemble":          "golden tooling: renders the scalar bytecode the testdata/*.disasm goldens pin",
-	"vm.VecFunc.Disassemble":  "golden tooling: renders the vector bytecode the testdata/vec_*.disasm goldens pin",
+	"vm.Disassemble":         "golden tooling: renders the scalar bytecode the testdata/*.disasm goldens pin",
+	"vm.VecFunc.Disassemble": "golden tooling: renders the vector bytecode the testdata/vec_*.disasm goldens pin",
 	"wire.AppendExecuteRequest": "client half of a wire message: the server decodes execute requests; " +
 		"this encodes one, as a Go client would",
 	"wire.DecodeExecution": "client half of a wire message: the server encodes executions; this decodes one",

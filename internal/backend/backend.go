@@ -256,7 +256,7 @@ func (pl *Plan) TransferBytes(argBytes []int64, global0, lo, hi int) (in, out in
 // (iterative applications re-launch the kernel but keep buffers resident,
 // so transfers are charged once). dst receives the works and chunkScratch
 // the chunk layout, both reused when their capacity suffices (nil for
-// fresh ones); the chunk counts come from the profile's O(1) range query.
+// fresh ones); the chunk counts come from the profile's range query.
 // It returns the works plus the chunk scratch for reuse on the next
 // candidate.
 func (pl *Plan) DeviceWorks(dst []sim.Work, chunkScratch [][2]int, prof *exec.Profile,

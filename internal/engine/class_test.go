@@ -197,6 +197,10 @@ func TestLeaveOutAndFullClassesDoNotMix(t *testing.T) {
 			t.Fatalf("request %d (leaveOut %v) served class %d from %q version %d, want %d", i, req.LeaveOut, p.RawClass, p.LeftOut, p.ModelVersion, want[req.LeaveOut])
 		}
 	}
+	// Each model keeps its own slot: alternating requests run each once.
+	if got := eng.Stats().ModelEvaluations; got != 2 {
+		t.Errorf("6 alternating requests ran the model %d times, want 2", got)
+	}
 }
 
 // TestPromotionNeverTearsVersionFromClass: predictions racing promotions

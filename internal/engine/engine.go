@@ -154,7 +154,7 @@ type Engine struct {
 	programs sched.Memo[string, *programEntry]
 	// cells is the cell cache, private or shared (Options.SharedCells);
 	// this engine's platform's label in each cell is labels[platSlot],
-	// its class classes[platSlot], its label flag labeled[platSlot], and
+	// its classes classes[platSlot], its label flag labeled[platSlot], and
 	// its models the cache's models[platSlot].
 	cells    *CellCache
 	platSlot int
@@ -561,7 +561,6 @@ func (e *Engine) cellFor(ctx context.Context, pe *programEntry, sizeIdx int, fir
 			return nil, err
 		}
 		e.afterKernel(args)
-		prof.Precompute()
 		e.stats.featureComputes.Add(1)
 		// Pricing reads the arguments' sizes, not their contents: unless it
 		// became the template, the instance goes to the collector when this
@@ -570,7 +569,7 @@ func (e *Engine) cellFor(ctx context.Context, pe *programEntry, sizeIdx int, fir
 		shape.Args, shape.ArgBytes = nil, backend.ArgBytes(nil, inst.Args)
 		fe := &cell{fv: fv, prof: prof, launch: shape, bytes: bytes,
 			labels:  make([]atomic.Pointer[runtime.Label], len(e.cells.platforms)),
-			classes: make([]atomic.Pointer[servedClass], len(e.cells.platforms)),
+			classes: make([][2]atomic.Pointer[servedClass], len(e.cells.platforms)),
 			labeled: make([]atomic.Bool, len(e.cells.platforms))}
 		if first != nil {
 			_, first.verifyErr = tmpl.check(args)
@@ -768,7 +767,7 @@ func (e *Engine) Predict(req Request) (*Prediction, error) {
 
 // PredictInto is Predict into a caller-owned struct: the serving hot
 // path. A warm call runs no model and prices nothing: the class comes from
-// the cell's class slot, computed once per (cell, platform, model
+// one of the cell's class slots, computed once per (cell, platform, model
 // version) and answered only while that version serves (a promotion or
 // rollback makes the next call run the new model once), and the time from
 // the cell's label. It performs zero heap allocations, so callers that
@@ -816,7 +815,7 @@ func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction, fi
 		return nil, nil, err
 	}
 	ver := reg.current()
-	sc, err := e.class(fe, ver)
+	sc, err := e.class(fe, ver, leftOut != "")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1004,14 +1003,19 @@ func (e *Engine) run(ctx context.Context, pe *programEntry, fe *cell, sizeIdx, c
 	return nil
 }
 
-// class returns the class ver gives the cell on the engine's platform.
-// The class is a pure function of the artifact and the cell's features,
-// so the platform's engines run the model once per (cell, model version)
-// and keep the answer in the cell's class slot; another version — a
-// promotion, a rollback, a leave-out model — misses, runs the model and
-// replaces the entry. A hit is one atomic load.
-func (e *Engine) class(fe *cell, ver *ModelVersion) (*servedClass, error) {
-	slot := &fe.classes[e.platSlot]
+// class returns the class ver gives the cell on the engine's platform;
+// leaveOut says ver is a version of the model that leaves the cell's
+// program out. The class is a pure function of the artifact and the
+// cell's features, so the platform's engines run the model once per
+// (cell, model version) and keep the answer in the cell's slot for that
+// registry; another version — a promotion, a rollback — misses, runs the
+// model and replaces the entry. A hit is one atomic load.
+func (e *Engine) class(fe *cell, ver *ModelVersion, leaveOut bool) (*servedClass, error) {
+	k := 0
+	if leaveOut {
+		k = 1
+	}
+	slot := &fe.classes[e.platSlot][k]
 	if sc := slot.Load(); sc != nil && sc.ver == ver {
 		return sc, nil
 	}

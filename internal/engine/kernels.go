@@ -167,7 +167,7 @@ func (e *Engine) RegisterKernel(tenant string, spec KernelSpec) (*KernelInfo, er
 		e.kernels.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrKernelExists, qname)
 	}
-	if err := e.tenants.reserveRegistration(tn, int64(len(spec.Source)), e.opts.Tenant, e.retryAfter()); err != nil {
+	if err := e.tenants.reserveRegistration(tn, int64(len(spec.Source)), e.opts.Tenant); err != nil {
 		e.kernels.mu.Unlock()
 		e.noteQuotaRejection(err)
 		return nil, err
@@ -206,7 +206,7 @@ func (e *Engine) checkKernelQuota(tenant string, srcLen int64, qname string) err
 	if taken {
 		return fmt.Errorf("%w: %s", ErrKernelExists, qname)
 	}
-	return e.tenants.checkRegistration(tenant, srcLen, e.opts.Tenant, e.retryAfter())
+	return e.tenants.checkRegistration(tenant, srcLen, e.opts.Tenant)
 }
 
 // ListKernels returns every registered user kernel, sorted by qualified

@@ -115,7 +115,7 @@ func TestExecuteCanceledMidKernel(t *testing.T) {
 // restores service.
 func TestTenantConcurrencyCap(t *testing.T) {
 	opts := fastOpts(t)
-	opts.Tenant = TenantLimits{MaxConcurrent: 2, RetryAfter: 3 * time.Second}
+	opts.Tenant = TenantLimits{MaxConcurrent: 2}
 	eng, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestTenantConcurrencyCap(t *testing.T) {
 	if !errors.As(err, &qe) {
 		t.Fatalf("over-cap err = %v, want *QuotaError", err)
 	}
-	if qe.Tenant != "bob" || qe.RetryAfter != 3*time.Second {
+	if qe.Tenant != "bob" || qe.RetryAfter != time.Second {
 		t.Fatalf("quota error: %+v", qe)
 	}
 	if got := eng.Stats().QuotaRejections; got != 1 {

@@ -187,7 +187,6 @@ func TestMakespanMismatchAnsweredAsMeasured(t *testing.T) {
 			intact := fe.prof
 			bent := &exec.Profile{Global0: intact.Global0, Buckets: slices.Clone(intact.Buckets)}
 			bent.Buckets[0].IntOps += 1e9
-			bent.Precompute()
 			fe.prof = bent
 			fe.labels[bad.platSlot].Store(nil)
 
@@ -357,7 +356,6 @@ func TestProfileMismatchAloneIsCaught(t *testing.T) {
 		t.Fatal("every bucket of the profile is the same: nothing to swap")
 	}
 	swapped.Buckets[i], swapped.Buckets[last] = swapped.Buckets[last], swapped.Buckets[i]
-	swapped.Precompute()
 	fe.prof = swapped
 	fe.labels[eng.platSlot].Store(nil)
 

@@ -22,10 +22,10 @@ type TenantLimits struct {
 	// MaxConcurrent caps a tenant's in-flight executions; requests over
 	// the cap fail fast with a QuotaError instead of queueing.
 	MaxConcurrent int
-	// RetryAfter is the backoff hint attached to concurrency rejections
-	// (default 1s).
-	RetryAfter time.Duration
 }
+
+// quotaRetryAfter is the backoff hint every QuotaError carries.
+const quotaRetryAfter = time.Second
 
 // QuotaError reports a request rejected by a tenant quota. The serving
 // layer maps it to 429 with a Retry-After header.
@@ -88,19 +88,19 @@ func (t *TenantTable) stateLocked(name string) *tenantState {
 
 // checkRegistration is the read-only quota pre-check for registering a
 // kernel of srcLen bytes: cheap rejection before compile work is spent.
-func (t *TenantTable) checkRegistration(tenant string, srcLen int64, lim TenantLimits, retryAfter time.Duration) error {
+func (t *TenantTable) checkRegistration(tenant string, srcLen int64, lim TenantLimits) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.registrationErrLocked(tenant, srcLen, lim, retryAfter)
+	return t.registrationErrLocked(tenant, srcLen, lim)
 }
 
 // reserveRegistration atomically re-checks the quotas and commits the
 // kernel/source-byte accounting. This is the authoritative gate: two
 // shards racing the same tenant's last kernel slot serialize here.
-func (t *TenantTable) reserveRegistration(tenant string, srcLen int64, lim TenantLimits, retryAfter time.Duration) error {
+func (t *TenantTable) reserveRegistration(tenant string, srcLen int64, lim TenantLimits) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := t.registrationErrLocked(tenant, srcLen, lim, retryAfter); err != nil {
+	if err := t.registrationErrLocked(tenant, srcLen, lim); err != nil {
 		return err
 	}
 	ts := t.stateLocked(tenant)
@@ -109,26 +109,19 @@ func (t *TenantTable) reserveRegistration(tenant string, srcLen int64, lim Tenan
 	return nil
 }
 
-func (t *TenantTable) registrationErrLocked(tenant string, srcLen int64, lim TenantLimits, retryAfter time.Duration) error {
+func (t *TenantTable) registrationErrLocked(tenant string, srcLen int64, lim TenantLimits) error {
 	ts := t.stateLocked(tenant)
 	if lim.MaxKernels > 0 && ts.kernels >= lim.MaxKernels {
 		return &QuotaError{Tenant: tenant,
 			Reason:     fmt.Sprintf("%d kernels registered (cap %d)", ts.kernels, lim.MaxKernels),
-			RetryAfter: retryAfter}
+			RetryAfter: quotaRetryAfter}
 	}
 	if lim.MaxSourceBytes > 0 && ts.srcBytes+srcLen > lim.MaxSourceBytes {
 		return &QuotaError{Tenant: tenant,
 			Reason:     fmt.Sprintf("%d source bytes registered + %d uploaded exceeds cap %d", ts.srcBytes, srcLen, lim.MaxSourceBytes),
-			RetryAfter: retryAfter}
+			RetryAfter: quotaRetryAfter}
 	}
 	return nil
-}
-
-func (e *Engine) retryAfter() time.Duration {
-	if e.opts.Tenant.RetryAfter > 0 {
-		return e.opts.Tenant.RetryAfter
-	}
-	return time.Second
 }
 
 // acquireTenantSlot claims one of the tenant's concurrent-execution
@@ -148,7 +141,7 @@ func (e *Engine) acquireTenantSlot(tenant string) (func(), error) {
 		return nil, &QuotaError{
 			Tenant:     name,
 			Reason:     fmt.Sprintf("%d concurrent executions in flight (cap %d)", maxc, maxc),
-			RetryAfter: e.retryAfter(),
+			RetryAfter: quotaRetryAfter,
 		}
 	}
 	return func() { ts.inflight.Add(-1) }, nil

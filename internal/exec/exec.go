@@ -22,7 +22,6 @@ package exec
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"unsafe"
 
 	"repro/internal/minicl"
@@ -212,12 +211,7 @@ func (c *Counts) GlobalStoreBytes() int64 { return c.GlobalStores * 4 }
 
 // Profile is the dynamic profile of one kernel launch, bucketed along
 // dimension 0 so that the cost of any contiguous dim-0 chunk can be
-// reconstructed without re-execution.
-//
-// Range queries run in O(1) through a lazily built index (prefix sums for
-// the additive fields, a sparse table for the MaxItemOps maximum). The
-// index is constructed once on the first query; Buckets must not be
-// mutated after that point.
+// reconstructed without re-execution (Range).
 type Profile struct {
 	// Global0 is the dim-0 extent the profile covers.
 	Global0 int
@@ -233,97 +227,15 @@ type Profile struct {
 	VecDivergences int64
 	VecReconverges int64
 	VecScalarBails int64
-
-	idxOnce sync.Once
-	idx     *profileIndex
 }
 
 // DefaultBuckets is the profile resolution along dim 0.
 const DefaultBuckets = 200
 
-// bucketOf maps a dim-0 index to its bucket.
-func (p *Profile) bucketOf(x int) int {
-	return x * len(p.Buckets) / p.Global0
-}
-
-// profileIndex is the constant-time range-query structure of a profile.
-type profileIndex struct {
-	// start[b] is the first dim-0 index of bucket b; start[nb] == Global0.
-	start []int
-	// pre[b] holds the exact sums of the additive fields of Buckets[:b]
-	// (MaxItemOps is left zero; maxima are answered by the sparse table).
-	pre []Counts
-	// maxTab[k][i] is the maximum MaxItemOps over Buckets[i : i+2^k].
-	maxTab [][]int64
-	// log2[n] is floor(log2(n)) for 1 <= n <= nb.
-	log2 []uint8
-}
-
-// Precompute builds the range-query index eagerly. Callers that share one
-// profile across many concurrent pricing workers (the oracle search, the
-// training sweep) call this once up front so the workers never contend on
-// the lazy construction.
-func (p *Profile) Precompute() {
-	if len(p.Buckets) > 0 {
-		p.index()
-	}
-}
-
-func (p *Profile) index() *profileIndex {
-	p.idxOnce.Do(p.buildIndex)
-	return p.idx
-}
-
-func (p *Profile) buildIndex() {
-	nb := len(p.Buckets)
-	ix := &profileIndex{
-		start: make([]int, nb+1),
-		pre:   make([]Counts, nb+1),
-		log2:  make([]uint8, nb+1),
-	}
-	for b := 0; b <= nb; b++ {
-		ix.start[b] = b * p.Global0 / nb
-	}
-	for b := range p.Buckets {
-		s := ix.pre[b]
-		s.addAdditive(&p.Buckets[b])
-		ix.pre[b+1] = s
-	}
-	for n := 2; n <= nb; n++ {
-		ix.log2[n] = ix.log2[n/2] + 1
-	}
-	levels := int(ix.log2[nb]) + 1
-	ix.maxTab = make([][]int64, levels)
-	base := make([]int64, nb)
-	for b := range p.Buckets {
-		base[b] = p.Buckets[b].MaxItemOps
-	}
-	ix.maxTab[0] = base
-	for k := 1; k < levels; k++ {
-		half := 1 << (k - 1)
-		prev := ix.maxTab[k-1]
-		row := make([]int64, nb-2*half+1)
-		for i := range row {
-			row[i] = max(prev[i], prev[i+half])
-		}
-		ix.maxTab[k] = row
-	}
-	p.idx = ix
-}
-
-// addAdditive accumulates o's additive fields into c (MaxItemOps excluded).
-func (c *Counts) addAdditive(o *Counts) {
-	c.Items += o.Items
-	c.IntOps += o.IntOps
-	c.FloatOps += o.FloatOps
-	c.TransOps += o.TransOps
-	c.OtherBuiltins += o.OtherBuiltins
-	c.GlobalLoads += o.GlobalLoads
-	c.GlobalStores += o.GlobalStores
-	c.LocalOps += o.LocalOps
-	c.Branches += o.Branches
-	c.Barriers += o.Barriers
-}
+// Precompute does nothing. It is kept only because the benchmark module
+// still calls it (benchmark/train.go and benchmark/micro.go); delete it
+// once those two calls are gone.
+func (p *Profile) Precompute() {}
 
 // subAdditive subtracts o's additive fields from c.
 func (c *Counts) subAdditive(o *Counts) {
@@ -358,51 +270,9 @@ func (c *Counts) scaleFloor(off, width int) Counts {
 	}
 }
 
-// bucketAt returns the bucket whose span [start[b], start[b+1]) contains
-// dim-0 index x. The multiplicative estimate is off by at most one step
-// when Global0 is not divisible by the bucket count, so the correction
-// loops run O(1) times.
-func (ix *profileIndex) bucketAt(x int) int {
-	nb := len(ix.start) - 1
-	g := ix.start[nb]
-	b := x * nb / g
-	if b > nb-1 {
-		b = nb - 1
-	}
-	for b+1 < nb && ix.start[b+1] <= x {
-		b++
-	}
-	for b > 0 && ix.start[b] > x {
-		b--
-	}
-	return b
-}
-
-// prefixAt returns the additive counts attributed to [0, x).
-func (p *Profile) prefixAt(ix *profileIndex, x int) Counts {
-	nb := len(p.Buckets)
-	if x <= 0 {
-		return Counts{}
-	}
-	if x >= p.Global0 {
-		return ix.pre[nb]
-	}
-	b := ix.bucketAt(x)
-	out := ix.pre[b]
-	if off := x - ix.start[b]; off > 0 {
-		part := p.Buckets[b].scaleFloor(off, ix.start[b+1]-ix.start[b])
-		out.addAdditive(&part)
-	}
-	return out
-}
-
-// maxOver answers the maximum MaxItemOps over buckets [bLo, bHi].
-func (ix *profileIndex) maxOver(bLo, bHi int) int64 {
-	k := ix.log2[bHi-bLo+1]
-	return max(ix.maxTab[k][bLo], ix.maxTab[k][bHi-(1<<k)+1])
-}
-
-// Range aggregates the profile over dim-0 indices [lo, hi) in O(1).
+// Range aggregates the profile over dim-0 indices [lo, hi), scanning the
+// buckets the range overlaps. Bucket b spans [b*Global0/nb,
+// (b+1)*Global0/nb).
 //
 // Whole-bucket spans are exact integer sums. When a boundary cuts a
 // bucket, the bucket's counts are attributed by the exact floor-scaled
@@ -411,62 +281,29 @@ func (ix *profileIndex) maxOver(bLo, bHi int) int64 {
 // additive field. MaxItemOps is the maximum over every overlapped bucket
 // (an imbalance proxy is not divisible).
 func (p *Profile) Range(lo, hi int) Counts {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > p.Global0 {
-		hi = p.Global0
-	}
-	if lo >= hi || len(p.Buckets) == 0 {
-		return Counts{}
-	}
-	ix := p.index()
-	out := p.prefixAt(ix, hi)
-	pre := p.prefixAt(ix, lo)
-	out.subAdditive(&pre)
-	out.MaxItemOps = ix.maxOver(ix.bucketAt(lo), ix.bucketAt(hi-1))
-	return out
-}
-
-// RangeNaive is the O(buckets) reference implementation of Range: a linear
-// scan with the same exact remainder scheme. It is retained for the
-// equivalence property test and the pricing benchmarks; Range agrees with
-// it bit-for-bit on every profile with at most Global0 buckets (the
-// invariant Run guarantees — wider profiles would contain zero-width
-// buckets with no well-defined point attribution).
-func (p *Profile) RangeNaive(lo, hi int) Counts {
 	var out Counts
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > p.Global0 {
-		hi = p.Global0
-	}
+	lo, hi = max(lo, 0), min(hi, p.Global0)
 	if lo >= hi {
 		return out
 	}
-	nb := len(p.Buckets)
-	for b := 0; b < nb; b++ {
-		bLo := b * p.Global0 / nb
-		bHi := (b + 1) * p.Global0 / nb
-		if bHi <= lo || bLo >= hi {
+	nb, g := len(p.Buckets), p.Global0
+	// lo*nb/g never lies past the bucket holding lo (it may lie one before).
+	for b := lo * nb / g; b < nb; b++ {
+		bLo, bHi := b*g/nb, (b+1)*g/nb
+		if bLo >= hi {
+			break
+		}
+		if bHi <= lo {
 			continue
 		}
-		ovLo, ovHi := bLo, bHi
-		if lo > ovLo {
-			ovLo = lo
-		}
-		if hi < ovHi {
-			ovHi = hi
-		}
 		c := &p.Buckets[b]
+		ovLo, ovHi := max(lo, bLo), min(hi, bHi)
 		if ovLo == bLo && ovHi == bHi {
 			out.Add(c)
 			continue
 		}
-		w := bHi - bLo
-		part := c.scaleFloor(ovHi-bLo, w)
-		low := c.scaleFloor(ovLo-bLo, w)
+		part := c.scaleFloor(ovHi-bLo, bHi-bLo)
+		low := c.scaleFloor(ovLo-bLo, bHi-bLo)
 		part.subAdditive(&low)
 		part.MaxItemOps = c.MaxItemOps
 		out.Add(&part)

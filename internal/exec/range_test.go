@@ -32,11 +32,53 @@ func randomProfile(rng *rand.Rand) *Profile {
 	return p
 }
 
-// TestRangePrefixMatchesNaive is the equivalence property test: the O(1)
-// prefix-indexed Range must agree bit-for-bit with the O(buckets) naive
-// loop on randomized profiles and ranges, including clamped and empty
-// ranges.
-func TestRangePrefixMatchesNaive(t *testing.T) {
+// rangeLinear is the reference Range is checked against: a scan over
+// every bucket with the same exact remainder scheme.
+func rangeLinear(p *Profile, lo, hi int) Counts {
+	var out Counts
+	if lo < 0 {
+		lo = 0
+	}
+	if hi > p.Global0 {
+		hi = p.Global0
+	}
+	if lo >= hi {
+		return out
+	}
+	nb := len(p.Buckets)
+	for b := 0; b < nb; b++ {
+		bLo := b * p.Global0 / nb
+		bHi := (b + 1) * p.Global0 / nb
+		if bHi <= lo || bLo >= hi {
+			continue
+		}
+		ovLo, ovHi := bLo, bHi
+		if lo > ovLo {
+			ovLo = lo
+		}
+		if hi < ovHi {
+			ovHi = hi
+		}
+		c := &p.Buckets[b]
+		if ovLo == bLo && ovHi == bHi {
+			out.Add(c)
+			continue
+		}
+		w := bHi - bLo
+		part := c.scaleFloor(ovHi-bLo, w)
+		low := c.scaleFloor(ovLo-bLo, w)
+		part.subAdditive(&low)
+		part.MaxItemOps = c.MaxItemOps
+		out.Add(&part)
+	}
+	return out
+}
+
+// TestRangeMatchesLinearScan is the equivalence property test: Range,
+// which scans only the buckets [lo, hi) overlaps, must agree bit-for-bit
+// with the scan over every bucket on randomized profiles and ranges,
+// including clamped, empty and partial-bucket ranges and MaxItemOps.
+func TestRangeMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
 		p := randomProfile(rng)
@@ -44,7 +86,7 @@ func TestRangePrefixMatchesNaive(t *testing.T) {
 			lo := rng.Intn(p.Global0+100) - 50
 			hi := rng.Intn(p.Global0+100) - 50
 			got := p.Range(lo, hi)
-			want := p.RangeNaive(lo, hi)
+			want := rangeLinear(p, lo, hi)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d: Range(%d,%d) on %d buckets / %d items:\n got %+v\nwant %+v",
 					trial, lo, hi, len(p.Buckets), p.Global0, got, want)
@@ -84,7 +126,7 @@ func TestRangeWholeBucketExact(t *testing.T) {
 func addMismatch(t *testing.T, a, b, c Counts, label string) {
 	t.Helper()
 	sum := a
-	sum.addAdditive(&b)
+	sum.Add(&b)
 	sum.MaxItemOps = c.MaxItemOps // additive conservation only
 	if !reflect.DeepEqual(sum, c) {
 		t.Fatalf("%s: sub-ranges %+v + %+v = %+v, want whole %+v", label, a, b, sum, c)
@@ -131,7 +173,7 @@ func TestRangeSplitConservation(t *testing.T) {
 		var sum Counts
 		for i := 1; i < len(cuts); i++ {
 			part := p.Range(cuts[i-1], cuts[i])
-			sum.addAdditive(&part)
+			sum.Add(&part)
 		}
 		tot := p.Total()
 		sum.MaxItemOps = tot.MaxItemOps

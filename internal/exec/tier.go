@@ -12,8 +12,7 @@ import (
 // work group per dispatch when the kernel's control flow is
 // group-uniform and bails out to the scalar bytecode VM otherwise; both
 // serve. The closure tree serves nothing: it is the reference the
-// differential suites compare them against (the same role
-// Profile.RangeNaive plays for range queries) — all three produce
+// differential suites compare them against — all three produce
 // byte-identical buffers, profiles and fault messages.
 type Tier int
 

@@ -15,8 +15,7 @@
 // counters the equivalent closure would have bumped, and fused
 // super-instructions bump the sum of their parts — so profiles are
 // byte-identical between tiers. The closure tree is the reference the
-// differential suites compare this package against (same role
-// RangeNaive plays for profile range queries); it serves nothing.
+// differential suites compare this package against; it serves nothing.
 package vm
 
 import (

@@ -37,9 +37,10 @@ type AdmissionConfig struct {
 	// the latency gate. Requires an inflight cap; when MaxInflight is 0
 	// a default of 4 x GOMAXPROCS is applied.
 	TargetP99 time.Duration
-	// RetryAfter is the backoff hint attached to sheds (default 1s).
-	RetryAfter time.Duration
 }
+
+// shedRetryAfter is the backoff hint every ShedError carries.
+const shedRetryAfter = time.Second
 
 // ShedError reports a request rejected by admission control. The
 // serving layer maps it to 429 with a Retry-After header, exactly like
@@ -72,9 +73,6 @@ type admission struct {
 func newAdmission(cfg AdmissionConfig) *admission {
 	if cfg.TargetP99 > 0 && cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 4 * runtime.GOMAXPROCS(0)
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
 	}
 	a := &admission{cfg: cfg, est: sched.NewP2(0.99)}
 	if cfg.MaxInflight > 0 {
@@ -117,7 +115,7 @@ func (a *admission) p99Ms() float64 {
 func (a *admission) shedErr(platform string, shard int, reason string) error {
 	a.depth.Add(-1)
 	a.shed.Add(1)
-	return &ShedError{Platform: platform, Shard: shard, Reason: reason, RetryAfter: a.cfg.RetryAfter}
+	return &ShedError{Platform: platform, Shard: shard, Reason: reason, RetryAfter: shedRetryAfter}
 }
 
 // admit gates one request. On success the caller must Release the

@@ -162,7 +162,7 @@ func TestEngineCreationFailureRetries(t *testing.T) {
 func TestAdmissionQueueShedsAndDrains(t *testing.T) {
 	r, _ := testRouter(t, Options{
 		Platforms: []string{"mc2"},
-		Admission: AdmissionConfig{MaxInflight: 1, MaxQueue: 1, RetryAfter: 2 * time.Second},
+		Admission: AdmissionConfig{MaxInflight: 1, MaxQueue: 1},
 	})
 	s, err := r.ShardFor("mc2", "")
 	if err != nil {
@@ -195,7 +195,7 @@ func TestAdmissionQueueShedsAndDrains(t *testing.T) {
 	if !errors.As(err, &shed) {
 		t.Fatalf("overflow err = %v, want ShedError", err)
 	}
-	if shed.RetryAfter != 2*time.Second || shed.Platform != "mc2" {
+	if shed.RetryAfter != time.Second || shed.Platform != "mc2" {
 		t.Errorf("shed = %+v", shed)
 	}
 

@@ -41,15 +41,7 @@ var sharedProfiles = NewProfileCache()
 func (c *ProfileCache) Profile(rt *runtime.Runtime, program string, sizeIdx int, l runtime.Launch) (*exec.Profile, error) {
 	key := profileKey{Program: program, SizeIdx: sizeIdx, ND: l.ND}
 	return c.memo.Do(key, func() (*exec.Profile, error) {
-		prof, err := rt.Profile(l)
-		if err != nil {
-			return nil, err
-		}
-		// Build the O(1) range index once here so every sweep cell
-		// pricing this profile shares the prefix structure instead of
-		// racing to construct it.
-		prof.Precompute()
-		return prof, nil
+		return rt.Profile(l)
 	})
 }
 

@@ -233,9 +233,8 @@ func Generate(opts GenOptions) (*DB, error) {
 			progs = append(progs, p)
 		}
 	}
-	// The candidate space and every profile's range index are shared
-	// across all (program, size) cells: the space is memoized process-wide
-	// and the profile cache hands out prefix-indexed profiles.
+	// The candidate space is shared across all (program, size) cells: it
+	// is memoized process-wide.
 	space := partition.SharedSpace(3, partition.DefaultSteps)
 	db := &DB{Space: spaceStrings()}
 

@@ -66,16 +66,7 @@ func (f *Forest) Fit(d *Dataset) error {
 
 // Predict implements Classifier.
 func (f *Forest) Predict(x []float64) int {
-	s := getScratch()
-	y := f.PredictScratch(x, s)
-	putScratch(s)
-	return y
-}
-
-// PredictScratch implements ScratchPredictor.
-func (f *Forest) PredictScratch(x []float64, s *Scratch) int {
-	votes := s.floats(f.n)
-	clear(votes)
+	votes := make([]float64, f.n)
 	for _, t := range f.trees {
 		y := t.Predict(x)
 		if y >= len(votes) {

@@ -1,9 +1,10 @@
 package ml
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // KNN is a k-nearest-neighbours classifier with Euclidean distance and
@@ -48,31 +49,20 @@ type neighbour struct {
 	y    int
 }
 
-// Predict implements Classifier.
+// Predict implements Classifier. Neighbours are ranked by (distance,
+// label); elements equal under that order are interchangeable (identical
+// label and weight), so the vote totals — and the class — do not depend
+// on how the sort arranges them.
 func (m *KNN) Predict(x []float64) int {
-	s := getScratch()
-	y := m.PredictScratch(x, s)
-	putScratch(s)
-	return y
-}
-
-// PredictScratch implements ScratchPredictor. Neighbours are ranked by
-// the same (distance, label) total order Predict always used; elements
-// equal under it are interchangeable (identical label and weight), so
-// the vote totals — and the class — are bit-identical regardless of how
-// the sort arranges them.
-func (m *KNN) PredictScratch(x []float64, s *Scratch) int {
-	k := m.K
-	if k > len(m.x) {
-		k = len(m.x)
-	}
-	nb := s.neighbours(len(m.x))
+	k := min(m.K, len(m.x))
+	nb := make([]neighbour, len(m.x))
 	for i, xi := range m.x {
 		nb[i] = neighbour{dist: sqDist(x, xi), y: m.y[i]}
 	}
-	sort.Sort(&s.nb)
-	votes := s.floats(m.n)
-	clear(votes)
+	slices.SortFunc(nb, func(a, b neighbour) int {
+		return cmp.Or(cmp.Compare(a.dist, b.dist), cmp.Compare(a.y, b.y))
+	})
+	votes := make([]float64, m.n)
 	for i := 0; i < k; i++ {
 		w := 1.0
 		if m.Weighted {

@@ -105,15 +105,7 @@ func (m *LogReg) softmax(x []float64, probs []float64) {
 
 // Predict implements Classifier.
 func (m *LogReg) Predict(x []float64) int {
-	s := getScratch()
-	y := m.PredictScratch(x, s)
-	putScratch(s)
-	return y
-}
-
-// PredictScratch implements ScratchPredictor.
-func (m *LogReg) PredictScratch(x []float64, s *Scratch) int {
-	probs := s.floats(m.out)
+	probs := make([]float64, m.out)
 	m.softmax(x, probs)
 	return argmax(probs)
 }

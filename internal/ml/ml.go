@@ -181,12 +181,7 @@ func FitScaler(d *Dataset) *Scaler {
 
 // Transform returns the standardized copy of x.
 func (s *Scaler) Transform(x []float64) []float64 {
-	return s.TransformInto(x, make([]float64, len(x)))
-}
-
-// TransformInto standardizes x into dst, which must have length len(x),
-// and returns it. The scratch-inference counterpart of Transform.
-func (s *Scaler) TransformInto(x, dst []float64) []float64 {
+	dst := make([]float64, len(x))
 	for j, v := range x {
 		dst[j] = (v - s.Mean[j]) / s.Std[j]
 	}

@@ -302,7 +302,7 @@ func TestMLPProbabilitiesSumToOne(t *testing.T) {
 	if err := m.Fit(sc.TransformDataset(d)); err != nil {
 		t.Fatal(err)
 	}
-	// The output layer PredictScratch takes the argmax of.
+	// The output layer Predict takes the argmax of.
 	p := make([]float64, m.out)
 	m.forward(sc.Transform(d.X[0]), make([]float64, m.Hidden), p)
 	sum := 0.0

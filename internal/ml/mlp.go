@@ -230,16 +230,8 @@ func addRows(dst []float64, rows [][]float64, coef []float64) {
 
 // Predict implements Classifier.
 func (m *MLP) Predict(x []float64) int {
-	s := getScratch()
-	y := m.PredictScratch(x, s)
-	putScratch(s)
-	return y
-}
-
-// PredictScratch implements ScratchPredictor.
-func (m *MLP) PredictScratch(x []float64, s *Scratch) int {
-	hidden := s.floats(m.Hidden)
-	probs := s.floats(m.out)
+	hidden := make([]float64, m.Hidden)
+	probs := make([]float64, m.out)
 	m.forward(x, hidden, probs)
 	return argmax(probs)
 }

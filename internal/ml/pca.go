@@ -136,13 +136,7 @@ func normalize(v []float64) {
 
 // Transform projects one feature vector onto the components.
 func (p *PCA) Transform(x []float64) []float64 {
-	return p.TransformInto(x, make([]float64, len(p.Components)))
-}
-
-// TransformInto projects one feature vector into dst, which must have
-// length len(Components), and returns it. The scratch-inference
-// counterpart of Transform.
-func (p *PCA) TransformInto(x, dst []float64) []float64 {
+	dst := make([]float64, len(p.Components))
 	for c, comp := range p.Components {
 		s := 0.0
 		for j, v := range x {

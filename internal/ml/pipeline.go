@@ -48,14 +48,5 @@ func (m *PCAPipeline) Fit(d *Dataset) error {
 
 // Predict implements Classifier.
 func (m *PCAPipeline) Predict(x []float64) int {
-	s := getScratch()
-	y := m.PredictScratch(x, s)
-	putScratch(s)
-	return y
-}
-
-// PredictScratch implements ScratchPredictor: the projection lands in an
-// arena buffer and the inner model keeps stacking on the same scratch.
-func (m *PCAPipeline) PredictScratch(x []float64, s *Scratch) int {
-	return predictScratch(m.inner, m.pca.TransformInto(x, s.floats(len(m.pca.Components))), s)
+	return m.inner.Predict(m.pca.Transform(x))
 }

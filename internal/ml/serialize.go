@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 )
 
 // This file implements deterministic Save/Load serialization for every
@@ -407,14 +406,6 @@ type Artifact struct {
 	Scaler *Scaler `json:"scaler"`
 	// Model is the fitted classifier.
 	Model Classifier `json:"-"`
-
-	// scratch recycles per-prediction buffers across Predict calls, so
-	// the warm serving path allocates nothing. A plain pointer keeps
-	// Artifact copyable (copies share the pool); it is set by the
-	// artifact constructors (TrainArtifact, UnmarshalJSON) — hand-built
-	// artifacts fall back to a fresh scratch per call, which is merely
-	// slower, never wrong.
-	scratch *sync.Pool
 }
 
 // artifactJSON is the on-disk layout; Model is expanded to its envelope.
@@ -458,44 +449,18 @@ func (a *Artifact) UnmarshalJSON(data []byte) error {
 	*a = Artifact{
 		Version: s.Version, Platform: s.Platform, ModelName: s.ModelName, LeftOut: s.LeftOut,
 		FeatureNames: s.FeatureNames, Space: s.Space, Lineage: s.Lineage, Scaler: s.Scaler, Model: model,
-		scratch: newScratchPool(),
 	}
 	return nil
 }
 
-// newScratchPool builds the per-artifact prediction-scratch pool.
-func newScratchPool() *sync.Pool {
-	return &sync.Pool{New: func() any { return new(Scratch) }}
-}
-
 // Predict scales the raw feature vector and returns the model's class.
 // The class is returned raw — callers decide how to handle a prediction
-// outside their class space. Warm calls on a constructed artifact
-// perform zero heap allocations: scaling and inference run through a
-// pooled scratch.
+// outside their class space.
 func (a *Artifact) Predict(x []float64) int {
-	var s *Scratch
-	if a.scratch != nil {
-		s = a.scratch.Get().(*Scratch)
-	} else {
-		s = new(Scratch)
-	}
-	y := a.PredictScratch(x, s)
-	if a.scratch != nil {
-		a.scratch.Put(s)
-	}
-	return y
-}
-
-// PredictScratch is Predict with a caller-owned scratch: batch callers
-// (the /predict/batch endpoint, evaluation sweeps) reuse one scratch
-// across many points instead of hitting the pool per point.
-func (a *Artifact) PredictScratch(x []float64, s *Scratch) int {
-	s.Reset()
 	if a.Scaler != nil {
-		x = a.Scaler.TransformInto(x, s.floats(len(x)))
+		x = a.Scaler.Transform(x)
 	}
-	return predictScratch(a.Model, x, s)
+	return a.Model.Predict(x)
 }
 
 // TrainArtifact fits a fresh model (with feature scaling) on the whole
@@ -518,7 +483,6 @@ func TrainArtifact(d *Dataset, mk NewModel) (*Artifact, error) {
 		FeatureNames: append([]string{}, d.Names...),
 		Scaler:       scaler,
 		Model:        model,
-		scratch:      newScratchPool(),
 	}, nil
 }
 

@@ -166,10 +166,6 @@ func pure(labels []int) bool {
 	return true
 }
 
-// PredictScratch implements ScratchPredictor. Tree traversal never
-// allocated to begin with; the scratch is unused.
-func (t *Tree) PredictScratch(x []float64, _ *Scratch) int { return t.Predict(x) }
-
 // Predict implements Classifier.
 func (t *Tree) Predict(x []float64) int {
 	n := t.root

@@ -89,16 +89,7 @@ func (m *TwoStage) Fit(d *Dataset) error {
 
 // Predict implements Classifier.
 func (m *TwoStage) Predict(x []float64) int {
-	s := getScratch()
-	y := m.PredictScratch(x, s)
-	putScratch(s)
-	return y
-}
-
-// PredictScratch implements ScratchPredictor: both stages draw from the
-// caller's scratch.
-func (m *TwoStage) PredictScratch(x []float64, s *Scratch) int {
-	switch StageKind(predictScratch(m.gate, x, s)) {
+	switch StageKind(m.gate.Predict(x)) {
 	case StageCPUOnly:
 		return m.CPUClass
 	case StageGPUOnly:
@@ -107,6 +98,6 @@ func (m *TwoStage) PredictScratch(x []float64, s *Scratch) int {
 		if m.split == nil {
 			return m.fallback
 		}
-		return predictScratch(m.split, x, s)
+		return m.split.Predict(x)
 	}
 }

@@ -297,9 +297,8 @@ func (r *Runtime) PriceAll(l Launch, prof *exec.Profile, space []partition.Parti
 }
 
 // priceSpace fills dst with the makespan of every candidate. Candidates
-// are validated up front (deterministic errors), the profile's O(1) range
-// index is built once, and the space is sharded contiguously over the
-// worker budget with per-worker scratch.
+// are validated up front (deterministic errors), and the space is sharded
+// contiguously over the worker budget with per-worker scratch.
 func (r *Runtime) priceSpace(l Launch, prof *exec.Profile, space []partition.Partition, dst []float64) ([]float64, error) {
 	if len(space) == 0 {
 		return nil, fmt.Errorf("runtime: empty partition space")
@@ -313,7 +312,6 @@ func (r *Runtime) priceSpace(l Launch, prof *exec.Profile, space []partition.Par
 	if err != nil {
 		return nil, err
 	}
-	prof.Precompute()
 	argBytes := l.argBytes(nil)
 	workers := sched.Workers(r.Workers)
 	if workers > len(space) {

@@ -113,7 +113,6 @@ func TestPriceMakespanMatchesPriceAndAllocsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof.Precompute()
 	shape := l
 	shape.Args, shape.ArgBytes = nil, backend.ArgBytes(nil, l.Args)
 	space := partition.SharedSpace(3, partition.DefaultSteps)
@@ -161,7 +160,6 @@ func TestBestInAllocationFree(t *testing.T) {
 	}
 	coarse := partition.SharedSpace(3, 10) // 66 candidates
 	fine := partition.SharedSpace(3, 30)   // 496 candidates
-	prof.Precompute()
 	measure := func(space []partition.Partition) float64 {
 		return testing.AllocsPerRun(20, func() {
 			if _, err := rt.Label(l, prof, space); err != nil {

@@ -16,8 +16,8 @@
 # as cmd/serve -obs serves it — at what it allocates since a run is one
 # launch and an execution is observed by a counter bump (48 while warm
 # runs re-measured, 31 while they fanned out per device, 45 with the log
-# while every execution was appended to it). The AllocsPerRun unit tests (TestArtifactPredictZeroAllocs,
-# TestEnginePredictIntoZeroAllocs) pin the zero property per call; this
+# while every execution was appended to it). The AllocsPerRun unit test
+# TestEnginePredictIntoZeroAllocs pins the zero property per call; this
 # gate covers the sustained-loop view that CI publishes in benchmark
 # output. Used by CI, runnable locally:
 #
@@ -29,7 +29,6 @@ cd "$(dirname "$0")/.."
 # select what runs, and a benchmark (with its sub-benchmarks) is held to
 # the first line its top-level name matches.
 LIMITS='
-BenchmarkArtifactPredict 0
 BenchmarkEnginePredictInto$ 0
 BenchmarkWire 0
 BenchmarkEngineExecuteWarm$ 12
@@ -41,7 +40,7 @@ BenchmarkServeJSONExecute$ 25
 PINNED="$(printf '%s\n' "$LIMITS" | awk 'NF == 2 { printf "%s%s", sep, $1; sep = "|" }')"
 
 out="$(go test -run='^$' -bench="$PINNED" -benchmem -benchtime=100x \
-	./internal/ml/ ./internal/engine/ ./internal/wire/ ./cmd/serve/)"
+	./internal/engine/ ./internal/wire/ ./cmd/serve/)"
 printf '%s\n' "$out"
 
 printf '%s\n' "$out" | awk -v limits="$LIMITS" '
