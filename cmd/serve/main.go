@@ -537,10 +537,11 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request, _ *fleet.Sh
 	shards := s.fleet.Stats()
 	// Fleet-wide vector-tier totals, so divergence behavior is visible
 	// without walking every shard's engine counters.
-	var vecDiv, vecRec, vecBail uint64
+	var vecDiv, vecRec, vecLin, vecBail uint64
 	for _, st := range shards {
 		vecDiv += st.Engine.VecDivergences
 		vecRec += st.Engine.VecReconverges
+		vecLin += st.Engine.VecLinearized
 		vecBail += st.Engine.VecScalarBails
 	}
 	// Cells, and the templates their first executions built, are counted
@@ -569,6 +570,7 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request, _ *fleet.Sh
 		"shards":            shards,
 		"vecDivergences":    vecDiv,
 		"vecReconverges":    vecRec,
+		"vecLinearized":     vecLin,
 		"vecScalarBails":    vecBail,
 		"modelHealth":       health,
 	})

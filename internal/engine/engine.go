@@ -225,6 +225,7 @@ type engineCounters struct {
 
 	vecDivergences atomic.Uint64
 	vecReconverges atomic.Uint64
+	vecLinearized  atomic.Uint64
 	vecScalarBails atomic.Uint64
 
 	makespanMismatches atomic.Uint64
@@ -294,10 +295,13 @@ type Stats struct {
 
 	// Vector-tier execution-path counters, accumulated across every
 	// execution's profile: group splits at varying branches, how many of
-	// those re-formed at the join point and finished vectorized, and how
-	// many degraded to per-item scalar completion.
+	// those re-formed at the join point and finished vectorized, the lane
+	// disagreements at linear branches that ran their sides in place
+	// without a split, and how many groups degraded to per-item scalar
+	// completion.
 	VecDivergences uint64 `json:"vecDivergences"`
 	VecReconverges uint64 `json:"vecReconverges"`
+	VecLinearized  uint64 `json:"vecLinearized"`
 	VecScalarBails uint64 `json:"vecScalarBails"`
 
 	// MakespanMismatches counts measured executions whose profile
@@ -400,6 +404,7 @@ func (e *Engine) Stats() Stats {
 
 		VecDivergences: e.stats.vecDivergences.Load(),
 		VecReconverges: e.stats.vecReconverges.Load(),
+		VecLinearized:  e.stats.vecLinearized.Load(),
 		VecScalarBails: e.stats.vecScalarBails.Load(),
 
 		MakespanMismatches: e.stats.makespanMismatches.Load(),
@@ -919,6 +924,7 @@ func (e *Engine) execute(ctx context.Context, req Request) (*Execution, error) {
 	e.stats.executions.Add(1)
 	e.stats.vecDivergences.Add(uint64(r.prof.VecDivergences))
 	e.stats.vecReconverges.Add(uint64(r.prof.VecReconverges))
+	e.stats.vecLinearized.Add(uint64(r.prof.VecLinearized))
 	e.stats.vecScalarBails.Add(uint64(r.prof.VecScalarBails))
 	out := &Execution{Prediction: pred, Makespan: r.makespan, Verified: true}
 	if r.verifyErr != nil {

@@ -292,6 +292,33 @@ func TestEngineExecuteVerifies(t *testing.T) {
 	}
 }
 
+// TestEngineHistogramLinearized runs histogram once and checks where its
+// lane disagreements went. Its inner `if (v == b) c++` is a linear
+// branch: the sides run in place instead of splitting the group, so
+// every disagreement the split-only vector tier counted as a divergence
+// (16 124 at size 0) is now either a divergence or a linearized one,
+// and none is left to split.
+func TestEngineHistogramLinearized(t *testing.T) {
+	eng, err := New(fastOpts(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	res, err := eng.Execute(context.Background(), Request{Program: "histogram", SizeIdx: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Verified {
+		t.Fatalf("execution failed verification: %s", res.VerifyError)
+	}
+	const splitOnly = 16124
+	s := eng.Stats()
+	if s.VecDivergences+s.VecLinearized != splitOnly || s.VecLinearized == 0 || s.VecScalarBails != 0 {
+		t.Fatalf("divergences %d + linearized %d (%d scalar bails), want %d disagreements, linearized",
+			s.VecDivergences, s.VecLinearized, s.VecScalarBails, splitOnly)
+	}
+}
+
 func TestEngineClampedPredictionSurfaced(t *testing.T) {
 	db := testDB(t)
 	dir := t.TempDir()

@@ -513,7 +513,7 @@ func TestColdExecuteRunsKernelOnce(t *testing.T) {
 			}
 			a, b := fes[0].prof, fes[1].prof
 			if a.Global0 != b.Global0 || !slices.Equal(a.Buckets, b.Buckets) || a.VecDivergences != b.VecDivergences ||
-				a.VecReconverges != b.VecReconverges || a.VecScalarBails != b.VecScalarBails {
+				a.VecReconverges != b.VecReconverges || a.VecLinearized != b.VecLinearized || a.VecScalarBails != b.VecScalarBails {
 				t.Fatal("the cold execute's profile differs from the predict-first cell's")
 			}
 			if !slices.Equal(fes[0].fv.Names, fes[1].fv.Names) || !sameBits(fes[0].fv.Values, fes[1].fv.Values) || fes[0].bytes != fes[1].bytes {

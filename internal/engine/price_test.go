@@ -95,7 +95,7 @@ func TestPriceTableMatchesExecute(t *testing.T) {
 						t.Fatal(err)
 					}
 					defer eng.Close()
-					var wantDiv, wantRec, wantBail uint64
+					var wantDiv, wantRec, wantLin, wantBail uint64
 					for sz := 0; sz <= 1 && sz < len(bp.Sizes); sz++ {
 						req := Request{Program: bp.Name, SizeIdx: sz}
 						first := mustExecute(t, eng, req)
@@ -116,18 +116,19 @@ func TestPriceTableMatchesExecute(t *testing.T) {
 						p := res.Profile
 						wantDiv += 2 * uint64(p.VecDivergences)
 						wantRec += 2 * uint64(p.VecReconverges)
+						wantLin += 2 * uint64(p.VecLinearized)
 						wantBail += 2 * uint64(p.VecScalarBails)
 					}
 					st := eng.Stats()
-					if st.VecDivergences != wantDiv || st.VecReconverges != wantRec || st.VecScalarBails != wantBail {
-						t.Fatalf("divergences/reconverges/bails %d/%d/%d, measured runs count %d/%d/%d",
-							st.VecDivergences, st.VecReconverges, st.VecScalarBails, wantDiv, wantRec, wantBail)
+					if st.VecDivergences != wantDiv || st.VecReconverges != wantRec || st.VecLinearized != wantLin || st.VecScalarBails != wantBail {
+						t.Fatalf("divergences/reconverges/linearized/bails %d/%d/%d/%d, measured runs count %d/%d/%d/%d",
+							st.VecDivergences, st.VecReconverges, st.VecLinearized, st.VecScalarBails, wantDiv, wantRec, wantLin, wantBail)
 					}
 					if st.MakespanMismatches != 0 {
 						t.Fatalf("%d makespan mismatches", st.MakespanMismatches)
 					}
 					programs[bp.Name].computes.Add(st.FeatureComputes)
-					divergences.Add(wantDiv)
+					divergences.Add(wantDiv + wantLin)
 				})
 			}
 		}

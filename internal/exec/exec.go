@@ -219,13 +219,16 @@ type Profile struct {
 	Buckets []Counts
 
 	// Vector-tier divergence telemetry for the launch. VecDivergences
-	// counts lane disagreements at varying branches; VecReconverges is
-	// the subset that re-formed at the join point and finished W-wide;
-	// VecScalarBails counts groups that fell back to per-item scalar
-	// completion. These do not affect pricing — they are execution-path
-	// observability, surfaced through /stats.
+	// counts lane disagreements at varying branches that split the
+	// group; VecReconverges is the subset that re-formed at the join
+	// point and finished W-wide; VecLinearized counts the disagreements
+	// at linear branches, whose short sides ran in place under the lane
+	// mask without a split; VecScalarBails counts groups that fell back
+	// to per-item scalar completion. These do not affect pricing — they
+	// are execution-path observability, surfaced through /stats.
 	VecDivergences int64
 	VecReconverges int64
+	VecLinearized  int64
 	VecScalarBails int64
 }
 

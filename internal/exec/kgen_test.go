@@ -22,7 +22,11 @@ import (
 // conditions inside one or two uniform-trip loops, with global and local
 // stores in the divergent region, barriers after the join, would-fault
 // lanes in late iterations, and step budgets that run out mid-group;
-// loops the vector tier runs under a loop mask — trip counts that vary
+// short straight-line sides the vector tier runs in place under the
+// lane mask (linear branches) — with private variables live through
+// them, loads and stores of global and local memory, and lanes that
+// fault inside a side while others skip it; loops the vector tier runs
+// under a loop mask — trip counts that vary
 // from item to item (a per-item bound or start, as in spmv), `while`
 // loops with a compound `&&` exit test, and `break` / `continue` under
 // varying guards in every loop without a barrier — at the top level and
@@ -230,7 +234,7 @@ func (g *kgen) cond() string {
 
 // stmt emits one statement at nested-if depth depth.
 func (g *kgen) stmt(depth int) {
-	k := g.r.Intn(12)
+	k := g.r.Intn(13)
 	if depth >= kgenMaxDepth && k >= 6 {
 		k = g.r.Intn(6)
 	}
@@ -266,6 +270,8 @@ func (g *kgen) stmt(depth int) {
 		g.escape()
 	case 11:
 		g.vloop(depth)
+	case 12:
+		g.shortSides()
 	default:
 		g.line("if (%s) {", g.cond())
 		g.block(depth+1, 1+g.r.Intn(3))
@@ -275,6 +281,126 @@ func (g *kgen) stmt(depth int) {
 		}
 		g.line("}")
 	}
+}
+
+// shortSides emits a varying branch whose sides are a few straight-line
+// statements, the shape the vector tier runs in place under the lane
+// mask (a linear branch): a one-sided `if` or an if/else that updates
+// the private variables, which stay live past the join, loads from
+// global and local memory and stores to both, in either order. Some
+// guards are `i < n - d` over a load of sel[i + d], which is out of
+// bounds exactly for the lanes that do not take the side; in a faulty
+// kernel some lanes that do take it load past the end, after the side
+// has updated a private variable.
+func (g *kgen) shortSides() {
+	if g.faulty && g.r.Intn(3) == 0 {
+		// A private variable the side updates before some of its lanes
+		// load past the end at an index it feeds: a split that takes
+		// over after the fault must see the value from before the
+		// branch, or the fault text names another index.
+		g.line("if (%s) {", g.flatCond())
+		g.indent++
+		v := g.ivar()
+		g.line("%s++;", v)
+		g.line("%s += a[sel[i] * n + %s];", g.fvar(), v)
+		g.indent--
+		if g.r.Intn(2) == 0 {
+			g.line("} else {")
+			g.sideBody()
+		}
+		g.line("}")
+		return
+	}
+	if g.r.Intn(4) == 0 {
+		d := 1 + g.r.Intn(4)
+		g.line("if (i < n - %d) {", d)
+		g.indent++
+		g.line("%s += sel[i + %d];", g.ivar(), d)
+		g.indent--
+		g.sideBody()
+	} else {
+		g.line("if (%s) {", g.flatCond())
+		g.sideBody()
+	}
+	if g.r.Intn(2) == 0 {
+		g.line("} else {")
+		g.sideBody()
+	}
+	g.line("}")
+}
+
+// flatCond is a varying condition with no branch in it.
+func (g *kgen) flatCond() string {
+	switch g.r.Intn(4) {
+	case 0:
+		return fmt.Sprintf("sel[i] %s %d", g.pick("==", "!=", "<", ">="), g.r.Intn(4))
+	case 1:
+		return fmt.Sprintf("%s %s %s", g.flatF(), g.pick("<", "<=", ">", ">=", "==", "!="), g.flatF())
+	case 2:
+		return fmt.Sprintf("(i + %s) %% %d == %d", g.counter(), 2+g.r.Intn(3), g.r.Intn(2))
+	default:
+		return fmt.Sprintf("%s %s %s", g.flatI(), g.pick("<", "==", "!=", ">"), g.flatI())
+	}
+}
+
+// flatF and flatI are float and int expressions with no branch in them.
+func (g *kgen) flatF() string {
+	x := g.fexpr(0)
+	switch g.r.Intn(4) {
+	case 0:
+		return fmt.Sprintf("(%s + %s)", x, g.fexpr(0))
+	case 1:
+		return fmt.Sprintf("(%s * 0.5f - %s)", x, g.fexpr(0))
+	case 2:
+		return g.call(kgenMath, x, g.fexpr(0), func() string { return g.fexpr(0) })
+	}
+	return x
+}
+
+func (g *kgen) flatI() string {
+	x := g.iexpr(0)
+	switch g.r.Intn(3) {
+	case 0:
+		return fmt.Sprintf("(%s + %s)", x, g.iexpr(0))
+	case 1:
+		return fmt.Sprintf("(%s * %d)", x, 2+g.r.Intn(3))
+	}
+	return x
+}
+
+// sideBody emits one to three straight-line statements of a short side.
+func (g *kgen) sideBody() {
+	g.indent++
+	for n := 1 + g.r.Intn(3); n > 0; n-- {
+		switch g.r.Intn(8) {
+		case 0:
+			g.line("%s++;", g.ivar())
+		case 1:
+			g.line("%s += %s;", g.ivar(), g.flatI())
+		case 2:
+			g.line("%s = %s;", g.fvar(), g.flatF())
+		case 3:
+			g.line("%s += a[(i + %d) %% n];", g.fvar(), 1+g.r.Intn(7))
+		case 4:
+			g.line("outf[n + i] = %s;", g.flatF())
+		case 5:
+			if g.tmpStore {
+				g.line("tmp[l] = %s;", g.flatF())
+			} else {
+				g.line("%s = tmp[l] * 0.5f;", g.fvar())
+			}
+		case 6:
+			g.line("outi[i] = %s;", g.flatI())
+		default:
+			if g.faulty {
+				// Past the short pad for the items whose sel is large.
+				g.line("%s += a[i + sel[i] * %s];", g.fvar(), g.counter())
+			} else {
+				g.line("%s = sel[(i + %d) %% n];", g.ivar(), 1+g.r.Intn(5))
+			}
+		}
+	}
+	g.indent--
 }
 
 // escape leaves the innermost loop under a varying guard: a break,

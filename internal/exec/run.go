@@ -133,6 +133,7 @@ func (c *Compiled) Run(args []Arg, nd NDRange, opts RunOptions) (*Profile, error
 	}
 	prof.VecDivergences = l.vecDiv.Load()
 	prof.VecReconverges = l.vecRec.Load()
+	prof.VecLinearized = l.vecLin.Load()
 	prof.VecScalarBails = l.vecBail.Load()
 	return prof, nil
 }
@@ -149,8 +150,8 @@ type launch struct {
 
 	g0lo, groupsDim0, totalGroups int
 
-	nextGroup               atomic.Int64
-	vecDiv, vecRec, vecBail atomic.Int64
+	nextGroup                       atomic.Int64
+	vecDiv, vecRec, vecLin, vecBail atomic.Int64
 }
 
 // work executes groups on one host worker until the launch has none left,
@@ -172,6 +173,7 @@ func (l *launch) work(buckets []Counts) (err error) {
 	defer func() {
 		l.vecDiv.Add(rt.vecDiv)
 		l.vecRec.Add(rt.vecRec)
+		l.vecLin.Add(rt.vecLin)
 		l.vecBail.Add(rt.vecBail)
 	}()
 	rt.bind(l.args, l.nd, l.ngrp, buckets, l.budget)
@@ -272,6 +274,7 @@ type groupRunner struct {
 	// merged into the launch profile after the worker join.
 	vecDiv  int64
 	vecRec  int64
+	vecLin  int64
 	vecBail int64
 
 	budget *vm.Budget
@@ -373,7 +376,7 @@ func (r *groupRunner) bind(args []Arg, nd NDRange, ngrp [3]int64, buckets []Coun
 	r.gsz = [3]int64{int64(nd.Global[0]), int64(nd.Global[1]), int64(nd.Global[2])}
 	r.ngr = ngrp
 	r.budget = budget
-	r.vecDiv, r.vecRec, r.vecBail = 0, 0, 0
+	r.vecDiv, r.vecRec, r.vecLin, r.vecBail = 0, 0, 0, 0
 	for _, lb := range r.locals {
 		if err := budget.ChargeMem(lb.Bytes()); err != nil {
 			panic(execError{err})

@@ -87,6 +87,7 @@ func (r *groupRunner) runGroupVec(g0, g1, g2 int) {
 	st, err := r.c.vecProg.Run(vf)
 	r.vecDiv += vf.Divergences
 	r.vecRec += vf.Reconverges
+	r.vecLin += vf.Linearized
 	if err != nil {
 		panic(execError{err})
 	}

@@ -48,8 +48,10 @@ func Disassemble(p *Func) string {
 // 'v' = varying branch, runtime lane-agreement scan with masked
 // re-convergence on disagreement; 's' = scalarized, the instruction
 // retires once on the scalar slots instead of once per lane). A 'v'
-// line ends with where a split group re-forms (`join <pc>`) or `bail`
-// when disagreement there takes the full scalar bail, and the header
+// line ends with where the group re-forms — `join <pc> linear` when its
+// short sides run in place under the lane mask, `join <pc>` when it
+// splits — or `bail` when disagreement there takes the full scalar
+// bail, and the header
 // lists the uniform registers some divergent region writes, which live
 // in each side's private scalar slots, and every loop mask: a varying
 // branch inside a loop whose region holds a loop (a varying back-edge
@@ -98,6 +100,8 @@ func (p *VecFunc) Disassemble() string {
 			switch {
 			case p.condUniform[pc]:
 				mark = 'u'
+			case p.lin[pc] != nil:
+				mark, join = 'v', fmt.Sprintf("  join %d linear", p.joinPC[pc])
 			case p.joinPC[pc] >= 0:
 				mark, join = 'v', fmt.Sprintf("  join %d", p.joinPC[pc])
 			default:

@@ -22,9 +22,11 @@ import (
 // of them (scalEnd) to Func.run over the uniform half, so an opcode's
 // scalar meaning, counter lane and fault check are written once for
 // both tiers. Uniform conditional jumps stay in the vector tier's jump
-// arm, decided by one test on the scalar slots, and uniform operands
-// feeding a varying instruction are broadcast into scratch lanes on
-// demand (srcU[pc] marks them).
+// arm, decided by one test on the scalar slots. A varying instruction
+// reads a uniform operand (srcU[pc] marks them) from its scalar slot:
+// the ALU helpers (vecalu.go) keep it in a register inside the lane
+// loop, and only some memory arms still broadcast one into scratch
+// lanes.
 // Loads with uniform indices are uniform too — the lanes run in
 // instruction-level lockstep against the same memory state, so a load
 // from the same address yields lane-equal values. The lane storage of
@@ -35,7 +37,10 @@ import (
 // Divergence re-convergence: the tier is optimistic about statically
 // varying forward branches, and the group runs full-width as long as
 // every lane agrees at runtime (the common `if (gid < n)` guard
-// converges for every aligned group). On disagreement the group splits:
+// converges for every aligned group). On disagreement at a linear
+// branch — short straight-line sides, see linearize — both sides run in
+// place under the lane mask and the group never splits (veclinear.go).
+// At any other branch the group splits:
 // each side of the branch runs as a compacted sub-group (width = its
 // lane count) through the same dispatch loop up to the join point
 // recorded at vectorize time (the branch's immediate post-dominator),
@@ -86,12 +91,13 @@ import (
 // — and scalarized instructions charge the same per-item constants
 // (executing once per dispatch is exactly the per-item cost). Budget
 // fuel is charged W per taken jump (W items each spent one step); a
-// scalarized jump still charges W. After a split the sides accumulate
-// per-lane count deltas (VecFrame.laneCnt) on top of the shared
-// counts, so per-item totals stay exact; under a loop mask the looping
-// frame is only as wide as the lanes still in the loop, so its counts
-// and its W per taken jump are theirs, and a lane that leaves takes its
-// counts back to the group. The spill-room cadence is identical to the
+// scalarized jump still charges W. After a split, or the in-place sides
+// of a linear branch, the lanes carry per-lane count deltas
+// (VecFrame.laneCnt) on top of the shared counts, so per-item totals
+// stay exact; under a loop mask the looping frame is only as wide as
+// the lanes still in the loop, so its counts and its W per taken jump
+// are theirs, and a lane that leaves takes its counts back to the
+// group. The spill-room cadence is identical to the
 // scalar VM.
 
 // VecFunc is the vectorized view of a compiled kernel: the same
@@ -142,6 +148,11 @@ type VecFunc struct {
 	// regions[pc] (non-nil only where joinPC[pc] >= 0) lists the
 	// registers a split at pc copies into and out of its side frames.
 	regions []*splitRegion
+
+	// lin[pc] is non-nil when the varying branch at pc is linear: on
+	// disagreement its sides run in place under the lane mask instead of
+	// splitting the group (see linear).
+	lin []*linearRegion
 }
 
 // UniformConds reports how many of the kernel's conditional jumps have
@@ -410,6 +421,12 @@ func Vectorize(p *Func) (*VecFunc, error) {
 		}
 	}
 	vf.computeScal()
+	vf.lin = make([]*linearRegion, len(p.Code))
+	for i := range p.Code {
+		if _, ok := condJumpTarget(&p.Code[i], i); ok && !condU[i] {
+			vf.lin[i] = vf.linearize(i)
+		}
+	}
 	return vf, nil
 }
 
@@ -950,20 +967,23 @@ type VecFrame struct {
 	Stop int
 
 	// Divergences counts runtime lane disagreements at varying
-	// branches; Reconverges counts the splits that re-formed at the
-	// join. The difference escalated to a scalar bail.
+	// branches that split the group; Reconverges counts the splits that
+	// re-formed at the join (the difference escalated to a scalar bail).
+	// Linearized counts the disagreements at linear branches that ran
+	// their sides in place instead (see linear).
 	Divergences int64
 	Reconverges int64
+	Linearized  int64
 
-	idx        []int64   // scratch lane indices for two-pass memory ops
+	idx        []int64   // scratch lane indices for two-pass memory ops; laneCond's mask
 	bcI        []int64   // broadcast scratch: 3 int operand slots
 	bcF        []float64 // broadcast scratch: 3 float operand slots
 	mi, mf     int32     // pow2 register-index masks
-	depth      int       // split nesting depth (0 = full group)
+	depth      int32     // split nesting depth (0 = full group)
+	nTaken     int32     // laneCond's count of taken lanes
 	subs       [2]*VecFrame
 	sel0, sel1 []int  // split lane partitions (parent lane numbers)
-	nTaken     int    // laneCond's count of taken lanes
-	moved      uint16 // bit fi set: some split moved row fi of laneCnt
+	moved      uint16 // bit fi set: some split or linear side moved row fi of laneCnt
 }
 
 // NewVecFrame allocates a W-lane frame for p. Buffer tables, scalar
@@ -1085,6 +1105,7 @@ func (f *VecFrame) Reset() {
 	f.PCLaned = false
 	f.Divergences = 0
 	f.Reconverges = 0
+	f.Linearized = 0
 }
 
 // NCountFields is how many Counts fields the dispatch arms accumulate
@@ -1347,6 +1368,7 @@ func (p *VecFunc) scatterSub(f, s *VecFrame, sel []int, bail bool, pc int) {
 	}
 	f.Divergences += s.Divergences
 	f.Reconverges += s.Reconverges
+	f.Linearized += s.Linearized
 }
 
 // retire is the other half of a loop mask (see mask): side s of f,

@@ -1,13 +1,23 @@
 package vm
 
-// Divergence handling: when the lanes of a vector group disagree at a
-// varying branch, diverge() splits the group into its two sides, runs
-// each side as a compacted sub-group through the same dispatch loop up
-// to the branch's join point (the immediate post-dominator recorded by
-// Vectorize), and re-forms the full group there. Each side owns its
-// uniform half, so the uniform temporaries a region writes (all dead at
-// the join) never leak from one side into the other or back into the
-// group.
+// Divergence handling. When the lanes of a vector group disagree at a
+// varying branch, the branch takes one of four paths, fixed at
+// Vectorize and shown by the disassembler:
+//   - linear: short straight-line sides run in place under the lane
+//     mask and the group never splits (linear, veclinear.go), unless
+//     one of its lanes would fault there;
+//   - split: diverge() splits the group into its two sides, runs each
+//     side as a compacted sub-group through the same dispatch loop up to
+//     the branch's join point (the immediate post-dominator recorded by
+//     Vectorize), and re-forms the full group there;
+//   - loop mask: a varying branch inside a loop whose region holds a
+//     loop parks its leaving lanes (below);
+//   - bail: a branch with no safe join completes the group on the
+//     scalar VM.
+//
+// Each side of a split owns its uniform half, so the uniform
+// temporaries a region writes (all dead at the join) never leak from
+// one side into the other or back into the group.
 //
 // Loop masks (Karrenberg & Hack's whole-function vectorization): a
 // region with a loop in it — a varying back-edge or exit, a `break`
@@ -231,9 +241,9 @@ func (p *VecFunc) unstep(f *VecFrame, pc int) {
 // evaluated for every lane into the mask f.idx (1 = taken) and the
 // count f.nTaken, comparing against a uniform operand or an immediate
 // straight from its scalar value; laneCond reports lane 0's outcome and
-// whether every lane agrees with it. On disagreement diverge partitions
-// the same mask, so the condition is evaluated once however the branch
-// goes.
+// whether every lane agrees with it. On disagreement linear or diverge
+// reads the same mask, so the condition is evaluated once however the
+// branch goes.
 func (p *VecFunc) laneCond(f *VecFrame, pc int) (taken, agree bool) {
 	in := &p.Code[pc]
 	ui, uf := f.Frame.I, f.Frame.F
@@ -261,22 +271,23 @@ func (p *VecFunc) laneCond(f *VecFrame, pc int) (taken, agree bool) {
 	}
 	su := p.srcU[pc]
 	m := f.idx[:f.W]
+	var n1 int64
 	switch in.Op {
 	case OpJZBr, OpJZLog:
-		cmpMask1(m, CcEq, f.lanesI(in.A), 0)
+		n1 = cmpMask1(m, CcEq, f.lanesI(in.A), 0)
 	case OpJNZLog:
-		cmpMask1(m, CcNe, f.lanesI(in.A), 0)
+		n1 = cmpMask1(m, CcNe, f.lanesI(in.A), 0)
 	case OpJCmpI:
 		switch {
 		case su&srcUB != 0:
-			cmpMask1(m, swapCc[in.C], f.lanesI(in.B), ui[in.A&f.mi])
+			n1 = cmpMask1(m, swapCc[in.C], f.lanesI(in.B), ui[in.A&f.mi])
 		case su&srcUC != 0:
-			cmpMask1(m, in.C, f.lanesI(in.A), ui[in.B&f.mi])
+			n1 = cmpMask1(m, in.C, f.lanesI(in.A), ui[in.B&f.mi])
 		default:
-			cmpMask(m, in.C, f.lanesI(in.A), f.lanesI(in.B))
+			n1 = cmpMask(m, in.C, f.lanesI(in.A), f.lanesI(in.B))
 		}
 	case OpJCmpIImm:
-		cmpMask1(m, in.B, f.lanesI(in.A), in.Imm)
+		n1 = cmpMask1(m, in.B, f.lanesI(in.A), in.Imm)
 	case OpIncJCmpI:
 		// A varying loop back-edge: the counter is varying (unstep
 		// relies on it), the step and the bound may be uniform. Every
@@ -288,25 +299,21 @@ func (p *VecFunc) laneCond(f *VecFrame, pc int) (taken, agree bool) {
 		}
 		cc, _ := unpackCcTarget(in.Imm)
 		if su&srcUC != 0 {
-			cmpMask1(m, cc, a, ui[in.C&f.mi])
+			n1 = cmpMask1(m, cc, a, ui[in.C&f.mi])
 		} else {
-			cmpMask(m, cc, a, f.lanesI(in.C))
+			n1 = cmpMask(m, cc, a, f.lanesI(in.C))
 		}
 	case OpJCmpF:
 		switch {
 		case su&srcUB != 0:
-			cmpMask1(m, swapCc[in.C], f.lanesF(in.B), uf[in.A&f.mf])
+			n1 = cmpMask1(m, swapCc[in.C], f.lanesF(in.B), uf[in.A&f.mf])
 		case su&srcUC != 0:
-			cmpMask1(m, in.C, f.lanesF(in.A), uf[in.B&f.mf])
+			n1 = cmpMask1(m, in.C, f.lanesF(in.A), uf[in.B&f.mf])
 		default:
-			cmpMask(m, in.C, f.lanesF(in.A), f.lanesF(in.B))
+			n1 = cmpMask(m, in.C, f.lanesF(in.A), f.lanesF(in.B))
 		}
 	}
-	var n1 int64
-	for _, t := range m {
-		n1 += t
-	}
-	f.nTaken = int(n1)
+	f.nTaken = int32(n1)
 	return m[0] != 0, n1 == 0 || n1 == int64(len(m))
 }
 
@@ -317,98 +324,141 @@ var swapCc = [...]int32{CcLt: CcGt, CcLe: CcGe, CcGt: CcLt, CcGe: CcLe, CcEq: Cc
 	CcNLt: CcNGt, CcNLe: CcNGe, CcNGt: CcNLt, CcNGe: CcNLe}
 
 // cmpMask sets m[l] to 1 where a[l] cc b[l] holds, with the condition
-// code dispatched once per group instead of once per lane.
-func cmpMask[T int64 | float64](m []int64, cc int32, a, b []T) {
+// code dispatched once per group instead of once per lane, and returns
+// how many lanes hold (laneCond's taken count, in the same pass).
+func cmpMask[T int64 | float64](m []int64, cc int32, a, b []T) (n int64) {
 	a, b = a[:len(m)], b[:len(m)]
 	switch cc {
 	case CcLt:
 		for l := range m {
-			m[l] = b2i(a[l] < b[l])
+			t := b2i(a[l] < b[l])
+			m[l] = t
+			n += t
 		}
 	case CcLe:
 		for l := range m {
-			m[l] = b2i(a[l] <= b[l])
+			t := b2i(a[l] <= b[l])
+			m[l] = t
+			n += t
 		}
 	case CcGt:
 		for l := range m {
-			m[l] = b2i(a[l] > b[l])
+			t := b2i(a[l] > b[l])
+			m[l] = t
+			n += t
 		}
 	case CcGe:
 		for l := range m {
-			m[l] = b2i(a[l] >= b[l])
+			t := b2i(a[l] >= b[l])
+			m[l] = t
+			n += t
 		}
 	case CcEq:
 		for l := range m {
-			m[l] = b2i(a[l] == b[l])
+			t := b2i(a[l] == b[l])
+			m[l] = t
+			n += t
 		}
 	case CcNLt:
 		for l := range m {
-			m[l] = b2i(!(a[l] < b[l]))
+			t := b2i(!(a[l] < b[l]))
+			m[l] = t
+			n += t
 		}
 	case CcNLe:
 		for l := range m {
-			m[l] = b2i(!(a[l] <= b[l]))
+			t := b2i(!(a[l] <= b[l]))
+			m[l] = t
+			n += t
 		}
 	case CcNGt:
 		for l := range m {
-			m[l] = b2i(!(a[l] > b[l]))
+			t := b2i(!(a[l] > b[l]))
+			m[l] = t
+			n += t
 		}
 	case CcNGe:
 		for l := range m {
-			m[l] = b2i(!(a[l] >= b[l]))
+			t := b2i(!(a[l] >= b[l]))
+			m[l] = t
+			n += t
 		}
 	default:
 		for l := range m {
-			m[l] = b2i(a[l] != b[l])
+			t := b2i(a[l] != b[l])
+			m[l] = t
+			n += t
 		}
 	}
+	return n
 }
 
 // cmpMask1 is cmpMask against one scalar: m[l] = a[l] cc b.
-func cmpMask1[T int64 | float64](m []int64, cc int32, a []T, b T) {
+func cmpMask1[T int64 | float64](m []int64, cc int32, a []T, b T) (n int64) {
 	a = a[:len(m)]
 	switch cc {
 	case CcLt:
 		for l := range m {
-			m[l] = b2i(a[l] < b)
+			t := b2i(a[l] < b)
+			m[l] = t
+			n += t
 		}
 	case CcLe:
 		for l := range m {
-			m[l] = b2i(a[l] <= b)
+			t := b2i(a[l] <= b)
+			m[l] = t
+			n += t
 		}
 	case CcGt:
 		for l := range m {
-			m[l] = b2i(a[l] > b)
+			t := b2i(a[l] > b)
+			m[l] = t
+			n += t
 		}
 	case CcGe:
 		for l := range m {
-			m[l] = b2i(a[l] >= b)
+			t := b2i(a[l] >= b)
+			m[l] = t
+			n += t
 		}
 	case CcEq:
 		for l := range m {
-			m[l] = b2i(a[l] == b)
+			t := b2i(a[l] == b)
+			m[l] = t
+			n += t
 		}
 	case CcNLt:
 		for l := range m {
-			m[l] = b2i(!(a[l] < b))
+			t := b2i(!(a[l] < b))
+			m[l] = t
+			n += t
 		}
 	case CcNLe:
 		for l := range m {
-			m[l] = b2i(!(a[l] <= b))
+			t := b2i(!(a[l] <= b))
+			m[l] = t
+			n += t
 		}
 	case CcNGt:
 		for l := range m {
-			m[l] = b2i(!(a[l] > b))
+			t := b2i(!(a[l] > b))
+			m[l] = t
+			n += t
 		}
 	case CcNGe:
 		for l := range m {
-			m[l] = b2i(!(a[l] >= b))
+			t := b2i(!(a[l] >= b))
+			m[l] = t
+			n += t
 		}
 	default:
 		for l := range m {
-			m[l] = b2i(a[l] != b)
+			t := b2i(a[l] != b)
+			m[l] = t
+			n += t
 		}
 	}
+	return n
 }
 
 // side returns the lane list of side i of a split: sel0 (fall-through
@@ -433,14 +483,26 @@ func (f *VecFrame) partition(want0, want1 bool) {
 }
 
 // compactLanes lists in sel the lanes whose mask value is v (0 or 1).
-// Branch-free: each lane is written at the cursor, which advances only
-// when the lane belongs.
+// Branch-free within a run of four lanes: each lane is written at the
+// cursor, which advances only when the lane belongs; a run in which no
+// lane belongs is skipped whole, since a linear branch's minority lanes
+// are usually sparse.
 func compactLanes(sel []int, m []int64, v int64) []int {
 	sel = sel[:len(m)]
-	n := 0
-	for l, t := range m {
+	n, l := 0, 0
+	for ; l+4 <= len(m); l += 4 {
+		q := m[l : l+4 : l+4]
+		if (q[0]^v)&(q[1]^v)&(q[2]^v)&(q[3]^v) != 0 {
+			continue
+		}
+		for i, t := range q {
+			sel[n] = l + i
+			n += int(1 - (t ^ v))
+		}
+	}
+	for ; l < len(m); l++ {
 		sel[n] = l
-		n += int(1 - (t ^ v))
+		n += int(1 - (m[l] ^ v))
 	}
 	return sel[:n]
 }

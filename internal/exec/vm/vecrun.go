@@ -1,10 +1,6 @@
 package vm
 
-import (
-	"fmt"
-	"math"
-	"slices"
-)
+import "fmt"
 
 // Diverged reports that a vector Run stopped because the group's lanes
 // disagreed at a varying branch with no safe join point, or some lane
@@ -14,8 +10,9 @@ import (
 // executed nor counted; the caller completes each lane on the scalar
 // VM, which reproduces the canonical per-item behavior (including the
 // exact fault message, if any). Lane disagreements at branches WITH a
-// recorded join point are handled internally: the sides run as
-// compacted sub-groups and the group re-forms (see diverge).
+// recorded join point are handled internally: a linear branch runs its
+// sides in place (see linear), any other runs them as compacted
+// sub-groups and the group re-forms (see diverge).
 const Diverged Status = 2
 
 // park stops the group at the instruction at pc, which some lane would
@@ -32,17 +29,19 @@ func (p *VecFunc) park(u *Frame, a0, a1 uint64, pc int) (Status, error) {
 // or the step budget is exhausted.
 //
 // How an arm is laid out. The opcodes of one operand format (op.go)
-// share one arm and one preamble — `d := lanes(A); b := rd(B); c :=
-// rd(C)` — and an inner switch holds only what differs, the lane loop:
-// the same float expression shape as the scalar VM's arm (so rounding is
-// bit-identical), over W lanes. What an opcode counts is not written
-// here at all: laneK (counts.go, built from staticCounts) is added once
-// at the bottom of the loop, so an arm that parks a would-fault
-// instruction returns before counting it, and the jump arm adds it
-// before it continues at the target. Memory and fault-checked arms scan
-// every lane (index in bounds, divisor non-zero) before they write one,
-// so a park leaves the frame exactly at pre-instruction state, and a
-// store retires its lanes in ascending order.
+// share one arm: an ALU arm calls its format's helper (vecalu.go) with
+// the destination's lanes, a memory arm fetches its operands itself —
+// `d := lanes(A); c := rd(C)` — and an inner switch holds only what
+// differs, the lane loop: the same float expression shape as the scalar
+// VM's arm (so rounding is bit-identical), over W lanes. What an opcode
+// counts is not written here at all: laneK (counts.go, built from
+// staticCounts) is added once at the bottom of the loop, so an arm that
+// parks a would-fault instruction returns before counting it, and the
+// jump arm adds it before it continues at the target. Memory and
+// fault-checked arms scan every lane (index in bounds, divisor
+// non-zero) before they write one, so a park leaves the frame exactly
+// at pre-instruction state, and a store retires its lanes in ascending
+// order.
 //
 // Scalarization: a straight-line span of instructions with uniform
 // destinations goes to the scalar interpreter (Func.run) over the
@@ -51,19 +50,28 @@ func (p *VecFunc) park(u *Frame, a0, a1 uint64, pc int) (Status, error) {
 // and back as values. Conditional jumps never sit in a span: one with
 // a uniform condition is decided here by laneCond from the scalar
 // slots, so fuel (W per taken jump) and the spill countdown are charged
-// in one place. Vector arms read uniform operands through rdI/rdF,
-// which broadcast the scalar slot into scratch lanes on demand — the
-// lane storage of a uniform register holds garbage and is never read
-// directly. The hottest memory arms skip the broadcast entirely when
-// the address is uniform: one bounds check, one load, splat the value.
+// in one place. The lane storage of a uniform register holds garbage
+// and is never read directly. The ALU arms hand their instruction to a
+// per-format helper (vecalu.go), which reads a uniform operand from its
+// scalar slot inside the lane loop: broadcasting it first cost W stores
+// and W loads per operand (splatI alone was 7% of suite kernel CPU, 9%
+// with splatF under execute-small). The memory arms read uniform
+// operands through rdI/rdF, which broadcast the scalar slot into
+// scratch lanes on demand, and the hottest of them skip the broadcast
+// when the address is uniform: one bounds check, one load, splat the
+// value. A varying branch whose lanes disagree runs its sides in place
+// when it is linear (linear, veclinear.go) and splits the group
+// otherwise (diverge).
 //
 // Timing this function in isolation does not resolve +-10% on a shared
 // 2-core box (a kernel with no scalarized instruction at all read
 // +1.7%, +7% and +12% across three builds that never touched its
 // path): judge a change to it by alternated end-to-end pairs of
-// cpu_ms_per_op, not by exec.vec.ns_per_op. Its size matters too: below
-// the compiler's "big function" threshold rdI and rdF inline into the
-// arms as lanesI and lanesF do, and CI checks that they still do.
+// cpu_ms_per_op, or by in-process per-program kernel time
+// (BenchmarkBuiltinKernel), not by exec.vec.ns_per_op. Its size matters
+// too: below the compiler's "big function" threshold rdI and rdF inline
+// into the arms as lanesI and lanesF do, and CI checks that they still
+// do; the per-format helpers keep the lane loops out of it.
 func (p *VecFunc) Run(f *VecFrame) (Status, error) {
 	code := p.Code
 	u := f.Frame
@@ -117,329 +125,34 @@ func (p *VecFunc) Run(f *VecFrame) (Status, error) {
 				d[l] = v
 			}
 		case OpI2F:
-			d := f.lanesF(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = float64(b[l])
-			}
+			f.aluFaIb(in, su, f.lanesF(in.A))
 		case OpF2I:
-			d := f.lanesI(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			for l := range d {
-				d[l] = int64(b[l])
-			}
+			f.aluIaFb(in, su, f.lanesI(in.A))
 
-		// I[A] <- I[B].
+		// The ALU formats: one helper each (vecalu.go), which reads a
+		// uniform operand from its scalar slot.
 		case OpMovI, OpSnzI, OpNegI, OpNotB, OpAbsI:
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			switch in.Op {
-			case OpMovI:
-				copy(d, b)
-			case OpSnzI:
-				for l := range d {
-					d[l] = b2i(b[l] != 0)
-				}
-			case OpNegI:
-				for l := range d {
-					d[l] = -b[l]
-				}
-			case OpNotB:
-				for l := range d {
-					d[l] = b2i(b[l] == 0)
-				}
-			case OpAbsI:
-				for l := range d {
-					v := b[l]
-					if v < 0 {
-						v = -v
-					}
-					d[l] = v
-				}
+			f.aluIab(in, su, f.lanesI(in.A))
+		case OpAddIImm, OpMulIImm, OpDivIImm, OpModIImm, OpShlIImm, OpShrIImm, OpAndIImm, OpOrIImm, OpXorIImm,
+			OpLtIImm, OpLeIImm, OpGtIImm, OpGeIImm, OpEqIImm, OpNeIImm:
+			f.aluIabImm(in, su, f.lanesI(in.A))
+		case OpAddI, OpSubI, OpMulI, OpDivI, OpModI, OpAndI, OpOrI, OpXorI, OpShlI, OpShrI, OpMinI, OpMaxI,
+			OpLtI, OpLeI, OpGtI, OpGeI, OpEqI, OpNeI:
+			if !f.aluIabc(in, su, f.lanesI(in.A)) {
+				return p.park(u, a0, a1, pc)
 			}
-
-		// I[A] <- I[B], Imm. The fuser never builds a div.i.k or mod.i.k
-		// with a zero immediate.
-		case OpAddIImm, OpMulIImm, OpDivIImm, OpModIImm, OpShlIImm, OpShrIImm, OpAndIImm, OpOrIImm, OpXorIImm:
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			k := in.Imm
-			switch in.Op {
-			case OpAddIImm:
-				for l := range d {
-					d[l] = b[l] + k
-				}
-			case OpMulIImm:
-				for l := range d {
-					d[l] = b[l] * k
-				}
-			case OpDivIImm:
-				for l := range d {
-					d[l] = b[l] / k
-				}
-			case OpModIImm:
-				for l := range d {
-					d[l] = b[l] % k
-				}
-			case OpShlIImm:
-				for l := range d {
-					d[l] = b[l] << uint(k&63)
-				}
-			case OpShrIImm:
-				for l := range d {
-					d[l] = b[l] >> uint(k&63)
-				}
-			case OpAndIImm:
-				for l := range d {
-					d[l] = b[l] & k
-				}
-			case OpOrIImm:
-				for l := range d {
-					d[l] = b[l] | k
-				}
-			case OpXorIImm:
-				for l := range d {
-					d[l] = b[l] ^ k
-				}
-			}
-
-		// I[A] <- I[B], I[C].
-		case OpAddI, OpSubI, OpMulI, OpDivI, OpModI, OpAndI, OpOrI, OpXorI, OpShlI, OpShrI, OpMinI, OpMaxI:
-			d := f.lanesI(in.A)
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdI(in.C, su&srcUC != 0, 1)[:len(d)]
-			switch in.Op {
-			case OpAddI:
-				for l := range d {
-					d[l] = b[l] + c[l]
-				}
-			case OpSubI:
-				for l := range d {
-					d[l] = b[l] - c[l]
-				}
-			case OpMulI:
-				for l := range d {
-					d[l] = b[l] * c[l]
-				}
-			case OpDivI:
-				if slices.Contains(c, 0) {
-					return p.park(u, a0, a1, pc)
-				}
-				for l := range d {
-					d[l] = b[l] / c[l]
-				}
-			case OpModI:
-				if slices.Contains(c, 0) {
-					return p.park(u, a0, a1, pc)
-				}
-				for l := range d {
-					d[l] = b[l] % c[l]
-				}
-			case OpAndI:
-				for l := range d {
-					d[l] = b[l] & c[l]
-				}
-			case OpOrI:
-				for l := range d {
-					d[l] = b[l] | c[l]
-				}
-			case OpXorI:
-				for l := range d {
-					d[l] = b[l] ^ c[l]
-				}
-			case OpShlI:
-				for l := range d {
-					d[l] = b[l] << uint(c[l]&63)
-				}
-			case OpShrI:
-				for l := range d {
-					d[l] = b[l] >> uint(c[l]&63)
-				}
-			case OpMinI:
-				for l := range d {
-					d[l] = min(b[l], c[l])
-				}
-			case OpMaxI:
-				for l := range d {
-					d[l] = max(b[l], c[l])
-				}
-			}
-
-		// Compares: the six opcodes of each kind are declared in
-		// condition-code order, so the opcode's offset is the code.
-		case OpLtI, OpLeI, OpGtI, OpGeI, OpEqI, OpNeI:
-			cmpMask(f.lanesI(in.A), int32(in.Op-OpLtI), f.rdI(in.B, su&srcUB != 0, 0), f.rdI(in.C, su&srcUC != 0, 1))
-		case OpLtIImm, OpLeIImm, OpGtIImm, OpGeIImm, OpEqIImm, OpNeIImm:
-			cmpMask1(f.lanesI(in.A), int32(in.Op-OpLtIImm), f.rdI(in.B, su&srcUB != 0, 0), in.Imm)
 		case OpLtF, OpLeF, OpGtF, OpGeF, OpEqF, OpNeF:
-			cmpMask(f.lanesI(in.A), int32(in.Op-OpLtF), f.rdF(in.B, su&srcUB != 0, 0), f.rdF(in.C, su&srcUC != 0, 1))
-
-		// F[A] <- F[B].
+			f.aluIaFbc(in, su, f.lanesI(in.A))
 		case OpMovF, OpNegF, OpSqrtF, OpRsqrtF, OpExpF, OpLogF, OpLog2F, OpSinF, OpCosF, OpTanF, OpAbsF, OpFloorF, OpCeilF:
-			d := f.lanesF(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			switch in.Op {
-			case OpMovF:
-				copy(d, b)
-			case OpNegF:
-				for l := range d {
-					d[l] = -b[l]
-				}
-			case OpSqrtF:
-				for l := range d {
-					d[l] = math.Sqrt(b[l])
-				}
-			case OpRsqrtF:
-				for l := range d {
-					d[l] = 1 / math.Sqrt(b[l])
-				}
-			case OpExpF:
-				for l := range d {
-					d[l] = math.Exp(b[l])
-				}
-			case OpLogF:
-				for l := range d {
-					d[l] = math.Log(b[l])
-				}
-			case OpLog2F:
-				for l := range d {
-					d[l] = math.Log2(b[l])
-				}
-			case OpSinF:
-				for l := range d {
-					d[l] = math.Sin(b[l])
-				}
-			case OpCosF:
-				for l := range d {
-					d[l] = math.Cos(b[l])
-				}
-			case OpTanF:
-				for l := range d {
-					d[l] = math.Tan(b[l])
-				}
-			case OpAbsF:
-				for l := range d {
-					d[l] = math.Abs(b[l])
-				}
-			case OpFloorF:
-				for l := range d {
-					d[l] = math.Floor(b[l])
-				}
-			case OpCeilF:
-				for l := range d {
-					d[l] = math.Ceil(b[l])
-				}
-			}
-
-		// F[A] <- F[B], F[C].
+			f.aluFab(in, su, f.lanesF(in.A))
 		case OpAddF, OpSubF, OpMulF, OpDivF, OpPowF, OpMinF, OpMaxF, OpAddRsqrtF:
-			d := f.lanesF(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdF(in.C, su&srcUC != 0, 1)[:len(d)]
-			switch in.Op {
-			case OpAddF:
-				for l := range d {
-					d[l] = b[l] + c[l]
-				}
-			case OpSubF:
-				for l := range d {
-					d[l] = b[l] - c[l]
-				}
-			case OpMulF:
-				for l := range d {
-					d[l] = b[l] * c[l]
-				}
-			case OpDivF:
-				for l := range d {
-					d[l] = b[l] / c[l]
-				}
-			case OpPowF:
-				for l := range d {
-					d[l] = math.Pow(b[l], c[l])
-				}
-			case OpMinF:
-				for l := range d {
-					d[l] = math.Min(b[l], c[l])
-				}
-			case OpMaxF:
-				for l := range d {
-					d[l] = math.Max(b[l], c[l])
-				}
-			case OpAddRsqrtF:
-				for l := range d {
-					d[l] = 1 / math.Sqrt(b[l]+c[l])
-				}
-			}
-
-		// F[A] <- F[B], F[C], F[Imm].
+			f.aluFabc(in, su, f.lanesF(in.A))
 		case OpFmaF, OpClampF, OpMulAddF, OpMulMulF:
-			d := f.lanesF(in.A)
-			b := f.rdF(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdF(in.C, su&srcUC != 0, 1)[:len(d)]
-			m := f.rdF(int32(in.Imm), su&srcUX != 0, 2)[:len(d)]
-			switch in.Op {
-			case OpFmaF:
-				for l := range d {
-					d[l] = b[l]*c[l] + m[l]
-				}
-			case OpClampF:
-				for l := range d {
-					d[l] = math.Max(c[l], math.Min(b[l], m[l]))
-				}
-			case OpMulAddF:
-				for l := range d {
-					// Explicit conversion as in the scalar arm: the product
-					// rounds separately, never contracted into an FMA.
-					d[l] = float64(b[l]*c[l]) + m[l]
-				}
-			case OpMulMulF:
-				for l := range d {
-					d[l] = float64(b[l]*c[l]) * m[l]
-				}
-			}
-
-		// I[A] <- I[B], I[C], I[Imm].
+			f.aluFabcImm(in, su, f.lanesF(in.A))
 		case OpClampI, OpMulAddI:
-			d := f.lanesI(in.A)
-			if in.Op == OpMulAddI && su&(srcUC|srcUX) == srcUC|srcUX && su&srcUB == 0 {
-				// The hot address shape: varying base times uniform
-				// stride plus uniform offset, one multiply-add per lane
-				// with no broadcast traffic.
-				b := f.lanesI(in.B)[:len(d)]
-				cv := ui[in.C&f.mi]
-				xv := ui[int32(in.Imm)&f.mi]
-				for l := range d {
-					d[l] = b[l]*cv + xv
-				}
-				break
-			}
-			b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-			c := f.rdI(in.C, su&srcUC != 0, 1)[:len(d)]
-			m := f.rdI(int32(in.Imm), su&srcUX != 0, 2)[:len(d)]
-			if in.Op == OpMulAddI {
-				for l := range d {
-					d[l] = b[l]*c[l] + m[l]
-				}
-			} else {
-				for l := range d {
-					d[l] = max(c[l], min(b[l], m[l]))
-				}
-			}
+			f.aluIabcImm(in, su, f.lanesI(in.A))
 		case OpMulImmAddI:
-			d := f.lanesI(in.A)
-			if su&srcUC != 0 && su&srcUB == 0 {
-				b := f.lanesI(in.B)[:len(d)]
-				cv := ui[in.C&f.mi]
-				for l := range d {
-					d[l] = b[l]*in.Imm + cv
-				}
-			} else {
-				b := f.rdI(in.B, su&srcUB != 0, 0)[:len(d)]
-				c := f.rdI(in.C, su&srcUC != 0, 1)[:len(d)]
-				for l := range d {
-					d[l] = b[l]*in.Imm + c[l]
-				}
-			}
+			f.aluMulImmAdd(in, su, f.lanesI(in.A))
 
 		// The one jump arm. laneCond decides a conditional jump for the
 		// group (and steps addjcmp.i's counter: the fused counted-loop
@@ -451,6 +164,21 @@ func (p *VecFunc) Run(f *VecFrame) (Status, error) {
 			if in.Op != OpJmp {
 				taken, agree := p.laneCond(f, pc)
 				if !agree {
+					if lin := p.lin[pc]; lin != nil {
+						// The sides run in place, unless an active lane
+						// would fault there: then the group splits.
+						ok, err := p.linear(f, lin)
+						if err != nil {
+							p.exit(u, a0, a1, pc)
+							return Halted, err
+						}
+						if ok {
+							a0 += laneK[in.Op][0]
+							a1 += laneK[in.Op][1]
+							pc = lin.join
+							continue
+						}
+					}
 					st, err := p.diverge(f, &a0, &a1, pc)
 					if st != joined || err != nil {
 						return st, err

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // TestSuspendResume drives the barrier protocol directly: Run must stop
@@ -309,60 +310,78 @@ func TestVectorizeRejects(t *testing.T) {
 }
 
 // TestVecDivergenceReconverges: when lanes disagree at a varying
-// branch whose region has a safe join point, Run must split the group,
-// run both sides masked, and re-form at the join — finishing the whole
-// group W-wide with per-lane counts instead of bailing to scalar.
+// branch whose region has a safe join point, Run must finish the whole
+// group W-wide with per-lane counts instead of bailing to scalar. Short
+// straight-line sides run in place under the lane mask (linear); a side
+// with an instruction that can fault (an integer division) splits the
+// group, runs both sides masked and re-forms at the join.
 func TestVecDivergenceReconverges(t *testing.T) {
-	src := `kernel void k(global float* a, global float* out, int n) {
+	for _, tc := range []struct {
+		name, elseSide string
+		div            float32 // else side: -x / div(i)
+		split          bool
+	}{
+		{"linear", "out[i] = -x;", 0, false},
+		{"split", "out[i] = -x / (float)(n / (i + 1));", 4, true},
+	} {
+		src := `kernel void k(global float* a, global float* out, int n) {
 		int i = get_global_id(0);
 		float x = a[i];
 		if (x > 0.0f) {
 			out[i] = x * 2.0f;
 		} else {
-			out[i] = -x;
+			` + tc.elseSide + `
 		}
 	}`
-	vp := vectorizeKernel(t, "div", src, "k")
-	const w = 4
-	f := vp.NewVecFrame(w)
-	in := make([]float32, w)
-	for i := range in {
-		in[i] = float32(1 - 2*(i%2)) // alternating signs: lanes disagree
-	}
-	f.Globals = []Buf{{F: in}, {F: make([]float32, w)}}
-	bindVecWI(f, w, 0)
-	for _, pr := range vp.Params {
-		if pr.Kind == ParamInt {
-			f.SetI(pr.Index, w)
+		vp := vectorizeKernel(t, "div", src, "k")
+		const w = 4
+		f := vp.NewVecFrame(w)
+		in := make([]float32, w)
+		for i := range in {
+			in[i] = float32(1 - 2*(i%2)) // alternating signs: lanes disagree
 		}
-	}
-	st, err := vp.Run(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st != Halted {
-		t.Fatalf("status = %v, want Halted", st)
-	}
-	if f.Divergences != 1 || f.Reconverges != 1 {
-		t.Fatalf("Divergences/Reconverges = %d/%d, want 1/1", f.Divergences, f.Reconverges)
-	}
-	for i, v := range f.Globals[1].F {
-		want := -in[i]
-		if in[i] > 0 {
-			want = in[i] * 2
+		f.Globals = []Buf{{F: in}, {F: make([]float32, w)}}
+		bindVecWI(f, w, 0)
+		for _, pr := range vp.Params {
+			if pr.Kind == ParamInt {
+				f.SetI(pr.Index, w)
+			}
 		}
-		if v != want {
-			t.Fatalf("out[%d] = %g, want %g", i, v, want)
+		st, err := vp.Run(f)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Counts went per-lane at the split: each item still saw exactly
-	// one conditional branch, whichever side it took.
-	if !f.Laned {
-		t.Fatal("re-converged frame has no per-lane counts")
-	}
-	for l := 0; l < w; l++ {
-		if c := f.LaneCounts(l); c.Branches != 1 {
-			t.Fatalf("lane %d Branches = %d, want 1", l, c.Branches)
+		if st != Halted {
+			t.Fatalf("%s: status = %v, want Halted", tc.name, st)
+		}
+		want := [3]int64{0, 0, 1}
+		if tc.split {
+			want = [3]int64{1, 1, 0}
+		}
+		if got := [3]int64{f.Divergences, f.Reconverges, f.Linearized}; got != want {
+			t.Fatalf("%s: Divergences/Reconverges/Linearized = %v, want %v\n%s", tc.name, got, want, vp.Disassemble())
+		}
+		for i, v := range f.Globals[1].F {
+			want := -in[i]
+			if tc.div != 0 {
+				want /= float32(int(tc.div) / (i + 1))
+			}
+			if in[i] > 0 {
+				want = in[i] * 2
+			}
+			if v != want {
+				t.Fatalf("%s: out[%d] = %g, want %g", tc.name, i, v, want)
+			}
+		}
+		// Counts went per-lane: each item still saw exactly one
+		// conditional branch, whichever side it took.
+		if !f.Laned {
+			t.Fatalf("%s: re-converged frame has no per-lane counts", tc.name)
+		}
+		for l := 0; l < w; l++ {
+			if c := f.LaneCounts(l); c.Branches != 1 {
+				t.Fatalf("%s: lane %d Branches = %d, want 1", tc.name, l, c.Branches)
+			}
 		}
 	}
 }
@@ -630,5 +649,18 @@ func TestVecBudgetExhaustionMidGroup(t *testing.T) {
 	var be *BudgetError
 	if !errors.As(err, &be) || be.Kind != BudgetSteps {
 		t.Fatalf("err = %v, want steps BudgetError", err)
+	}
+}
+
+// TestVecFrameSize pins VecFrame's size on 64-bit platforms. The size is
+// load-bearing for the dispatch loop (see the comment on its Frame
+// field), so a field added to it must make room elsewhere, as the
+// Linearized counter did by narrowing depth and nTaken.
+func TestVecFrameSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pinned layout is the 64-bit one")
+	}
+	if got := unsafe.Sizeof(VecFrame{}); got != 464 {
+		t.Fatalf("VecFrame is %d bytes, want 464", got)
 	}
 }

@@ -448,10 +448,12 @@ func TestVecDivergenceBailParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("closure run: %v", err)
 				}
-				if diverges := mode == "mixed"; (pVe.VecDivergences > 0) != diverges ||
+				// A disagreement runs the sides in place (linearized) or
+				// splits the group (a divergence).
+				if diverges := mode == "mixed"; (pVe.VecDivergences+pVe.VecLinearized > 0) != diverges ||
 					(pVe.VecScalarBails > 0) != (diverges && k.bails) {
-					t.Errorf("divergences=%d scalar bails=%d, want divergence: %v, scalar completion: %v",
-						pVe.VecDivergences, pVe.VecScalarBails, diverges, diverges && k.bails)
+					t.Errorf("divergences=%d linearized=%d scalar bails=%d, want disagreement: %v, scalar completion: %v",
+						pVe.VecDivergences, pVe.VecLinearized, pVe.VecScalarBails, diverges, diverges && k.bails)
 				}
 				for _, b := range []int{1, 2} {
 					if !reflect.DeepEqual(argsVe[b].Buf.F, argsCl[b].Buf.F) {
@@ -468,66 +470,77 @@ func TestVecDivergenceBailParity(t *testing.T) {
 	}
 }
 
-// TestVecDivergenceReconvergeParity pins the v2 masked-execution path:
-// a data-dependent forward branch with per-item signs diverges every
-// group, the sides run compacted, and the group re-forms at the join
-// point and finishes vectorized. The profile must record the
-// re-convergences (and no scalar bails), and buffers plus per-bucket
-// counts must stay byte-identical to the closure tier even though the
-// two sides retired different instruction mixes per lane.
+// TestVecDivergenceReconvergeParity pins the two ways the vector tier
+// finishes a group whose lanes disagree at a data-dependent forward
+// branch: short straight-line sides run in place under the lane mask
+// (linearized), and a side with an instruction that can fault (an
+// integer division) splits the group, runs the sides compacted and
+// re-forms at the join point. The profile must record which (and no
+// scalar bails), and buffers plus per-bucket counts must stay
+// byte-identical to the closure tier even though the two sides retired
+// different instruction mixes per lane.
 func TestVecDivergenceReconvergeParity(t *testing.T) {
-	src := `kernel void k(global float* a, global float* out, int n) {
+	const n = 256
+	nd := NDRange{Global: [3]int{n, 1, 1}, Local: [3]int{16, 1, 1}}
+	for _, tc := range []struct {
+		name, taken string
+		split       bool
+	}{
+		{"linear", "r = sqrt(x) * 2.0f;", false},
+		{"split", "r = sqrt(x) * 2.0f + exp(x * 0.25f) + (float)(n / (i + 1));", true},
+	} {
+		src := `kernel void k(global float* a, global float* out, int n) {
 		int i = get_global_id(0);
 		float x = a[i];
 		float r = 0.0f;
 		if (x > 0.0f) {
-			r = sqrt(x) * 2.0f + exp(x * 0.25f);
+			` + tc.taken + `
 		} else {
 			r = fabs(x) - 0.5f;
 		}
 		out[i] = r + x;
 	}`
-	cVe := compileTierSrc(t, src, "k", TierVec)
-	cCl := compileTierSrc(t, src, "k", TierClosure)
-	if cVe.Tier() != TierVec {
-		t.Fatalf("tier = %v, want vec", cVe.Tier())
-	}
-	const n = 256
-	mk := func() []Arg {
-		a, out := NewFloatBuffer(n), NewFloatBuffer(n)
-		for i := range a.F {
-			// Alternating signs: every group splits on the branch.
-			a.F[i] = float32(1-2*(i%2)) * (0.25 + float32(i%7)*0.125)
+		cVe := compileTierSrc(t, src, "k", TierVec)
+		cCl := compileTierSrc(t, src, "k", TierClosure)
+		if cVe.Tier() != TierVec {
+			t.Fatalf("%s: tier = %v, want vec", tc.name, cVe.Tier())
 		}
-		return []Arg{BufArg(a), BufArg(out), IntArg(n)}
-	}
-	nd := NDRange{Global: [3]int{n, 1, 1}, Local: [3]int{16, 1, 1}}
-	argsVe, argsCl := mk(), mk()
-	pVe, err := cVe.Run(argsVe, nd, RunOptions{})
-	if err != nil {
-		t.Fatalf("vec run: %v", err)
-	}
-	pCl, err := cCl.Run(argsCl, nd, RunOptions{})
-	if err != nil {
-		t.Fatalf("closure run: %v", err)
-	}
-	if pVe.VecDivergences == 0 || pVe.VecReconverges == 0 {
-		t.Fatalf("divergences=%d reconverges=%d, want both > 0",
-			pVe.VecDivergences, pVe.VecReconverges)
-	}
-	if pVe.VecScalarBails != 0 {
-		t.Errorf("scalar bails = %d, want 0 (region is re-convergible)", pVe.VecScalarBails)
-	}
-	if pCl.VecDivergences != 0 || pCl.VecReconverges != 0 || pCl.VecScalarBails != 0 {
-		t.Errorf("closure tier reported vec counters: %d/%d/%d",
-			pCl.VecDivergences, pCl.VecReconverges, pCl.VecScalarBails)
-	}
-	if !reflect.DeepEqual(argsVe[1].Buf.F, argsCl[1].Buf.F) {
-		t.Errorf("output buffers differ between vec and closure")
-	}
-	for b := range pCl.Buckets {
-		if pVe.Buckets[b] != pCl.Buckets[b] {
-			t.Errorf("bucket %d:\n  vec     %+v\n  closure %+v", b, pVe.Buckets[b], pCl.Buckets[b])
+		mk := func() []Arg {
+			a, out := NewFloatBuffer(n), NewFloatBuffer(n)
+			for i := range a.F {
+				// Alternating signs: every group disagrees on the branch.
+				a.F[i] = float32(1-2*(i%2)) * (0.25 + float32(i%7)*0.125)
+			}
+			return []Arg{BufArg(a), BufArg(out), IntArg(n)}
+		}
+		argsVe, argsCl := mk(), mk()
+		pVe, err := cVe.Run(argsVe, nd, RunOptions{})
+		if err != nil {
+			t.Fatalf("%s: vec run: %v", tc.name, err)
+		}
+		pCl, err := cCl.Run(argsCl, nd, RunOptions{})
+		if err != nil {
+			t.Fatalf("%s: closure run: %v", tc.name, err)
+		}
+		if split := pVe.VecDivergences > 0 && pVe.VecReconverges > 0 && pVe.VecLinearized == 0; split != tc.split ||
+			!tc.split && (pVe.VecLinearized == 0 || pVe.VecDivergences != 0) {
+			t.Fatalf("%s: divergences=%d reconverges=%d linearized=%d, want split: %v",
+				tc.name, pVe.VecDivergences, pVe.VecReconverges, pVe.VecLinearized, tc.split)
+		}
+		if pVe.VecScalarBails != 0 {
+			t.Errorf("%s: scalar bails = %d, want 0 (region is re-convergible)", tc.name, pVe.VecScalarBails)
+		}
+		if pCl.VecDivergences != 0 || pCl.VecReconverges != 0 || pCl.VecLinearized != 0 || pCl.VecScalarBails != 0 {
+			t.Errorf("%s: closure tier reported vec counters: %d/%d/%d/%d", tc.name,
+				pCl.VecDivergences, pCl.VecReconverges, pCl.VecLinearized, pCl.VecScalarBails)
+		}
+		if !reflect.DeepEqual(argsVe[1].Buf.F, argsCl[1].Buf.F) {
+			t.Errorf("%s: output buffers differ between vec and closure", tc.name)
+		}
+		for b := range pCl.Buckets {
+			if pVe.Buckets[b] != pCl.Buckets[b] {
+				t.Errorf("%s bucket %d:\n  vec     %+v\n  closure %+v", tc.name, b, pVe.Buckets[b], pCl.Buckets[b])
+			}
 		}
 	}
 
@@ -552,8 +565,8 @@ func TestVecDivergenceReconvergeParity(t *testing.T) {
 		}
 		out[i] = acc + (float)hits;
 	}`
-	cVe = compileTierSrc(t, loopSrc, "k", TierVec)
-	cCl = compileTierSrc(t, loopSrc, "k", TierClosure)
+	cVe := compileTierSrc(t, loopSrc, "k", TierVec)
+	cCl := compileTierSrc(t, loopSrc, "k", TierClosure)
 	const steps = 6
 	patterns := []struct {
 		name      string
@@ -590,9 +603,11 @@ func TestVecDivergenceReconvergeParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("closure run: %v", err)
 			}
-			if (pVe.VecReconverges > 0) != pt.reconverg || pVe.VecDivergences != pVe.VecReconverges {
-				t.Errorf("divergences=%d reconverges=%d, want re-convergence: %v and no escalation",
-					pVe.VecDivergences, pVe.VecReconverges, pt.reconverg)
+			// Both branches are linear: a disagreement runs their sides in
+			// place, and anything that splits must re-form.
+			if (pVe.VecLinearized+pVe.VecReconverges > 0) != pt.reconverg || pVe.VecDivergences != pVe.VecReconverges {
+				t.Errorf("divergences=%d reconverges=%d linearized=%d, want re-convergence: %v and no escalation",
+					pVe.VecDivergences, pVe.VecReconverges, pVe.VecLinearized, pt.reconverg)
 			}
 			if pVe.VecScalarBails != 0 {
 				t.Errorf("scalar bails = %d, want 0", pVe.VecScalarBails)

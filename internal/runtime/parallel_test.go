@@ -172,7 +172,7 @@ kernel void branchy(global const float* in, global float* out, int n) {
 
 // TestRunKeepsExecuteTotals: Run executes what Execute executes — same
 // output buffers, same count totals (Execute's 200 buckets summed are
-// Run's one), same divergence telemetry — at one host worker and at
+// Run's one), same divergence telemetry (splits and linearized disagreements) — at one host worker and at
 // eight, and fails where Execute fails.
 func TestRunKeepsExecuteTotals(t *testing.T) {
 	launch := func() (Launch, *exec.Buffer) {
@@ -213,10 +213,11 @@ func TestRunKeepsExecuteTotals(t *testing.T) {
 			}
 			p := res.Profile
 			if prof.VecDivergences != p.VecDivergences || prof.VecReconverges != p.VecReconverges ||
-				prof.VecScalarBails != p.VecScalarBails || p.VecDivergences == 0 {
-				t.Fatalf("%v workers=%d: divergences/reconverges/bails %d/%d/%d from Run, %d/%d/%d from Execute",
-					part, workers, prof.VecDivergences, prof.VecReconverges, prof.VecScalarBails,
-					p.VecDivergences, p.VecReconverges, p.VecScalarBails)
+				prof.VecLinearized != p.VecLinearized || prof.VecScalarBails != p.VecScalarBails ||
+				p.VecDivergences+p.VecLinearized == 0 {
+				t.Fatalf("%v workers=%d: divergences/reconverges/linearized/bails %d/%d/%d/%d from Run, %d/%d/%d/%d from Execute",
+					part, workers, prof.VecDivergences, prof.VecReconverges, prof.VecLinearized, prof.VecScalarBails,
+					p.VecDivergences, p.VecReconverges, p.VecLinearized, p.VecScalarBails)
 			}
 		}
 	}

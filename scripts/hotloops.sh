@@ -2,8 +2,8 @@
 # hotloops.sh — where the dispatch loops landed in a binary.
 # For each binary, prints the size and the address mod 64 of the
 # functions the kernel tiers spend their time in: the vector dispatch
-# loop, its divergence split and loop-mask narrowing, the scalar
-# interpreter, and the launch's work loop. Code alignment of these alone
+# loop, its in-place linear sides, its divergence split and loop-mask
+# narrowing, the scalar interpreter, and the launch's work loop. Code alignment of these alone
 # moves execute-small cpu_ms_per_op by about 6%, so compare both serve
 # binaries before attributing a few percent to a change. Fails if a
 # symbol is missing (renamed or inlined away: update the list). Used by
@@ -19,6 +19,7 @@ set -eu
 SYMBOLS='
 repro/internal/exec/vm.(*VecFunc).Run
 repro/internal/exec/vm.(*VecFunc).diverge
+repro/internal/exec/vm.(*VecFunc).linear
 repro/internal/exec/vm.(*VecFunc).mask
 repro/internal/exec/vm.(*VecFunc).retire
 repro/internal/exec/vm.(*Func).run

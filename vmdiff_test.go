@@ -483,68 +483,92 @@ func TestVMDifferentialRandomized(t *testing.T) {
 	}
 }
 
-// TestVMDifferentialReconvergence pins the vector tier's divergence
-// re-convergence path end to end: a kernel whose groups all split at a
+// TestVMDifferentialReconvergence pins the vector tier's handling of
+// lane disagreement end to end: a kernel whose groups all disagree at a
 // varying forward branch must still land on the vector tier under
-// TierAuto, re-form at the join point (reported through the profile's
-// VecReconverges counter, with zero scalar bails), and produce buffers
-// and per-bucket profiles byte-identical to the closure tier — at full
-// range and under a chunked partition.
+// TierAuto, finish every group W-wide with zero scalar bails, and
+// produce buffers and per-bucket profiles byte-identical to the closure
+// tier — at full range and under a chunked partition. Short
+// straight-line sides run in place (the profile's VecLinearized); a
+// side with an integer division, which can fault, splits the group and
+// re-forms at the join point (VecDivergences and VecReconverges).
 func TestVMDifferentialReconvergence(t *testing.T) {
-	source := `
+	for _, tc := range []struct {
+		name, taken string
+		split       bool
+	}{
+		{"linear", "r = sqrt(x) + x * 1.5f;", false},
+		{"split", "r = sqrt(x) + x * 1.5f + (float)(n / (i + 1));", true},
+	} {
+		source := `
 kernel void k(global float* a, global float* out, int n) {
     int i = get_global_id(0);
     float x = a[i];
     float r;
     if (x > 0.0f) {
-        r = sqrt(x) + x * 1.5f;
+        ` + tc.taken + `
     } else {
         r = fabs(x) * 0.5f - 1.0f;
     }
     out[i] = r;
 }
 `
-	cl, _, atc := compileBothTiers(t, "reconverge", source, "k")
-	if atc.Tier() != exec.TierVec {
-		t.Fatalf("auto tier = %v, want vec (vecErr: %v)", atc.Tier(), atc.VecError())
-	}
-	const n = 512
-	mk := func() []exec.Arg {
-		a, out := exec.NewFloatBuffer(n), exec.NewFloatBuffer(n)
-		for i := range a.F {
-			a.F[i] = float32(1-2*(i%2)) * (0.5 + float32(i%5)*0.25)
+		cl, _, atc := compileBothTiers(t, "reconverge", source, "k")
+		if atc.Tier() != exec.TierVec {
+			t.Fatalf("%s: auto tier = %v, want vec (vecErr: %v)", tc.name, atc.Tier(), atc.VecError())
 		}
-		return []exec.Arg{exec.BufArg(a), exec.BufArg(out), exec.IntArg(n)}
-	}
-	nd := exec.NDRange{Global: [3]int{n, 1, 1}, Local: [3]int{16, 1, 1}}
+		const n = 512
+		mk := func() []exec.Arg {
+			a, out := exec.NewFloatBuffer(n), exec.NewFloatBuffer(n)
+			for i := range a.F {
+				a.F[i] = float32(1-2*(i%2)) * (0.5 + float32(i%5)*0.25)
+			}
+			return []exec.Arg{exec.BufArg(a), exec.BufArg(out), exec.IntArg(n)}
+		}
+		nd := exec.NDRange{Global: [3]int{n, 1, 1}, Local: [3]int{16, 1, 1}}
+		// reformed is how the path under test reports its disagreements.
+		reformed := func(p *exec.Profile) int64 {
+			if tc.split {
+				if p.VecLinearized != 0 || p.VecReconverges != p.VecDivergences {
+					t.Errorf("%s: %d linearized, %d of %d splits re-formed; want 0 and all",
+						tc.name, p.VecLinearized, p.VecReconverges, p.VecDivergences)
+				}
+				return p.VecReconverges
+			}
+			if p.VecDivergences != 0 {
+				t.Errorf("%s: %d splits, want every disagreement run in place", tc.name, p.VecDivergences)
+			}
+			return p.VecLinearized
+		}
 
-	ca, aa := mk(), mk()
-	cp := runTier(t, "reconverge closure", cl, ca, nd, 1, exec.RunOptions{})[0]
-	ap := runTier(t, "reconverge auto", atc, aa, nd, 1, exec.RunOptions{})[0]
-	if ap.VecDivergences == 0 || ap.VecReconverges == 0 {
-		t.Fatalf("auto tier: divergences=%d reconverges=%d, want both > 0",
-			ap.VecDivergences, ap.VecReconverges)
-	}
-	if ap.VecScalarBails != 0 {
-		t.Errorf("auto tier: scalar bails = %d, want 0", ap.VecScalarBails)
-	}
-	diffProfiles(t, "reconverge full", cp, ap)
-	diffBuffers(t, "reconverge full", ca, aa)
+		ca, aa := mk(), mk()
+		cp := runTier(t, tc.name+" closure", cl, ca, nd, 1, exec.RunOptions{})[0]
+		ap := runTier(t, tc.name+" auto", atc, aa, nd, 1, exec.RunOptions{})[0]
+		if reformed(ap) == 0 {
+			t.Fatalf("%s: auto tier recorded no disagreement (divergences=%d reconverges=%d linearized=%d)",
+				tc.name, ap.VecDivergences, ap.VecReconverges, ap.VecLinearized)
+		}
+		if ap.VecScalarBails != 0 {
+			t.Errorf("%s: auto tier: scalar bails = %d, want 0", tc.name, ap.VecScalarBails)
+		}
+		diffProfiles(t, tc.name+" full", cp, ap)
+		diffBuffers(t, tc.name+" full", ca, aa)
 
-	ca2, aa2 := mk(), mk()
-	var rec int64
-	for _, ch := range chunks(nd) {
-		ctx := fmt.Sprintf("reconverge chunk [%d,%d)", ch[0], ch[1])
-		opts := exec.RunOptions{Lo: ch[0], Hi: ch[1]}
-		cp := runTier(t, ctx+" closure", cl, ca2, nd, 1, opts)[0]
-		ap := runTier(t, ctx+" auto", atc, aa2, nd, 1, opts)[0]
-		rec += ap.VecReconverges
-		diffProfiles(t, ctx, cp, ap)
+		ca2, aa2 := mk(), mk()
+		var rec int64
+		for _, ch := range chunks(nd) {
+			ctx := fmt.Sprintf("%s chunk [%d,%d)", tc.name, ch[0], ch[1])
+			opts := exec.RunOptions{Lo: ch[0], Hi: ch[1]}
+			cp := runTier(t, ctx+" closure", cl, ca2, nd, 1, opts)[0]
+			ap := runTier(t, ctx+" auto", atc, aa2, nd, 1, opts)[0]
+			rec += reformed(ap)
+			diffProfiles(t, ctx, cp, ap)
+		}
+		if rec == 0 {
+			t.Errorf("%s: chunked runs recorded no disagreement", tc.name)
+		}
+		diffBuffers(t, tc.name+" chunked", ca2, aa2)
 	}
-	if rec == 0 {
-		t.Errorf("chunked runs recorded no re-convergences")
-	}
-	diffBuffers(t, "reconverge chunked", ca2, aa2)
 }
 
 // TestVMFaultParity checks that runtime faults surface with identical
