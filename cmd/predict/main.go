@@ -2,17 +2,18 @@
 // predicts the task partitioning for the requested problem size and
 // compares the prediction against the default strategies and the oracle.
 //
-// By default the prediction is leave-one-program-out (the unseen-program
-// scenario): the model is trained on the other programs. With -models the
-// command first looks for a matching model artifact (written by a
-// previous run with -save-model, or by cmd/train -model-out for the
-// full-model case) and only falls back to training on the fly when none
-// exists.
+// The answer is the one /predict serves: the platform's model, trained on
+// every program of the database, through the deployment engine. With
+// -models the command first looks for the platform's model artifact
+// (written by a previous run with -save-model, or by cmd/train
+// -model-out) and only falls back to training on the fly when none
+// exists. The unseen-program figure, each program predicted by a model
+// trained on the others (leave-one-program-out), is cmd/bench fig1.
 //
 // Usage:
 //
 //	predict -db training_db.json -platform mc2 -program matmul -size 4
-//	        [-models models/] [-save-model] [-full]
+//	        [-models models/] [-save-model]
 package main
 
 import (
@@ -31,7 +32,6 @@ func main() {
 	sizeIdx := flag.Int("size", -1, "problem size index 0-5 (default: program default)")
 	models := flag.String("models", "", "model artifact directory (loaded before training on the fly)")
 	saveModel := flag.Bool("save-model", false, "persist a freshly trained model into -models for reuse")
-	full := flag.Bool("full", false, "use the full model (target program in the training set) instead of leave-one-out")
 	flag.Parse()
 
 	if *saveModel && *models == "" {
@@ -52,7 +52,7 @@ func main() {
 		fail(err)
 	}
 
-	p, err := eng.Predict(engine.Request{Program: *program, SizeIdx: *sizeIdx, LeaveOut: !*full})
+	p, err := eng.Predict(engine.Request{Program: *program, SizeIdx: *sizeIdx})
 	if err != nil {
 		fail(err)
 	}
@@ -65,7 +65,7 @@ func main() {
 			p.RawClass, len(db.Space), p.Partition)
 	}
 
-	artifactPath := engine.ArtifactPath(*models, *platform, p.LeftOut)
+	artifactPath := engine.ArtifactPath(*models, *platform, "")
 	source := "trained on the fly"
 	switch p.ModelSource {
 	case engine.ModelFromArtifact:
@@ -77,7 +77,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "predict: warning: failed to save model artifact to %s (next run will retrain)\n", artifactPath)
 	}
 	fmt.Printf("program %s, size %s (N=%d), platform %s\n", p.Program, p.SizeLabel, p.SizeN, p.Platform)
-	fmt.Printf("  model %s (left-out %q, %s)\n", p.Model, p.LeftOut, source)
+	fmt.Printf("  model %s v%d (the served model, %s; cmd/bench fig1 reports unseen programs)\n", p.Model, p.ModelVersion, source)
 	fmt.Printf("  predicted partitioning (CPU/GPU1/GPU2): %s  -> %.4g ms\n", p.Partition, p.PredictedTime*1e3)
 	if p.OracleTime > 0 {
 		fmt.Printf("  oracle partitioning:                    %s  -> %.4g ms\n", p.OraclePartition, p.OracleTime*1e3)

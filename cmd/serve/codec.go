@@ -172,10 +172,10 @@ func (c *jsonCodec) request(bool) (engine.Request, error) {
 			return req, badRequest(fmt.Errorf("invalid size %q", v))
 		}
 	}
-	if v := q.Get("leaveout"); v != "" {
-		if req.LeaveOut, err = strconv.ParseBool(v); err != nil {
-			return req, badRequest(fmt.Errorf("invalid leaveout %q", v))
-		}
+	if q.Has("leaveout") {
+		// The service serves one model per platform; a program absent from
+		// the training database is already unseen by it.
+		return req, badRequest(errors.New("leaveout: leave-one-program-out is not served; cmd/bench fig1 reports the unseen-program figure"))
 	}
 	return req, nil
 }
@@ -194,9 +194,7 @@ func (c *jsonCodec) batch() (int, error) {
 func (c *jsonCodec) next(i int) (engine.Request, error) {
 	req := engine.Request{SizeIdx: -1}
 	dec := json.NewDecoder(bytes.NewReader(c.points[i]))
-	if c.s.strict {
-		dec.DisallowUnknownFields()
-	}
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return req, fmt.Errorf("invalid JSON: %w", err)
 	}
@@ -248,8 +246,8 @@ func (c *jsonCodec) release() {
 // maxBodyBytes. An empty body is fine (parameters may be in the query),
 // but anything after the first JSON value is not: trailing garbage means
 // the client built the request wrong (or something is smuggling data),
-// and silently ignoring it would mask the bug. With -strict, unknown
-// fields are rejected too.
+// and silently ignoring it would mask the bug. So would an unknown field
+// (a typo, or a field the service no longer reads), which is refused too.
 func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	if r.Method != http.MethodPost {
 		return nil
@@ -257,9 +255,7 @@ func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	// Decode regardless of Content-Length: chunked bodies report -1.
 	dec := json.NewDecoder(r.Body)
-	if s.strict {
-		dec.DisallowUnknownFields()
-	}
+	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	switch {
 	case errors.Is(err, io.EOF):

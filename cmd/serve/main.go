@@ -110,7 +110,6 @@ func main() {
 	warm := flag.String("warm", "", "comma-separated programs to pre-warm (compile, profile, predict) on every platform at startup")
 	parallel := flag.Int("parallel", 0, "worker goroutines for execution and oracle search (0 = GOMAXPROCS)")
 	cacheLimit := flag.Int("cache-limit", 0, "max entries in the fleet's cell cache and in each engine's program cache, LRU-ish eviction (0 = unbounded)")
-	strict := flag.Bool("strict", false, "reject JSON bodies containing unknown fields")
 	obsDir := flag.String("obs", "", "observation log directory (empty = do not record executions)")
 	adaptive := flag.Bool("adaptive", false, "run the background retrainer over the observation log (requires -obs)")
 	retrainInterval := flag.Duration("retrain-interval", time.Minute, "how often the background retrainer checks for new observations")
@@ -219,7 +218,7 @@ func main() {
 		fail(err)
 	}
 	defer stopRetrain()
-	srv := &server{fleet: rt, obsLog: obsLog, start: time.Now(), strict: *strict, intern: wire.NewIntern()}
+	srv := &server{fleet: rt, obsLog: obsLog, start: time.Now(), intern: wire.NewIntern()}
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.mux()}
 	errc := make(chan error, 1)
@@ -309,9 +308,6 @@ type server struct {
 	fleet  *fleet.Router
 	obsLog *obs.Log
 	start  time.Time
-	// strict rejects JSON bodies with unknown fields (schema typos fail
-	// loudly instead of being silently ignored).
-	strict bool
 	// intern deduplicates program names decoded from wire requests so
 	// the warm wire path allocates nothing.
 	intern *wire.Intern
@@ -342,7 +338,7 @@ func (s *server) mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	for _, rt := range []route{
 		{"/healthz", []string{get, http.MethodHead}, fleetWide, s.handleHealthz}, // liveness, uptime, platforms
-		{"/predict", []string{get, post}, admitted, s.handlePredict},             // ?program=P[&size=N][&leaveout=1][&platform=M]: predicted partitioning
+		{"/predict", []string{get, post}, admitted, s.handlePredict},             // ?program=P[&size=N][&platform=M]: predicted partitioning
 		{"/predict/batch", []string{post}, admitted, s.handlePredictBatch},       // {"requests":[...]}: price N points at once
 		{"/execute", []string{post}, admitted, s.handleExecute},                  // ?program=P[&size=N]: run partitioned, verify
 		{"/kernels", []string{get, post}, onShard, s.handleKernels},              // GET the caller's kernels, POST {"name","source",...} to register one
@@ -595,7 +591,7 @@ func (s *server) handleModels(w http.ResponseWriter, r *http.Request, sh *fleet.
 			return
 		}
 	}
-	current, versions, err := sh.Engine().ModelVersions("")
+	current, versions, err := sh.Engine().ModelVersions()
 	if err != nil {
 		c.fail(err)
 		return

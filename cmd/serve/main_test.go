@@ -329,33 +329,64 @@ func TestDecodeRejectsTrailingGarbage(t *testing.T) {
 	}
 }
 
-// TestStrictModeRejectsUnknownFields: with -strict, schema typos fail
-// loudly; without it they are tolerated (backward compatible default).
-func TestStrictModeRejectsUnknownFields(t *testing.T) {
-	lax := testServer(t)
-	body := []byte(`{"program":"vecadd","siez":1}`)
-	if w := doReq(t, lax, http.MethodPost, "/predict", body); w.Code != http.StatusOK {
-		t.Fatalf("lax server rejected unknown field: %d", w.Code)
+// TestUnknownFieldsRejected: a JSON field the service does not read — a
+// typo, or a field it no longer reads — is a 400 rather than silently
+// ignored, and a batch point with one is that point's error.
+func TestUnknownFieldsRejected(t *testing.T) {
+	s := testServer(t)
+	if w := doReq(t, s, http.MethodPost, "/predict", []byte(`{"program":"vecadd","siez":1}`)); w.Code != http.StatusBadRequest ||
+		!strings.Contains(w.Body.String(), `unknown field \"siez\"`) {
+		t.Fatalf("unknown field = %d: %s", w.Code, w.Body.String())
 	}
-	strict := &server{fleet: lax.fleet, obsLog: lax.obsLog, start: lax.start, strict: true, intern: lax.intern}
-	if w := doReq(t, strict, http.MethodPost, "/predict", body); w.Code != http.StatusBadRequest {
-		t.Fatalf("strict server accepted unknown field: %d", w.Code)
-	}
-	if w := doReq(t, strict, http.MethodPost, "/predict/batch",
-		[]byte(`{"requests":[{"program":"vecadd","siez":1}]}`)); w.Code != http.StatusOK {
-		t.Fatalf("strict batch = %d", w.Code)
+	if w := doReq(t, s, http.MethodPost, "/predict/batch",
+		[]byte(`{"requests":[{"program":"vecadd","siez":1},{"program":"vecadd","size":1}]}`)); w.Code != http.StatusOK {
+		t.Fatalf("batch = %d", w.Code)
 	} else {
 		var resp batchResponse
 		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
-		if resp.Errors != 1 || resp.Results[0].Error == "" {
-			t.Fatalf("strict batch did not flag the unknown field: %+v", resp)
+		if resp.Errors != 1 || resp.Results[0].Error == "" || resp.Results[1].Error != "" {
+			t.Fatalf("batch did not flag exactly the point with the unknown field: %+v", resp)
 		}
 	}
-	// Valid bodies still work in strict mode.
-	if w := doReq(t, strict, http.MethodPost, "/predict", []byte(`{"program":"vecadd","size":1}`)); w.Code != http.StatusOK {
-		t.Fatalf("strict server rejected a valid body: %d", w.Code)
+	if w := doReq(t, s, http.MethodPost, "/predict", []byte(`{"program":"vecadd","size":1}`)); w.Code != http.StatusOK {
+		t.Fatalf("a valid body = %d: %s", w.Code, w.Body.String())
+	}
+}
+
+// TestLeaveOutRefused: the service serves one model per platform. Each way
+// a client could ask for the model that leaves the program out — the
+// leaveout query parameter, the wire request's flag bit 0, a leaveOut JSON
+// field — is a 400, never an answer from the full model; the first two
+// name the figure that reports unseen programs.
+func TestLeaveOutRefused(t *testing.T) {
+	s := testServer(t)
+	w := doReq(t, s, http.MethodGet, "/predict?program=vecadd&leaveout=1", nil)
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "cmd/bench fig1") {
+		t.Errorf("GET /predict?leaveout=1 = %d: %s", w.Code, w.Body.String())
+	}
+
+	frame := wire.AppendPredictRequest(nil, &engine.Request{Program: "vecadd", SizeIdx: 1})
+	frame[5] |= 1 // the request's flags byte, after the frame header
+	r := httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(frame))
+	r.Header.Set("Content-Type", wire.ContentType)
+	ww := httptest.NewRecorder()
+	s.mux().ServeHTTP(ww, r)
+	if ww.Code != http.StatusBadRequest {
+		t.Fatalf("wire predict with flag bit 0 = %d", ww.Code)
+	}
+	_, payload, err := wire.ParseFrame(ww.Body.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, err := wire.DecodeError(payload); err != nil || !strings.Contains(e.Message, "cmd/bench fig1") {
+		t.Errorf("wire error frame %+v (%v) does not name cmd/bench fig1", e, err)
+	}
+
+	w = doReq(t, s, http.MethodPost, "/predict", []byte(`{"program":"vecadd","leaveOut":true}`))
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `unknown field \"leaveOut\"`) {
+		t.Errorf(`POST /predict {"leaveOut":true} = %d: %s`, w.Code, w.Body.String())
 	}
 }
 

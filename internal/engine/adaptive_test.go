@@ -122,7 +122,7 @@ func TestEngineAdaptiveClosedLoop(t *testing.T) {
 	}
 
 	// Lineage is recorded end to end.
-	cur, versions, err := eng.ModelVersions("")
+	cur, versions, err := eng.ModelVersions()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestEngineRollback(t *testing.T) {
 		t.Fatalf("post-rollback prediction from version %d", p.ModelVersion)
 	}
 	// History survives rollback; bogus versions are rejected.
-	if cur, versions, _ := eng.ModelVersions(""); cur != 1 || len(versions) != 2 {
+	if cur, versions, _ := eng.ModelVersions(); cur != 1 || len(versions) != 2 {
 		t.Fatalf("registry after rollback: cur=%d len=%d", cur, len(versions))
 	}
 	if _, err := eng.Rollback(99); err == nil {
@@ -280,7 +280,7 @@ func TestEngineAdaptivePersistsPromotedModel(t *testing.T) {
 	}
 	// The reloaded registry starts at the promoted version, its history
 	// intact.
-	cur, versions, err := second.ModelVersions("")
+	cur, versions, err := second.ModelVersions()
 	if err != nil {
 		t.Fatal(err)
 	}

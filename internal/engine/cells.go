@@ -25,9 +25,8 @@ import (
 // per (platform, shard). Only what a platform answers for the cell is per
 // platform: its oracle label, because the prices are, and the class its
 // serving model gives the cell, because each platform has its own model.
-// Each cell keeps one label slot per platform the cache was built for, and
-// two class slots: one for the full model and one for the model that
-// leaves the cell's program out.
+// Each cell keeps one label slot and one class slot per platform the cache
+// was built for.
 //
 // The cache also keeps one model store per platform (models): every
 // engine of a platform that shares the cache serves, promotes and rolls
@@ -154,13 +153,11 @@ type cell struct {
 	// What /predict answers, what /execute answers and the label record
 	// the observation log gets all index this one row.
 	labels []atomic.Pointer[runtime.Label]
-	// classes holds the class each platform's serving models give the
-	// cell, with the model version it was computed for: slot 0 for the
-	// full model, slot 1 for the model that leaves the cell's program out
-	// (the only two registries that serve a cell). /predict and /execute
-	// run a model only when the version they serve is not its slot's
-	// (Engine.class).
-	classes [][2]atomic.Pointer[servedClass]
+	// classes holds the class each platform's serving model gives the
+	// cell, with the model version it was computed for. /predict and
+	// /execute run a model only when the version they serve is not the
+	// slot's (Engine.class).
+	classes []atomic.Pointer[servedClass]
 	// labeled holds one flag per platform of the cache, set by the cell's
 	// first execution on the platform, which queues the cell's label
 	// record (Engine.record).

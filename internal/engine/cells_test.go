@@ -170,7 +170,7 @@ func TestPredictOnlyCellsHoldNoInstance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := eng.registryFor(""); err != nil {
+	if _, err := eng.registry(); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats

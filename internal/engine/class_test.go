@@ -48,11 +48,10 @@ func cellOf(t *testing.T, eng *Engine, req Request) *cell {
 	return fe
 }
 
-// versionArt returns the artifact of version v of eng's registry for
-// leftOut.
-func versionArt(t *testing.T, eng *Engine, leftOut string, v int) *ml.Artifact {
+// versionArt returns the artifact of version v of eng's registry.
+func versionArt(t *testing.T, eng *Engine, v int) *ml.Artifact {
 	t.Helper()
-	reg, err := eng.registryFor(leftOut)
+	reg, err := eng.registry()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +62,7 @@ func versionArt(t *testing.T, eng *Engine, leftOut string, v int) *ml.Artifact {
 			return ver.art
 		}
 	}
-	t.Fatalf("%s registry %q has no version %d", eng.opts.Platform, leftOut, v)
+	t.Fatalf("%s registry has no version %d", eng.opts.Platform, v)
 	return nil
 }
 
@@ -107,7 +106,7 @@ func TestServedClassIsTheReportedVersions(t *testing.T) {
 					t.Fatal(err)
 				}
 				fe := cellOf(t, eng, req)
-				if want := versionArt(t, eng, "", p.ModelVersion).Predict(fe.fv.Values); p.RawClass != want {
+				if want := versionArt(t, eng, p.ModelVersion).Predict(fe.fv.Values); p.RawClass != want {
 					t.Fatalf("%s %s size %d (round %d): served class %d, version %d predicts %d", platform, req.Program, req.SizeIdx, round, p.RawClass, p.ModelVersion, want)
 				}
 			}
@@ -127,7 +126,7 @@ func TestServedClassIsTheReportedVersions(t *testing.T) {
 // first request running the new version once per cell between them.
 func TestServedClassFollowsPromotionAndRollback(t *testing.T) {
 	engs := classShards(t, mustCellCache(t, "mc2"), "mc2", 2)
-	reg, err := engs[0].registryFor("")
+	reg, err := engs[0].registry()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,44 +170,12 @@ func TestServedClassFollowsPromotionAndRollback(t *testing.T) {
 	check("after rollback", 1)
 }
 
-// TestLeaveOutAndFullClassesDoNotMix: leave-out and full requests
-// alternating on one cell each get their own model's class, though the
-// two models disagree on it.
-func TestLeaveOutAndFullClassesDoNotMix(t *testing.T) {
-	eng := classShards(t, mustCellCache(t, "mc2"), "mc2", 1)[0]
-	req := Request{Program: "vecadd", SizeIdx: 1}
-	loo, err := eng.registryFor("vecadd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loo.promote(shiftedArtifact(t, "mc2"), ml.Lineage{})
-	fv := cellOf(t, eng, req).fv.Values
-	want := map[bool]int{false: versionArt(t, eng, "", 1).Predict(fv), true: versionArt(t, eng, "vecadd", 2).Predict(fv)}
-	if want[false] == want[true] {
-		t.Fatalf("full and leave-out models agree on the cell (class %d): the test cannot tell them apart", want[false])
-	}
-	for i := 0; i < 6; i++ {
-		req.LeaveOut = i%2 == 1
-		p, err := eng.Predict(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.RawClass != want[req.LeaveOut] {
-			t.Fatalf("request %d (leaveOut %v) served class %d from %q version %d, want %d", i, req.LeaveOut, p.RawClass, p.LeftOut, p.ModelVersion, want[req.LeaveOut])
-		}
-	}
-	// Each model keeps its own slot: alternating requests run each once.
-	if got := eng.Stats().ModelEvaluations; got != 2 {
-		t.Errorf("6 alternating requests ran the model %d times, want 2", got)
-	}
-}
-
 // TestPromotionNeverTearsVersionFromClass: predictions racing promotions
 // and rollbacks always pair a version number with that version's class.
 // Run it under -race.
 func TestPromotionNeverTearsVersionFromClass(t *testing.T) {
 	engs := classShards(t, mustCellCache(t, "mc2"), "mc2", 2)
-	reg, err := engs[0].registryFor("")
+	reg, err := engs[0].registry()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +184,7 @@ func TestPromotionNeverTearsVersionFromClass(t *testing.T) {
 	want := map[int][]int{}
 	for v := 1; v <= 2; v++ {
 		for _, req := range classCells {
-			want[v] = append(want[v], versionArt(t, engs[0], "", v).Predict(cellOf(t, engs[0], req).fv.Values))
+			want[v] = append(want[v], versionArt(t, engs[0], v).Predict(cellOf(t, engs[0], req).fv.Values))
 		}
 	}
 	done := make(chan struct{})

@@ -18,11 +18,10 @@
 //     (Options.SharedCells) and a (program, size) is profiled and held
 //     once per process,
 //   - one model store per platform of the cell cache: a versioned
-//     registry per left-out program, backed by artifact files on disk
-//     with a train-on-the-fly fallback, and the adaptive retrainer's
-//     state (retrain.go). Every engine of a platform sharing the cache —
-//     every shard of a fleet — serves, promotes and rolls back the same
-//     versions.
+//     registry, backed by an artifact file on disk with a train-on-the-fly
+//     fallback, and the adaptive retrainer's state (retrain.go). Every
+//     engine of a platform sharing the cache — every shard of a fleet —
+//     serves, promotes and rolls back the same versions.
 //
 // All three caches deduplicate concurrent identical requests through
 // sched.Memo: two clients asking for the same cold entry share one
@@ -137,7 +136,8 @@ type Options struct {
 
 // ArtifactPath names the artifact file for (platform, leftOut) inside
 // dir. Train-phase writers and the engine's loader agree through this
-// function.
+// function. The engine loads and saves only the platform's one served
+// model, leftOut ""; every caller passes "".
 func ArtifactPath(dir, platform, leftOut string) string {
 	if leftOut == "" {
 		return filepath.Join(dir, platform+".json")
@@ -239,8 +239,8 @@ type engineCounters struct {
 // Likewise FeatureComputes counts the cells this engine profiled: in a
 // shared cell cache, whichever engine touches a cell first; and
 // Trainings and ArtifactLoads the models it trained or loaded for its
-// platform's store. CachedModels and Rollbacks are the platform's, the
-// same on every engine sharing its store, as is RetrainStatus.)
+// platform's store. Rollbacks is the platform's, the same on every engine
+// sharing its store, as is RetrainStatus.)
 type Stats struct {
 	Platform        string `json:"platform"`
 	PredictRequests uint64 `json:"predictRequests"`
@@ -264,7 +264,6 @@ type Stats struct {
 	// while PredictRequests and ClampedPredictions count every request.
 	ModelEvaluations uint64 `json:"modelEvaluations"`
 	CachedPrograms   int    `json:"cachedPrograms"`
-	CachedModels     int    `json:"cachedModels"`
 
 	// Adaptive-loop counters (all zero when no observation log is
 	// configured). Observations counts executions whose counts the
@@ -386,7 +385,6 @@ func (e *Engine) Stats() Stats {
 		ClampedPredictions:  e.stats.clamped.Load(),
 		ModelEvaluations:    e.stats.modelEvals.Load(),
 		CachedPrograms:      e.programs.Len(),
-		CachedModels:        e.models().regs.Len(),
 
 		Observations:        e.stats.observations.Load(),
 		ObservationsLabeled: e.stats.observedLabeled.Load(),
@@ -418,11 +416,6 @@ type Request struct {
 	// SizeIdx is the problem size index; negative selects the program's
 	// default size.
 	SizeIdx int `json:"size"`
-	// LeaveOut holds the requested program out of the training set
-	// (evaluation mode: the paper's unseen-program scenario). The full
-	// model is used otherwise, and for a program the training database
-	// has no rows for, which it holds out already.
-	LeaveOut bool `json:"leaveOut,omitempty"`
 	// Tenant is the requesting tenant (set by the serving layer from the
 	// X-Tenant header, never from the request body; empty means
 	// DefaultTenant). Concurrency caps are charged against it.
@@ -454,8 +447,7 @@ type Prediction struct {
 	// ModelVersion is the registry version that served this prediction;
 	// it moves when the retrainer promotes a gated candidate (or an
 	// operator rolls back) without a restart.
-	ModelVersion int    `json:"modelVersion"`
-	LeftOut      string `json:"leftOut,omitempty"`
+	ModelVersion int `json:"modelVersion"`
 
 	// PredictedTime is the simulated makespan under the served
 	// partitioning: the served class's entry in the cell's label. The
@@ -574,7 +566,7 @@ func (e *Engine) cellFor(ctx context.Context, pe *programEntry, sizeIdx int, fir
 		shape.Args, shape.ArgBytes = nil, backend.ArgBytes(nil, inst.Args)
 		fe := &cell{fv: fv, prof: prof, launch: shape, bytes: bytes,
 			labels:  make([]atomic.Pointer[runtime.Label], len(e.cells.platforms)),
-			classes: make([][2]atomic.Pointer[servedClass], len(e.cells.platforms)),
+			classes: make([]atomic.Pointer[servedClass], len(e.cells.platforms)),
 			labeled: make([]atomic.Bool, len(e.cells.platforms))}
 		if first != nil {
 			_, first.verifyErr = tmpl.check(args)
@@ -632,30 +624,30 @@ func (e *Engine) launch(pe *programEntry, inst *bench.Instance) runtime.Launch {
 	}
 }
 
-// registryFor resolves (creating on first use) the platform's version
-// registry for leftOut (empty = the full model): one memo hit on a warm
-// engine. Its first version comes from an artifact file in ArtifactDir
-// when one exists, otherwise from training on the database. Concurrent
-// requests for the same cold model share one resolution. Failures are
-// not cached (sched.Memo.DoRetryable): a transient load error — corrupt
-// file mid-deploy, fd exhaustion — must not poison the key until restart.
-func (e *Engine) registryFor(leftOut string) (*registry, error) {
-	return e.models().regs.DoRetryable(leftOut, func() (*registry, error) {
+// registry resolves (creating on first use) the platform's version
+// registry: one memo hit on a warm engine. Its first version comes from
+// the platform's artifact file in ArtifactDir when one exists, otherwise
+// from training on the database. Concurrent requests for the cold model
+// share one resolution. Failures are not cached (sched.Memo.DoRetryable):
+// a transient load error — corrupt file mid-deploy, fd exhaustion — must
+// not poison the store until restart.
+func (e *Engine) registry() (*registry, error) {
+	return e.models().reg.DoRetryable(struct{}{}, func() (*registry, error) {
 		if e.opts.ArtifactDir != "" {
-			path := ArtifactPath(e.opts.ArtifactDir, e.opts.Platform, leftOut)
+			path := ArtifactPath(e.opts.ArtifactDir, e.opts.Platform, "")
 			if _, err := os.Stat(path); err == nil {
 				a, err := ml.LoadArtifact(path)
 				if err != nil {
 					return nil, err
 				}
-				if err := e.checkArtifact(a, leftOut); err != nil {
+				if err := e.fw.CheckArtifact(a); err != nil {
 					return nil, fmt.Errorf("engine: artifact %s: %w", path, err)
 				}
 				e.stats.artifactLoads.Add(1)
 				return newRegistry(a, ModelFromArtifact), nil
 			}
 		}
-		art, source, err := e.train(leftOut)
+		art, source, err := e.train()
 		if err != nil {
 			return nil, err
 		}
@@ -663,10 +655,10 @@ func (e *Engine) registryFor(leftOut string) (*registry, error) {
 	})
 }
 
-// ModelVersions lists the platform's registry for leftOut: the serving
-// version number plus every version's lineage, oldest first.
-func (e *Engine) ModelVersions(leftOut string) (current int, versions []ModelVersion, err error) {
-	reg, err := e.registryFor(leftOut)
+// ModelVersions lists the platform's registry: the serving version number
+// plus every version's lineage, oldest first.
+func (e *Engine) ModelVersions() (current int, versions []ModelVersion, err error) {
+	reg, err := e.registry()
 	if err != nil {
 		return 0, nil, err
 	}
@@ -674,7 +666,7 @@ func (e *Engine) ModelVersions(leftOut string) (current int, versions []ModelVer
 	return current, versions, nil
 }
 
-// Rollback makes an earlier version of the platform's full model current
+// Rollback makes an earlier version of the platform's model current
 // again, on every engine serving it. In-flight requests see the swap
 // atomically, exactly like a promotion.
 // With SaveTrained, the rolled-back version is also re-persisted to
@@ -682,7 +674,7 @@ func (e *Engine) ModelVersions(leftOut string) (current int, versions []ModelVer
 // this a restart would silently reinstate the model the operator just
 // rejected.
 func (e *Engine) Rollback(version int) (ModelVersion, error) {
-	reg, err := e.registryFor("")
+	reg, err := e.registry()
 	if err != nil {
 		return ModelVersion{}, err
 	}
@@ -700,41 +692,20 @@ func (e *Engine) Rollback(version int) (ModelVersion, error) {
 	return *v, nil
 }
 
-// checkArtifact validates a loaded artifact against the engine's
-// platform, partition space (via the framework's shared check) and the
-// requested left-out program.
-func (e *Engine) checkArtifact(a *ml.Artifact, leftOut string) error {
-	if err := e.fw.CheckArtifact(a); err != nil {
-		return err
-	}
-	if a.LeftOut != leftOut {
-		return fmt.Errorf("trained with left-out program %q, request needs %q", a.LeftOut, leftOut)
-	}
-	return nil
-}
-
 // train is the fallback path: fit a fresh model from the database.
-func (e *Engine) train(leftOut string) (*ml.Artifact, string, error) {
+func (e *Engine) train() (*ml.Artifact, string, error) {
 	if e.opts.DB == nil {
-		return nil, "", fmt.Errorf("engine: no artifact for (%s, leftOut=%q) and no training database", e.opts.Platform, leftOut)
+		return nil, "", fmt.Errorf("engine: no artifact for %s and no training database", e.opts.Platform)
 	}
 	data := e.opts.DB.Dataset(e.opts.Platform, nil)
 	if data.Len() == 0 {
 		return nil, "", fmt.Errorf("engine: database has no records for %q", e.opts.Platform)
-	}
-	if leftOut != "" {
-		trainIdx, _ := data.SplitByGroup(leftOut)
-		if len(trainIdx) == 0 {
-			return nil, "", fmt.Errorf("engine: leaving out %q empties the training set", leftOut)
-		}
-		data = data.Subset(trainIdx)
 	}
 	a, err := ml.TrainArtifact(data, e.opts.Model)
 	if err != nil {
 		return nil, "", err
 	}
 	a.Platform = e.opts.Platform
-	a.LeftOut = leftOut
 	a.Space = append([]string{}, e.opts.DB.Space...)
 	// The database's class space must be the framework's partition
 	// space, or the trained model's class indices would map to the
@@ -748,7 +719,7 @@ func (e *Engine) train(leftOut string) (*ml.Artifact, string, error) {
 		// Persistence is an optimization: a failed write (disk full,
 		// read-only dir) must not discard the trained model or poison
 		// this model's cache entry with the error.
-		path := ArtifactPath(e.opts.ArtifactDir, e.opts.Platform, leftOut)
+		path := ArtifactPath(e.opts.ArtifactDir, e.opts.Platform, "")
 		if err := ml.SaveArtifact(path, a); err != nil {
 			e.stats.saveFailures.Add(1)
 			source = ModelTrainedSaveFailed
@@ -772,7 +743,7 @@ func (e *Engine) Predict(req Request) (*Prediction, error) {
 
 // PredictInto is Predict into a caller-owned struct: the serving hot
 // path. A warm call runs no model and prices nothing: the class comes from
-// one of the cell's class slots, computed once per (cell, platform, model
+// the cell's class slot, computed once per (cell, platform, model
 // version) and answered only while that version serves (a promotion or
 // rollback makes the next call run the new model once), and the time from
 // the cell's label. It performs zero heap allocations, so callers that
@@ -806,21 +777,12 @@ func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction, fi
 	if err != nil {
 		return nil, nil, err
 	}
-	leftOut := ""
-	if req.LeaveOut {
-		leftOut = req.Program
-		if e.opts.DB != nil {
-			if _, ok := e.opts.DB.MaxSizeIdx(e.opts.Platform, req.Program); !ok {
-				leftOut = ""
-			}
-		}
-	}
-	reg, err := e.registryFor(leftOut)
+	reg, err := e.registry()
 	if err != nil {
 		return nil, nil, err
 	}
 	ver := reg.current()
-	sc, err := e.class(fe, ver, leftOut != "")
+	sc, err := e.class(fe, ver)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -850,7 +812,6 @@ func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction, fi
 		Model:         ver.ModelName,
 		ModelSource:   ver.Source,
 		ModelVersion:  ver.ModelVersion,
-		LeftOut:       leftOut,
 		PredictedTime: lb.Times[served],
 	}
 	if e.opts.DB != nil {
@@ -1009,19 +970,14 @@ func (e *Engine) run(ctx context.Context, pe *programEntry, fe *cell, sizeIdx, c
 	return nil
 }
 
-// class returns the class ver gives the cell on the engine's platform;
-// leaveOut says ver is a version of the model that leaves the cell's
-// program out. The class is a pure function of the artifact and the
-// cell's features, so the platform's engines run the model once per
-// (cell, model version) and keep the answer in the cell's slot for that
-// registry; another version — a promotion, a rollback — misses, runs the
-// model and replaces the entry. A hit is one atomic load.
-func (e *Engine) class(fe *cell, ver *ModelVersion, leaveOut bool) (*servedClass, error) {
-	k := 0
-	if leaveOut {
-		k = 1
-	}
-	slot := &fe.classes[e.platSlot][k]
+// class returns the class ver gives the cell on the engine's platform.
+// The class is a pure function of the artifact and the cell's features,
+// so the platform's engines run the model once per (cell, model version)
+// and keep the answer in the cell's slot for the platform; another
+// version — a promotion, a rollback — misses, runs the model and replaces
+// the entry. A hit is one atomic load.
+func (e *Engine) class(fe *cell, ver *ModelVersion) (*servedClass, error) {
+	slot := &fe.classes[e.platSlot]
 	if sc := slot.Load(); sc != nil && sc.ver == ver {
 		return sc, nil
 	}

@@ -118,48 +118,6 @@ func TestEngineDefaultSize(t *testing.T) {
 	}
 }
 
-func TestEngineLeaveOneOutDistinctModel(t *testing.T) {
-	eng, err := New(fastOpts(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := eng.Predict(Request{Program: "vecadd", SizeIdx: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loo, err := eng.Predict(Request{Program: "vecadd", SizeIdx: 1, LeaveOut: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loo.LeftOut != "vecadd" || full.LeftOut != "" {
-		t.Fatalf("leftOut bookkeeping: full=%q loo=%q", full.LeftOut, loo.LeftOut)
-	}
-	if s := eng.Stats(); s.Trainings != 2 || s.CachedModels != 2 {
-		t.Fatalf("expected two distinct models (full + leave-one-out), stats=%+v", s)
-	}
-	// The leave-one-out model must have been fitted without the target
-	// program's samples: verify through the artifact metadata.
-	a, err := servingArtifact(eng, "vecadd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.LeftOut != "vecadd" {
-		t.Fatalf("artifact leftOut = %q", a.LeftOut)
-	}
-	// saxpy has no rows in the database, so the full model holds it out
-	// already and serves its leave-out requests: nothing more trains.
-	other, err := eng.Predict(Request{Program: "saxpy", SizeIdx: 0, LeaveOut: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if other.LeftOut != "" {
-		t.Fatalf("leave-out of a program absent from the database served the %q model", other.LeftOut)
-	}
-	if s := eng.Stats(); s.Trainings != 2 || s.CachedModels != 2 {
-		t.Fatalf("leave-out of a program absent from the database trained a model: stats=%+v", s)
-	}
-}
-
 // TestEngineArtifactByteIdenticalPredictions pins the PR's acceptance
 // criterion end to end: an engine serving from a loaded artifact file
 // answers every (program, size) request with exactly the classes a
@@ -173,7 +131,7 @@ func TestEngineArtifactByteIdenticalPredictions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, err := servingArtifact(fresh, "")
+	art, err := servingArtifact(fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +457,7 @@ func TestEngineRejectsSpaceMismatchedArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, err := servingArtifact(eng, "")
+	art, err := servingArtifact(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -616,9 +574,9 @@ func BenchmarkEngineExecuteWarm(b *testing.B) {
 	}
 }
 
-// servingArtifact returns the artifact currently serving leftOut.
-func servingArtifact(e *Engine, leftOut string) (*ml.Artifact, error) {
-	reg, err := e.registryFor(leftOut)
+// servingArtifact returns the artifact currently serving e's platform.
+func servingArtifact(e *Engine) (*ml.Artifact, error) {
+	reg, err := e.registry()
 	if err != nil {
 		return nil, err
 	}

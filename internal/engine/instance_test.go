@@ -585,7 +585,7 @@ func TestConcurrentColdExecutesShareOneBuild(t *testing.T) {
 	if _, err := eng.program(req.Program); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.registryFor(""); err != nil {
+	if _, err := eng.registry(); err != nil {
 		t.Fatal(err)
 	}
 	start := make(chan struct{})

@@ -92,9 +92,9 @@ type kernelTable struct {
 }
 
 // validName reports whether name may be a tenant or kernel name. The
-// qualified name "tenant/name" becomes a left-out program, which
-// ArtifactPath joins into a file path, so neither half may hold a path
-// separator or a dot.
+// qualified name "tenant/name" is a program name, which the observation
+// log and responses carry and no file path may be built from, so neither
+// half may hold a path separator or a dot.
 func validName(name string) bool {
 	if name == "" || len(name) > 64 {
 		return false

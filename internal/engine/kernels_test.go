@@ -283,11 +283,11 @@ func TestRegisterKernelValidation(t *testing.T) {
 }
 
 // TestRegisterKernelRefusesPathTenant: the tenant is half of an upload's
-// qualified name, which a leave-out model's artifact path is built from.
-// With ArtifactDir a/b, tenant "../../../escape" once let a leave-out
-// /predict of its kernel train a model and write a/escape/k.json; a
-// tenant outside the kernel-name charset is now refused before anything
-// compiles, trains or is written.
+// qualified name. With ArtifactDir a/b, tenant "../../../escape" once let
+// a /predict of its kernel train a model and write a/escape/k.json; a
+// tenant outside the kernel-name charset is refused before anything
+// compiles, trains or is written, and a predict of the name it would have
+// had neither serves nor writes outside ArtifactDir.
 func TestRegisterKernelRefusesPathTenant(t *testing.T) {
 	root := t.TempDir()
 	opts := fastOpts(t)
@@ -301,7 +301,7 @@ func TestRegisterKernelRefusesPathTenant(t *testing.T) {
 			t.Errorf("tenant %q: err = %v, want ErrInvalidKernel", tenant, err)
 		}
 	}
-	if _, err := eng.Predict(Request{Program: "../../../escape/k", SizeIdx: 0, LeaveOut: true}); err == nil {
+	if _, err := eng.Predict(Request{Program: "../../../escape/k", SizeIdx: 0}); err == nil {
 		t.Error("a refused upload serves")
 	}
 	if _, err := os.Stat(filepath.Join(root, "a", "escape")); !os.IsNotExist(err) {

@@ -4,7 +4,7 @@
 // execution queues the cell, and the background flusher appends the
 // cell's label, the row /predict and /execute answer from. Every execution
 // only bumps an atomic counter keyed by (cell, class served, model
-// version, left-out model, verified); the flusher writes one aggregate
+// version, verified); the flusher writes one aggregate
 // count record per key touched since its last flush, every
 // obsFlushInterval and whenever FlushObservations, a retrain attempt or
 // Close asks. Nothing on the response path prices, encodes or writes, and
@@ -29,7 +29,7 @@ const obsFlushInterval = time.Second
 type countKey struct {
 	bench                 *bench.Program
 	sizeIdx, class, model int
-	leftOut, verified     bool
+	verified              bool
 }
 
 // countSlot is a counter: n executions counted, of which flushed are in
@@ -111,8 +111,7 @@ func (r *recorder) nudge() {
 // engine's platform, queues the cell's label.
 func (e *Engine) record(pe *programEntry, fe *cell, ex *Execution, deviceTimes []float64) {
 	r := &e.obs
-	k := countKey{bench: pe.bench, sizeIdx: ex.SizeIdx, class: ex.Class, model: ex.ModelVersion,
-		leftOut: ex.LeftOut != "", verified: ex.Verified}
+	k := countKey{bench: pe.bench, sizeIdx: ex.SizeIdx, class: ex.Class, model: ex.ModelVersion, verified: ex.Verified}
 	r.mu.RLock()
 	s := r.counts[k]
 	if s != nil {
@@ -176,7 +175,7 @@ func (e *Engine) flushOnce() {
 		}
 		batch = append(batch, obs.Count{N: n - s.flushed, CountKey: obs.CountKey{
 			Platform: e.opts.Platform, Program: k.bench.Name, SizeIdx: k.sizeIdx, Class: k.class,
-			ModelVersion: k.model, LeftOut: k.leftOut, Verified: k.verified,
+			ModelVersion: k.model, Verified: k.verified,
 		}})
 		slots = append(slots, touched{s, n})
 	}

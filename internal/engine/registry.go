@@ -40,7 +40,7 @@ func newVersion(art *ml.Artifact, source string, lin ml.Lineage) *ModelVersion {
 	return v
 }
 
-// registry is the versioned model store for one (platform, leftOut) key.
+// registry is the versioned model store of one platform.
 // The serving path reads the current version through one atomic pointer
 // load — a hot swap is a single Store, so an in-flight Predict/Execute
 // observes either the old version or the new one, never a torn mix of
@@ -113,13 +113,13 @@ func (r *registry) list() (current int, out []ModelVersion) {
 	return current, out
 }
 
-// modelStore is one platform's models: a registry per left-out program
-// and the retrainer's state. A cell cache keeps one per platform
+// modelStore is one platform's models: its registry and the retrainer's
+// state. A cell cache keeps one per platform
 // (CellCache.join), so every engine of the platform sharing it — every
 // shard of a fleet — resolves, promotes and rolls back the same versions,
 // and retrains single-flight (runMu) with one attempt count.
 type modelStore struct {
-	regs sched.Memo[string, *registry] // key = left-out program ("" = full)
+	reg sched.Memo[struct{}, *registry] // one key: resolved once, a failure retried
 
 	runMu                                   sync.Mutex // held for the duration of one retrain attempt (TryLock)
 	attempts, promoted, rejected, rollbacks atomic.Uint64

@@ -143,7 +143,7 @@ func (e *Engine) retrainOnce(attempt uint64) (*RetrainResult, error) {
 	}
 	// Resolving the registry also materializes the live model: the gate
 	// needs something to compare against even before the first request.
-	reg, err := e.registryFor("")
+	reg, err := e.registry()
 	if err != nil {
 		return nil, err
 	}

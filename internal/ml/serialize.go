@@ -2,6 +2,7 @@ package ml
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -383,18 +384,14 @@ type Lineage struct {
 
 // Artifact bundles a trained model with its feature scaler and the
 // metadata a deployment engine needs to serve it: which platform it was
-// trained for, which program (if any) was held out of training, the
-// feature schema and the class space. An artifact's Predict is
-// bit-for-bit the predictor that was trained, across Save/Load.
+// trained for, the feature schema and the class space. An artifact's
+// Predict is bit-for-bit the predictor that was trained, across Save/Load.
 type Artifact struct {
 	Version int `json:"version"`
 	// Platform names the device platform whose records trained the model.
 	Platform string `json:"platform,omitempty"`
 	// ModelName is the model family tag (Classifier.Name at save time).
 	ModelName string `json:"model"`
-	// LeftOut names the program excluded from training (leave-one-out
-	// evaluation artifacts); empty for a model trained on everything.
-	LeftOut string `json:"leftOut,omitempty"`
 	// FeatureNames is the expected raw feature vector schema, in order.
 	FeatureNames []string `json:"featureNames,omitempty"`
 	// Space is the class space: Space[class] is the partition string.
@@ -413,7 +410,6 @@ type artifactJSON struct {
 	Version      int           `json:"version"`
 	Platform     string        `json:"platform,omitempty"`
 	ModelName    string        `json:"model"`
-	LeftOut      string        `json:"leftOut,omitempty"`
 	FeatureNames []string      `json:"featureNames,omitempty"`
 	Space        []string      `json:"space,omitempty"`
 	Lineage      *Lineage      `json:"lineage,omitempty"`
@@ -431,7 +427,7 @@ func (a *Artifact) MarshalJSON() ([]byte, error) {
 		return nil, err
 	}
 	return json.Marshal(artifactJSON{
-		Version: a.Version, Platform: a.Platform, ModelName: a.ModelName, LeftOut: a.LeftOut,
+		Version: a.Version, Platform: a.Platform, ModelName: a.ModelName,
 		FeatureNames: a.FeatureNames, Space: a.Space, Lineage: a.Lineage, Scaler: a.Scaler, ModelSpec: env,
 	})
 }
@@ -447,7 +443,7 @@ func (a *Artifact) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	*a = Artifact{
-		Version: s.Version, Platform: s.Platform, ModelName: s.ModelName, LeftOut: s.LeftOut,
+		Version: s.Version, Platform: s.Platform, ModelName: s.ModelName,
 		FeatureNames: s.FeatureNames, Space: s.Space, Lineage: s.Lineage, Scaler: s.Scaler, Model: model,
 	}
 	return nil
@@ -515,32 +511,37 @@ func DecodeArtifact(r io.Reader) (*Artifact, error) {
 }
 
 // SaveArtifact writes the artifact to path, creating parent directories.
-// The write is atomic (temp file + rename) so a serving engine never
-// observes a torn artifact.
+// It encodes into a temporary file beside path, syncs it, renames it over
+// path and syncs the directory, so a serving engine never observes a torn
+// artifact, and a save that returns nil has the whole new artifact at path
+// across a crash or power loss. A save that fails returns its errors,
+// leaves at path what was there, and removes its temporary file.
 func SaveArtifact(path string, a *Artifact) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".artifact-*")
+	tmp, err := os.CreateTemp(dir, ".artifact-*")
 	if err != nil {
 		return err
 	}
-	if err := EncodeArtifact(tmp, a); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
 	// CreateTemp files are 0600; artifacts are shared read-only data
-	// (trained by one user, served by another), like the database.
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
+	// (trained by one user, served by another), like the database. Every
+	// step runs, so the file is closed whichever of them fails.
+	err = errors.Join(EncodeArtifact(tmp, a), tmp.Chmod(0o644), tmp.Sync(), tmp.Close())
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // LoadArtifact reads an artifact from path.

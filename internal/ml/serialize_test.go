@@ -206,6 +206,45 @@ func goldenArtifact(t *testing.T) *Artifact {
 	return a
 }
 
+// TestSaveArtifactFailureKeepsOld: a save that fails — the artifact does
+// not encode, or the rename over path is refused — returns the error,
+// leaves the artifact already at path byte for byte, and leaves no
+// temporary file behind for a later start to trip on.
+func TestSaveArtifactFailureKeepsOld(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "mc1.json")
+	if err := SaveArtifact(path, goldenArtifact(t)); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveArtifact(path, &Artifact{Version: ArtifactVersion}); err == nil {
+		t.Fatal("saving an artifact with no model succeeded")
+	}
+	// A non-empty directory at the target refuses the rename.
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.MkdirAll(filepath.Join(blocked, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveArtifact(blocked, goldenArtifact(t)); err == nil {
+		t.Fatal("renaming over a non-empty directory succeeded")
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("the failed save changed the old artifact (%v)", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "mc1.json" && e.Name() != "blocked" {
+			t.Fatalf("a failed save left %s behind", e.Name())
+		}
+	}
+}
+
 // TestGoldenArtifact catches serialization format drift: the checked-in
 // artifact must decode, predict the pinned classes, and re-encode to the
 // exact checked-in bytes. Run with -update to regenerate after an

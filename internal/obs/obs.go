@@ -8,9 +8,9 @@
 //     training sweep produces for the same cell. The engine appends it
 //     once, at the cell's first execution on the platform;
 //   - a count record adds N executions to one counter key: (cell, class
-//     served, model version, left-out model or not, verified). The engine
-//     flushes one count record per touched key now and then, however many
-//     requests the key served in between.
+//     served, model version, verified). The engine flushes one count
+//     record per touched key now and then, however many requests the key
+//     served in between.
 //
 // A production deployment serving heavy traffic is sitting on a stream
 // of free training labels; this package makes that stream durable so the
@@ -131,17 +131,16 @@ func (o *Observation) Key() Key {
 }
 
 // CountKey is one execution counter: executions of a cell served class
-// Class by ModelVersion of the full model (or, LeftOut, of the model that
-// holds the program out), split by whether their outputs verified.
-// ModelVersion 0 counts executions replayed from per-request records,
-// which did not record a version.
+// Class by ModelVersion of the platform's model, split by whether their
+// outputs verified. ModelVersion 0 counts executions of no recorded
+// version: replayed per-request records, and counts an older log kept
+// for a model that left the cell's program out.
 type CountKey struct {
 	Platform     string `json:"platform"`
 	Program      string `json:"program"`
 	SizeIdx      int    `json:"sizeIdx"`
 	Class        int    `json:"class"`
 	ModelVersion int    `json:"modelVersion"`
-	LeftOut      bool   `json:"leftOut,omitempty"`
 	Verified     bool   `json:"verified"`
 }
 
@@ -185,7 +184,6 @@ type Stats struct {
 type Health struct {
 	Platform         string  `json:"platform"`
 	ModelVersion     int     `json:"modelVersion"`
-	LeftOut          bool    `json:"leftOut,omitempty"`
 	Executions       uint64  `json:"executions"`
 	OracleEfficiency float64 `json:"oracleEfficiency"`
 }
@@ -224,9 +222,10 @@ var baseLine = []byte(`{"kind":"base"}` + "\n")
 type line struct {
 	Kind string `json:"kind"`
 	Observation
-	ModelVersion int    `json:"modelVersion"`
-	LeftOut      bool   `json:"leftOut"`
-	N            uint64 `json:"n"`
+	ModelVersion int `json:"modelVersion"`
+	// LeftOut marks a count an older log kept for a leave-out model.
+	LeftOut bool   `json:"leftOut"`
+	N       uint64 `json:"n"`
 }
 
 // labelLine is a label record as written.
@@ -451,7 +450,12 @@ func (l *Log) fold(r *line) error {
 		l.foldLabel(&r.Observation)
 	case kindCount:
 		k := CountKey{Platform: r.Platform, Program: r.Program, SizeIdx: r.SizeIdx, Class: r.Class,
-			ModelVersion: r.ModelVersion, LeftOut: r.LeftOut, Verified: r.Verified}
+			ModelVersion: r.ModelVersion, Verified: r.Verified}
+		if r.LeftOut {
+			// Its version numbered the leave-out model's own registry, not
+			// the platform's: it is no version the log can name.
+			k.ModelVersion = 0
+		}
 		l.counts[k] += r.N
 	case "":
 		// One executed request: its count, and its cell's label if the
@@ -673,7 +677,7 @@ func (l *Log) countKeys() []CountKey {
 	slices.SortFunc(keys, func(a, b CountKey) int {
 		return cmp.Or(cmp.Compare(a.Platform, b.Platform), cmp.Compare(a.Program, b.Program),
 			cmp.Compare(a.SizeIdx, b.SizeIdx), cmp.Compare(a.ModelVersion, b.ModelVersion),
-			compareBool(a.LeftOut, b.LeftOut), cmp.Compare(a.Class, b.Class), compareBool(a.Verified, b.Verified))
+			cmp.Compare(a.Class, b.Class), compareBool(a.Verified, b.Verified))
 	})
 	return keys
 }
@@ -724,7 +728,7 @@ func (l *Log) Stats() Stats {
 }
 
 // Health returns the served oracle efficiency of every (platform, model
-// version, left out) that served a counted execution of a labeled cell,
+// version) that served a counted execution of a labeled cell,
 // in that order. The sums run over the counter keys in a fixed order, so
 // equal mirrors give bit-identical figures.
 func (l *Log) Health() []Health {
@@ -741,7 +745,7 @@ func (l *Log) Health() []Health {
 		if !ok || k.Class < 0 || k.Class >= len(lab.Times) {
 			continue
 		}
-		id := Health{Platform: k.Platform, ModelVersion: k.ModelVersion, LeftOut: k.LeftOut}
+		id := Health{Platform: k.Platform, ModelVersion: k.ModelVersion}
 		g := idx[id]
 		if g == nil {
 			g = &group{h: id}
@@ -754,8 +758,7 @@ func (l *Log) Health() []Health {
 		g.den += float64(n) * lab.Times[k.Class]
 	}
 	slices.SortFunc(out, func(a, b *group) int {
-		return cmp.Or(cmp.Compare(a.h.Platform, b.h.Platform), compareBool(a.h.LeftOut, b.h.LeftOut),
-			cmp.Compare(a.h.ModelVersion, b.h.ModelVersion))
+		return cmp.Or(cmp.Compare(a.h.Platform, b.h.Platform), cmp.Compare(a.h.ModelVersion, b.h.ModelVersion))
 	})
 	hs := make([]Health, 0, len(out))
 	for _, g := range out {

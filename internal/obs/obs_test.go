@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"syscall"
 	"testing"
@@ -40,12 +41,11 @@ func goldenLabels() []Observation {
 }
 
 // goldenCounts is a fixed batch of counts: two classes of one cell under
-// two model versions, a left-out model's, and an unverified execution.
+// two model versions, and an unverified execution.
 func goldenCounts() []Count {
 	return []Count{
 		{CountKey{Platform: "mc2", Program: "matmul", Class: 0, ModelVersion: 1, Verified: true}, 3},
 		{CountKey{Platform: "mc2", Program: "matmul", Class: 2, ModelVersion: 2, Verified: true}, 5},
-		{CountKey{Platform: "mc2", Program: "matmul", Class: 1, ModelVersion: 1, LeftOut: true, Verified: true}, 1},
 		{CountKey{Platform: "mc1", Program: "nbody", SizeIdx: 2, Class: 1, ModelVersion: 1}, 4},
 	}
 }
@@ -134,10 +134,10 @@ func wantGolden(t *testing.T, l *Log) {
 		}
 	}
 	st := l.Stats()
-	if st.Labeled != 2 || st.Cells != 2 || st.CounterKeys != 4 || st.Executions != 13 || st.Unverified != 4 {
+	if st.Labeled != 2 || st.Cells != 2 || st.CounterKeys != 3 || st.Executions != 12 || st.Unverified != 4 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.ByProgram["matmul"] != 9 || st.ByProgram["nbody"] != 4 {
+	if st.ByProgram["matmul"] != 8 || st.ByProgram["nbody"] != 4 {
 		t.Fatalf("byProgram = %v", st.ByProgram)
 	}
 }
@@ -166,7 +166,7 @@ func TestLogAppendSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// Reopen: the mirror and the sequence numbering resume (two labels
-	// and four counts took seqs 0-5).
+	// and three counts took seqs 0-4).
 	l2, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -177,8 +177,8 @@ func TestLogAppendSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != 6 {
-		t.Fatalf("resumed seq = %d, want 6", seq)
+	if seq != 5 {
+		t.Fatalf("resumed seq = %d, want 5", seq)
 	}
 	if st := l2.Stats(); st.Labeled != 3 || st.Cells != 3 {
 		t.Fatalf("resumed stats = %+v", st)
@@ -280,6 +280,53 @@ func TestLogReplaysParentLog(t *testing.T) {
 	if st := l2.Stats(); st.Labeled != 2 || st.Executions != 9 || st.Unverified != 1 {
 		t.Fatalf("stats %+v", st)
 	}
+}
+
+// TestLogFoldsLeaveOutCounts replays a log from when the engine also
+// served leave-one-program-out models: a count record marked leftOut
+// numbered its version in that model's own registry, so it joins version 0
+// (no recorded version) instead of the platform model's version 1, and is
+// neither lost nor credited to version 1, before and after a compaction.
+func TestLogFoldsLeaveOutCounts(t *testing.T) {
+	dir := t.TempDir()
+	old := `{"kind":"label","seq":0,"platform":"mc2","program":"matmul","sizeIdx":0,"class":0,"makespan":0.5,"verified":true,"labeled":true,"bestClass":2,"oracleTime":0.25,"times":[0.5,0.375,0.25]}
+{"kind":"count","seq":1,"time":0,"platform":"mc2","program":"matmul","sizeIdx":0,"class":0,"modelVersion":1,"verified":true,"n":3}
+{"kind":"count","seq":2,"time":0,"platform":"mc2","program":"matmul","sizeIdx":0,"class":1,"modelVersion":1,"leftOut":true,"verified":true,"n":2}
+`
+	if err := os.WriteFile(filepath.Join(dir, "obs-00000000.jsonl"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Health{
+		{Platform: "mc2", ModelVersion: 0, Executions: 2, OracleEfficiency: 0.25 / 0.375},
+		{Platform: "mc2", ModelVersion: 1, Executions: 3, OracleEfficiency: 0.25 / 0.5},
+	}
+	check := func(l *Log) {
+		t.Helper()
+		if st := l.Stats(); st.Executions != 5 || st.CounterKeys != 2 || st.ByProgram["matmul"] != 5 {
+			t.Fatalf("stats %+v, want 5 executions over 2 keys", st)
+		}
+		if got := l.Health(); !slices.Equal(got, want) {
+			t.Fatalf("health %+v, want %+v", got, want)
+		}
+	}
+	check(l)
+	l.mu.Lock()
+	err = l.compactLocked()
+	l.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	l2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	check(l2)
 }
 
 func sameCounts(got, want map[CountKey]uint64) bool {
@@ -425,8 +472,8 @@ func TestLogCompactionCrashBeforeUnlink(t *testing.T) {
 	defer l2.Close()
 	snap, _ := l2.Snapshot()
 	st := l2.Stats()
-	if len(snap) != 2 || st.Executions != 13+3 || st.CounterKeys != 4 {
-		t.Fatalf("after a crash between rename and unlink: %d labels, %+v; want 2 labels and 16 executions over 4 keys", len(snap), st)
+	if len(snap) != 2 || st.Executions != 12+3 || st.CounterKeys != 3 {
+		t.Fatalf("after a crash between rename and unlink: %d labels, %+v; want 2 labels and 15 executions over 3 keys", len(snap), st)
 	}
 }
 
@@ -471,8 +518,8 @@ func TestAppendCountsFaults(t *testing.T) {
 			}
 			check := func(l *Log) {
 				t.Helper()
-				if st := l.Stats(); st.Executions != 26 || st.CounterKeys != 4 || st.Labeled != 2 {
-					t.Fatalf("after the retry: %+v, want 26 executions over 4 keys and 2 labels", st)
+				if st := l.Stats(); st.Executions != 24 || st.CounterKeys != 3 || st.Labeled != 2 {
+					t.Fatalf("after the retry: %+v, want 24 executions over 3 keys and 2 labels", st)
 				}
 			}
 			check(l)
@@ -488,7 +535,7 @@ func TestAppendCountsFaults(t *testing.T) {
 }
 
 // TestLogHealth checks the served oracle efficiency against a hand
-// computation: per (platform, model version, left out),
+// computation: per (platform, model version),
 // Σ count · oracle / Σ count · time of the class served, over the cells
 // holding a label; counts of an unlabeled cell are left out.
 func TestLogHealth(t *testing.T) {
@@ -508,7 +555,6 @@ func TestLogHealth(t *testing.T) {
 		{Platform: "mc1", ModelVersion: 1, Executions: 4, OracleEfficiency: (4 * 1.75) / (4 * 1.75)},
 		{Platform: "mc2", ModelVersion: 1, Executions: 3, OracleEfficiency: (3 * 0.25) / (3 * 0.5)},
 		{Platform: "mc2", ModelVersion: 2, Executions: 5, OracleEfficiency: (5 * 0.25) / (5 * 0.25)},
-		{Platform: "mc2", ModelVersion: 1, LeftOut: true, Executions: 1, OracleEfficiency: 0.25 / 0.375},
 	}
 	got := l.Health()
 	if len(got) != len(want) {

@@ -118,12 +118,12 @@ func (r *reader) done() error {
 // decodeRequestBody reads the shared predict/execute request body into
 // req. Program names are interned so warm decodes allocate nothing.
 func decodeRequestBody(r *reader, req *engine.Request, in *Intern) {
-	flags := r.u8()
-	if r.err == nil && flags&^byte(1) != 0 {
-		r.err = fmt.Errorf("%w: request flags %#x", ErrBadValue, flags)
+	// Bit 0 once asked for the model that leaves the program out; the
+	// service serves one model per platform.
+	if flags := r.u8(); r.err == nil && flags != 0 {
+		r.err = fmt.Errorf("%w: request flags %#x (leave-one-program-out is not served; cmd/bench fig1 reports the unseen-program figure)", ErrBadValue, flags)
 		return
 	}
-	req.LeaveOut = flags&1 != 0
 	req.SizeIdx = int(r.i32())
 	req.Program = in.Str(r.strBytes())
 	req.Tenant = ""
@@ -204,7 +204,6 @@ func decodePredictionBody(r *reader, p *engine.Prediction) {
 	p.Model = r.str()
 	p.ModelSource = r.str()
 	p.ModelVersion = int(r.i32())
-	p.LeftOut = r.str()
 	p.PredictedTime = r.f64()
 	p.OracleTime = r.f64()
 	p.OraclePartition = r.str()

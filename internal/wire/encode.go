@@ -8,13 +8,9 @@ import "repro/internal/engine"
 // grown to its working size.
 
 // appendRequestBody writes the shared predict/execute request payload:
-// u8 flags (bit0 = leaveOut) | i32 size | str program.
+// u8 flags (reserved, 0) | i32 size | str program.
 func appendRequestBody(dst []byte, req *engine.Request) []byte {
-	var flags byte
-	if req.LeaveOut {
-		flags |= 1
-	}
-	dst = append(dst, flags)
+	dst = append(dst, 0)
 	dst = appendI32(dst, int32(req.SizeIdx))
 	return appendStr(dst, req.Program)
 }
@@ -63,7 +59,6 @@ func appendPredictionBody(dst []byte, p *engine.Prediction) []byte {
 	dst = appendStr(dst, p.Model)
 	dst = appendStr(dst, p.ModelSource)
 	dst = appendI32(dst, int32(p.ModelVersion))
-	dst = appendStr(dst, p.LeftOut)
 	dst = appendF64(dst, p.PredictedTime)
 	dst = appendF64(dst, p.OracleTime)
 	dst = appendStr(dst, p.OraclePartition)

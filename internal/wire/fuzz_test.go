@@ -15,7 +15,7 @@ func FuzzWireDecode(f *testing.F) {
 	req := engine.Request{Program: "vecadd", SizeIdx: 3}
 	f.Add(AppendPredictRequest(nil, &req))
 	f.Add(AppendExecuteRequest(nil, &req))
-	f.Add(AppendBatchRequest(nil, []engine.Request{req, {Program: "matmul", LeaveOut: true}}))
+	f.Add(AppendBatchRequest(nil, []engine.Request{req, {Program: "matmul", SizeIdx: -1}}))
 	p := engine.Prediction{Program: "vecadd", Platform: "mc1", Partition: "CPU 50% / GPU1 50%"}
 	f.Add(AppendPrediction(nil, &p))
 	f.Add(AppendExecution(nil, &engine.Execution{Prediction: p, Makespan: 1e-3, Verified: true}))

@@ -24,7 +24,6 @@ func samplePrediction(i int) engine.Prediction {
 		Model:           "tree",
 		ModelSource:     "artifact",
 		ModelVersion:    2,
-		LeftOut:         "",
 		PredictedTime:   1.25e-3,
 		OracleTime:      1.1e-3,
 		OraclePartition: "CPU 20% / GPU1 50% / GPU2 30%",
@@ -37,7 +36,7 @@ func TestPredictRequestRoundTrip(t *testing.T) {
 	in := NewIntern()
 	for _, want := range []engine.Request{
 		{Program: "vecadd", SizeIdx: 3},
-		{Program: "matmul", SizeIdx: -1, LeaveOut: true},
+		{Program: "matmul", SizeIdx: -1},
 		{Program: "", SizeIdx: 0},
 	} {
 		frame := AppendPredictRequest(nil, &want)
@@ -77,7 +76,7 @@ func TestExecuteRequestRoundTrip(t *testing.T) {
 func TestBatchRequestRoundTrip(t *testing.T) {
 	reqs := []engine.Request{
 		{Program: "vecadd", SizeIdx: 0},
-		{Program: "matmul", SizeIdx: 5, LeaveOut: true},
+		{Program: "matmul", SizeIdx: 5},
 		{Program: "knn", SizeIdx: 11},
 	}
 	frame := AppendBatchRequest(nil, reqs)
@@ -234,18 +233,23 @@ func TestMalformedFrames(t *testing.T) {
 		})
 	}
 
-	t.Run("bad flags", func(t *testing.T) {
-		b := append([]byte(nil), good...)
-		b[5] = 0xff // flags byte
-		_, payload, err := ParseFrame(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var r engine.Request
-		if err := DecodePredictRequest(payload, &r, in); !errors.Is(err, ErrBadValue) {
-			t.Errorf("decode err = %v, want ErrBadValue", err)
-		}
-	})
+	// Every flag bit is refused; bit 0, the old leave-one-program-out
+	// request, is one of them, and the error names where that figure lives.
+	for name, flags := range map[string]byte{"bad flags": 0xff, "leave-out flag": 1} {
+		t.Run(name, func(t *testing.T) {
+			b := append([]byte(nil), good...)
+			b[5] = flags // flags byte
+			_, payload, err := ParseFrame(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var r engine.Request
+			err = DecodePredictRequest(payload, &r, in)
+			if !errors.Is(err, ErrBadValue) || !strings.Contains(err.Error(), "cmd/bench fig1") {
+				t.Errorf("decode err = %v, want ErrBadValue naming cmd/bench fig1", err)
+			}
+		})
+	}
 
 	t.Run("payload trailing", func(t *testing.T) {
 		var r engine.Request

@@ -125,6 +125,11 @@ echo "== bad request handling =="
 code=$(curl -s -o /dev/null -w '%{http_code}' "$base/predict")
 [ "$code" = "400" ] || { echo "FAIL: missing program returned $code"; exit 1; }
 
+echo "== leave-one-program-out is not served: 400 naming cmd/bench fig1 =="
+code=$(curl -s -o "$work/leaveout.json" -w '%{http_code}' "$base/predict?program=vecadd&leaveout=1")
+[ "$code" = "400" ] || { echo "FAIL: leaveout=1 returned $code"; exit 1; }
+grep -q 'cmd/bench fig1' "$work/leaveout.json" || { echo "FAIL: leaveout=1 does not name cmd/bench fig1"; exit 1; }
+
 echo "== trailing garbage after the JSON body is rejected =="
 code=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
   -d '{"program":"vecadd","size":0}{"junk":1}' "$base/execute")
