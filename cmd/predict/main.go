@@ -79,12 +79,10 @@ func main() {
 	fmt.Printf("program %s, size %s (N=%d), platform %s\n", p.Program, p.SizeLabel, p.SizeN, p.Platform)
 	fmt.Printf("  model %s v%d (the served model, %s; cmd/bench fig1 reports unseen programs)\n", p.Model, p.ModelVersion, source)
 	fmt.Printf("  predicted partitioning (CPU/GPU1/GPU2): %s  -> %.4g ms\n", p.Partition, p.PredictedTime*1e3)
-	if p.OracleTime > 0 {
-		fmt.Printf("  oracle partitioning:                    %s  -> %.4g ms\n", p.OraclePartition, p.OracleTime*1e3)
-		fmt.Printf("  CPU-only: %.4g ms   GPU-only: %.4g ms\n", p.CPUOnlyTime*1e3, p.GPUOnlyTime*1e3)
-		fmt.Printf("  speedup vs CPU-only %.2fx, vs GPU-only %.2fx, oracle efficiency %.2f\n",
-			p.CPUOnlyTime/p.PredictedTime, p.GPUOnlyTime/p.PredictedTime, p.OracleTime/p.PredictedTime)
-	}
+	fmt.Printf("  oracle partitioning:                    %s  -> %.4g ms\n", p.OraclePartition, p.OracleTime*1e3)
+	fmt.Printf("  CPU-only: %.4g ms   GPU-only: %.4g ms\n", p.CPUOnlyTime*1e3, p.GPUOnlyTime*1e3)
+	fmt.Printf("  speedup vs CPU-only %.2fx, vs GPU-only %.2fx, oracle efficiency %.2f\n",
+		p.CPUOnlyTime/p.PredictedTime, p.GPUOnlyTime/p.PredictedTime, p.OracleTime/p.PredictedTime)
 }
 
 func fail(err error) {

@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bench"
 	"repro/internal/device"
@@ -86,35 +87,52 @@ func New(plat *device.Platform) (*Framework, error) {
 // model is kept as a serializable artifact (see Artifact) so deployment
 // engines can persist it and skip retraining on later runs.
 func (f *Framework) Train(db *harness.DB, mk ml.NewModel) error {
-	data := db.Dataset(f.Platform.Name, nil)
-	if data.Len() == 0 {
-		return fmt.Errorf("core: database has no records for %q", f.Platform.Name)
-	}
-	a, err := ml.TrainArtifact(data, mk)
+	a, err := f.Fit(db.Dataset(f.Platform.Name, nil), db.Space, mk)
 	if err != nil {
-		return err
-	}
-	a.Platform = f.Platform.Name
-	a.Space = append([]string{}, db.Space...)
-	// A database whose class space differs from the framework's
-	// partition space would train a model whose classes map to the
-	// wrong partitions; reject it like any other incompatible artifact.
-	if err := f.CheckArtifact(a); err != nil {
 		return err
 	}
 	f.artifact = a
 	return nil
 }
 
+// Fit trains an artifact for the framework's platform on data, whose
+// class indices name the partitions of space, stamps it with the
+// platform and the class space, and admits it (CheckArtifact): a space
+// other than the framework's would map the model's classes to the wrong
+// partitions. Train, the deployment engine's fallback training and the
+// retrainer's promoted candidate all fit here.
+func (f *Framework) Fit(data *ml.Dataset, space []string, mk ml.NewModel) (*ml.Artifact, error) {
+	if data.Len() == 0 {
+		return nil, fmt.Errorf("core: no training records for %q", f.Platform.Name)
+	}
+	a, err := ml.TrainArtifact(data, mk)
+	if err != nil {
+		return nil, err
+	}
+	a.Platform = f.Platform.Name
+	a.Space = append([]string{}, space...)
+	if err := f.CheckArtifact(a); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
 // Artifact returns the trained model artifact (nil before Train). Save it
 // with ml.SaveArtifact to make training survive the process.
 func (f *Framework) Artifact() *ml.Artifact { return f.artifact }
 
+// featureNames is the feature schema this binary extracts, in vector
+// order (features.Combined).
+var featureNames = slices.Concat(features.StaticNames, features.RuntimeNames)
+
 // CheckArtifact validates that an artifact can serve predictions on this
-// framework's platform: the platform must match and the artifact's class
+// framework's platform: the platform must match, the artifact's class
 // space (when recorded) must be exactly the framework's partition space,
-// or its class indices would silently map to the wrong partitions. Train
-// and every artifact load path of the deployment engine run this.
+// or its class indices would silently map to the wrong partitions, and
+// its feature schema (when recorded) must be exactly the one this binary
+// extracts, same names in the same order, or the scaler's per-position
+// statistics would apply to the wrong features. Every way a model enters
+// service runs it once: Fit, and the deployment engine's artifact load.
 func (f *Framework) CheckArtifact(a *ml.Artifact) error {
 	if a == nil || a.Model == nil {
 		return fmt.Errorf("core: artifact has no model")
@@ -130,6 +148,20 @@ func (f *Framework) CheckArtifact(a *ml.Artifact) error {
 			if s != f.space[i].String() {
 				return fmt.Errorf("core: artifact class %d is partition %q, framework has %q", i, s, f.space[i])
 			}
+		}
+	}
+	if names := a.FeatureNames; len(names) != 0 {
+		i := 0
+		for i < len(names) && i < len(featureNames) && names[i] == featureNames[i] {
+			i++
+		}
+		switch {
+		case i < len(names) && i < len(featureNames):
+			return fmt.Errorf("core: artifact feature %d is %q, this binary extracts %q", i, names[i], featureNames[i])
+		case i < len(names):
+			return fmt.Errorf("core: artifact expects %d features, this binary extracts %d: feature %d %q is extra", len(names), len(featureNames), i, names[i])
+		case i < len(featureNames):
+			return fmt.Errorf("core: artifact expects %d features, this binary extracts %d: feature %d %q is missing", len(names), len(featureNames), i, featureNames[i])
 		}
 	}
 	return nil

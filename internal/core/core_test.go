@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/device"
 	"repro/internal/exec"
+	"repro/internal/features"
 	"repro/internal/harness"
 	"repro/internal/ml"
 )
@@ -213,5 +217,63 @@ func TestUseArtifact(t *testing.T) {
 	}
 	if err := fw2.CheckArtifact(&ml.Artifact{}); err == nil {
 		t.Error("artifact without model accepted")
+	}
+}
+
+// TestFitChecksFeatureSchema: a model whose feature schema is not the one
+// this binary extracts, same names in the same order, never leaves Fit,
+// and CheckArtifact refuses it with an error naming the first feature
+// that differs: one missing, one extra or one renamed. An artifact that
+// records no schema is not checked against one.
+func TestFitChecksFeatureSchema(t *testing.T) {
+	fw, err := New(device.MC2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := make([]string, fw.NumClasses())
+	for i := range space {
+		space[i] = fw.ClassPartition(i).String()
+	}
+	names := slices.Concat(features.StaticNames, features.RuntimeNames)
+	n := len(names)
+	renamed := slices.Clone(names)
+	renamed[3] = "s_renamed"
+	for _, tc := range []struct {
+		name  string
+		names []string
+		want  string // in the error; "" = admitted
+	}{
+		{"extracted", names, ""},
+		{"missing", names[:n-1], fmt.Sprintf("feature %d %q is missing", n-1, names[n-1])},
+		{"extra", append(slices.Clone(names), "r_extra"), fmt.Sprintf("feature %d \"r_extra\" is extra", n)},
+		{"renamed", renamed, fmt.Sprintf("feature 3 is \"s_renamed\", this binary extracts %q", names[3])},
+	} {
+		data := &ml.Dataset{Names: tc.names, Y: []int{0, 1}}
+		for i := range data.Y {
+			x := make([]float64, len(tc.names))
+			x[0] = float64(i)
+			data.X = append(data.X, x)
+		}
+		a, err := fw.Fit(data, space, func() ml.Classifier { return ml.NewKNN(1) })
+		if tc.want == "" {
+			if err != nil || a.Platform != "mc2" || !slices.Equal(a.Space, space) {
+				t.Errorf("%s: Fit = %+v, %v; want an artifact stamped mc2 and the space", tc.name, a, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Fit error %v, want one containing %q", tc.name, err, tc.want)
+		}
+		a, err = ml.TrainArtifact(data, func() ml.Classifier { return ml.NewKNN(1) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.CheckArtifact(a); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckArtifact error %v, want one containing %q", tc.name, err, tc.want)
+		}
+		a.FeatureNames = nil
+		if err := fw.CheckArtifact(a); err != nil {
+			t.Errorf("%s: an artifact recording no schema refused: %v", tc.name, err)
+		}
 	}
 }

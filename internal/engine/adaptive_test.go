@@ -3,11 +3,14 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/features"
 	"repro/internal/harness"
 	"repro/internal/ml"
 	"repro/internal/obs"
@@ -171,6 +174,57 @@ func TestEngineRetrainRejectsWithoutLabels(t *testing.T) {
 	}
 	if p.ModelVersion != 1 {
 		t.Fatalf("rejected retrain moved the served version: %d", p.ModelVersion)
+	}
+}
+
+// TestRetrainRefusesFeatureSchemaMismatchedCandidate: a candidate whose
+// feature schema is not the one this binary extracts passes the gate but
+// is refused at promotion, with an error naming the first differing
+// feature, and the served version stays. The live model records no
+// schema (so the retrainer takes the labels' one) and answers a class
+// outside the space (so any candidate clears the gate); the log holds
+// every seed cell's label twice, under a feature name renamed.
+func TestRetrainRefusesFeatureSchemaMismatchedCandidate(t *testing.T) {
+	db := testDB(t)
+	dir := t.TempDir()
+	dim := len(features.StaticNames) + len(features.RuntimeNames)
+	probe, err := ml.TrainArtifact(&ml.Dataset{X: [][]float64{make([]float64, dim)}, Y: []int{500}},
+		func() ml.Classifier { return ml.NewKNN(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe.Platform, probe.FeatureNames = "mc2", nil
+	if err := ml.SaveArtifact(ArtifactPath(dir, "mc2", ""), probe); err != nil {
+		t.Fatal(err)
+	}
+	log := openLog(t, t.TempDir())
+	for _, rec := range db.PlatformRecords("mc2") {
+		names := slices.Clone(rec.FeatureNames)
+		names[2] = "s_renamed"
+		for _, program := range []string{rec.Program, rec.Program + "-copy"} {
+			if _, err := log.Append(obs.Observation{Platform: "mc2", Program: program, SizeIdx: rec.SizeIdx,
+				FeatureNames: names, Features: rec.Features, Verified: true, Labeled: true,
+				BestClass: rec.BestClass, OracleTime: rec.OracleTime, Times: rec.Times}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	eng, err := New(Options{Platform: "mc2", ArtifactDir: dir, Model: harness.FastModel(), ObsLog: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	want := fmt.Sprintf("feature 2 is \"s_renamed\", this binary extracts %q", features.StaticNames[2])
+	if _, err := eng.Retrain(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("retrain error %v, want one containing %q", err, want)
+	}
+	current, versions, err := eng.ModelVersions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.RetrainStatus(); current != 1 || len(versions) != 1 || st.Promotions != 0 || eng.Stats().Trainings != 0 {
+		t.Fatalf("after the refused candidate: version %d of %d, %d promotions, %d trainings; want 1 of 1, 0 and 0",
+			current, len(versions), st.Promotions, eng.Stats().Trainings)
 	}
 }
 

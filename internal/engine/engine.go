@@ -58,9 +58,9 @@ import (
 type Options struct {
 	// Platform is the target platform name ("mc1" or "mc2").
 	Platform string
-	// DB supplies reference times for responses and the training data
-	// for the train-on-the-fly fallback. Optional if every requested
-	// model resolves from ArtifactDir.
+	// DB is the training data of the train-on-the-fly fallback and the
+	// retrainer's seed. Optional if the platform's model resolves from
+	// ArtifactDir.
 	DB *harness.DB
 	// ArtifactDir holds model artifact files (see ArtifactPath).
 	// Artifacts found there are served without retraining.
@@ -451,8 +451,9 @@ type Prediction struct {
 
 	// PredictedTime is the simulated makespan under the served
 	// partitioning: the served class's entry in the cell's label. The
-	// remaining reference times come from the training database when
-	// available.
+	// reference times are the same label's: the oracle's (its fastest
+	// class) and the CPU-only and GPU-only strategies'. Every response
+	// carries all four, an uploaded kernel's too.
 	PredictedTime   float64 `json:"predictedTime"`
 	OracleTime      float64 `json:"oracleTime,omitempty"`
 	OraclePartition string  `json:"oraclePartition,omitempty"`
@@ -683,12 +684,7 @@ func (e *Engine) Rollback(version int) (ModelVersion, error) {
 		return ModelVersion{}, err
 	}
 	e.models().rollbacks.Add(1)
-	if e.opts.SaveTrained && e.opts.ArtifactDir != "" {
-		path := ArtifactPath(e.opts.ArtifactDir, e.opts.Platform, "")
-		if err := ml.SaveArtifact(path, v.art); err != nil {
-			e.stats.saveFailures.Add(1)
-		}
-	}
+	e.save(v.art) //nolint:errcheck // counted in ArtifactSaveFails
 	return *v, nil
 }
 
@@ -697,37 +693,36 @@ func (e *Engine) train() (*ml.Artifact, string, error) {
 	if e.opts.DB == nil {
 		return nil, "", fmt.Errorf("engine: no artifact for %s and no training database", e.opts.Platform)
 	}
-	data := e.opts.DB.Dataset(e.opts.Platform, nil)
-	if data.Len() == 0 {
-		return nil, "", fmt.Errorf("engine: database has no records for %q", e.opts.Platform)
-	}
-	a, err := ml.TrainArtifact(data, e.opts.Model)
+	a, err := e.fw.Fit(e.opts.DB.Dataset(e.opts.Platform, nil), e.opts.DB.Space, e.opts.Model)
 	if err != nil {
-		return nil, "", err
-	}
-	a.Platform = e.opts.Platform
-	a.Space = append([]string{}, e.opts.DB.Space...)
-	// The database's class space must be the framework's partition
-	// space, or the trained model's class indices would map to the
-	// wrong partitions — same check the artifact load path runs.
-	if err := e.fw.CheckArtifact(a); err != nil {
 		return nil, "", fmt.Errorf("engine: training database: %w", err)
 	}
 	e.stats.trainings.Add(1)
 	source := ModelTrained
-	if e.opts.SaveTrained && e.opts.ArtifactDir != "" {
-		// Persistence is an optimization: a failed write (disk full,
-		// read-only dir) must not discard the trained model or poison
-		// this model's cache entry with the error.
-		path := ArtifactPath(e.opts.ArtifactDir, e.opts.Platform, "")
-		if err := ml.SaveArtifact(path, a); err != nil {
-			e.stats.saveFailures.Add(1)
-			source = ModelTrainedSaveFailed
-		} else {
-			source = ModelTrainedSaved
-		}
+	switch saved, err := e.save(a); {
+	case err != nil:
+		source = ModelTrainedSaveFailed
+	case saved:
+		source = ModelTrainedSaved
 	}
 	return a, source, nil
+}
+
+// save persists art as the platform's artifact in ArtifactDir when
+// SaveTrained is set, for fallback training, promotion and rollback
+// alike, and reports whether it wrote it. Persistence is an
+// optimization: a failed write (disk full, read-only dir) is counted in
+// ArtifactSaveFails and returned, and must not discard the model or fail
+// the caller.
+func (e *Engine) save(art *ml.Artifact) (saved bool, err error) {
+	if !e.opts.SaveTrained || e.opts.ArtifactDir == "" {
+		return false, nil
+	}
+	if err := ml.SaveArtifact(ArtifactPath(e.opts.ArtifactDir, e.opts.Platform, ""), art); err != nil {
+		e.stats.saveFailures.Add(1)
+		return false, err
+	}
+	return true, nil
 }
 
 // Predict answers one prediction request. Repeat requests on a warm
@@ -782,17 +777,14 @@ func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction, fi
 		return nil, nil, err
 	}
 	ver := reg.current()
-	sc, err := e.class(fe, ver)
-	if err != nil {
-		return nil, nil, err
-	}
+	sc := e.class(fe, ver)
 	served := sc.raw
 	if sc.clamped {
 		served = 0
 		e.stats.clamped.Add(1)
 	}
-	// The partition string comes from the precomputed space table and the
-	// makespan from the cell's label: neither renders nor allocates per
+	// The partition strings come from the precomputed space table and
+	// every time from the cell's label: nothing renders or allocates per
 	// request.
 	lb, err := e.label(fe)
 	if err != nil {
@@ -813,14 +805,11 @@ func (e *Engine) predictInto(ctx context.Context, req Request, p *Prediction, fi
 		ModelSource:   ver.Source,
 		ModelVersion:  ver.ModelVersion,
 		PredictedTime: lb.Times[served],
-	}
-	if e.opts.DB != nil {
-		if rec := e.opts.DB.Find(e.opts.Platform, req.Program, sz); rec != nil {
-			p.OracleTime = rec.OracleTime
-			p.OraclePartition = rec.BestPartition
-			p.CPUOnlyTime = rec.CPUOnlyTime
-			p.GPUOnlyTime = rec.GPUOnlyTime
-		}
+
+		OracleTime:      lb.Times[lb.Best],
+		OraclePartition: e.spaceStrs[lb.Best],
+		CPUOnlyTime:     lb.Times[lb.CPUOnly],
+		GPUOnlyTime:     lb.Times[lb.GPUOnly],
 	}
 	return pe, fe, nil
 }
@@ -975,31 +964,18 @@ func (e *Engine) run(ctx context.Context, pe *programEntry, fe *cell, sizeIdx, c
 // so the platform's engines run the model once per (cell, model version)
 // and keep the answer in the cell's slot for the platform; another
 // version — a promotion, a rollback — misses, runs the model and replaces
-// the entry. A hit is one atomic load.
-func (e *Engine) class(fe *cell, ver *ModelVersion) (*servedClass, error) {
+// the entry. A hit is one atomic load. The artifact's feature schema was
+// checked when it entered the registry (core.Framework.CheckArtifact).
+func (e *Engine) class(fe *cell, ver *ModelVersion) *servedClass {
 	slot := &fe.classes[e.platSlot]
 	if sc := slot.Load(); sc != nil && sc.ver == ver {
-		return sc, nil
+		return sc
 	}
-	art := ver.art
-	// The artifact's recorded feature schema must be exactly the schema
-	// this binary extracts — same names, same order — or the scaler's
-	// per-position statistics would apply to the wrong features.
-	if len(art.FeatureNames) > 0 {
-		if len(art.FeatureNames) != len(fe.fv.Names) {
-			return nil, fmt.Errorf("engine: artifact expects %d features, program yields %d", len(art.FeatureNames), len(fe.fv.Names))
-		}
-		for i, name := range art.FeatureNames {
-			if name != fe.fv.Names[i] {
-				return nil, fmt.Errorf("engine: artifact feature %d is %q, this binary extracts %q", i, name, fe.fv.Names[i])
-			}
-		}
-	}
-	raw := art.Predict(fe.fv.Values)
+	raw := ver.art.Predict(fe.fv.Values)
 	e.stats.modelEvals.Add(1)
 	sc := &servedClass{ver: ver, raw: raw, clamped: raw < 0 || raw >= e.fw.NumClasses()}
 	slot.Store(sc)
-	return sc, nil
+	return sc
 }
 
 // label returns the cell's oracle label on the engine's platform, pricing

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -474,6 +476,53 @@ func TestEngineRejectsSpaceMismatchedArtifact(t *testing.T) {
 	}
 	if _, err := eng2.Predict(Request{Program: "vecadd", SizeIdx: 0}); err == nil {
 		t.Fatal("space-mismatched artifact served predictions")
+	}
+}
+
+// TestEngineRefusesFeatureSchemaMismatchedArtifact: an artifact file
+// recording a feature schema other than the one this binary extracts —
+// one feature short, or one renamed — is refused at load, before any
+// request is served from it, with an error naming the first differing
+// feature; the load is not counted.
+func TestEngineRefusesFeatureSchemaMismatchedArtifact(t *testing.T) {
+	eng, err := New(fastOpts(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := servingArtifact(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := art.FeatureNames
+	renamed := slices.Clone(names)
+	renamed[5] = "s_renamed"
+	for _, tc := range []struct {
+		name  string
+		names []string
+		want  string
+	}{
+		{"short", names[:len(names)-1], fmt.Sprintf("%q is missing", names[len(names)-1])},
+		{"renamed", renamed, fmt.Sprintf("feature 5 is \"s_renamed\", this binary extracts %q", names[5])},
+	} {
+		dir := t.TempDir()
+		bad := *art
+		bad.FeatureNames = tc.names
+		if err := ml.SaveArtifact(ArtifactPath(dir, "mc2", ""), &bad); err != nil {
+			t.Fatal(err)
+		}
+		eng2, err := New(Options{Platform: "mc2", ArtifactDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng2.Predict(Request{Program: "vecadd", SizeIdx: 0}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: predict error %v, want one containing %q", tc.name, err, tc.want)
+		}
+		if _, _, err := eng2.ModelVersions(); err == nil {
+			t.Errorf("%s: the refused artifact has a registry", tc.name)
+		}
+		if st := eng2.Stats(); st.ArtifactLoads != 0 || st.ModelEvaluations != 0 {
+			t.Errorf("%s: %d artifact loads, %d model evaluations; want 0 and 0", tc.name, st.ArtifactLoads, st.ModelEvaluations)
+		}
 	}
 }
 

@@ -10,8 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/harness"
+	"repro/internal/runtime"
 )
 
 const scaleSrc = `kernel void scale(global float* a, global float* out, int n) {
@@ -70,6 +72,52 @@ func TestRegisterKernelEndToEnd(t *testing.T) {
 	}
 	if got := len(eng.ListKernels()); got != 2 {
 		t.Fatalf("ListKernels = %d entries, want 2", got)
+	}
+}
+
+// TestUploadReferenceTimesAreItsLabel: an uploaded kernel has no training
+// record, and its prediction carries its cell's label all the same: the
+// oracle's time and partition and the CPU-only and GPU-only times equal,
+// bit for bit, runtime.Label of a fresh profile of the kernel at that
+// size.
+func TestUploadReferenceTimesAreItsLabel(t *testing.T) {
+	eng, err := New(fastOpts(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.RegisterKernel("", KernelSpec{Name: "scale", Source: scaleSrc}); err != nil {
+		t.Fatal(err)
+	}
+	p, err := eng.Predict(Request{Program: "public/scale", SizeIdx: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp, err := eng.benchFor("public/scale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := core.CompileSource(bp.Name, bp.Source, bp.Kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := bp.Instance(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := runtime.Launch{Kernel: prog.Compiled, Plan: prog.Plan, Args: inst.Args, ND: inst.ND, Iterations: bp.Iterations}
+	prof, err := eng.fw.Runtime.Profile(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb, err := eng.fw.Runtime.Label(l, prof, eng.space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := []float64{p.PredictedTime, p.OracleTime, p.CPUOnlyTime, p.GPUOnlyTime}
+	want := []float64{lb.Times[p.Class], lb.Times[lb.Best], lb.Times[lb.CPUOnly], lb.Times[lb.GPUOnly]}
+	if !sameBits(got, want) || p.OraclePartition != eng.spaceStrs[lb.Best] || p.OracleTime <= 0 {
+		t.Fatalf("predicted, oracle, CPU-only, GPU-only times %v, oracle partition %q; the label's %v and %q",
+			got, p.OraclePartition, want, eng.spaceStrs[lb.Best])
 	}
 }
 

@@ -217,13 +217,8 @@ func (e *Engine) retrainOnce(attempt uint64) (*RetrainResult, error) {
 	// Gate passed: the deployable model is refit on the COMPLETE merged
 	// dataset (select on holdout, fit on all) so serving benefits from
 	// every sample, including the gate slice.
-	cand, err := ml.TrainArtifact(data, e.opts.Model)
+	cand, err := e.fw.Fit(data, e.spaceStrs, e.opts.Model)
 	if err != nil {
-		return nil, err
-	}
-	cand.Platform = e.opts.Platform
-	cand.Space = append([]string{}, e.spaceStrs...)
-	if err := e.fw.CheckArtifact(cand); err != nil {
 		return nil, err
 	}
 	e.stats.trainings.Add(1)
@@ -238,15 +233,8 @@ func (e *Engine) retrainOnce(attempt uint64) (*RetrainResult, error) {
 	})
 	res.Promoted, res.NewVersion = true, nv.ModelVersion
 	ms.promoted.Add(1)
-
-	if e.opts.SaveTrained && e.opts.ArtifactDir != "" {
-		// Persist the promoted model so a restart warm-starts from the
-		// latest validated version; failure is counted, never fatal.
-		path := ArtifactPath(e.opts.ArtifactDir, e.opts.Platform, "")
-		if err := ml.SaveArtifact(path, cand); err != nil {
-			e.stats.saveFailures.Add(1)
-		}
-	}
+	// Persisted, a restart warm-starts from the latest validated version.
+	e.save(cand) //nolint:errcheck // counted in ArtifactSaveFails
 	return res, nil
 }
 

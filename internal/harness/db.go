@@ -58,12 +58,14 @@ type Record struct {
 	GPUOnlyTime   float64 `json:"gpuOnlyTime"`
 }
 
-// DB is the training database. Generate builds it append-only; the
-// adaptive loop keeps appending afterwards (Append, AppendObservations),
-// so the lazily built lookup indexes are invalidated incrementally under
-// a lock. Point lookups (Find, MaxSizeIdx) are safe concurrently with
-// Append; bulk readers (Dataset, PlatformRecords, Save) take a coherent
-// snapshot of the record slice under the same lock.
+// DB is the training database. Generate builds it append-only, and
+// Append and AppendObservations (cmd/train -from-observations) extend it
+// afterwards, keeping the lazily built lookup indexes coherent under a
+// lock. No serving code appends: the deployment engine reads a database
+// only to train. The lock still makes every method safe for concurrent
+// use: point lookups (Find, MaxSizeIdx) may run concurrently with
+// Append, and bulk readers (Dataset, PlatformRecords, Save) take a
+// coherent snapshot of the record slice under it.
 type DB struct {
 	// Space is the canonical partition space ("100/0/0", ...), in the
 	// class-index order used by BestClass.
@@ -72,10 +74,10 @@ type DB struct {
 
 	// mu guards Records growth and the lazy lookup maps. idx maps
 	// (platform, program, sizeIdx) to the record's position, built on
-	// the first Find and updated in place by Append. Serving paths hit
-	// Find per request; a linear scan over every record per lookup does
-	// not survive heavy traffic. maxSize tracks the largest size index
-	// present per (platform, program).
+	// the first Find and updated in place by Append, so a caller that
+	// looks up every record (a load generator checking each response)
+	// does not scan them all per lookup. maxSize tracks the largest size
+	// index present per (platform, program).
 	mu      sync.RWMutex
 	idx     map[recordKey]int
 	maxSize map[progKey]int
@@ -136,8 +138,7 @@ func (db *DB) ensureIndexRLocked() {
 // Append adds records to the database, keeping the lookup indexes
 // coherent: an already-built index is extended in place (first
 // occurrence still wins for Find), an unbuilt one stays lazy. Safe
-// concurrently with Find/MaxSizeIdx — the adaptive serving path appends
-// harvested observations while request handlers keep reading.
+// concurrently with Find and MaxSizeIdx.
 func (db *DB) Append(recs ...Record) {
 	db.mu.Lock()
 	defer db.mu.Unlock()

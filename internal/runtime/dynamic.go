@@ -82,7 +82,7 @@ func (r *Runtime) DynamicSchedule(l Launch, prof *exec.Profile, chunks int) (*Dy
 				TransferOut: out,
 				Launches:    launches,
 			}
-			bd := sim.DeviceTime(r.Platform.Devices[d], w, r.Opts)
+			bd := sim.DeviceTime(r.Platform.Devices[d], w, 1)
 			finish := ready[d] + bd.Total
 			if bestDev < 0 || finish < bestFinish {
 				bestDev, bestFinish, bestCost = d, finish, bd.Total

@@ -82,7 +82,6 @@ type Result struct {
 // Runtime executes launches on one simulated platform.
 type Runtime struct {
 	Platform *device.Platform
-	Opts     sim.Options
 	// Workers bounds the host parallelism of the oracle search (Label,
 	// PriceAll) and the host workers of each launch (Profile, Execute,
 	// Run). 0 uses the scheduler's process-wide default (GOMAXPROCS unless
@@ -113,7 +112,7 @@ type priceScratch struct {
 func (r *Runtime) priceInto(sc *priceScratch, l Launch, argBytes []int64, prof *exec.Profile,
 	part partition.Partition, align int) (float64, error) {
 	sc.works, sc.chunks = l.Plan.DeviceWorks(sc.works, sc.chunks, prof, argBytes, part, align, l.iterations())
-	t, bds, err := sim.Makespan(sc.bds, r.Platform, sc.works, r.Opts)
+	t, bds, err := sim.Makespan(sc.bds, r.Platform, sc.works)
 	sc.bds = bds
 	return t, err
 }

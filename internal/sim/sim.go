@@ -51,18 +51,6 @@ type Work struct {
 	Launches    int   // kernel launches (>=1 when any items run)
 }
 
-// Options tweaks the cost model, mainly for ablations.
-type Options struct {
-	// IgnoreTransfers prices kernels as if data were already resident
-	// (the accounting mistake the paper warns against). Used by the
-	// transfer-ablation experiment.
-	IgnoreTransfers bool
-	// LinkShare divides interconnect bandwidth, modelling concurrent
-	// transfers on a shared PCIe complex: 1 = exclusive, 2 = two devices
-	// transferring, etc. Zero means exclusive.
-	LinkShare float64
-}
-
 // Breakdown itemizes simulated device time in seconds.
 type Breakdown struct {
 	Compute  float64 // arithmetic + branches + local memory + barriers
@@ -86,7 +74,10 @@ const (
 )
 
 // DeviceTime computes the simulated wall time for w on device d.
-func DeviceTime(d *device.Profile, w Work, opts Options) Breakdown {
+// linkShare divides the interconnect bandwidth, modelling concurrent
+// transfers on a shared PCIe complex: 1 = exclusive, 2 = two devices
+// transferring, etc.; below 1 means exclusive.
+func DeviceTime(d *device.Profile, w Work, linkShare float64) Breakdown {
 	var bd Breakdown
 	c := &w.Counts
 	if c.Items == 0 {
@@ -169,16 +160,15 @@ func DeviceTime(d *device.Profile, w Work, opts Options) Breakdown {
 	}
 
 	// --- transfers ---
-	if !opts.IgnoreTransfers && !d.IsHost() {
-		share := opts.LinkShare
-		if share < 1 {
-			share = 1
+	if !d.IsHost() {
+		if linkShare < 1 {
+			linkShare = 1
 		}
 		moved := float64(w.TransferIn + w.TransferOut)
 		if moved > 0 {
 			// Buffers stay resident across launches of an iterative
 			// application, so link latency is paid once per direction.
-			bd.Transfer = moved/(d.LinkBandwidth/share) + 2*d.LinkLatencySec
+			bd.Transfer = moved/(d.LinkBandwidth/linkShare) + 2*d.LinkLatencySec
 		}
 	}
 
@@ -196,7 +186,7 @@ func DeviceTime(d *device.Profile, w Work, opts Options) Breakdown {
 // bandwidth among the discrete devices that actually move data. The
 // breakdowns go into dst, reused when its capacity suffices (nil for a
 // fresh one), so the oracle search prices candidates without allocating.
-func Makespan(dst []Breakdown, plat *device.Platform, works []Work, opts Options) (float64, []Breakdown, error) {
+func Makespan(dst []Breakdown, plat *device.Platform, works []Work) (float64, []Breakdown, error) {
 	if len(works) != len(plat.Devices) {
 		return 0, nil, fmt.Errorf("sim: %d works for %d devices", len(works), len(plat.Devices))
 	}
@@ -216,11 +206,7 @@ func Makespan(dst []Breakdown, plat *device.Platform, works []Work, opts Options
 	}
 	var makespan float64
 	for i, w := range works {
-		o := opts
-		if linkUsers > 1 {
-			o.LinkShare = float64(linkUsers)
-		}
-		bd := DeviceTime(plat.Devices[i], w, o)
+		bd := DeviceTime(plat.Devices[i], w, float64(linkUsers))
 		breakdowns[i] = bd
 		if bd.Total > makespan {
 			makespan = bd.Total

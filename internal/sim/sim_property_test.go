@@ -34,8 +34,8 @@ func TestDeviceTimeMonotonicInWork(t *testing.T) {
 		if more.Counts.MaxItemOps < ops+extra+2 {
 			more.Counts.MaxItemOps = ops + extra + 2
 		}
-		t1 := DeviceTime(d, base, Options{}).Total
-		t2 := DeviceTime(d, more, Options{}).Total
+		t1 := DeviceTime(d, base, 1).Total
+		t2 := DeviceTime(d, more, 1).Total
 		return t2 >= t1*0.999999
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -60,7 +60,7 @@ func TestDeviceTimeNonNegative(t *testing.T) {
 		}
 		w := Work{Counts: c, Mix: AccessMix{Coalesced: 0.5, Strided: 0.3, Indirect: 0.2},
 			TransferIn: items, TransferOut: items, Launches: 3}
-		bd := DeviceTime(devs[int(devIdx)%len(devs)], w, Options{})
+		bd := DeviceTime(devs[int(devIdx)%len(devs)], w, 1)
 		for _, v := range []float64{bd.Compute, bd.Memory, bd.Kernel, bd.Transfer, bd.Overhead, bd.Total} {
 			if v < 0 || v != v { // negative or NaN
 				return false
@@ -83,7 +83,7 @@ func TestMakespanMaxSemantics(t *testing.T) {
 			{Counts: exec.Counts{Items: int64(b) + 1, FloatOps: int64(b) * 1000, MaxItemOps: 1000}, Mix: AccessMix{Coalesced: 1}, TransferIn: int64(b) * 4, Launches: 1},
 			{Counts: exec.Counts{Items: int64(c) + 1, FloatOps: int64(c) * 1000, MaxItemOps: 1000}, Mix: AccessMix{Coalesced: 1}, TransferIn: int64(c) * 4, Launches: 1},
 		}
-		ms, bds, err := Makespan(nil, plat, works, Options{})
+		ms, bds, err := Makespan(nil, plat, works)
 		if err != nil {
 			return false
 		}

@@ -39,9 +39,15 @@ func streamWork(items int64) Work {
 	}
 }
 
+// resident is w with its data already on the device: no transfers.
+func resident(w Work) Work {
+	w.TransferIn, w.TransferOut = 0, 0
+	return w
+}
+
 func TestZeroItemsZeroTime(t *testing.T) {
 	d := device.MC2().Devices[0]
-	bd := DeviceTime(d, Work{}, Options{})
+	bd := DeviceTime(d, Work{}, 1)
 	if bd.Total != 0 {
 		t.Errorf("empty work cost %g, want 0", bd.Total)
 	}
@@ -49,8 +55,8 @@ func TestZeroItemsZeroTime(t *testing.T) {
 
 func TestComputeScalesWithWork(t *testing.T) {
 	d := device.MC2().Devices[0]
-	t1 := DeviceTime(d, computeWork(1e6, 100), Options{}).Total
-	t2 := DeviceTime(d, computeWork(2e6, 100), Options{}).Total
+	t1 := DeviceTime(d, computeWork(1e6, 100), 1).Total
+	t2 := DeviceTime(d, computeWork(2e6, 100), 1).Total
 	if t2 < 1.8*t1 || t2 > 2.2*t1 {
 		t.Errorf("doubling work: %g -> %g, want ~2x", t1, t2)
 	}
@@ -59,26 +65,13 @@ func TestComputeScalesWithWork(t *testing.T) {
 func TestCPUHasNoTransfer(t *testing.T) {
 	mc2 := device.MC2()
 	w := streamWork(1e6)
-	cpu := DeviceTime(mc2.Devices[0], w, Options{})
-	gpu := DeviceTime(mc2.Devices[1], w, Options{})
+	cpu := DeviceTime(mc2.Devices[0], w, 1)
+	gpu := DeviceTime(mc2.Devices[1], w, 1)
 	if cpu.Transfer != 0 {
 		t.Errorf("CPU transfer time %g, want 0", cpu.Transfer)
 	}
 	if gpu.Transfer <= 0 {
 		t.Errorf("GPU transfer time %g, want > 0", gpu.Transfer)
-	}
-}
-
-func TestIgnoreTransfersOption(t *testing.T) {
-	gpu := device.MC2().Devices[1]
-	w := streamWork(1e6)
-	with := DeviceTime(gpu, w, Options{})
-	without := DeviceTime(gpu, w, Options{IgnoreTransfers: true})
-	if without.Total >= with.Total {
-		t.Errorf("ignoring transfers did not reduce time: %g vs %g", without.Total, with.Total)
-	}
-	if without.Transfer != 0 {
-		t.Error("IgnoreTransfers left transfer time")
 	}
 }
 
@@ -88,9 +81,9 @@ func TestTransferChangesStreamingWinner(t *testing.T) {
 	// effect the paper controls for).
 	mc2 := device.MC2()
 	w := streamWork(4e6)
-	cpu := DeviceTime(mc2.Devices[0], w, Options{}).Total
-	gpuWith := DeviceTime(mc2.Devices[1], w, Options{}).Total
-	gpuWithout := DeviceTime(mc2.Devices[1], w, Options{IgnoreTransfers: true}).Total
+	cpu := DeviceTime(mc2.Devices[0], w, 1).Total
+	gpuWith := DeviceTime(mc2.Devices[1], w, 1).Total
+	gpuWithout := DeviceTime(mc2.Devices[1], resident(w), 1).Total
 	if cpu >= gpuWith {
 		t.Errorf("streaming with transfers: CPU %g should beat GPU %g", cpu, gpuWith)
 	}
@@ -103,8 +96,8 @@ func TestComputeBoundGPUWinsWhenLarge(t *testing.T) {
 	mc2 := device.MC2()
 	w := computeWork(1e6, 500)
 	w.TransferIn, w.TransferOut = 4e6, 4e6
-	cpu := DeviceTime(mc2.Devices[0], w, Options{}).Total
-	gpu := DeviceTime(mc2.Devices[1], w, Options{}).Total
+	cpu := DeviceTime(mc2.Devices[0], w, 1).Total
+	gpu := DeviceTime(mc2.Devices[1], w, 1).Total
 	if gpu >= cpu {
 		t.Errorf("large compute-bound work: GPU %g should beat CPU %g", gpu, cpu)
 	}
@@ -116,8 +109,8 @@ func TestSmallSizeCPUWins(t *testing.T) {
 	mc2 := device.MC2()
 	w := computeWork(256, 500)
 	w.TransferIn, w.TransferOut = 1024, 1024
-	cpu := DeviceTime(mc2.Devices[0], w, Options{}).Total
-	gpu := DeviceTime(mc2.Devices[1], w, Options{}).Total
+	cpu := DeviceTime(mc2.Devices[0], w, 1).Total
+	gpu := DeviceTime(mc2.Devices[1], w, 1).Total
 	if cpu >= gpu {
 		t.Errorf("small work: CPU %g should beat GPU %g", cpu, gpu)
 	}
@@ -128,13 +121,13 @@ func TestDivergencePenalizesGPUOnly(t *testing.T) {
 	balanced := computeWork(1e6, 100)
 	diverged := computeWork(1e6, 100)
 	diverged.Counts.MaxItemOps = 1600 // 16x imbalance
-	gpuB := DeviceTime(mc2.Devices[1], balanced, Options{IgnoreTransfers: true}).Total
-	gpuD := DeviceTime(mc2.Devices[1], diverged, Options{IgnoreTransfers: true}).Total
+	gpuB := DeviceTime(mc2.Devices[1], balanced, 1).Total
+	gpuD := DeviceTime(mc2.Devices[1], diverged, 1).Total
 	if gpuD <= gpuB {
 		t.Errorf("divergence did not slow GPU: %g vs %g", gpuD, gpuB)
 	}
-	cpuB := DeviceTime(mc2.Devices[0], balanced, Options{}).Total
-	cpuD := DeviceTime(mc2.Devices[0], diverged, Options{}).Total
+	cpuB := DeviceTime(mc2.Devices[0], balanced, 1).Total
+	cpuD := DeviceTime(mc2.Devices[0], diverged, 1).Total
 	if cpuD != cpuB {
 		t.Errorf("divergence changed CPU time: %g vs %g", cpuD, cpuB)
 	}
@@ -147,8 +140,8 @@ func TestVLIWBranchPenalty(t *testing.T) {
 	branchy.Counts.Branches = 20e6 // 40% branch density
 	smooth := computeWork(1e6, 50)
 	relative := func(d *device.Profile) float64 {
-		b := DeviceTime(d, branchy, Options{IgnoreTransfers: true}).Total
-		s := DeviceTime(d, smooth, Options{IgnoreTransfers: true}).Total
+		b := DeviceTime(d, branchy, 1).Total
+		s := DeviceTime(d, smooth, 1).Total
 		return b / s
 	}
 	if relative(mc1gpu) <= relative(mc2gpu) {
@@ -163,8 +156,8 @@ func TestOccupancyPenalty(t *testing.T) {
 	// low occupancy should not be faster than the saturated version.
 	small := computeWork(100, 10000)
 	large := computeWork(1e6, 1)
-	ts := DeviceTime(gpu, small, Options{IgnoreTransfers: true}).Total
-	tl := DeviceTime(gpu, large, Options{IgnoreTransfers: true}).Total
+	ts := DeviceTime(gpu, small, 1).Total
+	tl := DeviceTime(gpu, large, 1).Total
 	if ts <= tl {
 		t.Errorf("underoccupied chunk not penalized: %g vs %g", ts, tl)
 	}
@@ -175,8 +168,8 @@ func TestAccessMixSlowsStridedOnGPU(t *testing.T) {
 	co := streamWork(1e6)
 	st := streamWork(1e6)
 	st.Mix = AccessMix{Strided: 1}
-	tc := DeviceTime(gpu, co, Options{IgnoreTransfers: true}).Total
-	ts := DeviceTime(gpu, st, Options{IgnoreTransfers: true}).Total
+	tc := DeviceTime(gpu, resident(co), 1).Total
+	ts := DeviceTime(gpu, resident(st), 1).Total
 	if ts <= tc {
 		t.Errorf("strided access not penalized: %g vs %g", ts, tc)
 	}
@@ -196,7 +189,7 @@ func TestMixNormalize(t *testing.T) {
 func TestMakespanIsMax(t *testing.T) {
 	plat := device.MC2()
 	works := []Work{computeWork(1e6, 100), computeWork(1e5, 100), {}}
-	ms, bds, err := Makespan(nil, plat, works, Options{IgnoreTransfers: true})
+	ms, bds, err := Makespan(nil, plat, works)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +211,11 @@ func TestMakespanLinkSharing(t *testing.T) {
 	plat := device.MC2()
 	one := []Work{{}, streamWork(2e6), {}}
 	two := []Work{{}, streamWork(2e6), streamWork(2e6)}
-	_, bd1, err := Makespan(nil, plat, one, Options{})
+	_, bd1, err := Makespan(nil, plat, one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, bd2, err := Makespan(nil, plat, two, Options{})
+	_, bd2, err := Makespan(nil, plat, two)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +226,7 @@ func TestMakespanLinkSharing(t *testing.T) {
 }
 
 func TestMakespanArityError(t *testing.T) {
-	if _, _, err := Makespan(nil, device.MC2(), []Work{{}}, Options{}); err == nil {
+	if _, _, err := Makespan(nil, device.MC2(), []Work{{}}); err == nil {
 		t.Error("want works/devices arity error")
 	}
 }
@@ -241,7 +234,7 @@ func TestMakespanArityError(t *testing.T) {
 func TestBreakdownConsistency(t *testing.T) {
 	gpu := device.MC2().Devices[1]
 	w := streamWork(1e6)
-	bd := DeviceTime(gpu, w, Options{})
+	bd := DeviceTime(gpu, w, 1)
 	if bd.Total != bd.Kernel+bd.Transfer+bd.Overhead {
 		t.Errorf("Total %g != Kernel %g + Transfer %g + Overhead %g",
 			bd.Total, bd.Kernel, bd.Transfer, bd.Overhead)
@@ -257,8 +250,8 @@ func TestLaunchesScaleOverheadNotTransfer(t *testing.T) {
 	w1.TransferIn = 4e6
 	w10 := w1
 	w10.Launches = 10
-	bd1 := DeviceTime(gpu, w1, Options{})
-	bd10 := DeviceTime(gpu, w10, Options{})
+	bd1 := DeviceTime(gpu, w1, 1)
+	bd10 := DeviceTime(gpu, w10, 1)
 	if bd10.Overhead <= bd1.Overhead {
 		t.Error("launch overhead must scale with launches")
 	}
@@ -291,11 +284,11 @@ func TestMakespanIntoMatchesMakespan(t *testing.T) {
 	var scratch []Breakdown
 	for seed := int64(0); seed < 3; seed++ {
 		works := mkWorks(seed)
-		wantT, wantB, err := Makespan(nil, plat, works, Options{})
+		wantT, wantB, err := Makespan(nil, plat, works)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotT, gotB, err := Makespan(scratch, plat, works, Options{})
+		gotT, gotB, err := Makespan(scratch, plat, works)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -100,18 +100,33 @@ curl -fsS "$base/stats" | tee "$work/stats.json"
 grep -q '"trainings": 0' "$work/stats.json"
 grep -q '"artifactLoads": 1' "$work/stats.json"
 
-echo "== vector tier: a divergent kernel re-converges and /stats counts it =="
+echo "== vector tier: short varying sides run in place, long ones split and re-converge =="
+# divergent's if/else sides are one and two instructions (at most
+# maxLinearSide, internal/exec/vm/veclinear.go), so its branch is linear:
+# disagreeing groups run both sides in place under the lane mask
+# (vecLinearized). reconverge's taken (else) side is eight instructions,
+# so its groups split at the branch and re-form at the join
+# (vecReconverges).
 div_src='kernel void diverge(global float* a, global float* out, int n) { int i = get_global_id(0); float x = a[i]; if (x > 0.5f) { out[i] = sqrt(x) * 2.0f; } else { out[i] = x + 1.0f; } }'
-curl -fsS -X POST -H 'Content-Type: application/json' \
-  -d "{\"name\":\"divergent\",\"source\":\"$div_src\"}" "$base/kernels" | tee "$work/divkernel.json"
-grep -q '"tier": "vec"' "$work/divkernel.json"
-grep -q '"vecBailBranches": 0' "$work/divkernel.json"
+rec_src='kernel void reconverge(global float* a, global float* out, int n) { int i = get_global_id(0); float x = a[i]; if (x > 0.5f) { out[i] = x + 1.0f; } else { float y = sqrt(x) * 2.0f; y = y * x + 1.0f; y = y * y + x; out[i] = sqrt(y) + x; } }'
+upload_vec() { # name source: registers a kernel that must stay on the vector tier
+  curl -fsS -X POST -H 'Content-Type: application/json' \
+    -d "{\"name\":\"$1\",\"source\":\"$2\"}" "$base/kernels" | tee "$work/$1-kernel.json"
+  grep -q '"tier": "vec"' "$work/$1-kernel.json"
+  grep -q '"vecBailBranches": 0' "$work/$1-kernel.json"
+}
+upload_vec divergent "$div_src"
+upload_vec reconverge "$rec_src"
 curl -fsS -X POST "$base/execute?program=public/divergent&size=0" >/dev/null
 curl -fsS "$base/stats" | tee "$work/stats-vec.json"
 grep -q '"vecDivergences"' "$work/stats-vec.json"
 grep -q '"vecScalarBails"' "$work/stats-vec.json"
+grep -Eq '"vecLinearized": [1-9]' "$work/stats-vec.json" ||
+  { echo "FAIL: short-sided divergent kernel ran no branch in place"; exit 1; }
+curl -fsS -X POST "$base/execute?program=public/reconverge&size=0" >/dev/null
+curl -fsS "$base/stats" > "$work/stats-vec.json"
 grep -Eq '"vecReconverges": [1-9]' "$work/stats-vec.json" ||
-  { echo "FAIL: divergent kernel recorded no re-convergences"; exit 1; }
+  { echo "FAIL: long-sided reconverge kernel recorded no re-convergences"; exit 1; }
 
 echo "== predict/batch: N points in one request =="
 curl -fsS -X POST -H 'Content-Type: application/json' \
