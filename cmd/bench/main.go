@@ -73,16 +73,17 @@ func main() {
 		}
 	}
 	if what == "models" || what == "all" {
+		// The served model families, plus two T4 alone compares.
 		models := map[string]ml.NewModel{
-			"knn5":     func() ml.Classifier { return ml.NewKNN(5) },
-			"dtree":    func() ml.Classifier { return ml.NewTree() },
-			"forest":   func() ml.Classifier { return ml.NewForest(50, 42) },
-			"logreg":   func() ml.Classifier { return ml.NewLogReg(42) },
-			"mlp":      func() ml.Classifier { return ml.NewMLP(32, 42) },
 			"twostage": harness.TwoStageModel(),
 			"pca+mlp": func() ml.Classifier {
-				return ml.NewPCAPipeline(12, 42, func() ml.Classifier { return ml.NewMLP(32, 42) })
+				return ml.NewPCAPipeline(12, 42, harness.DefaultModel())
 			},
+		}
+		for _, name := range harness.ModelNames() {
+			if models[name], err = harness.ModelByName(name); err != nil {
+				fail(err)
+			}
 		}
 		for _, plat := range platforms {
 			rows, err := harness.CompareModels(db, plat, models)

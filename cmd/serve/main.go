@@ -98,8 +98,7 @@ const maxBatch = 1024
 func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	dbPath := flag.String("db", "training_db.json", "training database (from cmd/train)")
-	platform := flag.String("platform", "mc2", "target platform (shorthand for -platforms with one entry)")
-	platforms := flag.String("platforms", "", "comma-separated platforms to serve (first is the default; overrides -platform)")
+	platforms := flag.String("platforms", "mc2", "comma-separated platforms to serve (first is the default)")
 	shards := flag.Int("shards", 1, "engine shards per platform; tenants spread across them by consistent hash")
 	admitInflight := flag.Int("admit-inflight", 0, "max concurrently admitted predict/batch/execute requests per shard (0 = unlimited)")
 	admitQueue := flag.Int("admit-queue", 0, "max requests queued per shard beyond -admit-inflight; arrivals past that shed with 429")
@@ -129,12 +128,9 @@ func main() {
 	if *adaptive && *obsDir == "" {
 		fail(fmt.Errorf("-adaptive requires -obs to name the observation log directory"))
 	}
-	platformList := []string{*platform}
-	if *platforms != "" {
-		platformList = strings.Split(*platforms, ",")
-		for i := range platformList {
-			platformList[i] = strings.TrimSpace(platformList[i])
-		}
+	platformList := strings.Split(*platforms, ",")
+	for i := range platformList {
+		platformList[i] = strings.TrimSpace(platformList[i])
 	}
 	// One tenant quota table, one observation log and one cell cache span
 	// the fleet: a (program, size)'s features, profile and (once it

@@ -74,13 +74,10 @@ func staticCounts(op Opcode) Counts {
 	switch op {
 	case OpAddI, OpSubI, OpMulI, OpDivI, OpModI, OpAndI, OpOrI, OpXorI,
 		OpShlI, OpShrI, OpNegI, OpNotB,
-		OpAddIImm, OpMulIImm, OpDivIImm, OpModIImm, OpShlIImm, OpShrIImm,
-		OpAndIImm, OpOrIImm, OpXorIImm,
 		OpLtI, OpLeI, OpGtI, OpGeI, OpEqI, OpNeI,
-		OpLtIImm, OpLeIImm, OpGtIImm, OpGeIImm, OpEqIImm, OpNeIImm,
 		OpJZLog, OpJNZLog, OpWI, OpWIDyn:
 		c.IntOps = 1
-	case OpMulAddI, OpMulImmAddI:
+	case OpMulAddI:
 		c.IntOps = 2
 	case OpAddF, OpSubF, OpMulF, OpDivF, OpNegF,
 		OpLtF, OpLeF, OpGtF, OpGeF, OpEqF, OpNeF:
@@ -113,7 +110,7 @@ func staticCounts(op Opcode) Counts {
 		c.IntOps = 2
 		c.GlobalLoads = 1
 		c.FloatOps = 2
-	case OpJCmpI, OpJCmpIImm:
+	case OpJCmpI:
 		c.IntOps = 1
 		c.Branches = 1
 	case OpJCmpF:

@@ -128,8 +128,6 @@ func disasmInstr(p *Func, in *Instr) string {
 		return fmt.Sprintf("%s i%d <- i%d, i%d", name, in.A, in.B, in.C)
 	case FmtIab:
 		return fmt.Sprintf("%s i%d <- i%d", name, in.A, in.B)
-	case FmtIabImm:
-		return fmt.Sprintf("%s i%d <- i%d, #%d", name, in.A, in.B, in.Imm)
 	case FmtIaImm:
 		return fmt.Sprintf("%s i%d <- #%d", name, in.A, in.Imm)
 	case FmtFabc:
@@ -148,8 +146,6 @@ func disasmInstr(p *Func, in *Instr) string {
 		return fmt.Sprintf("%s f%d <- f%d, f%d, f%d", name, in.A, in.B, in.C, in.Imm)
 	case FmtIabcImm:
 		return fmt.Sprintf("%s i%d <- i%d, i%d, i%d", name, in.A, in.B, in.C, in.Imm)
-	case FmtMulImmAdd:
-		return fmt.Sprintf("%s i%d <- i%d * #%d + i%d", name, in.A, in.B, in.Imm, in.C)
 	case FmtJmp:
 		return fmt.Sprintf("%s -> %d", name, in.Imm)
 	case FmtJCond:
@@ -183,8 +179,6 @@ func disasmInstr(p *Func, in *Instr) string {
 		return fmt.Sprintf("%s i%d += i%d; if i%d %s i%d -> %d", name, in.A, in.B, in.A, ccNames[cc], in.C, tgt)
 	case FmtJCmpI:
 		return fmt.Sprintf("%s if i%d %s i%d -> %d", name, in.A, ccNames[in.C], in.B, in.Imm)
-	case FmtJCmpIImm:
-		return fmt.Sprintf("%s if i%d %s #%d -> %d", name, in.A, ccNames[in.B], in.Imm, in.C)
 	case FmtJCmpF:
 		return fmt.Sprintf("%s if f%d %s f%d -> %d", name, in.A, ccNames[in.C], in.B, in.Imm)
 	default:

@@ -1,12 +1,13 @@
 package vm
 
-import "math"
-
 // fuse runs the peephole super-instruction passes over a compiled
-// function: constant→immediate folding, load-operate fusion,
-// multiply-add fusion, and compare-branch fusion. Each fused
-// instruction bumps exactly the counters its unfused pair would have,
-// so profiles stay byte-identical with fusion on or off.
+// function: load-operate fusion, multiply-add fusion, and
+// compare-branch fusion. Each fused instruction bumps exactly the
+// counters its unfused pair would have, so profiles stay
+// byte-identical with fusion on or off. Integer constants live in
+// prologue registers (constI), so no pass folds one into an immediate
+// operand. Every superinstruction must occur in some built-in's
+// bytecode (root TestEverySuperinstructionUsed).
 //
 // A pair (producer, consumer) fuses only when the producer's
 // destination is written and read exactly once in the whole function
@@ -15,7 +16,6 @@ import "math"
 // between the two instructions.
 func fuse(p *Func) {
 	n := 0
-	n += fusePass(p, tryConstImm)
 	n += fusePass(p, tryLoadOp)
 	n += fusePass(p, tryMulAccLd)
 	n += fusePass(p, tryMulAdd)
@@ -65,8 +65,6 @@ func jumpTargets(code []Instr) map[int]bool {
 		switch code[i].Op {
 		case OpJmp, OpJZBr, OpJZLog, OpJNZLog, OpJCmpI, OpJCmpF:
 			t[int(code[i].Imm)] = true
-		case OpJCmpIImm:
-			t[int(code[i].C)] = true
 		case OpIncJCmpI:
 			_, tgt := unpackCcTarget(code[i].Imm)
 			t[int(tgt)] = true
@@ -109,8 +107,6 @@ func fusePass(p *Func, try fuseFn) int {
 		switch out[i].Op {
 		case OpJmp, OpJZBr, OpJZLog, OpJNZLog, OpJCmpI, OpJCmpF:
 			out[i].Imm = int64(newPC[out[i].Imm])
-		case OpJCmpIImm:
-			out[i].C = int32(newPC[out[i].C])
 		case OpIncJCmpI:
 			cc, tgt := unpackCcTarget(out[i].Imm)
 			out[i].Imm = packCcTarget(cc, int64(newPC[tgt]))
@@ -118,41 +114,6 @@ func fusePass(p *Func, try fuseFn) int {
 	}
 	p.Code = out
 	return n
-}
-
-// immForms maps a register-register integer op to its immediate form.
-var immForms = map[Opcode]Opcode{
-	OpAddI: OpAddIImm, OpMulI: OpMulIImm, OpDivI: OpDivIImm, OpModI: OpModIImm,
-	OpShlI: OpShlIImm, OpShrI: OpShrIImm, OpAndI: OpAndIImm, OpOrI: OpOrIImm,
-	OpXorI: OpXorIImm,
-	OpLtI:  OpLtIImm, OpLeI: OpLeIImm, OpGtI: OpGtIImm, OpGeI: OpGeIImm,
-	OpEqI: OpEqIImm, OpNeI: OpNeIImm,
-}
-
-// tryConstImm folds `ldc.i t, k` into the following instruction when it
-// consumes t as its right-hand operand.
-func tryConstImm(_ int, a, b *Instr, u *regUse) (Instr, bool) {
-	if a.Op != OpLdcI || !u.soloI(a.A) {
-		return Instr{}, false
-	}
-	t, k := a.A, a.Imm
-	if b.C != t {
-		return Instr{}, false
-	}
-	if b.Op == OpSubI {
-		if k == math.MinInt64 {
-			return Instr{}, false
-		}
-		return Instr{Op: OpAddIImm, A: b.A, B: b.B, Imm: -k}, true
-	}
-	op, ok := immForms[b.Op]
-	if !ok {
-		return Instr{}, false
-	}
-	if (op == OpDivIImm || op == OpModIImm) && k == 0 {
-		return Instr{}, false
-	}
-	return Instr{Op: op, A: b.A, B: b.B, Imm: k}, true
 }
 
 // tryLoadOp fuses a global float load feeding a float add, multiply, or
@@ -207,7 +168,7 @@ func tryMulAccLd(_ int, a, b *Instr, u *regUse) (Instr, bool) {
 // multiply-add super-instruction.
 func tryMulAdd(_ int, a, b *Instr, u *regUse) (Instr, bool) {
 	switch a.Op {
-	case OpMulI, OpMulIImm:
+	case OpMulI:
 		if b.Op != OpAddI || !u.soloI(a.A) {
 			return Instr{}, false
 		}
@@ -219,9 +180,6 @@ func tryMulAdd(_ int, a, b *Instr, u *regUse) (Instr, bool) {
 			other = b.B
 		default:
 			return Instr{}, false
-		}
-		if a.Op == OpMulIImm {
-			return Instr{Op: OpMulImmAddI, A: b.A, B: a.B, C: other, Imm: a.Imm}, true
 		}
 		return Instr{Op: OpMulAddI, A: b.A, B: a.B, C: a.C, Imm: int64(other)}, true
 	case OpMulF:
@@ -297,8 +255,6 @@ func tryIdxLoad(_ int, a, b *Instr, u *regUse) (Instr, bool) {
 // when the original jz.br would have (i.e. when the compare is false).
 var negCc = map[Opcode]int32{
 	OpLtI: CcGe, OpLeI: CcGt, OpGtI: CcLe, OpGeI: CcLt, OpEqI: CcNe, OpNeI: CcEq,
-	OpLtIImm: CcGe, OpLeIImm: CcGt, OpGtIImm: CcLe, OpGeIImm: CcLt,
-	OpEqIImm: CcNe, OpNeIImm: CcEq,
 	OpLtF: CcNLt, OpLeF: CcNLe, OpGtF: CcNGt, OpGeF: CcNGe, OpEqF: CcNe, OpNeF: CcEq,
 }
 
@@ -309,14 +265,10 @@ func tryCmpBranch(_ int, a, b *Instr, u *regUse) (Instr, bool) {
 	if !ok || b.Op != OpJZBr || b.A != a.A || !u.soloI(a.A) {
 		return Instr{}, false
 	}
-	switch {
-	case a.Op >= OpLtIImm && a.Op <= OpNeIImm:
-		return Instr{Op: OpJCmpIImm, A: a.B, B: cc, C: int32(b.Imm), Imm: a.Imm}, true
-	case a.Op >= OpLtF && a.Op <= OpNeF:
+	if a.Op >= OpLtF && a.Op <= OpNeF {
 		return Instr{Op: OpJCmpF, A: a.B, B: a.C, C: cc, Imm: b.Imm}, true
-	default:
-		return Instr{Op: OpJCmpI, A: a.B, B: a.C, C: cc, Imm: b.Imm}, true
 	}
+	return Instr{Op: OpJCmpI, A: a.B, B: a.C, C: cc, Imm: b.Imm}, true
 }
 
 // tryIncJCmp fuses a loop counter update into the rotated backedge
@@ -362,21 +314,13 @@ func threadJumps(p *Func) int {
 			continue
 		}
 		h := p.Code[t]
-		switch h.Op {
-		case OpJCmpI, OpJCmpF:
-			if int(h.Imm) == i+1 {
-				cc := invCc[:]
-				if h.Op == OpJCmpF {
-					cc = invCcF[:]
-				}
-				*in = Instr{Op: h.Op, A: h.A, B: h.B, C: cc[h.C], Imm: int64(t + 1)}
-				n++
+		if (h.Op == OpJCmpI || h.Op == OpJCmpF) && int(h.Imm) == i+1 {
+			cc := invCc[:]
+			if h.Op == OpJCmpF {
+				cc = invCcF[:]
 			}
-		case OpJCmpIImm:
-			if int(h.C) == i+1 {
-				*in = Instr{Op: OpJCmpIImm, A: h.A, B: invCc[h.B], C: int32(t + 1), Imm: h.Imm}
-				n++
-			}
+			*in = Instr{Op: h.Op, A: h.A, B: h.B, C: cc[h.C], Imm: int64(t + 1)}
+			n++
 		}
 	}
 	return n

@@ -58,17 +58,6 @@ const (
 	OpNegI // I[A] = -I[B]
 	OpNotB // I[A] = !I[B] (logical not on 0/1)
 
-	// Integer ALU with immediate (IntOps++): I[A] = I[B] op Imm.
-	OpAddIImm
-	OpMulIImm
-	OpDivIImm // Imm != 0, checked at fuse time
-	OpModIImm
-	OpShlIImm
-	OpShrIImm
-	OpAndIImm
-	OpOrIImm
-	OpXorIImm
-
 	// Integer comparisons (IntOps++): I[A] = I[B] cmp I[C] ? 1 : 0.
 	OpLtI
 	OpLeI
@@ -76,14 +65,6 @@ const (
 	OpGeI
 	OpEqI
 	OpNeI
-
-	// Integer comparisons with immediate (IntOps++): I[A] = I[B] cmp Imm.
-	OpLtIImm
-	OpLeIImm
-	OpGtIImm
-	OpGeIImm
-	OpEqIImm
-	OpNeIImm
 
 	// Float ALU (FloatOps++): F[A] = F[B] op F[C].
 	OpAddF
@@ -155,22 +136,20 @@ const (
 
 	// Super-instructions, produced only by the peephole fuser. Each
 	// counts exactly what its unfused sequence would have counted.
-	OpMulAddI    // IntOps += 2;   I[A] = I[B]*I[C] + I[Imm]
-	OpMulImmAddI // IntOps += 2;   I[A] = I[B]*imm + I[C] (imm packed in Imm)
-	OpMulAddF    // FloatOps += 2; F[A] = F[B]*F[C] + F[Imm]
-	OpAddFLdG    // FloatOps++, GlobalLoads++; F[A] = F[B] + load(packed, I[C])
-	OpMulFLdG    // FloatOps++, GlobalLoads++; F[A] = F[B] * load(packed, I[C])
-	OpJCmpI      // IntOps++, Branches++;   if I[A] cc(C) I[B] pc = Imm
-	OpJCmpIImm   // IntOps++, Branches++;   if I[A] cc(B) imm(Imm) pc = C
-	OpJCmpF      // FloatOps++, Branches++; if F[A] cc(C) F[B] pc = Imm
-	OpSubFLdG    // FloatOps++, GlobalLoads++; F[A] = F[B] - load(packed, I[C])
-	OpLdSubFG    // FloatOps++, GlobalLoads++; F[A] = load(packed, I[C]) - F[B]
-	OpMulAccLdG  // FloatOps += 2, GlobalLoads++; F[A] += F[B] * load(packed, I[C])
-	OpMulMulF    // FloatOps += 2; F[A] = F[B]*F[C]*F[Imm] (two rounded multiplies)
-	OpLdGFIdx    // IntOps += 2, GlobalLoads++; F[A] = load(slot, I[B]*I[C]+I[r])
-	OpMacLdGIdx  // IntOps += 2, FloatOps += 2, GlobalLoads++; F[A] += F[B]*load(slot, I[C]*I[r2]+I[r3])
-	OpIncJCmpI   // IntOps += 2, Branches++; I[A] += I[B]; if I[A] cc I[C] pc = target (cc|target in Imm)
-	OpAddRsqrtF  // FloatOps++, TransOps++; F[A] = 1/sqrt(F[B]+F[C]) (softened inverse distance)
+	OpMulAddI   // IntOps += 2;   I[A] = I[B]*I[C] + I[Imm]
+	OpMulAddF   // FloatOps += 2; F[A] = F[B]*F[C] + F[Imm]
+	OpAddFLdG   // FloatOps++, GlobalLoads++; F[A] = F[B] + load(packed, I[C])
+	OpMulFLdG   // FloatOps++, GlobalLoads++; F[A] = F[B] * load(packed, I[C])
+	OpJCmpI     // IntOps++, Branches++;   if I[A] cc(C) I[B] pc = Imm
+	OpJCmpF     // FloatOps++, Branches++; if F[A] cc(C) F[B] pc = Imm
+	OpSubFLdG   // FloatOps++, GlobalLoads++; F[A] = F[B] - load(packed, I[C])
+	OpLdSubFG   // FloatOps++, GlobalLoads++; F[A] = load(packed, I[C]) - F[B]
+	OpMulAccLdG // FloatOps += 2, GlobalLoads++; F[A] += F[B] * load(packed, I[C])
+	OpMulMulF   // FloatOps += 2; F[A] = F[B]*F[C]*F[Imm] (two rounded multiplies)
+	OpLdGFIdx   // IntOps += 2, GlobalLoads++; F[A] = load(slot, I[B]*I[C]+I[r])
+	OpMacLdGIdx // IntOps += 2, FloatOps += 2, GlobalLoads++; F[A] += F[B]*load(slot, I[C]*I[r2]+I[r3])
+	OpIncJCmpI  // IntOps += 2, Branches++; I[A] += I[B]; if I[A] cc I[C] pc = target (cc|target in Imm)
+	OpAddRsqrtF // FloatOps++, TransOps++; F[A] = 1/sqrt(F[B]+F[C]) (softened inverse distance)
 
 	opCount // sentinel
 )
@@ -224,7 +203,6 @@ const (
 	FmtNone      Fmt = iota
 	FmtIabc          // I[A] <- I[B], I[C]
 	FmtIab           // I[A] <- I[B]
-	FmtIabImm        // I[A] <- I[B], Imm
 	FmtIaImm         // I[A] <- Imm
 	FmtFabc          // F[A] <- F[B], F[C]
 	FmtFab           // F[A] <- F[B]
@@ -234,7 +212,6 @@ const (
 	FmtIaFbc         // I[A] <- F[B], F[C]
 	FmtFabcImm       // F[A] <- F[B], F[C], F[Imm]
 	FmtIabcImm       // I[A] <- I[B], I[C], I[Imm]
-	FmtMulImmAdd     // I[A] <- I[B]*imm, I[C]
 	FmtJmp           // pc <- Imm
 	FmtJCond         // test I[A]; pc <- Imm
 	FmtWI            // I[A] <- query B, const dim C
@@ -245,7 +222,6 @@ const (
 	FmtStoreI        // buf B [I[C]] <- I[A]
 	FmtFusedLdF      // F[A] <- F[B] op load(packed Imm, I[C])
 	FmtJCmpI         // if I[A] cc(C) I[B]: pc <- Imm
-	FmtJCmpIImm      // if I[A] cc(B) imm(Imm): pc <- C
 	FmtJCmpF         // if F[A] cc(C) F[B]: pc <- Imm
 	FmtFusedMacF     // F[A] <- F[A] + F[B] * load(packed Imm, I[C])
 	FmtLdIdxF        // F[A] <- buf [I[B]*I[C] + I[r]], packed Imm
@@ -311,27 +287,12 @@ func init() {
 	registerOp(OpShrI, "shr.i", FmtIabc, false)
 	registerOp(OpNegI, "neg.i", FmtIab, false)
 	registerOp(OpNotB, "not.b", FmtIab, false)
-	registerOp(OpAddIImm, "add.i.k", FmtIabImm, true)
-	registerOp(OpMulIImm, "mul.i.k", FmtIabImm, true)
-	registerOp(OpDivIImm, "div.i.k", FmtIabImm, true)
-	registerOp(OpModIImm, "mod.i.k", FmtIabImm, true)
-	registerOp(OpShlIImm, "shl.i.k", FmtIabImm, true)
-	registerOp(OpShrIImm, "shr.i.k", FmtIabImm, true)
-	registerOp(OpAndIImm, "and.i.k", FmtIabImm, true)
-	registerOp(OpOrIImm, "or.i.k", FmtIabImm, true)
-	registerOp(OpXorIImm, "xor.i.k", FmtIabImm, true)
 	registerOp(OpLtI, "lt.i", FmtIabc, false)
 	registerOp(OpLeI, "le.i", FmtIabc, false)
 	registerOp(OpGtI, "gt.i", FmtIabc, false)
 	registerOp(OpGeI, "ge.i", FmtIabc, false)
 	registerOp(OpEqI, "eq.i", FmtIabc, false)
 	registerOp(OpNeI, "ne.i", FmtIabc, false)
-	registerOp(OpLtIImm, "lt.i.k", FmtIabImm, true)
-	registerOp(OpLeIImm, "le.i.k", FmtIabImm, true)
-	registerOp(OpGtIImm, "gt.i.k", FmtIabImm, true)
-	registerOp(OpGeIImm, "ge.i.k", FmtIabImm, true)
-	registerOp(OpEqIImm, "eq.i.k", FmtIabImm, true)
-	registerOp(OpNeIImm, "ne.i.k", FmtIabImm, true)
 	registerOp(OpAddF, "add.f", FmtFabc, false)
 	registerOp(OpSubF, "sub.f", FmtFabc, false)
 	registerOp(OpMulF, "mul.f", FmtFabc, false)
@@ -379,12 +340,10 @@ func init() {
 	registerOp(OpClampI, "clamp.i", FmtIabcImm, false)
 	registerOp(OpBar, "barrier", FmtBar, false)
 	registerOp(OpMulAddI, "muladd.i", FmtIabcImm, true)
-	registerOp(OpMulImmAddI, "mulkadd.i", FmtMulImmAdd, true)
 	registerOp(OpMulAddF, "muladd.f", FmtFabcImm, true)
 	registerOp(OpAddFLdG, "addld.f", FmtFusedLdF, true)
 	registerOp(OpMulFLdG, "mulld.f", FmtFusedLdF, true)
 	registerOp(OpJCmpI, "jcmp.i", FmtJCmpI, true)
-	registerOp(OpJCmpIImm, "jcmp.i.k", FmtJCmpIImm, true)
 	registerOp(OpJCmpF, "jcmp.f", FmtJCmpF, true)
 	registerOp(OpSubFLdG, "subld.f", FmtFusedLdF, true)
 	registerOp(OpLdSubFG, "ldsub.f", FmtFusedLdF, true)
@@ -460,8 +419,8 @@ func destReg(in *Instr) (isF bool, r int32, ok bool) {
 		return false, 0, false
 	}
 	switch info.Fmt {
-	case FmtIab, FmtIabc, FmtIabImm, FmtIaImm, FmtIaFb, FmtIaFbc,
-		FmtIabcImm, FmtMulImmAdd, FmtWI, FmtWIDyn, FmtLoadI, FmtIncJCmpI:
+	case FmtIab, FmtIabc, FmtIaImm, FmtIaFb, FmtIaFbc,
+		FmtIabcImm, FmtWI, FmtWIDyn, FmtLoadI, FmtIncJCmpI:
 		return false, in.A, true
 	case FmtFab, FmtFabc, FmtFaPool, FmtFaIb, FmtFabcImm,
 		FmtLoadF, FmtFusedLdF, FmtFusedMacF, FmtLdIdxF, FmtMacIdxF:
@@ -503,7 +462,7 @@ func srcRegs(in *Instr, useI, useF func(r int32, slot uint8)) (wi bool) {
 	info, _ := LookupOp(in.Op)
 	switch info.Fmt {
 	case FmtNone, FmtJmp, FmtBar, FmtIaImm, FmtFaPool:
-	case FmtJCond, FmtJCmpIImm:
+	case FmtJCond:
 		useI(in.A, srcUB)
 	case FmtJCmpI:
 		useI(in.A, srcUB)
@@ -517,9 +476,9 @@ func srcRegs(in *Instr, useI, useF func(r int32, slot uint8)) (wi bool) {
 	case FmtStoreI:
 		useI(in.A, srcUB)
 		useI(in.C, srcUC)
-	case FmtIab, FmtIabImm, FmtFaIb:
+	case FmtIab, FmtFaIb:
 		useI(in.B, srcUB)
-	case FmtIabc, FmtMulImmAdd:
+	case FmtIabc:
 		useI(in.B, srcUB)
 		useI(in.C, srcUC)
 	case FmtIncJCmpI:

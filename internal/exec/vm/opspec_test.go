@@ -116,9 +116,6 @@ func specFor(op Opcode) opSpec {
 		s.in = Instr{Op: op}
 	case FmtIab:
 		s.srcs, s.hasDst = []operand{intSrc(rB, domAny)}, true
-	case FmtIabImm:
-		s.srcs, s.hasDst = []operand{intSrc(rB, domAny)}, true
-		s.in.Imm = 3
 	case FmtIabc:
 		s.srcs, s.hasDst = []operand{intSrc(rB, domAny), intSrc(rC, domAny)}, true
 		if op == OpDivI || op == OpModI {
@@ -148,14 +145,9 @@ func specFor(op Opcode) opSpec {
 	case FmtIabcImm:
 		s.srcs, s.hasDst = []operand{intSrc(rB, domAny), intSrc(rC, domAny), intSrc(rX, domAny)}, true
 		s.in.Imm = rX
-	case FmtMulImmAdd:
-		s.srcs, s.hasDst = []operand{intSrc(rB, domAny), intSrc(rC, domAny)}, true
-		s.in.Imm = 3
 	case FmtJmp:
 		s.shape = shapeJump
-	case FmtJCond, FmtJCmpIImm:
-		// A is the tested register; jcmp.i.k compares it with Imm under
-		// the condition code in B and jumps to C.
+	case FmtJCond:
 		s.in.A = rB
 		s.srcs, s.shape = []operand{intSrc(rB, domAny)}, shapeJump
 	case FmtJCmpI:
@@ -271,7 +263,8 @@ func (s opSpec) assemble(varying uint, v int, bad *int64) *specRun {
 	fn.Names[gDataF] = "data"
 	emit := func(in Instr) { fn.Code = append(fn.Code, in) }
 	emit(Instr{Op: OpWI, A: rGid, B: WIGlobalID})
-	emit(Instr{Op: OpAddIImm, A: rAlt, B: rGid, Imm: 100})
+	emit(Instr{Op: OpLdcI, A: rAlt, Imm: 100})
+	emit(Instr{Op: OpAddI, A: rAlt, B: rGid, C: rAlt})
 	r.vi = make([][specW]int64, len(s.srcs))
 	r.vf = make([][specW]float64, len(s.srcs))
 	for k, o := range s.srcs {
@@ -318,13 +311,7 @@ func (s opSpec) assemble(varying uint, v int, bad *int64) *specRun {
 	case shapeJump:
 		emit(Instr{Op: OpMovI, A: rRes, B: rGid})
 		r.pc = len(fn.Code)
-		target := r.pc + 2
-		switch opTable[in.Op].Fmt {
-		case FmtJCmpIImm:
-			in.C, in.Imm = int32(target), 1
-		default:
-			in.Imm = int64(target)
-		}
+		in.Imm = int64(r.pc + 2)
 		emit(in)
 		emit(Instr{Op: OpMovI, A: rRes, B: rAlt})
 		emit(Instr{Op: OpStGI, A: rRes, B: gOutI, C: rGid})
@@ -622,18 +609,14 @@ func TestOpcodeSpec(t *testing.T) {
 			// Condition codes and work-item queries are operands too.
 			variants := []Instr{s.in}
 			switch info.Fmt {
-			case FmtJCmpI, FmtJCmpIImm, FmtJCmpF:
+			case FmtJCmpI, FmtJCmpF:
 				variants = variants[:0]
 				for cc := int32(CcLt); cc <= CcNGe; cc++ {
 					if cc > CcNe && info.Fmt != FmtJCmpF {
 						break
 					}
 					in := s.in
-					if info.Fmt == FmtJCmpIImm {
-						in.B = cc
-					} else {
-						in.C = cc
-					}
+					in.C = cc
 					variants = append(variants, in)
 				}
 			case FmtWI, FmtWIDyn:

@@ -227,8 +227,6 @@ func jumpTarget(in *Instr, pc int) (int, bool) {
 	switch in.Op {
 	case OpJmp, OpJZBr, OpJZLog, OpJNZLog, OpJCmpI, OpJCmpF:
 		return int(in.Imm), true
-	case OpJCmpIImm:
-		return int(in.C), true
 	case OpIncJCmpI:
 		_, t := unpackCcTarget(in.Imm)
 		return int(t), true

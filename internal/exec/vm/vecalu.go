@@ -68,27 +68,6 @@ func unI(op Opcode, d, b []int64) {
 	}
 }
 
-// aluIabImm runs I[A] <- I[B], Imm: the immediate arithmetic and
-// compares. The fuser never builds a div.i.k or mod.i.k with a zero
-// immediate.
-func (f *VecFrame) aluIabImm(in *Instr, su uint8, d []int64) {
-	if su&srcUB != 0 {
-		t := [1]int64{f.Frame.I[in.B&f.mi]}
-		immI(in, t[:], t[:])
-		fill(d, t[0])
-		return
-	}
-	immI(in, d, f.lanesI(in.B))
-}
-
-func immI(in *Instr, d, b []int64) {
-	if in.Op >= OpLtIImm && in.Op <= OpNeIImm {
-		cmpMask1(d, int32(in.Op-OpLtIImm), b, in.Imm)
-		return
-	}
-	binIK(in.Op, d, b, in.Imm)
-}
-
 // aluIabc runs I[A] <- I[B], I[C]: integer arithmetic, min, max and the
 // six compares (declared in condition-code order). It reports false,
 // with nothing written, when some lane would divide by zero.
@@ -187,11 +166,11 @@ func binI(op Opcode, d, b, c []int64) bool {
 }
 
 // binIK is d = b op k lane by lane, for a register op with a uniform
-// right operand and for its immediate form alike.
+// right operand.
 func binIK(op Opcode, d, b []int64, k int64) bool {
 	b = b[:len(d)]
 	switch op {
-	case OpAddI, OpAddIImm:
+	case OpAddI:
 		for l := range d {
 			d[l] = b[l] + k
 		}
@@ -199,41 +178,41 @@ func binIK(op Opcode, d, b []int64, k int64) bool {
 		for l := range d {
 			d[l] = b[l] - k
 		}
-	case OpMulI, OpMulIImm:
+	case OpMulI:
 		for l := range d {
 			d[l] = b[l] * k
 		}
-	case OpDivI, OpDivIImm:
+	case OpDivI:
 		if k == 0 {
 			return false
 		}
 		for l := range d {
 			d[l] = b[l] / k
 		}
-	case OpModI, OpModIImm:
+	case OpModI:
 		if k == 0 {
 			return false
 		}
 		for l := range d {
 			d[l] = b[l] % k
 		}
-	case OpAndI, OpAndIImm:
+	case OpAndI:
 		for l := range d {
 			d[l] = b[l] & k
 		}
-	case OpOrI, OpOrIImm:
+	case OpOrI:
 		for l := range d {
 			d[l] = b[l] | k
 		}
-	case OpXorI, OpXorIImm:
+	case OpXorI:
 		for l := range d {
 			d[l] = b[l] ^ k
 		}
-	case OpShlI, OpShlIImm:
+	case OpShlI:
 		for l := range d {
 			d[l] = b[l] << uint(k&63)
 		}
-	case OpShrI, OpShrIImm:
+	case OpShrI:
 		for l := range d {
 			d[l] = b[l] >> uint(k&63)
 		}
@@ -318,23 +297,6 @@ func (f *VecFrame) aluIabcImm(in *Instr, su uint8, d []int64) {
 		for l := range d {
 			d[l] = max(c[l&mc], min(b[l&mb], m[l&mm]))
 		}
-	}
-}
-
-// aluMulImmAdd runs I[A] <- I[B]*imm + I[C] (mulkadd.i).
-func (f *VecFrame) aluMulImmAdd(in *Instr, su uint8, d []int64) {
-	var ob, oc [1]int64
-	b, mb := f.opndI(in.B, su&srcUB != 0, &ob)
-	c, mc := f.opndI(in.C, su&srcUC != 0, &oc)
-	if mb != 0 && mc == 0 {
-		b, cv := b[:len(d)], c[0]
-		for l := range d {
-			d[l] = b[l]*in.Imm + cv
-		}
-		return
-	}
-	for l := range d {
-		d[l] = b[l&mb]*in.Imm + c[l&mc]
 	}
 }
 

@@ -255,8 +255,6 @@ func (p *VecFunc) laneCond(f *VecFrame, pc int) (taken, agree bool) {
 			taken = ui[in.A&f.mi] != 0
 		case OpJCmpI:
 			taken = ccHoldsI(in.C, ui[in.A&f.mi], ui[in.B&f.mi])
-		case OpJCmpIImm:
-			taken = ccHoldsI(in.B, ui[in.A&f.mi], in.Imm)
 		case OpJCmpF:
 			taken = ccHoldsF(in.C, uf[in.A&f.mf], uf[in.B&f.mf])
 		case OpIncJCmpI:
@@ -286,8 +284,6 @@ func (p *VecFunc) laneCond(f *VecFrame, pc int) (taken, agree bool) {
 		default:
 			n1 = cmpMask(m, in.C, f.lanesI(in.A), f.lanesI(in.B))
 		}
-	case OpJCmpIImm:
-		n1 = cmpMask1(m, in.B, f.lanesI(in.A), in.Imm)
 	case OpIncJCmpI:
 		// A varying loop back-edge: the counter is varying (unstep
 		// relies on it), the step and the bound may be uniform. Every

@@ -139,8 +139,8 @@ func linearOp(op Opcode) bool {
 		return false
 	}
 	switch opTable[op].Fmt {
-	case FmtIab, FmtIabImm, FmtIabc, FmtIaImm, FmtFaPool, FmtFaIb, FmtIaFb, FmtIaFbc,
-		FmtFab, FmtFabc, FmtFabcImm, FmtIabcImm, FmtMulImmAdd, FmtWI,
+	case FmtIab, FmtIabc, FmtIaImm, FmtFaPool, FmtFaIb, FmtIaFb, FmtIaFbc,
+		FmtFab, FmtFabc, FmtFabcImm, FmtIabcImm, FmtWI,
 		FmtLoadF, FmtLoadI, FmtStoreF, FmtStoreI, FmtFusedLdF, FmtFusedMacF:
 		return true
 	}
@@ -299,8 +299,6 @@ func (p *VecFunc) sideStep(f *VecFrame, pc int, v int64, minority []int, own boo
 		f.aluIaFb(in, su, ti)
 	case FmtIab:
 		f.aluIab(in, su, ti)
-	case FmtIabImm:
-		f.aluIabImm(in, su, ti)
 	case FmtIabc:
 		f.aluIabc(in, su, ti)
 	case FmtIaFbc:
@@ -316,8 +314,6 @@ func (p *VecFunc) sideStep(f *VecFrame, pc int, v int64, minority []int, own boo
 		isF = true
 	case FmtIabcImm:
 		f.aluIabcImm(in, su, ti)
-	case FmtMulImmAdd:
-		f.aluMulImmAdd(in, su, ti)
 	case FmtWI:
 		copy(ti, f.wiRow(in.B, int64(in.C), 0))
 	case FmtLoadF:

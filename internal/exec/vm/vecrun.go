@@ -133,9 +133,6 @@ func (p *VecFunc) Run(f *VecFrame) (Status, error) {
 		// uniform operand from its scalar slot.
 		case OpMovI, OpSnzI, OpNegI, OpNotB, OpAbsI:
 			f.aluIab(in, su, f.lanesI(in.A))
-		case OpAddIImm, OpMulIImm, OpDivIImm, OpModIImm, OpShlIImm, OpShrIImm, OpAndIImm, OpOrIImm, OpXorIImm,
-			OpLtIImm, OpLeIImm, OpGtIImm, OpGeIImm, OpEqIImm, OpNeIImm:
-			f.aluIabImm(in, su, f.lanesI(in.A))
 		case OpAddI, OpSubI, OpMulI, OpDivI, OpModI, OpAndI, OpOrI, OpXorI, OpShlI, OpShrI, OpMinI, OpMaxI,
 			OpLtI, OpLeI, OpGtI, OpGeI, OpEqI, OpNeI:
 			if !f.aluIabc(in, su, f.lanesI(in.A)) {
@@ -151,8 +148,6 @@ func (p *VecFunc) Run(f *VecFrame) (Status, error) {
 			f.aluFabcImm(in, su, f.lanesF(in.A))
 		case OpClampI, OpMulAddI:
 			f.aluIabcImm(in, su, f.lanesI(in.A))
-		case OpMulImmAddI:
-			f.aluMulImmAdd(in, su, f.lanesI(in.A))
 
 		// The one jump arm. laneCond decides a conditional jump for the
 		// group (and steps addjcmp.i's counter: the fused counted-loop
@@ -160,7 +155,7 @@ func (p *VecFunc) Run(f *VecFrame) (Status, error) {
 		// two vector dispatches, every iteration). A taken jump counts,
 		// then pays the spill countdown and W steps of fuel, one for each
 		// item, exactly as the scalar VM's jump arms do for one.
-		case OpJmp, OpJZBr, OpJZLog, OpJNZLog, OpJCmpI, OpJCmpIImm, OpJCmpF, OpIncJCmpI:
+		case OpJmp, OpJZBr, OpJZLog, OpJNZLog, OpJCmpI, OpJCmpF, OpIncJCmpI:
 			if in.Op != OpJmp {
 				taken, agree := p.laneCond(f, pc)
 				if !agree {

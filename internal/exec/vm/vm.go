@@ -326,34 +326,6 @@ func (p *Func) run(f *Frame, code []Instr, a0, a1 uint64, pc int) (uint64, uint6
 			a0 += lIntOp
 			ri[in.A&mi] = b2i(ri[in.B&mi] == 0)
 
-		case OpAddIImm:
-			a0 += lIntOp
-			ri[in.A&mi] = ri[in.B&mi] + in.Imm
-		case OpMulIImm:
-			a0 += lIntOp
-			ri[in.A&mi] = ri[in.B&mi] * in.Imm
-		case OpDivIImm:
-			a0 += lIntOp
-			ri[in.A&mi] = ri[in.B&mi] / in.Imm
-		case OpModIImm:
-			a0 += lIntOp
-			ri[in.A&mi] = ri[in.B&mi] % in.Imm
-		case OpShlIImm:
-			a0 += lIntOp
-			ri[in.A&mi] = ri[in.B&mi] << uint(in.Imm&63)
-		case OpShrIImm:
-			a0 += lIntOp
-			ri[in.A&mi] = ri[in.B&mi] >> uint(in.Imm&63)
-		case OpAndIImm:
-			a0 += lIntOp
-			ri[in.A&mi] = ri[in.B&mi] & in.Imm
-		case OpOrIImm:
-			a0 += lIntOp
-			ri[in.A&mi] = ri[in.B&mi] | in.Imm
-		case OpXorIImm:
-			a0 += lIntOp
-			ri[in.A&mi] = ri[in.B&mi] ^ in.Imm
-
 		case OpLtI:
 			a0 += lIntOp
 			ri[in.A&mi] = b2i(ri[in.B&mi] < ri[in.C&mi])
@@ -372,25 +344,6 @@ func (p *Func) run(f *Frame, code []Instr, a0, a1 uint64, pc int) (uint64, uint6
 		case OpNeI:
 			a0 += lIntOp
 			ri[in.A&mi] = b2i(ri[in.B&mi] != ri[in.C&mi])
-
-		case OpLtIImm:
-			a0 += lIntOp
-			ri[in.A&mi] = b2i(ri[in.B&mi] < in.Imm)
-		case OpLeIImm:
-			a0 += lIntOp
-			ri[in.A&mi] = b2i(ri[in.B&mi] <= in.Imm)
-		case OpGtIImm:
-			a0 += lIntOp
-			ri[in.A&mi] = b2i(ri[in.B&mi] > in.Imm)
-		case OpGeIImm:
-			a0 += lIntOp
-			ri[in.A&mi] = b2i(ri[in.B&mi] >= in.Imm)
-		case OpEqIImm:
-			a0 += lIntOp
-			ri[in.A&mi] = b2i(ri[in.B&mi] == in.Imm)
-		case OpNeIImm:
-			a0 += lIntOp
-			ri[in.A&mi] = b2i(ri[in.B&mi] != in.Imm)
 
 		case OpAddF:
 			a0 += lFloatOp
@@ -631,9 +584,6 @@ func (p *Func) run(f *Frame, code []Instr, a0, a1 uint64, pc int) (uint64, uint6
 		case OpMulAddI:
 			a0 += 2 * lIntOp
 			ri[in.A&mi] = ri[in.B&mi]*ri[in.C&mi] + ri[int32(in.Imm)&mi]
-		case OpMulImmAddI:
-			a0 += 2 * lIntOp
-			ri[in.A&mi] = ri[in.B&mi]*in.Imm + ri[in.C&mi]
 		case OpMulAddF:
 			a0 += 2 * lFloatOp
 			// The explicit conversion forces the product to round
@@ -723,21 +673,6 @@ func (p *Func) run(f *Frame, code []Instr, a0, a1 uint64, pc int) (uint64, uint6
 					return a0, a1, pc, Halted, err
 				}
 				pc = int(in.Imm)
-				continue
-			}
-		case OpJCmpIImm:
-			a0 += lIntOp
-			a1 += lBranch
-			if ccHoldsI(in.B, ri[in.A&mi], in.Imm) {
-				a1 -= roomOne
-				if a1 < roomOne {
-					f.Cnt.addPacked(a0, a1)
-					a0, a1 = 0, uint64(p.room)<<roomShift
-				}
-				if err := f.spend(1); err != nil {
-					return a0, a1, pc, Halted, err
-				}
-				pc = int(in.C)
 				continue
 			}
 		case OpJCmpF:

@@ -55,18 +55,17 @@ func Figure1(db *DB, platform string, mk ml.NewModel) (*Fig1Result, error) {
 	if data.Len() == 0 {
 		return nil, fmt.Errorf("harness: no records for platform %q", platform)
 	}
-	cv, err := ml.LeaveOneGroupOut(data, mk)
+	_, folds, err := leaveOneProgramOut(db, platform, data, mk)
 	if err != nil {
 		return nil, err
 	}
-	recs := db.PlatformRecords(platform)
 	res := &Fig1Result{Platform: platform}
 	gmCPU, gmGPU, effSum := 0.0, 0.0, 0.0
-	for _, fold := range cv.Folds {
+	for _, fold := range folds {
 		// Pick the held-out sample at the program's default size.
 		var row *Fig1Row
-		for fi, ti := range fold.TestIdx {
-			r := recs[ti]
+		for _, h := range fold {
+			r := h.rec
 			def, err := defaultSizeIdx(db, platform, r.Program)
 			if err != nil {
 				return nil, err
@@ -74,25 +73,20 @@ func Figure1(db *DB, platform string, mk ml.NewModel) (*Fig1Result, error) {
 			if r.SizeIdx != def {
 				continue
 			}
-			cls := fold.Predicted[fi]
-			if cls < 0 || cls >= len(r.Times) {
-				cls = 0
-			}
-			predTime := r.Times[cls]
 			row = &Fig1Row{
 				Program:      r.Program,
-				Predicted:    db.Space[cls],
+				Predicted:    db.Space[h.cls],
 				Oracle:       r.BestPartition,
-				PredTime:     predTime,
+				PredTime:     h.time,
 				OracleTime:   r.OracleTime,
-				SpeedupVsCPU: r.CPUOnlyTime / predTime,
-				SpeedupVsGPU: r.GPUOnlyTime / predTime,
-				OracleEff:    r.OracleTime / predTime,
+				SpeedupVsCPU: r.CPUOnlyTime / h.time,
+				SpeedupVsGPU: r.GPUOnlyTime / h.time,
+				OracleEff:    r.OracleTime / h.time,
 			}
 			res.SizeLabel = r.SizeLabel
 		}
 		if row == nil {
-			return nil, fmt.Errorf("harness: no default-size record for group %q", fold.Group)
+			return nil, fmt.Errorf("harness: no default-size record for group %q", fold[0].rec.Program)
 		}
 		res.Rows = append(res.Rows, *row)
 		gmCPU += math.Log(row.SpeedupVsCPU)
@@ -105,6 +99,38 @@ func Figure1(db *DB, platform string, mk ml.NewModel) (*Fig1Result, error) {
 	res.GeoMeanVsGPU = math.Exp(gmGPU / n)
 	res.MeanOracleEff = effSum / n
 	return res, nil
+}
+
+// heldOut is one record a leave-one-program-out fold held out, with the
+// class the fold's model predicted for it and that class's time.
+type heldOut struct {
+	rec  *Record
+	cls  int     // the predicted class; 0 when the model answers outside the space
+	time float64 // rec.Times[cls]
+}
+
+// leaveOneProgramOut cross-validates mk on data, a dataset of platform's
+// records in PlatformRecords order (under any feature subset), and
+// returns the exact-label accuracy and each fold's held-out records,
+// fold by fold. Every fold holds out at least one record.
+func leaveOneProgramOut(db *DB, platform string, data *ml.Dataset, mk ml.NewModel) (float64, [][]heldOut, error) {
+	cv, err := ml.LeaveOneGroupOut(data, mk)
+	if err != nil {
+		return 0, nil, err
+	}
+	recs := db.PlatformRecords(platform)
+	folds := make([][]heldOut, len(cv.Folds))
+	for i, fold := range cv.Folds {
+		for fi, ti := range fold.TestIdx {
+			r := &recs[ti]
+			cls := fold.Predicted[fi]
+			if cls < 0 || cls >= len(r.Times) {
+				cls = 0
+			}
+			folds[i] = append(folds[i], heldOut{rec: r, cls: cls, time: r.Times[cls]})
+		}
+	}
+	return cv.Accuracy(), folds, nil
 }
 
 // defaultSizeIdx returns the benchmark's default size index, capped to the
@@ -216,7 +242,6 @@ type ModelRow struct {
 // CompareModels runs T4: each model family cross-validated on the platform.
 func CompareModels(db *DB, platform string, models map[string]ml.NewModel) ([]ModelRow, error) {
 	data := db.Dataset(platform, nil)
-	recs := db.PlatformRecords(platform)
 	var names []string
 	for name := range models {
 		names = append(names, name)
@@ -224,23 +249,17 @@ func CompareModels(db *DB, platform string, models map[string]ml.NewModel) ([]Mo
 	sort.Strings(names)
 	var out []ModelRow
 	for _, name := range names {
-		cv, err := ml.LeaveOneGroupOut(data, models[name])
+		acc, folds, err := leaveOneProgramOut(db, platform, data, models[name])
 		if err != nil {
 			return nil, err
 		}
-		row := ModelRow{Model: name, Platform: platform, Accuracy: cv.Accuracy()}
+		row := ModelRow{Model: name, Platform: platform, Accuracy: acc}
 		effSum, cpuLog, gpuLog, n := 0.0, 0.0, 0.0, 0
-		for _, fold := range cv.Folds {
-			for fi, ti := range fold.TestIdx {
-				r := recs[ti]
-				cls := fold.Predicted[fi]
-				if cls < 0 || cls >= len(r.Times) {
-					cls = 0
-				}
-				pt := r.Times[cls]
-				effSum += r.OracleTime / pt
-				cpuLog += math.Log(r.CPUOnlyTime / pt)
-				gpuLog += math.Log(r.GPUOnlyTime / pt)
+		for _, fold := range folds {
+			for _, h := range fold {
+				effSum += h.rec.OracleTime / h.time
+				cpuLog += math.Log(h.rec.CPUOnlyTime / h.time)
+				gpuLog += math.Log(h.rec.GPUOnlyTime / h.time)
 				n++
 			}
 		}
@@ -274,24 +293,17 @@ func FeatureAblation(db *DB, platform string, mk ml.NewModel) ([]AblationRow, er
 		{"runtime-only", func(n string) bool { return n[0] == 'r' }},
 		{"combined", nil},
 	}
-	recs := db.PlatformRecords(platform)
 	var out []AblationRow
 	for _, sub := range subsets {
-		data := db.Dataset(platform, sub.filter)
-		cv, err := ml.LeaveOneGroupOut(data, mk)
+		acc, folds, err := leaveOneProgramOut(db, platform, db.Dataset(platform, sub.filter), mk)
 		if err != nil {
 			return nil, err
 		}
-		row := AblationRow{Features: sub.name, Platform: platform, Accuracy: cv.Accuracy()}
+		row := AblationRow{Features: sub.name, Platform: platform, Accuracy: acc}
 		effSum, n := 0.0, 0
-		for _, fold := range cv.Folds {
-			for fi, ti := range fold.TestIdx {
-				r := recs[ti]
-				cls := fold.Predicted[fi]
-				if cls < 0 || cls >= len(r.Times) {
-					cls = 0
-				}
-				effSum += r.OracleTime / r.Times[cls]
+		for _, fold := range folds {
+			for _, h := range fold {
+				effSum += h.rec.OracleTime / h.time
 				n++
 			}
 		}

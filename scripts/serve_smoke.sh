@@ -49,7 +49,7 @@ echo "== training tiny database + artifacts =="
 test -f "$work/models/mc2.json" || { echo "FAIL: no mc2 model artifact"; exit 1; }
 
 echo "== launching serve (adaptive) =="
-"$work/serve" -addr "127.0.0.1:$port" -db "$work/db.json" -platform mc2 \
+"$work/serve" -addr "127.0.0.1:$port" -db "$work/db.json" -platforms mc2 \
   -models "$work/models" -model knn -warm vecadd \
   -obs "$work/obslog" -adaptive -retrain-interval 1h -retrain-min 1 &
 pid=$!
@@ -226,7 +226,7 @@ wait "$pid" || { echo "FAIL: serve exited non-zero"; exit 1; }
 pid=""
 
 echo "== untrusted kernels: serve with budgets, quotas and a tiny program cache =="
-"$work/serve" -addr "127.0.0.1:$port" -db "$work/db.json" -platform mc2 \
+"$work/serve" -addr "127.0.0.1:$port" -db "$work/db.json" -platforms mc2 \
   -model knn -exec-steps 2000000 -exec-timeout 10s \
   -tenant-max-kernels 1 -cache-limit 1 &
 pid=$!

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/exec"
+	"repro/internal/exec/vm"
 	"repro/internal/inspire"
 )
 
@@ -282,6 +283,30 @@ func TestVecNoScalarBails(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEverySuperinstructionUsed holds the fuser to its production
+// users: every opcode registered as a superinstruction must occur in the
+// scalar bytecode of at least one built-in. One that none contains is
+// code the fuser and both interpreters carry for nothing: delete it, or
+// add the built-in that needs it.
+func TestEverySuperinstructionUsed(t *testing.T) {
+	used := map[vm.Opcode]bool{}
+	for _, p := range bench.All() {
+		_, vmc, _ := compileBothTiers(t, p.Name, p.Source, p.Kernel)
+		for _, in := range vmc.VM().Code {
+			used[in.Op] = true
+		}
+	}
+	var unused []string
+	for op := range vm.Opcode(math.MaxUint8) {
+		if info, ok := vm.LookupOp(op); ok && info.Super && !used[op] {
+			unused = append(unused, info.Name)
+		}
+	}
+	if len(unused) > 0 {
+		t.Errorf("%d superinstructions occur in no built-in's bytecode: %s", len(unused), strings.Join(unused, " "))
 	}
 }
 
